@@ -21,11 +21,13 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
 #include <functional>
 #include <memory>
 #include <numeric>
 #include <set>
+#include <unordered_map>
 
 using namespace anek;
 
@@ -57,6 +59,14 @@ namespace {
 double oddsRatio(double Marginal, double AppliedPrior) {
   double Ratio = probToOdds(Marginal) / probToOdds(AppliedPrior);
   return std::clamp(Ratio, 1e-6, 1e6);
+}
+
+/// Bitwise equality of two streams of doubles: the exact-input test
+/// behind every memo hit.
+bool sameBits(const std::vector<double> &A, const std::vector<double> &B) {
+  return A.size() == B.size() &&
+         (A.empty() ||
+          std::memcmp(A.data(), B.data(), A.size() * sizeof(double)) == 0);
 }
 
 /// Rewrites a summary prior for call-site application.
@@ -168,7 +178,31 @@ private:
     std::vector<PendingUpdate> Updates;
     unsigned Variables = 0;
     unsigned Factors = 0;
+    /// Solver wall-clock this pick spent; 0 for a replayed solve (cache
+    /// hit or memo hit), where no solver ran.
     double SolveSeconds = 0.0;
+    /// True when the run-local SOLVE memo served this outcome.
+    bool Replayed = false;
+  };
+
+  /// The run-local SOLVE memo's view of one pick: the digest of its
+  /// applied-prior stream and the stream itself. analyzeOne fills it;
+  /// after the wave, the scheduling thread files fresh solves under it.
+  struct MemoProbe {
+    uint64_t Key = 0;
+    /// Every prior the method's model applies, concatenated in
+    /// application order. Which targets and nodes they go to is a
+    /// function of the method alone within one engine, so the values
+    /// are the whole input of the solve.
+    std::vector<double> Stream;
+  };
+
+  /// One memoized SOLVE: the method, the exact stream it was solved
+  /// against, and the fresh outcome (Solves = 1, before any merge).
+  struct MemoEntry {
+    const MethodDecl *Method = nullptr;
+    std::vector<double> Stream;
+    MethodOutcome Outcome;
   };
 
   /// Record of one summary-prior application so its evidence can be
@@ -191,8 +225,12 @@ private:
   /// Builds and solves one method's model against the current (frozen)
   /// summary store. Pure with respect to engine state: all writes are
   /// returned as deferred updates inside the outcome. Safe to run
-  /// concurrently with other analyzeOne calls.
-  MethodOutcome analyzeOne(MethodDecl *M);
+  /// concurrently with other analyzeOne calls. With a non-null \p Probe
+  /// (memo armed), a pick whose applied-prior stream the memo already
+  /// holds returns a copy of the stored outcome without building or
+  /// solving anything; otherwise \p Probe is left holding the key and
+  /// stream to file the fresh outcome under.
+  MethodOutcome analyzeOne(MethodDecl *M, MemoProbe *Probe = nullptr);
 
   /// Enumerates every summary-prior application \p M's model makes —
   /// own interface targets first, then call sites in PFG order — with
@@ -240,11 +278,17 @@ private:
   // the key digests every input the solve depends on, so a hit replays
   // the stored evidence byte-identically by construction.
 
+  /// True when a SOLVE is a pure function of its method and applied
+  /// priors: no per-solve time budget (SolveBudgetSeconds makes results
+  /// timing-dependent) and no armed analysis-perturbing fault. Both the
+  /// cache and the memo replay only under this precondition.
+  bool solvesReplayable() const;
+
   /// Gates and arms the cache for this run: verifies the preconditions
-  /// (no per-solve time budget, unique qualified names, no armed
-  /// analysis-perturbing fault) and precomputes the run-constant key
-  /// components — the program-environment/options digest and the per-SCC
-  /// transitive content chain hashes. Leaves Cache null when unusable.
+  /// (solvesReplayable, unique qualified names) and precomputes the
+  /// run-constant key components — the program-environment/options
+  /// digest and the per-SCC transitive content chain hashes. Leaves
+  /// Cache null when unusable.
   void prepareCache();
 
   /// The content key of \p M's next SOLVE against the current summary
@@ -303,6 +347,13 @@ private:
   std::map<const MethodDecl *, uint64_t> ChainHashes;
   /// Qualified name -> method, for cache-entry replay resolution.
   std::map<std::string, MethodDecl *> DeclsByName;
+
+  // The run-local SOLVE memo (DESIGN.md, "The in-run SOLVE memo"). Armed
+  // by run() when solves are replayable and neither the persistent cache
+  // nor the shard tier is in play. Jobs only read it during a wave; the
+  // scheduling thread inserts between waves.
+  bool MemoArmed = false;
+  std::unordered_map<uint64_t, MemoEntry> Memo;
 };
 
 } // namespace
@@ -622,7 +673,8 @@ void InferEngine::forEachApplication(
   }
 }
 
-InferEngine::MethodOutcome InferEngine::analyzeOne(MethodDecl *M) {
+InferEngine::MethodOutcome InferEngine::analyzeOne(MethodDecl *M,
+                                                   MemoProbe *Probe) {
   MethodOutcome Out;
   auto Fail = [&](const Status &S) {
     Out.Failed = true;
@@ -645,18 +697,41 @@ InferEngine::MethodOutcome InferEngine::analyzeOne(MethodDecl *M) {
   const MethodData &MD = Data.at(M);
   const Pfg &G = MD.G;
 
-  FactorGraph FG;
-  PfgVarMap Vars(G, FG);
-  generateConstraints(G, FG, Vars, Opts.Constraints);
-
   // Records of every prior application so evidence can be divided out.
   // Everything read below comes from the wave's frozen summary store;
   // the writes go through deferred PendingUpdates.
   std::vector<Application> Applications;
   forEachApplication(M, G, [&](Application &App) {
-    setMarginalPriors(FG, Vars.node(App.Node), App.Applied);
     Applications.push_back(std::move(App));
   });
+
+  // The memo: the applied priors are the solve's only varying input, so
+  // an exact repeat of the stream replays the stored outcome. The digest
+  // picks the entry; the full stream comparison makes the hit exact.
+  if (Probe) {
+    for (const Application &App : Applications)
+      Probe->Stream.insert(Probe->Stream.end(), App.Applied.begin(),
+                           App.Applied.end());
+    HashStream H;
+    H.u32(M->DeclIndex);
+    for (double V : Probe->Stream)
+      H.f64(V);
+    Probe->Key = H.digest();
+    auto It = Memo.find(Probe->Key);
+    if (It != Memo.end() && It->second.Method == M &&
+        sameBits(It->second.Stream, Probe->Stream)) {
+      MethodOutcome Replay = It->second.Outcome;
+      Replay.SolveSeconds = 0.0;
+      Replay.Replayed = true;
+      return Replay;
+    }
+  }
+
+  FactorGraph FG;
+  PfgVarMap Vars(G, FG);
+  generateConstraints(G, FG, Vars, Opts.Constraints);
+  for (const Application &App : Applications)
+    setMarginalPriors(FG, Vars.node(App.Node), App.Applied);
 
   Timer SolveTimer;
   Marginals GraphBelief;
@@ -765,25 +840,28 @@ uint64_t methodContentHash(const MethodDecl &M) {
 
 } // namespace
 
-void InferEngine::prepareCache() {
-  Cache = nullptr;
-  if (!Opts.Cache)
-    return;
+bool InferEngine::solvesReplayable() const {
   // A per-solve time budget makes solve outcomes timing-dependent, so a
   // replay is not guaranteed to reproduce a fresh solve. Governed runs
-  // (deadline'd batch requests) therefore never cache.
+  // (deadline'd batch requests) therefore never replay.
   if (Opts.SolveBudgetSeconds > 0.0)
-    return;
+    return false;
   // Analysis-perturbing faults change what a fresh solve would compute;
-  // caching across them would either launder a faulted result into clean
-  // runs or replay a clean result past an armed fault. Infrastructure
-  // faults (wire corruption, worker crashes) do not perturb results —
-  // the degradation contract absorbs them — so they keep caching on.
-  if (faults::anyActive() &&
-      (faults::kindActive(FaultKind::BpNonConvergence) ||
-       faults::kindActive(FaultKind::DeadlineExpiry) ||
-       faults::kindActive(FaultKind::AllocPerturb) ||
-       faults::kindActive(FaultKind::SolveFailure)))
+  // replaying across them would either launder a faulted result into
+  // clean runs or replay a clean result past an armed fault.
+  // Infrastructure faults (wire corruption, worker crashes) do not
+  // perturb results — the degradation contract absorbs them — so they
+  // keep replay on.
+  return !(faults::anyActive() &&
+           (faults::kindActive(FaultKind::BpNonConvergence) ||
+            faults::kindActive(FaultKind::DeadlineExpiry) ||
+            faults::kindActive(FaultKind::AllocPerturb) ||
+            faults::kindActive(FaultKind::SolveFailure)));
+}
+
+void InferEngine::prepareCache() {
+  Cache = nullptr;
+  if (!Opts.Cache || !solvesReplayable())
     return;
   // Replay resolution is by qualified name; ambiguity would alias
   // entries across distinct methods.
@@ -915,7 +993,7 @@ bool InferEngine::adoptCachedSolve(CachedSolve Entry, MethodOutcome &Out) {
   Adopted.Report.Solves = Entry.Solves;
   Adopted.Variables = static_cast<unsigned>(Entry.Variables);
   Adopted.Factors = static_cast<unsigned>(Entry.Factors);
-  Adopted.SolveSeconds = Entry.SolveSeconds;
+  // Entry.SolveSeconds is what the storing run paid; replaying pays none.
   for (CachedUpdate &U : Entry.Updates) {
     if (U.Role > static_cast<uint8_t>(summaryio::SummaryTargetRole::Result))
       return false;
@@ -1224,6 +1302,10 @@ InferResult InferEngine::run() {
     if (CachePrep.active())
       CachePrep.argBool("armed", Cache != nullptr);
   }
+  // The SOLVE memo answers in-run repeats. An armed cache already
+  // answers them from its own stores, and the shard tier solves outside
+  // this process, so the memo stays off in both cases.
+  MemoArmed = !Cache && !ShardUsable && solvesReplayable();
 
   // Cooperative cancellation/budget poll, consulted at wave boundaries
   // only: inside a wave the jobs run to completion (their SOLVE steps are
@@ -1294,6 +1376,7 @@ InferResult InferEngine::run() {
       const int64_t DispatchUs =
           telemetry::enabled() ? telemetry::nowUs() : 0;
       std::vector<MethodOutcome> Outcomes(Batch.size());
+      std::vector<MemoProbe> Probes(MemoArmed ? Batch.size() : 0);
 
       // Cache lookups run on the scheduling thread against the same
       // frozen store the jobs would read. Hits fill their outcome slot
@@ -1394,6 +1477,10 @@ InferResult InferEngine::run() {
         }
       }
 
+      // Jobs parallelFor runs inline never sit in a queue: their start
+      // time minus the dispatch time is the earlier jobs' run time, so
+      // they record no queue wait at all.
+      const bool Inline = parallelForRunsInline(Pool, Pending.size());
       if (!RemoteMerged)
         parallelFor(Pool, Pending.size(), [&](size_t J) {
         const size_t I = Pending[J];
@@ -1404,7 +1491,7 @@ InferResult InferEngine::run() {
         telemetry::Span JobSpan("infer.method",
                                 telemetry::TraceLevel::Method, "infer");
         int64_t WaitUs = 0;
-        if (telemetry::enabled(telemetry::TraceLevel::Phase)) {
+        if (!Inline && telemetry::enabled(telemetry::TraceLevel::Phase)) {
           WaitUs = telemetry::nowUs() - DispatchUs;
           telemetry::histogram("infer.queue_wait_us")
               .record(static_cast<double>(WaitUs));
@@ -1412,7 +1499,8 @@ InferResult InferEngine::run() {
         const int64_t RunStartUs =
             telemetry::enabled() ? telemetry::nowUs() : 0;
         try {
-          Outcomes[I] = analyzeOne(Batch[I]);
+          Outcomes[I] =
+              analyzeOne(Batch[I], MemoArmed ? &Probes[I] : nullptr);
         } catch (const std::exception &E) {
           Outcomes[I].Failed = true;
           Outcomes[I].Error =
@@ -1424,7 +1512,8 @@ InferResult InferEngine::run() {
         if (JobSpan.active()) {
           const MethodOutcome &Out = Outcomes[I];
           JobSpan.arg("method", Batch[I]->qualifiedName());
-          JobSpan.arg("wait_us", WaitUs);
+          if (!Inline)
+            JobSpan.arg("wait_us", WaitUs);
           if (Out.Failed) {
             JobSpan.argBool("failed", true);
           } else {
@@ -1448,6 +1537,28 @@ InferResult InferEngine::run() {
           ++Result.Cache.Stores;
         }
       }
+      // Memoize fresh solves the same way, still at Solves = 1: the merge
+      // below adds the method's earlier solves to the live report only.
+      unsigned WaveReplays = 0;
+      if (MemoArmed) {
+        for (size_t I : Pending) {
+          const MethodOutcome &Out = Outcomes[I];
+          if (Out.Replayed) {
+            ++WaveReplays;
+            continue;
+          }
+          if (Out.Failed)
+            continue;
+          MemoEntry Entry;
+          Entry.Method = Batch[I];
+          Entry.Stream = std::move(Probes[I].Stream);
+          Entry.Outcome = Out;
+          Memo.emplace(Probes[I].Key, std::move(Entry));
+        }
+        Result.MemoReplays += WaveReplays;
+      }
+      if (WaveSpan.active())
+        WaveSpan.arg("replayed", WaveReplays);
 
       // Merge, in declaration (= batch) order, on this thread only.
       telemetry::Span MergeSpan("infer.merge", telemetry::TraceLevel::Phase,
@@ -1576,6 +1687,7 @@ InferResult InferEngine::run() {
     Phase3.arg("inferred", static_cast<uint64_t>(Result.Inferred.size()));
   if (telemetry::enabled(telemetry::TraceLevel::Phase)) {
     telemetry::counter("infer.worklist_picks").add(Result.WorklistPicks);
+    telemetry::counter("infer.replays").add(Result.MemoReplays);
     telemetry::counter("infer.methods_analyzed")
         .add(Result.MethodsAnalyzed);
     telemetry::counter("infer.methods_failed").add(Result.MethodsFailed);

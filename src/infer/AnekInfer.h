@@ -237,6 +237,11 @@ struct InferResult {
 
   // Statistics.
   unsigned WorklistPicks = 0;
+  /// Picks the run-local SOLVE memo answered by replaying an outcome
+  /// this run had already computed (DESIGN.md, "The in-run SOLVE memo").
+  /// A replay is still a pick. Zero when the memo is disarmed: under a
+  /// cache, a shard executor, a per-solve budget or an analysis fault.
+  unsigned MemoReplays = 0;
   unsigned MethodsAnalyzed = 0;
   /// Methods isolated after a failure (skipped with a diagnostic).
   unsigned MethodsFailed = 0;
@@ -244,6 +249,8 @@ struct InferResult {
   unsigned FallbackSolves = 0;
   unsigned TotalVariables = 0;
   unsigned TotalFactors = 0;
+  /// Solver wall-clock summed over the picks that actually solved;
+  /// replays (cache or memo hits) add nothing.
   double SolveSeconds = 0.0;
 
   /// Sharded-execution counters; all zero unless InferOptions::ShardExec

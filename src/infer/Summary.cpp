@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 using namespace anek;
 
@@ -27,6 +28,7 @@ TargetSummary::TargetSummary(TypeDecl *Class) {
     States = Class->States.names();
   DeclaredPrior.assign(NumPermKinds + States.size(), 0.5);
   SelfOdds.assign(DeclaredPrior.size(), 1.0);
+  Pooled = pool(false, nullptr);
 }
 
 void TargetSummary::setDeclaredPrior(const std::optional<PermState> &PS,
@@ -40,6 +42,7 @@ void TargetSummary::setDeclaredPrior(const std::optional<PermState> &PS,
       PS->State.empty() ? std::string(AliveStateName) : PS->State;
   for (size_t S = 0; S != States.size(); ++S)
     DeclaredPrior[NumPermKinds + S] = States[S] == Wanted ? Hi : Lo;
+  Pooled = pool(false, nullptr);
 }
 
 static double maxDelta(const std::vector<double> &A,
@@ -52,48 +55,45 @@ static double maxDelta(const std::vector<double> &A,
 
 double TargetSummary::setSelfOdds(std::vector<double> Odds) {
   Odds.resize(size(), 1.0);
-  std::vector<double> Before = pooled();
   SelfOdds = std::move(Odds);
-  return maxDelta(Before, pooled());
+  std::vector<double> Before = std::exchange(Pooled, pool(false, nullptr));
+  return maxDelta(Before, Pooled);
 }
 
 double TargetSummary::setSiteOdds(CallSiteKey Site,
                                   std::vector<double> Odds) {
   Odds.resize(size(), 1.0);
-  std::vector<double> Before = pooled();
   SiteOdds[Site] = std::move(Odds);
-  return maxDelta(Before, pooled());
+  std::vector<double> Before = std::exchange(Pooled, pool(false, nullptr));
+  return maxDelta(Before, Pooled);
 }
 
-std::vector<double> TargetSummary::pool(const std::vector<double> *SkipOdds,
+std::vector<double> TargetSummary::pool(bool SkipSelf,
                                         const CallSiteKey *SkipSite) const {
-  std::vector<double> Out(size());
+  std::vector<double> Odds(size());
   for (size_t I = 0; I != size(); ++I) {
-    double Odds = probToOdds(DeclaredPrior[I]);
-    if (SkipOdds != &SelfOdds && I < SelfOdds.size())
-      Odds *= SelfOdds[I];
-    for (const auto &[Site, Vec] : SiteOdds) {
-      if (SkipSite && Site == *SkipSite)
-        continue;
-      if (I < Vec.size())
-        Odds *= Vec[I];
-    }
-    Out[I] = oddsToProb(Odds);
+    Odds[I] = probToOdds(DeclaredPrior[I]);
+    if (!SkipSelf && I < SelfOdds.size())
+      Odds[I] *= SelfOdds[I];
   }
-  return Out;
-}
-
-std::vector<double> TargetSummary::pooled() const {
-  return pool(nullptr, nullptr);
+  for (const auto &[Site, Vec] : SiteOdds) {
+    if (SkipSite && Site == *SkipSite)
+      continue;
+    for (size_t I = 0, E = std::min(size(), Vec.size()); I != E; ++I)
+      Odds[I] *= Vec[I];
+  }
+  for (double &O : Odds)
+    O = oddsToProb(O);
+  return Odds;
 }
 
 std::vector<double> TargetSummary::pooledWithoutSelf() const {
-  return pool(&SelfOdds, nullptr);
+  return pool(true, nullptr);
 }
 
 std::vector<double>
 TargetSummary::pooledWithoutSite(CallSiteKey Site) const {
-  return pool(nullptr, &Site);
+  return pool(false, &Site);
 }
 
 MethodSummary MethodSummary::forMethod(const MethodDecl &Method, double Hi,

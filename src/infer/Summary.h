@@ -86,8 +86,9 @@ public:
   /// change in pooled probability.
   double setSiteOdds(CallSiteKey Site, std::vector<double> Odds);
 
-  /// Pooled probabilities including every evidence source.
-  std::vector<double> pooled() const;
+  /// Pooled probabilities including every evidence source. Every
+  /// mutation refreshes it, so reading it pools nothing.
+  const std::vector<double> &pooled() const { return Pooled; }
 
   /// Pooled probabilities excluding the method's own-body evidence (the
   /// prior to apply at the method's interface nodes before re-solving).
@@ -100,8 +101,13 @@ public:
 private:
   friend struct SummaryWireAccess;
 
-  std::vector<double> pool(const std::vector<double> *SkipOdds,
-                           const CallSiteKey *SkipSite) const;
+  /// The odds product over every source except the skipped ones, as
+  /// probabilities. Site-major: one walk over the site map multiplies
+  /// each site's vector into a running product. Each variable's product
+  /// takes its factors in one fixed order — prior, self, then sites in
+  /// CallSiteOrder — the order a per-variable fold uses, so walking the
+  /// map site-major changes no bit of the result.
+  std::vector<double> pool(bool SkipSelf, const CallSiteKey *SkipSite) const;
 
   std::vector<std::string> States;
   std::vector<double> DeclaredPrior; ///< Probabilities.
@@ -109,6 +115,9 @@ private:
   /// Per-site odds in declaration-index order (see CallSiteOrder: the
   /// pooling product must not depend on pointer values).
   std::map<CallSiteKey, std::vector<double>, CallSiteOrder> SiteOdds;
+  /// pool() over every source, refreshed by each mutation: an update
+  /// pools once (the new state) and diffs against this (the old one).
+  std::vector<double> Pooled;
 };
 
 /// Summary of one method across every interface target.

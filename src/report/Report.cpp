@@ -145,6 +145,8 @@ Status digestMetrics(const std::string &Text, Profile &P) {
     auto It = P.Counters.find(Name);
     return It == P.Counters.end() ? 0 : It->second;
   };
+  P.Picks = Counter("infer.worklist_picks");
+  P.Replays = Counter("infer.replays");
   P.WorkersSpawned = Counter("shard.workers_spawned");
   P.WorkersLost = Counter("shard.workers_lost");
   P.Redispatches = Counter("shard.redispatches");
@@ -297,6 +299,12 @@ std::string report::renderText(const Profile &P, unsigned TopK) {
                       static_cast<double>(Total)
                 : 0.0);
     }
+    if (P.Picks)
+      Out += formatStr("  replayed picks        %llu / %llu (%.1f%%)\n",
+                       static_cast<unsigned long long>(P.Replays),
+                       static_cast<unsigned long long>(P.Picks),
+                       100.0 * static_cast<double>(P.Replays) /
+                           static_cast<double>(P.Picks));
     if (P.WorkersSpawned || P.WorkersLost || P.Quarantined)
       Out += formatStr("  shard tier            %llu spawned, %llu lost, "
                        "%llu re-dispatched, %llu quarantined\n",
@@ -393,6 +401,10 @@ std::string report::renderJson(const Profile &P, unsigned TopK) {
            jsonNumber(static_cast<double>(P.QueueWaitUs)) + ",\n";
     Out += "    \"method_run_us\": " +
            jsonNumber(static_cast<double>(P.MethodRunUs)) + ",\n";
+    Out += "    \"picks\": " + jsonNumber(static_cast<double>(P.Picks)) +
+           ",\n";
+    Out += "    \"replayed_picks\": " +
+           jsonNumber(static_cast<double>(P.Replays)) + ",\n";
     Out += "    \"shard\": {\"workers_spawned\": " +
            jsonNumber(static_cast<double>(P.WorkersSpawned)) +
            ", \"workers_lost\": " +

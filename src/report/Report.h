@@ -11,7 +11,8 @@
 /// can read in ten seconds (DESIGN.md, "Distributed telemetry"): where
 /// the wall-clock went per phase, the top spans by duration, the cache
 /// hit rate, how hard the shard tier fought (spawns, losses,
-/// re-dispatches, quarantines), the queue-wait vs. solve split, and the
+/// re-dispatches, quarantines), the queue-wait vs. solve split, the
+/// share of worklist picks the in-run SOLVE memo replayed, and the
 /// per-request outcome table.
 ///
 /// The profiler is a pure function of the artifact bytes: it never runs
@@ -87,9 +88,15 @@ struct Profile {
   /// counters were exported.
   double CacheHitRate = -1.0;
   /// Total microseconds requests spent queued vs. solving (from the
-  /// infer.queue_wait_us / infer.method_run_us counters).
+  /// infer.queue_wait_us / infer.method_run_us counters). Jobs that ran
+  /// inline on the scheduling thread (-j1) never queue and record no
+  /// wait.
   uint64_t QueueWaitUs = 0;
   uint64_t MethodRunUs = 0;
+  /// Worklist picks, and how many of them the in-run SOLVE memo replayed
+  /// instead of solving (infer.worklist_picks / infer.replays).
+  uint64_t Picks = 0;
+  uint64_t Replays = 0;
   /// Shard-tier effort counters (0 when the run never sharded).
   uint64_t WorkersSpawned = 0;
   uint64_t WorkersLost = 0;

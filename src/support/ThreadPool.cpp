@@ -76,9 +76,13 @@ void ThreadPool::workerLoop() {
   }
 }
 
+bool anek::parallelForRunsInline(const ThreadPool *Pool, size_t Count) {
+  return !Pool || Pool->threadCount() <= 1 || Count <= 1;
+}
+
 void anek::parallelFor(ThreadPool *Pool, size_t Count,
                        const std::function<void(size_t)> &Fn) {
-  if (!Pool || Pool->threadCount() <= 1 || Count <= 1) {
+  if (parallelForRunsInline(Pool, Count)) {
     for (size_t I = 0; I != Count; ++I)
       Fn(I);
     return;

@@ -86,6 +86,11 @@ private:
 void parallelFor(ThreadPool *Pool, size_t Count,
                  const std::function<void(size_t)> &Fn);
 
+/// True when parallelFor(Pool, Count, ...) runs its calls inline on the
+/// calling thread. Such calls never queue, so callers that measure queue
+/// wait must not record any for them.
+bool parallelForRunsInline(const ThreadPool *Pool, size_t Count);
+
 } // namespace anek
 
 #endif // ANEK_SUPPORT_THREADPOOL_H

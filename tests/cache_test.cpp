@@ -350,6 +350,14 @@ TEST_F(CacheTest, WarmRunReplaysByteIdenticallyWithZeroSolves) {
   EXPECT_EQ(R2.MethodsAnalyzed, R1.MethodsAnalyzed);
   EXPECT_EQ(renderedSpecs(*Warm, R2), renderedSpecs(*Cold, R1));
 
+  // No solver ran, so no solve time is reported: the stored entries'
+  // seconds belong to the run that paid them.
+  EXPECT_GT(R1.SolveSeconds, 0.0);
+  EXPECT_EQ(R2.SolveSeconds, 0.0);
+  // The cache answers in-run repeats itself; the SOLVE memo stays off.
+  EXPECT_EQ(R1.MemoReplays, 0u);
+  EXPECT_EQ(R2.MemoReplays, 0u);
+
   // An uncached run of the same program also agrees: caching changes
   // cost, never results.
   auto Plain = analyze(Source);

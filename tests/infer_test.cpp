@@ -1,12 +1,17 @@
 //===- infer_test.cpp - End-to-end tests for ANEK-INFER --------------------===//
 
 #include "corpus/ExampleSources.h"
+#include "corpus/PmdGenerator.h"
 #include "corpus/RegressionSuite.h"
 #include "infer/AnekInfer.h"
+#include "infer/SummaryIO.h"
+#include "lang/PrettyPrinter.h"
 #include "lang/Sema.h"
 #include "plural/Checker.h"
+#include "support/FaultInject.h"
 
 #include <gtest/gtest.h>
+#include <sstream>
 
 using namespace anek;
 
@@ -178,3 +183,105 @@ INSTANTIATE_TEST_SUITE_P(
           C = '_';
       return Name;
     });
+
+//===----------------------------------------------------------------------===//
+// The in-run SOLVE memo
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Everything a run computes apart from wall-clock: the program rendered
+/// with its specs, the final summaries' snapshot bytes, and every
+/// per-method report.
+struct RunImage {
+  std::string Specs;
+  std::string Snapshot;
+  std::string Reports;
+  InferResult Result;
+};
+
+RunImage runImage(const std::string &Source, const InferOptions &Opts) {
+  RunImage Image;
+  auto Prog = analyze(Source);
+  if (!Prog)
+    return Image;
+  Image.Result = runAnekInfer(*Prog, Opts);
+  const InferResult &R = Image.Result;
+  PrintOptions POpts;
+  POpts.SpecFor = [&R](const MethodDecl &M) { return *R.specFor(&M); };
+  Image.Specs = printProgram(*Prog, POpts);
+  Image.Snapshot = summaryio::encodeSnapshot(R.Summaries);
+  std::ostringstream Out;
+  Out << std::hexfloat;
+  for (const auto &[M, Rep] : R.Reports)
+    Out << M->qualifiedName() << " used=" << solverChoiceName(Rep.Used)
+        << " fallback=" << Rep.Fallback << " reason=" << Rep.Reason
+        << " converged=" << Rep.Solve.Converged
+        << " residual=" << Rep.Solve.Residual
+        << " iters=" << Rep.Solve.Iterations
+        << " expired=" << Rep.Solve.DeadlineExpired
+        << " updates=" << Rep.Solve.Updates
+        << " skipped=" << Rep.Solve.SkippedUpdates
+        << " why=" << Rep.Solve.Reason << " solves=" << Rep.Solves
+        << " failed=" << Rep.Failed << " error=" << Rep.Error << "\n";
+  Out << "picks=" << R.WorklistPicks << " fallbacks=" << R.FallbackSolves
+      << " failed=" << R.MethodsFailed << " vars=" << R.TotalVariables
+      << " factors=" << R.TotalFactors << "\n";
+  Image.Reports = Out.str();
+  return Image;
+}
+
+/// A scaled-down PMD corpus: the iterator core that cycles at full size,
+/// small enough for a unit test.
+std::string reducedPmdSource() {
+  PmdConfig Config;
+  Config.Classes = 22;
+  Config.Methods = 90;
+  Config.Wrappers = 3;
+  Config.DirectSites = 6;
+  Config.WrapperConsumerSites = 4;
+  return generatePmdCorpus(Config).Source;
+}
+
+} // namespace
+
+TEST(SolveMemoTest, ReplaysChangeNothingButTheWork) {
+  for (const std::string &Source :
+       {iteratorApiSource() + spreadsheetSource(), reducedPmdSource()}) {
+    InferOptions Armed;
+    // A budget no solve comes near disarms the memo without changing
+    // what any solve computes.
+    InferOptions Disarmed;
+    Disarmed.SolveBudgetSeconds = 1e6;
+    RunImage WithMemo = runImage(Source, Armed);
+    RunImage WithoutMemo = runImage(Source, Disarmed);
+
+    EXPECT_GT(WithMemo.Result.MemoReplays, 0u);
+    EXPECT_EQ(WithoutMemo.Result.MemoReplays, 0u);
+    EXPECT_LT(WithMemo.Result.MemoReplays, WithMemo.Result.WorklistPicks);
+    EXPECT_EQ(WithMemo.Specs, WithoutMemo.Specs);
+    EXPECT_EQ(WithMemo.Snapshot, WithoutMemo.Snapshot);
+    EXPECT_EQ(WithMemo.Reports, WithoutMemo.Reports);
+
+    // Threads do not change which picks replay.
+    InferOptions Parallel;
+    Parallel.Parallelism = 4;
+    RunImage Wide = runImage(Source, Parallel);
+    EXPECT_EQ(Wide.Result.MemoReplays, WithMemo.Result.MemoReplays);
+    EXPECT_EQ(Wide.Reports, WithMemo.Reports);
+    EXPECT_EQ(Wide.Snapshot, WithMemo.Snapshot);
+  }
+}
+
+TEST(SolveMemoTest, DisarmedUnderAnalysisPerturbingFault) {
+  // A run whose solves may be sabotaged must not replay them: the memo
+  // follows the summary cache's preconditions.
+  faults::reset();
+  faults::ScopedFault Sabotage(FaultKind::SolveFailure, "Row.createColIter");
+  InferResult R =
+      runImage(iteratorApiSource() + spreadsheetSource(), InferOptions())
+          .Result;
+  EXPECT_EQ(R.MethodsFailed, 1u);
+  EXPECT_EQ(R.MemoReplays, 0u);
+}
+

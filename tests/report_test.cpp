@@ -6,13 +6,19 @@
 // stream — into one profile. The contracts under test: missing artifacts
 // degrade sections (never fail), malformed artifacts are hard errors
 // (never a silently wrong profile), worker-side shard.worker.* series
-// fold into the aggregate cache/queue numbers, and the JSON rendering is
-// a parseable anek-report-v1 document.
+// fold into the aggregate cache/queue numbers, the JSON rendering is a
+// parseable anek-report-v1 document, and a real single-threaded run
+// profiles with zero queue wait and its memo-replayed share of picks.
 //
 //===----------------------------------------------------------------------===//
 
+#include "corpus/ExampleSources.h"
+#include "infer/AnekInfer.h"
+#include "lang/Sema.h"
 #include "report/Report.h"
 #include "support/Json.h"
+#include "support/Metrics.h"
+#include "support/Trace.h"
 
 #include <gtest/gtest.h>
 #include <string>
@@ -53,6 +59,8 @@ std::string sampleMetrics() {
   "counters": {
     "cache.hit": 3,
     "cache.miss": 1,
+    "infer.replays": 6,
+    "infer.worklist_picks": 24,
     "shard.worker.cache.hit": 2,
     "shard.workers_spawned": 4,
     "shard.workers_lost": 2,
@@ -122,6 +130,8 @@ TEST(ReportTest, DigestsMetricsAndFoldsWorkerSeriesIntoAggregates) {
   // worker twin here.
   EXPECT_EQ(P->QueueWaitUs, 1500u);
   EXPECT_EQ(P->MethodRunUs, 2000u);
+  EXPECT_EQ(P->Picks, 24u);
+  EXPECT_EQ(P->Replays, 6u);
   EXPECT_EQ(P->WorkersSpawned, 4u);
   EXPECT_EQ(P->WorkersLost, 2u);
   EXPECT_EQ(P->Redispatches, 2u);
@@ -212,6 +222,8 @@ TEST(ReportTest, RenderJsonIsParseableAnekReportV1) {
   const json::Value &Metrics = Doc.at("metrics");
   EXPECT_NEAR(Metrics.at("cache_hit_rate").num(), 5.0 / 6.0, 1e-9);
   EXPECT_EQ(Metrics.at("queue_wait_us").num(), 1500.0);
+  EXPECT_EQ(Metrics.at("picks").num(), 24.0);
+  EXPECT_EQ(Metrics.at("replayed_picks").num(), 6.0);
   EXPECT_EQ(Metrics.at("shard").at("workers_lost").num(), 2.0);
   EXPECT_EQ(Metrics.at("shard").at("telemetry_frames").num(), 13.0);
   EXPECT_EQ(Metrics.at("histograms")
@@ -241,6 +253,8 @@ TEST(ReportTest, RenderTextShowsEverySectionAndHonorsTopK) {
   EXPECT_NE(Text.find("infer.run"), std::string::npos);
   EXPECT_NE(Text.find("cache hit rate"), std::string::npos);
   EXPECT_NE(Text.find("queue-wait vs solve"), std::string::npos);
+  EXPECT_NE(Text.find("replayed picks        6 / 24 (25.0%)"),
+            std::string::npos);
   EXPECT_NE(Text.find("shard tier"), std::string::npos);
   EXPECT_NE(Text.find("worker telemetry"), std::string::npos);
   EXPECT_NE(Text.find("shard-quarantine"), std::string::npos);
@@ -250,6 +264,41 @@ TEST(ReportTest, RenderTextShowsEverySectionAndHonorsTopK) {
   std::string Short = report::renderText(*P, /*TopK=*/1);
   EXPECT_NE(Short.find("top 1 spans"), std::string::npos);
   EXPECT_EQ(Short.find("solver.bp"), std::string::npos);
+}
+
+TEST(ReportTest, SequentialRunHasNoQueueWaitAndShowsItsReplays) {
+  // A real -j1 run, traced at method level. Its jobs run inline on the
+  // scheduling thread, so nothing ever queues: the profile must say 0
+  // waiting rather than sum each job's wait for the jobs before it.
+  telemetry::resetTrace();
+  telemetry::resetMetricsForTest();
+  telemetry::setTraceLevel(telemetry::TraceLevel::Method);
+  DiagnosticEngine Diags;
+  std::unique_ptr<Program> Prog =
+      parseAndAnalyze(iteratorApiSource() + spreadsheetSource(), Diags);
+  ASSERT_TRUE(Prog != nullptr) << Diags.str();
+  InferOptions Opts;
+  Opts.Parallelism = 1;
+  InferResult R = runAnekInfer(*Prog, Opts);
+  const std::string Trace = telemetry::chromeTraceJson();
+  const std::string Metrics = telemetry::metricsJson();
+  telemetry::setTraceLevel(telemetry::TraceLevel::Off);
+  telemetry::resetTrace();
+  telemetry::resetMetricsForTest();
+
+  Expected<report::Profile> P = report::profileFromText(Trace, Metrics, "");
+  ASSERT_TRUE(P.hasValue()) << P.status().str();
+  EXPECT_EQ(P->QueueWaitUs, 0u);
+  EXPECT_GT(P->MethodRunUs, 0u);
+  EXPECT_EQ(Trace.find("\"wait_us\""), std::string::npos)
+      << "inline jobs must not carry a wait_us span arg";
+  EXPECT_NE(report::renderText(*P).find("(0.0% waiting)"), std::string::npos);
+
+  // The replayed share of picks comes straight from the run.
+  EXPECT_EQ(P->Picks, R.WorklistPicks);
+  EXPECT_EQ(P->Replays, R.MemoReplays);
+  EXPECT_GT(P->Replays, 0u);
+  EXPECT_NE(report::renderText(*P).find("replayed picks"), std::string::npos);
 }
 
 } // namespace

@@ -1,9 +1,14 @@
 //===- summary_test.cpp - Unit tests for probabilistic summaries -----------===//
 
 #include "infer/Summary.h"
+#include "infer/SummaryIO.h"
 #include "lang/Sema.h"
+#include "support/Rng.h"
 
+#include <cmath>
+#include <cstring>
 #include <gtest/gtest.h>
+#include <map>
 
 using namespace anek;
 
@@ -216,4 +221,258 @@ TEST(ExtractTest, ThresholdBoundsAsserted) {
   // t in [0.5, 1) per Figure 9 — valid calls work:
   MethodSpec Spec = extractSpec(S, 1, 0.5);
   EXPECT_TRUE(Spec.isEmpty());
+}
+
+//===----------------------------------------------------------------------===//
+// Site-major pooling and the kept pooled vector
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// What a test set on a TargetSummary, folded the way pooling worked
+/// before it went site-major: per variable, prior then self then every
+/// site in CallSiteOrder. Kept here as the bit-exact reference.
+struct ReferenceTarget {
+  std::vector<double> Prior; ///< Probabilities.
+  std::vector<double> Self;  ///< Odds.
+  std::map<CallSiteKey, std::vector<double>, CallSiteOrder> Sites;
+
+  std::vector<double> fold(bool SkipSelf, const CallSiteKey *SkipSite) const {
+    std::vector<double> Out(Prior.size());
+    for (size_t I = 0; I != Prior.size(); ++I) {
+      double Odds = probToOdds(Prior[I]);
+      if (!SkipSelf && I < Self.size())
+        Odds *= Self[I];
+      for (const auto &[Site, Vec] : Sites) {
+        if (SkipSite && Site == *SkipSite)
+          continue;
+        if (I < Vec.size())
+          Odds *= Vec[I];
+      }
+      Out[I] = oddsToProb(Odds);
+    }
+    return Out;
+  }
+};
+
+std::vector<uint64_t> bitsOf(const std::vector<double> &V) {
+  std::vector<uint64_t> Bits(V.size());
+  if (!V.empty())
+    std::memcpy(Bits.data(), V.data(), V.size() * sizeof(double));
+  return Bits;
+}
+
+double maxAbsDelta(const std::vector<double> &A, const std::vector<double> &B) {
+  double Delta = 0.0;
+  for (size_t I = 0; I != A.size(); ++I)
+    Delta = std::max(Delta, std::fabs(A[I] - B[I]));
+  return Delta;
+}
+
+/// A program whose `Host.use` receiver has a four-state class (so
+/// targets have 9 variables) plus 40 caller methods to key up to 400
+/// distinct call sites.
+std::string poolingSource() {
+  std::string Src = "@States({\"OPEN\", \"CLOSED\", \"EOF\"})\n"
+                    "class Host {\n"
+                    "  @Perm(requires=\"full(this) in OPEN\", "
+                    "ensures=\"full(this) in CLOSED\")\n"
+                    "  void use() { }\n"
+                    "}\n"
+                    "class Callers {\n";
+  for (int I = 0; I != 40; ++I)
+    Src += "  void c" + std::to_string(I) + "() { }\n";
+  return Src + "}\n";
+}
+
+/// Draws odds the engine produces: neutral, the evidence cap (x9), the
+/// odds-ratio clamp (1e6) and anything log-uniform in between.
+class OddsSource {
+public:
+  explicit OddsSource(uint64_t Seed) : R(Seed) {}
+
+  double draw() {
+    switch (R.below(6)) {
+    case 0:
+      return 1.0;
+    case 1:
+      return 9.0;
+    case 2:
+      return 1.0 / 9.0;
+    case 3:
+      return R.below(2) ? 1e6 : 1e-6;
+    default:
+      return std::exp((R.uniform() * 2.0 - 1.0) * std::log(9.0));
+    }
+  }
+
+  std::vector<double> vec(size_t N) {
+    std::vector<double> V(N);
+    for (double &O : V)
+      O = draw();
+    return V;
+  }
+
+  unsigned below(unsigned N) { return static_cast<unsigned>(R.below(N)); }
+
+private:
+  Rng R;
+};
+
+struct PoolingFixture {
+  std::unique_ptr<Program> Prog;
+  MethodDecl *Use = nullptr;
+  std::vector<MethodDecl *> Callers;
+
+  PoolingFixture() : Prog(analyze(poolingSource())) {
+    Use = Prog->findType("Host")->findMethod("use", 0);
+    for (auto &M : Prog->findType("Callers")->Methods)
+      Callers.push_back(M.get());
+  }
+
+  CallSiteKey site(OddsSource &Src) const {
+    return {Callers[Src.below(static_cast<unsigned>(Callers.size()))],
+            Src.below(10)};
+  }
+
+  /// Every method's skeleton, as the engine's store holds them.
+  MethodDeclMap<MethodSummary> skeletons() const {
+    MethodDeclMap<MethodSummary> Store;
+    for (const auto &Type : Prog->Types)
+      for (const auto &M : Type->Methods)
+        Store.emplace(M.get(), MethodSummary::forMethod(*M, 0.9, 0.1));
+    return Store;
+  }
+};
+
+/// Asserts that \p T pools bit-identically to the reference fold, with
+/// and without self and without one present and one absent site.
+void expectPoolsLikeReference(const TargetSummary &T,
+                              const ReferenceTarget &Ref, OddsSource &Src,
+                              const PoolingFixture &F) {
+  ASSERT_EQ(bitsOf(T.pooled()), bitsOf(Ref.fold(false, nullptr)));
+  ASSERT_EQ(bitsOf(T.pooledWithoutSelf()), bitsOf(Ref.fold(true, nullptr)));
+  if (!Ref.Sites.empty()) {
+    auto It = Ref.Sites.begin();
+    std::advance(It, Src.below(static_cast<unsigned>(Ref.Sites.size())));
+    ASSERT_EQ(bitsOf(T.pooledWithoutSite(It->first)),
+              bitsOf(Ref.fold(false, &It->first)));
+  }
+  CallSiteKey Any = F.site(Src);
+  ASSERT_EQ(bitsOf(T.pooledWithoutSite(Any)), bitsOf(Ref.fold(false, &Any)));
+}
+
+/// One random mutation through the public API, mirrored into \p Ref;
+/// asserts the returned delta equals the from-scratch recomputation.
+void mutate(TargetSummary &T, ReferenceTarget &Ref, OddsSource &Src,
+            const PoolingFixture &F, bool AllowPrior) {
+  std::vector<double> Before = Ref.fold(false, nullptr);
+  double Delta = 0.0;
+  unsigned Op = Src.below(AllowPrior ? 10 : 9);
+  if (Op < 6) {
+    CallSiteKey Site = F.site(Src);
+    std::vector<double> Odds = Src.vec(T.size());
+    Ref.Sites[Site] = Odds;
+    Delta = T.setSiteOdds(Site, Odds);
+  } else if (Op < 9) {
+    std::vector<double> Odds = Src.vec(T.size());
+    Ref.Self = Odds;
+    Delta = T.setSelfOdds(Odds);
+  } else {
+    PermState PS;
+    PS.Kind = static_cast<PermKind>(Src.below(NumPermKinds));
+    PS.State = T.states()[Src.below(static_cast<unsigned>(T.states().size()))];
+    T.setDeclaredPrior(PS, 0.9, 0.1);
+    for (unsigned K = 0; K != NumPermKinds; ++K)
+      Ref.Prior[K] = static_cast<PermKind>(K) == PS.Kind ? 0.9 : 0.1;
+    for (size_t S = 0; S != T.states().size(); ++S)
+      Ref.Prior[NumPermKinds + S] = T.states()[S] == PS.State ? 0.9 : 0.1;
+    return; // A prior seed reports no delta; pooled() is checked after.
+  }
+  ASSERT_EQ(Delta, maxAbsDelta(Before, Ref.fold(false, nullptr)));
+}
+
+} // namespace
+
+TEST(PoolingTest, SiteMajorFoldIsBitIdenticalToElementMajor) {
+  PoolingFixture F;
+  for (uint64_t Seed = 1; Seed != 41; ++Seed) {
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    OddsSource Src(Seed);
+    MethodSummary S = MethodSummary::forMethod(*F.Use, 0.9, 0.1);
+    TargetSummary &T = *S.RecvPre;
+    ReferenceTarget Ref;
+    // `use` declares full(this) in OPEN: the skeleton's prior.
+    for (unsigned K = 0; K != NumPermKinds; ++K)
+      Ref.Prior.push_back(static_cast<PermKind>(K) == PermKind::Full ? 0.9
+                                                                     : 0.1);
+    for (const std::string &State : T.states())
+      Ref.Prior.push_back(State == "OPEN" ? 0.9 : 0.1);
+    Ref.Self.assign(T.size(), 1.0);
+    // 0-300 sites, neutral and clamped odds among them.
+    unsigned Sites = Src.below(301);
+    for (unsigned I = 0; I != Sites; ++I) {
+      CallSiteKey Site = F.site(Src);
+      std::vector<double> Odds = Src.vec(T.size());
+      Ref.Sites[Site] = Odds;
+      T.setSiteOdds(Site, Odds);
+    }
+    if (Src.below(2)) {
+      Ref.Self = Src.vec(T.size());
+      T.setSelfOdds(Ref.Self);
+    }
+    expectPoolsLikeReference(T, Ref, Src, F);
+  }
+}
+
+TEST(PoolingTest, EveryDeltaMatchesRecomputationAcrossInterleavings) {
+  PoolingFixture F;
+  for (uint64_t Seed = 100; Seed != 120; ++Seed) {
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    OddsSource Src(Seed);
+    TargetSummary T(F.Prog->findType("Host"));
+    ReferenceTarget Ref;
+    Ref.Prior.assign(T.size(), 0.5);
+    Ref.Self.assign(T.size(), 1.0);
+    for (int Step = 0; Step != 300; ++Step) {
+      mutate(T, Ref, Src, F, /*AllowPrior=*/true);
+      ASSERT_EQ(bitsOf(T.pooled()), bitsOf(Ref.fold(false, nullptr)))
+          << "stale pooled vector after step " << Step;
+    }
+    expectPoolsLikeReference(T, Ref, Src, F);
+  }
+}
+
+TEST(PoolingTest, DeltasStayExactAfterSnapshotRoundTrip) {
+  PoolingFixture F;
+  for (uint64_t Seed = 200; Seed != 210; ++Seed) {
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    OddsSource Src(Seed);
+    MethodDeclMap<MethodSummary> Store = F.skeletons();
+    TargetSummary &T = *Store.at(F.Use).RecvPost;
+    ReferenceTarget Ref;
+    for (unsigned K = 0; K != NumPermKinds; ++K)
+      Ref.Prior.push_back(static_cast<PermKind>(K) == PermKind::Full ? 0.9
+                                                                     : 0.1);
+    for (const std::string &State : T.states())
+      Ref.Prior.push_back(State == "CLOSED" ? 0.9 : 0.1);
+    Ref.Self.assign(T.size(), 1.0);
+    ASSERT_EQ(bitsOf(T.pooled()), bitsOf(Ref.fold(false, nullptr)));
+    for (int Step = 0; Step != 150; ++Step)
+      mutate(T, Ref, Src, F, /*AllowPrior=*/false);
+
+    // Decode into fresh skeletons, as a shard worker does, and keep
+    // mutating the decoded copy: its kept pooled vector must be as
+    // fresh as the original's.
+    MethodDeclMap<MethodSummary> Decoded = F.skeletons();
+    ASSERT_TRUE(
+        summaryio::decodeSnapshot(summaryio::encodeSnapshot(Store), Decoded));
+    TargetSummary &D = *Decoded.at(F.Use).RecvPost;
+    expectPoolsLikeReference(D, Ref, Src, F);
+    for (int Step = 0; Step != 150; ++Step) {
+      mutate(D, Ref, Src, F, /*AllowPrior=*/false);
+      ASSERT_EQ(bitsOf(D.pooled()), bitsOf(Ref.fold(false, nullptr)));
+    }
+    expectPoolsLikeReference(D, Ref, Src, F);
+  }
 }
