@@ -1,24 +1,17 @@
 //===- bench_shard_scalability.cpp - Shard-tier throughput and resilience --===//
 //
-// Measures the crash-tolerant shard tier across worker counts and
-// transports: repeated inference runs are farmed to 1/2/4 real worker
-// processes over the anek-shard-v2 protocol, once over the fork/exec
-// pipe transport and once over Unix-domain sockets against persistent
-// `workerd` daemons. For each (transport, workers) cell the bench
-// records sustained throughput (runs per second) for a clean pass and
-// for a chaos pass in which every run loses one worker mid-shard — a
-// SIGKILL on the pipe transport, a hard RST on the socket transport.
-// The respawn rate (re-dispatches per dispatch) quantifies what crash
-// tolerance costs; the reconnect rate (reconnects per remote dispatch)
-// shows how often the socket tier had to re-open a session. Comparing
-// the socket column's clean throughput against pipe shows what the
-// daemon's resident-program cache buys: pipe workers re-parse the
-// program on every run, socket sessions hit the Init digest
-// (DESIGN.md, "Sharded execution and failure model").
+// Measures the crash-tolerant shard tier across worker counts:
+// repeated inference runs are farmed to 1/2/4 real worker processes over
+// the anek-shard-v2 pipe protocol. For each worker count the bench
+// records sustained throughput (runs per second) for a clean pass and for
+// a chaos pass in which every run loses one worker mid-shard to a
+// SIGKILL. The respawn rate (re-dispatches per dispatch) quantifies what
+// crash tolerance costs (DESIGN.md, "Sharded execution and failure
+// model").
 //
 // The bench re-execs itself as its own worker (the hidden --worker
-// mode) and as its own daemons (--workerd). Writes
-// bench_shard_scalability.json with one record per cell.
+// mode). Writes bench_shard_scalability.json with one record per worker
+// count.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,21 +21,15 @@
 #include "lang/Sema.h"
 #include "shard/ShardCoordinator.h"
 #include "shard/ShardWorker.h"
-#include "shard/WorkerDaemon.h"
 #include "support/FaultInject.h"
 #include "support/Metrics.h"
-#include "support/Socket.h"
-#include "support/Subprocess.h"
 #include "support/Timer.h"
 #include "support/Trace.h"
 
 #include <algorithm>
-#include <chrono>
-#include <csignal>
 #include <cstring>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <unistd.h>
 #include <vector>
 
@@ -51,7 +38,6 @@ using namespace anek;
 namespace {
 
 struct Sample {
-  const char *Transport = "pipe";
   unsigned Workers = 0;
   unsigned Rounds = 0;
   double CleanSeconds = 0.0;
@@ -70,19 +56,10 @@ struct Sample {
                      Chaos.ShardsDispatched
                : 0.0;
   }
-  double reconnectRate() const {
-    return Chaos.RemoteDispatches
-               ? static_cast<double>(Chaos.Reconnects) /
-                     Chaos.RemoteDispatches
-               : 0.0;
-  }
 };
 
 /// One sharded inference run; returns the engine-merged shard stats.
-/// With endpoints the coordinator dispatches over sockets and falls
-/// down the ladder on loss; without, it forks pipe workers.
-ShardStats runOnce(const std::string &Source, unsigned Workers,
-                   const std::vector<std::string> &Endpoints) {
+ShardStats runOnce(const std::string &Source, unsigned Workers) {
   DiagnosticEngine Diags;
   std::unique_ptr<Program> Prog = parseAndAnalyze(Source, Diags);
   if (!Prog) {
@@ -94,8 +71,6 @@ ShardStats runOnce(const std::string &Source, unsigned Workers,
   Opts.Parallelism = 1;
   shard::CoordinatorOptions Co;
   Co.Workers = Workers;
-  Co.Endpoints = Endpoints;
-  Co.ConnectTimeoutSeconds = 2.0;
   Co.Retry.BaseDelaySeconds = 0.001;
   Co.Retry.MaxDelaySeconds = 0.005;
   shard::ShardCoordinator Coordinator(*Prog, Source, Opts, Co);
@@ -113,79 +88,31 @@ void accumulate(ShardStats &Into, const ShardStats &S) {
   Into.WavesRemote += S.WavesRemote;
   Into.WavesDegraded += S.WavesDegraded;
   Into.ShardsDispatched += S.ShardsDispatched;
-  Into.RemoteDispatches += S.RemoteDispatches;
   Into.Redispatches += S.Redispatches;
-  Into.Reconnects += S.Reconnects;
   Into.WorkersLost += S.WorkersLost;
   Into.WorkersSpawned += S.WorkersSpawned;
   Into.ShardsQuarantined += S.ShardsQuarantined;
-  Into.EndpointsQuarantined += S.EndpointsQuarantined;
 }
 
 Sample sweepOnce(const std::string &Source, unsigned Workers,
-                 unsigned Rounds,
-                 const std::vector<std::string> &Endpoints) {
+                 unsigned Rounds) {
   Sample S;
-  S.Transport = Endpoints.empty() ? "pipe" : "socket";
   S.Workers = Workers;
   S.Rounds = Rounds;
 
   Timer CleanClock;
   for (unsigned R = 0; R < Rounds; ++R)
-    runOnce(Source, Workers, Endpoints);
+    runOnce(Source, Workers);
   S.CleanSeconds = CleanClock.seconds();
 
   Timer ChaosClock;
   for (unsigned R = 0; R < Rounds; ++R) {
-    // On the pipe transport this SIGKILLs a worker mid-shard; on the
-    // socket transport it resets the session with a hard RST — the
-    // daemon survives, the slot reconnects.
+    // SIGKILLs one worker mid-shard.
     faults::ScopedFault Crash(FaultKind::WorkerCrash, "", 1);
-    accumulate(S.Chaos, runOnce(Source, Workers, Endpoints));
+    accumulate(S.Chaos, runOnce(Source, Workers));
   }
   S.ChaosSeconds = ChaosClock.seconds();
   return S;
-}
-
-/// One spawned `--workerd` daemon and the endpoint it serves.
-struct DaemonProc {
-  subprocess::ChildProcess Proc;
-  std::string Address;
-};
-
-/// Polls the endpoint with short connects until the daemon accepts.
-bool waitDaemonReady(const std::string &Address, double TimeoutSeconds) {
-  auto Deadline = std::chrono::steady_clock::now() +
-                  std::chrono::duration<double>(TimeoutSeconds);
-  for (;;) {
-    Expected<int> Fd = sock::connectTo(Address, 0.25);
-    if (Fd) {
-      ::close(*Fd);
-      return true;
-    }
-    if (std::chrono::steady_clock::now() >= Deadline)
-      return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-}
-
-bool spawnDaemon(DaemonProc &D) {
-  D.Proc = subprocess::ChildProcess();
-  std::vector<std::string> Argv = {
-      subprocess::selfExePath("bench_shard_scalability"), "--workerd",
-      "--listen", D.Address};
-  if (Status S = D.Proc.spawn(Argv); !S) {
-    std::fprintf(stderr, "bench_shard_scalability: cannot spawn daemon: %s\n",
-                 S.str().c_str());
-    return false;
-  }
-  if (!waitDaemonReady(D.Address, 10.0)) {
-    std::fprintf(stderr,
-                 "bench_shard_scalability: daemon on %s never became ready\n",
-                 D.Address.c_str());
-    return false;
-  }
-  return true;
 }
 
 /// The distributed-telemetry overhead measurement: collection-off and
@@ -205,18 +132,17 @@ struct OverheadSample {
 
 OverheadSample measureTelemetryOverhead(const std::string &Source,
                                         unsigned Workers, unsigned Rounds) {
-  const std::vector<std::string> NoEndpoints;
   std::vector<double> Off, On;
   for (unsigned R = 0; R < Rounds; ++R) {
     {
       Timer T;
-      runOnce(Source, Workers, NoEndpoints);
+      runOnce(Source, Workers);
       Off.push_back(T.seconds());
     }
     telemetry::setTraceLevel(telemetry::TraceLevel::Phase);
     {
       Timer T;
-      runOnce(Source, Workers, NoEndpoints);
+      runOnce(Source, Workers);
       On.push_back(T.seconds());
     }
     // Drain the collected round so buffers never grow across rounds.
@@ -238,77 +164,34 @@ OverheadSample measureTelemetryOverhead(const std::string &Source,
 
 int main(int Argc, char **Argv) {
   // The coordinators in this bench re-exec this binary as their worker
-  // processes, and the socket sweep re-execs it as its daemons.
+  // processes.
   if (Argc > 1 && std::strcmp(Argv[1], "--worker") == 0)
     return shard::runWorkerLoop(STDIN_FILENO, STDOUT_FILENO);
-  if (Argc > 1 && std::strcmp(Argv[1], "--workerd") == 0) {
-    shard::WorkerDaemonOptions Opts;
-    for (int I = 2; I + 1 < Argc; I += 2)
-      if (std::strcmp(Argv[I], "--listen") == 0)
-        Opts.ListenAddress = Argv[I + 1];
-    if (Opts.ListenAddress.empty()) {
-      std::fputs("bench_shard_scalability: --workerd needs --listen ADDR\n",
-                 stderr);
-      return 2;
-    }
-    return shard::runWorkerDaemon(Opts);
-  }
 
   BenchTelemetry Telemetry("shard_scalability");
   const unsigned Rounds = 20;
   const std::string Source = iteratorApiSource() + spreadsheetSource();
 
-  // A private daemon fleet for the socket rows, on Unix sockets so the
-  // bench never depends on a free TCP port.
-  char Dir[] = "/tmp/anek-bench-net-XXXXXX";
-  if (!::mkdtemp(Dir)) {
-    std::perror("bench_shard_scalability: mkdtemp");
-    return 1;
-  }
-  std::vector<DaemonProc> Fleet(2);
-  std::vector<std::string> Endpoints;
-  for (unsigned K = 0; K != Fleet.size(); ++K) {
-    Fleet[K].Address =
-        std::string("unix:") + Dir + "/d" + std::to_string(K) + ".sock";
-    if (!spawnDaemon(Fleet[K]))
-      return 1;
-    Endpoints.push_back(Fleet[K].Address);
-  }
-
-  std::puts(
-      "Shard-tier scalability: transport x worker processes vs throughput");
+  std::puts("Shard-tier scalability: worker processes vs throughput");
   rule();
-  std::printf("%9s %7s %7s | %12s %12s | %10s %7s %8s %8s\n", "transport",
-              "workers", "rounds", "clean run/s", "chaos run/s", "dispatches",
-              "lost", "respawn", "reconn");
+  std::printf("%7s %7s | %12s %12s | %10s %7s %8s\n", "workers", "rounds",
+              "clean run/s", "chaos run/s", "dispatches", "lost", "respawn");
   rule();
 
-  const std::vector<std::string> NoEndpoints;
-  const std::vector<std::string> *Transports[] = {&NoEndpoints, &Endpoints};
   std::vector<Sample> Samples;
-  for (const std::vector<std::string> *Eps : Transports) {
-    for (unsigned Workers : {1u, 2u, 4u}) {
-      // Warm-up amortizes first-touch costs (example sources, fork/exec
-      // page-ins, the daemons' Init-digest misses) out of the measured
-      // sweep.
-      if (Workers == 1)
-        sweepOnce(Source, Workers, 2, *Eps);
-      Sample S = sweepOnce(Source, Workers, Rounds, *Eps);
-      Samples.push_back(S);
-      std::printf("%9s %7u %7u | %12.1f %12.1f | %10u %7u %8.3f %8.3f\n",
-                  S.Transport, S.Workers, S.Rounds, S.cleanRunsPerSec(),
-                  S.chaosRunsPerSec(), S.Chaos.ShardsDispatched,
-                  S.Chaos.WorkersLost, S.respawnRate(), S.reconnectRate());
-    }
+  for (unsigned Workers : {1u, 2u, 4u}) {
+    // Warm-up amortizes first-touch costs (example sources, fork/exec
+    // page-ins) out of the measured sweep.
+    if (Workers == 1)
+      sweepOnce(Source, Workers, 2);
+    Sample S = sweepOnce(Source, Workers, Rounds);
+    Samples.push_back(S);
+    std::printf("%7u %7u | %12.1f %12.1f | %10u %7u %8.3f\n", S.Workers,
+                S.Rounds, S.cleanRunsPerSec(), S.chaosRunsPerSec(),
+                S.Chaos.ShardsDispatched, S.Chaos.WorkersLost,
+                S.respawnRate());
   }
   rule();
-
-  for (DaemonProc &D : Fleet) {
-    D.Proc.kill(SIGTERM);
-    D.Proc.wait();
-    ::unlink(D.Address.substr(5).c_str());
-  }
-  ::rmdir(Dir);
 
   const OverheadSample Overhead =
       measureTelemetryOverhead(Source, /*Workers=*/2, Rounds);
@@ -327,19 +210,14 @@ int main(int Argc, char **Argv) {
        << "  \"sweep\": [\n";
   for (size_t I = 0; I < Samples.size(); ++I) {
     const Sample &S = Samples[I];
-    Json << "    {\"transport\": \"" << S.Transport << "\""
-         << ", \"workers\": " << S.Workers
+    Json << "    {\"workers\": " << S.Workers
          << ", \"clean_runs_per_sec\": " << S.cleanRunsPerSec()
          << ", \"chaos_runs_per_sec\": " << S.chaosRunsPerSec()
          << ", \"dispatches\": " << S.Chaos.ShardsDispatched
-         << ", \"remote_dispatches\": " << S.Chaos.RemoteDispatches
          << ", \"redispatches\": " << S.Chaos.Redispatches
-         << ", \"reconnects\": " << S.Chaos.Reconnects
          << ", \"workers_spawned\": " << S.Chaos.WorkersSpawned
          << ", \"workers_lost\": " << S.Chaos.WorkersLost
-         << ", \"endpoints_quarantined\": " << S.Chaos.EndpointsQuarantined
-         << ", \"respawn_rate\": " << S.respawnRate()
-         << ", \"reconnect_rate\": " << S.reconnectRate() << "}"
+         << ", \"respawn_rate\": " << S.respawnRate() << "}"
          << (I + 1 < Samples.size() ? "," : "") << "\n";
   }
   Json << "  ],\n"

@@ -1,8 +1,7 @@
-//===- BpDriver.cpp - Multi-span BP engine over one kernel arena ------------===//
+//===- BpDriver.cpp - BP iteration engine over one factor graph -----------===//
 
 #include "factor/BpDriver.h"
 
-#include "support/Format.h"
 #include "support/Trace.h"
 
 #include <algorithm>
@@ -62,13 +61,8 @@ BpEngine::BpEngine(const kern::BpView &V) : View(V) {
   State.ActiveEdges = ActiveEdges.data();
 }
 
-void BpEngine::logDomainFixup(const kern::BpConsts &C, uint32_t VB,
-                              uint32_t VE) {
-  if (HighDegVars.empty())
-    return;
-  auto It = std::lower_bound(HighDegVars.begin(), HighDegVars.end(), VB);
-  for (; It != HighDegVars.end() && *It < VE; ++It) {
-    const uint32_t Var = *It;
+void BpEngine::logDomainFixup(const kern::BpConsts &C) {
+  for (const uint32_t Var : HighDegVars) {
     const uint32_t B = View.VarOffset[Var];
     const uint32_t E = View.VarOffset[Var + 1];
     // Exclusive suffix/prefix *sums of logs* of the already-clamped
@@ -98,40 +92,25 @@ void BpEngine::logDomainFixup(const kern::BpConsts &C, uint32_t VB,
   }
 }
 
-void BpEngine::run(const SumProductSolver::Options &Opts, Span *Spans,
-                   size_t Count, bool EmitResiduals) {
+RunStats BpEngine::run(const SumProductSolver::Options &Opts,
+                       bool EmitResiduals) {
   const kern::SolverKernels &K = kern::solverKernels();
   const kern::BpConsts C{Opts.Damping, 1.0 - Opts.Damping, Opts.Tolerance,
                          0.5 * Opts.Tolerance};
+  RunStats R;
   for (unsigned Iter = 0;; ++Iter) {
-    // Freeze spans exactly where the standalone loop would exit; a
-    // frozen span's messages are final.
-    bool AnyActive = false;
-    for (size_t I = 0; I != Count; ++I) {
-      Span &S = Spans[I];
-      if (S.Active &&
-          (Iter == Opts.MaxIterations || !(S.Delta > Opts.Tolerance))) {
-        S.Active = false;
-        S.Iterations = Iter;
-      }
-      AnyActive |= S.Active;
-    }
-    if (!AnyActive)
+    if (Iter == Opts.MaxIterations || !(R.Delta > Opts.Tolerance)) {
+      R.Iterations = Iter;
       break;
+    }
     if (Opts.Budget.expired(Iter)) {
-      for (size_t I = 0; I != Count; ++I) {
-        Span &S = Spans[I];
-        if (S.Active) {
-          S.Active = false;
-          S.Iterations = Iter;
-          S.DeadlineExpired = true;
-        }
-      }
+      R.Iterations = Iter;
+      R.DeadlineExpired = true;
       break;
     }
     if (EmitResiduals && Iter != 0)
       telemetry::counterSample("bp.residual", telemetry::TraceLevel::Solver,
-                               "solver", "residual", Spans[0].Delta);
+                               "solver", "residual", R.Delta);
     const bool Refresh =
         Opts.RefreshInterval != 0 &&
         (Iter % Opts.RefreshInterval) == Opts.RefreshInterval - 1;
@@ -140,34 +119,26 @@ void BpEngine::run(const SumProductSolver::Options &Opts, Span *Spans,
     // commits and returns the max change itself. Otherwise the split
     // form runs so the fixup can overwrite NewMsg/Change in between.
     const bool Commit = !Opts.ResidualScheduling && HighDegVars.empty();
-    for (size_t I = 0; I != Count; ++I) {
-      Span &S = Spans[I];
-      if (!S.Active)
-        continue;
-      double D1 =
-          K.BpVarMessages(View, State, C, S.VarBegin, S.VarEnd, Commit);
-      if (!Commit) {
-        logDomainFixup(C, S.VarBegin, S.VarEnd);
-        D1 = K.BpVarScatter(View, State, C, S.VarBegin, S.VarEnd,
-                            Opts.ResidualScheduling);
-      }
-      S.Updates += View.VarOffset[S.VarEnd] - View.VarOffset[S.VarBegin];
-      const double D2 =
-          K.BpFactorSweep(View, State, C, S.FactorBegin, S.FactorEnd,
-                          Opts.ResidualScheduling, Refresh, &S.Updates,
-                          &S.Skipped);
-      S.Delta = D1 > D2 ? D1 : D2;
+    double D1 = K.BpVarMessages(View, State, C, 0, View.NumVars, Commit);
+    if (!Commit) {
+      logDomainFixup(C);
+      D1 = K.BpVarScatter(View, State, C, 0, View.NumVars,
+                          Opts.ResidualScheduling);
     }
+    R.Updates += View.NumEdges;
+    const double D2 = K.BpFactorSweep(View, State, C, 0, View.NumFactors,
+                                      Opts.ResidualScheduling, Refresh,
+                                      &R.Updates, &R.Skipped);
+    R.Delta = D1 > D2 ? D1 : D2;
   }
+  return R;
 }
 
-void BpEngine::beliefs(const Span &S, Marginals &Out,
-                       Marginals *GraphLikelihood) const {
-  const uint32_t NumVars = S.VarEnd - S.VarBegin;
-  Out.assign(NumVars, 0.5);
+void BpEngine::beliefs(Marginals &Out, Marginals *GraphLikelihood) const {
+  Out.assign(View.NumVars, 0.5);
   if (GraphLikelihood)
-    GraphLikelihood->assign(NumVars, 0.5);
-  for (uint32_t Var = S.VarBegin; Var != S.VarEnd; ++Var) {
+    GraphLikelihood->assign(View.NumVars, 0.5);
+  for (uint32_t Var = 0; Var != View.NumVars; ++Var) {
     double True = View.Priors[Var];
     double False = 1.0 - True;
     double GraphTrue = 1.0, GraphFalse = 1.0;
@@ -186,30 +157,8 @@ void BpEngine::beliefs(const Span &S, Marginals &Out,
       GraphFalse /= Scale;
     }
     const double Sum = True + False;
-    Out[Var - S.VarBegin] = Sum > 0 ? True / Sum : 0.5;
+    Out[Var] = Sum > 0 ? True / Sum : 0.5;
     if (GraphLikelihood)
-      (*GraphLikelihood)[Var - S.VarBegin] = GraphTrue;
+      (*GraphLikelihood)[Var] = GraphTrue;
   }
-}
-
-bool anek::bp::spanConverged(const Span &S, bool ForcedNonConvergence,
-                             double Tolerance) {
-  return !ForcedNonConvergence && !S.DeadlineExpired && S.Delta <= Tolerance;
-}
-
-void anek::bp::fillReport(SolveReport &Report, const Span &S,
-                          bool ForcedNonConvergence, double Tolerance) {
-  const bool Converged = spanConverged(S, ForcedNonConvergence, Tolerance);
-  Report.Iterations = S.Iterations;
-  Report.Residual = S.Delta;
-  Report.DeadlineExpired = S.DeadlineExpired;
-  Report.Converged = Converged;
-  Report.Updates = S.Updates;
-  Report.SkippedUpdates = S.Skipped;
-  Report.Reason.clear();
-  if (!Converged)
-    Report.Reason = formatStr(
-        "residual %.2g after %u iterations%s%s", S.Delta, S.Iterations,
-        S.DeadlineExpired ? ", budget expired" : "",
-        ForcedNonConvergence ? ", injected non-convergence" : "");
 }

@@ -1,25 +1,14 @@
-//===- BpDriver.h - Multi-span BP engine over one kernel arena ---*- C++ -*-===//
+//===- BpDriver.h - BP iteration engine over one factor graph ---*- C++ -*-===//
 //
 // Part of the ANEK reproduction. See README.md.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Library-internal driver shared by SumProductSolver::solve (one span
-/// over the graph's own EdgeLayout, zero-copy) and fusedBpSolve (many
-/// spans over a rebased concatenated arena, factor/Fused.cpp). A *span*
-/// is one independent factor graph: a contiguous variable range and a
-/// contiguous factor range whose edges never cross spans.
-///
-/// The determinism argument for fusion: each span freezes (stops
-/// iterating) under exactly the condition the standalone solve loop
-/// would exit — `Iter == MaxIterations || !(Delta > Tolerance)` checked
-/// before each iteration — and every span starts at local iteration 0,
-/// so an active span's local iteration always equals the engine's
-/// iteration and the periodic Refresh cadence is unchanged. A frozen
-/// span's messages are never touched again, and no kernel reads across
-/// span boundaries, so the bytes each span produces are independent of
-/// which other spans share the arena.
+/// Library-internal driver behind SumProductSolver::solve: owns the
+/// per-solve message and scratch arrays over a zero-copy view of the
+/// graph's EdgeLayout and runs the flooding loop through the active
+/// kernel backend (factor/Kernels.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,48 +23,40 @@
 namespace anek {
 namespace bp {
 
-/// One independent factor graph within the arena, plus its solve
-/// outcome (the fields SumProductSolver::solve reports).
-struct Span {
-  uint32_t VarBegin = 0;
-  uint32_t VarEnd = 0;
-  uint32_t FactorBegin = 0;
-  uint32_t FactorEnd = 0;
-  // Outcome.
+/// How one BpEngine::run ended: the fields SumProductSolver::solve turns
+/// into its SolveReport.
+struct RunStats {
+  /// Max message change of the last iteration (1.0 before the first).
   double Delta = 1.0;
   unsigned Iterations = 0;
-  bool Active = true;
   bool DeadlineExpired = false;
   uint64_t Updates = 0;
   uint64_t Skipped = 0;
 };
 
-/// Owns the per-solve message and scratch arrays over one arena view
+/// Owns the per-solve message and scratch arrays over one graph view
 /// and runs the iteration loop through the active kernel backend.
 class BpEngine {
 public:
   explicit BpEngine(const kern::BpView &View);
 
-  /// Runs the flooding loop until every span freezes or the budget
-  /// expires. \p EmitResiduals enables the per-iteration bp.residual
-  /// counter samples (standalone solves only — with multiple spans a
-  /// single residual stream is meaningless).
-  void run(const SumProductSolver::Options &Opts, Span *Spans, size_t Count,
-           bool EmitResiduals);
+  /// Runs the flooding loop until the largest message change drops to
+  /// the tolerance, MaxIterations is reached, or the budget expires.
+  /// \p EmitResiduals enables the per-iteration bp.residual counter
+  /// samples.
+  RunStats run(const SumProductSolver::Options &Opts, bool EmitResiduals);
 
-  /// Beliefs for one span from the final factor->var messages: the
-  /// scalar-kernel epilogue verbatim. Out is indexed from the span's
-  /// first variable.
-  void beliefs(const Span &S, Marginals &Out,
-               Marginals *GraphLikelihood) const;
+  /// Beliefs from the final factor->var messages: the scalar-kernel
+  /// epilogue verbatim.
+  void beliefs(Marginals &Out, Marginals *GraphLikelihood) const;
 
 private:
-  /// Recompute NewMsg/Change in the log domain for the span's variables
-  /// with degree >= kern::LogDomainMinDegree (linear-domain products of
-  /// that many clamped messages can underflow to 0 and erase the
-  /// signal). Runs in this baseline TU for every backend, so it cannot
-  /// break backend byte-identity.
-  void logDomainFixup(const kern::BpConsts &C, uint32_t VB, uint32_t VE);
+  /// Recompute NewMsg/Change in the log domain for the variables with
+  /// degree >= kern::LogDomainMinDegree (linear-domain products of that
+  /// many clamped messages can underflow to 0 and erase the signal).
+  /// Runs in this baseline TU for every backend, so it cannot break
+  /// backend byte-identity.
+  void logDomainFixup(const kern::BpConsts &C);
 
   kern::BpView View;
   std::vector<double> VarToFactor, FactorToVar;
@@ -87,15 +68,6 @@ private:
   std::vector<double> LogSufT, LogSufF;
   kern::BpState State;
 };
-
-/// The standalone solve's convergence predicate.
-bool spanConverged(const Span &S, bool ForcedNonConvergence, double Tolerance);
-
-/// Fills a SolveReport from a finished span — field for field (and
-/// Reason string for Reason string) what SumProductSolver::solve
-/// reports. Seconds is left to the caller.
-void fillReport(SolveReport &Report, const Span &S, bool ForcedNonConvergence,
-                double Tolerance);
 
 } // namespace bp
 } // namespace anek

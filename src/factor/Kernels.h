@@ -74,10 +74,8 @@ enum class Backend : int {
   Neon = 2,
 };
 
-/// Read-only view of one factor-graph arena in CSR form. For a
-/// standalone solve this aliases FactorGraph::EdgeLayout directly; for a
-/// fused solve it points at the rebased concatenation of several
-/// layouts (factor/Fused.cpp).
+/// Read-only view of one factor graph in CSR form, aliasing
+/// FactorGraph::EdgeLayout directly (zero-copy).
 struct BpView {
   uint32_t NumVars = 0;
   uint32_t NumFactors = 0;
@@ -126,7 +124,7 @@ struct BpConsts {
 };
 
 /// Variable-major view for Gibbs sweeps (arrays from EdgeLayout's Vm*
-/// companions, rebased for fused arenas).
+/// companions).
 struct GibbsView {
   uint32_t NumVars = 0;
   const uint32_t *VarOffset = nullptr;   ///< NumVars+1; position ranges.

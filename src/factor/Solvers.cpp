@@ -23,11 +23,8 @@ using namespace anek;
 //
 // The iteration loop and the kernel bodies live behind the KernelBackend
 // seam (factor/Kernels.h): this method builds a zero-copy BpView over the
-// graph's cached EdgeLayout, runs the shared multi-span driver
-// (factor/BpDriver.cpp) with a single span, and keeps PR 3's reporting
-// and telemetry surface unchanged. The same driver sweeps many spans for
-// the serving layer's fused solves (factor/Fused.cpp), which is what
-// guarantees fused results are byte-identical to this path.
+// graph's cached EdgeLayout, runs the driver (factor/BpDriver.cpp), and
+// keeps PR 3's reporting and telemetry surface unchanged.
 
 Marginals SumProductSolver::solve(const FactorGraph &G,
                                   Marginals *GraphLikelihood,
@@ -64,15 +61,24 @@ Marginals SumProductSolver::solve(const FactorGraph &G,
   View.Priors = Priors.data();
 
   bp::BpEngine Engine(View);
-  bp::Span S;
-  S.VarEnd = NumVars;
-  S.FactorEnd = NumFactors;
-  Engine.run(Opts, &S, 1, TraceIters);
+  const bp::RunStats S = Engine.run(Opts, TraceIters);
   LastIterations = S.Iterations;
-  const bool Converged =
-      bp::spanConverged(S, ForcedNonConvergence, Opts.Tolerance);
-  if (Report)
-    bp::fillReport(*Report, S, ForcedNonConvergence, Opts.Tolerance);
+  const bool Converged = !ForcedNonConvergence && !S.DeadlineExpired &&
+                         S.Delta <= Opts.Tolerance;
+  if (Report) {
+    Report->Iterations = S.Iterations;
+    Report->Residual = S.Delta;
+    Report->DeadlineExpired = S.DeadlineExpired;
+    Report->Converged = Converged;
+    Report->Updates = S.Updates;
+    Report->SkippedUpdates = S.Skipped;
+    Report->Reason.clear();
+    if (!Converged)
+      Report->Reason = formatStr(
+          "residual %.2g after %u iterations%s%s", S.Delta, S.Iterations,
+          S.DeadlineExpired ? ", budget expired" : "",
+          ForcedNonConvergence ? ", injected non-convergence" : "");
+  }
   if (TraceIters)
     telemetry::counterSample("bp.residual", telemetry::TraceLevel::Solver,
                              "solver", "residual", S.Delta);
@@ -100,7 +106,7 @@ Marginals SumProductSolver::solve(const FactorGraph &G,
   }
 
   Marginals Result;
-  Engine.beliefs(S, Result, GraphLikelihood);
+  Engine.beliefs(Result, GraphLikelihood);
   if (Report)
     Report->Seconds = SolveTimer.seconds();
   return Result;

@@ -118,12 +118,11 @@ private:
 
 /// Injection seam for BP solves. AnekInfer routes every sum-product
 /// solve through InferOptions::Bp when set, instead of constructing a
-/// SumProductSolver locally; the serving layer installs a delegate that
-/// fuses concurrent requests' solves into one shared-arena kernel sweep
-/// (serve/FusedSolver.h). The contract is strict byte-identity with
+/// SumProductSolver locally; the end-to-end bench installs a delegate
+/// that times each solve (TimedBp in e2e_bench/harness.cpp). The
+/// contract is strict byte-identity with
 /// `SumProductSolver(O).solve(G, GraphLikelihood, Report)` — marginals,
-/// likelihoods, and report fields must not depend on how solves were
-/// batched.
+/// likelihoods, and report fields must not depend on the delegate.
 class BpSolveDelegate {
 public:
   virtual ~BpSolveDelegate() = default;

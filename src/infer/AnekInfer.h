@@ -69,16 +69,6 @@ struct ShardStats {
   /// in-process sequential execution (terminal state
   /// degraded(shard-quarantine); the work is never lost).
   unsigned ShardsQuarantined = 0;
-  /// Dispatches served over a socket transport (remote worker daemons);
-  /// the rest ran over local fork/exec pipes.
-  unsigned RemoteDispatches = 0;
-  /// Socket sessions opened to an endpoint that had been connected
-  /// before — the reconnect-after-loss (or after-refusal) path.
-  unsigned Reconnects = 0;
-  /// Remote endpoints that exhausted their reconnect credit and were
-  /// quarantined for the run; dispatches fall down the ladder to local
-  /// fork/exec workers (and ultimately in-process).
-  unsigned EndpointsQuarantined = 0;
 };
 
 /// Executes wave batches outside the engine's own process. The engine
@@ -194,13 +184,12 @@ struct InferOptions {
   /// in a shard worker.
   SolveCache *Cache = nullptr;
 
-  // Fused solving (DESIGN.md, "Solver kernel layout").
   /// When set, every sum-product solve the engine issues is routed
   /// through this delegate instead of a locally constructed
-  /// SumProductSolver. The serving layer installs serve::FusedBpSolver
-  /// here so concurrent requests' solves rendezvous into shared-arena
-  /// kernel sweeps; the delegate contract (factor/Solvers.h) keeps
-  /// results byte-identical either way.
+  /// SumProductSolver. The end-to-end bench installs one that times each
+  /// solve (TimedBp in e2e_bench/harness.cpp); the delegate contract
+  /// (factor/Solvers.h) requires byte-identical results, so installing
+  /// one never changes what inference computes.
   BpSolveDelegate *Bp = nullptr;
 };
 

@@ -43,7 +43,6 @@
 
 namespace anek {
 
-class BpSolveDelegate;
 class Program;
 class SolveCache;
 class ThreadPool;
@@ -102,16 +101,6 @@ struct BatchOptions {
   /// Threads of the shared inference pool (created only when some request
   /// has jobs > 1); 0 = one per hardware thread.
   unsigned PoolThreads = 0;
-  /// Fuse concurrent requests' BP solves into shared-arena kernel sweeps
-  /// (DESIGN.md, "Solver kernel layout"): the runner installs one
-  /// serve::FusedBpSolver across all serving workers. Results are
-  /// byte-identical either way; deadlined requests bypass fusion
-  /// automatically (their per-solve budget must not couple to a batch).
-  bool FuseSolves = false;
-  /// Largest number of solves packed into one fused arena.
-  unsigned FuseMaxGraphs = 8;
-  /// Rendezvous window a fused batch is held open for stragglers.
-  double FuseWindowSeconds = 0.0002;
   /// Mixed into solver seeds and retry jitter.
   uint64_t Seed = 1;
   /// When set, a full queue sheds instead of backpressuring the producer
@@ -162,9 +151,6 @@ private:
 
   BatchOptions Opts;
   std::atomic<bool> Drain{false};
-  /// The shared fused-solve delegate while run() is active (owned by
-  /// run(), null unless BatchOptions::FuseSolves).
-  BpSolveDelegate *FusedBp = nullptr;
 };
 
 } // namespace serve

@@ -24,8 +24,6 @@
 #include "support/Status.h"
 
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <string>
 
 namespace anek {
@@ -62,67 +60,6 @@ struct RetryPolicy {
   /// second attempt is delaySeconds(Label, 2)). Deterministic in (Label,
   /// Attempt, Seed); the jitter multiplier lies in [0.5, 1.0].
   double delaySeconds(const std::string &Label, unsigned Attempt) const;
-};
-
-/// Per-endpoint transient-failure accounting for remote worker pools.
-/// The retry policy above paces *attempts*; the ledger decides when an
-/// *endpoint* has spent its credit: QuarantineAfter consecutive failures
-/// (connect refusals, resets, handshake rejections, heartbeat silence —
-/// anything the caller classifies as that endpoint's fault) quarantines
-/// it for the ledger's lifetime, and the caller's degradation ladder
-/// stops offering it work. A success resets the consecutive count, so a
-/// flaky-but-alive endpoint is not condemned by accumulated history.
-///
-/// Thread-safe: shard dispatch threads sharing a pool record outcomes
-/// concurrently.
-class EndpointLedger {
-public:
-  explicit EndpointLedger(unsigned QuarantineAfter = 3)
-      : QuarantineAfter(QuarantineAfter ? QuarantineAfter : 1) {}
-
-  /// Records one failure against \p Endpoint. Returns true exactly when
-  /// this failure tripped the quarantine (the transition, not the state),
-  /// so callers can count quarantines without double-counting.
-  bool recordFailure(const std::string &Endpoint) {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    State &S = States[Endpoint];
-    if (S.Quarantined)
-      return false;
-    if (++S.ConsecutiveFailures < QuarantineAfter)
-      return false;
-    S.Quarantined = true;
-    return true;
-  }
-
-  /// Records a successful session establishment on \p Endpoint.
-  void recordSuccess(const std::string &Endpoint) {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    States[Endpoint].ConsecutiveFailures = 0;
-  }
-
-  bool quarantined(const std::string &Endpoint) const {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    auto It = States.find(Endpoint);
-    return It != States.end() && It->second.Quarantined;
-  }
-
-  unsigned quarantinedCount() const {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    unsigned N = 0;
-    for (const auto &[Name, S] : States)
-      N += S.Quarantined ? 1 : 0;
-    return N;
-  }
-
-private:
-  struct State {
-    unsigned ConsecutiveFailures = 0;
-    bool Quarantined = false;
-  };
-
-  unsigned QuarantineAfter;
-  mutable std::mutex Mutex;
-  std::map<std::string, State> States;
 };
 
 } // namespace serve

@@ -14,7 +14,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
+#include <csignal>
 #include <thread>
 
 using namespace anek;
@@ -54,19 +54,14 @@ void absorbWorkerTelemetry(const TelemetryBlob &Blob, int64_t DispatchUs) {
   telemetry::absorbMetrics(Blob.Metrics, "shard.worker.");
 }
 
-bool isSocket(const Transport &T) {
-  return std::strcmp(T.kind(), "socket") == 0;
-}
-
 } // namespace
 
 ShardCoordinator::ShardCoordinator(Program &Prog, std::string Source,
                                    InferOptions Opts,
                                    CoordinatorOptions CoOpts)
-    : Prog(Prog), Opts(std::move(Opts)), Co(std::move(CoOpts)),
-      Endpoints(Co.EndpointReconnectAttempts) {
-  // The coordinator writes to pipes/sockets whose peer may be freshly
-  // dead; EPIPE must arrive as a Status, not SIGPIPE.
+    : Prog(Prog), Opts(std::move(Opts)), Co(std::move(CoOpts)) {
+  // The coordinator writes to pipes whose reader may be freshly dead;
+  // EPIPE must arrive as a Status, not SIGPIPE.
   subprocess::ignoreSigpipe();
   // Quarantine fallback and workers both run leaf analyses; neither may
   // recurse into sharding.
@@ -81,22 +76,16 @@ ShardCoordinator::ShardCoordinator(Program &Prog, std::string Source,
   // task; level 0 keeps the protocol telemetry-free.
   InitPayload = encodeInit(Source, this->Opts,
                            static_cast<uint8_t>(telemetry::traceLevel()));
-  Slots.reserve(Co.Workers);
-  for (unsigned I = 0; I != Co.Workers; ++I) {
-    auto S = std::make_unique<Slot>();
-    if (!Co.Endpoints.empty())
-      S->Endpoint = Co.Endpoints[I % Co.Endpoints.size()];
-    Slots.push_back(std::move(S));
-  }
+  Slots.resize(Co.Workers);
 }
 
 ShardCoordinator::~ShardCoordinator() {
-  // Best-effort graceful shutdown: a pipe worker exits, a daemon session
-  // ends (the daemon itself returns to accept). The transport destructors
-  // kill/close whatever ignores it (a SIGSTOPped straggler included).
-  for (std::unique_ptr<Slot> &S : Slots)
-    if (S->Conn && S->Conn->healthy())
-      (void)S->Conn->send(FrameType::Shutdown, {});
+  // Best-effort graceful shutdown; the ChildProcess destructors then
+  // SIGKILL and reap whatever ignores it (a SIGSTOPped straggler
+  // included).
+  for (subprocess::ChildProcess &W : Slots)
+    if (W.running() && !W.poll())
+      (void)writeFrame(W.writeFd(), FrameType::Shutdown, {});
 }
 
 ShardStats ShardCoordinator::stats() const {
@@ -104,62 +93,20 @@ ShardStats ShardCoordinator::stats() const {
   return Stats;
 }
 
-void ShardCoordinator::noteEndpointFailure(const std::string &Endpoint) {
-  if (!Endpoints.recordFailure(Endpoint))
-    return;
-  {
-    std::lock_guard<std::mutex> Lock(StatsMutex);
-    ++Stats.EndpointsQuarantined;
-  }
-  bumpCounter("shard.endpoints_quarantined");
-  telemetry::instant("shard.endpoint_quarantine",
-                     telemetry::TraceLevel::Phase, "shard",
-                     "\"endpoint\": " + telemetry::jsonQuote(Endpoint));
-}
-
-Status ShardCoordinator::ensureWorker(Slot &S, unsigned SlotIndex,
-                                      bool &RemoteAttempt) {
-  RemoteAttempt = false;
-  if (S.Conn && S.Conn->healthy())
+Status ShardCoordinator::ensureWorker(unsigned SlotIndex) {
+  subprocess::ChildProcess &W = Slots[SlotIndex];
+  if (W.running() && !W.poll())
     return Status::ok(); // Alive and Init'd from a previous dispatch.
-  dropWorker(S);
-
-  // Ladder rung 1: the slot's remote endpoint, while it has credit.
-  if (!S.Endpoint.empty() && !Endpoints.quarantined(S.Endpoint)) {
-    RemoteAttempt = true;
-    auto T = std::make_unique<SocketTransport>(
-        S.Endpoint, InitPayload, Co.ConnectTimeoutSeconds, Co.MaxFrameBytes,
-        Opts.FaultScope);
-    if (Status Up = T->open(); !Up) {
-      noteEndpointFailure(S.Endpoint);
-      return Up;
-    }
-    Endpoints.recordSuccess(S.Endpoint);
-    bool Reconnect;
-    {
-      std::lock_guard<std::mutex> Lock(StatsMutex);
-      Reconnect = EndpointConnects[S.Endpoint]++ > 0;
-      if (Reconnect)
-        ++Stats.Reconnects;
-    }
-    bumpCounter(Reconnect ? "shard.reconnects" : "shard.remote_connects");
-    if (telemetry::enabled(telemetry::TraceLevel::Phase))
-      telemetry::instant("shard.remote_connect", telemetry::TraceLevel::Phase,
-                         "shard",
-                         formatStr("\"slot\": %u, \"reconnect\": %s, "
-                                   "\"endpoint\": ",
-                                   SlotIndex, Reconnect ? "true" : "false") +
-                             telemetry::jsonQuote(S.Endpoint));
-    S.Conn = std::move(T);
-    return Status::ok();
+  // Move-assigning a fresh ChildProcess SIGKILLs, reaps and closes the
+  // pipes of whatever the slot held before.
+  W = subprocess::ChildProcess();
+  if (Status Sp = W.spawn(Co.WorkerArgv); !Sp)
+    return Sp;
+  if (Status Init = writeFrame(W.writeFd(), FrameType::Init, InitPayload);
+      !Init) {
+    W = subprocess::ChildProcess();
+    return Init;
   }
-
-  // Ladder rung 2: a local fork/exec worker.
-  RemoteAttempt = false;
-  auto P = std::make_unique<PipeTransport>(Co.WorkerArgv, InitPayload,
-                                           Co.MaxFrameBytes);
-  if (Status Up = P->open(); !Up)
-    return Up;
   {
     std::lock_guard<std::mutex> Lock(StatsMutex);
     ++Stats.WorkersSpawned;
@@ -169,15 +116,13 @@ Status ShardCoordinator::ensureWorker(Slot &S, unsigned SlotIndex,
     telemetry::instant("shard.worker_spawn", telemetry::TraceLevel::Phase,
                        "shard",
                        formatStr("\"slot\": %u, \"pid\": %d", SlotIndex,
-                                 static_cast<int>(P->pid())));
-  S.Conn = std::move(P);
+                                 static_cast<int>(W.pid())));
   return Status::ok();
 }
 
-void ShardCoordinator::dropWorker(Slot &S) { S.Conn.reset(); }
-
 Expected<std::vector<summaryio::ShardMethodOutcome>>
-ShardCoordinator::dispatchOnce(Transport &T, uint32_t Wave,
+ShardCoordinator::dispatchOnce(subprocess::ChildProcess &Worker,
+                               uint32_t Wave,
                                const std::vector<unsigned> &Indices,
                                const std::string &Snapshot,
                                bool &WorkerReported) {
@@ -192,13 +137,15 @@ ShardCoordinator::dispatchOnce(Transport &T, uint32_t Wave,
                          "shard", Meta.ParentFlowId);
   }
   Meta.DispatchUs = telemetry::nowUs();
-  if (Status W = T.send(FrameType::Task, encodeTask(Indices, Snapshot, Meta));
+  if (Status W = writeFrame(Worker.writeFd(), FrameType::Task,
+                            encodeTask(Indices, Snapshot, Meta));
       !W)
     return W;
   for (;;) {
     // Any frame — heartbeats included — proves liveness and re-arms the
     // deadline; a worker silent for the whole window is declared hung.
-    Expected<Frame> F = T.recv(Co.HeartbeatTimeoutSeconds);
+    Expected<Frame> F = readFrame(Worker.readFd(), Co.HeartbeatTimeoutSeconds,
+                                  Co.MaxFrameBytes);
     if (!F)
       return F.status();
     switch (F->Type) {
@@ -255,17 +202,14 @@ Expected<std::vector<summaryio::ShardMethodOutcome>>
 ShardCoordinator::runShard(unsigned SlotIndex, uint32_t Wave,
                            const std::vector<unsigned> &Indices,
                            const std::string &Snapshot) {
-  Slot &S = *Slots[SlotIndex];
   const std::string RetryLabel =
       Opts.FaultScope + "/shard" + std::to_string(SlotIndex);
-  // Two loss budgets implement the ladder's bottom: remote losses charge
-  // the endpoint ledger (shared across slots; quarantine drops the slot
-  // to the pipe rung), local losses count here toward the shard's
-  // in-process quarantine. Attempts pace the shared backoff.
-  unsigned LocalLosses = 0;
+  // Every failed attempt — a lost dispatch or a worker that could not
+  // even be started — counts toward the shard's in-process quarantine
+  // and paces the shared backoff.
   unsigned Attempt = 0;
   for (;;) {
-    if (LocalLosses >= Co.QuarantineAfter) {
+    if (Attempt >= Co.QuarantineAfter) {
       // Quarantine: this shard keeps killing workers, so it degrades to
       // in-process sequential execution. Same snapshot, same options,
       // same bytes — the shard is slower, never lost.
@@ -278,7 +222,7 @@ ShardCoordinator::runShard(unsigned SlotIndex, uint32_t Wave,
                          "shard",
                          formatStr("\"slot\": %u, \"wave\": %u, "
                                    "\"losses\": %u",
-                                   SlotIndex, Wave, LocalLosses));
+                                   SlotIndex, Wave, Attempt));
       telemetry::Span Q("shard.quarantine", telemetry::TraceLevel::Phase,
                         "shard");
       if (Q.active())
@@ -290,15 +234,10 @@ ShardCoordinator::runShard(unsigned SlotIndex, uint32_t Wave,
       if (Delay > 0.0)
         std::this_thread::sleep_for(std::chrono::duration<double>(Delay));
     }
-    bool RemoteAttempt = false;
-    if (Status Up = ensureWorker(S, SlotIndex, RemoteAttempt); !Up) {
-      // Session-establishment failure: a refused/reset/skewed connect
-      // already charged its endpoint inside ensureWorker; a failed local
-      // spawn counts against the same budget as a local loss — a slot
-      // that cannot even start a worker must still reach quarantine.
+    if (Status Up = ensureWorker(SlotIndex); !Up) {
+      // A slot that cannot even start a worker must still reach
+      // quarantine, so a failed spawn costs an attempt like a loss.
       ++Attempt;
-      if (!RemoteAttempt)
-        ++LocalLosses;
       {
         std::lock_guard<std::mutex> Lock(StatsMutex);
         ++Stats.WorkersLost;
@@ -306,12 +245,10 @@ ShardCoordinator::runShard(unsigned SlotIndex, uint32_t Wave,
       bumpCounter("shard.workers_lost");
       continue;
     }
-    const bool Remote = isSocket(*S.Conn);
+    subprocess::ChildProcess &Worker = Slots[SlotIndex];
     {
       std::lock_guard<std::mutex> Lock(StatsMutex);
       ++Stats.ShardsDispatched;
-      if (Remote)
-        ++Stats.RemoteDispatches;
       if (Attempt > 0)
         ++Stats.Redispatches;
     }
@@ -319,12 +256,12 @@ ShardCoordinator::runShard(unsigned SlotIndex, uint32_t Wave,
 
     // Chaos control points, applied with real kernel effects the instant
     // the shard is dispatched: a killed worker crashes under the task
-    // (EOF/RST on its stream), a stopped one hangs (heartbeat silence).
+    // (EOF on its stdout), a stopped one hangs (heartbeat silence).
     if (faults::anyActive()) {
       if (faults::consumeFire(FaultKind::WorkerCrash, Opts.FaultScope))
-        S.Conn->injectCrash();
+        Worker.kill(SIGKILL);
       else if (faults::consumeFire(FaultKind::WorkerHang, Opts.FaultScope))
-        S.Conn->injectHang();
+        Worker.kill(SIGSTOP);
     }
 
     bool WorkerReported = false;
@@ -336,29 +273,25 @@ ShardCoordinator::runShard(unsigned SlotIndex, uint32_t Wave,
         D.arg("wave", Wave);
         D.arg("methods", static_cast<uint64_t>(Indices.size()));
       }
-      return dispatchOnce(*S.Conn, Wave, Indices, Snapshot, WorkerReported);
+      return dispatchOnce(Worker, Wave, Indices, Snapshot, WorkerReported);
     }();
     if (Out)
       return Out;
     if (WorkerReported)
       return Out.status();
-    // Crash, hang or corruption: recycle the session and re-dispatch. The
+    // Crash, hang or corruption: recycle the worker and re-dispatch. The
     // failure becomes a trace instant (hang vs. lost distinguished by the
     // deadline error code); the retry itself is silent by design.
     telemetry::instant(
         "shard.worker_lost", telemetry::TraceLevel::Phase, "shard",
-        formatStr("\"slot\": %u, \"wave\": %u, \"transport\": \"%s\", "
-                  "\"kind\": \"%s\", \"message\": ",
-                  SlotIndex, Wave, S.Conn->kind(),
+        formatStr("\"slot\": %u, \"wave\": %u, \"kind\": \"%s\", "
+                  "\"message\": ",
+                  SlotIndex, Wave,
                   Out.status().code() == ErrorCode::DeadlineExceeded
                       ? "hang"
                       : "lost") +
             telemetry::jsonQuote(Out.status().message()));
-    if (Remote)
-      noteEndpointFailure(S.Endpoint);
-    else
-      ++LocalLosses;
-    dropWorker(S);
+    Worker = subprocess::ChildProcess();
     ++Attempt;
     {
       std::lock_guard<std::mutex> Lock(StatsMutex);

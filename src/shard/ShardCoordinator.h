@@ -8,51 +8,39 @@
 /// The coordinator side of the sharded execution tier (DESIGN.md,
 /// "Sharded execution and failure model"). A ShardCoordinator implements
 /// the engine's WaveShardExecutor contract by partitioning each wave into
-/// contiguous shards and farming them to a pool of worker sessions over
-/// the anek-shard-v2 framed protocol — each session a Transport
-/// (Transport.h): a remote `anek workerd` daemon over a socket when an
-/// endpoint is configured, a local fork/exec'd `anek --worker` child
-/// otherwise.
+/// contiguous shards and farming them to a pool of fork/exec'd `anek
+/// --worker` children over the anek-shard-v2 framed pipe protocol.
 ///
 /// Failure is first-class, not exceptional:
 ///
-///  - *crash*: the worker's stream hits EOF or reset (or the Task write
-///    gets EPIPE/RST); the session is dropped, the shard re-dispatched.
+///  - *crash*: the worker's stdout hits EOF (or the Task write gets
+///    EPIPE); the worker is reaped, the shard re-dispatched.
 ///  - *hang*: no frame — heartbeat included — arrives within the
-///    heartbeat deadline; the session is torn down and re-dispatched.
+///    heartbeat deadline; the worker is killed and the shard
+///    re-dispatched.
 ///  - *corrupt*: a frame fails its magic/version/length/checksum
-///    validation; the session is recycled (its stream can no longer be
+///    validation; the worker is recycled (its stream can no longer be
 ///    trusted) and the shard re-dispatched.
-///  - *refusal / reset / handshake skew*: a socket session cannot even be
-///    established; classified exactly like a loss.
 ///
 /// All of these classify as ErrorCode::WorkerLost — transient by
 /// contract — and re-dispatch backs off under the serving layer's
-/// RetryPolicy jitter. Remote failures additionally charge the endpoint's
-/// ledger (serve::EndpointLedger): after EndpointReconnectAttempts
-/// consecutive failures the endpoint is quarantined for the run and the
-/// slot falls down the *degradation ladder* — remote socket worker →
-/// local fork/exec worker → in-process execution. The last rung is the
-/// shard quarantine that always existed: QuarantineAfter consecutive
-/// local losses degrade the shard to runShardMethods in-process, so the
-/// terminal state is degraded(shard-quarantine) and never "lost". Because
-/// a re-dispatched or quarantined shard re-runs against the same frozen
-/// snapshot, the merged results are byte-identical to `-j1` no matter how
-/// many workers — local or remote — died along the way.
+/// RetryPolicy jitter. QuarantineAfter consecutive losses on one shard
+/// degrade it to runShardMethods in-process, so the terminal state is
+/// degraded(shard-quarantine) and never "lost". Because a re-dispatched
+/// or quarantined shard re-runs against the same frozen snapshot, the
+/// merged results are byte-identical to `-j1` no matter how many workers
+/// died along the way.
 ///
 /// The worker-crash / worker-hang / wire-corrupt fault kinds are
-/// implemented here with real kernel effects through the transport seam
-/// (SIGKILL or RST, SIGSTOP or a read blackhole, a flipped payload byte);
-/// the net-refuse / net-reset-midframe / net-stall / net-handshake-skew
-/// kinds live inside SocketTransport at the moment the real network
-/// failure would occur.
+/// implemented here with real kernel effects (SIGKILL, SIGSTOP, a flipped
+/// payload byte).
 ///
 /// The coordinator is also the telemetry aggregation point (DESIGN.md,
 /// "Distributed telemetry"): Telemetry frames arriving ahead of each
 /// Result are merged into the unified trace as per-worker-pid lanes
 /// (flow-linked to the dispatch span) and into the metrics registry under
-/// the `shard.worker.` prefix; spawns, connects, losses and quarantines
-/// become trace instants. All of it is best-effort and read-only with
+/// the `shard.worker.` prefix; spawns, losses and quarantines become
+/// trace instants. All of it is best-effort and read-only with
 /// respect to results — the merged outcome bytes are identical with
 /// collection on or off.
 ///
@@ -63,13 +51,10 @@
 
 #include "infer/AnekInfer.h"
 #include "serve/RetryPolicy.h"
-#include "shard/Transport.h"
 #include "support/Subprocess.h"
 
 #include <atomic>
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -78,7 +63,7 @@ namespace anek {
 namespace shard {
 
 struct CoordinatorOptions {
-  /// Worker sessions (= maximum shards per wave). The driver's
+  /// Worker processes (= maximum shards per wave). The driver's
   /// `--shards N`.
   unsigned Workers = 2;
   /// A worker that produces no frame — heartbeats count — for this long
@@ -86,20 +71,9 @@ struct CoordinatorOptions {
   /// every HeartbeatIntervalSeconds, so this is ~50 missed beats. The
   /// driver's `--heartbeat-timeout`.
   double HeartbeatTimeoutSeconds = 10.0;
-  /// Consecutive local (fork/exec) losses on one shard dispatch before it
-  /// is quarantined to in-process execution.
+  /// Consecutive worker losses on one shard dispatch before it is
+  /// quarantined to in-process execution.
   unsigned QuarantineAfter = 3;
-  /// Remote worker daemon endpoints ("host:port" or "unix:/path"); slot k
-  /// prefers Endpoints[k % size]. Empty = local fork/exec workers only.
-  /// The driver's `--workers ADDR[,ADDR...]`.
-  std::vector<std::string> Endpoints;
-  /// Socket connect (and handshake-reply) deadline per attempt.
-  double ConnectTimeoutSeconds = 5.0;
-  /// Consecutive failures charged to one endpoint — refused/reset
-  /// connects, handshake rejections, mid-dispatch losses — before that
-  /// endpoint is quarantined for the run and its slots fall back to local
-  /// fork/exec workers.
-  unsigned EndpointReconnectAttempts = 3;
   /// Per-connection frame cap, bounding decode pre-allocation (0 = the
   /// protocol default, MaxFramePayload). The driver's
   /// `--shard-max-frame-bytes`.
@@ -117,15 +91,14 @@ struct CoordinatorOptions {
   serve::RetryPolicy Retry;
 };
 
-/// Farms wave batches out to worker sessions. One coordinator serves one
-/// inference run (it holds the Program for quarantine fallback); sessions
-/// persist across waves and are shut down by the destructor.
+/// Farms wave batches out to worker processes. One coordinator serves
+/// one inference run (it holds the Program for quarantine fallback);
+/// workers persist across waves and are shut down by the destructor.
 ///
 /// Thread-safety: executeWave is called from the engine's scheduler loop
 /// (one wave at a time); the per-shard dispatch threads it spawns each
-/// own their worker slot exclusively. The endpoint ledger and the stats
-/// are shared across those threads and mutex-guarded; stats() may race
-/// executeWave.
+/// own their worker slot exclusively. The stats are shared across those
+/// threads and mutex-guarded; stats() may race executeWave.
 class ShardCoordinator : public WaveShardExecutor {
 public:
   /// \p Source must be the exact text \p Prog was parsed from — workers
@@ -143,51 +116,36 @@ public:
   ShardStats stats() const override;
 
 private:
-  struct Slot {
-    std::unique_ptr<Transport> Conn;
-    /// The remote endpoint this slot prefers; empty = local-only.
-    std::string Endpoint;
-  };
-
-  /// Establishes the slot's session if it is not already serving,
-  /// walking the ladder: remote endpoint (unless quarantined) first,
-  /// local fork/exec second. \p RemoteAttempt reports which rung failed
-  /// so the caller charges the right budget.
-  Status ensureWorker(Slot &S, unsigned SlotIndex, bool &RemoteAttempt);
-  /// Tears down the slot's session (kill/close + reap).
-  void dropWorker(Slot &S);
-  /// Charges one failure to \p Endpoint; on the quarantine transition,
-  /// records stats and telemetry.
-  void noteEndpointFailure(const std::string &Endpoint);
+  /// Spawns the slot's worker and sends it the Init frame, unless a
+  /// worker from a previous dispatch is still alive.
+  Status ensureWorker(unsigned SlotIndex);
   /// One shard, driven to its terminal state: dispatch / re-dispatch
-  /// under the loss budgets, then quarantine. Never loses the shard.
+  /// under the loss budget, then quarantine. Never loses the shard.
   Expected<std::vector<summaryio::ShardMethodOutcome>>
   runShard(unsigned SlotIndex, uint32_t Wave,
            const std::vector<unsigned> &Indices, const std::string &Snapshot);
-  /// One dispatch attempt over an established session. \p WorkerReported
+  /// One dispatch attempt on a running worker. \p WorkerReported
   /// is set when the failure is a worker Error frame (deterministic, not
   /// retryable). Telemetry frames arriving before the Result are merged
   /// into the local trace/metrics stores here; an undecodable one is
   /// dropped and counted, never escalated — losing a span must not cost
   /// a dispatch.
   Expected<std::vector<summaryio::ShardMethodOutcome>>
-  dispatchOnce(Transport &T, uint32_t Wave,
+  dispatchOnce(subprocess::ChildProcess &Worker, uint32_t Wave,
                const std::vector<unsigned> &Indices,
                const std::string &Snapshot, bool &WorkerReported);
 
   Program &Prog;
   InferOptions Opts; ///< Leaf options: ShardExec cleared.
   CoordinatorOptions Co;
-  std::string InitPayload; ///< encodeInit(Source, Opts), sent per session.
-  std::vector<std::unique_ptr<Slot>> Slots;
+  std::string InitPayload; ///< encodeInit(Source, Opts), sent per spawn.
+  /// One worker per slot; slot k runs shard k of every wave. Sized once
+  /// in the constructor, so dispatch threads may hold references.
+  std::vector<subprocess::ChildProcess> Slots;
   std::atomic<uint32_t> WaveOrdinal{0}; ///< Stamped into Task frames.
-  serve::EndpointLedger Endpoints;      ///< Remote-endpoint credit.
 
   mutable std::mutex StatsMutex;
   ShardStats Stats;
-  /// Successful connects per endpoint; the second and later are
-  /// Reconnects. Guarded by StatsMutex.
-  std::map<std::string, unsigned> EndpointConnects;
 };
 
 } // namespace shard

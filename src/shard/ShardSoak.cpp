@@ -80,17 +80,9 @@ ShardSoakReport shard::runShardSoak(const ShardSoakConfig &Cfg) {
     ++Report.Rounds;
     const ExampleCase &Ex = Examples[Round % 3];
 
-    // Real process chaos first: the driver's hook may SIGKILL and respawn
-    // daemons here, so the round starts against a world that just changed
-    // under it.
-    if (Cfg.BetweenRounds)
-      Cfg.BetweenRounds(Round);
-
     // Seeded chaos for this round: maybe nothing, else one or two fault
     // kinds with small fire budgets — enough to force re-dispatches and,
-    // every few rounds, a quarantine. Net mode draws refusals, mid-frame
-    // resets, stalls, handshake skew and session kills instead of the
-    // pipe-era kinds.
+    // every few rounds, a quarantine.
     faults::reset();
     uint64_t Roll = mix(Cfg.Seed * 1000003ULL + Round);
     bool Faulted =
@@ -99,54 +91,22 @@ ShardSoakReport shard::runShardSoak(const ShardSoakConfig &Cfg) {
     std::string Spec;
     if (Faulted) {
       ++Report.FaultedRounds;
-      if (Cfg.NetChaos) {
-        switch (mix(Roll) % 7) {
-        case 0:
-          Spec = "net-refuse*1";
-          break;
-        case 1:
-          Spec = formatStr("net-reset-midframe*%u",
-                           1 + unsigned(mix(Roll + 1) % 2));
-          break;
-        case 2:
-          Spec = "net-stall*1";
-          break;
-        case 3:
-          Spec = "net-handshake-skew*1";
-          break;
-        case 4:
-          // On a socket transport worker-crash kills the *session* with a
-          // hard RST — the daemon survives and the slot reconnects.
-          Spec = formatStr("worker-crash*%u",
-                           1 + unsigned(mix(Roll + 2) % 2));
-          break;
-        case 5:
-          Spec = "net-refuse*2,net-reset-midframe*1";
-          break;
-        case 6:
-          Spec = "wire-corrupt*1";
-          break;
-        }
-      } else {
-        switch (mix(Roll) % 5) {
-        case 0:
-          Spec = "worker-crash*1";
-          break;
-        case 1:
-          Spec =
-              formatStr("worker-crash*%u", 2 + unsigned(mix(Roll + 1) % 3));
-          break;
-        case 2:
-          Spec = "worker-hang*1";
-          break;
-        case 3:
-          Spec =
-              formatStr("wire-corrupt*%u", 1 + unsigned(mix(Roll + 2) % 2));
-          break;
-        case 4:
-          Spec = "worker-crash*2,wire-corrupt*1";
-          break;
-        }
+      switch (mix(Roll) % 5) {
+      case 0:
+        Spec = "worker-crash*1";
+        break;
+      case 1:
+        Spec = formatStr("worker-crash*%u", 2 + unsigned(mix(Roll + 1) % 3));
+        break;
+      case 2:
+        Spec = "worker-hang*1";
+        break;
+      case 3:
+        Spec = formatStr("wire-corrupt*%u", 1 + unsigned(mix(Roll + 2) % 2));
+        break;
+      case 4:
+        Spec = "worker-crash*2,wire-corrupt*1";
+        break;
       }
       if (Status S = faults::activateSpec(Spec); !S) {
         Violate(formatStr("round %u: bad chaos spec '%s': %s", Round,
@@ -169,10 +129,6 @@ ShardSoakReport shard::runShardSoak(const ShardSoakConfig &Cfg) {
     CoOpts.Workers = Cfg.Workers;
     CoOpts.HeartbeatTimeoutSeconds = Cfg.HeartbeatTimeoutSeconds;
     CoOpts.WorkerArgv = Cfg.WorkerArgv;
-    CoOpts.Endpoints = Cfg.Endpoints;
-    // A refused connect to a freshly killed daemon must not burn seconds
-    // of soak wall-clock before falling down the ladder.
-    CoOpts.ConnectTimeoutSeconds = 2.0;
     CoOpts.Retry.Seed = Cfg.Seed;
     ShardCoordinator Coordinator(*Prog, Ex.Source, Opts, CoOpts);
     Opts.ShardExec = &Coordinator;
@@ -208,21 +164,16 @@ ShardSoakReport shard::runShardSoak(const ShardSoakConfig &Cfg) {
     if (S.ShardsQuarantined != 0 && S.WorkersLost < S.ShardsQuarantined)
       Violate(formatStr("round %u: quarantine without matching losses",
                         Round));
-    // The BetweenRounds hook kills processes outside the fault registry,
-    // so an unfaulted round can legitimately lose workers then.
-    if (!Faulted && !Cfg.BetweenRounds && S.WorkersLost != 0)
+    if (!Faulted && S.WorkersLost != 0)
       Violate(formatStr("round %u: %u workers lost with no chaos armed",
                         Round, S.WorkersLost));
     Report.Totals.WavesRemote += S.WavesRemote;
     Report.Totals.WavesDegraded += S.WavesDegraded;
     Report.Totals.ShardsDispatched += S.ShardsDispatched;
-    Report.Totals.RemoteDispatches += S.RemoteDispatches;
     Report.Totals.Redispatches += S.Redispatches;
-    Report.Totals.Reconnects += S.Reconnects;
     Report.Totals.WorkersLost += S.WorkersLost;
     Report.Totals.WorkersSpawned += S.WorkersSpawned;
     Report.Totals.ShardsQuarantined += S.ShardsQuarantined;
-    Report.Totals.EndpointsQuarantined += S.EndpointsQuarantined;
   }
 
   if (Cfg.MinDispatches != 0 &&
@@ -230,10 +181,5 @@ ShardSoakReport shard::runShardSoak(const ShardSoakConfig &Cfg) {
     Violate(formatStr("soak made %u shard dispatches, need >= %u for a "
                       "meaningful exercise",
                       Report.Totals.ShardsDispatched, Cfg.MinDispatches));
-  // A net soak that never reached a daemon exercised nothing but the
-  // fallback rungs — that is a broken harness, not a passing soak.
-  if (!Cfg.Endpoints.empty() && Report.Totals.RemoteDispatches == 0)
-    Violate("net soak made no remote dispatches — every round fell "
-            "straight to the fallback rungs");
   return Report;
 }

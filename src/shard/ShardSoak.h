@@ -9,12 +9,7 @@
 /// model"): repeated sharded inference runs over the built-in examples
 /// under randomized — but seeded, hence reproducible — worker chaos
 /// (crashes, hangs, corrupted result frames, in combination), checking
-/// the tier's invariants. With Endpoints configured the same harness
-/// soaks the socket transport against live `anek workerd` daemons, and
-/// NetChaos draws from the network fault vocabulary instead — injected
-/// connection refusals, mid-frame resets, read stalls, handshake version
-/// skew — while the BetweenRounds hook lets the driver kill and respawn
-/// real daemons under the soak. The invariants checked:
+/// the tier's invariants:
 ///
 ///  - every run completes with exactly one terminal accounting per shard
 ///    (served, re-dispatched then served, or quarantined — never lost);
@@ -35,7 +30,6 @@
 #include "infer/AnekInfer.h"
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -58,19 +52,7 @@ struct ShardSoakConfig {
   unsigned MinDispatches = 0;
   /// Worker command line; empty means {<self-exe>, "--worker"} (the soak
   /// drivers handle --worker themselves; tests point this at `anek`).
-  /// Under Endpoints this is the fork/exec rung sockets degrade to.
   std::vector<std::string> WorkerArgv;
-  /// Remote `anek workerd` endpoints; non-empty runs every round over
-  /// socket transports (slot k prefers Endpoints[k % size], falling back
-  /// to WorkerArgv and then in-process on failure).
-  std::vector<std::string> Endpoints;
-  /// Draw round chaos from the network fault vocabulary (net-refuse,
-  /// net-reset-midframe, net-stall, net-handshake-skew, plus socket
-  /// session kills) instead of the pipe-era kinds. Needs Endpoints.
-  bool NetChaos = false;
-  /// Called at the top of each round before chaos is armed; soak drivers
-  /// use it to SIGKILL and respawn real daemon processes mid-soak.
-  std::function<void(unsigned Round)> BetweenRounds;
 };
 
 struct ShardSoakReport {

@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <string_view>
 #include <thread>
 
 #include <unistd.h>
@@ -26,6 +27,24 @@ using namespace anek;
 using namespace anek::shard;
 
 namespace {
+
+/// Serializes every frame a worker emits: the heartbeat thread and the
+/// task loop share one stream, and an interleaved write would hand the
+/// coordinator a torn frame (which it must — and does — treat as a lost
+/// worker, wasting a perfectly good attempt).
+class FrameSender {
+public:
+  explicit FrameSender(int Fd) : Fd(Fd) {}
+
+  Status send(FrameType Type, std::string_view Payload) {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    return writeFrame(Fd, Type, Payload);
+  }
+
+private:
+  int Fd;
+  std::mutex Mutex;
+};
 
 /// Emits Heartbeat frames every HeartbeatIntervalSeconds until stopped.
 /// Write failures are ignored here: if the coordinator is gone the task
@@ -67,13 +86,16 @@ private:
   bool Stop = false;
 };
 
-} // namespace
-
-SessionResult shard::serveSession(int InFd, FrameSender &Sender,
-                                  Program &Prog, const InferOptions &Opts,
-                                  uint8_t CollectLevel,
-                                  const SessionLimits &Limits) {
-  SessionResult R;
+/// The Task-serving loop: reads Task/Shutdown frames from \p InFd and
+/// answers over \p Sender against the resident \p Prog until the
+/// coordinator hangs up. Heartbeats pulse while a task runs; when \p
+/// CollectLevel is non-zero a Telemetry frame ships before each Result.
+/// Task-level failures are Error frames, never loop enders. Returns true
+/// on Shutdown or EOF (the coordinator is simply gone — normal in the
+/// shard failure model), false when our own sends failed or a frame
+/// from the coordinator was malformed beyond answering.
+bool serveTasks(int InFd, FrameSender &Sender, Program &Prog,
+                const InferOptions &Opts, uint8_t CollectLevel) {
   // The coordinator's collection level is a floor, not an override: a
   // worker started with its own --trace-level (e.g. to debug one shard at
   // solver depth) keeps the deeper setting.
@@ -84,34 +106,28 @@ SessionResult shard::serveSession(int InFd, FrameSender &Sender,
   // the events recorded since the previous ship.
   std::vector<size_t> ShipMarks;
 
-  // Task service loop. The session is stateless across tasks; each Task
-  // frame carries its own snapshot, so a respawned worker — or another
-  // daemon session — picking up a re-dispatched shard starts from
-  // identical inputs.
+  // Task service loop. The worker is stateless across tasks; each Task
+  // frame carries its own snapshot, so a respawned worker picking up a
+  // re-dispatched shard starts from identical inputs.
   for (;;) {
-    Expected<Frame> F =
-        readFrame(InFd, Limits.IdleTimeoutSeconds, Limits.MaxFrameBytes);
+    Expected<Frame> F = readFrame(InFd, /*TimeoutSeconds=*/-1.0);
     if (!F) {
-      // EOF = peer gone (or shutting down without ceremony) and an idle
-      // timeout is a session that earned its keep; a malformed frame from
-      // the peer is unrecoverable — its stream can no longer be trusted.
-      R.Clean = F.status().code() == ErrorCode::WorkerLost ||
-                F.status().code() == ErrorCode::DeadlineExceeded;
-      return R;
+      // EOF = coordinator gone (or shutting down without ceremony); a
+      // malformed frame is unrecoverable — the stream can no longer be
+      // trusted.
+      return F.status().code() == ErrorCode::WorkerLost;
     }
     switch (F->Type) {
     case FrameType::Shutdown:
-      return R;
+      return true;
     case FrameType::Task: {
       std::vector<unsigned> DeclIndices;
       std::string Snapshot;
       TaskMeta Meta;
       if (Status S = decodeTask(F->Payload, DeclIndices, Snapshot, &Meta);
           !S) {
-        if (!Sender.send(FrameType::Error, S.str())) {
-          R.Clean = false;
-          return R;
-        }
+        if (!Sender.send(FrameType::Error, S.str()))
+          return false;
         break;
       }
       telemetry::MetricsSnapshot Before;
@@ -147,11 +163,8 @@ SessionResult shard::serveSession(int InFd, FrameSender &Sender,
           Outcomes ? Sender.send(FrameType::Result,
                                  summaryio::encodeOutcomes(*Outcomes))
                    : Sender.send(FrameType::Error, Outcomes.status().str());
-      if (!Sent) {
-        R.Clean = false;
-        return R;
-      }
-      ++R.TasksServed;
+      if (!Sent)
+        return false;
       break;
     }
     default:
@@ -159,14 +172,14 @@ SessionResult shard::serveSession(int InFd, FrameSender &Sender,
       // a protocol bug worth reporting but not dying over.
       if (!Sender.send(FrameType::Error,
                        std::string("unexpected frame type ") +
-                           frameTypeName(F->Type))) {
-        R.Clean = false;
-        return R;
-      }
+                           frameTypeName(F->Type)))
+        return false;
       break;
     }
   }
 }
+
+} // namespace
 
 int shard::runWorkerLoop(int InFd, int OutFd) {
   subprocess::ignoreSigpipe();
@@ -199,6 +212,5 @@ int shard::runWorkerLoop(int InFd, int OutFd) {
     return 1;
   }
 
-  SessionResult R = serveSession(InFd, Sender, *Prog, Opts, CollectLevel);
-  return R.Clean ? 0 : 1;
+  return serveTasks(InFd, Sender, *Prog, Opts, CollectLevel) ? 0 : 1;
 }

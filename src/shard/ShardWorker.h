@@ -20,74 +20,13 @@
 /// moment, and a re-dispatched shard on a fresh worker computes exactly
 /// the bytes the lost worker would have.
 ///
-/// The Task-serving core is shared with the persistent worker daemon
-/// (WorkerDaemon.h): serveSession is the one implementation of "answer
-/// Task frames against this resident program", whether the session
-/// arrived over a pipe from a fork/exec parent or over a socket from a
-/// remote coordinator.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef ANEK_SHARD_SHARDWORKER_H
 #define ANEK_SHARD_SHARDWORKER_H
 
-#include "infer/AnekInfer.h"
-#include "shard/Wire.h"
-#include "support/Status.h"
-
-#include <cstdint>
-#include <mutex>
-#include <string_view>
-
 namespace anek {
 namespace shard {
-
-/// Serializes every frame a worker emits: the heartbeat thread and the
-/// task loop share one stream, and an interleaved write would hand the
-/// coordinator a torn frame (which it must — and does — treat as a lost
-/// worker, wasting a perfectly good attempt).
-class FrameSender {
-public:
-  explicit FrameSender(int Fd) : Fd(Fd) {}
-
-  Status send(FrameType Type, std::string_view Payload) {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    return writeFrame(Fd, Type, Payload);
-  }
-
-private:
-  int Fd;
-  std::mutex Mutex;
-};
-
-/// Per-session knobs of serveSession.
-struct SessionLimits {
-  /// How long to wait for the next Task before giving the session up
-  /// (< 0 = forever). Pipe workers wait forever — their lifetime is the
-  /// coordinator's; daemon sessions may bound idleness.
-  double IdleTimeoutSeconds = -1.0;
-  /// Per-connection frame cap (0 = protocol default).
-  uint64_t MaxFrameBytes = 0;
-};
-
-/// How a session ended.
-struct SessionResult {
-  /// True on Shutdown or EOF (the peer is simply gone — normal in the
-  /// shard failure model); false when our own sends failed or a frame
-  /// from the peer was malformed beyond answering.
-  bool Clean = true;
-  unsigned TasksServed = 0;
-};
-
-/// The Task-serving core: reads Task/Shutdown frames from \p InFd and
-/// answers over \p Sender against the resident \p Prog until the peer
-/// hangs up. Heartbeats pulse while a task runs; when \p CollectLevel is
-/// non-zero a Telemetry frame ships before each Result. Task-level
-/// failures are Error frames, never session enders — the peer decides
-/// what they mean.
-SessionResult serveSession(int InFd, FrameSender &Sender, Program &Prog,
-                           const InferOptions &Opts, uint8_t CollectLevel,
-                           const SessionLimits &Limits = {});
 
 /// Runs the worker protocol over \p InFd (frames from the coordinator)
 /// and \p OutFd (frames back). Returns a process exit code: 0 on a clean

@@ -27,7 +27,7 @@ Status malformed(const std::string &What) {
 
 bool knownFrameType(uint16_t Raw) {
   return Raw >= static_cast<uint16_t>(FrameType::Init) &&
-         Raw <= static_cast<uint16_t>(FrameType::InitAck);
+         Raw <= static_cast<uint16_t>(FrameType::Telemetry);
 }
 
 /// The effective payload cap for a connection: 0 means the protocol
@@ -118,25 +118,14 @@ const char *shard::frameTypeName(FrameType Type) {
     return "error";
   case FrameType::Telemetry:
     return "telemetry";
-  case FrameType::InitDigest:
-    return "init-digest";
-  case FrameType::InitNeeded:
-    return "init-needed";
-  case FrameType::InitAck:
-    return "init-ack";
   }
   return "unknown";
 }
 
 std::string shard::encodeFrame(FrameType Type, std::string_view Payload) {
-  return encodeFrame(Type, Payload, ProtocolVersion);
-}
-
-std::string shard::encodeFrame(FrameType Type, std::string_view Payload,
-                               uint16_t Version) {
   wire::Writer W;
   W.u32(FrameMagic);
-  W.u16(Version);
+  W.u16(ProtocolVersion);
   W.u16(static_cast<uint16_t>(Type));
   W.u64(Payload.size());
   W.u64(wire::fnv1a64(Payload));
@@ -327,23 +316,6 @@ Status shard::decodeInit(std::string_view Payload, std::string &Source,
   C.LogicalOnly = (Toggles & (1u << 6)) != 0;
   C.EnableExclusivity = (Toggles & (1u << 7)) != 0;
   C.KindMutex = KindMutex != 0;
-  return Status::ok();
-}
-
-uint64_t shard::initDigest(std::string_view InitPayload) {
-  return wire::fnv1a64(InitPayload);
-}
-
-std::string shard::encodeInitDigest(uint64_t Digest) {
-  wire::Writer W;
-  W.u64(Digest);
-  return W.take();
-}
-
-Status shard::decodeInitDigest(std::string_view Payload, uint64_t &Digest) {
-  wire::Reader R(Payload);
-  if (!R.u64(Digest) || !R.done())
-    return malformed("init digest");
   return Status::ok();
 }
 

@@ -16,13 +16,6 @@
 ///
 ///   coordinator -> worker   Init      source text + algorithm options
 ///                                     + telemetry collection level
-///   (socket sessions open with an Init-by-digest handshake instead:
-///    InitDigest carries the fnv1a64 of the Init payload the coordinator
-///    would send; a daemon that already holds that program answers
-///    InitAck straight away, otherwise InitNeeded asks for the full Init
-///    — so re-connects to a persistent worker daemon ship 32 bytes, not
-///    the whole program, and a stale daemon can never serve an edited
-///    program by accident because the digest is the content.)
 ///   coordinator -> worker   Task      decl indices + summary snapshot
 ///                                     + dispatch identity (parent flow
 ///                                     id, wave ordinal, dispatch clock)
@@ -93,12 +86,6 @@ enum class FrameType : uint16_t {
   Shutdown = 5,
   Error = 6,
   Telemetry = 7,
-  // Socket-session handshake (see the file comment). Pipe sessions keep
-  // the bare Init — their worker was just spawned, so it can never
-  // already hold the program.
-  InitDigest = 8, ///< coordinator -> daemon: fnv1a64 of the Init payload
-  InitNeeded = 9, ///< daemon -> coordinator: unknown digest, send Init
-  InitAck = 10,   ///< daemon -> coordinator: program resident, send Tasks
 };
 
 /// "init" / "task" / ... for diagnostics.
@@ -111,14 +98,6 @@ struct Frame {
 
 /// Renders the header + payload of one frame.
 std::string encodeFrame(FrameType Type, std::string_view Payload);
-
-/// encodeFrame with an explicit protocol version stamp. Only the
-/// version-skew fault and the handshake-rejection tests write anything
-/// but ProtocolVersion — a frame carrying the wrong version is exactly
-/// what a mismatched coordinator/daemon pair would exchange, and the
-/// receiver must reject it.
-std::string encodeFrame(FrameType Type, std::string_view Payload,
-                        uint16_t Version);
 
 /// Decodes one complete frame from \p Bytes (tests and fuzz-style corrupt
 /// suites; the pipe path below shares the same validation). Errors:
@@ -137,16 +116,6 @@ Status writeFrame(int Fd, FrameType Type, std::string_view Payload);
 /// \p MaxPayload as in parseFrame.
 Expected<Frame> readFrame(int Fd, double TimeoutSeconds,
                           uint64_t MaxPayload = 0);
-
-/// The content digest the Init-by-digest handshake exchanges: fnv1a64
-/// over the exact encodeInit payload bytes, so "same digest" means "same
-/// source, same algorithm options, same collection level".
-uint64_t initDigest(std::string_view InitPayload);
-
-/// InitDigest payload codec (a bare u64; InitNeeded and InitAck carry no
-/// payload).
-std::string encodeInitDigest(uint64_t Digest);
-Status decodeInitDigest(std::string_view Payload, uint64_t &Digest);
 
 // --- Payload codecs ------------------------------------------------------
 //

@@ -83,18 +83,6 @@ constexpr std::array<FaultInfo, NumFaultKinds> FaultTable = {{
     {"wire-corrupt",
      "a received shard-result frame has a byte flipped so its checksum "
      "fails (corrupt-frame probe; the worker is recycled)"},
-    {"net-refuse",
-     "a socket transport's connect attempt is refused before reaching "
-     "the daemon (refusal probe; the ladder falls back or retries)"},
-    {"net-reset-midframe",
-     "a socket transport hard-resets (RST) halfway through writing a "
-     "frame (torn-connection probe; costs one attempt)"},
-    {"net-stall",
-     "a socket transport goes silent mid-read so the heartbeat deadline "
-     "trips (stall probe; the session is dropped and re-dispatched)"},
-    {"net-handshake-skew",
-     "the Init-by-digest handshake is stamped with the wrong protocol "
-     "version so the daemon rejects the session (version-mismatch probe)"},
 }};
 static_assert(FaultTable.size() == NumFaultKinds,
               "every FaultKind needs a name and a one-line description");
@@ -222,10 +210,7 @@ Status faults::injectedError(FaultKind Kind, const std::string &Label) {
   if (Kind == FaultKind::TransientSolve)
     Code = ErrorCode::Unavailable;
   else if (Kind == FaultKind::WorkerCrash || Kind == FaultKind::WorkerHang ||
-           Kind == FaultKind::WireCorrupt || Kind == FaultKind::NetRefuse ||
-           Kind == FaultKind::NetResetMidframe ||
-           Kind == FaultKind::NetStall ||
-           Kind == FaultKind::NetHandshakeSkew)
+           Kind == FaultKind::WireCorrupt)
     Code = ErrorCode::WorkerLost;
   return Status::error(Code, Message);
 }

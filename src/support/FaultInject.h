@@ -38,15 +38,6 @@
 ///                   goes silent (hang-detection probe)
 ///   wire-corrupt    a received shard-result frame has a byte flipped, so
 ///                   its checksum fails (corrupt-frame probe)
-///   net-refuse      a socket transport's connect attempt is refused
-///                   before it reaches the daemon (refusal probe)
-///   net-reset-midframe  a socket transport hard-resets (RST) halfway
-///                   through writing a frame (torn-connection probe)
-///   net-stall       a socket transport goes silent mid-read so the
-///                   heartbeat deadline must trip (stall probe)
-///   net-handshake-skew  the Init-by-digest handshake is stamped with the
-///                   wrong protocol version, so the daemon rejects the
-///                   session (version-mismatch probe)
 ///
 //===----------------------------------------------------------------------===//
 
@@ -73,12 +64,8 @@ enum class FaultKind : unsigned {
   WorkerCrash,
   WorkerHang,
   WireCorrupt,
-  NetRefuse,
-  NetResetMidframe,
-  NetStall,
-  NetHandshakeSkew,
 };
-constexpr unsigned NumFaultKinds = 14;
+constexpr unsigned NumFaultKinds = 10;
 
 /// Spec name of a fault kind ("bp-nonconverge", ...).
 const char *faultKindName(FaultKind Kind);

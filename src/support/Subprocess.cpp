@@ -12,6 +12,7 @@
 #include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
+#include <utility>
 
 using namespace anek;
 using namespace anek::subprocess;
@@ -167,12 +168,17 @@ Status ChildProcess::spawn(const std::vector<std::string> &Argv) {
     return Status::error(ErrorCode::InvalidArgument,
                          "child already running");
 
+  // Close-on-exec from the moment the pipes exist: another dispatch
+  // thread may fork a sibling worker before this spawn finishes, and a
+  // sibling that inherits (and thereby holds open) our child's stdout
+  // write end keeps the coordinator's read end from ever seeing EOF, so a
+  // crashed worker would look hung until the heartbeat deadline.
   int ToChild[2] = {-1, -1};  // Coordinator writes [1], child stdin [0].
   int FromChild[2] = {-1, -1};// Child stdout [1], coordinator reads [0].
-  if (::pipe(ToChild) != 0)
+  if (::pipe2(ToChild, O_CLOEXEC) != 0)
     return Status::error(ErrorCode::Internal,
                          formatStr("pipe failed: %s", std::strerror(errno)));
-  if (::pipe(FromChild) != 0) {
+  if (::pipe2(FromChild, O_CLOEXEC) != 0) {
     ::close(ToChild[0]);
     ::close(ToChild[1]);
     return Status::error(ErrorCode::Internal,
@@ -195,21 +201,22 @@ Status ChildProcess::spawn(const std::vector<std::string> &Argv) {
   if (Child == 0) {
     // Child: only async-signal-safe calls between fork and exec (the
     // parent may be multi-threaded). stderr is deliberately inherited.
-    ::dup2(ToChild[0], STDIN_FILENO);
-    ::dup2(FromChild[1], STDOUT_FILENO);
-    for (int Fd : {ToChild[0], ToChild[1], FromChild[0], FromChild[1]})
-      ::close(Fd);
+    // dup2 clears close-on-exec on its target, but dup2 onto itself is a
+    // no-op, so a pipe end that already sits on 0 or 1 needs the flag
+    // cleared by hand. Every other pipe end closes at exec.
+    for (auto [Fd, Target] : {std::pair{ToChild[0], STDIN_FILENO},
+                              std::pair{FromChild[1], STDOUT_FILENO}}) {
+      if (Fd == Target)
+        ::fcntl(Fd, F_SETFD, 0);
+      else
+        ::dup2(Fd, Target);
+    }
     ::execv(Args[0], Args.data());
     ::_exit(127); // exec failed; the coordinator sees exit 127 = spawn loss.
   }
 
   ::close(ToChild[0]);
   ::close(FromChild[1]);
-  // Close-on-exec on the coordinator ends: a worker forked later must not
-  // inherit (and thereby hold open) a sibling's pipes, or that sibling's
-  // EOF-based crash detection would hang until every worker exited.
-  ::fcntl(ToChild[1], F_SETFD, FD_CLOEXEC);
-  ::fcntl(FromChild[0], F_SETFD, FD_CLOEXEC);
   Pid = Child;
   WriteFd = ToChild[1];
   ReadFd = FromChild[0];

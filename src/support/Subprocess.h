@@ -89,6 +89,8 @@ public:
   /// Spawns \p Argv (argv[0] = executable path). The child's stdin reads
   /// from writeFd()'s pipe and its stdout feeds readFd(); stderr is
   /// inherited so worker diagnostics land on the coordinator's stderr.
+  /// Thread-safe against concurrent spawns: no child ever inherits
+  /// another child's pipe ends.
   Status spawn(const std::vector<std::string> &Argv);
 
   bool running() const { return Pid > 0; }

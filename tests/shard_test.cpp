@@ -21,19 +21,13 @@
 #include "serve/BatchRunner.h"
 #include "serve/Serve.h"
 #include "shard/ShardCoordinator.h"
-#include "shard/Transport.h"
 #include "shard/Wire.h"
-#include "shard/WorkerDaemon.h"
 #include "support/FaultInject.h"
-#include "support/Socket.h"
 #include "support/Subprocess.h"
 
-#include <chrono>
 #include <gtest/gtest.h>
 #include <memory>
 #include <string>
-#include <thread>
-#include <unistd.h>
 #include <vector>
 
 using namespace anek;
@@ -164,6 +158,8 @@ TEST_F(ShardTest, FrameDecodeRejectsMalformedHeaders) {
        ErrorCode::InvalidArgument},
       {"unknown frame type", Patched(6, 0x7fu, 2),
        ErrorCode::InvalidArgument},
+      // The first value past the last defined type (Telemetry = 7).
+      {"frame type 8", Patched(6, 8u, 2), ErrorCode::InvalidArgument},
       // The oversized-length-header case: a 24-byte header may not drive
       // a giant allocation, so the cap check rejects it before any
       // payload handling.
@@ -548,6 +544,22 @@ TEST_F(ShardTest, RelentlessCrashesQuarantineTheShardInProcess) {
   EXPECT_EQ(Run.Stats.WavesDegraded, 0u);
 }
 
+TEST_F(ShardTest, NonProtocolWorkerQuarantinesTheShardInProcess) {
+  // The "worker" binary exits at once without speaking the protocol, so
+  // every dispatch loses its worker. The shard must still degrade to
+  // in-process execution — terminal state degraded(shard-quarantine),
+  // never a wrong or truncated result.
+  const std::string Source = fileProtocolSource();
+  shard::CoordinatorOptions Co = testCoordinatorOptions(2);
+  Co.QuarantineAfter = 2;
+  Co.WorkerArgv = {ANEK_TOOL_PATH, "--not-a-worker-mode"};
+  ShardRun Run = runSharded(Source, Co);
+  EXPECT_EQ(Run.Output, baselineOutput(Source));
+  EXPECT_GE(Run.Stats.ShardsQuarantined, 1u);
+  EXPECT_GE(Run.Stats.WorkersLost, Co.QuarantineAfter);
+  EXPECT_EQ(Run.Stats.WavesDegraded, 0u);
+}
+
 //===----------------------------------------------------------------------===//
 // Distributed telemetry end to end
 //===----------------------------------------------------------------------===//
@@ -690,209 +702,6 @@ TEST_F(ShardTest, BatchSurfacesQuarantineAsDegraded) {
   EXPECT_NE(Results[1].Reason.find("shard-quarantine"), std::string::npos)
       << Results[1].Reason;
   EXPECT_EQ(Results[0].Output, Results[1].Output);
-}
-
-//===----------------------------------------------------------------------===//
-// Socket transport, worker daemons, and the Init-by-digest handshake
-//===----------------------------------------------------------------------===//
-
-/// An in-process `anek workerd` daemon on a kernel-assigned loopback
-/// port, torn down however the test exits.
-struct ScopedDaemon {
-  shard::WorkerDaemon Daemon;
-  std::string Address;
-
-  explicit ScopedDaemon(shard::WorkerDaemonOptions Opts = {}) : Daemon([&] {
-    if (Opts.ListenAddress.empty())
-      Opts.ListenAddress = "127.0.0.1:0";
-    return Opts;
-  }()) {
-    Status S = Daemon.start();
-    EXPECT_TRUE(S.isOk()) << S.str();
-    Address = Daemon.boundAddress();
-  }
-  ~ScopedDaemon() { Daemon.stop(); }
-};
-
-TEST_F(ShardTest, SocketHandshakeDigestHitMissAndStaleAfterEdit) {
-  ScopedDaemon D;
-  const std::string Source = fileProtocolSource();
-  InferOptions Opts;
-  Opts.Parallelism = 1;
-  const std::string Init = shard::encodeInit(Source, Opts, 0);
-
-  // Cold daemon: the digest misses, the full Init payload ships.
-  {
-    shard::SocketTransport T(D.Address, Init, 5.0, 0, "");
-    Status Up = T.open();
-    ASSERT_TRUE(Up.isOk()) << Up.str();
-    EXPECT_STREQ(T.kind(), "socket");
-  }
-  EXPECT_EQ(D.Daemon.stats().DigestMisses, 1u);
-  EXPECT_EQ(D.Daemon.stats().DigestHits, 0u);
-
-  // Reconnect with the identical program: digest hit, nothing re-shipped
-  // and nothing re-parsed.
-  {
-    shard::SocketTransport T(D.Address, Init, 5.0, 0, "");
-    Status Up = T.open();
-    ASSERT_TRUE(Up.isOk()) << Up.str();
-  }
-  EXPECT_EQ(D.Daemon.stats().DigestHits, 1u);
-  EXPECT_EQ(D.Daemon.stats().DigestMisses, 1u);
-
-  // A source edit changes the Init bytes, hence the digest: the resident
-  // program for the old source can never be served stale — the handshake
-  // misses and the edited program ships in full.
-  const std::string Edited = Source + "\n// trailing edit\n";
-  const std::string EditedInit = shard::encodeInit(Edited, Opts, 0);
-  EXPECT_NE(shard::initDigest(Init), shard::initDigest(EditedInit));
-  {
-    shard::SocketTransport T(D.Address, EditedInit, 5.0, 0, "");
-    Status Up = T.open();
-    ASSERT_TRUE(Up.isOk()) << Up.str();
-  }
-  EXPECT_EQ(D.Daemon.stats().DigestMisses, 2u);
-  EXPECT_EQ(D.Daemon.stats().DigestHits, 1u);
-}
-
-TEST_F(ShardTest, DaemonRejectsHandshakeVersionSkew) {
-  ScopedDaemon D;
-
-  // Raw socket, no transport: a handshake frame stamped with a future
-  // protocol version must be refused by the frame decoder and the
-  // session dropped — version negotiation is "same version or nothing".
-  Expected<int> Fd = sock::connectTo(D.Address, 5.0);
-  ASSERT_TRUE(Fd.hasValue()) << Fd.status().str();
-  const std::string Skewed =
-      shard::encodeFrame(shard::FrameType::InitDigest,
-                         shard::encodeInitDigest(0x1234), /*Version=*/
-                         static_cast<uint16_t>(shard::ProtocolVersion + 1));
-  ASSERT_TRUE(
-      subprocess::writeFull(*Fd, Skewed.data(), Skewed.size()).isOk());
-  // The daemon answers with an Error frame naming the rejection, then
-  // hangs up; nothing else ever arrives on this session.
-  Expected<shard::Frame> Reply = shard::readFrame(*Fd, 5.0);
-  ASSERT_TRUE(Reply.hasValue()) << Reply.status().str();
-  EXPECT_EQ(Reply->Type, shard::FrameType::Error);
-  EXPECT_NE(Reply->Payload.find("version"), std::string::npos)
-      << Reply->Payload;
-  Expected<shard::Frame> AfterDrop = shard::readFrame(*Fd, 5.0);
-  EXPECT_FALSE(AfterDrop.hasValue());
-  ::close(*Fd);
-  // The rejection is counted once the session thread finishes.
-  for (int I = 0; I != 100 && D.Daemon.stats().SessionsRejected == 0; ++I)
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_EQ(D.Daemon.stats().SessionsRejected, 1u);
-
-  // The injected flavor: net-handshake-skew makes SocketTransport stamp
-  // its own digest frame with the future version; the daemon's refusal
-  // must classify as a transient lost worker, not a hard failure.
-  faults::ScopedFault Skew(FaultKind::NetHandshakeSkew, "", 1);
-  InferOptions Opts;
-  Opts.Parallelism = 1;
-  shard::SocketTransport T(
-      D.Address, shard::encodeInit(fileProtocolSource(), Opts, 0), 5.0, 0,
-      "");
-  Status Up = T.open();
-  ASSERT_FALSE(Up.isOk());
-  EXPECT_EQ(Up.code(), ErrorCode::WorkerLost) << Up.str();
-}
-
-TEST_F(ShardTest, SocketShardedRunMatchesInProcessByteForByte) {
-  // The acceptance oracle over TCP: every wave served by a live daemon,
-  // nothing spawned on the pipe rung, output byte-identical to -j1.
-  ScopedDaemon D;
-  const std::string Source = iteratorApiSource() + spreadsheetSource();
-  shard::CoordinatorOptions Co = testCoordinatorOptions(2);
-  Co.Endpoints = {D.Address};
-  ShardRun Run = runSharded(Source, Co);
-  EXPECT_EQ(Run.Output, baselineOutput(Source));
-  EXPECT_GE(Run.Stats.RemoteDispatches, 1u);
-  EXPECT_EQ(Run.Stats.RemoteDispatches, Run.Stats.ShardsDispatched);
-  EXPECT_EQ(Run.Stats.WorkersSpawned, 0u);
-  EXPECT_EQ(Run.Stats.WorkersLost, 0u);
-  EXPECT_EQ(Run.Stats.EndpointsQuarantined, 0u);
-  EXPECT_GE(D.Daemon.stats().TasksServed, Run.Stats.ShardsDispatched);
-}
-
-TEST_F(ShardTest, NetFaultsAreTransientAndRedispatched) {
-  ScopedDaemon D;
-  const std::string Source = fileProtocolSource();
-  const std::string Baseline = baselineOutput(Source);
-
-  // One refused connect: the slot retries, reconnects, and serves — a
-  // connection refusal is a lost worker, never a lost shard.
-  {
-    faults::ScopedFault Refuse(FaultKind::NetRefuse, "", 1);
-    shard::CoordinatorOptions Co = testCoordinatorOptions(2);
-    Co.Endpoints = {D.Address};
-    ShardRun Run = runSharded(Source, Co);
-    EXPECT_EQ(Run.Output, Baseline);
-    EXPECT_GE(Run.Stats.WorkersLost, 1u);
-    EXPECT_GE(Run.Stats.RemoteDispatches, 1u);
-    EXPECT_EQ(Run.Stats.EndpointsQuarantined, 0u);
-  }
-  // A hard RST halfway through a Task frame: same story, plus the
-  // reconnect is visible in the stats.
-  {
-    faults::ScopedFault Reset(FaultKind::NetResetMidframe, "", 1);
-    shard::CoordinatorOptions Co = testCoordinatorOptions(2);
-    Co.Endpoints = {D.Address};
-    ShardRun Run = runSharded(Source, Co);
-    EXPECT_EQ(Run.Output, Baseline);
-    EXPECT_GE(Run.Stats.WorkersLost, 1u);
-    EXPECT_GE(Run.Stats.Redispatches, 1u);
-    EXPECT_GE(Run.Stats.Reconnects, 1u);
-  }
-  // A read stall (packets stop arriving, connection stays up): the
-  // heartbeat deadline declares the session hung and re-dispatches.
-  {
-    faults::ScopedFault Stall(FaultKind::NetStall, "", 1);
-    shard::CoordinatorOptions Co = testCoordinatorOptions(2);
-    Co.Endpoints = {D.Address};
-    Co.HeartbeatTimeoutSeconds = 0.5;
-    ShardRun Run = runSharded(Source, Co);
-    EXPECT_EQ(Run.Output, Baseline);
-    EXPECT_GE(Run.Stats.WorkersLost, 1u);
-    EXPECT_GE(Run.Stats.Redispatches, 1u);
-  }
-}
-
-TEST_F(ShardTest, DeadEndpointQuarantinesAndFallsBackToPipeWorkers) {
-  // Nothing listens at the endpoint: after EndpointReconnectAttempts
-  // consecutive refusals the endpoint is quarantined for the run and the
-  // slots drop to the fork/exec rung — same bytes, local workers.
-  const std::string Source = fileProtocolSource();
-  shard::CoordinatorOptions Co = testCoordinatorOptions(2);
-  Co.Endpoints = {std::string("unix:/tmp/anek-absent-") +
-                  std::to_string(::getpid()) + ".sock"};
-  Co.EndpointReconnectAttempts = 2;
-  ShardRun Run = runSharded(Source, Co);
-  EXPECT_EQ(Run.Output, baselineOutput(Source));
-  EXPECT_EQ(Run.Stats.RemoteDispatches, 0u);
-  EXPECT_GE(Run.Stats.EndpointsQuarantined, 1u);
-  EXPECT_GE(Run.Stats.WorkersSpawned, 1u);
-  EXPECT_EQ(Run.Stats.ShardsQuarantined, 0u);
-}
-
-TEST_F(ShardTest, AllRungsDeadStillCompletesViaShardQuarantine) {
-  // The bottom of the ladder: endpoints refuse, the "worker" binary
-  // exits instantly without speaking the protocol. The run must degrade
-  // through both rungs to in-process execution — terminal state
-  // degraded(shard-quarantine), never a wrong or truncated result.
-  const std::string Source = fileProtocolSource();
-  shard::CoordinatorOptions Co = testCoordinatorOptions(2);
-  Co.Endpoints = {std::string("unix:/tmp/anek-absent-") +
-                  std::to_string(::getpid()) + "-b.sock"};
-  Co.EndpointReconnectAttempts = 1;
-  Co.QuarantineAfter = 2;
-  Co.WorkerArgv = {ANEK_TOOL_PATH, "--not-a-worker-mode"};
-  ShardRun Run = runSharded(Source, Co);
-  EXPECT_EQ(Run.Output, baselineOutput(Source));
-  EXPECT_GE(Run.Stats.EndpointsQuarantined, 1u);
-  EXPECT_GE(Run.Stats.ShardsQuarantined, 1u);
-  EXPECT_EQ(Run.Stats.RemoteDispatches, 0u);
 }
 
 } // namespace

@@ -9,7 +9,6 @@
 //   anek pfg    <file.mjava | --example NAME> [--dot] [--method M]
 //   anek ir     <file.mjava | --example NAME>
 //   anek batch  <manifest.txt | ->              serve a request stream
-//   anek workerd --listen ADDR                  persistent shard worker
 //   anek report [--trace F] [--metrics F] [--batch F]   profile a run
 //   anek faults                                 list injectable faults
 //
@@ -30,18 +29,8 @@
 // shards re-dispatched, and a shard that keeps killing workers degrades
 // to in-process execution (src/shard/). stdout stays byte-identical to
 // -j1; the shard tier reports its accounting on stderr.
-//
-// --workers ADDR[,ADDR...] (infer/verify/batch) points the shard tier at
-// persistent `anek workerd` daemons instead of fork/exec'd children: each
-// worker slot connects over TCP ("host:port") or a Unix socket
-// ("unix:/path"), handshakes Init-by-digest (a daemon that already holds
-// the program resident skips the re-parse), and dispatches the same Task
-// frames. Failures walk the degradation ladder — remote socket worker →
-// local fork/exec worker → in-process execution — so killing every
-// daemon degrades the run but never changes its stdout. `anek workerd
-// --listen ADDR` runs the daemon side; --heartbeat-timeout and
-// --shard-max-frame-bytes tune the coordinator's hang deadline and
-// per-frame decode cap.
+// --heartbeat-timeout and --shard-max-frame-bytes tune the coordinator's
+// hang deadline and per-frame decode cap.
 //
 // --trace FILE writes a Chrome trace_event JSON timeline (load it in
 // chrome://tracing or ui.perfetto.dev); --metrics FILE writes the flat
@@ -86,7 +75,7 @@
 #include "serve/Manifest.h"
 #include "shard/ShardCoordinator.h"
 #include "shard/ShardWorker.h"
-#include "shard/WorkerDaemon.h"
+#include "shard/Wire.h"
 #include "support/FaultInject.h"
 #include "support/Format.h"
 #include "support/Metrics.h"
@@ -118,22 +107,19 @@ void usage() {
   std::fputs("usage: anek <infer|check|verify|pfg|ir> "
              "<file.mjava | --example spreadsheet|file|field> "
              "[--dot] [--method NAME] [--report] [--fault SPEC] "
-             "[--jobs N | -j N] [--shards N] [--workers ADDR[,ADDR...]] "
+             "[--jobs N | -j N] [--shards N] "
              "[--heartbeat-timeout SECS] [--shard-max-frame-bytes N] "
              "[--cache DIR] "
              "[--kernel-backend scalar|avx2|neon|auto] [--trace FILE] "
              "[--metrics FILE] [--trace-level off|phase|method|solver]\n"
              "       anek batch <manifest.txt | -> "
-             "[--workers N | --workers ADDR[,ADDR...]] "
+             "[--workers N] "
              "[--queue-cap N] [--retries N] [--deadline SECS] "
              "[--mem-budget BYTES[k|m|g]] [--jobs N | -j N] [--shards N] "
              "[--heartbeat-timeout SECS] [--shard-max-frame-bytes N] "
              "[--cache DIR] [--seed N] [--out FILE] [--shed-when-full] "
-             "[--fuse] [--kernel-backend NAME] [--fault SPEC] "
+             "[--kernel-backend NAME] [--fault SPEC] "
              "[--slow-request SECS] "
-             "[--trace FILE] [--metrics FILE] [--trace-level LEVEL]\n"
-             "       anek workerd --listen <host:port | unix:PATH> "
-             "[--max-frame-bytes N] [--idle-timeout SECS] [--fault SPEC] "
              "[--trace FILE] [--metrics FILE] [--trace-level LEVEL]\n"
              "       anek report [--trace FILE] [--metrics FILE] "
              "[--batch FILE] [--json] [--top N]\n"
@@ -200,33 +186,6 @@ bool flagValue(const std::vector<std::string> &Args, size_t &I,
     return true;
   }
   return false;
-}
-
-bool isAllDigits(const std::string &S) {
-  if (S.empty())
-    return false;
-  for (char C : S)
-    if (C < '0' || C > '9')
-      return false;
-  return true;
-}
-
-/// Splits a comma-separated endpoint list ("host:port" and "unix:/path"
-/// entries); empty pieces are dropped.
-std::vector<std::string> splitEndpoints(const std::string &Value) {
-  std::vector<std::string> Out;
-  size_t Start = 0;
-  for (;;) {
-    size_t Comma = Value.find(',', Start);
-    std::string Piece =
-        Comma == std::string::npos ? Value.substr(Start)
-                                   : Value.substr(Start, Comma - Start);
-    if (!Piece.empty())
-      Out.push_back(std::move(Piece));
-    if (Comma == std::string::npos)
-      return Out;
-    Start = Comma + 1;
-  }
 }
 
 /// Parses a frame-payload cap: plain bytes, within the protocol's
@@ -297,74 +256,6 @@ int runWorkerMode(int Argc, char **Argv) {
     }
   }
   return shard::runWorkerLoop(STDIN_FILENO, STDOUT_FILENO);
-}
-
-/// `anek workerd --listen ADDR`: the persistent shard worker daemon
-/// (src/shard/WorkerDaemon.h). Serves coordinator sessions until SIGINT/
-/// SIGTERM, keeping decoded programs resident across sessions so
-/// reconnecting coordinators handshake by digest instead of re-shipping
-/// and re-parsing the source.
-int runWorkerd(const std::vector<std::string> &Args) {
-  shard::WorkerDaemonOptions Opts;
-  TelemetryFlusher Telemetry;
-  bool HaveTraceLevel = false;
-  for (size_t I = 1; I < Args.size(); ++I) {
-    std::string Value;
-    if (flagValue(Args, I, "--listen", Value)) {
-      Opts.ListenAddress = Value;
-    } else if (flagValue(Args, I, "--max-frame-bytes", Value)) {
-      if (!parseFrameCap(Value, Opts.MaxFrameBytes)) {
-        std::fprintf(stderr,
-                     "anek: bad frame cap '%s' (want %llu..%llu bytes)\n",
-                     Value.c_str(),
-                     static_cast<unsigned long long>(
-                         shard::MinConfigurableFramePayload),
-                     static_cast<unsigned long long>(shard::MaxFramePayload));
-        return ExitUsage;
-      }
-    } else if (flagValue(Args, I, "--idle-timeout", Value)) {
-      if (!parseSeconds(Value, Opts.IdleTimeoutSeconds)) {
-        std::fprintf(stderr, "anek: bad idle timeout '%s'\n", Value.c_str());
-        return ExitUsage;
-      }
-    } else if (flagValue(Args, I, "--fault", Value)) {
-      if (Value == "list") {
-        printFaultTable();
-        return ExitOk;
-      }
-      if (Status S = faults::activateSpec(Value); !S) {
-        std::fprintf(stderr, "anek: %s\n", S.str().c_str());
-        return ExitUsage;
-      }
-    } else if (flagValue(Args, I, "--trace", Value)) {
-      Telemetry.TracePath = expandPathTemplate(Value);
-    } else if (flagValue(Args, I, "--metrics", Value)) {
-      Telemetry.MetricsPath = expandPathTemplate(Value);
-    } else if (flagValue(Args, I, "--trace-level", Value)) {
-      telemetry::TraceLevel Level;
-      if (!telemetry::parseTraceLevel(Value, Level)) {
-        std::fprintf(stderr, "anek: bad trace level '%s'\n", Value.c_str());
-        return ExitUsage;
-      }
-      telemetry::setTraceLevel(Level);
-      HaveTraceLevel = true;
-    } else {
-      std::fprintf(stderr, "anek: unknown workerd argument '%s'\n",
-                   Args[I].c_str());
-      usage();
-      return ExitUsage;
-    }
-  }
-  if (Opts.ListenAddress.empty()) {
-    std::fprintf(stderr,
-                 "anek: workerd needs --listen <host:port | unix:PATH>\n");
-    usage();
-    return ExitUsage;
-  }
-  if (!HaveTraceLevel &&
-      (!Telemetry.TracePath.empty() || !Telemetry.MetricsPath.empty()))
-    telemetry::setTraceLevel(telemetry::TraceLevel::Phase);
-  return shard::runWorkerDaemon(Opts) == 0 ? ExitOk : ExitDiagnostics;
 }
 
 /// `anek report`: profile a finished run from its artifact files.
@@ -478,9 +369,7 @@ int runBatch(const std::vector<std::string> &Args) {
   // worker expands %p against its *own* pid.
   std::string RawTracePath, RawMetricsPath;
   bool HaveTraceLevel = false;
-  // Remote shard endpoints (--workers with a non-numeric value) and the
-  // shard-tier knobs, threaded into every per-request coordinator.
-  std::vector<std::string> ShardEndpoints;
+  // Shard-tier knobs, threaded into every per-request coordinator.
   double HeartbeatTimeout = 0.0;
   uint64_t ShardMaxFrameBytes = 0;
 
@@ -522,23 +411,11 @@ int runBatch(const std::vector<std::string> &Args) {
     } else if (flagValue(Args, I, "--out", Value)) {
       OutPath = expandPathTemplate(Value);
     } else if (flagValue(Args, I, "--workers", Value)) {
-      // Numeric = serving thread count (the flag's historical meaning);
-      // anything else = a shard endpoint list for `anek workerd` daemons.
-      if (isAllDigits(Value)) {
-        if (!ParseUnsigned(Value, Parsed) || Parsed == 0) {
-          std::fprintf(stderr, "anek: bad worker count '%s'\n",
-                       Value.c_str());
-          return ExitUsage;
-        }
-        Opts.Workers = Parsed;
-      } else {
-        ShardEndpoints = splitEndpoints(Value);
-        if (ShardEndpoints.empty()) {
-          std::fprintf(stderr, "anek: bad worker endpoint list '%s'\n",
-                       Value.c_str());
-          return ExitUsage;
-        }
+      if (!ParseUnsigned(Value, Parsed) || Parsed == 0) {
+        std::fprintf(stderr, "anek: bad worker count '%s'\n", Value.c_str());
+        return ExitUsage;
       }
+      Opts.Workers = Parsed;
     } else if (flagValue(Args, I, "--heartbeat-timeout", Value)) {
       if (!parseSeconds(Value, HeartbeatTimeout)) {
         std::fprintf(stderr, "anek: bad heartbeat timeout '%s'\n",
@@ -611,8 +488,6 @@ int runBatch(const std::vector<std::string> &Args) {
         return ExitUsage;
       }
       Opts.DefaultCacheDir = Value;
-    } else if (Args[I] == "--fuse") {
-      Opts.FuseSolves = true;
     } else if (Args[I] == "--shed-when-full") {
       Opts.ShedWhenFull = true;
     } else if (flagValue(Args, I, "--fault", Value)) {
@@ -692,12 +567,8 @@ int runBatch(const std::vector<std::string> &Args) {
   uint64_t BatchSeed = Opts.Seed;
   std::vector<std::string> WorkerTelemetry =
       workerTelemetryArgv(RawTracePath, RawMetricsPath);
-  // Endpoints without an explicit shard count mean "one shard per
-  // daemon" — the natural reading of `--workers a,b,c`.
-  if (!ShardEndpoints.empty() && Opts.DefaultShards == 0)
-    Opts.DefaultShards = static_cast<unsigned>(ShardEndpoints.size());
-  Opts.Shards = [BatchSeed, WorkerTelemetry, ShardEndpoints,
-                 HeartbeatTimeout, ShardMaxFrameBytes](
+  Opts.Shards = [BatchSeed, WorkerTelemetry, HeartbeatTimeout,
+                 ShardMaxFrameBytes](
                     Program &Prog, const std::string &Source,
                     const InferOptions &InferOpts, unsigned Shards)
       -> std::unique_ptr<WaveShardExecutor> {
@@ -705,7 +576,6 @@ int runBatch(const std::vector<std::string> &Args) {
     Co.Workers = Shards;
     Co.Retry.Seed = BatchSeed;
     Co.WorkerExtraArgv = WorkerTelemetry;
-    Co.Endpoints = ShardEndpoints;
     if (HeartbeatTimeout > 0.0)
       Co.HeartbeatTimeoutSeconds = HeartbeatTimeout;
     Co.MaxFrameBytes = ShardMaxFrameBytes;
@@ -807,8 +677,6 @@ int run(int Argc, char **Argv) {
   }
   if (Command == "batch")
     return runBatch(Args);
-  if (Command == "workerd")
-    return runWorkerd(Args);
   if (Command == "report")
     return runReport(Args);
   if (Command != "infer" && Command != "check" && Command != "verify" &&
@@ -826,9 +694,6 @@ int run(int Argc, char **Argv) {
   unsigned Jobs = 0;
   // 0 = no sharding; N = farm waves to N worker processes (infer/verify).
   unsigned ShardWorkers = 0;
-  // Remote `anek workerd` endpoints; non-empty makes the shard tier
-  // prefer socket sessions and implies sharding even without --shards.
-  std::vector<std::string> ShardEndpoints;
   double HeartbeatTimeout = 0.0;   // 0 = the coordinator default.
   uint64_t ShardMaxFrameBytes = 0; // 0 = the protocol default.
   // Summary-cache directory (infer/verify); empty = no caching.
@@ -894,13 +759,6 @@ int run(int Argc, char **Argv) {
         return ExitUsage;
       }
       ShardWorkers = static_cast<unsigned>(Count);
-    } else if (flagValue(Args, I, "--workers", Value)) {
-      ShardEndpoints = splitEndpoints(Value);
-      if (ShardEndpoints.empty()) {
-        std::fprintf(stderr, "anek: bad worker endpoint list '%s'\n",
-                     Value.c_str());
-        return ExitUsage;
-      }
     } else if (flagValue(Args, I, "--heartbeat-timeout", Value)) {
       if (!parseSeconds(Value, HeartbeatTimeout)) {
         std::fprintf(stderr, "anek: bad heartbeat timeout '%s'\n",
@@ -1013,12 +871,9 @@ int run(int Argc, char **Argv) {
     // executor contract stdout stays byte-identical to -j1, so the shard
     // accounting goes to stderr below.
     std::unique_ptr<shard::ShardCoordinator> Coordinator;
-    if (!ShardEndpoints.empty() && ShardWorkers == 0)
-      ShardWorkers = static_cast<unsigned>(ShardEndpoints.size());
     if (ShardWorkers > 0) {
       shard::CoordinatorOptions CoOpts;
       CoOpts.Workers = ShardWorkers;
-      CoOpts.Endpoints = ShardEndpoints;
       if (HeartbeatTimeout > 0.0)
         CoOpts.HeartbeatTimeoutSeconds = HeartbeatTimeout;
       CoOpts.MaxFrameBytes = ShardMaxFrameBytes;
@@ -1048,13 +903,12 @@ int run(int Argc, char **Argv) {
       const ShardStats &S = Inference.Shard;
       std::fprintf(stderr,
                    "anek: shards: %u wave(s) remote, %u degraded; "
-                   "%u dispatch(es) (%u remote), %u re-dispatch(es); "
-                   "%u worker(s) spawned, %u lost; %u reconnect(s); "
-                   "%u shard(s) quarantined, %u endpoint(s) quarantined\n",
+                   "%u dispatch(es), %u re-dispatch(es); "
+                   "%u worker(s) spawned, %u lost; "
+                   "%u shard(s) quarantined\n",
                    S.WavesRemote, S.WavesDegraded, S.ShardsDispatched,
-                   S.RemoteDispatches, S.Redispatches, S.WorkersSpawned,
-                   S.WorkersLost, S.Reconnects, S.ShardsQuarantined,
-                   S.EndpointsQuarantined);
+                   S.Redispatches, S.WorkersSpawned, S.WorkersLost,
+                   S.ShardsQuarantined);
     }
     if (Diags.all().size())
       std::fputs(Diags.str().c_str(), stderr);
