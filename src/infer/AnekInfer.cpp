@@ -124,10 +124,10 @@ void countCascadeStage(const char *Stage) {
 /// Phase 2 runs as rounds of reverse-topological SCC *waves* (see
 /// CallGraph::sccWaves). Every method in a wave is analyzed as an
 /// independent job against the summary store as it stood when the wave
-/// began: jobs only read, and return their evidence as deferred
-/// PendingUpdate records. The scheduling thread merges those records in
-/// declaration order after the wave, so the float reductions inside the
-/// summaries see one fixed order no matter how many workers ran the
+/// began: jobs only read, and return their evidence as a SolveOutcome
+/// record of deferred updates. The scheduling thread merges those records
+/// in declaration order after the wave, so the float reductions inside
+/// the summaries see one fixed order no matter how many workers ran the
 /// jobs. This makes `-j N` byte-identical to `-j 1` by construction.
 class InferEngine {
 public:
@@ -140,49 +140,17 @@ public:
   /// Worker-side shard body (see runShardMethods): skeleton store +
   /// snapshot overlay, then sequential analyzeOne over the shard's
   /// methods in declaration-index order.
-  Expected<std::vector<summaryio::ShardMethodOutcome>>
+  Expected<std::vector<summaryio::SolveOutcome>>
   analyzeShard(const std::vector<unsigned> &DeclIndices,
                const std::string &Snapshot);
 
 private:
+  using SolveOutcome = summaryio::SolveOutcome;
+  using SummaryUpdate = summaryio::SummaryUpdate;
+
   struct MethodData {
     MethodIr Ir;
     Pfg G;
-  };
-
-  /// One deferred summary write produced by a wave job. Applied by the
-  /// scheduling thread only, in declaration order.
-  struct PendingUpdate {
-    TargetSummary *Target = nullptr;
-    /// Method whose summary the target belongs to (requeue key).
-    MethodDecl *SummaryOwner = nullptr;
-    /// Which interface target of the owner (with ParamIndex for the
-    /// Param* roles). Redundant with Target in process; it is the
-    /// process-independent name the shard wire format uses instead of
-    /// the pointer.
-    summaryio::SummaryTargetRole Role = summaryio::SummaryTargetRole::RecvPre;
-    uint32_t ParamIndex = 0;
-    bool IsSelf = false;
-    CallSiteKey Site{nullptr, 0};
-    std::vector<double> Odds;
-    /// ANEK_DEBUG_EVIDENCE trace line (empty when tracing is off);
-    /// printed at merge time so the trace is deterministic too.
-    std::string DebugLine;
-  };
-
-  /// Everything a wave job hands back to the scheduler.
-  struct MethodOutcome {
-    bool Failed = false;
-    std::string Error;
-    MethodReport Report;
-    std::vector<PendingUpdate> Updates;
-    unsigned Variables = 0;
-    unsigned Factors = 0;
-    /// Solver wall-clock this pick spent; 0 for a replayed solve (cache
-    /// hit or memo hit), where no solver ran.
-    double SolveSeconds = 0.0;
-    /// True when the run-local SOLVE memo served this outcome.
-    bool Replayed = false;
   };
 
   /// The run-local SOLVE memo's view of one pick: the digest of its
@@ -195,14 +163,21 @@ private:
     /// function of the method alone within one engine, so the values
     /// are the whole input of the solve.
     std::vector<double> Stream;
+    /// Set by analyzeOne when the memo served the pick.
+    bool Replayed = false;
   };
 
-  /// One memoized SOLVE: the method, the exact stream it was solved
-  /// against, and the fresh outcome (Solves = 1, before any merge).
+  /// One memoized SOLVE: the exact stream it was solved against and the
+  /// fresh outcome (Solves = 1, before any merge), which names the method.
   struct MemoEntry {
-    const MethodDecl *Method = nullptr;
     std::vector<double> Stream;
-    MethodOutcome Outcome;
+    SolveOutcome Outcome;
+  };
+
+  /// One declaration index's method and its summary.
+  struct DeclSlot {
+    MethodDecl *Method = nullptr;
+    MethodSummary *Summary = nullptr;
   };
 
   /// Record of one summary-prior application so its evidence can be
@@ -230,7 +205,7 @@ private:
   /// holds returns a copy of the stored outcome without building or
   /// solving anything; otherwise \p Probe is left holding the key and
   /// stream to file the fresh outcome under.
-  MethodOutcome analyzeOne(MethodDecl *M, MemoProbe *Probe = nullptr);
+  SolveOutcome analyzeOne(MethodDecl *M, MemoProbe *Probe = nullptr);
 
   /// Enumerates every summary-prior application \p M's model makes —
   /// own interface targets first, then call sites in PFG order — with
@@ -246,32 +221,40 @@ private:
   /// graph-side cavity beliefs into an odds vector (call-site evidence
   /// on preconditions is weaken-only: odds capped at 1). Appends a
   /// deferred update to \p Updates; no engine state is touched.
-  void computeEvidence(std::vector<PendingUpdate> &Updates,
+  void computeEvidence(std::vector<SummaryUpdate> &Updates,
                        const Application &App,
                        const std::vector<double> &Marginals,
                        const std::vector<double> &GraphBelief) const;
 
-  /// Converts a shard executor's wire outcomes back into engine
-  /// outcomes, resolving declaration indices against this program and
-  /// validating shape end to end (one outcome per batch method, known
-  /// owners/callers, matching odds arity). \p Outcomes is indexed like
-  /// \p Batch. Any violation returns an error and the caller discards
-  /// the whole wave result (the wave then reruns in process).
-  Status adoptWireOutcomes(std::vector<summaryio::ShardMethodOutcome> Wire,
+  /// Files a shard executor's records into \p Outcomes, indexed like
+  /// \p Batch: exactly one per batch method, each passing
+  /// validateOutcome. Any violation returns an error and the caller
+  /// discards the whole wave result (the wave then reruns in process).
+  Status adoptWireOutcomes(std::vector<SolveOutcome> Wire,
                            const std::vector<MethodDecl *> &Batch,
-                           std::vector<MethodOutcome> &Outcomes);
+                           std::vector<SolveOutcome> &Outcomes) const;
 
-  /// The target a (role, param-index) pair names inside \p Summary, or
-  /// null when that interface position carries no summary.
-  static TargetSummary *resolveTarget(MethodSummary &Summary,
-                                      summaryio::SummaryTargetRole Role,
-                                      uint32_t ParamIndex);
+  /// Builds the skeleton summary store over every method of the program
+  /// and the declaration-index table over it. Asserts that declaration
+  /// indices are unique, which Sema guarantees.
+  void buildSummaryStore();
 
-  /// Builds the decl-index lookup shard wire identification relies on.
-  /// False when indices are not globally unique (hand-built ASTs Sema
-  /// never numbered): shard mode is then unusable and the engine runs
-  /// in process.
-  bool buildDeclIndexLookup();
+  /// The method with declaration index \p Index; null when unknown.
+  MethodDecl *methodAt(uint32_t Index) const {
+    return Index < Decls.size() ? Decls[Index].Method : nullptr;
+  }
+
+  /// The target \p U updates; null when its owner is unknown or has no
+  /// summary at that interface position.
+  TargetSummary *targetOf(const SummaryUpdate &U) const;
+
+  /// The one check a record that crossed a boundary (a cache hit or a
+  /// shard worker's result) must pass before the merge trusts it: it is
+  /// \p M's, its solver id is in range, and every update names a known
+  /// owner, a present target, odds of that target's arity and, for site
+  /// evidence, a known caller. Records computed or memoized in this
+  /// engine are trusted without it.
+  Status validateOutcome(const SolveOutcome &O, const MethodDecl *M) const;
 
   // Incremental summary cache (DESIGN.md, "Incremental inference and the
   // summary cache"). The engine memoizes individual SOLVE invocations:
@@ -284,28 +267,17 @@ private:
   /// cache and the memo replay only under this precondition.
   bool solvesReplayable() const;
 
-  /// Gates and arms the cache for this run: verifies the preconditions
-  /// (solvesReplayable, unique qualified names) and precomputes the
-  /// run-constant key components — the program-environment/options
-  /// digest and the per-SCC transitive content chain hashes. Leaves
-  /// Cache null when unusable.
+  /// Gates and arms the cache for this run: verifies solvesReplayable and
+  /// precomputes the run-constant key components — the
+  /// program-environment/options digest and the per-SCC transitive
+  /// content chain hashes. Leaves Cache null when unusable.
   void prepareCache();
 
   /// The content key of \p M's next SOLVE against the current summary
-  /// store: environment digest + the method's SCC chain hash + its
-  /// solver seed + the exact bit patterns of the application stream.
+  /// store: environment digest + the method's SCC chain hash, declaration
+  /// index and solver seed + the exact bit patterns of the application
+  /// stream.
   uint64_t solveKeyFor(MethodDecl *M);
-
-  /// Converts a cached solve back into an engine outcome, resolving
-  /// qualified names against the current program and validating shape
-  /// (known owners/callers, present targets, matching odds arity) like
-  /// adoptWireOutcomes does for shard results. False on any mismatch:
-  /// the entry is then treated as invalidated and the method re-solved.
-  bool adoptCachedSolve(CachedSolve Entry, MethodOutcome &Out);
-
-  /// The durable image of a fresh outcome, with every method named by
-  /// qualified name so the entry survives declaration-index shifts.
-  CachedSolve toCachedSolve(const MethodOutcome &Out) const;
 
   /// Runs the configured solver, walking the fallback cascade when the
   /// primary misses its convergence contract; fills \p GraphBelief with
@@ -330,9 +302,8 @@ private:
   MethodDeclMap<MethodReport> Reports;
   MethodDeclMap<MethodData> Data;
   MethodDeclMap<MethodSummary> Summaries;
-  /// Declaration index -> method, for shard wire identification. Only
-  /// populated when shard mode is in play (see buildDeclIndexLookup).
-  std::map<uint32_t, MethodDecl *> DeclsByIndex;
+  /// Declaration index -> method and summary (see buildSummaryStore).
+  std::vector<DeclSlot> Decls;
 
   /// Non-null only when Opts.Cache is set and its preconditions hold
   /// (see prepareCache); everything below is populated alongside it.
@@ -345,8 +316,6 @@ private:
   /// changes this for the whole reverse-reachable cone — that is the
   /// cache's invalidation propagation.
   std::map<const MethodDecl *, uint64_t> ChainHashes;
-  /// Qualified name -> method, for cache-entry replay resolution.
-  std::map<std::string, MethodDecl *> DeclsByName;
 
   // The run-local SOLVE memo (DESIGN.md, "The in-run SOLVE memo"). Armed
   // by run() when solves are replayable and neither the persistent cache
@@ -358,7 +327,7 @@ private:
 
 } // namespace
 
-void InferEngine::computeEvidence(std::vector<PendingUpdate> &Updates,
+void InferEngine::computeEvidence(std::vector<SummaryUpdate> &Updates,
                                   const Application &App,
                                   const std::vector<double> &Marginals,
                                   const std::vector<double> &GraphBelief) const {
@@ -408,15 +377,15 @@ void InferEngine::computeEvidence(std::vector<PendingUpdate> &Updates,
     Odds[I] = std::clamp(Ratio, 1.0 / OddsCap, OddsCap);
   }
 
-  PendingUpdate Update;
-  Update.Target = Target;
-  Update.SummaryOwner = SummaryOwner;
+  SummaryUpdate Update;
+  Update.OwnerDeclIndex = SummaryOwner->DeclIndex;
   Update.Role = App.Role;
   Update.ParamIndex = App.ParamIndex;
   Update.IsSelf = IsSelf;
-  Update.Site = Site;
+  Update.SiteCallerDeclIndex = Site.first ? Site.first->DeclIndex : 0;
+  Update.SiteIndex = Site.second;
   if (std::getenv("ANEK_DEBUG_EVIDENCE")) {
-    std::string Line = SummaryOwner ? SummaryOwner->qualifiedName() : "?";
+    std::string Line = SummaryOwner->qualifiedName();
     Line += IsSelf ? " self" : " site";
     if (!IsSelf && Site.first)
       Line += " " + Site.first->qualifiedName() + "#" +
@@ -673,9 +642,10 @@ void InferEngine::forEachApplication(
   }
 }
 
-InferEngine::MethodOutcome InferEngine::analyzeOne(MethodDecl *M,
-                                                   MemoProbe *Probe) {
-  MethodOutcome Out;
+summaryio::SolveOutcome InferEngine::analyzeOne(MethodDecl *M,
+                                                MemoProbe *Probe) {
+  SolveOutcome Out;
+  Out.DeclIndex = M->DeclIndex;
   auto Fail = [&](const Status &S) {
     Out.Failed = true;
     Out.Error = S.str();
@@ -699,7 +669,7 @@ InferEngine::MethodOutcome InferEngine::analyzeOne(MethodDecl *M,
 
   // Records of every prior application so evidence can be divided out.
   // Everything read below comes from the wave's frozen summary store;
-  // the writes go through deferred PendingUpdates.
+  // the writes go through the outcome's deferred updates.
   std::vector<Application> Applications;
   forEachApplication(M, G, [&](Application &App) {
     Applications.push_back(std::move(App));
@@ -718,11 +688,11 @@ InferEngine::MethodOutcome InferEngine::analyzeOne(MethodDecl *M,
       H.f64(V);
     Probe->Key = H.digest();
     auto It = Memo.find(Probe->Key);
-    if (It != Memo.end() && It->second.Method == M &&
+    if (It != Memo.end() && It->second.Outcome.DeclIndex == M->DeclIndex &&
         sameBits(It->second.Stream, Probe->Stream)) {
-      MethodOutcome Replay = It->second.Outcome;
+      SolveOutcome Replay = It->second.Outcome;
       Replay.SolveSeconds = 0.0;
-      Replay.Replayed = true;
+      Probe->Replayed = true;
       return Replay;
     }
   }
@@ -735,11 +705,17 @@ InferEngine::MethodOutcome InferEngine::analyzeOne(MethodDecl *M,
 
   Timer SolveTimer;
   Marginals GraphBelief;
+  MethodReport Report;
   Expected<Marginals> Solved =
-      solveGraph(FG, GraphBelief, Out.Report, methodSeed(M));
+      solveGraph(FG, GraphBelief, Report, methodSeed(M));
   Out.SolveSeconds = SolveTimer.seconds();
   Out.Variables = FG.variableCount();
   Out.Factors = FG.factorCount();
+  Out.SolverUsed = static_cast<uint8_t>(Report.Used);
+  Out.FallbackUsed = Report.Fallback;
+  Out.Reason = std::move(Report.Reason);
+  Out.Solve = std::move(Report.Solve);
+  Out.Solves = Report.Solves;
   if (!Solved)
     return Fail(Solved.status());
   Marginals Solution = Solved.take();
@@ -756,37 +732,79 @@ InferEngine::MethodOutcome InferEngine::analyzeOne(MethodDecl *M,
   return Out;
 }
 
-TargetSummary *InferEngine::resolveTarget(MethodSummary &Summary,
-                                          summaryio::SummaryTargetRole Role,
-                                          uint32_t ParamIndex) {
+void InferEngine::buildSummaryStore() {
+  // Priors and shapes are a pure function of the AST + SpecHi/SpecLo, so
+  // a shard worker rebuilds the same skeleton the coordinator holds.
+  for (const auto &Type : Prog.Types)
+    for (const auto &M : Type->Methods) {
+      MethodSummary &Summary =
+          Summaries
+              .emplace(M.get(), MethodSummary::forMethod(*M, Opts.SpecHi,
+                                                         Opts.SpecLo))
+              .first->second;
+      if (M->DeclIndex >= Decls.size())
+        Decls.resize(M->DeclIndex + 1);
+      assert(!Decls[M->DeclIndex].Method &&
+             "declaration indices must be unique (run Sema first)");
+      Decls[M->DeclIndex] = {M.get(), &Summary};
+    }
+}
+
+TargetSummary *InferEngine::targetOf(const SummaryUpdate &U) const {
   using summaryio::SummaryTargetRole;
-  switch (Role) {
+  if (!methodAt(U.OwnerDeclIndex))
+    return nullptr;
+  MethodSummary &Summary = *Decls[U.OwnerDeclIndex].Summary;
+  auto At = [](std::vector<std::optional<TargetSummary>> &Targets,
+               uint32_t Index) -> TargetSummary * {
+    return Index < Targets.size() && Targets[Index] ? &*Targets[Index]
+                                                    : nullptr;
+  };
+  switch (U.Role) {
   case SummaryTargetRole::RecvPre:
     return Summary.RecvPre ? &*Summary.RecvPre : nullptr;
   case SummaryTargetRole::RecvPost:
     return Summary.RecvPost ? &*Summary.RecvPost : nullptr;
   case SummaryTargetRole::ParamPre:
-    return ParamIndex < Summary.ParamPre.size() && Summary.ParamPre[ParamIndex]
-               ? &*Summary.ParamPre[ParamIndex]
-               : nullptr;
+    return At(Summary.ParamPre, U.ParamIndex);
   case SummaryTargetRole::ParamPost:
-    return ParamIndex < Summary.ParamPost.size() &&
-                   Summary.ParamPost[ParamIndex]
-               ? &*Summary.ParamPost[ParamIndex]
-               : nullptr;
+    return At(Summary.ParamPost, U.ParamIndex);
   case SummaryTargetRole::Result:
     return Summary.Result ? &*Summary.Result : nullptr;
   }
   return nullptr;
 }
 
-bool InferEngine::buildDeclIndexLookup() {
-  DeclsByIndex.clear();
-  for (const auto &Type : Prog.Types)
-    for (const auto &M : Type->Methods)
-      if (!DeclsByIndex.emplace(M->DeclIndex, M.get()).second)
-        return false; // Unnumbered (hand-built) decls collide on index 0.
-  return true;
+Status InferEngine::validateOutcome(const SolveOutcome &O,
+                                   const MethodDecl *M) const {
+  auto Reject = [](const std::string &Why) {
+    return Status::error(ErrorCode::InvalidArgument, Why);
+  };
+  if (O.DeclIndex != M->DeclIndex)
+    return Reject("outcome for method #" + std::to_string(O.DeclIndex) +
+                  " filed as '" + M->qualifiedName() + "'");
+  if (O.SolverUsed > static_cast<uint8_t>(SolverChoice::Exact))
+    return Reject("unknown solver id " + std::to_string(O.SolverUsed));
+  for (const SummaryUpdate &U : O.Updates) {
+    const MethodDecl *Owner = methodAt(U.OwnerDeclIndex);
+    if (!Owner)
+      return Reject("update names unknown method #" +
+                    std::to_string(U.OwnerDeclIndex));
+    const TargetSummary *Target = targetOf(U);
+    if (!Target)
+      return Reject("update names missing target " +
+                    std::string(summaryio::summaryTargetRoleName(U.Role)) +
+                    "#" + std::to_string(U.ParamIndex) + " of '" +
+                    Owner->qualifiedName() + "'");
+    if (U.Odds.size() != Target->size())
+      return Reject("odds arity mismatch for '" + Owner->qualifiedName() +
+                    "' (" + std::to_string(U.Odds.size()) + " vs " +
+                    std::to_string(Target->size()) + ")");
+    if (!U.IsSelf && !methodAt(U.SiteCallerDeclIndex))
+      return Reject("site update names unknown caller #" +
+                    std::to_string(U.SiteCallerDeclIndex));
+  }
+  return Status::ok();
 }
 
 namespace {
@@ -863,20 +881,14 @@ void InferEngine::prepareCache() {
   Cache = nullptr;
   if (!Opts.Cache || !solvesReplayable())
     return;
-  // Replay resolution is by qualified name; ambiguity would alias
-  // entries across distinct methods.
-  DeclsByName.clear();
-  for (const auto &Type : Prog.Types)
-    for (const auto &M : Type->Methods)
-      if (!DeclsByName.emplace(M->qualifiedName(), M.get()).second) {
-        DeclsByName.clear();
-        return;
-      }
 
   // Environment digest: the wire version (entries are sealed blobs), the
   // full algorithm-option fingerprint, and the type/signature/annotation
   // level of the program — everything that shapes summary skeletons and
-  // callee resolution without being any one method's body. Threshold,
+  // callee resolution without being any one method's body. Because it
+  // covers every type's method count and ordered signatures, any edit
+  // that shifts a declaration index changes every key, which is what
+  // lets entries name methods by index. Threshold,
   // SummaryTolerance and MaxIters are deliberately excluded: they steer
   // extraction and scheduling, not what one SOLVE computes, so entries
   // stay valid across them.
@@ -960,6 +972,7 @@ uint64_t InferEngine::solveKeyFor(MethodDecl *M) {
   HashStream H;
   H.u64(CacheEnvHash);
   H.u64(ChainHashes.at(M));
+  H.u32(M->DeclIndex);
   H.u64(methodSeed(M));
   // The exact bit patterns of every prior the model applies, in the one
   // canonical enumeration order. This is what makes replay byte-safe
@@ -972,8 +985,7 @@ uint64_t InferEngine::solveKeyFor(MethodDecl *M) {
     H.u32(App.ParamIndex);
     H.u8(App.IsSelf ? 1 : 0);
     H.u8(App.IsRequirement ? 1 : 0);
-    H.str(App.SummaryOwner ? App.SummaryOwner->qualifiedName()
-                           : std::string());
+    H.u32(App.SummaryOwner->DeclIndex);
     H.u32(App.Site.second);
     H.u32(static_cast<uint32_t>(App.Applied.size()));
     for (double V : App.Applied)
@@ -982,84 +994,10 @@ uint64_t InferEngine::solveKeyFor(MethodDecl *M) {
   return H.digest();
 }
 
-bool InferEngine::adoptCachedSolve(CachedSolve Entry, MethodOutcome &Out) {
-  if (Entry.SolverUsed > static_cast<uint8_t>(SolverChoice::Exact))
-    return false;
-  MethodOutcome Adopted;
-  Adopted.Report.Used = static_cast<SolverChoice>(Entry.SolverUsed);
-  Adopted.Report.Fallback = Entry.FallbackUsed;
-  Adopted.Report.Reason = std::move(Entry.Reason);
-  Adopted.Report.Solve = std::move(Entry.Solve);
-  Adopted.Report.Solves = Entry.Solves;
-  Adopted.Variables = static_cast<unsigned>(Entry.Variables);
-  Adopted.Factors = static_cast<unsigned>(Entry.Factors);
-  // Entry.SolveSeconds is what the storing run paid; replaying pays none.
-  for (CachedUpdate &U : Entry.Updates) {
-    if (U.Role > static_cast<uint8_t>(summaryio::SummaryTargetRole::Result))
-      return false;
-    auto OwnerIt = DeclsByName.find(U.OwnerName);
-    if (OwnerIt == DeclsByName.end())
-      return false;
-    MethodDecl *Owner = OwnerIt->second;
-    auto SumIt = Summaries.find(Owner);
-    if (SumIt == Summaries.end())
-      return false;
-    TargetSummary *Target = resolveTarget(
-        SumIt->second, static_cast<summaryio::SummaryTargetRole>(U.Role),
-        U.ParamIndex);
-    if (!Target || U.Odds.size() != Target->size())
-      return false;
-    PendingUpdate P;
-    P.Target = Target;
-    P.SummaryOwner = Owner;
-    P.Role = static_cast<summaryio::SummaryTargetRole>(U.Role);
-    P.ParamIndex = U.ParamIndex;
-    P.IsSelf = U.IsSelf;
-    if (!U.IsSelf) {
-      auto CallerIt = DeclsByName.find(U.SiteCallerName);
-      if (CallerIt == DeclsByName.end())
-        return false;
-      P.Site = {CallerIt->second, U.SiteIndex};
-    }
-    P.Odds = std::move(U.Odds);
-    P.DebugLine = std::move(U.DebugLine);
-    Adopted.Updates.push_back(std::move(P));
-  }
-  Out = std::move(Adopted);
-  return true;
-}
-
-CachedSolve InferEngine::toCachedSolve(const MethodOutcome &Out) const {
-  CachedSolve Entry;
-  Entry.SolverUsed = static_cast<uint8_t>(Out.Report.Used);
-  Entry.FallbackUsed = Out.Report.Fallback;
-  Entry.Reason = Out.Report.Reason;
-  Entry.Solve = Out.Report.Solve;
-  Entry.Solves = Out.Report.Solves;
-  Entry.Variables = Out.Variables;
-  Entry.Factors = Out.Factors;
-  Entry.SolveSeconds = Out.SolveSeconds;
-  for (const PendingUpdate &U : Out.Updates) {
-    CachedUpdate CU;
-    CU.OwnerName = U.SummaryOwner ? U.SummaryOwner->qualifiedName()
-                                  : std::string();
-    CU.Role = static_cast<uint8_t>(U.Role);
-    CU.ParamIndex = U.ParamIndex;
-    CU.IsSelf = U.IsSelf;
-    if (!U.IsSelf && U.Site.first)
-      CU.SiteCallerName = U.Site.first->qualifiedName();
-    CU.SiteIndex = U.Site.second;
-    CU.Odds = U.Odds; // Copied: the merge step moves the live ones.
-    CU.DebugLine = U.DebugLine;
-    Entry.Updates.push_back(std::move(CU));
-  }
-  return Entry;
-}
-
-Status InferEngine::adoptWireOutcomes(
-    std::vector<summaryio::ShardMethodOutcome> Wire,
-    const std::vector<MethodDecl *> &Batch,
-    std::vector<MethodOutcome> &Outcomes) {
+Status
+InferEngine::adoptWireOutcomes(std::vector<SolveOutcome> Wire,
+                               const std::vector<MethodDecl *> &Batch,
+                               std::vector<SolveOutcome> &Outcomes) const {
   auto Reject = [](const std::string &Why) {
     return Status::error(ErrorCode::InvalidArgument,
                          "shard wave result rejected: " + Why);
@@ -1072,8 +1010,7 @@ Status InferEngine::adoptWireOutcomes(
   for (size_t I = 0; I != Batch.size(); ++I)
     Slot.emplace(Batch[I]->DeclIndex, I);
   std::vector<bool> Filled(Batch.size(), false);
-
-  for (summaryio::ShardMethodOutcome &W : Wire) {
+  for (SolveOutcome &W : Wire) {
     auto SlotIt = Slot.find(W.DeclIndex);
     if (SlotIt == Slot.end())
       return Reject("outcome for method #" + std::to_string(W.DeclIndex) +
@@ -1082,79 +1019,18 @@ Status InferEngine::adoptWireOutcomes(
       return Reject("duplicate outcome for method #" +
                     std::to_string(W.DeclIndex));
     Filled[SlotIt->second] = true;
-
-    MethodOutcome Out;
-    Out.Failed = W.Failed;
-    Out.Error = std::move(W.Error);
-    if (W.SolverUsed > static_cast<uint8_t>(SolverChoice::Exact))
-      return Reject("unknown solver id " + std::to_string(W.SolverUsed));
-    Out.Report.Used = static_cast<SolverChoice>(W.SolverUsed);
-    Out.Report.Fallback = W.FallbackUsed;
-    Out.Report.Reason = std::move(W.Reason);
-    Out.Report.Solve = std::move(W.Solve);
-    Out.Report.Solves = W.Solves;
-    Out.Variables = static_cast<unsigned>(W.Variables);
-    Out.Factors = static_cast<unsigned>(W.Factors);
-    Out.SolveSeconds = W.SolveSeconds;
-
-    for (summaryio::SummaryUpdate &U : W.Updates) {
-      auto OwnerIt = DeclsByIndex.find(U.OwnerDeclIndex);
-      if (OwnerIt == DeclsByIndex.end())
-        return Reject("update names unknown method #" +
-                      std::to_string(U.OwnerDeclIndex));
-      MethodDecl *Owner = OwnerIt->second;
-      auto SumIt = Summaries.find(Owner);
-      if (SumIt == Summaries.end())
-        return Reject("update names unsummarized method '" +
-                      Owner->qualifiedName() + "'");
-      TargetSummary *Target =
-          resolveTarget(SumIt->second, U.Role, U.ParamIndex);
-      if (!Target)
-        return Reject("update names missing target " +
-                      std::string(summaryio::summaryTargetRoleName(U.Role)) +
-                      "#" + std::to_string(U.ParamIndex) + " of '" +
-                      Owner->qualifiedName() + "'");
-      if (U.Odds.size() != Target->size())
-        return Reject("odds arity mismatch for '" + Owner->qualifiedName() +
-                      "' (" + std::to_string(U.Odds.size()) + " vs " +
-                      std::to_string(Target->size()) + ")");
-      PendingUpdate P;
-      P.Target = Target;
-      P.SummaryOwner = Owner;
-      P.Role = U.Role;
-      P.ParamIndex = U.ParamIndex;
-      P.IsSelf = U.IsSelf;
-      if (!U.IsSelf) {
-        auto CallerIt = DeclsByIndex.find(U.SiteCallerDeclIndex);
-        if (CallerIt == DeclsByIndex.end())
-          return Reject("site update names unknown caller #" +
-                        std::to_string(U.SiteCallerDeclIndex));
-        P.Site = {CallerIt->second, U.SiteIndex};
-      }
-      P.Odds = std::move(U.Odds);
-      P.DebugLine = std::move(U.DebugLine);
-      Out.Updates.push_back(std::move(P));
-    }
-    Outcomes[SlotIt->second] = std::move(Out);
+    if (Status S = validateOutcome(W, Batch[SlotIt->second]); !S)
+      return Reject(S.message());
+    Outcomes[SlotIt->second] = std::move(W);
   }
   return Status::ok();
 }
 
-Expected<std::vector<summaryio::ShardMethodOutcome>>
+Expected<std::vector<summaryio::SolveOutcome>>
 InferEngine::analyzeShard(const std::vector<unsigned> &DeclIndices,
                           const std::string &Snapshot) {
-  if (!buildDeclIndexLookup())
-    return Status::error(ErrorCode::InvalidArgument,
-                         "shard execution needs globally unique declaration "
-                         "indices (program was not Sema-numbered)");
-
-  // Skeleton store over the whole program: priors and shapes are a pure
-  // function of the AST + SpecHi/SpecLo, so both sides rebuild them and
-  // the snapshot only carries evidence.
-  for (const auto &Type : Prog.Types)
-    for (const auto &M : Type->Methods)
-      Summaries.emplace(M.get(), MethodSummary::forMethod(*M, Opts.SpecHi,
-                                                          Opts.SpecLo));
+  // The snapshot only carries evidence; the skeleton is rebuilt here.
+  buildSummaryStore();
   if (Status S = summaryio::decodeSnapshot(Snapshot, Summaries); !S)
     return S;
 
@@ -1164,60 +1040,37 @@ InferEngine::analyzeShard(const std::vector<unsigned> &DeclIndices,
   std::vector<MethodDecl *> Methods;
   Methods.reserve(DeclIndices.size());
   for (unsigned Index : DeclIndices) {
-    auto It = DeclsByIndex.find(Index);
-    if (It == DeclsByIndex.end())
+    MethodDecl *M = methodAt(Index);
+    if (!M)
       return Status::error(ErrorCode::InvalidArgument,
                            "shard names unknown method #" +
                                std::to_string(Index));
-    if (!It->second->Body)
+    if (!M->Body)
       return Status::error(ErrorCode::InvalidArgument,
                            "shard names bodiless method '" +
-                               It->second->qualifiedName() + "'");
-    Methods.push_back(It->second);
+                               M->qualifiedName() + "'");
+    Methods.push_back(M);
   }
   std::sort(Methods.begin(), Methods.end(), DeclIndexLess());
 
-  std::vector<summaryio::ShardMethodOutcome> Wire;
-  Wire.reserve(Methods.size());
+  std::vector<SolveOutcome> Outcomes;
+  Outcomes.reserve(Methods.size());
   for (MethodDecl *M : Methods) {
-    summaryio::ShardMethodOutcome W;
-    W.DeclIndex = M->DeclIndex;
-    MethodOutcome Out;
     try {
       MethodData MD;
       MD.Ir = lowerToIr(*M);
       MD.G = buildPfg(MD.Ir);
       Data.emplace(M, std::move(MD));
-      Out = analyzeOne(M);
+      Outcomes.push_back(analyzeOne(M));
     } catch (const std::exception &E) {
+      SolveOutcome Out;
+      Out.DeclIndex = M->DeclIndex;
       Out.Failed = true;
       Out.Error = Status::error(ErrorCode::Internal, E.what()).str();
+      Outcomes.push_back(std::move(Out));
     }
-    W.Failed = Out.Failed;
-    W.Error = std::move(Out.Error);
-    W.SolverUsed = static_cast<uint8_t>(Out.Report.Used);
-    W.FallbackUsed = Out.Report.Fallback;
-    W.Reason = std::move(Out.Report.Reason);
-    W.Solve = std::move(Out.Report.Solve);
-    W.Solves = Out.Report.Solves;
-    W.Variables = Out.Variables;
-    W.Factors = Out.Factors;
-    W.SolveSeconds = Out.SolveSeconds;
-    for (PendingUpdate &U : Out.Updates) {
-      summaryio::SummaryUpdate WU;
-      WU.OwnerDeclIndex = U.SummaryOwner ? U.SummaryOwner->DeclIndex : 0;
-      WU.Role = U.Role;
-      WU.ParamIndex = U.ParamIndex;
-      WU.IsSelf = U.IsSelf;
-      WU.SiteCallerDeclIndex = U.Site.first ? U.Site.first->DeclIndex : 0;
-      WU.SiteIndex = U.Site.second;
-      WU.Odds = std::move(U.Odds);
-      WU.DebugLine = std::move(U.DebugLine);
-      W.Updates.push_back(std::move(WU));
-    }
-    Wire.push_back(std::move(W));
   }
-  return Wire;
+  return Outcomes;
 }
 
 InferResult InferEngine::run() {
@@ -1249,11 +1102,7 @@ InferResult InferEngine::run() {
                            "); method skipped, conservative summary used");
     }
   }
-  for (const auto &Type : Prog.Types)
-    for (const auto &M : Type->Methods)
-      Summaries.emplace(M.get(),
-                        MethodSummary::forMethod(*M, Opts.SpecHi,
-                                                 Opts.SpecLo));
+  buildSummaryStore();
 
   Phase1.close();
 
@@ -1286,11 +1135,6 @@ InferResult InferEngine::run() {
     telemetry::gauge("infer.parallelism")
         .set(static_cast<double>(Pool ? Pool->threadCount() : 1));
 
-  // Sharded execution is only usable when methods have globally unique
-  // declaration indices (any Sema-checked program); otherwise wire
-  // identification is ambiguous and the engine quietly stays in process.
-  const bool ShardUsable = Opts.ShardExec && buildDeclIndexLookup();
-
   // Arm the incremental cache (a no-op unless Opts.Cache is set and its
   // preconditions hold). The chain hashes computed here are the run's
   // invalidation frontier: they never change within a run, while the
@@ -1305,7 +1149,7 @@ InferResult InferEngine::run() {
   // The SOLVE memo answers in-run repeats. An armed cache already
   // answers them from its own stores, and the shard tier solves outside
   // this process, so the memo stays off in both cases.
-  MemoArmed = !Cache && !ShardUsable && solvesReplayable();
+  MemoArmed = !Cache && !Opts.ShardExec && solvesReplayable();
 
   // Cooperative cancellation/budget poll, consulted at wave boundaries
   // only: inside a wave the jobs run to completion (their SOLVE steps are
@@ -1375,7 +1219,7 @@ InferResult InferEngine::run() {
       // analyzing (the span duration).
       const int64_t DispatchUs =
           telemetry::enabled() ? telemetry::nowUs() : 0;
-      std::vector<MethodOutcome> Outcomes(Batch.size());
+      std::vector<SolveOutcome> Outcomes(Batch.size());
       std::vector<MemoProbe> Probes(MemoArmed ? Batch.size() : 0);
 
       // Cache lookups run on the scheduling thread against the same
@@ -1397,12 +1241,16 @@ InferResult InferEngine::run() {
           bool Resolved = false;
           switch (Cache->lookup(Batch[I]->qualifiedName(), Keys[I], Entry)) {
           case CacheLookup::Hit:
-            if (adoptCachedSolve(std::move(Entry), Outcomes[I])) {
+            // Failures are never stored, so a failed record is as stale
+            // as one that does not fit the current program.
+            if (!Entry.Failed && validateOutcome(Entry, Batch[I])) {
+              Outcomes[I] = std::move(Entry);
+              // The storing run paid the solve; replaying pays none.
+              Outcomes[I].SolveSeconds = 0.0;
               ++Result.Cache.Hits;
               ++WaveHits;
               Resolved = true;
             } else {
-              // Decoded but does not fit the current program: stale.
               ++Result.Cache.Invalidated;
             }
             break;
@@ -1436,7 +1284,7 @@ InferResult InferEngine::run() {
       // invisible in the output and the run can never be lost to
       // infrastructure.
       bool RemoteMerged = false;
-      if (ShardUsable && !Pending.empty()) {
+      if (Opts.ShardExec && !Pending.empty()) {
         telemetry::Span ShardWave("shard.wave", telemetry::TraceLevel::Phase,
                                   "shard");
         if (ShardWave.active()) {
@@ -1452,8 +1300,8 @@ InferResult InferEngine::run() {
           Sub.push_back(Batch[I]);
           Indices.push_back(Batch[I]->DeclIndex);
         }
-        std::vector<MethodOutcome> SubOutcomes(Sub.size());
-        Expected<std::vector<summaryio::ShardMethodOutcome>> Remote =
+        std::vector<SolveOutcome> SubOutcomes(Sub.size());
+        Expected<std::vector<SolveOutcome>> Remote =
             Opts.ShardExec->executeWave(Indices,
                                         summaryio::encodeSnapshot(Summaries));
         Status Adopt =
@@ -1510,7 +1358,7 @@ InferResult InferEngine::run() {
           telemetry::histogram("infer.method_run_us")
               .record(static_cast<double>(telemetry::nowUs() - RunStartUs));
         if (JobSpan.active()) {
-          const MethodOutcome &Out = Outcomes[I];
+          const SolveOutcome &Out = Outcomes[I];
           JobSpan.arg("method", Batch[I]->qualifiedName());
           if (!Inline)
             JobSpan.arg("wait_us", WaitUs);
@@ -1519,8 +1367,9 @@ InferResult InferEngine::run() {
           } else {
             JobSpan.arg("vars", Out.Variables);
             JobSpan.arg("factors", Out.Factors);
-            JobSpan.arg("solver", solverChoiceName(Out.Report.Used));
-            JobSpan.argBool("fallback", Out.Report.Fallback);
+            JobSpan.arg("solver", solverChoiceName(static_cast<SolverChoice>(
+                                      Out.SolverUsed)));
+            JobSpan.argBool("fallback", Out.FallbackUsed);
           }
         }
       });
@@ -1532,8 +1381,7 @@ InferResult InferEngine::run() {
         for (size_t I : Pending) {
           if (Outcomes[I].Failed)
             continue;
-          Cache->store(Batch[I]->qualifiedName(), Keys[I],
-                       toCachedSolve(Outcomes[I]));
+          Cache->store(Batch[I]->qualifiedName(), Keys[I], Outcomes[I]);
           ++Result.Cache.Stores;
         }
       }
@@ -1542,17 +1390,15 @@ InferResult InferEngine::run() {
       unsigned WaveReplays = 0;
       if (MemoArmed) {
         for (size_t I : Pending) {
-          const MethodOutcome &Out = Outcomes[I];
-          if (Out.Replayed) {
+          if (Probes[I].Replayed) {
             ++WaveReplays;
             continue;
           }
-          if (Out.Failed)
+          if (Outcomes[I].Failed)
             continue;
           MemoEntry Entry;
-          Entry.Method = Batch[I];
           Entry.Stream = std::move(Probes[I].Stream);
-          Entry.Outcome = Out;
+          Entry.Outcome = Outcomes[I];
           Memo.emplace(Probes[I].Key, std::move(Entry));
         }
         Result.MemoReplays += WaveReplays;
@@ -1566,15 +1412,18 @@ InferResult InferEngine::run() {
       unsigned MergedUpdates = 0, Requeued = 0;
       for (size_t I = 0; I != Batch.size(); ++I) {
         MethodDecl *M = Batch[I];
-        MethodOutcome &Out = Outcomes[I];
-        unsigned PrevSolves = 0;
-        if (auto It = Reports.find(M); It != Reports.end())
-          PrevSolves = It->second.Solves;
-        Out.Report.Solves += PrevSolves;
+        SolveOutcome &Out = Outcomes[I];
+        MethodReport &Report = Reports[M];
+        const unsigned PrevSolves = Report.Solves;
+        Report = MethodReport();
+        Report.Used = static_cast<SolverChoice>(Out.SolverUsed);
+        Report.Fallback = Out.FallbackUsed;
+        Report.Reason = std::move(Out.Reason);
+        Report.Solve = std::move(Out.Solve);
+        Report.Solves = PrevSolves + Out.Solves;
         if (Out.Failed) {
-          Out.Report.Failed = true;
-          Out.Report.Error = Out.Error;
-          Reports[M] = std::move(Out.Report);
+          Report.Failed = true;
+          Report.Error = Out.Error;
           if (FailedMethods.insert(M).second) {
             ++Result.MethodsFailed;
             BufferedWarnings.emplace(
@@ -1585,22 +1434,24 @@ InferResult InferEngine::run() {
           continue;
         }
         Result.SolveSeconds += Out.SolveSeconds;
-        Result.TotalVariables += Out.Variables;
-        Result.TotalFactors += Out.Factors;
-        if (Out.Report.Fallback)
+        Result.TotalVariables += static_cast<unsigned>(Out.Variables);
+        Result.TotalFactors += static_cast<unsigned>(Out.Factors);
+        if (Report.Fallback)
           ++Result.FallbackSolves;
-        Reports[M] = std::move(Out.Report);
 
         // A changed summary invalidates the models that consume it: the
         // owning method itself and its callers (they applied the stale
         // summary). They rerun in a later wave or the next round.
-        for (PendingUpdate &U : Out.Updates) {
+        for (SummaryUpdate &U : Out.Updates) {
           if (!U.DebugLine.empty())
             std::fprintf(stderr, "evidence %s\n", U.DebugLine.c_str());
           ++MergedUpdates;
+          TargetSummary *Target = targetOf(U);
           double Delta =
-              U.IsSelf ? U.Target->setSelfOdds(std::move(U.Odds))
-                       : U.Target->setSiteOdds(U.Site, std::move(U.Odds));
+              U.IsSelf ? Target->setSelfOdds(std::move(U.Odds))
+                       : Target->setSiteOdds(
+                             {methodAt(U.SiteCallerDeclIndex), U.SiteIndex},
+                             std::move(U.Odds));
           if (Delta <= Opts.SummaryTolerance)
             continue;
           ++Requeued;
@@ -1608,8 +1459,9 @@ InferResult InferEngine::run() {
             if (Data.count(T) && !FailedMethods.count(T))
               Dirty.insert(T);
           };
-          MarkDirty(U.SummaryOwner);
-          for (MethodDecl *Caller : Graph.callers(U.SummaryOwner))
+          MethodDecl *Owner = methodAt(U.OwnerDeclIndex);
+          MarkDirty(Owner);
+          for (MethodDecl *Caller : Graph.callers(Owner))
             MarkDirty(Caller);
         }
       }
@@ -1704,7 +1556,7 @@ InferResult anek::runAnekInfer(Program &Prog, const InferOptions &Opts,
   return Engine.run();
 }
 
-Expected<std::vector<summaryio::ShardMethodOutcome>>
+Expected<std::vector<summaryio::SolveOutcome>>
 anek::runShardMethods(Program &Prog,
                       const std::vector<unsigned> &DeclIndices,
                       const std::string &Snapshot,

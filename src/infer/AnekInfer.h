@@ -91,7 +91,7 @@ public:
   virtual ~WaveShardExecutor() = default;
 
   /// Analyzes the methods named by \p DeclIndices against \p Snapshot.
-  virtual Expected<std::vector<summaryio::ShardMethodOutcome>>
+  virtual Expected<std::vector<summaryio::SolveOutcome>>
   executeWave(const std::vector<unsigned> &DeclIndices,
               const std::string &Snapshot) = 0;
 
@@ -166,9 +166,7 @@ struct InferOptions {
   // Sharded execution (DESIGN.md, "Sharded execution and failure model").
   /// When set, wave batches are handed to this executor (normally a
   /// shard::ShardCoordinator farming the batch to worker processes)
-  /// instead of the in-process scheduler. Requires globally unique
-  /// declaration indices (any Sema-checked program); the engine verifies
-  /// and silently runs in process otherwise. Never set in a worker.
+  /// instead of the in-process scheduler. Never set in a worker.
   WaveShardExecutor *ShardExec = nullptr;
 
   // Incremental summary cache (DESIGN.md, "Incremental inference and the
@@ -178,10 +176,9 @@ struct InferOptions {
   /// replays the stored evidence byte-identically instead of solving.
   /// Caching silently disables itself when its preconditions do not hold
   /// — a per-solve time budget (SolveBudgetSeconds > 0 makes solve
-  /// results timing-dependent), ambiguous qualified method names, or an
-  /// armed analysis-perturbing fault — because a replay would then not be
-  /// guaranteed to reproduce what a fresh solve would compute. Never set
-  /// in a shard worker.
+  /// results timing-dependent) or an armed analysis-perturbing fault —
+  /// because a replay would then not be guaranteed to reproduce what a
+  /// fresh solve would compute. Never set in a shard worker.
   SolveCache *Cache = nullptr;
 
   /// When set, every sum-product solve the engine issues is routed
@@ -268,7 +265,9 @@ struct InferResult {
   }
 };
 
-/// Runs ANEK-INFER over every method with a body in \p Prog.
+/// Runs ANEK-INFER over every method with a body in \p Prog, which must
+/// have been through Sema: the engine names methods by declaration index
+/// and asserts that the indices are unique.
 ///
 /// Inference never aborts on a bad method: a method whose constraint
 /// generation or solve fails is skipped with a warning collected in
@@ -288,7 +287,7 @@ InferResult runAnekInfer(Program &Prog, const InferOptions &Opts = {},
 /// skip); the call itself errors only on structural problems — an
 /// unknown declaration index or a snapshot that does not decode against
 /// this program.
-Expected<std::vector<summaryio::ShardMethodOutcome>>
+Expected<std::vector<summaryio::SolveOutcome>>
 runShardMethods(Program &Prog, const std::vector<unsigned> &DeclIndices,
                 const std::string &Snapshot, const InferOptions &Opts);
 

@@ -18,6 +18,13 @@
 /// method changes its SCC's content hash, which changes the chain hashes
 /// of every transitive caller, so exactly the reachable waves miss.
 ///
+/// An entry is the engine's own SOLVE record (summaryio::SolveOutcome),
+/// which names methods by declaration index. Replaying it into a later
+/// run is sound because the key's environment hash digests every type's
+/// method count and ordered method signatures: an edit that shifts any
+/// declaration index changes every key, so a shifted entry can only be
+/// invalidated, never replayed.
+///
 /// The interface lives in src/infer (like WaveShardExecutor) so the
 /// engine does not depend on the storage backend; the on-disk
 /// implementation is src/cache/SummaryCache, injected by the driver.
@@ -27,51 +34,15 @@
 #ifndef ANEK_INFER_SOLVECACHE_H
 #define ANEK_INFER_SOLVECACHE_H
 
-#include "factor/Solvers.h"
+#include "infer/SummaryIO.h"
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace anek {
 
-/// One deferred summary update in cache form: the durable image of the
-/// engine's PendingUpdate. Methods and call-site owners are named by
-/// qualified name — not declaration index — so an entry stays replayable
-/// after an edit elsewhere in the file shifts every index.
-struct CachedUpdate {
-  std::string OwnerName;
-  /// summaryio::SummaryTargetRole as its enum value.
-  uint8_t Role = 0;
-  /// Parameter position for the Param* roles; 0 otherwise.
-  uint32_t ParamIndex = 0;
-  /// True: own-body evidence (setSelfOdds). False: call-site evidence.
-  bool IsSelf = true;
-  /// Qualified name of the calling method for site evidence; empty when
-  /// IsSelf.
-  std::string SiteCallerName;
-  uint32_t SiteIndex = 0;
-  /// Odds multipliers, one per tracked variable of the target.
-  std::vector<double> Odds;
-  /// ANEK_DEBUG_EVIDENCE annotation, replayed for byte-identical output.
-  std::string DebugLine;
-};
-
-/// Everything one successful SOLVE invocation produced: the MethodReport
-/// mirror plus the deferred updates and accounting, exactly the shape of
-/// summaryio::ShardMethodOutcome minus the failure fields (failed solves
-/// are never cached — a failure must re-run, not replay).
-struct CachedSolve {
-  uint8_t SolverUsed = 0; ///< SolverChoice as its enum value.
-  bool FallbackUsed = false;
-  std::string Reason;
-  SolveReport Solve;
-  uint32_t Solves = 0;
-  uint64_t Variables = 0;
-  uint64_t Factors = 0;
-  double SolveSeconds = 0.0;
-  std::vector<CachedUpdate> Updates;
-};
+/// What the cache stores and replays: one successful SOLVE's record.
+using CachedSolve = summaryio::SolveOutcome;
 
 /// Lookup classification, kept distinct so the run's accounting can tell
 /// "never seen" from "seen but edited" from "entry rotted on disk". All

@@ -145,36 +145,70 @@ bool decodeSolveReport(wire::Reader &R, SolveReport &Solve) {
   return Ok;
 }
 
-void encodeUpdate(wire::Writer &W, const SummaryUpdate &U) {
-  W.u32(U.OwnerDeclIndex);
-  W.u8(static_cast<uint8_t>(U.Role));
-  W.u32(U.ParamIndex);
-  W.u8(U.IsSelf ? 1 : 0);
-  W.u32(U.SiteCallerDeclIndex);
-  W.u32(U.SiteIndex);
-  W.u32(static_cast<uint32_t>(U.Odds.size()));
-  for (double O : U.Odds)
-    W.f64(O);
-  W.str(U.DebugLine);
+/// The record codec: Outcomes blobs and cache entries both carry
+/// SolveOutcome records in exactly this layout.
+void encodeOutcome(wire::Writer &W, const SolveOutcome &O) {
+  W.u32(O.DeclIndex);
+  W.u8(O.Failed ? 1 : 0);
+  W.str(O.Error);
+  W.u8(O.SolverUsed);
+  W.u8(O.FallbackUsed ? 1 : 0);
+  W.str(O.Reason);
+  encodeSolveReport(W, O.Solve);
+  W.u32(O.Solves);
+  W.u64(O.Variables);
+  W.u64(O.Factors);
+  W.f64(O.SolveSeconds);
+  W.u32(static_cast<uint32_t>(O.Updates.size()));
+  for (const SummaryUpdate &U : O.Updates) {
+    W.u32(U.OwnerDeclIndex);
+    W.u8(static_cast<uint8_t>(U.Role));
+    W.u32(U.ParamIndex);
+    W.u8(U.IsSelf ? 1 : 0);
+    W.u32(U.SiteCallerDeclIndex);
+    W.u32(U.SiteIndex);
+    W.u32(static_cast<uint32_t>(U.Odds.size()));
+    for (double V : U.Odds)
+      W.f64(V);
+    W.str(U.DebugLine);
+  }
 }
 
-bool decodeUpdate(wire::Reader &R, SummaryUpdate &U) {
-  uint8_t Role = 0, IsSelf = 0;
-  if (!(R.u32(U.OwnerDeclIndex) && R.u8(Role) && R.u32(U.ParamIndex) &&
-        R.u8(IsSelf) && R.u32(U.SiteCallerDeclIndex) && R.u32(U.SiteIndex)))
-    return false;
-  if (Role > static_cast<uint8_t>(SummaryTargetRole::Result))
-    return false;
-  U.Role = static_cast<SummaryTargetRole>(Role);
-  U.IsSelf = IsSelf != 0;
-  uint32_t OddsCount = 0;
-  if (!R.count(OddsCount, 8))
-    return false;
-  U.Odds.resize(OddsCount);
-  for (double &O : U.Odds)
-    if (!R.f64(O))
-      return false;
-  return R.str(U.DebugLine);
+Status decodeOutcome(wire::Reader &R, SolveOutcome &O) {
+  uint8_t Failed = 0, FallbackUsed = 0;
+  if (!(R.u32(O.DeclIndex) && R.u8(Failed) && R.str(O.Error) &&
+        R.u8(O.SolverUsed) && R.u8(FallbackUsed) && R.str(O.Reason)))
+    return corrupt("truncated outcome record");
+  O.Failed = Failed != 0;
+  O.FallbackUsed = FallbackUsed != 0;
+  if (!decodeSolveReport(R, O.Solve))
+    return corrupt("truncated solve report");
+  if (!(R.u32(O.Solves) && R.u64(O.Variables) && R.u64(O.Factors) &&
+        R.f64(O.SolveSeconds)))
+    return corrupt("truncated outcome statistics");
+  uint32_t UpdateCount = 0;
+  if (!R.count(UpdateCount, 16))
+    return corrupt("truncated update count");
+  O.Updates.resize(UpdateCount);
+  for (SummaryUpdate &U : O.Updates) {
+    uint8_t Role = 0, IsSelf = 0;
+    uint32_t OddsCount = 0;
+    if (!(R.u32(U.OwnerDeclIndex) && R.u8(Role) && R.u32(U.ParamIndex) &&
+          R.u8(IsSelf) && R.u32(U.SiteCallerDeclIndex) && R.u32(U.SiteIndex) &&
+          R.count(OddsCount, 8)))
+      return corrupt("truncated summary update");
+    if (Role > static_cast<uint8_t>(SummaryTargetRole::Result))
+      return corrupt("summary update role out of range");
+    U.Role = static_cast<SummaryTargetRole>(Role);
+    U.IsSelf = IsSelf != 0;
+    U.Odds.resize(OddsCount);
+    for (double &V : U.Odds)
+      if (!R.f64(V))
+        return corrupt("truncated summary update odds");
+    if (!R.str(U.DebugLine))
+      return corrupt("truncated summary update debug line");
+  }
+  return Status::ok();
 }
 
 } // namespace
@@ -335,29 +369,15 @@ Status summaryio::decodeSnapshot(std::string_view Blob,
 //===----------------------------------------------------------------------===//
 
 std::string
-summaryio::encodeOutcomes(const std::vector<ShardMethodOutcome> &Outcomes) {
+summaryio::encodeOutcomes(const std::vector<SolveOutcome> &Outcomes) {
   wire::Writer W;
   W.u32(static_cast<uint32_t>(Outcomes.size()));
-  for (const ShardMethodOutcome &O : Outcomes) {
-    W.u32(O.DeclIndex);
-    W.u8(O.Failed ? 1 : 0);
-    W.str(O.Error);
-    W.u8(O.SolverUsed);
-    W.u8(O.FallbackUsed ? 1 : 0);
-    W.str(O.Reason);
-    encodeSolveReport(W, O.Solve);
-    W.u32(O.Solves);
-    W.u64(O.Variables);
-    W.u64(O.Factors);
-    W.f64(O.SolveSeconds);
-    W.u32(static_cast<uint32_t>(O.Updates.size()));
-    for (const SummaryUpdate &U : O.Updates)
-      encodeUpdate(W, U);
-  }
+  for (const SolveOutcome &O : Outcomes)
+    encodeOutcome(W, O);
   return sealBlob(BlobKind::Outcomes, W.take());
 }
 
-Expected<std::vector<ShardMethodOutcome>>
+Expected<std::vector<SolveOutcome>>
 summaryio::decodeOutcomes(std::string_view Blob) {
   Expected<std::string> Payload = openBlob(Blob, BlobKind::Outcomes);
   if (!Payload)
@@ -366,30 +386,10 @@ summaryio::decodeOutcomes(std::string_view Blob) {
   uint32_t Count = 0;
   if (!R.count(Count, 4))
     return corrupt("truncated outcome count");
-  std::vector<ShardMethodOutcome> Outcomes(Count);
-  for (ShardMethodOutcome &O : Outcomes) {
-    uint8_t Failed = 0, FallbackUsed = 0;
-    if (!(R.u32(O.DeclIndex) && R.u8(Failed) && R.str(O.Error) &&
-          R.u8(O.SolverUsed) && R.u8(FallbackUsed) && R.str(O.Reason)))
-      return corrupt("truncated outcome record");
-    O.Failed = Failed != 0;
-    O.FallbackUsed = FallbackUsed != 0;
-    if (!decodeSolveReport(R, O.Solve))
-      return corrupt("truncated solve report");
-    uint64_t Variables = 0, Factors = 0;
-    if (!(R.u32(O.Solves) && R.u64(Variables) && R.u64(Factors) &&
-          R.f64(O.SolveSeconds)))
-      return corrupt("truncated outcome statistics");
-    O.Variables = Variables;
-    O.Factors = Factors;
-    uint32_t UpdateCount = 0;
-    if (!R.count(UpdateCount, 16))
-      return corrupt("truncated update count");
-    O.Updates.resize(UpdateCount);
-    for (SummaryUpdate &U : O.Updates)
-      if (!decodeUpdate(R, U))
-        return corrupt("truncated summary update");
-  }
+  std::vector<SolveOutcome> Outcomes(Count);
+  for (SolveOutcome &O : Outcomes)
+    if (Status S = decodeOutcome(R, O); !S)
+      return S;
   if (!R.done())
     return corrupt("trailing bytes after the last outcome");
   return Outcomes;
@@ -400,35 +400,15 @@ summaryio::decodeOutcomes(std::string_view Blob) {
 //===----------------------------------------------------------------------===//
 
 std::string summaryio::encodeCacheEntry(uint64_t Key,
-                                        const CachedSolve &Entry) {
+                                        const SolveOutcome &Entry) {
   wire::Writer W;
   W.u64(Key);
-  W.u8(Entry.SolverUsed);
-  W.u8(Entry.FallbackUsed ? 1 : 0);
-  W.str(Entry.Reason);
-  encodeSolveReport(W, Entry.Solve);
-  W.u32(Entry.Solves);
-  W.u64(Entry.Variables);
-  W.u64(Entry.Factors);
-  W.f64(Entry.SolveSeconds);
-  W.u32(static_cast<uint32_t>(Entry.Updates.size()));
-  for (const CachedUpdate &U : Entry.Updates) {
-    W.str(U.OwnerName);
-    W.u8(U.Role);
-    W.u32(U.ParamIndex);
-    W.u8(U.IsSelf ? 1 : 0);
-    W.str(U.SiteCallerName);
-    W.u32(U.SiteIndex);
-    W.u32(static_cast<uint32_t>(U.Odds.size()));
-    for (double O : U.Odds)
-      W.f64(O);
-    W.str(U.DebugLine);
-  }
+  encodeOutcome(W, Entry);
   return sealBlob(BlobKind::CacheEntry, W.take());
 }
 
-Expected<CachedSolve> summaryio::decodeCacheEntry(std::string_view Blob,
-                                                  uint64_t ExpectKey) {
+Expected<SolveOutcome> summaryio::decodeCacheEntry(std::string_view Blob,
+                                                   uint64_t ExpectKey) {
   Expected<std::string> Payload = openBlob(Blob, BlobKind::CacheEntry);
   if (!Payload)
     return Payload.status();
@@ -439,39 +419,10 @@ Expected<CachedSolve> summaryio::decodeCacheEntry(std::string_view Blob,
   if (Key != ExpectKey)
     return corrupt("cache key echo mismatch (entry filed under a "
                    "different content key)");
-  CachedSolve Entry;
-  uint8_t FallbackUsed = 0;
-  if (!(R.u8(Entry.SolverUsed) && R.u8(FallbackUsed) && R.str(Entry.Reason)))
-    return corrupt("truncated cache entry header");
-  Entry.FallbackUsed = FallbackUsed != 0;
-  if (!decodeSolveReport(R, Entry.Solve))
-    return corrupt("truncated cached solve report");
-  if (!(R.u32(Entry.Solves) && R.u64(Entry.Variables) &&
-        R.u64(Entry.Factors) && R.f64(Entry.SolveSeconds)))
-    return corrupt("truncated cache entry statistics");
-  uint32_t UpdateCount = 0;
-  if (!R.count(UpdateCount, 16))
-    return corrupt("truncated cached update count");
-  Entry.Updates.resize(UpdateCount);
-  for (CachedUpdate &U : Entry.Updates) {
-    uint8_t IsSelf = 0;
-    if (!(R.str(U.OwnerName) && R.u8(U.Role) && R.u32(U.ParamIndex) &&
-          R.u8(IsSelf) && R.str(U.SiteCallerName) && R.u32(U.SiteIndex)))
-      return corrupt("truncated cached update");
-    if (U.Role > static_cast<uint8_t>(SummaryTargetRole::Result))
-      return corrupt("cached update role out of range");
-    U.IsSelf = IsSelf != 0;
-    uint32_t OddsCount = 0;
-    if (!R.count(OddsCount, 8))
-      return corrupt("truncated cached odds count");
-    U.Odds.resize(OddsCount);
-    for (double &O : U.Odds)
-      if (!R.f64(O))
-        return corrupt("truncated cached odds");
-    if (!R.str(U.DebugLine))
-      return corrupt("truncated cached debug line");
-  }
+  SolveOutcome Entry;
+  if (Status S = decodeOutcome(R, Entry); !S)
+    return S;
   if (!R.done())
-    return corrupt("trailing bytes after the last cached update");
+    return corrupt("trailing bytes after the cached outcome");
   return Entry;
 }

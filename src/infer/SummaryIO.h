@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The (de)serialization layer that lets probabilistic summaries cross a
-/// process boundary (src/shard/). Two blob kinds share one envelope:
+/// The (de)serialization layer for what SOLVE produces and what it reads.
+/// Three blob kinds share one envelope:
 ///
 ///  - a *snapshot* freezes the evidence state of the whole summary store
 ///    at a wave boundary (per target: own-body odds and per-call-site
@@ -17,18 +17,27 @@
 ///    carries only what solving produced, and both sides agree
 ///    bit-for-bit because doubles travel as bit-cast u64.
 ///
-///  - an *outcomes* blob carries a worker's results back: per analyzed
-///    method a full MethodReport mirror plus the deferred summary
-///    updates ANEK-INFER would have produced in process, each identified
-///    by (owner declaration index, interface role, site key).
+///  - an *outcomes* blob carries a shard worker's SolveOutcome records
+///    back to the coordinator.
+///
+///  - a *cache entry* (src/cache/) seals one SolveOutcome record behind
+///    an echo of the content key it is filed under.
+///
+/// SolveOutcome is the one form a SOLVE result takes: the engine's jobs
+/// return it, the in-run memo stores it, the summary cache seals it and
+/// the shard wire carries it. It names methods by declaration index. That
+/// is stable across processes parsing the same source and, for the cache,
+/// across runs: the cache's environment hash digests every type's method
+/// count and ordered method signatures, so an edit that shifts any index
+/// changes every cache key.
 ///
 /// Envelope: magic, version, kind, payload length, FNV-1a checksum, then
 /// the payload. Decoding is defensive end to end: truncated headers,
 /// wrong versions, oversized declared lengths, checksum mismatches and
 /// shape mismatches against the local program all come back as Status
 /// errors — corrupt input can fail a shard attempt (the coordinator
-/// classifies that as WorkerLost and re-dispatches) but can never crash
-/// the coordinator or smuggle in a short read.
+/// classifies that as WorkerLost and re-dispatches) or cost a cache miss,
+/// but can never crash the reader or smuggle in a short read.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,7 +45,6 @@
 #define ANEK_INFER_SUMMARYIO_H
 
 #include "factor/Solvers.h"
-#include "infer/SolveCache.h"
 #include "infer/Summary.h"
 #include "lang/Ast.h"
 #include "support/Status.h"
@@ -50,7 +58,7 @@ namespace anek {
 namespace summaryio {
 
 /// Bump on any layout change; decoders reject every other version.
-constexpr uint32_t WireVersion = 1;
+constexpr uint32_t WireVersion = 2;
 
 /// What a sealed blob carries. The kind is part of the envelope so a
 /// snapshot can never be mistaken for an outcomes blob by a confused
@@ -59,7 +67,7 @@ enum class BlobKind : uint32_t {
   Snapshot = 1,
   Outcomes = 2,
   /// One memoized SOLVE result of the incremental summary cache
-  /// (src/cache/): a key echo plus a CachedSolve body.
+  /// (src/cache/): a key echo plus one SolveOutcome record.
   CacheEntry = 3,
 };
 
@@ -89,10 +97,9 @@ enum class SummaryTargetRole : uint8_t {
 /// "recv-pre" / "param-post" / ... for diagnostics.
 const char *summaryTargetRoleName(SummaryTargetRole Role);
 
-/// One deferred summary update in wire form: the process-independent
-/// image of the engine's PendingUpdate. Methods and call sites are named
-/// by declaration index (stable across processes parsing the same
-/// source), never by pointer.
+/// One deferred summary update: evidence for one interface target of one
+/// method. Methods and call sites are named by declaration index, never
+/// by pointer.
 struct SummaryUpdate {
   /// Declaration index of the method whose summary is updated.
   uint32_t OwnerDeclIndex = 0;
@@ -108,18 +115,18 @@ struct SummaryUpdate {
   /// Odds multipliers, one per tracked variable of the target.
   std::vector<double> Odds;
   /// ANEK_DEBUG_EVIDENCE annotation; carried so debug output is
-  /// byte-identical whether the update was computed locally or remotely.
+  /// byte-identical whether the update was computed, replayed or
+  /// received.
   std::string DebugLine;
 };
 
-/// Everything a worker reports for one analyzed method: a MethodReport
-/// mirror plus the updates and accounting the engine would have produced
-/// had it analyzed the method in process.
-struct ShardMethodOutcome {
+/// Everything one SOLVE of one method produced: a MethodReport mirror,
+/// the run-statistics contributions and the deferred summary updates.
+struct SolveOutcome {
   uint32_t DeclIndex = 0;
 
-  /// Mirror of MethodReport::Failed/Error (the failure already happened
-  /// remotely; it is merged as a skip, exactly like a local failure).
+  /// Mirror of MethodReport::Failed/Error (merged as a skip). Failed
+  /// outcomes are never cached: a failure must re-run, not replay.
   bool Failed = false;
   std::string Error;
 
@@ -130,7 +137,8 @@ struct ShardMethodOutcome {
   SolveReport Solve;
   uint32_t Solves = 0;
 
-  /// Run-statistics contributions.
+  /// Run-statistics contributions. SolveSeconds is what the solving pick
+  /// paid; a replay (memo or cache hit) reports 0.
   uint64_t Variables = 0;
   uint64_t Factors = 0;
   double SolveSeconds = 0.0;
@@ -152,29 +160,27 @@ std::string encodeSnapshot(const MethodDeclMap<MethodSummary> &Summaries);
 Status decodeSnapshot(std::string_view Blob,
                       MethodDeclMap<MethodSummary> &Summaries);
 
-/// Serializes worker results (sealed Outcomes blob).
-std::string encodeOutcomes(const std::vector<ShardMethodOutcome> &Outcomes);
+/// Serializes shard worker results (sealed Outcomes blob).
+std::string encodeOutcomes(const std::vector<SolveOutcome> &Outcomes);
 
 /// Decodes an outcomes blob. Structural validation only (the envelope
 /// plus bounds); semantic validation against the program — do these
 /// declaration indices exist, do arities match — happens where the
-/// decl-index table lives (the engine's merge step).
-Expected<std::vector<ShardMethodOutcome>>
-decodeOutcomes(std::string_view Blob);
+/// decl-index table lives (the engine's validateOutcome).
+Expected<std::vector<SolveOutcome>> decodeOutcomes(std::string_view Blob);
 
 /// Serializes one memoized SOLVE result (sealed CacheEntry blob). \p Key
 /// — the content key the entry is filed under — is echoed into the
 /// payload so a blob renamed or cross-linked on disk cannot replay as a
 /// different entry.
-std::string encodeCacheEntry(uint64_t Key, const CachedSolve &Entry);
+std::string encodeCacheEntry(uint64_t Key, const SolveOutcome &Entry);
 
 /// Decodes a cache-entry blob, requiring its echoed key to equal
-/// \p ExpectKey. Structural validation only (envelope, bounds, key echo);
-/// semantic validation against the current program happens in the
-/// engine's replay step. Callers classify any error as a corrupt cache
-/// entry — a miss, never a failure of the run.
-Expected<CachedSolve> decodeCacheEntry(std::string_view Blob,
-                                       uint64_t ExpectKey);
+/// \p ExpectKey. Structural validation only, as for decodeOutcomes.
+/// Callers classify any error as a corrupt cache entry — a miss, never a
+/// failure of the run.
+Expected<SolveOutcome> decodeCacheEntry(std::string_view Blob,
+                                        uint64_t ExpectKey);
 
 } // namespace summaryio
 } // namespace anek

@@ -120,7 +120,7 @@ Status ShardCoordinator::ensureWorker(unsigned SlotIndex) {
   return Status::ok();
 }
 
-Expected<std::vector<summaryio::ShardMethodOutcome>>
+Expected<std::vector<summaryio::SolveOutcome>>
 ShardCoordinator::dispatchOnce(subprocess::ChildProcess &Worker,
                                uint32_t Wave,
                                const std::vector<unsigned> &Indices,
@@ -175,7 +175,7 @@ ShardCoordinator::dispatchOnce(subprocess::ChildProcess &Worker,
           faults::consumeFire(FaultKind::WireCorrupt, Opts.FaultScope) &&
           !Payload.empty())
         Payload[Payload.size() / 2] ^= 0x20;
-      Expected<std::vector<summaryio::ShardMethodOutcome>> Out =
+      Expected<std::vector<summaryio::SolveOutcome>> Out =
           summaryio::decodeOutcomes(Payload);
       if (!Out)
         return Status::error(ErrorCode::WorkerLost,
@@ -198,7 +198,7 @@ ShardCoordinator::dispatchOnce(subprocess::ChildProcess &Worker,
   }
 }
 
-Expected<std::vector<summaryio::ShardMethodOutcome>>
+Expected<std::vector<summaryio::SolveOutcome>>
 ShardCoordinator::runShard(unsigned SlotIndex, uint32_t Wave,
                            const std::vector<unsigned> &Indices,
                            const std::string &Snapshot) {
@@ -265,7 +265,7 @@ ShardCoordinator::runShard(unsigned SlotIndex, uint32_t Wave,
     }
 
     bool WorkerReported = false;
-    Expected<std::vector<summaryio::ShardMethodOutcome>> Out = [&] {
+    Expected<std::vector<summaryio::SolveOutcome>> Out = [&] {
       telemetry::Span D("shard.dispatch", telemetry::TraceLevel::Method,
                         "shard");
       if (D.active()) {
@@ -301,10 +301,10 @@ ShardCoordinator::runShard(unsigned SlotIndex, uint32_t Wave,
   }
 }
 
-Expected<std::vector<summaryio::ShardMethodOutcome>>
+Expected<std::vector<summaryio::SolveOutcome>>
 ShardCoordinator::executeWave(const std::vector<unsigned> &DeclIndices,
                               const std::string &Snapshot) {
-  std::vector<summaryio::ShardMethodOutcome> Merged;
+  std::vector<summaryio::SolveOutcome> Merged;
   if (DeclIndices.empty())
     return Merged;
   const uint32_t Wave =
@@ -326,10 +326,10 @@ ShardCoordinator::executeWave(const std::vector<unsigned> &DeclIndices,
     At += Take;
   }
 
-  std::vector<std::vector<summaryio::ShardMethodOutcome>> Results(NumShards);
+  std::vector<std::vector<summaryio::SolveOutcome>> Results(NumShards);
   std::vector<Status> Errors(NumShards, Status::ok());
   auto RunOne = [&](size_t K) {
-    Expected<std::vector<summaryio::ShardMethodOutcome>> Out =
+    Expected<std::vector<summaryio::SolveOutcome>> Out =
         runShard(static_cast<unsigned>(K), Wave, Shards[K], Snapshot);
     if (Out)
       Results[K] = Out.take();
@@ -353,7 +353,7 @@ ShardCoordinator::executeWave(const std::vector<unsigned> &DeclIndices,
                            formatStr("shard %zu/%zu failed: %s", K + 1,
                                      NumShards,
                                      Errors[K].message().c_str()));
-  for (std::vector<summaryio::ShardMethodOutcome> &R : Results) {
+  for (std::vector<summaryio::SolveOutcome> &R : Results) {
     Merged.insert(Merged.end(), std::make_move_iterator(R.begin()),
                   std::make_move_iterator(R.end()));
   }

@@ -109,7 +109,7 @@ public:
                    CoordinatorOptions CoOpts = {});
   ~ShardCoordinator() override;
 
-  Expected<std::vector<summaryio::ShardMethodOutcome>>
+  Expected<std::vector<summaryio::SolveOutcome>>
   executeWave(const std::vector<unsigned> &DeclIndices,
               const std::string &Snapshot) override;
 
@@ -121,7 +121,7 @@ private:
   Status ensureWorker(unsigned SlotIndex);
   /// One shard, driven to its terminal state: dispatch / re-dispatch
   /// under the loss budget, then quarantine. Never loses the shard.
-  Expected<std::vector<summaryio::ShardMethodOutcome>>
+  Expected<std::vector<summaryio::SolveOutcome>>
   runShard(unsigned SlotIndex, uint32_t Wave,
            const std::vector<unsigned> &Indices, const std::string &Snapshot);
   /// One dispatch attempt on a running worker. \p WorkerReported
@@ -130,7 +130,7 @@ private:
   /// into the local trace/metrics stores here; an undecodable one is
   /// dropped and counted, never escalated — losing a span must not cost
   /// a dispatch.
-  Expected<std::vector<summaryio::ShardMethodOutcome>>
+  Expected<std::vector<summaryio::SolveOutcome>>
   dispatchOnce(subprocess::ChildProcess &Worker, uint32_t Wave,
                const std::vector<unsigned> &Indices,
                const std::string &Snapshot, bool &WorkerReported);

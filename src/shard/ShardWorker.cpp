@@ -134,7 +134,7 @@ bool serveTasks(int InFd, FrameSender &Sender, Program &Prog,
       if (ShipTelemetry)
         Before = telemetry::captureMetrics();
       int64_t TaskStartUs = telemetry::nowUs();
-      Expected<std::vector<summaryio::ShardMethodOutcome>> Outcomes = [&] {
+      Expected<std::vector<summaryio::SolveOutcome>> Outcomes = [&] {
         HeartbeatPulse Pulse(Sender);
         // Scoped so the task span is closed — and therefore collectable —
         // before telemetry is drained below.

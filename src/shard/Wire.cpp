@@ -1,4 +1,4 @@
-//===- Wire.cpp - The anek-shard-v1 framed pipe protocol --------------------===//
+//===- Wire.cpp - The anek-shard-v2 framed pipe protocol --------------------===//
 //
 // Part of the ANEK reproduction. See README.md.
 //

@@ -1,4 +1,4 @@
-//===- Wire.h - The anek-shard-v1 framed pipe protocol -----------*- C++ -*-===//
+//===- Wire.h - The anek-shard-v2 framed pipe protocol -----------*- C++ -*-===//
 //
 // Part of the ANEK reproduction. See README.md.
 //
@@ -57,7 +57,7 @@ namespace shard {
 
 /// "ANKS" little-endian; rejects non-frame bytes immediately.
 constexpr uint32_t FrameMagic = 0x534B4E41u;
-/// The `anek-shard-v1` protocol version; decoders reject all others.
+/// The `anek-shard-v2` protocol version; decoders reject all others.
 /// Version 2 added the Telemetry frame, the Init collection level and the
 /// Task dispatch-identity fields; v1 peers are rejected outright (both
 /// ends are always the same re-exec'd binary, so a mismatch means a torn

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The byte-level substrate of every ANEK wire format (the summary
-/// snapshot/outcome blobs of src/infer/SummaryIO.h and the anek-shard-v1
+/// snapshot/outcome blobs of src/infer/SummaryIO.h and the anek-shard-v2
 /// frames of src/shard/Wire.h). Encoding is explicit little-endian fixed
 /// width — the same bytes on every host this reproduction targets — and
 /// doubles travel as bit-cast u64, so a summary that crosses a process

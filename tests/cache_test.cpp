@@ -1,11 +1,13 @@
 //===- cache_test.cpp - The incremental summary cache ----------------------===//
 //
 // Covers the three layers of the cache in isolation and end to end: the
-// sealed CacheEntry codec, the SummaryCache storage backend (disk
-// round-trip, index reload, every corruption-degrades-to-miss contract),
-// and the engine-level replay guarantees (warm runs replay
-// byte-identically, callee edits invalidate every transitive caller,
-// whitespace edits invalidate nothing).
+// SolveOutcome record codec (sealed as a CacheEntry or inside an Outcomes
+// blob), the SummaryCache storage backend (disk round-trip, index reload,
+// every corruption-degrades-to-miss contract), and the engine-level
+// replay guarantees (warm runs replay byte-identically, callee edits
+// invalidate every transitive caller, whitespace edits invalidate
+// nothing, renumbering edits invalidate everything, and hits that do not
+// fit the program are re-solved).
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +22,9 @@
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <unistd.h>
 #include <vector>
@@ -75,42 +79,95 @@ std::string renderedSpecs(const Program &Prog, const InferResult &R) {
   return printProgram(Prog, Opts);
 }
 
-/// A representative cache entry touching every field of the codec.
-CachedSolve sampleSolve() {
-  CachedSolve S;
+/// A representative SOLVE record touching every field of the codec: one
+/// own-body update and one call-site update, methods named by index.
+summaryio::SolveOutcome sampleOutcome() {
+  summaryio::SolveOutcome S;
+  S.DeclIndex = 5;
   S.SolverUsed = 2;
   S.FallbackUsed = true;
   S.Reason = "gibbs fallback";
-  S.Solve.Iterations = 17;
   S.Solve.Converged = true;
+  S.Solve.Residual = 0.003;
+  S.Solve.Iterations = 17;
+  S.Solve.Seconds = 0.125;
+  S.Solve.Updates = 340;
+  S.Solve.SkippedUpdates = 12;
+  S.Solve.Reason = "converged";
   S.Solves = 3;
   S.Variables = 41;
   S.Factors = 59;
   S.SolveSeconds = 0.25;
-  CachedUpdate SelfU;
-  SelfU.OwnerName = "File.open";
-  SelfU.Role = 1;
-  SelfU.ParamIndex = 0;
+  summaryio::SummaryUpdate SelfU;
+  SelfU.OwnerDeclIndex = 5;
+  SelfU.Role = summaryio::SummaryTargetRole::RecvPost;
   SelfU.IsSelf = true;
   SelfU.Odds = {1.0, 2.5, 0.125};
   SelfU.DebugLine = "evidence: H1";
   S.Updates.push_back(SelfU);
-  CachedUpdate SiteU;
-  SiteU.OwnerName = "File.read";
-  SiteU.Role = 0;
+  summaryio::SummaryUpdate SiteU;
+  SiteU.OwnerDeclIndex = 7;
+  SiteU.Role = summaryio::SummaryTargetRole::ParamPre;
   SiteU.ParamIndex = 2;
   SiteU.IsSelf = false;
-  SiteU.SiteCallerName = "Client.use";
+  SiteU.SiteCallerDeclIndex = 5;
   SiteU.SiteIndex = 4;
   SiteU.Odds = {0.5};
   S.Updates.push_back(SiteU);
   return S;
 }
 
+/// A failed SOLVE as a shard worker reports it. Only the Outcomes blob
+/// carries these: failures are never cached.
+summaryio::SolveOutcome failedOutcome() {
+  summaryio::SolveOutcome F;
+  F.DeclIndex = 9;
+  F.Failed = true;
+  F.Error = "internal: lowering threw";
+  F.Reason = "bp missed convergence (oscillating)";
+  F.Solves = 1;
+  return F;
+}
+
+void expectSameOutcome(const summaryio::SolveOutcome &A,
+                       const summaryio::SolveOutcome &B) {
+  EXPECT_EQ(A.DeclIndex, B.DeclIndex);
+  EXPECT_EQ(A.Failed, B.Failed);
+  EXPECT_EQ(A.Error, B.Error);
+  EXPECT_EQ(A.SolverUsed, B.SolverUsed);
+  EXPECT_EQ(A.FallbackUsed, B.FallbackUsed);
+  EXPECT_EQ(A.Reason, B.Reason);
+  EXPECT_EQ(A.Solve.Converged, B.Solve.Converged);
+  EXPECT_EQ(A.Solve.Residual, B.Solve.Residual);
+  EXPECT_EQ(A.Solve.Iterations, B.Solve.Iterations);
+  EXPECT_EQ(A.Solve.Seconds, B.Solve.Seconds);
+  EXPECT_EQ(A.Solve.Updates, B.Solve.Updates);
+  EXPECT_EQ(A.Solve.SkippedUpdates, B.Solve.SkippedUpdates);
+  EXPECT_EQ(A.Solve.Reason, B.Solve.Reason);
+  EXPECT_EQ(A.Solves, B.Solves);
+  EXPECT_EQ(A.Variables, B.Variables);
+  EXPECT_EQ(A.Factors, B.Factors);
+  EXPECT_EQ(A.SolveSeconds, B.SolveSeconds);
+  ASSERT_EQ(A.Updates.size(), B.Updates.size());
+  for (size_t I = 0; I != A.Updates.size(); ++I) {
+    const summaryio::SummaryUpdate &U = A.Updates[I], &V = B.Updates[I];
+    EXPECT_EQ(U.OwnerDeclIndex, V.OwnerDeclIndex);
+    EXPECT_EQ(U.Role, V.Role);
+    EXPECT_EQ(U.ParamIndex, V.ParamIndex);
+    EXPECT_EQ(U.IsSelf, V.IsSelf);
+    EXPECT_EQ(U.SiteCallerDeclIndex, V.SiteCallerDeclIndex);
+    EXPECT_EQ(U.SiteIndex, V.SiteIndex);
+    EXPECT_EQ(U.Odds, V.Odds);
+    EXPECT_EQ(U.DebugLine, V.DebugLine);
+  }
+}
+
 /// A three-level call chain (use -> step -> leaf) plus a method with no
-/// connection to it, for the invalidation-propagation tests.
-std::string chainSource(const std::string &LeafBody) {
-  return "class Chain {\n"
+/// connection to it, for the invalidation-propagation tests. \p Before is
+/// spliced in ahead of leaf, shifting every later declaration index.
+std::string chainSource(const std::string &LeafBody,
+                        const std::string &Before = "") {
+  return "class Chain {\n" + Before +
          "  int leaf(int x) { " + LeafBody + " }\n"
          "  int step(int x) { return leaf(x) + 1; }\n"
          "  int use(int x) { return step(x) + 2; }\n"
@@ -127,58 +184,64 @@ std::string chainSource(const std::string &LeafBody) {
 //===----------------------------------------------------------------------===//
 
 TEST_F(CacheTest, CacheEntryCodecRoundTrips) {
-  const CachedSolve In = sampleSolve();
+  const summaryio::SolveOutcome In = sampleOutcome();
   const std::string Blob = summaryio::encodeCacheEntry(0xfeedULL, In);
   Expected<CachedSolve> Out = summaryio::decodeCacheEntry(Blob, 0xfeedULL);
   ASSERT_TRUE(Out.hasValue()) << Out.status().str();
-  EXPECT_EQ(Out->SolverUsed, In.SolverUsed);
-  EXPECT_EQ(Out->FallbackUsed, In.FallbackUsed);
-  EXPECT_EQ(Out->Reason, In.Reason);
-  EXPECT_EQ(Out->Solve.Iterations, In.Solve.Iterations);
-  EXPECT_EQ(Out->Solve.Converged, In.Solve.Converged);
-  EXPECT_EQ(Out->Solves, In.Solves);
-  EXPECT_EQ(Out->Variables, In.Variables);
-  EXPECT_EQ(Out->Factors, In.Factors);
-  EXPECT_DOUBLE_EQ(Out->SolveSeconds, In.SolveSeconds);
-  ASSERT_EQ(Out->Updates.size(), In.Updates.size());
-  for (size_t I = 0; I != In.Updates.size(); ++I) {
-    EXPECT_EQ(Out->Updates[I].OwnerName, In.Updates[I].OwnerName);
-    EXPECT_EQ(Out->Updates[I].Role, In.Updates[I].Role);
-    EXPECT_EQ(Out->Updates[I].ParamIndex, In.Updates[I].ParamIndex);
-    EXPECT_EQ(Out->Updates[I].IsSelf, In.Updates[I].IsSelf);
-    EXPECT_EQ(Out->Updates[I].SiteCallerName, In.Updates[I].SiteCallerName);
-    EXPECT_EQ(Out->Updates[I].SiteIndex, In.Updates[I].SiteIndex);
-    EXPECT_EQ(Out->Updates[I].Odds, In.Updates[I].Odds);
-    EXPECT_EQ(Out->Updates[I].DebugLine, In.Updates[I].DebugLine);
-  }
+  expectSameOutcome(*Out, In);
+
+  // The shard wire carries the same record, failed ones included.
+  const std::vector<summaryio::SolveOutcome> Batch = {sampleOutcome(),
+                                                      failedOutcome()};
+  Expected<std::vector<summaryio::SolveOutcome>> Wire =
+      summaryio::decodeOutcomes(summaryio::encodeOutcomes(Batch));
+  ASSERT_TRUE(Wire.hasValue()) << Wire.status().str();
+  ASSERT_EQ(Wire->size(), Batch.size());
+  for (size_t I = 0; I != Batch.size(); ++I)
+    expectSameOutcome((*Wire)[I], Batch[I]);
 }
 
 TEST_F(CacheTest, CacheEntryCodecRejectsDamage) {
-  const std::string Blob = summaryio::encodeCacheEntry(7, sampleSolve());
+  const std::string Blob = summaryio::encodeCacheEntry(7, sampleOutcome());
+  const std::string Wire =
+      summaryio::encodeOutcomes({sampleOutcome(), failedOutcome()});
+  auto EntryOk = [](std::string_view B) {
+    return summaryio::decodeCacheEntry(B, 7).hasValue();
+  };
+  auto WireOk = [](std::string_view B) {
+    return summaryio::decodeOutcomes(B).hasValue();
+  };
 
   // A blob renamed to another key: the key echo catches it.
   EXPECT_FALSE(summaryio::decodeCacheEntry(Blob, 8).hasValue());
+  // The blob kind is part of the envelope: neither form reads as the
+  // other, though both carry the same record layout.
+  EXPECT_FALSE(WireOk(Blob));
+  EXPECT_FALSE(EntryOk(Wire));
 
-  // Any single flipped bit: the envelope checksum catches it.
-  for (size_t Offset : {size_t(0), Blob.size() / 2, Blob.size() - 1}) {
-    std::string Bad = Blob;
-    Bad[Offset] ^= 0x01;
-    EXPECT_FALSE(summaryio::decodeCacheEntry(Bad, 7).hasValue())
-        << "offset " << Offset;
+  for (const auto &[Sealed, Ok] :
+       {std::pair(Blob, +EntryOk), std::pair(Wire, +WireOk)}) {
+    // Any single flipped bit: the envelope checksum catches it.
+    for (size_t Offset : {size_t(0), Sealed.size() / 2, Sealed.size() - 1}) {
+      std::string Bad = Sealed;
+      Bad[Offset] ^= 0x01;
+      EXPECT_FALSE(Ok(Bad)) << "offset " << Offset;
+    }
+
+    // A damaged version field (offset 8 in the envelope), and a blob an
+    // older build sealed at version 1: both read as damage, never as
+    // records.
+    std::string Versioned = Sealed;
+    Versioned[8] ^= 0x04;
+    EXPECT_FALSE(Ok(Versioned));
+    Versioned = Sealed;
+    Versioned[8] = 1;
+    EXPECT_FALSE(Ok(Versioned));
+
+    // Truncation anywhere.
+    EXPECT_FALSE(Ok(std::string_view(Sealed).substr(0, 10)));
+    EXPECT_FALSE(Ok(std::string_view(Sealed).substr(0, Sealed.size() - 1)));
   }
-
-  // A future (or damaged) version field — offset 8 in the envelope.
-  std::string Versioned = Blob;
-  Versioned[8] ^= 0x02;
-  EXPECT_FALSE(summaryio::decodeCacheEntry(Versioned, 7).hasValue());
-
-  // Truncation anywhere.
-  EXPECT_FALSE(
-      summaryio::decodeCacheEntry(std::string_view(Blob).substr(0, 10), 7)
-          .hasValue());
-  EXPECT_FALSE(summaryio::decodeCacheEntry(
-                   std::string_view(Blob).substr(0, Blob.size() - 1), 7)
-                   .hasValue());
 }
 
 //===----------------------------------------------------------------------===//
@@ -187,7 +250,7 @@ TEST_F(CacheTest, CacheEntryCodecRejectsDamage) {
 
 TEST_F(CacheTest, DiskStoreRoundTripsAndReloadsFromIndex) {
   const std::string Dir = tempDir();
-  const CachedSolve Entry = sampleSolve();
+  const CachedSolve Entry = sampleOutcome();
   {
     cache::SummaryCache Cache(Dir);
     Cache.store("File.open", 11, Entry);
@@ -208,7 +271,7 @@ TEST_F(CacheTest, DiskStoreRoundTripsAndReloadsFromIndex) {
   EXPECT_EQ(Reloaded.lookup("File.open", 12, Out), CacheLookup::Hit);
   EXPECT_EQ(Reloaded.lookup("File.read", 13, Out), CacheLookup::Hit);
   ASSERT_EQ(Out.Updates.size(), 2u);
-  EXPECT_EQ(Out.Updates[1].SiteCallerName, "Client.use");
+  EXPECT_EQ(Out.Updates[1].SiteCallerDeclIndex, 5u);
 
   // The three non-hit classifications stay distinct.
   EXPECT_EQ(Reloaded.lookup("File.close", 11, Out), CacheLookup::Miss);
@@ -224,7 +287,7 @@ TEST_F(CacheTest, DiskCorruptionClassifiesAsMissNeverError) {
   const std::string Dir = tempDir();
   {
     cache::SummaryCache Cache(Dir);
-    Cache.store("File.open", 21, sampleSolve());
+    Cache.store("File.open", 21, sampleOutcome());
   }
 
   // Flip one byte in the middle of the stored blob, as disk rot would.
@@ -251,7 +314,7 @@ TEST_F(CacheTest, DiskCorruptionClassifiesAsMissNeverError) {
   EXPECT_EQ(Cache.lookup("File.open", 21, Out), CacheLookup::Corrupt);
   EXPECT_EQ(Cache.stats().Corrupt, 1u);
   // The rotten entry was dropped; a re-store heals it.
-  Cache.store("File.open", 21, sampleSolve());
+  Cache.store("File.open", 21, sampleOutcome());
   EXPECT_EQ(Cache.lookup("File.open", 21, Out), CacheLookup::Hit);
 }
 
@@ -259,8 +322,8 @@ TEST_F(CacheTest, DamagedIndexKeepsParsedPrefixAndDropsTail) {
   const std::string Dir = tempDir();
   {
     cache::SummaryCache Cache(Dir);
-    Cache.store("File.open", 31, sampleSolve());
-    Cache.store("File.read", 32, sampleSolve());
+    Cache.store("File.open", 31, sampleOutcome());
+    Cache.store("File.read", 32, sampleOutcome());
   }
   // Append a malformed line: the two parsed entries stay usable.
   {
@@ -291,7 +354,7 @@ TEST_F(CacheTest, DamagedIndexKeepsParsedPrefixAndDropsTail) {
   const std::string Dir2 = tempDir();
   {
     cache::SummaryCache Cache(Dir2);
-    Cache.store("File.open", 33, sampleSolve());
+    Cache.store("File.open", 33, sampleOutcome());
   }
   for (const auto &E : fs::directory_iterator(Dir2))
     if (E.path().extension() == ".sum")
@@ -305,7 +368,7 @@ TEST_F(CacheTest, InjectedBitFlipDegradesToCountedMiss) {
   // byte of the loaded blob exactly as rot would; the sealed envelope
   // rejects it and the lookup degrades to a counted miss.
   cache::SummaryCache Cache(tempDir());
-  Cache.store("File.open", 41, sampleSolve());
+  Cache.store("File.open", 41, sampleOutcome());
   CachedSolve Out;
   {
     faults::ScopedFault Flip(FaultKind::WireCorrupt, "cache",
@@ -317,7 +380,7 @@ TEST_F(CacheTest, InjectedBitFlipDegradesToCountedMiss) {
     // the name itself is gone).
     EXPECT_EQ(Cache.lookup("File.open", 41, Out), CacheLookup::Miss);
   }
-  Cache.store("File.open", 41, sampleSolve());
+  Cache.store("File.open", 41, sampleOutcome());
   EXPECT_EQ(Cache.lookup("File.open", 41, Out), CacheLookup::Hit);
 }
 
@@ -449,4 +512,141 @@ TEST_F(CacheTest, CacheDisarmsUnderAnalysisPerturbingConditions) {
   InferResult R2 = runAnekInfer(*Prog2, Opts2);
   EXPECT_EQ(R2.Cache.Hits + R2.Cache.Misses + R2.Cache.Stores, 0u);
   EXPECT_EQ(Cache.size(), 0u);
+}
+
+namespace {
+
+/// A read-only view of a cache that records each lookup's classification
+/// by method name. Dropping stores keeps a run's in-run repeats from
+/// hitting its own fresh entries, so any hit it sees is a replay of an
+/// earlier run's entry.
+class ReadOnlyView final : public SolveCache {
+public:
+  explicit ReadOnlyView(SolveCache &Inner) : Inner(Inner) {}
+
+  CacheLookup lookup(const std::string &MethodName, uint64_t Key,
+                     CachedSolve &Out) override {
+    CacheLookup Result = Inner.lookup(MethodName, Key, Out);
+    Seen[MethodName].insert(Result);
+    return Result;
+  }
+  void store(const std::string &, uint64_t, const CachedSolve &) override {}
+
+  std::map<std::string, std::set<CacheLookup>> Seen;
+
+private:
+  SolveCache &Inner;
+};
+
+} // namespace
+
+TEST_F(CacheTest, RenumberingEditNeverReplays) {
+  // Entries name methods by declaration index. That is sound only because
+  // the environment hash covers every type's method count and ordered
+  // signatures: a method spliced in ahead of Chain.leaf shifts every later
+  // index, so every old entry must read as invalidated, never as a hit.
+  cache::SummaryCache Cache("");
+  InferOptions Opts;
+  Opts.Cache = &Cache;
+  auto V1 = analyze(chainSource("return x + 1;"));
+  InferResult R1 = runAnekInfer(*V1, Opts);
+  EXPECT_GT(R1.Cache.Stores, 0u);
+
+  const std::string Renumbered =
+      chainSource("return x + 1;", "  int first(int x) { return x; }\n");
+  ReadOnlyView View(Cache);
+  Opts.Cache = &View;
+  auto V2 = analyze(Renumbered);
+  InferResult R2 = runAnekInfer(*V2, Opts);
+  EXPECT_EQ(R2.Cache.Hits, 0u);
+  EXPECT_EQ(R2.Cache.Corrupt, 0u);
+  using Classes = std::set<CacheLookup>;
+  EXPECT_EQ(View.Seen.size(), 5u) << "first, leaf, step, use and quiet";
+  EXPECT_EQ(View.Seen["Chain.first"], Classes{CacheLookup::Miss});
+  for (const char *Old :
+       {"Chain.leaf", "Chain.step", "Chain.use", "Lone.quiet"})
+    EXPECT_EQ(View.Seen[Old], Classes{CacheLookup::Invalidated}) << Old;
+
+  auto Plain = analyze(Renumbered);
+  InferResult R3 = runAnekInfer(*Plain);
+  EXPECT_EQ(renderedSpecs(*V2, R2), renderedSpecs(*Plain, R3));
+}
+
+namespace {
+
+/// Serves a real cache's hits with one damage applied to every record
+/// that has an update to damage, the way a stale or hostile store could.
+class DamagingCache final : public SolveCache {
+public:
+  enum class Damage { UnknownOwner, MissingTarget, WrongArity };
+
+  DamagingCache(SolveCache &Inner, Damage D) : Inner(Inner), D(D) {}
+
+  CacheLookup lookup(const std::string &MethodName, uint64_t Key,
+                     CachedSolve &Out) override {
+    CacheLookup Result = Inner.lookup(MethodName, Key, Out);
+    if (Result != CacheLookup::Hit || Out.Updates.empty())
+      return Result;
+    summaryio::SummaryUpdate &U = Out.Updates.front();
+    switch (D) {
+    case Damage::UnknownOwner:
+      U.OwnerDeclIndex = 1u << 30;
+      break;
+    case Damage::MissingTarget:
+      U.Role = summaryio::SummaryTargetRole::ParamPost;
+      U.ParamIndex = 99;
+      break;
+    case Damage::WrongArity:
+      U.Odds.push_back(1.0);
+      break;
+    }
+    ++Damaged;
+    return Result;
+  }
+
+  void store(const std::string &MethodName, uint64_t Key,
+             const CachedSolve &Entry) override {
+    Inner.store(MethodName, Key, Entry);
+  }
+
+  unsigned Damaged = 0;
+
+private:
+  SolveCache &Inner;
+  Damage D;
+};
+
+} // namespace
+
+TEST_F(CacheTest, HitsThatDoNotFitTheProgramAreResolved) {
+  // A hit passes the same validation a shard worker's record does before
+  // the merge trusts it. One that names an unknown owner, a target the
+  // owner does not have, or odds of the wrong arity is counted as
+  // invalidated and re-solved, and the output does not change.
+  const std::string Source = iteratorApiSource() + spreadsheetSource();
+  auto Plain = analyze(Source);
+  InferResult Uncached = runAnekInfer(*Plain);
+  const std::string Expected = renderedSpecs(*Plain, Uncached);
+
+  for (DamagingCache::Damage D :
+       {DamagingCache::Damage::UnknownOwner,
+        DamagingCache::Damage::MissingTarget,
+        DamagingCache::Damage::WrongArity}) {
+    SCOPED_TRACE(static_cast<int>(D));
+    cache::SummaryCache Inner("");
+    InferOptions Opts;
+    Opts.Cache = &Inner;
+    auto Cold = analyze(Source);
+    runAnekInfer(*Cold, Opts);
+
+    DamagingCache Damaging(Inner, D);
+    Opts.Cache = &Damaging;
+    auto Warm = analyze(Source);
+    InferResult R = runAnekInfer(*Warm, Opts);
+    EXPECT_GT(Damaging.Damaged, 0u);
+    EXPECT_EQ(R.Cache.Invalidated, Damaging.Damaged);
+    EXPECT_EQ(R.Cache.Misses, 0u);
+    EXPECT_EQ(R.Cache.Corrupt, 0u);
+    EXPECT_EQ(renderedSpecs(*Warm, R), Expected);
+  }
 }

@@ -133,6 +133,18 @@ TEST(AnekInferTest, DeterministicAcrossRuns) {
                 R2.Inferred.begin(), R2.Inferred.end())));
 }
 
+TEST(AnekInferDeathTest, RequiresUniqueDeclarationIndices) {
+  // The engine names methods by declaration index everywhere — memo,
+  // cache and shard records alike — so a program Sema did not number is
+  // a caller bug the engine refuses, not a mode it degrades into.
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  auto Prog = analyze(fileProtocolSource());
+  auto &Methods = Prog->Types.front()->Methods;
+  ASSERT_GE(Methods.size(), 2u);
+  Methods[1]->DeclIndex = Methods[0]->DeclIndex;
+  EXPECT_DEATH(runAnekInfer(*Prog), "declaration indices must be unique");
+}
+
 //===----------------------------------------------------------------------===//
 // The paper's regression suite (Section 4.2), parameterized
 //===----------------------------------------------------------------------===//

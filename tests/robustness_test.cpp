@@ -622,7 +622,7 @@ TEST_F(RobustnessTest, FaultScopePrefixesSolveFailureSites) {
 //===----------------------------------------------------------------------===//
 
 TEST_F(RobustnessTest, ShardWireRejectsCorruptFramesWithStatusErrors) {
-  // The anek-shard-v1 decoder contract: every malformed byte stream is a
+  // The anek-shard-v2 decoder contract: every malformed byte stream is a
   // structured rejection — never a crash, never an unbounded allocation.
   // Header layout (Wire.h): u32 magic @0, u16 version @4, u16 type @6,
   // u64 payload-len @8, u64 fnv checksum @16, all little-endian.

@@ -1,7 +1,7 @@
 //===- shard_test.cpp - Crash-tolerant shard worker tier -------------------===//
 //
 // The sharded-execution suite (DESIGN.md, "Sharded execution and failure
-// model"): the anek-shard-v1 payload codecs must round-trip, real worker
+// model"): the anek-shard-v2 payload codecs must round-trip, real worker
 // processes must produce output byte-identical to in-process -j1, and the
 // failure paths — SIGKILLed workers, SIGSTOPped (hung) workers, corrupted
 // result frames — must cost re-dispatch attempts, never results. A shard
@@ -10,7 +10,9 @@
 //
 // These tests fork/exec the real `anek` binary as the worker process
 // (ANEK_TOOL_PATH), so the wire protocol, heartbeats, and kill/reap paths
-// are exercised against actual process death, not mocks.
+// are exercised against actual process death, not mocks. The one
+// exception is an in-process executor that damages correct results, to
+// pin the engine's validation of what an executor returns.
 //
 //===----------------------------------------------------------------------===//
 
@@ -558,6 +560,70 @@ TEST_F(ShardTest, NonProtocolWorkerQuarantinesTheShardInProcess) {
   EXPECT_GE(Run.Stats.ShardsQuarantined, 1u);
   EXPECT_GE(Run.Stats.WorkersLost, Co.QuarantineAfter);
   EXPECT_EQ(Run.Stats.WavesDegraded, 0u);
+}
+
+/// A WaveShardExecutor that computes each wave correctly in process, then
+/// damages the record list the way a buggy executor could.
+class DamagingExecutor final : public WaveShardExecutor {
+public:
+  enum class Damage { Short, Duplicate, UnknownIndex, WrongArity };
+
+  DamagingExecutor(Program &Prog, Damage D) : Prog(Prog), D(D) {}
+
+  Expected<std::vector<summaryio::SolveOutcome>>
+  executeWave(const std::vector<unsigned> &DeclIndices,
+              const std::string &Snapshot) override {
+    Expected<std::vector<summaryio::SolveOutcome>> Out =
+        runShardMethods(Prog, DeclIndices, Snapshot, InferOptions());
+    if (!Out)
+      return Out;
+    std::vector<summaryio::SolveOutcome> Records = Out.take();
+    switch (D) {
+    case Damage::Short:
+      Records.pop_back();
+      break;
+    case Damage::Duplicate:
+      // Same length, one method twice and another missing.
+      if (Records.size() >= 2)
+        Records[1] = Records[0];
+      break;
+    case Damage::UnknownIndex:
+      Records.front().DeclIndex = 1u << 30;
+      break;
+    case Damage::WrongArity:
+      for (summaryio::SolveOutcome &R : Records)
+        if (!R.Updates.empty())
+          R.Updates.front().Odds.push_back(1.0);
+      break;
+    }
+    return Records;
+  }
+
+private:
+  Program &Prog;
+  Damage D;
+};
+
+TEST_F(ShardTest, DamagedWaveResultsDegradeToInProcess) {
+  // A shard result passes one validation before the merge trusts it:
+  // exactly one record per method of the wave, each naming known methods
+  // and matching arities. A result that fails it degrades the wave to
+  // in-process execution, and the output stays byte-identical to -j1.
+  const std::string Source = iteratorApiSource() + spreadsheetSource();
+  const std::string Baseline = baselineOutput(Source);
+  for (DamagingExecutor::Damage D :
+       {DamagingExecutor::Damage::Short, DamagingExecutor::Damage::Duplicate,
+        DamagingExecutor::Damage::UnknownIndex,
+        DamagingExecutor::Damage::WrongArity}) {
+    SCOPED_TRACE(static_cast<int>(D));
+    auto Prog = analyze(Source);
+    DamagingExecutor Executor(*Prog, D);
+    InferOptions Opts;
+    Opts.ShardExec = &Executor;
+    ShardStats Stats;
+    EXPECT_EQ(inferAndPrint(*Prog, Opts, &Stats), Baseline);
+    EXPECT_GE(Stats.WavesDegraded, 1u);
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -237,7 +237,7 @@ std::vector<std::string> workerTelemetryArgv(const std::string &RawTracePath,
 
 /// The hidden `anek --worker [telemetry flags]` mode: parse the flags the
 /// coordinator forwarded (each worker expands %p to its own pid), then
-/// serve the anek-shard-v1 protocol over stdin/stdout. Unknown flags are
+/// serve the anek-shard-v2 protocol over stdin/stdout. Unknown flags are
 /// ignored rather than fatal — both ends are the same binary, so a
 /// mismatch is a bug to survive, not hostile input to reject.
 int runWorkerMode(int Argc, char **Argv) {
@@ -959,7 +959,7 @@ int main(int Argc, char **Argv) {
   // "bad input" (1) and "bad invocation" (2).
   try {
     // Hidden worker mode: a shard coordinator re-execs this binary as
-    // `anek --worker [telemetry flags]` and speaks anek-shard-v1 over its
+    // `anek --worker [telemetry flags]` and speaks anek-shard-v2 over its
     // stdin/stdout. Dispatched before general flag parsing so no other
     // flag can perturb it; the worker mode parses only the telemetry
     // flags the coordinator forwarded.
