@@ -55,9 +55,9 @@ namespace cache {
 /// layout simply has no index under this name and reads as empty).
 inline constexpr const char *IndexFileName = "index.anek-cache-v1";
 
-/// Thread-safe SolveCache over one directory (or memory). One instance
-/// may be shared by concurrent batch requests naming the same `cache=`
-/// directory; a single mutex guards the index and all file traffic.
+/// Thread-safe SolveCache over one directory (or memory). A single mutex
+/// guards the index and all file traffic, so one instance may be shared
+/// by concurrent runs.
 class SummaryCache : public SolveCache {
 public:
   /// Opens (and if needed creates) \p Dir, loading any existing index.

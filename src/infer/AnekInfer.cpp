@@ -137,13 +137,6 @@ public:
 
   InferResult run();
 
-  /// Worker-side shard body (see runShardMethods): skeleton store +
-  /// snapshot overlay, then sequential analyzeOne over the shard's
-  /// methods in declaration-index order.
-  Expected<std::vector<summaryio::SolveOutcome>>
-  analyzeShard(const std::vector<unsigned> &DeclIndices,
-               const std::string &Snapshot);
-
 private:
   using SolveOutcome = summaryio::SolveOutcome;
   using SummaryUpdate = summaryio::SummaryUpdate;
@@ -226,14 +219,6 @@ private:
                        const std::vector<double> &Marginals,
                        const std::vector<double> &GraphBelief) const;
 
-  /// Files a shard executor's records into \p Outcomes, indexed like
-  /// \p Batch: exactly one per batch method, each passing
-  /// validateOutcome. Any violation returns an error and the caller
-  /// discards the whole wave result (the wave then reruns in process).
-  Status adoptWireOutcomes(std::vector<SolveOutcome> Wire,
-                           const std::vector<MethodDecl *> &Batch,
-                           std::vector<SolveOutcome> &Outcomes) const;
-
   /// Builds the skeleton summary store over every method of the program
   /// and the declaration-index table over it. Asserts that declaration
   /// indices are unique, which Sema guarantees.
@@ -248,12 +233,11 @@ private:
   /// summary at that interface position.
   TargetSummary *targetOf(const SummaryUpdate &U) const;
 
-  /// The one check a record that crossed a boundary (a cache hit or a
-  /// shard worker's result) must pass before the merge trusts it: it is
-  /// \p M's, its solver id is in range, and every update names a known
-  /// owner, a present target, odds of that target's arity and, for site
-  /// evidence, a known caller. Records computed or memoized in this
-  /// engine are trusted without it.
+  /// The check a record read back from the cache must pass before the
+  /// merge trusts it: it is \p M's, its solver id is in range, and every
+  /// update names a known owner, a present target, odds of that target's
+  /// arity and, for site evidence, a known caller. Records computed or
+  /// memoized in this engine are trusted without it.
   Status validateOutcome(const SolveOutcome &O, const MethodDecl *M) const;
 
   // Incremental summary cache (DESIGN.md, "Incremental inference and the
@@ -318,9 +302,9 @@ private:
   std::map<const MethodDecl *, uint64_t> ChainHashes;
 
   // The run-local SOLVE memo (DESIGN.md, "The in-run SOLVE memo"). Armed
-  // by run() when solves are replayable and neither the persistent cache
-  // nor the shard tier is in play. Jobs only read it during a wave; the
-  // scheduling thread inserts between waves.
+  // by run() when solves are replayable and the persistent cache is not
+  // in play. Jobs only read it during a wave; the scheduling thread
+  // inserts between waves.
   bool MemoArmed = false;
   std::unordered_map<uint64_t, MemoEntry> Memo;
 };
@@ -653,14 +637,9 @@ summaryio::SolveOutcome InferEngine::analyzeOne(MethodDecl *M,
   };
 
   // Fault 'solve-fail': this method's SOLVE step fails outright, proving
-  // the isolation path keeps the rest of the program inferable. Under a
-  // batch FaultScope the scoped label "<scope>/<method>" also matches, so
-  // one request can be poisoned without touching its neighbors.
+  // the isolation path keeps the rest of the program inferable.
   if (faults::anyActive() &&
-      (faults::active(FaultKind::SolveFailure, M->qualifiedName()) ||
-       (!Opts.FaultScope.empty() &&
-        faults::active(FaultKind::SolveFailure,
-                       Opts.FaultScope + "/" + M->qualifiedName()))))
+      faults::active(FaultKind::SolveFailure, M->qualifiedName()))
     return Fail(
         faults::injectedError(FaultKind::SolveFailure, M->qualifiedName()));
 
@@ -733,8 +712,7 @@ summaryio::SolveOutcome InferEngine::analyzeOne(MethodDecl *M,
 }
 
 void InferEngine::buildSummaryStore() {
-  // Priors and shapes are a pure function of the AST + SpecHi/SpecLo, so
-  // a shard worker rebuilds the same skeleton the coordinator holds.
+  // Priors and shapes are a pure function of the AST + SpecHi/SpecLo.
   for (const auto &Type : Prog.Types)
     for (const auto &M : Type->Methods) {
       MethodSummary &Summary =
@@ -860,16 +838,14 @@ uint64_t methodContentHash(const MethodDecl &M) {
 
 bool InferEngine::solvesReplayable() const {
   // A per-solve time budget makes solve outcomes timing-dependent, so a
-  // replay is not guaranteed to reproduce a fresh solve. Governed runs
-  // (deadline'd batch requests) therefore never replay.
+  // replay is not guaranteed to reproduce a fresh solve.
   if (Opts.SolveBudgetSeconds > 0.0)
     return false;
   // Analysis-perturbing faults change what a fresh solve would compute;
   // replaying across them would either launder a faulted result into
-  // clean runs or replay a clean result past an armed fault.
-  // Infrastructure faults (wire corruption, worker crashes) do not
-  // perturb results — the degradation contract absorbs them — so they
-  // keep replay on.
+  // clean runs or replay a clean result past an armed fault. The cache's
+  // wire-corrupt probe does not perturb results (a damaged entry is
+  // re-solved), so it keeps replay on.
   return !(faults::anyActive() &&
            (faults::kindActive(FaultKind::BpNonConvergence) ||
             faults::kindActive(FaultKind::DeadlineExpiry) ||
@@ -994,85 +970,6 @@ uint64_t InferEngine::solveKeyFor(MethodDecl *M) {
   return H.digest();
 }
 
-Status
-InferEngine::adoptWireOutcomes(std::vector<SolveOutcome> Wire,
-                               const std::vector<MethodDecl *> &Batch,
-                               std::vector<SolveOutcome> &Outcomes) const {
-  auto Reject = [](const std::string &Why) {
-    return Status::error(ErrorCode::InvalidArgument,
-                         "shard wave result rejected: " + Why);
-  };
-  if (Wire.size() != Batch.size())
-    return Reject("got " + std::to_string(Wire.size()) + " outcomes for a " +
-                  std::to_string(Batch.size()) + "-method batch");
-
-  std::map<uint32_t, size_t> Slot;
-  for (size_t I = 0; I != Batch.size(); ++I)
-    Slot.emplace(Batch[I]->DeclIndex, I);
-  std::vector<bool> Filled(Batch.size(), false);
-  for (SolveOutcome &W : Wire) {
-    auto SlotIt = Slot.find(W.DeclIndex);
-    if (SlotIt == Slot.end())
-      return Reject("outcome for method #" + std::to_string(W.DeclIndex) +
-                    " which is not in this wave");
-    if (Filled[SlotIt->second])
-      return Reject("duplicate outcome for method #" +
-                    std::to_string(W.DeclIndex));
-    Filled[SlotIt->second] = true;
-    if (Status S = validateOutcome(W, Batch[SlotIt->second]); !S)
-      return Reject(S.message());
-    Outcomes[SlotIt->second] = std::move(W);
-  }
-  return Status::ok();
-}
-
-Expected<std::vector<summaryio::SolveOutcome>>
-InferEngine::analyzeShard(const std::vector<unsigned> &DeclIndices,
-                          const std::string &Snapshot) {
-  // The snapshot only carries evidence; the skeleton is rebuilt here.
-  buildSummaryStore();
-  if (Status S = summaryio::decodeSnapshot(Snapshot, Summaries); !S)
-    return S;
-
-  // Resolve and order the shard (declaration-index order; the
-  // coordinator merges by batch slot, so our order only needs to be
-  // deterministic, not to match the request).
-  std::vector<MethodDecl *> Methods;
-  Methods.reserve(DeclIndices.size());
-  for (unsigned Index : DeclIndices) {
-    MethodDecl *M = methodAt(Index);
-    if (!M)
-      return Status::error(ErrorCode::InvalidArgument,
-                           "shard names unknown method #" +
-                               std::to_string(Index));
-    if (!M->Body)
-      return Status::error(ErrorCode::InvalidArgument,
-                           "shard names bodiless method '" +
-                               M->qualifiedName() + "'");
-    Methods.push_back(M);
-  }
-  std::sort(Methods.begin(), Methods.end(), DeclIndexLess());
-
-  std::vector<SolveOutcome> Outcomes;
-  Outcomes.reserve(Methods.size());
-  for (MethodDecl *M : Methods) {
-    try {
-      MethodData MD;
-      MD.Ir = lowerToIr(*M);
-      MD.G = buildPfg(MD.Ir);
-      Data.emplace(M, std::move(MD));
-      Outcomes.push_back(analyzeOne(M));
-    } catch (const std::exception &E) {
-      SolveOutcome Out;
-      Out.DeclIndex = M->DeclIndex;
-      Out.Failed = true;
-      Out.Error = Status::error(ErrorCode::Internal, E.what()).str();
-      Outcomes.push_back(std::move(Out));
-    }
-  }
-  return Outcomes;
-}
-
 InferResult InferEngine::run() {
   InferResult Result;
 
@@ -1121,16 +1018,11 @@ InferResult InferEngine::run() {
   telemetry::Span Phase2("infer.phase2.waves", telemetry::TraceLevel::Phase,
                          "infer");
   std::vector<std::vector<MethodDecl *>> Waves = Graph.sccWaves();
-  // An externally owned pool (the batch serving layer shares one across
-  // requests) overrides Parallelism; otherwise the engine owns its own.
-  ThreadPool *Pool = Opts.Pool;
-  std::unique_ptr<ThreadPool> OwnedPool;
+  std::unique_ptr<ThreadPool> Pool;
   unsigned JobCount =
       Opts.Parallelism ? Opts.Parallelism : ThreadPool::defaultParallelism();
-  if (!Pool && JobCount > 1) {
-    OwnedPool = std::make_unique<ThreadPool>(JobCount);
-    Pool = OwnedPool.get();
-  }
+  if (JobCount > 1)
+    Pool = std::make_unique<ThreadPool>(JobCount);
   if (telemetry::enabled(telemetry::TraceLevel::Phase))
     telemetry::gauge("infer.parallelism")
         .set(static_cast<double>(Pool ? Pool->threadCount() : 1));
@@ -1147,22 +1039,8 @@ InferResult InferEngine::run() {
       CachePrep.argBool("armed", Cache != nullptr);
   }
   // The SOLVE memo answers in-run repeats. An armed cache already
-  // answers them from its own stores, and the shard tier solves outside
-  // this process, so the memo stays off in both cases.
-  MemoArmed = !Cache && !Opts.ShardExec && solvesReplayable();
-
-  // Cooperative cancellation/budget poll, consulted at wave boundaries
-  // only: inside a wave the jobs run to completion (their SOLVE steps are
-  // individually bounded by SolveBudgetSeconds), so an abort never leaves
-  // a half-merged summary store.
-  auto AbortStatus = [&]() -> Status {
-    if (Opts.Cancel && Opts.Cancel->cancelled())
-      return Opts.Cancel->status();
-    if (!Opts.RunBudget.unlimited() && Opts.RunBudget.expired())
-      return Status::error(ErrorCode::DeadlineExceeded,
-                           "run budget expired at wave boundary");
-    return Status::ok();
-  };
+  // answers them from its own stores, so the memo stays off under one.
+  MemoArmed = !Cache && solvesReplayable();
 
   std::set<MethodDecl *, DeclIndexLess> Dirty;
   std::set<MethodDecl *, DeclIndexLess> FailedMethods;
@@ -1176,18 +1054,10 @@ InferResult InferEngine::run() {
   MethodDeclMap<std::string> BufferedWarnings;
 
   unsigned Round = 0, WaveIndex = 0;
-  while (!Dirty.empty() && Result.WorklistPicks < MaxIters &&
-         Result.Aborted.isOk()) {
+  while (!Dirty.empty() && Result.WorklistPicks < MaxIters) {
     bool AnyRun = false;
     ++Round;
     for (const auto &Wave : Waves) {
-      // Wave boundary: the only place a governed run may be cut short.
-      if (Status S = AbortStatus(); !S) {
-        Result.Aborted = std::move(S);
-        if (telemetry::enabled(telemetry::TraceLevel::Phase))
-          telemetry::counter("infer.aborted").add(1);
-        break;
-      }
       // The wave is already in declaration order; so is the batch.
       std::vector<MethodDecl *> Batch;
       for (MethodDecl *M : Wave)
@@ -1224,10 +1094,10 @@ InferResult InferEngine::run() {
 
       // Cache lookups run on the scheduling thread against the same
       // frozen store the jobs would read. Hits fill their outcome slot
-      // directly; everything else lands in Pending and is solved below
-      // (sharded or in process). The merge step never sees the
-      // difference: it walks the full batch in declaration order either
-      // way, which is what keeps warm output byte-identical to cold.
+      // directly; everything else lands in Pending and is solved below.
+      // The merge step never sees the difference: it walks the full batch
+      // in declaration order either way, which is what keeps warm output
+      // byte-identical to cold.
       std::vector<size_t> Pending;
       std::vector<uint64_t> Keys;
       if (Cache) {
@@ -1276,66 +1146,12 @@ InferResult InferEngine::run() {
         std::iota(Pending.begin(), Pending.end(), size_t(0));
       }
 
-      // Sharded path: freeze the store into a snapshot, hand the pending
-      // sub-batch to the executor, and adopt its outcomes in place of
-      // running the jobs here. Validation failures and executor errors
-      // degrade the wave back to the in-process scheduler — identical
-      // results either way (the executor contract), so degradation is
-      // invisible in the output and the run can never be lost to
-      // infrastructure.
-      bool RemoteMerged = false;
-      if (Opts.ShardExec && !Pending.empty()) {
-        telemetry::Span ShardWave("shard.wave", telemetry::TraceLevel::Phase,
-                                  "shard");
-        if (ShardWave.active()) {
-          ShardWave.arg("wave", Result.Shard.WavesRemote +
-                                    Result.Shard.WavesDegraded);
-          ShardWave.arg("methods", static_cast<uint64_t>(Pending.size()));
-        }
-        std::vector<MethodDecl *> Sub;
-        std::vector<unsigned> Indices;
-        Sub.reserve(Pending.size());
-        Indices.reserve(Pending.size());
-        for (size_t I : Pending) {
-          Sub.push_back(Batch[I]);
-          Indices.push_back(Batch[I]->DeclIndex);
-        }
-        std::vector<SolveOutcome> SubOutcomes(Sub.size());
-        Expected<std::vector<SolveOutcome>> Remote =
-            Opts.ShardExec->executeWave(Indices,
-                                        summaryio::encodeSnapshot(Summaries));
-        Status Adopt =
-            Remote ? adoptWireOutcomes(Remote.take(), Sub, SubOutcomes)
-                   : Remote.status();
-        if (Adopt) {
-          for (size_t J = 0; J != Pending.size(); ++J)
-            Outcomes[Pending[J]] = std::move(SubOutcomes[J]);
-          RemoteMerged = true;
-          ++Result.Shard.WavesRemote;
-        } else {
-          ++Result.Shard.WavesDegraded;
-          if (telemetry::enabled(telemetry::TraceLevel::Phase))
-            telemetry::counter("shard.wave_degraded").add(1);
-          if (Diags)
-            Diags->warning(Batch.front()->Loc,
-                           "shard executor failed for a " +
-                               std::to_string(Pending.size()) +
-                               "-method wave (" + Adopt.str() +
-                               "); wave re-run in process");
-        }
-      }
-
       // Jobs parallelFor runs inline never sit in a queue: their start
       // time minus the dispatch time is the earlier jobs' run time, so
       // they record no queue wait at all.
-      const bool Inline = parallelForRunsInline(Pool, Pending.size());
-      if (!RemoteMerged)
-        parallelFor(Pool, Pending.size(), [&](size_t J) {
+      const bool Inline = parallelForRunsInline(Pool.get(), Pending.size());
+      parallelFor(Pool.get(), Pending.size(), [&](size_t J) {
         const size_t I = Pending[J];
-        // Attribute the job's allocations to the governing request (a
-        // no-op when ungoverned). Pool workers are shared across batch
-        // requests, so enrollment must happen per job, not per thread.
-        memtrack::MemScope MemGuard(Opts.Memory);
         telemetry::Span JobSpan("infer.method",
                                 telemetry::TraceLevel::Method, "infer");
         int64_t WaitUs = 0;
@@ -1490,11 +1306,8 @@ InferResult InferEngine::run() {
 
   // Phase 3 (lines 22-29): extract deterministic specifications. A failed
   // method is conservatively silent: no inferred spec beats a spec built
-  // from a summary its own evidence never reached. An aborted run
-  // extracts nothing: partial summaries must not masquerade as specs.
+  // from a summary its own evidence never reached.
   for (MethodDecl *M : Bodies) {
-    if (!Result.Aborted.isOk())
-      break;
     if (auto It = Reports.find(M); It != Reports.end() && It->second.Failed)
       continue;
     if (Opts.RespectDeclared && M->HasDeclaredSpec)
@@ -1515,19 +1328,6 @@ InferResult InferEngine::run() {
   for (auto &[M, Summary] : Summaries)
     Result.Summaries.emplace(M, Summary);
   Result.Reports = Reports;
-  if (Opts.ShardExec) {
-    // Dispatch-side counters live in the executor; the wave-level view
-    // is ours. Merge both into the result.
-    ShardStats S = Opts.ShardExec->stats();
-    S.WavesRemote = Result.Shard.WavesRemote;
-    S.WavesDegraded = Result.Shard.WavesDegraded;
-    Result.Shard = S;
-    if (telemetry::enabled(telemetry::TraceLevel::Phase)) {
-      telemetry::counter("shard.waves_remote").add(S.WavesRemote);
-      telemetry::counter("shard.workers_lost").add(S.WorkersLost);
-      telemetry::counter("shard.quarantined").add(S.ShardsQuarantined);
-    }
-  }
   if (Opts.Cache && telemetry::enabled(telemetry::TraceLevel::Phase)) {
     telemetry::counter("cache.hit").add(Result.Cache.Hits);
     telemetry::counter("cache.miss").add(Result.Cache.Misses);
@@ -1554,19 +1354,4 @@ InferResult anek::runAnekInfer(Program &Prog, const InferOptions &Opts,
                                DiagnosticEngine *Diags) {
   InferEngine Engine(Prog, Opts, Diags);
   return Engine.run();
-}
-
-Expected<std::vector<summaryio::SolveOutcome>>
-anek::runShardMethods(Program &Prog,
-                      const std::vector<unsigned> &DeclIndices,
-                      const std::string &Snapshot,
-                      const InferOptions &Opts) {
-  // The worker is strictly a leaf: it must never re-shard, and the cache
-  // belongs to the coordinator (which already skipped cached methods
-  // before dispatching this shard).
-  InferOptions Leaf = Opts;
-  Leaf.ShardExec = nullptr;
-  Leaf.Cache = nullptr;
-  InferEngine Engine(Prog, Leaf, nullptr);
-  return Engine.analyzeShard(DeclIndices, Snapshot);
 }

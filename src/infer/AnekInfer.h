@@ -30,75 +30,18 @@
 #include "infer/Summary.h"
 #include "infer/SummaryIO.h"
 #include "lang/Ast.h"
-#include "support/Cancel.h"
-#include "support/Deadline.h"
 #include "support/Diagnostics.h"
-#include "support/MemTrack.h"
 
 #include <map>
 #include <memory>
 
 namespace anek {
 
-class ThreadPool;
-
 /// Which marginal solver ANEK-INFER's SOLVE step uses.
 enum class SolverChoice { SumProduct, Gibbs, Exact };
 
 /// Renders a SolverChoice as "bp"/"gibbs"/"exact".
 const char *solverChoiceName(SolverChoice Choice);
-
-/// Counters of the sharded execution tier (src/shard/), carried in
-/// InferResult so the serving layer can classify a run that survived
-/// worker losses as degraded rather than silently clean.
-struct ShardStats {
-  /// Wave batches the executor ran remotely.
-  unsigned WavesRemote = 0;
-  /// Waves that fell back to in-process execution after the executor
-  /// failed outright or returned an unusable result.
-  unsigned WavesDegraded = 0;
-  /// Shard dispatches to worker processes, re-dispatches included.
-  unsigned ShardsDispatched = 0;
-  /// Dispatches that were retries after a worker loss.
-  unsigned Redispatches = 0;
-  /// Worker processes lost: crashed, hung past the heartbeat deadline,
-  /// or recycled after an unreadable frame.
-  unsigned WorkersLost = 0;
-  unsigned WorkersSpawned = 0;
-  /// Shards that exhausted their loss budget and were degraded to
-  /// in-process sequential execution (terminal state
-  /// degraded(shard-quarantine); the work is never lost).
-  unsigned ShardsQuarantined = 0;
-};
-
-/// Executes wave batches outside the engine's own process. The engine
-/// stays in charge of the algorithm — wave composition, the frozen
-/// snapshot, merge order — and delegates only the embarrassingly
-/// parallel middle: "analyze these methods against this snapshot".
-///
-/// The contract that keeps `--shards N` byte-identical to `-j1`:
-/// executeWave receives a declaration-ordered batch plus a sealed
-/// summary snapshot (summaryio::encodeSnapshot) and must return exactly
-/// one outcome per requested method, computed as runShardMethods would
-/// compute it with the same options. Outcomes may arrive in any order
-/// (the engine re-sorts into batch order before merging) and may be
-/// computed anywhere, any number of attempts deep — re-dispatch after a
-/// crash re-runs against the same snapshot, so retries are invisible in
-/// the result. An error return degrades the wave to in-process
-/// execution; it never fails the run.
-class WaveShardExecutor {
-public:
-  virtual ~WaveShardExecutor() = default;
-
-  /// Analyzes the methods named by \p DeclIndices against \p Snapshot.
-  virtual Expected<std::vector<summaryio::SolveOutcome>>
-  executeWave(const std::vector<unsigned> &DeclIndices,
-              const std::string &Snapshot) = 0;
-
-  /// Dispatch-side counters accumulated so far (WavesRemote/WavesDegraded
-  /// are filled by the engine; implementations report the rest).
-  virtual ShardStats stats() const { return {}; }
-};
 
 /// Tunables of the inference (paper Sections 3.3-3.4).
 struct InferOptions {
@@ -140,35 +83,6 @@ struct InferOptions {
   /// this value, so sampling does not depend on scheduling order.
   uint64_t Seed = 1;
 
-  // Serving integration (DESIGN.md, "Serving model"). All four default to
-  // "not governed"; single-request callers pay nothing.
-  /// Externally owned worker pool for wave jobs; overrides Parallelism
-  /// when set. The batch serving layer shares one pool across requests.
-  ThreadPool *Pool = nullptr;
-  /// Cooperative cancellation, polled at wave boundaries: a cancelled run
-  /// stops scheduling waves and returns with InferResult::Aborted set to
-  /// the token's status. The work already merged stays in the result.
-  const CancelToken *Cancel = nullptr;
-  /// Whole-run wall-clock budget, polled at the same wave boundaries
-  /// (SolveBudgetSeconds bounds individual SOLVE steps). Unlimited by
-  /// default; an explicitly limited budget that expires aborts the run
-  /// with DeadlineExceeded.
-  Deadline RunBudget;
-  /// When set, every inference thread (scheduler and wave workers alike)
-  /// enrolls its allocations here, so a batch request's peak-memory
-  /// watermark covers the whole solve.
-  memtrack::MemCharge *Memory = nullptr;
-  /// Request-scoped fault label prefix: site-filtered faults also match
-  /// "<FaultScope>/<qualified-method>", so a batch request can be faulted
-  /// without perturbing concurrent requests over the same program.
-  std::string FaultScope;
-
-  // Sharded execution (DESIGN.md, "Sharded execution and failure model").
-  /// When set, wave batches are handed to this executor (normally a
-  /// shard::ShardCoordinator farming the batch to worker processes)
-  /// instead of the in-process scheduler. Never set in a worker.
-  WaveShardExecutor *ShardExec = nullptr;
-
   // Incremental summary cache (DESIGN.md, "Incremental inference and the
   // summary cache").
   /// When set, the engine memoizes SOLVE invocations through this cache:
@@ -178,7 +92,7 @@ struct InferOptions {
   /// — a per-solve time budget (SolveBudgetSeconds > 0 makes solve
   /// results timing-dependent) or an armed analysis-perturbing fault —
   /// because a replay would then not be guaranteed to reproduce what a
-  /// fresh solve would compute. Never set in a shard worker.
+  /// fresh solve would compute.
   SolveCache *Cache = nullptr;
 
   /// When set, every sum-product solve the engine issues is routed
@@ -226,7 +140,7 @@ struct InferResult {
   /// Picks the run-local SOLVE memo answered by replaying an outcome
   /// this run had already computed (DESIGN.md, "The in-run SOLVE memo").
   /// A replay is still a pick. Zero when the memo is disarmed: under a
-  /// cache, a shard executor, a per-solve budget or an analysis fault.
+  /// cache, a per-solve budget or an analysis fault.
   unsigned MemoReplays = 0;
   unsigned MethodsAnalyzed = 0;
   /// Methods isolated after a failure (skipped with a diagnostic).
@@ -239,20 +153,14 @@ struct InferResult {
   /// replays (cache or memo hits) add nothing.
   double SolveSeconds = 0.0;
 
-  /// Sharded-execution counters; all zero unless InferOptions::ShardExec
-  /// was set. ShardsQuarantined != 0 or WavesDegraded != 0 means the run
-  /// survived infrastructure failures by degrading (results are still
-  /// byte-identical to -j1 by the executor contract).
-  ShardStats Shard;
-
   /// Summary-cache accounting; all zero unless InferOptions::Cache was
   /// set and usable. Corrupt != 0 means entries failed validation and
   /// were re-inferred (a cache integrity problem is never a run error).
   CacheStats Cache;
 
-  /// Non-ok when the run was cut short by InferOptions::Cancel or
-  /// RunBudget at a wave boundary. Summaries and reports reflect the work
-  /// merged before the abort; no specs are extracted from an aborted run.
+  /// Always ok: nothing cuts a run short, because a failing method is
+  /// isolated and a failing solve degrades through the cascade. Kept so
+  /// callers that check it (e2e_bench/harness.cpp) need no change.
   Status Aborted;
 
   /// The spec to use for \p Method: declared when present, else inferred,
@@ -275,21 +183,6 @@ struct InferResult {
 /// the rest of the program is still inferred.
 InferResult runAnekInfer(Program &Prog, const InferOptions &Opts = {},
                          DiagnosticEngine *Diags = nullptr);
-
-/// Worker-side shard entry (`anek --worker`, src/shard/): analyzes the
-/// methods named by \p DeclIndices — sequentially, in declaration-index
-/// order — against the frozen summary \p Snapshot and returns their wire
-/// outcomes. \p Opts must carry the same algorithm knobs (solver,
-/// cascade, SpecHi/SpecLo, seed, constraints) as the coordinating run:
-/// given that, the outcomes are byte-for-byte the evidence the
-/// coordinator's own scheduler would have produced for the same wave.
-/// A method that fails analysis yields a Failed outcome (merged as a
-/// skip); the call itself errors only on structural problems — an
-/// unknown declaration index or a snapshot that does not decode against
-/// this program.
-Expected<std::vector<summaryio::SolveOutcome>>
-runShardMethods(Program &Prog, const std::vector<unsigned> &DeclIndices,
-                const std::string &Snapshot, const InferOptions &Opts);
 
 } // namespace anek
 

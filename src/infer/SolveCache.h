@@ -25,9 +25,9 @@
 /// declaration index changes every key, so a shifted entry can only be
 /// invalidated, never replayed.
 ///
-/// The interface lives in src/infer (like WaveShardExecutor) so the
-/// engine does not depend on the storage backend; the on-disk
-/// implementation is src/cache/SummaryCache, injected by the driver.
+/// The interface lives in src/infer so the engine does not depend on the
+/// storage backend; the on-disk implementation is src/cache/SummaryCache,
+/// injected by the driver.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,9 +54,9 @@ enum class CacheLookup {
   Corrupt,     ///< Entry exists but failed checksum/version/decode.
 };
 
-/// Storage interface the engine calls through. Implementations must be
-/// thread-safe: wave workers of one run — and concurrent batch requests
-/// sharing a cache directory — look up and store concurrently.
+/// Storage interface the engine calls through. The engine looks up and
+/// stores from its scheduling thread only; implementations must still be
+/// thread-safe, so one instance can serve several runs at once.
 class SolveCache {
 public:
   virtual ~SolveCache() = default;

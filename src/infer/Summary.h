@@ -54,11 +54,11 @@ struct CallSiteOrder {
   }
 };
 
-/// Read access to TargetSummary's evidence internals for the wire codec
-/// (SummaryIO.cpp). Serialization must see the raw odds multipliers, not
-/// the pooled probabilities: pooling is a lossy float reduction, and the
-/// shard determinism contract needs the exact operands to cross the
-/// process boundary bit-for-bit.
+/// Read access to TargetSummary's evidence internals for the snapshot
+/// codec (SummaryIO.cpp). Serialization must see the raw odds
+/// multipliers, not the pooled probabilities: pooling is a lossy float
+/// reduction, and two stores should encode equal only when their exact
+/// operands are equal bit for bit.
 struct SummaryWireAccess;
 
 /// Evidence-pooled marginals for one interface target.

@@ -60,63 +60,6 @@ void encodeTarget(wire::Writer &W,
   }
 }
 
-/// Decl-index lookup built from the store's own keys: snapshots may only
-/// reference methods both sides know about.
-using DeclLookup = std::map<uint32_t, const MethodDecl *>;
-
-Status decodeTarget(wire::Reader &R, std::optional<TargetSummary> &Target,
-                    const DeclLookup &Decls, const std::string &Where) {
-  uint8_t Present = 0;
-  if (!R.u8(Present))
-    return corrupt("truncated at " + Where);
-  if ((Present != 0) != Target.has_value())
-    return corrupt("target presence mismatch at " + Where +
-                   " (the snapshot and the local program disagree about "
-                   "which interface positions are object-typed)");
-  if (!Present)
-    return Status::ok();
-
-  uint32_t Size = 0;
-  if (!R.u32(Size))
-    return corrupt("truncated at " + Where);
-  if (Size != Target->size())
-    return corrupt("target arity mismatch at " + Where + " (snapshot says " +
-                   std::to_string(Size) + " variables, local summary has " +
-                   std::to_string(Target->size()) + ")");
-
-  uint32_t SelfCount = 0;
-  if (!R.count(SelfCount, 8))
-    return corrupt("truncated self odds at " + Where);
-  if (SelfCount != 0 && SelfCount != Size)
-    return corrupt("self odds arity mismatch at " + Where);
-  if (SelfCount != 0) {
-    std::vector<double> Odds(SelfCount);
-    for (double &O : Odds)
-      if (!R.f64(O))
-        return corrupt("truncated self odds at " + Where);
-    Target->setSelfOdds(std::move(Odds));
-  }
-
-  uint32_t SiteCount = 0;
-  if (!R.count(SiteCount, 8))
-    return corrupt("truncated site list at " + Where);
-  for (uint32_t I = 0; I != SiteCount; ++I) {
-    uint32_t CallerIndex = 0, SiteIndex = 0;
-    if (!R.u32(CallerIndex) || !R.u32(SiteIndex))
-      return corrupt("truncated site key at " + Where);
-    auto Caller = Decls.find(CallerIndex);
-    if (Caller == Decls.end())
-      return corrupt("site at " + Where + " references unknown method #" +
-                     std::to_string(CallerIndex));
-    std::vector<double> Odds(Size);
-    for (double &O : Odds)
-      if (!R.f64(O))
-        return corrupt("truncated site odds at " + Where);
-    Target->setSiteOdds({Caller->second, SiteIndex}, std::move(Odds));
-  }
-  return Status::ok();
-}
-
 //===----------------------------------------------------------------------===//
 // Outcome payload
 //===----------------------------------------------------------------------===//
@@ -145,8 +88,8 @@ bool decodeSolveReport(wire::Reader &R, SolveReport &Solve) {
   return Ok;
 }
 
-/// The record codec: Outcomes blobs and cache entries both carry
-/// SolveOutcome records in exactly this layout.
+/// The record codec: a cache entry carries one SolveOutcome record in
+/// exactly this layout.
 void encodeOutcome(wire::Writer &W, const SolveOutcome &O) {
   W.u32(O.DeclIndex);
   W.u8(O.Failed ? 1 : 0);
@@ -263,7 +206,7 @@ Expected<std::string> summaryio::openBlob(std::string_view Blob,
                    std::to_string(Blob.size() - HeaderBytes) + " present)");
   std::string_view Payload = Blob.substr(HeaderBytes);
   if (wire::fnv1a64(Payload) != Checksum)
-    return corrupt("checksum mismatch (payload corrupted in flight)");
+    return corrupt("checksum mismatch (payload damaged)");
   return std::string(Payload);
 }
 
@@ -304,95 +247,6 @@ summaryio::encodeSnapshot(const MethodDeclMap<MethodSummary> &Summaries) {
     encodeTarget(W, Summary.Result);
   }
   return sealBlob(BlobKind::Snapshot, W.take());
-}
-
-Status summaryio::decodeSnapshot(std::string_view Blob,
-                                 MethodDeclMap<MethodSummary> &Summaries) {
-  Expected<std::string> Payload = openBlob(Blob, BlobKind::Snapshot);
-  if (!Payload)
-    return Payload.status();
-
-  DeclLookup Decls;
-  for (const auto &[Method, Summary] : Summaries)
-    Decls.emplace(Method->DeclIndex, Method);
-
-  wire::Reader R(*Payload);
-  uint32_t MethodCount = 0;
-  if (!R.count(MethodCount, 4))
-    return corrupt("truncated method count");
-  if (MethodCount != Summaries.size())
-    return corrupt("method count mismatch (snapshot has " +
-                   std::to_string(MethodCount) + ", local store has " +
-                   std::to_string(Summaries.size()) + ")");
-  for (uint32_t I = 0; I != MethodCount; ++I) {
-    uint32_t DeclIndex = 0;
-    if (!R.u32(DeclIndex))
-      return corrupt("truncated method record");
-    auto Decl = Decls.find(DeclIndex);
-    if (Decl == Decls.end())
-      return corrupt("snapshot references unknown method #" +
-                     std::to_string(DeclIndex));
-    MethodSummary &Summary = Summaries[Decl->second];
-    const std::string Where = Decl->second->qualifiedName();
-    if (Status S = decodeTarget(R, Summary.RecvPre, Decls, Where + "/recv-pre");
-        !S)
-      return S;
-    if (Status S =
-            decodeTarget(R, Summary.RecvPost, Decls, Where + "/recv-post");
-        !S)
-      return S;
-    for (auto [Vec, Tag] :
-         {std::pair(&Summary.ParamPre, "/param-pre"),
-          std::pair(&Summary.ParamPost, "/param-post")}) {
-      uint32_t ParamCount = 0;
-      if (!R.count(ParamCount, 1))
-        return corrupt("truncated parameter count at " + Where);
-      if (ParamCount != Vec->size())
-        return corrupt("parameter count mismatch at " + Where + Tag);
-      for (uint32_t P = 0; P != ParamCount; ++P)
-        if (Status S = decodeTarget(R, (*Vec)[P], Decls,
-                                    Where + Tag + "#" + std::to_string(P));
-            !S)
-          return S;
-    }
-    if (Status S = decodeTarget(R, Summary.Result, Decls, Where + "/result");
-        !S)
-      return S;
-  }
-  if (!R.done())
-    return corrupt("trailing bytes after the last method record");
-  return Status::ok();
-}
-
-//===----------------------------------------------------------------------===//
-// Outcomes
-//===----------------------------------------------------------------------===//
-
-std::string
-summaryio::encodeOutcomes(const std::vector<SolveOutcome> &Outcomes) {
-  wire::Writer W;
-  W.u32(static_cast<uint32_t>(Outcomes.size()));
-  for (const SolveOutcome &O : Outcomes)
-    encodeOutcome(W, O);
-  return sealBlob(BlobKind::Outcomes, W.take());
-}
-
-Expected<std::vector<SolveOutcome>>
-summaryio::decodeOutcomes(std::string_view Blob) {
-  Expected<std::string> Payload = openBlob(Blob, BlobKind::Outcomes);
-  if (!Payload)
-    return Payload.status();
-  wire::Reader R(*Payload);
-  uint32_t Count = 0;
-  if (!R.count(Count, 4))
-    return corrupt("truncated outcome count");
-  std::vector<SolveOutcome> Outcomes(Count);
-  for (SolveOutcome &O : Outcomes)
-    if (Status S = decodeOutcome(R, O); !S)
-      return S;
-  if (!R.done())
-    return corrupt("trailing bytes after the last outcome");
-  return Outcomes;
 }
 
 //===----------------------------------------------------------------------===//

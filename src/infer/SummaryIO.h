@@ -6,38 +6,28 @@
 ///
 /// \file
 /// The (de)serialization layer for what SOLVE produces and what it reads.
-/// Three blob kinds share one envelope:
+/// Two blob kinds share one envelope:
 ///
 ///  - a *snapshot* freezes the evidence state of the whole summary store
-///    at a wave boundary (per target: own-body odds and per-call-site
-///    odds, keyed by declaration index). The receiving worker rebuilds
-///    the store skeleton from its own copy of the program (declared-spec
-///    priors and state lists are a pure function of the AST plus
-///    SpecHi/SpecLo), then overlays the snapshot's odds — so the wire
-///    carries only what solving produced, and both sides agree
-///    bit-for-bit because doubles travel as bit-cast u64.
-///
-///  - an *outcomes* blob carries a shard worker's SolveOutcome records
-///    back to the coordinator.
+///    (per target: own-body odds and per-call-site odds, keyed by
+///    declaration index), doubles bit-cast to u64, so equal stores encode
+///    to equal bytes. Tests compare runs by these bytes.
 ///
 ///  - a *cache entry* (src/cache/) seals one SolveOutcome record behind
 ///    an echo of the content key it is filed under.
 ///
 /// SolveOutcome is the one form a SOLVE result takes: the engine's jobs
-/// return it, the in-run memo stores it, the summary cache seals it and
-/// the shard wire carries it. It names methods by declaration index. That
-/// is stable across processes parsing the same source and, for the cache,
-/// across runs: the cache's environment hash digests every type's method
-/// count and ordered method signatures, so an edit that shifts any index
-/// changes every cache key.
+/// return it, the in-run memo stores it and the summary cache seals it.
+/// It names methods by declaration index, which is stable across runs
+/// over the same source: the cache's environment hash digests every
+/// type's method count and ordered method signatures, so an edit that
+/// shifts any index changes every cache key.
 ///
 /// Envelope: magic, version, kind, payload length, FNV-1a checksum, then
 /// the payload. Decoding is defensive end to end: truncated headers,
-/// wrong versions, oversized declared lengths, checksum mismatches and
-/// shape mismatches against the local program all come back as Status
-/// errors — corrupt input can fail a shard attempt (the coordinator
-/// classifies that as WorkerLost and re-dispatches) or cost a cache miss,
-/// but can never crash the reader or smuggle in a short read.
+/// wrong versions, oversized declared lengths and checksum mismatches all
+/// come back as Status errors. A damaged cache entry costs a cache miss;
+/// it can never crash the reader or smuggle in a short read.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,11 +51,10 @@ namespace summaryio {
 constexpr uint32_t WireVersion = 2;
 
 /// What a sealed blob carries. The kind is part of the envelope so a
-/// snapshot can never be mistaken for an outcomes blob by a confused
-/// (or corrupted) peer.
+/// snapshot can never be mistaken for a cache entry. The values are part
+/// of the cache's on-disk format; 2 is retired.
 enum class BlobKind : uint32_t {
   Snapshot = 1,
-  Outcomes = 2,
   /// One memoized SOLVE result of the incremental summary cache
   /// (src/cache/): a key echo plus one SolveOutcome record.
   CacheEntry = 3,
@@ -115,8 +104,7 @@ struct SummaryUpdate {
   /// Odds multipliers, one per tracked variable of the target.
   std::vector<double> Odds;
   /// ANEK_DEBUG_EVIDENCE annotation; carried so debug output is
-  /// byte-identical whether the update was computed, replayed or
-  /// received.
+  /// byte-identical whether the update was computed or replayed.
   std::string DebugLine;
 };
 
@@ -151,24 +139,6 @@ struct SolveOutcome {
 /// CallSiteOrder-ordered, so equal stores encode to equal bytes.
 std::string encodeSnapshot(const MethodDeclMap<MethodSummary> &Summaries);
 
-/// Overlays a snapshot blob onto \p Summaries, a skeleton store built
-/// over the *same program* with the same SpecHi/SpecLo (so shapes and
-/// priors already agree; only SelfOdds/SiteOdds are written). Errors on
-/// any envelope violation (see openBlob) and on shape mismatches: a
-/// declaration index absent from the store, a target present on exactly
-/// one side, or an odds vector of the wrong arity.
-Status decodeSnapshot(std::string_view Blob,
-                      MethodDeclMap<MethodSummary> &Summaries);
-
-/// Serializes shard worker results (sealed Outcomes blob).
-std::string encodeOutcomes(const std::vector<SolveOutcome> &Outcomes);
-
-/// Decodes an outcomes blob. Structural validation only (the envelope
-/// plus bounds); semantic validation against the program — do these
-/// declaration indices exist, do arities match — happens where the
-/// decl-index table lives (the engine's validateOutcome).
-Expected<std::vector<SolveOutcome>> decodeOutcomes(std::string_view Blob);
-
 /// Serializes one memoized SOLVE result (sealed CacheEntry blob). \p Key
 /// — the content key the entry is filed under — is echoed into the
 /// payload so a blob renamed or cross-linked on disk cannot replay as a
@@ -176,9 +146,11 @@ Expected<std::vector<SolveOutcome>> decodeOutcomes(std::string_view Blob);
 std::string encodeCacheEntry(uint64_t Key, const SolveOutcome &Entry);
 
 /// Decodes a cache-entry blob, requiring its echoed key to equal
-/// \p ExpectKey. Structural validation only, as for decodeOutcomes.
-/// Callers classify any error as a corrupt cache entry — a miss, never a
-/// failure of the run.
+/// \p ExpectKey. Structural validation only (the envelope plus bounds);
+/// semantic validation against the program — do these declaration
+/// indices exist, do arities match — happens where the decl-index table
+/// lives (the engine's validateOutcome). Callers classify any error as a
+/// corrupt cache entry — a miss, never a failure of the run.
 Expected<SolveOutcome> decodeCacheEntry(std::string_view Blob,
                                         uint64_t ExpectKey);
 

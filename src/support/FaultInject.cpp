@@ -65,24 +65,9 @@ constexpr std::array<FaultInfo, NumFaultKinds> FaultTable = {{
      "order/ids (order-dependence probe)"},
     {"solve-fail",
      "a method's SOLVE step fails outright (isolation probe)"},
-    {"queue-full",
-     "batch admission control behaves as if the request queue were "
-     "saturated; the request is shed"},
-    {"transient-solve",
-     "a batch attempt fails retryably until the *N fire budget is "
-     "exhausted (exercises retry/backoff)"},
-    {"mem-spike",
-     "the resource governor observes a synthetic allocation spike that "
-     "blows any memory budget"},
-    {"worker-crash",
-     "the shard coordinator SIGKILLs a worker right after dispatch "
-     "(crash-detection probe; re-dispatch recovers)"},
-    {"worker-hang",
-     "a dispatched shard worker is SIGSTOPped so its heartbeat goes "
-     "silent (hang-detection probe; the deadline kills and respawns it)"},
     {"wire-corrupt",
-     "a received shard-result frame has a byte flipped so its checksum "
-     "fails (corrupt-frame probe; the worker is recycled)"},
+     "a summary-cache entry read at the 'cache' site has a byte flipped "
+     "so its checksum fails (disk-rot probe; the entry is re-solved)"},
 }};
 static_assert(FaultTable.size() == NumFaultKinds,
               "every FaultKind needs a name and a one-line description");
@@ -205,14 +190,7 @@ Status faults::injectedError(FaultKind Kind, const std::string &Label) {
                         "' injected";
   if (!Label.empty())
     Message += " at " + Label;
-  // Transient kinds map to the retryable classes (see RetryPolicy).
-  ErrorCode Code = ErrorCode::FaultInjected;
-  if (Kind == FaultKind::TransientSolve)
-    Code = ErrorCode::Unavailable;
-  else if (Kind == FaultKind::WorkerCrash || Kind == FaultKind::WorkerHang ||
-           Kind == FaultKind::WireCorrupt)
-    Code = ErrorCode::WorkerLost;
-  return Status::error(Code, Message);
+  return Status::error(ErrorCode::FaultInjected, Message);
 }
 
 Status faults::activateSpec(const std::string &Spec) {

@@ -15,10 +15,10 @@
 /// a comma-separated list of fault names, each with an optional `*N` fire
 /// budget (the fault fires for the first N consuming checks, then clears)
 /// and an optional `:filter` suffix matched against a site label (a
-/// method's qualified name, or a batch request id):
+/// method's qualified name, or `cache` for the summary cache):
 ///
 ///   ANEK_FAULT=bp-nonconverge,solve-fail:Row.createColIter anek infer ...
-///   anek batch m.txt --fault transient-solve*2:req7
+///   anek infer prog.mjava --cache DIR --fault wire-corrupt*2:cache
 ///
 /// Run `anek faults` for the live fault vocabulary; the kinds are:
 ///   bp-nonconverge  belief propagation reports non-convergence
@@ -26,18 +26,8 @@
 ///   alloc-perturb   FactorGraph interleaves padding variables, shifting
 ///                   every allocation order/id (order-dependence probe)
 ///   solve-fail      a method's SOLVE step fails outright (isolation probe)
-///   queue-full      batch admission control behaves as if the request
-///                   queue were saturated (the request is shed)
-///   transient-solve a batch attempt fails retryably until the fire
-///                   budget is exhausted (exercises retry/backoff)
-///   mem-spike       the resource governor observes a synthetic
-///                   allocation spike that blows any memory budget
-///   worker-crash    the shard coordinator SIGKILLs a worker right after
-///                   dispatching a shard to it (crash-detection probe)
-///   worker-hang     a dispatched worker is SIGSTOPped so its heartbeat
-///                   goes silent (hang-detection probe)
-///   wire-corrupt    a received shard-result frame has a byte flipped, so
-///                   its checksum fails (corrupt-frame probe)
+///   wire-corrupt    a summary-cache entry read from disk has a byte
+///                   flipped, so its checksum fails (disk-rot probe)
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,14 +48,9 @@ enum class FaultKind : unsigned {
   DeadlineExpiry,
   AllocPerturb,
   SolveFailure,
-  QueueFull,
-  TransientSolve,
-  MemSpike,
-  WorkerCrash,
-  WorkerHang,
   WireCorrupt,
 };
-constexpr unsigned NumFaultKinds = 10;
+constexpr unsigned NumFaultKinds = 5;
 
 /// Spec name of a fault kind ("bp-nonconverge", ...).
 const char *faultKindName(FaultKind Kind);
@@ -98,16 +83,13 @@ bool kindActive(FaultKind Kind);
 /// Consuming check for budgeted faults: like active(), but decrements the
 /// matching activation's fire budget. Returns true while the budget holds
 /// (an unbudgeted activation fires forever); once a budget reaches zero
-/// the activation is exhausted and stops matching. The `transient-solve`
-/// control point uses this so "fails the first N attempts, then succeeds"
-/// is one spec: `transient-solve*N:site`.
+/// the activation is exhausted and stops matching. The cache's
+/// `wire-corrupt` control point uses this so "damage the first N entries
+/// read, then read cleanly" is one spec: `wire-corrupt*N:cache`.
 bool consumeFire(FaultKind Kind, const std::string &Label = std::string());
 
-/// Convenience: an error Status naming the fault, for sites that surface
-/// the fault as a Status. Transient kinds map to the retryable classes —
-/// transient-solve yields ErrorCode::Unavailable; worker-crash,
-/// worker-hang, wire-corrupt and the net-* kinds yield
-/// ErrorCode::WorkerLost — all others ErrorCode::FaultInjected.
+/// Convenience: an ErrorCode::FaultInjected Status naming the fault, for
+/// sites that surface the fault as a Status.
 Status injectedError(FaultKind Kind, const std::string &Label);
 
 /// Activates \p Spec ("name[*N][:filter][,...]") on top of the current

@@ -6,9 +6,9 @@
 ///
 /// \file
 /// A small recursive-descent JSON reader for the telemetry artifacts ANEK
-/// itself emits (`anek-trace-v1`, `anek-metrics-v1`, `anek-batch-v1`
-/// lines): `anek report` digests a run's artifacts back into a profile,
-/// and tests verify exporter output structurally instead of by substring.
+/// itself emits (`anek-trace-v1`, `anek-metrics-v1`): `anek report`
+/// digests a run's artifacts back into a profile, and tests verify
+/// exporter output structurally instead of by substring.
 ///
 /// This is a reader for trusted-ish local files, not a validator: it
 /// accepts exactly the JSON grammar (objects, arrays, strings with the

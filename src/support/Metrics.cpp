@@ -62,7 +62,7 @@ double Histogram::percentile(double Q) const {
   for (unsigned I = 0; I != NumBuckets; ++I)
     Total += bucketCount(I);
   if (Total == 0)
-    return mean(); // Absorbed-from-legacy data without bucket counts.
+    return mean(); // Racing a record() that has not bumped its bucket.
   uint64_t Rank = static_cast<uint64_t>(
       std::ceil(Q * static_cast<double>(Total)));
   Rank = std::max<uint64_t>(1, std::min(Rank, Total));
@@ -82,27 +82,6 @@ double Histogram::percentile(double Q) const {
                    : std::exp2(static_cast<double>(Hit) - 32.0) *
                          std::sqrt(2.0);
   return std::clamp(Rep, min(), max());
-}
-
-void Histogram::absorb(uint64_t AddCount, double AddSum, double SeenMin,
-                       double SeenMax,
-                       const std::vector<uint64_t> &AddBuckets) {
-  if (AddCount == 0)
-    return;
-  Count.fetch_add(AddCount, std::memory_order_relaxed);
-  Sum.fetch_add(AddSum, std::memory_order_relaxed);
-  for (unsigned I = 0; I != std::min<size_t>(AddBuckets.size(), NumBuckets);
-       ++I)
-    if (AddBuckets[I])
-      Buckets[I].fetch_add(AddBuckets[I], std::memory_order_relaxed);
-  double Cur = Min.load(std::memory_order_relaxed);
-  while (SeenMin < Cur &&
-         !Min.compare_exchange_weak(Cur, SeenMin, std::memory_order_relaxed))
-    ;
-  Cur = Max.load(std::memory_order_relaxed);
-  while (SeenMax > Cur &&
-         !Max.compare_exchange_weak(Cur, SeenMax, std::memory_order_relaxed))
-    ;
 }
 
 double Histogram::min() const {
@@ -252,84 +231,4 @@ void anek::telemetry::resetMetricsForTest() {
     G->reset();
   for (auto &[Name, H] : R.Histograms)
     H->reset();
-}
-
-//===----------------------------------------------------------------------===//
-// Cross-process aggregation
-//===----------------------------------------------------------------------===//
-
-MetricsSnapshot anek::telemetry::captureMetrics() {
-  MetricsSnapshot Snap;
-  MetricsRegistry &R = registry();
-  std::lock_guard<std::mutex> Lock(R.Mutex);
-  for (const auto &[Name, C] : R.Counters)
-    Snap.Counters[Name] = C->value();
-  for (const auto &[Name, G] : R.Gauges)
-    Snap.Gauges[Name] = G->value();
-  for (const auto &[Name, H] : R.Histograms) {
-    HistogramSnapshot &HS = Snap.Histograms[Name];
-    HS.Count = H->count();
-    HS.Sum = H->sum();
-    HS.Min = H->min();
-    HS.Max = H->max();
-    HS.Buckets.resize(Histogram::NumBuckets);
-    for (unsigned I = 0; I != Histogram::NumBuckets; ++I)
-      HS.Buckets[I] = H->bucketCount(I);
-  }
-  return Snap;
-}
-
-MetricsSnapshot anek::telemetry::diffMetrics(const MetricsSnapshot &Base,
-                                             const MetricsSnapshot &Now) {
-  MetricsSnapshot Delta;
-  for (const auto &[Name, V] : Now.Counters) {
-    auto It = Base.Counters.find(Name);
-    uint64_t Before = It == Base.Counters.end() ? 0 : It->second;
-    // Counters are monotonic; a reset between captures would make V <
-    // Before, in which case ship the full new value.
-    uint64_t D = V >= Before ? V - Before : V;
-    if (D)
-      Delta.Counters[Name] = D;
-  }
-  for (const auto &[Name, V] : Now.Gauges) {
-    auto It = Base.Gauges.find(Name);
-    if (It == Base.Gauges.end() || It->second != V)
-      Delta.Gauges[Name] = V;
-  }
-  for (const auto &[Name, HS] : Now.Histograms) {
-    auto It = Base.Histograms.find(Name);
-    const HistogramSnapshot *Before =
-        It == Base.Histograms.end() ? nullptr : &It->second;
-    uint64_t BeforeCount = Before ? Before->Count : 0;
-    if (HS.Count == BeforeCount)
-      continue;
-    HistogramSnapshot D;
-    if (HS.Count < BeforeCount) { // Reset between captures: ship whole.
-      D = HS;
-    } else {
-      D.Count = HS.Count - BeforeCount;
-      D.Sum = HS.Sum - (Before ? Before->Sum : 0.0);
-      D.Min = HS.Min;
-      D.Max = HS.Max;
-      D.Buckets.resize(HS.Buckets.size());
-      for (size_t I = 0; I != HS.Buckets.size(); ++I) {
-        uint64_t B =
-            Before && I < Before->Buckets.size() ? Before->Buckets[I] : 0;
-        D.Buckets[I] = HS.Buckets[I] >= B ? HS.Buckets[I] - B : HS.Buckets[I];
-      }
-    }
-    Delta.Histograms[Name] = std::move(D);
-  }
-  return Delta;
-}
-
-void anek::telemetry::absorbMetrics(const MetricsSnapshot &Delta,
-                                    const std::string &Prefix) {
-  for (const auto &[Name, V] : Delta.Counters)
-    counter(Prefix + Name).add(V);
-  for (const auto &[Name, V] : Delta.Gauges)
-    gauge(Prefix + Name).set(V);
-  for (const auto &[Name, HS] : Delta.Histograms)
-    histogram(Prefix + Name).absorb(HS.Count, HS.Sum, HS.Min, HS.Max,
-                                    HS.Buckets);
 }

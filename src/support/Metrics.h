@@ -32,9 +32,7 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <string>
-#include <vector>
 
 namespace anek {
 namespace telemetry {
@@ -89,12 +87,6 @@ public:
   /// [min, max]. 0 when empty. Deterministic for a given sample multiset.
   double percentile(double Q) const;
   uint64_t bucketCount(unsigned I) const;
-  /// Folds an externally recorded distribution in (the coordinator
-  /// aggregating a worker's shipped histogram delta): adds count/sum and
-  /// per-bucket counts, converges min/max. \p Buckets may carry fewer
-  /// than NumBuckets entries (the excess is ignored beyond the layout).
-  void absorb(uint64_t AddCount, double AddSum, double SeenMin,
-              double SeenMax, const std::vector<uint64_t> &AddBuckets);
   void reset();
 
 private:
@@ -122,48 +114,6 @@ bool writeMetricsFile(const std::string &Path, std::string *Error = nullptr);
 
 /// Zeroes every registered metric without invalidating references.
 void resetMetricsForTest();
-
-//===----------------------------------------------------------------------===//
-// Cross-process aggregation (DESIGN.md, "Distributed telemetry")
-//===----------------------------------------------------------------------===//
-
-/// Point-in-time value of one histogram (counts are snapshots, not
-/// atomics): the portable form a shard worker ships and the coordinator
-/// absorbs.
-struct HistogramSnapshot {
-  uint64_t Count = 0;
-  double Sum = 0.0;
-  double Min = 0.0;
-  double Max = 0.0;
-  std::vector<uint64_t> Buckets; ///< Up to Histogram::NumBuckets entries.
-};
-
-/// A capture of every registered metric by name. Also serves as a
-/// *delta*: diffMetrics subtracts two captures so a worker ships only
-/// what one task recorded.
-struct MetricsSnapshot {
-  std::map<std::string, uint64_t> Counters;
-  std::map<std::string, double> Gauges;
-  std::map<std::string, HistogramSnapshot> Histograms;
-};
-
-/// Captures every currently registered metric.
-MetricsSnapshot captureMetrics();
-
-/// Now minus Base: counters and histogram counts/sums/buckets subtract
-/// (names missing from Base count from zero); gauges pass through Now's
-/// value; histogram min/max pass through Now's observed extremes (min/max
-/// of a difference is not derivable, and absorbing a lifetime min/max
-/// repeatedly is idempotent). Entries that changed nothing are dropped,
-/// so an idle interval diffs to an empty snapshot.
-MetricsSnapshot diffMetrics(const MetricsSnapshot &Base,
-                            const MetricsSnapshot &Now);
-
-/// Folds \p Delta into the registry with every name prefixed by
-/// \p Prefix: counters add, gauges set, histograms absorb. The
-/// coordinator calls this with prefix "shard.worker." so worker-side
-/// activity aggregates beside (never into) the coordinator's own series.
-void absorbMetrics(const MetricsSnapshot &Delta, const std::string &Prefix);
 
 } // namespace telemetry
 } // namespace anek

@@ -18,10 +18,6 @@ const char *anek::errorCodeName(ErrorCode Code) {
     return "unsatisfiable";
   case ErrorCode::FaultInjected:
     return "fault-injected";
-  case ErrorCode::Unavailable:
-    return "unavailable";
-  case ErrorCode::WorkerLost:
-    return "worker-lost";
   case ErrorCode::Internal:
     return "internal";
   }

@@ -38,15 +38,6 @@ enum class ErrorCode {
   Unsatisfiable,
   /// A fault-injection control point fired (tests only).
   FaultInjected,
-  /// A transient failure that is expected to clear on retry. The serving
-  /// layer's RetryPolicy retries this class; everything else except
-  /// WorkerLost is terminal for the attempt.
-  Unavailable,
-  /// A shard worker process died, hung, or returned an unreadable frame
-  /// before delivering its result. Transient by contract: the work was
-  /// lost with the peer, not refuted, so re-dispatching it to a fresh
-  /// worker is expected to succeed (see src/shard/).
-  WorkerLost,
   /// An invariant the library relies on failed; a bug, not bad input.
   Internal,
 };

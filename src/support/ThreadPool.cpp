@@ -88,8 +88,7 @@ void anek::parallelFor(ThreadPool *Pool, size_t Count,
     return;
   }
   // Per-call completion latch rather than Pool->wait(): several
-  // parallelFor calls may drive one shared pool concurrently (the batch
-  // serving layer runs many inference requests over a single pool), and
+  // parallelFor calls may drive one shared pool concurrently, and
   // pool-global wait() would block on — and steal exceptions from —
   // unrelated callers' jobs. Stack references stay valid because this
   // call blocks until its own Remaining hits zero.

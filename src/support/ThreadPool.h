@@ -77,12 +77,11 @@ private:
 /// as pool jobs and this blocks until all complete (the first worker
 /// exception rethrows here). Completion is tracked per call, not via
 /// ThreadPool::wait, so any number of parallelFor calls may share one
-/// pool concurrently — the batch serving layer drives many inference
-/// requests over a single pool this way. Callers must make Fn calls
-/// independent: the parallel inference scheduler relies on this to run
-/// wave jobs against a read-only snapshot. Must not be called from inside
-/// a pool job of the same pool (the blocked worker would deadlock a
-/// saturated pool).
+/// pool concurrently without waiting on each other's jobs. Callers must
+/// make Fn calls independent: the parallel inference scheduler relies on
+/// this to run wave jobs against a read-only snapshot. Must not be called
+/// from inside a pool job of the same pool (the blocked worker would
+/// deadlock a saturated pool).
 void parallelFor(ThreadPool *Pool, size_t Count,
                  const std::function<void(size_t)> &Fn);
 

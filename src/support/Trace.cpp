@@ -8,7 +8,6 @@
 #include <chrono>
 #include <cmath>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -34,12 +33,11 @@ Clock::time_point traceEpoch() {
 struct TraceEvent {
   const char *Name = nullptr;
   const char *Category = nullptr;
-  char Phase = 'X'; ///< 'X' complete, 'i' instant, 'C' counter, 's' flow.
+  char Phase = 'X'; ///< 'X' complete, 'i' instant, 'C' counter.
   int64_t TsUs = 0;
   int64_t DurUs = 0; ///< Complete events only.
   unsigned Tid = 0;
   unsigned Depth = 0;
-  uint64_t FlowId = 0; ///< Flow events only.
   std::string Args; ///< JSON object body without braces; may be empty.
 };
 
@@ -54,24 +52,11 @@ struct ThreadBuffer {
   std::vector<TraceEvent> Events;
 };
 
-/// An event merged in from another process (a shard worker), with owned
-/// strings and an explicit pid lane.
-struct RemoteEvent {
-  unsigned Pid = 0;
-  EventRecord E;
-};
-
 /// Registry owning every thread's buffer. Buffers outlive their threads
 /// (a pool worker's events survive pool destruction until flush).
-/// RemoteEvents holds what addRemoteEvents injected, under RemoteMutex so
-/// coordinator dispatch threads merging worker telemetry do not contend
-/// with local recording.
 struct TraceRegistry {
   std::mutex Mutex;
   std::vector<std::unique_ptr<ThreadBuffer>> Buffers;
-  std::mutex RemoteMutex;
-  std::vector<RemoteEvent> RemoteEvents;
-  std::map<unsigned, std::string> RemoteProcessNames;
 };
 
 TraceRegistry &registry() {
@@ -171,8 +156,6 @@ int64_t anek::telemetry::nowUs() {
                                                                traceEpoch())
       .count();
 }
-
-unsigned anek::telemetry::currentThreadId() { return localBuffer().Tid; }
 
 //===----------------------------------------------------------------------===//
 // Span
@@ -310,98 +293,27 @@ std::string anek::telemetry::jsonNumber(double Value) {
   return formatStr("%.17g", Value);
 }
 
-namespace {
-
-/// One event ready to render: a local event (exported under pid 1, the
-/// process's own lane group) or a remote-lane event under a worker pid.
-struct RenderEvent {
-  unsigned Pid = 1;
-  const char *Name = nullptr;      ///< Literal (local events)...
-  const std::string *NameStr = nullptr; ///< ...or owned (remote events).
-  const char *Category = nullptr;
-  const std::string *CategoryStr = nullptr;
-  char Phase = 'X';
-  int64_t TsUs = 0;
-  int64_t DurUs = 0;
-  unsigned Tid = 0;
-  unsigned Depth = 0;
-  uint64_t FlowId = 0;
-  const std::string *Args = nullptr;
-};
-
-} // namespace
-
 std::string anek::telemetry::chromeTraceJson() {
   // Snapshot every buffer under its lock; threads may still be running.
-  // Local copies keep the remote store's strings alive for rendering.
-  std::vector<TraceEvent> Local;
-  std::vector<RemoteEvent> Remote;
-  std::map<unsigned, std::string> RemoteNames;
+  std::vector<TraceEvent> Events;
   {
     TraceRegistry &R = registry();
     std::lock_guard<std::mutex> RegistryLock(R.Mutex);
     for (const auto &Buf : R.Buffers) {
       std::lock_guard<std::mutex> BufLock(Buf->Mutex);
-      Local.insert(Local.end(), Buf->Events.begin(), Buf->Events.end());
+      Events.insert(Events.end(), Buf->Events.begin(), Buf->Events.end());
     }
   }
-  {
-    TraceRegistry &R = registry();
-    std::lock_guard<std::mutex> RemoteLock(R.RemoteMutex);
-    Remote = R.RemoteEvents;
-    RemoteNames = R.RemoteProcessNames;
-  }
-
-  std::vector<RenderEvent> Events;
-  Events.reserve(Local.size() + Remote.size());
-  for (const TraceEvent &E : Local) {
-    RenderEvent V;
-    V.Pid = 1;
-    V.Name = E.Name;
-    V.Category = E.Category;
-    V.Phase = E.Phase;
-    V.TsUs = E.TsUs;
-    V.DurUs = E.DurUs;
-    V.Tid = E.Tid;
-    V.Depth = E.Depth;
-    V.FlowId = E.FlowId;
-    V.Args = &E.Args;
-    Events.push_back(V);
-  }
-  for (const RemoteEvent &R : Remote) {
-    RenderEvent V;
-    V.Pid = R.Pid;
-    V.NameStr = &R.E.Name;
-    V.CategoryStr = &R.E.Category;
-    V.Phase = R.E.Phase;
-    V.TsUs = R.E.TsUs;
-    V.DurUs = R.E.DurUs;
-    V.Tid = R.E.Tid;
-    V.Depth = R.E.Depth;
-    V.FlowId = R.E.FlowId;
-    V.Args = &R.E.Args;
-    Events.push_back(V);
-  }
   std::stable_sort(Events.begin(), Events.end(),
-                   [](const RenderEvent &A, const RenderEvent &B) {
+                   [](const TraceEvent &A, const TraceEvent &B) {
                      if (A.TsUs != B.TsUs)
                        return A.TsUs < B.TsUs;
-                     if (A.Pid != B.Pid)
-                       return A.Pid < B.Pid;
                      return A.Tid < B.Tid;
                    });
 
   unsigned MaxTid = 0;
-  for (const RenderEvent &E : Events)
-    if (E.Pid == 1)
-      MaxTid = std::max(MaxTid, E.Tid);
-  // Remote tids seen per pid, for thread-name metadata.
-  std::map<unsigned, unsigned> RemoteMaxTid;
-  for (const RenderEvent &E : Events)
-    if (E.Pid != 1) {
-      unsigned &Max = RemoteMaxTid[E.Pid];
-      Max = std::max(Max, E.Tid);
-    }
+  for (const TraceEvent &E : Events)
+    MaxTid = std::max(MaxTid, E.Tid);
 
   std::string Out;
   Out += "{\n\"otherData\":{\"schema\":\"anek-trace-v1\",\"traceLevel\":";
@@ -414,8 +326,7 @@ std::string anek::telemetry::chromeTraceJson() {
     First = false;
     Out += Line;
   };
-  // Process/thread-name metadata so Perfetto labels the lanes. The local
-  // process is pid 1; each shard worker gets its own pid group.
+  // Process/thread-name metadata so Perfetto labels the lanes.
   if (!Events.empty()) {
     Emit("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
          "\"args\":{\"name\":\"anek\"}}");
@@ -424,47 +335,28 @@ std::string anek::telemetry::chromeTraceJson() {
                      "\"tid\":%u,\"args\":{\"name\":\"%s\"}}",
                      Tid, Tid == 0 ? "anek-main" :
                                      formatStr("anek-worker-%u", Tid).c_str()));
-    for (const auto &[Pid, Name] : RemoteNames) {
-      Emit(formatStr("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%u,"
-                     "\"args\":{\"name\":%s}}",
-                     Pid, jsonQuote(Name).c_str()));
-      auto It = RemoteMaxTid.find(Pid);
-      unsigned Max = It == RemoteMaxTid.end() ? 0 : It->second;
-      for (unsigned Tid = 0; Tid <= Max; ++Tid)
-        Emit(formatStr("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%u,"
-                       "\"tid\":%u,\"args\":{\"name\":\"%s\"}}",
-                       Pid, Tid,
-                       Tid == 0 ? "shard-main"
-                                : formatStr("shard-t%u", Tid).c_str()));
-    }
   }
-  for (const RenderEvent &E : Events) {
+  for (const TraceEvent &E : Events) {
     std::string Line = "{\"name\":";
-    Line += E.Name ? jsonQuote(E.Name) : jsonQuote(*E.NameStr);
+    Line += jsonQuote(E.Name);
     Line += ",\"cat\":";
-    Line += E.Category ? jsonQuote(E.Category) : jsonQuote(*E.CategoryStr);
+    Line += jsonQuote(E.Category);
     Line += formatStr(",\"ph\":\"%c\",\"ts\":%lld", E.Phase,
                       static_cast<long long>(E.TsUs));
     if (E.Phase == 'X')
       Line += formatStr(",\"dur\":%lld", static_cast<long long>(E.DurUs));
     if (E.Phase == 'i')
       Line += ",\"s\":\"t\""; // Thread-scoped instant.
-    if (E.Phase == 's' || E.Phase == 'f') {
-      Line += formatStr(",\"id\":%llu",
-                        static_cast<unsigned long long>(E.FlowId));
-      if (E.Phase == 'f')
-        Line += ",\"bp\":\"e\""; // Bind the arrow to the enclosing slice.
-    }
-    Line += formatStr(",\"pid\":%u,\"tid\":%u", E.Pid, E.Tid);
+    Line += formatStr(",\"pid\":1,\"tid\":%u", E.Tid);
     if (E.Phase == 'C') {
       // Counter events carry the sampled series directly.
-      Line += ",\"args\":{" + *E.Args + "}";
+      Line += ",\"args\":{" + E.Args + "}";
     } else {
       Line += ",\"args\":{";
       Line += formatStr("\"depth\":%u", E.Depth);
-      if (!E.Args->empty()) {
+      if (!E.Args.empty()) {
         Line += ',';
-        Line += *E.Args;
+        Line += E.Args;
       }
       Line += "}";
     }
@@ -496,135 +388,19 @@ bool anek::telemetry::writeChromeTrace(const std::string &Path,
 size_t anek::telemetry::eventCount() {
   TraceRegistry &R = registry();
   size_t Count = 0;
-  {
-    std::lock_guard<std::mutex> RegistryLock(R.Mutex);
-    for (const auto &Buf : R.Buffers) {
-      std::lock_guard<std::mutex> BufLock(Buf->Mutex);
-      Count += Buf->Events.size();
-    }
-  }
-  {
-    std::lock_guard<std::mutex> RemoteLock(R.RemoteMutex);
-    Count += R.RemoteEvents.size();
+  std::lock_guard<std::mutex> RegistryLock(R.Mutex);
+  for (const auto &Buf : R.Buffers) {
+    std::lock_guard<std::mutex> BufLock(Buf->Mutex);
+    Count += Buf->Events.size();
   }
   return Count;
 }
 
 void anek::telemetry::resetTrace() {
   TraceRegistry &R = registry();
-  {
-    std::lock_guard<std::mutex> RegistryLock(R.Mutex);
-    for (const auto &Buf : R.Buffers) {
-      std::lock_guard<std::mutex> BufLock(Buf->Mutex);
-      Buf->Events.clear();
-    }
-  }
-  std::lock_guard<std::mutex> RemoteLock(R.RemoteMutex);
-  R.RemoteEvents.clear();
-  R.RemoteProcessNames.clear();
-}
-
-//===----------------------------------------------------------------------===//
-// Cross-process aggregation
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-EventRecord recordFromEvent(const TraceEvent &E) {
-  EventRecord Out;
-  Out.Name = E.Name;
-  Out.Category = E.Category;
-  Out.Args = E.Args;
-  Out.Phase = E.Phase;
-  Out.TsUs = E.TsUs;
-  Out.DurUs = E.DurUs;
-  Out.Tid = E.Tid;
-  Out.Depth = E.Depth;
-  Out.FlowId = E.FlowId;
-  return Out;
-}
-
-void sortByTime(std::vector<EventRecord> &Events) {
-  std::stable_sort(Events.begin(), Events.end(),
-                   [](const EventRecord &A, const EventRecord &B) {
-                     if (A.TsUs != B.TsUs)
-                       return A.TsUs < B.TsUs;
-                     return A.Tid < B.Tid;
-                   });
-}
-
-} // namespace
-
-std::vector<EventRecord> anek::telemetry::snapshotEvents() {
-  std::vector<EventRecord> Out;
-  TraceRegistry &R = registry();
   std::lock_guard<std::mutex> RegistryLock(R.Mutex);
   for (const auto &Buf : R.Buffers) {
     std::lock_guard<std::mutex> BufLock(Buf->Mutex);
-    for (const TraceEvent &E : Buf->Events)
-      Out.push_back(recordFromEvent(E));
+    Buf->Events.clear();
   }
-  sortByTime(Out);
-  return Out;
-}
-
-std::vector<EventRecord>
-anek::telemetry::collectEventsSince(std::vector<size_t> &Marks) {
-  std::vector<EventRecord> Out;
-  TraceRegistry &R = registry();
-  std::lock_guard<std::mutex> RegistryLock(R.Mutex);
-  if (Marks.size() < R.Buffers.size())
-    Marks.resize(R.Buffers.size(), 0);
-  for (size_t I = 0; I != R.Buffers.size(); ++I) {
-    ThreadBuffer &Buf = *R.Buffers[I];
-    std::lock_guard<std::mutex> BufLock(Buf.Mutex);
-    // A resetTrace between calls shrinks the buffer below the cursor;
-    // clamp instead of reading past the end.
-    size_t From = std::min(Marks[I], Buf.Events.size());
-    for (size_t E = From; E != Buf.Events.size(); ++E)
-      Out.push_back(recordFromEvent(Buf.Events[E]));
-    Marks[I] = Buf.Events.size();
-  }
-  sortByTime(Out);
-  return Out;
-}
-
-void anek::telemetry::addRemoteEvents(unsigned Pid,
-                                      const std::string &ProcessName,
-                                      const std::vector<EventRecord> &Events,
-                                      int64_t ShiftUs) {
-  if (!enabled())
-    return;
-  TraceRegistry &R = registry();
-  std::lock_guard<std::mutex> RemoteLock(R.RemoteMutex);
-  R.RemoteProcessNames[Pid] = ProcessName;
-  R.RemoteEvents.reserve(R.RemoteEvents.size() + Events.size());
-  for (const EventRecord &E : Events) {
-    RemoteEvent RE;
-    RE.Pid = Pid;
-    RE.E = E;
-    RE.E.TsUs = std::max<int64_t>(0, E.TsUs + ShiftUs);
-    R.RemoteEvents.push_back(std::move(RE));
-  }
-}
-
-uint64_t anek::telemetry::newFlowId() {
-  static std::atomic<uint64_t> Next{1};
-  return Next.fetch_add(1, std::memory_order_relaxed);
-}
-
-void anek::telemetry::flowBegin(const char *Name, TraceLevel Level,
-                                const char *Category, uint64_t FlowId) {
-  if (!enabled(Level))
-    return;
-  ThreadBuffer &Buf = localBuffer();
-  TraceEvent Event;
-  Event.Name = Name;
-  Event.Category = Category;
-  Event.Phase = 's';
-  Event.TsUs = nowUs();
-  Event.Tid = Buf.Tid;
-  Event.Depth = Buf.Depth;
-  Event.FlowId = FlowId;
-  appendEvent(Buf, std::move(Event));
 }

@@ -31,7 +31,6 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace anek {
 namespace telemetry {
@@ -75,12 +74,6 @@ bool parseTraceLevel(const std::string &Name, TraceLevel &Out);
 
 /// Microseconds since the process trace epoch (first telemetry use).
 int64_t nowUs();
-
-/// Stable small id of the calling thread: 0, 1, 2, ... in order of first
-/// telemetry activity. The scheduling thread of a run traces first, so it
-/// is 0 in practice; pool workers get ids as they record their first
-/// event.
-unsigned currentThreadId();
 
 /// RAII span: records a Chrome complete event ("ph":"X") covering its
 /// lifetime on the calling thread's buffer. Construction with an
@@ -172,69 +165,13 @@ std::string chromeTraceJson();
 /// non-null) when the file cannot be written.
 bool writeChromeTrace(const std::string &Path, std::string *Error = nullptr);
 
-/// Number of events currently buffered across all threads (tests),
-/// remote-lane events included.
+/// Number of events currently buffered across all threads (tests).
 size_t eventCount();
 
-/// Drops all buffered events — remote lanes included — and resets span
-/// depths. The trace level is left untouched. Only safe while no spans
-/// are live; for tests and long-running embedders that flush
-/// periodically.
+/// Drops all buffered events and resets span depths. The trace level is
+/// left untouched. Only safe while no spans are live; for tests and
+/// long-running embedders that flush periodically.
 void resetTrace();
-
-//===----------------------------------------------------------------------===//
-// Cross-process aggregation (DESIGN.md, "Distributed telemetry")
-//===----------------------------------------------------------------------===//
-
-/// One buffered event with owned strings: the portable form a shard
-/// worker ships over the wire and the coordinator re-injects under the
-/// worker's pid lane. Pid is informational on local snapshots (always 0 =
-/// this process); remote lanes carry the worker's real pid.
-struct EventRecord {
-  std::string Name;
-  std::string Category;
-  std::string Args;  ///< Preformatted JSON object body, no braces.
-  char Phase = 'X';  ///< 'X' complete, 'i' instant, 'C' counter,
-                     ///< 's'/'f' flow begin/end.
-  int64_t TsUs = 0;
-  int64_t DurUs = 0;
-  unsigned Tid = 0;
-  unsigned Depth = 0;
-  uint64_t FlowId = 0; ///< Non-zero on flow ('s'/'f') events only.
-};
-
-/// Copies every locally buffered event (remote lanes excluded), sorted by
-/// timestamp. Non-destructive and safe while other threads keep
-/// recording; the serve layer's slow-request log filters this by thread
-/// and time window.
-std::vector<EventRecord> snapshotEvents();
-
-/// Drains the local events appended since the cursors in \p Marks (one
-/// cursor per internal thread buffer; pass the same vector across calls,
-/// starting empty) and advances the cursors. The returned batch is sorted
-/// by timestamp. This is the worker side of telemetry shipping: each Task
-/// ships exactly the events it produced, and the local buffers keep
-/// everything for the worker's own --trace artifact.
-std::vector<EventRecord> collectEventsSince(std::vector<size_t> &Marks);
-
-/// Injects externally collected events under process lane \p Pid with
-/// display name \p ProcessName, shifting every timestamp by \p ShiftUs
-/// (coordinator dispatch time minus worker task-start time aligns the
-/// clocks; results clamp at 0). Re-injecting the same pid extends its
-/// lane; a respawned worker has a fresh pid and therefore a fresh lane.
-/// No-op when collection is off.
-void addRemoteEvents(unsigned Pid, const std::string &ProcessName,
-                     const std::vector<EventRecord> &Events, int64_t ShiftUs);
-
-/// Allocates a process-unique flow id (Chrome flow-event binding).
-uint64_t newFlowId();
-
-/// Records a flow-begin event ("ph":"s") on the calling thread. The
-/// matching flow-end ("ph":"f", same name/category/id) is typically a
-/// remote EventRecord the coordinator injects at the worker's task-start
-/// timestamp, drawing the dispatch arrow across pid lanes.
-void flowBegin(const char *Name, TraceLevel Level, const char *Category,
-               uint64_t FlowId);
 
 } // namespace telemetry
 } // namespace anek

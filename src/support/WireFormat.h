@@ -5,18 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The byte-level substrate of every ANEK wire format (the summary
-/// snapshot/outcome blobs of src/infer/SummaryIO.h and the anek-shard-v2
-/// frames of src/shard/Wire.h). Encoding is explicit little-endian fixed
-/// width — the same bytes on every host this reproduction targets — and
-/// doubles travel as bit-cast u64, so a summary that crosses a process
-/// boundary is bit-identical on arrival (the determinism contract's
-/// foundation).
+/// The byte-level substrate of ANEK's binary formats: the summary
+/// snapshot and cache-entry blobs of src/infer/SummaryIO.h. Encoding is
+/// explicit little-endian fixed width — the same bytes on every host this
+/// reproduction targets — and doubles travel as bit-cast u64, so a
+/// summary written to disk reads back bit-identical (what lets a warm
+/// cache replay byte-identically).
 ///
 /// Reading is defensive by design: a Reader never indexes past its
 /// buffer; the first short or oversized read latches a sticky failure
 /// state that every later read observes, so decoders can run a straight
-/// sequence of reads and check ok() once. Hostile or truncated input can
+/// sequence of reads and check done() once. Hostile or truncated input can
 /// make a decode *fail*, never make it read out of bounds.
 ///
 //===----------------------------------------------------------------------===//
@@ -32,9 +31,9 @@
 namespace anek {
 namespace wire {
 
-/// FNV-1a over \p Data — the checksum of every ANEK wire payload. Not
+/// FNV-1a over \p Data — the checksum of every ANEK blob payload. Not
 /// cryptographic; it detects the torn writes, truncation and bit flips
-/// the shard failure model defends against.
+/// of a damaged cache directory.
 inline uint64_t fnv1a64(std::string_view Data) {
   uint64_t Hash = 1469598103934665603ULL;
   for (unsigned char C : Data) {
@@ -48,7 +47,6 @@ inline uint64_t fnv1a64(std::string_view Data) {
 class Writer {
 public:
   void u8(uint8_t V) { Buf.push_back(static_cast<char>(V)); }
-  void u16(uint16_t V) { fixed(&V, sizeof(V)); }
   void u32(uint32_t V) { fixed(&V, sizeof(V)); }
   void u64(uint64_t V) { fixed(&V, sizeof(V)); }
   void f64(double V) {
@@ -62,7 +60,6 @@ public:
     Buf.append(V.data(), V.size());
   }
 
-  const std::string &bytes() const { return Buf; }
   std::string take() { return std::move(Buf); }
 
 private:
@@ -81,7 +78,6 @@ public:
   explicit Reader(std::string_view Data) : Data(Data) {}
 
   bool u8(uint8_t &V) { return fixed(&V, sizeof(V)); }
-  bool u16(uint16_t &V) { return fixed(&V, sizeof(V)); }
   bool u32(uint32_t &V) { return fixed(&V, sizeof(V)); }
   bool u64(uint64_t &V) { return fixed(&V, sizeof(V)); }
   bool f64(double &V) {
@@ -116,7 +112,6 @@ public:
   }
 
   size_t remaining() const { return Bad ? 0 : Data.size() - Pos; }
-  bool ok() const { return !Bad; }
   /// True when every byte was consumed and nothing failed.
   bool done() const { return !Bad && Pos == Data.size(); }
 

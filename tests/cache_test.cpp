@@ -1,8 +1,8 @@
 //===- cache_test.cpp - The incremental summary cache ----------------------===//
 //
 // Covers the three layers of the cache in isolation and end to end: the
-// SolveOutcome record codec (sealed as a CacheEntry or inside an Outcomes
-// blob), the SummaryCache storage backend (disk round-trip, index reload,
+// SolveOutcome record codec (sealed as a CacheEntry), the SummaryCache
+// storage backend (disk round-trip, index reload,
 // every corruption-degrades-to-miss contract), and the engine-level
 // replay guarantees (warm runs replay byte-identically, callee edits
 // invalidate every transitive caller, whitespace edits invalidate
@@ -117,8 +117,9 @@ summaryio::SolveOutcome sampleOutcome() {
   return S;
 }
 
-/// A failed SOLVE as a shard worker reports it. Only the Outcomes blob
-/// carries these: failures are never cached.
+/// A failed SOLVE. The engine never stores one, but the codec carries the
+/// failure fields like any other, and the engine treats a failed record
+/// read back from the cache as invalidated.
 summaryio::SolveOutcome failedOutcome() {
   summaryio::SolveOutcome F;
   F.DeclIndex = 9;
@@ -184,43 +185,32 @@ std::string chainSource(const std::string &LeafBody,
 //===----------------------------------------------------------------------===//
 
 TEST_F(CacheTest, CacheEntryCodecRoundTrips) {
-  const summaryio::SolveOutcome In = sampleOutcome();
-  const std::string Blob = summaryio::encodeCacheEntry(0xfeedULL, In);
-  Expected<CachedSolve> Out = summaryio::decodeCacheEntry(Blob, 0xfeedULL);
-  ASSERT_TRUE(Out.hasValue()) << Out.status().str();
-  expectSameOutcome(*Out, In);
-
-  // The shard wire carries the same record, failed ones included.
-  const std::vector<summaryio::SolveOutcome> Batch = {sampleOutcome(),
-                                                      failedOutcome()};
-  Expected<std::vector<summaryio::SolveOutcome>> Wire =
-      summaryio::decodeOutcomes(summaryio::encodeOutcomes(Batch));
-  ASSERT_TRUE(Wire.hasValue()) << Wire.status().str();
-  ASSERT_EQ(Wire->size(), Batch.size());
-  for (size_t I = 0; I != Batch.size(); ++I)
-    expectSameOutcome((*Wire)[I], Batch[I]);
+  // Every field of the record survives, failed records included.
+  for (const summaryio::SolveOutcome &In :
+       {sampleOutcome(), failedOutcome()}) {
+    SCOPED_TRACE(In.Failed ? "failed" : "solved");
+    const std::string Blob = summaryio::encodeCacheEntry(0xfeedULL, In);
+    Expected<CachedSolve> Out = summaryio::decodeCacheEntry(Blob, 0xfeedULL);
+    ASSERT_TRUE(Out.hasValue()) << Out.status().str();
+    expectSameOutcome(*Out, In);
+  }
 }
 
 TEST_F(CacheTest, CacheEntryCodecRejectsDamage) {
-  const std::string Blob = summaryio::encodeCacheEntry(7, sampleOutcome());
-  const std::string Wire =
-      summaryio::encodeOutcomes({sampleOutcome(), failedOutcome()});
-  auto EntryOk = [](std::string_view B) {
+  auto Ok = [](std::string_view B) {
     return summaryio::decodeCacheEntry(B, 7).hasValue();
-  };
-  auto WireOk = [](std::string_view B) {
-    return summaryio::decodeOutcomes(B).hasValue();
   };
 
   // A blob renamed to another key: the key echo catches it.
+  const std::string Blob = summaryio::encodeCacheEntry(7, sampleOutcome());
+  EXPECT_TRUE(Ok(Blob));
   EXPECT_FALSE(summaryio::decodeCacheEntry(Blob, 8).hasValue());
-  // The blob kind is part of the envelope: neither form reads as the
-  // other, though both carry the same record layout.
-  EXPECT_FALSE(WireOk(Blob));
-  EXPECT_FALSE(EntryOk(Wire));
+  // The blob kind is part of the envelope: a snapshot never reads as an
+  // entry.
+  EXPECT_FALSE(Ok(summaryio::encodeSnapshot({})));
 
-  for (const auto &[Sealed, Ok] :
-       {std::pair(Blob, +EntryOk), std::pair(Wire, +WireOk)}) {
+  for (const std::string &Sealed :
+       {Blob, summaryio::encodeCacheEntry(7, failedOutcome())}) {
     // Any single flipped bit: the envelope checksum catches it.
     for (size_t Offset : {size_t(0), Sealed.size() / 2, Sealed.size() - 1}) {
       std::string Bad = Sealed;
@@ -578,7 +568,14 @@ namespace {
 /// that has an update to damage, the way a stale or hostile store could.
 class DamagingCache final : public SolveCache {
 public:
-  enum class Damage { UnknownOwner, MissingTarget, WrongArity };
+  enum class Damage {
+    UnknownOwner,
+    MissingTarget,
+    WrongArity,
+    OtherMethod,
+    UnknownSolver,
+    Failed,
+  };
 
   DamagingCache(SolveCache &Inner, Damage D) : Inner(Inner), D(D) {}
 
@@ -598,6 +595,15 @@ public:
       break;
     case Damage::WrongArity:
       U.Odds.push_back(1.0);
+      break;
+    case Damage::OtherMethod:
+      Out.DeclIndex += 1;
+      break;
+    case Damage::UnknownSolver:
+      Out.SolverUsed = 7;
+      break;
+    case Damage::Failed:
+      Out.Failed = true;
       break;
     }
     ++Damaged;
@@ -619,10 +625,11 @@ private:
 } // namespace
 
 TEST_F(CacheTest, HitsThatDoNotFitTheProgramAreResolved) {
-  // A hit passes the same validation a shard worker's record does before
-  // the merge trusts it. One that names an unknown owner, a target the
-  // owner does not have, or odds of the wrong arity is counted as
-  // invalidated and re-solved, and the output does not change.
+  // A hit is validated against the program before the merge trusts it.
+  // One that names an unknown owner, a target the owner does not have,
+  // odds of the wrong arity, another method or an unknown solver, or
+  // that records a failure, is counted as invalidated and re-solved, and
+  // the output does not change.
   const std::string Source = iteratorApiSource() + spreadsheetSource();
   auto Plain = analyze(Source);
   InferResult Uncached = runAnekInfer(*Plain);
@@ -631,7 +638,10 @@ TEST_F(CacheTest, HitsThatDoNotFitTheProgramAreResolved) {
   for (DamagingCache::Damage D :
        {DamagingCache::Damage::UnknownOwner,
         DamagingCache::Damage::MissingTarget,
-        DamagingCache::Damage::WrongArity}) {
+        DamagingCache::Damage::WrongArity,
+        DamagingCache::Damage::OtherMethod,
+        DamagingCache::Damage::UnknownSolver,
+        DamagingCache::Damage::Failed}) {
     SCOPED_TRACE(static_cast<int>(D));
     cache::SummaryCache Inner("");
     InferOptions Opts;

@@ -134,9 +134,9 @@ TEST(AnekInferTest, DeterministicAcrossRuns) {
 }
 
 TEST(AnekInferDeathTest, RequiresUniqueDeclarationIndices) {
-  // The engine names methods by declaration index everywhere — memo,
-  // cache and shard records alike — so a program Sema did not number is
-  // a caller bug the engine refuses, not a mode it degrades into.
+  // The engine names methods by declaration index everywhere — memo and
+  // cache records alike — so a program Sema did not number is a caller
+  // bug the engine refuses, not a mode it degrades into.
   testing::GTEST_FLAG(death_test_style) = "threadsafe";
   auto Prog = analyze(fileProtocolSource());
   auto &Methods = Prog->Types.front()->Methods;

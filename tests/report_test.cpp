@@ -1,14 +1,13 @@
 //===- report_test.cpp - The `anek report` run profiler --------------------===//
 //
-// The profiler suite (DESIGN.md, "Distributed telemetry"): `anek report`
-// digests whatever artifact subset a run left behind — an anek-trace-v1
-// Chrome trace, an anek-metrics-v1 snapshot, an anek-batch-v1 JSONL
-// stream — into one profile. The contracts under test: missing artifacts
-// degrade sections (never fail), malformed artifacts are hard errors
-// (never a silently wrong profile), worker-side shard.worker.* series
-// fold into the aggregate cache/queue numbers, the JSON rendering is a
-// parseable anek-report-v1 document, and a real single-threaded run
-// profiles with zero queue wait and its memo-replayed share of picks.
+// The profiler suite (DESIGN.md, "Telemetry"): `anek report` digests
+// whatever artifacts a run left behind — an anek-trace-v1 Chrome trace,
+// an anek-metrics-v1 snapshot, or both — into one profile. The contracts
+// under test: a missing artifact drops its section (never fails),
+// malformed artifacts are hard errors (never a silently wrong profile),
+// the JSON rendering is a parseable anek-report-v1 document, and a real
+// single-threaded run profiles with zero queue wait and its
+// memo-replayed share of picks.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,81 +27,58 @@ using namespace anek;
 namespace {
 
 /// A hand-built anek-trace-v1 document: a lane-name metadata event (not a
-/// timed event), two coordinator phases (one with a nested child), and a
-/// worker-lane span under pid 777.
+/// timed event), two phases (one with a nested child), a span on a pool
+/// worker's lane, and an instant event.
 std::string sampleTrace() {
   return R"({
   "otherData": {"schema": "anek-trace-v1"},
   "displayTimeUnit": "ms",
   "traceEvents": [
-    {"name": "process_name", "ph": "M", "pid": 777,
-     "args": {"name": "anek-worker pid 777"}},
+    {"name": "thread_name", "ph": "M", "pid": 1, "tid": 1,
+     "args": {"name": "anek-worker-1"}},
     {"name": "frontend.parse", "cat": "anek", "ph": "X", "pid": 1, "tid": 0,
      "ts": 0, "dur": 100, "args": {"depth": 0}},
     {"name": "infer.run", "cat": "anek", "ph": "X", "pid": 1, "tid": 0,
      "ts": 100, "dur": 2000, "args": {"depth": 0}},
     {"name": "solver.bp", "cat": "solver", "ph": "X", "pid": 1, "tid": 0,
      "ts": 200, "dur": 1500, "args": {"depth": 1}},
-    {"name": "shard.task", "cat": "shard", "ph": "X", "pid": 777, "tid": 0,
-     "ts": 300, "dur": 800, "args": {"depth": 0}},
-    {"name": "shard.worker_lost", "cat": "shard", "ph": "i", "pid": 1,
-     "tid": 0, "ts": 900, "args": {"slot": 0}}
+    {"name": "infer.method", "cat": "infer", "ph": "X", "pid": 1, "tid": 1,
+     "ts": 300, "dur": 800, "args": {"depth": 1}},
+    {"name": "cascade.transition", "cat": "infer", "ph": "i", "pid": 1,
+     "tid": 0, "ts": 900, "args": {"reason": "bp missed convergence"}}
   ]
 })";
 }
 
-/// A hand-built anek-metrics-v1 document with both local and
-/// shard.worker.* (coordinator-absorbed) series.
+/// A hand-built anek-metrics-v1 document.
 std::string sampleMetrics() {
   return R"({
   "schema": "anek-metrics-v1",
   "counters": {
-    "cache.hit": 3,
+    "cache.hit": 5,
     "cache.miss": 1,
     "infer.replays": 6,
-    "infer.worklist_picks": 24,
-    "shard.worker.cache.hit": 2,
-    "shard.workers_spawned": 4,
-    "shard.workers_lost": 2,
-    "shard.redispatches": 2,
-    "shard.quarantined": 1,
-    "shard.telemetry_frames": 13,
-    "shard.telemetry_dropped": 1
+    "infer.worklist_picks": 24
   },
   "gauges": {"solver.bp.residual": 0.001},
   "histograms": {
-    "infer.queue_wait_us": {"count": 4, "sum": 1000.0, "min": 100.0,
+    "infer.queue_wait_us": {"count": 6, "sum": 1500.0, "min": 100.0,
       "max": 400.0, "mean": 250.0, "p50": 200.0, "p95": 390.0, "p99": 400.0},
-    "shard.worker.infer.queue_wait_us": {"count": 2, "sum": 500.0,
-      "min": 200.0, "max": 300.0, "mean": 250.0, "p50": 250.0, "p95": 300.0,
-      "p99": 300.0},
     "infer.method_run_us": {"count": 4, "sum": 2000.0, "min": 300.0,
       "max": 900.0, "mean": 500.0, "p50": 450.0, "p95": 880.0, "p99": 900.0}
   }
 })";
 }
 
-/// Two anek-batch-v1 JSONL rows, deliberately out of index order (a -jN
-/// batch completes out of order; the table must not).
-std::string sampleBatch() {
-  return
-      R"({"schema": "anek-batch-v1", "index": 1, "id": "slow", "state": "degraded", "attempts": 2, "seconds": 1.5, "queue_seconds": 0.25, "peak_bytes": 1024, "cache_hits": 0, "cache_misses": 2, "reason": "shard-quarantine"})"
-      "\n"
-      R"({"schema": "anek-batch-v1", "index": 0, "id": "fast", "state": "ok", "attempts": 1, "seconds": 0.5, "queue_seconds": 0.0, "peak_bytes": 512, "cache_hits": 2, "cache_misses": 0, "reason": ""})"
-      "\n";
-}
-
-TEST(ReportTest, DigestsTraceIntoPhasesSpansAndWorkerLanes) {
-  Expected<report::Profile> P = report::profileFromText(sampleTrace(), "", "");
+TEST(ReportTest, DigestsTraceIntoPhasesAndSpans) {
+  Expected<report::Profile> P = report::profileFromText(sampleTrace(), "");
   ASSERT_TRUE(P.hasValue()) << P.status().str();
   EXPECT_TRUE(P->HasTrace);
   EXPECT_FALSE(P->HasMetrics);
-  EXPECT_FALSE(P->HasBatch);
 
   // The metadata event is not counted; the instant and four spans are.
   EXPECT_EQ(P->TraceEvents, 5u);
-  // Phases are depth-0 spans of the local process only: the worker-lane
-  // shard.task span is depth 0 but pid 777, so it is a span, not a phase.
+  // Phases are the depth-0 spans; nested spans on any thread are not.
   ASSERT_EQ(P->Phases.size(), 2u);
   EXPECT_EQ(P->Phases[0].Name, "infer.run"); // Ordered by total time.
   EXPECT_EQ(P->Phases[0].TotalUs, 2000);
@@ -110,34 +86,22 @@ TEST(ReportTest, DigestsTraceIntoPhasesSpansAndWorkerLanes) {
   ASSERT_EQ(P->Spans.size(), 4u);
   EXPECT_EQ(P->Spans[0].Name, "infer.run");
   EXPECT_EQ(P->Spans[1].Name, "solver.bp");
-  ASSERT_EQ(P->WorkerPids.size(), 1u);
-  EXPECT_EQ(P->WorkerPids[0], 777u);
+  EXPECT_EQ(P->Spans[2].Name, "infer.method");
   // First span starts at ts 0, the latest end is infer.run at 100+2000.
   EXPECT_EQ(P->TraceSpanUs, 2100);
 }
 
-TEST(ReportTest, DigestsMetricsAndFoldsWorkerSeriesIntoAggregates) {
-  Expected<report::Profile> P =
-      report::profileFromText("", sampleMetrics(), "");
+TEST(ReportTest, DigestsMetricsIntoAggregates) {
+  Expected<report::Profile> P = report::profileFromText("", sampleMetrics());
   ASSERT_TRUE(P.hasValue()) << P.status().str();
   EXPECT_TRUE(P->HasMetrics);
   EXPECT_FALSE(P->HasTrace);
 
-  // Worker-side cache hits count toward the aggregate hit rate:
-  // (3 + 2) / (3 + 2 + 1).
   EXPECT_NEAR(P->CacheHitRate, 5.0 / 6.0, 1e-12);
-  // Queue-wait sums fold the worker histogram in; method-run has no
-  // worker twin here.
   EXPECT_EQ(P->QueueWaitUs, 1500u);
   EXPECT_EQ(P->MethodRunUs, 2000u);
   EXPECT_EQ(P->Picks, 24u);
   EXPECT_EQ(P->Replays, 6u);
-  EXPECT_EQ(P->WorkersSpawned, 4u);
-  EXPECT_EQ(P->WorkersLost, 2u);
-  EXPECT_EQ(P->Redispatches, 2u);
-  EXPECT_EQ(P->Quarantined, 1u);
-  EXPECT_EQ(P->TelemetryFrames, 13u);
-  EXPECT_EQ(P->TelemetryDropped, 1u);
 
   const report::Profile::HistRow &H =
       P->Histograms.at("infer.method_run_us");
@@ -148,31 +112,12 @@ TEST(ReportTest, DigestsMetricsAndFoldsWorkerSeriesIntoAggregates) {
   EXPECT_DOUBLE_EQ(H.P99, 900.0);
 }
 
-TEST(ReportTest, DigestsBatchRowsSortedByIndex) {
-  Expected<report::Profile> P = report::profileFromText("", "", sampleBatch());
-  ASSERT_TRUE(P.hasValue()) << P.status().str();
-  EXPECT_TRUE(P->HasBatch);
-
-  ASSERT_EQ(P->Requests.size(), 2u);
-  EXPECT_EQ(P->Requests[0].Id, "fast"); // Re-sorted by index.
-  EXPECT_EQ(P->Requests[1].Id, "slow");
-  EXPECT_EQ(P->Requests[1].State, "degraded");
-  EXPECT_EQ(P->Requests[1].Attempts, 2u);
-  EXPECT_EQ(P->Requests[1].Reason, "shard-quarantine");
-  EXPECT_EQ(P->StateCounts.at("ok"), 1u);
-  EXPECT_EQ(P->StateCounts.at("degraded"), 1u);
-  EXPECT_DOUBLE_EQ(P->BatchSeconds, 2.0);
-  EXPECT_DOUBLE_EQ(P->BatchQueueSeconds, 0.25);
-  EXPECT_EQ(P->BatchCacheHits, 2u);
-  EXPECT_EQ(P->BatchCacheMisses, 2u);
-}
-
 TEST(ReportTest, MissingArtifactsDegradeButNothingAtAllIsAnError) {
-  // Any subset profiles; the all-empty call is the one hard usage error.
-  EXPECT_TRUE(report::profileFromText(sampleTrace(), "", "").hasValue());
-  EXPECT_TRUE(report::profileFromText("", sampleMetrics(), "").hasValue());
-  EXPECT_TRUE(report::profileFromText("", "", sampleBatch()).hasValue());
-  Expected<report::Profile> None = report::profileFromText("", "", "");
+  // Either artifact alone profiles; the all-empty call is the one hard
+  // usage error.
+  EXPECT_TRUE(report::profileFromText(sampleTrace(), "").hasValue());
+  EXPECT_TRUE(report::profileFromText("", sampleMetrics()).hasValue());
+  Expected<report::Profile> None = report::profileFromText("", "");
   ASSERT_FALSE(None.hasValue());
   EXPECT_EQ(None.status().code(), ErrorCode::InvalidArgument);
 }
@@ -180,20 +125,16 @@ TEST(ReportTest, MissingArtifactsDegradeButNothingAtAllIsAnError) {
 TEST(ReportTest, MalformedArtifactsAreHardErrors) {
   struct Case {
     const char *Name;
-    std::string Trace, Metrics, Batch;
+    std::string Trace, Metrics;
   } Cases[] = {
-      {"truncated trace JSON", "{\"traceEvents\": [", "", ""},
-      {"trace without traceEvents", "{\"otherData\": {}}", "", ""},
+      {"truncated trace JSON", "{\"traceEvents\": [", ""},
+      {"trace without traceEvents", "{\"otherData\": {}}", ""},
       {"metrics with the wrong schema",
-       "", R"({"schema": "anek-metrics-v0", "counters": {}})", ""},
-      {"metrics that are not JSON", "", "counters: 3", ""},
-      {"batch line that is not JSON", "", "", "{\"schema\":\n"},
-      {"batch line with the wrong schema", "", "",
-       R"({"schema": "anek-trace-v1"})" "\n"},
+       "", R"({"schema": "anek-metrics-v0", "counters": {}})"},
+      {"metrics that are not JSON", "", "counters: 3"},
   };
   for (const Case &C : Cases) {
-    Expected<report::Profile> P =
-        report::profileFromText(C.Trace, C.Metrics, C.Batch);
+    Expected<report::Profile> P = report::profileFromText(C.Trace, C.Metrics);
     ASSERT_FALSE(P.hasValue()) << C.Name;
     EXPECT_EQ(P.status().code(), ErrorCode::InvalidArgument)
         << C.Name << ": " << P.status().str();
@@ -201,8 +142,8 @@ TEST(ReportTest, MalformedArtifactsAreHardErrors) {
 }
 
 TEST(ReportTest, RenderJsonIsParseableAnekReportV1) {
-  Expected<report::Profile> P = report::profileFromText(
-      sampleTrace(), sampleMetrics(), sampleBatch());
+  Expected<report::Profile> P =
+      report::profileFromText(sampleTrace(), sampleMetrics());
   ASSERT_TRUE(P.hasValue()) << P.status().str();
   std::string Json = report::renderJson(*P);
 
@@ -214,8 +155,6 @@ TEST(ReportTest, RenderJsonIsParseableAnekReportV1) {
   const json::Value &Trace = Doc.at("trace");
   EXPECT_EQ(Trace.at("events").num(), 5.0);
   EXPECT_EQ(Trace.at("span_us").num(), 2100.0);
-  ASSERT_EQ(Trace.at("worker_pids").Items.size(), 1u);
-  EXPECT_EQ(Trace.at("worker_pids").Items[0].num(), 777.0);
   EXPECT_EQ(Trace.at("phases").Items.size(), 2u);
   EXPECT_EQ(Trace.at("top_spans").Items[0].at("name").str(), "infer.run");
 
@@ -224,40 +163,26 @@ TEST(ReportTest, RenderJsonIsParseableAnekReportV1) {
   EXPECT_EQ(Metrics.at("queue_wait_us").num(), 1500.0);
   EXPECT_EQ(Metrics.at("picks").num(), 24.0);
   EXPECT_EQ(Metrics.at("replayed_picks").num(), 6.0);
-  EXPECT_EQ(Metrics.at("shard").at("workers_lost").num(), 2.0);
-  EXPECT_EQ(Metrics.at("shard").at("telemetry_frames").num(), 13.0);
   EXPECT_EQ(Metrics.at("histograms")
                 .at("infer.method_run_us")
                 .at("p95")
                 .num(),
             880.0);
-
-  const json::Value &Batch = Doc.at("batch");
-  EXPECT_EQ(Batch.at("requests").num(), 2.0);
-  EXPECT_EQ(Batch.at("states").at("degraded").num(), 1.0);
-  ASSERT_EQ(Batch.at("rows").Items.size(), 2u);
-  EXPECT_EQ(Batch.at("rows").Items[0].at("id").str(), "fast");
-  EXPECT_EQ(Batch.at("rows").Items[1].at("reason").str(),
-            "shard-quarantine");
 }
 
 TEST(ReportTest, RenderTextShowsEverySectionAndHonorsTopK) {
-  Expected<report::Profile> P = report::profileFromText(
-      sampleTrace(), sampleMetrics(), sampleBatch());
+  Expected<report::Profile> P =
+      report::profileFromText(sampleTrace(), sampleMetrics());
   ASSERT_TRUE(P.hasValue()) << P.status().str();
 
   std::string Text = report::renderText(*P);
   EXPECT_NE(Text.find("anek run profile"), std::string::npos);
-  EXPECT_NE(Text.find("worker lane(s): 777"), std::string::npos);
   EXPECT_NE(Text.find("phases (top-level spans)"), std::string::npos);
   EXPECT_NE(Text.find("infer.run"), std::string::npos);
   EXPECT_NE(Text.find("cache hit rate"), std::string::npos);
   EXPECT_NE(Text.find("queue-wait vs solve"), std::string::npos);
   EXPECT_NE(Text.find("replayed picks        6 / 24 (25.0%)"),
             std::string::npos);
-  EXPECT_NE(Text.find("shard tier"), std::string::npos);
-  EXPECT_NE(Text.find("worker telemetry"), std::string::npos);
-  EXPECT_NE(Text.find("shard-quarantine"), std::string::npos);
 
   // TopK truncates the span table: with K=1 only the heaviest span
   // (infer.run) survives; solver.bp falls out.
@@ -286,7 +211,7 @@ TEST(ReportTest, SequentialRunHasNoQueueWaitAndShowsItsReplays) {
   telemetry::resetTrace();
   telemetry::resetMetricsForTest();
 
-  Expected<report::Profile> P = report::profileFromText(Trace, Metrics, "");
+  Expected<report::Profile> P = report::profileFromText(Trace, Metrics);
   ASSERT_TRUE(P.hasValue()) << P.status().str();
   EXPECT_EQ(P->QueueWaitUs, 0u);
   EXPECT_GT(P->MethodRunUs, 0u);

@@ -48,24 +48,37 @@ using telemetry::TraceLevel;
 
 //===----------------------------------------------------------------------===//
 // Allocation counting: replaceable global new/delete so the off-mode
-// zero-allocation contract is checked directly, not inferred.
+// zero-allocation contract is checked directly, not inferred. The nothrow
+// forms are replaced too (std::stable_sort's temporary buffer uses them),
+// so every allocation these deletes free came from malloc.
 //===----------------------------------------------------------------------===//
 
 static std::atomic<uint64_t> GlobalAllocations{0};
 
-void *operator new(size_t Size) {
+void *operator new(size_t Size, const std::nothrow_t &) noexcept {
   GlobalAllocations.fetch_add(1, std::memory_order_relaxed);
-  if (void *P = std::malloc(Size ? Size : 1))
+  return std::malloc(Size ? Size : 1);
+}
+
+void *operator new(size_t Size) {
+  if (void *P = ::operator new(Size, std::nothrow))
     return P;
   throw std::bad_alloc();
 }
 
 void *operator new[](size_t Size) { return ::operator new(Size); }
+void *operator new[](size_t Size, const std::nothrow_t &Tag) noexcept {
+  return ::operator new(Size, Tag);
+}
 
 void operator delete(void *P) noexcept { std::free(P); }
 void operator delete[](void *P) noexcept { std::free(P); }
 void operator delete(void *P, size_t) noexcept { std::free(P); }
 void operator delete[](void *P, size_t) noexcept { std::free(P); }
+void operator delete(void *P, const std::nothrow_t &) noexcept { std::free(P); }
+void operator delete[](void *P, const std::nothrow_t &) noexcept {
+  std::free(P);
+}
 
 namespace {
 
@@ -600,60 +613,6 @@ TEST_F(TraceTest, HistogramPercentilesExportOrderedEstimates) {
   const Json &Empty = EmptyDoc.at("histograms").at("test.pctl.empty");
   EXPECT_EQ(Empty.at("p50").N, 0.0);
   EXPECT_EQ(Empty.at("p99").N, 0.0);
-}
-
-TEST_F(TraceTest, RemoteEventsExportUnderTheirOwnPidLane) {
-  telemetry::setTraceLevel(TraceLevel::Phase);
-  {
-    telemetry::Span Local("test.local", TraceLevel::Phase, "test");
-  }
-  telemetry::EventRecord Remote;
-  Remote.Name = "shard.task";
-  Remote.Category = "shard";
-  Remote.Phase = 'X';
-  Remote.TsUs = 100;
-  Remote.DurUs = 50;
-  Remote.Tid = 0;
-  Remote.Depth = 0;
-  telemetry::EventRecord Shifted = Remote;
-  Shifted.Name = "shard.early";
-  Shifted.TsUs = 5; // Shift drives this below zero; it must clamp at 0.
-  telemetry::addRemoteEvents(4242, "anek-worker pid 4242",
-                             {Remote, Shifted}, /*ShiftUs=*/-50);
-
-  Json Doc = mustParse(telemetry::chromeTraceJson());
-  bool SawLaneName = false, SawRemoteSpan = false, SawClamped = false;
-  for (const Json &E : events(Doc)) {
-    if (E.at("ph").S == "M" && E.at("name").S == "process_name" &&
-        E.at("pid").N == 4242.0) {
-      SawLaneName = true;
-      EXPECT_EQ(E.at("args").at("name").S, "anek-worker pid 4242");
-    }
-    if (E.at("ph").S == "X" && E.at("name").S == "shard.task" &&
-        E.at("pid").N == 4242.0) {
-      SawRemoteSpan = true;
-      EXPECT_EQ(E.at("ts").N, 50.0); // 100 shifted by -50.
-      EXPECT_EQ(E.at("dur").N, 50.0);
-    }
-    if (E.at("ph").S == "X" && E.at("name").S == "shard.early") {
-      SawClamped = true;
-      EXPECT_EQ(E.at("ts").N, 0.0);
-    }
-  }
-  EXPECT_TRUE(SawLaneName);
-  EXPECT_TRUE(SawRemoteSpan);
-  EXPECT_TRUE(SawClamped);
-
-  // Remote events count toward the buffer and resetTrace drops them too.
-  EXPECT_EQ(telemetry::eventCount(), 3u);
-  telemetry::resetTrace();
-  EXPECT_EQ(telemetry::eventCount(), 0u);
-
-  // Collection off makes injection a no-op (the coordinator calls this
-  // unconditionally; off-mode must stay allocation-free).
-  telemetry::setTraceLevel(TraceLevel::Off);
-  telemetry::addRemoteEvents(4242, "anek-worker pid 4242", {Remote}, 0);
-  EXPECT_EQ(telemetry::eventCount(), 0u);
 }
 
 //===----------------------------------------------------------------------===//
