@@ -2,38 +2,31 @@
 
 #include "constraints/VarMap.h"
 
-#include "support/Format.h"
-
 #include <cassert>
 
 using namespace anek;
 
-static PermVars makeVars(FactorGraph &G, const Pfg &P, const char *Prefix,
-                         uint32_t Id, TypeDecl *Class) {
+static PermVars makeVars(FactorGraph &G, TypeDecl *Class) {
   PermVars Vars;
   for (PermKind Kind : AllPermKinds)
-    Vars.Kind[static_cast<unsigned>(Kind)] = G.addVariable(
-        0.5, formatStr("%s%u.%s", Prefix, Id, permKindName(Kind)));
+    Vars.Kind[static_cast<unsigned>(Kind)] = G.addVariable(0.5);
   if (Class)
-    for (const std::string &State : Class->States.names())
-      Vars.State.push_back(
-          G.addVariable(0.5, formatStr("%s%u.%s", Prefix, Id,
-                                       State.c_str())));
-  (void)P;
+    for (unsigned I = 0, E = Class->States.size(); I != E; ++I)
+      Vars.State.push_back(G.addVariable(0.5));
   return Vars;
 }
 
 PfgVarMap::PfgVarMap(const Pfg &P, FactorGraph &G) {
   NodeVars.reserve(P.nodeCount());
   for (PfgNodeId Id = 0; Id != P.nodeCount(); ++Id)
-    NodeVars.push_back(makeVars(G, P, "n", Id, P.node(Id).Class));
+    NodeVars.push_back(makeVars(G, P.node(Id).Class));
   EdgeVars.reserve(P.edgeCount());
   for (PfgEdgeId Id = 0; Id != P.edgeCount(); ++Id) {
     // An edge ranges over the state space of its source node's class.
     TypeDecl *Class = P.node(P.edge(Id).From).Class;
     if (!Class)
       Class = P.node(P.edge(Id).To).Class;
-    EdgeVars.push_back(makeVars(G, P, "e", Id, Class));
+    EdgeVars.push_back(makeVars(G, Class));
   }
 }
 

@@ -19,22 +19,16 @@ double anek::clampProb(double P) {
   return P;
 }
 
-VarId FactorGraph::addVariable(double Prior, std::string Name) {
+VarId FactorGraph::addVariable(double Prior) {
   // Fault 'alloc-perturb': interleave an unconnected padding variable so
   // every subsequent VarId shifts. Marginals of real variables must be
   // unaffected — any result change under this fault is an allocation-order
   // dependence bug somewhere in the stack.
   if (faults::anyActive() && faults::active(FaultKind::AllocPerturb) &&
       (Vars.size() & 1) == 0) {
-    Variable Pad;
-    Pad.Prior = 0.5;
-    Pad.Name = "__pad";
-    Vars.push_back(std::move(Pad));
+    Vars.push_back({0.5});
   }
-  Variable V;
-  V.Prior = clampProb(Prior);
-  V.Name = std::move(Name);
-  Vars.push_back(std::move(V));
+  Vars.push_back({clampProb(Prior)});
   IndexValid = false;
   LayoutValid = false;
   return static_cast<VarId>(Vars.size() - 1);
@@ -153,18 +147,32 @@ const FactorGraph::EdgeLayout &FactorGraph::edgeLayout() const {
     std::copy(Factors[F].Table.begin(), Factors[F].Table.end(),
               Layout.TableFlat.begin() + Layout.TableOffset[F]);
 
-  // Variable-major companion arrays for the Gibbs kernel.
   Layout.VmFactor.resize(NumEdges);
-  Layout.VmMask.resize(NumEdges);
-  Layout.VmSlotBit.resize(NumEdges);
-  Layout.VmTableBase.resize(NumEdges);
+  for (uint32_t I = 0; I != NumEdges; ++I)
+    Layout.VmFactor[I] = Layout.EdgeFactor[Layout.VarEdges[I]];
+
+  LayoutValid = true;
+  GibbsValid = false;
+  return Layout;
+}
+
+const FactorGraph::GibbsLayout &FactorGraph::gibbsLayout() const {
+  const EdgeLayout &L = edgeLayout();
+  if (GibbsValid)
+    return Gibbs;
+  const uint32_t NumVars = static_cast<uint32_t>(Vars.size());
+  const uint32_t NumFactors = static_cast<uint32_t>(Factors.size());
+  const uint32_t NumEdges = L.edgeCount();
+
+  Gibbs = GibbsLayout();
+  Gibbs.VmMask.resize(NumEdges);
+  Gibbs.VmSlotBit.resize(NumEdges);
+  Gibbs.VmTableBase.resize(NumEdges);
   for (uint32_t I = 0; I != NumEdges; ++I) {
-    const uint32_t E = Layout.VarEdges[I];
-    const uint32_t F = Layout.EdgeFactor[E];
-    Layout.VmFactor[I] = F;
-    Layout.VmMask[I] = Layout.EdgeVarMask[E];
-    Layout.VmSlotBit[I] = Layout.EdgeSlotBit[E];
-    Layout.VmTableBase[I] = Layout.TableOffset[F];
+    const uint32_t E = L.VarEdges[I];
+    Gibbs.VmMask[I] = L.EdgeVarMask[E];
+    Gibbs.VmSlotBit[I] = L.EdgeSlotBit[E];
+    Gibbs.VmTableBase[I] = L.TableOffset[L.VmFactor[I]];
   }
 
   // Gibbs conditional-pair tables: one per (factor, slot), each the
@@ -180,12 +188,12 @@ const FactorGraph::EdgeLayout &FactorGraph::edgeLayout() const {
   size_t PairTotal = 0;
   bool PairEligible = true;
   for (uint32_t E = 0; E != NumEdges; ++E)
-    PairEligible &= Layout.EdgeVarMask[E] == Layout.EdgeSlotBit[E];
+    PairEligible &= L.EdgeVarMask[E] == L.EdgeSlotBit[E];
   for (uint32_t F = 0; F != NumFactors; ++F)
-    PairTotal += (Layout.FactorOffset[F + 1] - Layout.FactorOffset[F]) *
+    PairTotal += (L.FactorOffset[F + 1] - L.FactorOffset[F]) *
                  Factors[F].Table.size();
   if (PairEligible && PairTotal <= PairBudget) {
-    Layout.PairFlat.resize(PairTotal);
+    Gibbs.PairFlat.resize(PairTotal);
     std::vector<uint32_t> EdgePairBase(NumEdges);
     // Factors are laid out in descending table-size order (sizes are
     // powers of two, so each base lands aligned to its own table
@@ -204,31 +212,31 @@ const FactorGraph::EdgeLayout &FactorGraph::edgeLayout() const {
     size_t Next = 0;
     for (uint32_t OF = 0; OF != NumFactors; ++OF) {
       const uint32_t F = FactorOrder[OF];
-      const uint32_t Begin = Layout.FactorOffset[F];
-      const uint32_t End = Layout.FactorOffset[F + 1];
+      const uint32_t Begin = L.FactorOffset[F];
+      const uint32_t End = L.FactorOffset[F + 1];
       const std::vector<double> &Table = Factors[F].Table;
       for (uint32_t E = Begin; E != End; ++E) {
-        const uint32_t Low = Layout.EdgeSlotBit[E] - 1;
+        const uint32_t Low = L.EdgeSlotBit[E] - 1;
         EdgePairBase[E] = static_cast<uint32_t>(Next);
         // Comp walks the compacted index space; Idx re-expands it
         // around the slot bit (low bits in place, high bits shifted
         // up one).
         for (size_t Comp = 0; Comp != Table.size() / 2; ++Comp) {
           const size_t Idx = (Comp & Low) | ((Comp & ~size_t{Low}) << 1);
-          Layout.PairFlat[Next + 2 * Comp] =
+          Gibbs.PairFlat[Next + 2 * Comp] =
               static_cast<float>(Table[Idx]);
-          Layout.PairFlat[Next + 2 * Comp + 1] =
-              static_cast<float>(Table[Idx | Layout.EdgeSlotBit[E]]);
+          Gibbs.PairFlat[Next + 2 * Comp + 1] =
+              static_cast<float>(Table[Idx | L.EdgeSlotBit[E]]);
         }
         Next += Table.size();
       }
     }
-    Layout.VmPairBase.resize(NumEdges);
-    Layout.VmPairLow.resize(NumEdges);
+    Gibbs.VmPairBase.resize(NumEdges);
+    Gibbs.VmPairLow.resize(NumEdges);
     for (uint32_t I = 0; I != NumEdges; ++I) {
-      const uint32_t E = Layout.VarEdges[I];
-      Layout.VmPairBase[I] = EdgePairBase[E];
-      Layout.VmPairLow[I] = Layout.EdgeSlotBit[E] - 1;
+      const uint32_t E = L.VarEdges[I];
+      Gibbs.VmPairBase[I] = EdgePairBase[E];
+      Gibbs.VmPairLow[I] = L.EdgeSlotBit[E] - 1;
     }
 
     // Flip-adjacency CSR (see FactorGraph.h): for every ordered pair
@@ -239,40 +247,40 @@ const FactorGraph::EdgeLayout &FactorGraph::edgeLayout() const {
     // place otherwise), and the {w0, w1} pair stride doubles it.
     std::vector<uint32_t> PosOfEdge(NumEdges);
     for (uint32_t I = 0; I != NumEdges; ++I)
-      PosOfEdge[Layout.VarEdges[I]] = I;
-    Layout.FlipOffset.assign(NumVars + 1, 0);
+      PosOfEdge[L.VarEdges[I]] = I;
+    Gibbs.FlipOffset.assign(NumVars + 1, 0);
     for (uint32_t F = 0; F != NumFactors; ++F) {
-      const uint32_t Deg = Layout.FactorOffset[F + 1] - Layout.FactorOffset[F];
-      for (uint32_t E = Layout.FactorOffset[F];
-           E != Layout.FactorOffset[F + 1]; ++E)
-        Layout.FlipOffset[Layout.EdgeVar[E] + 1] += Deg - 1;
+      const uint32_t Deg = L.FactorOffset[F + 1] - L.FactorOffset[F];
+      for (uint32_t E = L.FactorOffset[F];
+           E != L.FactorOffset[F + 1]; ++E)
+        Gibbs.FlipOffset[L.EdgeVar[E] + 1] += Deg - 1;
     }
     for (uint32_t V = 0; V != NumVars; ++V)
-      Layout.FlipOffset[V + 1] += Layout.FlipOffset[V];
-    Layout.FlipPos.resize(Layout.FlipOffset[NumVars]);
-    Layout.FlipDelta.resize(Layout.FlipOffset[NumVars]);
-    std::vector<uint32_t> FlipCursor(Layout.FlipOffset.begin(),
-                                     Layout.FlipOffset.end() - 1);
+      Gibbs.FlipOffset[V + 1] += Gibbs.FlipOffset[V];
+    Gibbs.FlipPos.resize(Gibbs.FlipOffset[NumVars]);
+    Gibbs.FlipDelta.resize(Gibbs.FlipOffset[NumVars]);
+    std::vector<uint32_t> FlipCursor(Gibbs.FlipOffset.begin(),
+                                     Gibbs.FlipOffset.end() - 1);
     for (uint32_t F = 0; F != NumFactors; ++F) {
-      const uint32_t Begin = Layout.FactorOffset[F];
-      const uint32_t End = Layout.FactorOffset[F + 1];
+      const uint32_t Begin = L.FactorOffset[F];
+      const uint32_t End = L.FactorOffset[F + 1];
       for (uint32_t Ek = Begin; Ek != End; ++Ek) {
-        const uint32_t Bk = Layout.EdgeSlotBit[Ek];
-        uint32_t &Cursor = FlipCursor[Layout.EdgeVar[Ek]];
+        const uint32_t Bk = L.EdgeSlotBit[Ek];
+        uint32_t &Cursor = FlipCursor[L.EdgeVar[Ek]];
         for (uint32_t Ej = Begin; Ej != End; ++Ej) {
           if (Ej == Ek)
             continue;
-          Layout.FlipPos[Cursor] = PosOfEdge[Ej];
-          Layout.FlipDelta[Cursor] =
-              Bk > Layout.EdgeSlotBit[Ej] ? Bk : Bk << 1;
+          Gibbs.FlipPos[Cursor] = PosOfEdge[Ej];
+          Gibbs.FlipDelta[Cursor] =
+              Bk > L.EdgeSlotBit[Ej] ? Bk : Bk << 1;
           ++Cursor;
         }
       }
     }
   }
 
-  LayoutValid = true;
-  return Layout;
+  GibbsValid = true;
+  return Gibbs;
 }
 
 const std::vector<std::vector<uint32_t>> &FactorGraph::varToFactors() const {

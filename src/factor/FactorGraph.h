@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 namespace anek {
@@ -32,7 +31,6 @@ public:
   /// One Bernoulli variable with its prior P(X = true).
   struct Variable {
     double Prior = 0.5;
-    std::string Name;
   };
 
   /// One factor: a non-negative table over the joint assignments of its
@@ -46,8 +44,8 @@ public:
   /// message updates tractable).
   static constexpr unsigned MaxScope = 16;
 
-  /// Adds a variable with prior \p Prior; \p Name aids debugging output.
-  VarId addVariable(double Prior, std::string Name = "");
+  /// Adds a variable with prior \p Prior.
+  VarId addVariable(double Prior);
 
   /// Adds a tabular factor. Table must have size 2^|Scope|.
   void addFactor(std::vector<VarId> Scope, std::vector<double> Table);
@@ -110,13 +108,33 @@ public:
     /// added (setPrior does not touch them).
     std::vector<double> TableFlat;
     std::vector<uint32_t> TableOffset;
-    /// Variable-major companions of VarEdges, so the Gibbs inner loop
-    /// is one indexed load per field instead of two dependent loads:
-    /// for position I, VmFactor[I] = EdgeFactor[VarEdges[I]], VmMask[I]
-    /// = EdgeVarMask[VarEdges[I]], VmSlotBit[I] =
-    /// EdgeSlotBit[VarEdges[I]], VmTableBase[I] =
-    /// TableOffset[VmFactor[I]].
+    /// Variable-major companion of VarEdges: VmFactor[I] =
+    /// EdgeFactor[VarEdges[I]], one indexed load in the BP and Gibbs
+    /// inner loops instead of two dependent ones.
     std::vector<uint32_t> VmFactor;
+    uint32_t MaxVarDegree = 0;
+    uint32_t MaxFactorDegree = 0;
+
+    uint32_t edgeCount() const {
+      return static_cast<uint32_t>(EdgeVar.size());
+    }
+    uint32_t varDegree(VarId V) const {
+      return VarOffset[V + 1] - VarOffset[V];
+    }
+    uint32_t factorDegree(uint32_t F) const {
+      return FactorOffset[F + 1] - FactorOffset[F];
+    }
+  };
+
+  /// The Gibbs sampler's arrays over an EdgeLayout. Belief propagation
+  /// reads none of them, so they are built only when a Gibbs solve asks
+  /// for them (gibbsLayout()).
+  struct GibbsLayout {
+    /// Variable-major companions of EdgeLayout::VarEdges, so the Gibbs
+    /// inner loop is one indexed load per field instead of two dependent
+    /// loads: for position I, with E = VarEdges[I], VmMask[I] =
+    /// EdgeVarMask[E], VmSlotBit[I] = EdgeSlotBit[E] and VmTableBase[I]
+    /// = TableOffset[VmFactor[I]].
     std::vector<uint32_t> VmMask;
     std::vector<uint32_t> VmSlotBit;
     std::vector<uint32_t> VmTableBase;
@@ -160,24 +178,16 @@ public:
     std::vector<uint32_t> FlipOffset;
     std::vector<uint32_t> FlipPos;
     std::vector<uint32_t> FlipDelta;
-    uint32_t MaxVarDegree = 0;
-    uint32_t MaxFactorDegree = 0;
-
-    uint32_t edgeCount() const {
-      return static_cast<uint32_t>(EdgeVar.size());
-    }
-    uint32_t varDegree(VarId V) const {
-      return VarOffset[V + 1] - VarOffset[V];
-    }
-    uint32_t factorDegree(uint32_t F) const {
-      return FactorOffset[F + 1] - FactorOffset[F];
-    }
   };
 
   /// The CSR layout, built on first use and cached; adding a variable or
   /// factor invalidates it (setPrior does not). Not thread-safe: solvers
   /// sharing one graph across threads must touch it once up front.
   const EdgeLayout &edgeLayout() const;
+
+  /// The Gibbs arrays over edgeLayout(), built on first use and cached
+  /// under the same rules.
+  const GibbsLayout &gibbsLayout() const;
 
   /// Factors mentioning each variable, one entry per scope occurrence
   /// (built lazily from the edge layout and cached alongside it).
@@ -191,6 +201,8 @@ private:
   std::vector<Factor> Factors;
   mutable EdgeLayout Layout;
   mutable bool LayoutValid = false;
+  mutable GibbsLayout Gibbs;
+  mutable bool GibbsValid = false;
   mutable std::vector<std::vector<uint32_t>> VarFactorIndex;
   mutable bool IndexValid = false;
 };

@@ -123,8 +123,8 @@ struct BpConsts {
   double SkipTolerance = 0.0;
 };
 
-/// Variable-major view for Gibbs sweeps (arrays from EdgeLayout's Vm*
-/// companions).
+/// Variable-major view for Gibbs sweeps (arrays from EdgeLayout and
+/// FactorGraph::GibbsLayout).
 struct GibbsView {
   uint32_t NumVars = 0;
   const uint32_t *VarOffset = nullptr;   ///< NumVars+1; position ranges.
@@ -134,14 +134,14 @@ struct GibbsView {
   const uint32_t *VmTableBase = nullptr; ///< position -> TableFlat base.
   const double *TableFlat = nullptr;
   const double *Priors = nullptr;
-  /// Conditional-pair tables (EdgeLayout::PairFlat / VmPairBase /
+  /// Conditional-pair tables (GibbsLayout::PairFlat / VmPairBase /
   /// VmPairLow), or nullptr when the layout skipped them (repeated
   /// scope variables or size cap). Presence is a property of the
   /// graph, so every backend takes the same sweep path; the float
   /// entries widen to double losslessly, so pair loads cannot break
   /// backend byte-identity.
   const float *PairFlat = nullptr;
-  /// Flip-adjacency CSR (EdgeLayout::FlipOffset / FlipPos / FlipDelta):
+  /// Flip-adjacency CSR (GibbsLayout::FlipOffset / FlipPos / FlipDelta):
   /// flipping variable X XORs FlipDelta[K] into PosIdx[FlipPos[K]] for
   /// K in [FlipOffset[X], FlipOffset[X+1]). With it the pair-path
   /// weight loop is one PosIdx load and one pair load per occurrence.

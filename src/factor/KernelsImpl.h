@@ -626,7 +626,7 @@ double bpFactorSweepT(const BpView &V, const BpState &S, const BpConsts &C,
 }
 
 /// Gibbs pass over the precomputed conditional-pair tables (see
-/// EdgeLayout::PairFlat): position P's two conditional weights sit
+/// GibbsLayout::PairFlat): position P's two conditional weights sit
 /// adjacent at PairFlat[S.PosIdx[P]], a per-position current pair
 /// index the sweep maintains incrementally, so each occurrence costs
 /// one index load and one pair load (widened float -> double, exact)

@@ -386,6 +386,7 @@ Marginals GibbsSolver::solve(const FactorGraph &G,
   // same arithmetic as Rng, so the stream is the one Rng(Seed) yields.
   uint64_t RngState = Opts.Seed;
   const FactorGraph::EdgeLayout &L = G.edgeLayout();
+  const FactorGraph::GibbsLayout &GL = G.gibbsLayout();
   const unsigned NumFactors = G.factorCount();
 
   // Initialize from priors.
@@ -410,9 +411,9 @@ Marginals GibbsSolver::solve(const FactorGraph &G,
   View.NumVars = NumVars;
   View.VarOffset = L.VarOffset.data();
   View.VmFactor = L.VmFactor.data();
-  View.VmMask = L.VmMask.data();
-  View.VmSlotBit = L.VmSlotBit.data();
-  View.VmTableBase = L.VmTableBase.data();
+  View.VmMask = GL.VmMask.data();
+  View.VmSlotBit = GL.VmSlotBit.data();
+  View.VmTableBase = GL.VmTableBase.data();
   View.TableFlat = L.TableFlat.data();
   View.Priors = Priors.data();
   kern::GibbsState KState;
@@ -424,17 +425,17 @@ Marginals GibbsSolver::solve(const FactorGraph &G,
   // flip-adjacency CSR (and leaves CurIndex itself untouched — the
   // sampler reads chain state from Assign only).
   std::vector<uint32_t> PosIdx;
-  if (!L.PairFlat.empty()) {
-    View.PairFlat = L.PairFlat.data();
-    View.FlipOffset = L.FlipOffset.data();
-    View.FlipPos = L.FlipPos.data();
-    View.FlipDelta = L.FlipDelta.data();
+  if (!GL.PairFlat.empty()) {
+    View.PairFlat = GL.PairFlat.data();
+    View.FlipOffset = GL.FlipOffset.data();
+    View.FlipPos = GL.FlipPos.data();
+    View.FlipDelta = GL.FlipDelta.data();
     PosIdx.resize(L.edgeCount());
     for (uint32_t I = 0; I != L.edgeCount(); ++I) {
       const uint32_t Cur = CurIndex[L.VmFactor[I]];
-      const uint32_t Low = L.VmPairLow[I];
+      const uint32_t Low = GL.VmPairLow[I];
       PosIdx[I] =
-          L.VmPairBase[I] + 2 * ((Cur & Low) | ((Cur >> 1) & ~Low));
+          GL.VmPairBase[I] + 2 * ((Cur & Low) | ((Cur >> 1) & ~Low));
     }
     KState.PosIdx = PosIdx.data();
   }

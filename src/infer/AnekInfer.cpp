@@ -8,7 +8,6 @@
 #include "lang/PrettyPrinter.h"
 #include "pfg/PfgBuilder.h"
 #include "support/FaultInject.h"
-#include "support/Format.h"
 #include "support/Hash.h"
 #include "support/Metrics.h"
 #include "support/StringUtils.h"
@@ -39,6 +38,22 @@ const char *anek::solverChoiceName(SolverChoice Choice) {
     return "gibbs";
   case SolverChoice::Exact:
     return "exact";
+  }
+  return "unknown";
+}
+
+const char *anek::cascadeExitName(CascadeExit Exit) {
+  switch (Exit) {
+  case CascadeExit::None:
+    return "none";
+  case CascadeExit::NearConvergedBp:
+    return "near-converged bp";
+  case CascadeExit::Gibbs:
+    return "gibbs";
+  case CascadeExit::Exact:
+    return "exact";
+  case CascadeExit::KeptDegraded:
+    return "kept degraded";
   }
   return "unknown";
 }
@@ -111,12 +126,6 @@ void appendReason(MethodReport &Report, std::string Why) {
   if (!Report.Reason.empty())
     Report.Reason += "; ";
   Report.Reason += std::move(Why);
-}
-
-/// Counts one cascade stage entry (Phase-level metrics).
-void countCascadeStage(const char *Stage) {
-  if (telemetry::enabled(telemetry::TraceLevel::Phase))
-    telemetry::counter(std::string("cascade.stage.") + Stage).add(1);
 }
 
 /// The engine behind runAnekInfer.
@@ -406,7 +415,12 @@ Expected<Marginals> InferEngine::solveGraph(const FactorGraph &G,
                         : Deadline();
   ++Report.Solves;
   Report.Fallback = false;
+  Report.Exit = CascadeExit::None;
   Report.Reason.clear();
+  auto Leave = [&](CascadeExit Exit) {
+    Report.Fallback = true;
+    Report.Exit = Exit;
+  };
 
   // For solvers without native cavity support, divide the prior out of
   // the marginal (exact on trees, approximate on loops).
@@ -417,7 +431,8 @@ Expected<Marginals> InferEngine::solveGraph(const FactorGraph &G,
                                   probToOdds(G.variable(V).Prior));
   };
 
-  auto RunBp = [&](SumProductSolver::Options O) {
+  auto RunBp = [&]() {
+    SumProductSolver::Options O;
     O.Budget = Budget;
     Report.Used = SolverChoice::SumProduct;
     // The delegate (when installed) is contractually byte-identical to
@@ -457,58 +472,42 @@ Expected<Marginals> InferEngine::solveGraph(const FactorGraph &G,
     if (M)
       return M;
     // Too large for enumeration; fall back to belief propagation.
-    Report.Fallback = true;
+    Leave(CascadeExit::KeptDegraded);
     appendReason(Report, M.status().str());
-    return RunBp(SumProductSolver::Options());
+    return RunBp();
   }
 
-  // The cascade (DESIGN.md): BP -> damped BP -> Gibbs -> exact.
-  SumProductSolver::Options BpOpts;
-  Marginals M = RunBp(BpOpts);
+  // The cascade (DESIGN.md): one BP solve, accepted when it converged or
+  // ended near convergence; otherwise Gibbs -> exact -> keep the best.
+  Marginals M = RunBp();
   if (Report.Solve.Converged || !Opts.Fallback)
     return M;
 
-  Report.Fallback = true;
   // The solver names its own failure (SolveReport::Reason); the cascade
   // only adds which stage it is leaving.
   appendReason(Report,
                "bp missed convergence (" + Report.Solve.Reason + ")");
-  countCascadeStage("damped_bp");
-
-  // Stage 2: heavier damping and a longer leash tame most oscillations.
-  // The retry also turns residual scheduling off: a solve that already
-  // missed its contract should not skip any factor update, however
-  // quiet, while it hunts for the fixed point.
-  SumProductSolver::Options Damped;
-  Damped.Damping = 0.6;
-  Damped.MaxIterations = BpOpts.MaxIterations * 2;
-  Damped.ResidualScheduling = false;
-  Marginals DampedM = RunBp(Damped);
-  if (Report.Solve.Converged)
-    return DampedM;
-  SolveReport DampedReport = Report.Solve;
-  // Nearly-converged beliefs beat a jump to sampling: Gibbs noise can
-  // erase a spec that a residual this small would have kept. The injected
-  // non-convergence fault models *bad* divergence, so it skips this exit.
-  constexpr double NearConvergence = 1e-2;
+  // The injected non-convergence fault models *bad* divergence, so it
+  // skips this exit, as does a solve its budget cut short.
   if (!(faults::anyActive() &&
         faults::active(FaultKind::BpNonConvergence)) &&
       !Report.Solve.DeadlineExpired &&
       Report.Solve.Residual <= NearConvergence) {
-    appendReason(Report, formatStr("accepted nearly-converged damped bp "
-                                   "(residual %.2g)",
-                                   Report.Solve.Residual));
-    return DampedM;
+    Leave(CascadeExit::NearConvergedBp);
+    appendReason(Report, "accepted nearly-converged bp");
+    return M;
   }
-  appendReason(Report, formatStr("damped bp retry missed convergence "
-                                 "(residual %.2g)",
-                                 Report.Solve.Residual));
-  countCascadeStage("gibbs");
+  // Every later stage rewrites the report and the cavity beliefs; keep
+  // the first solve's for the degraded exit.
+  const SolveReport BpReport = Report.Solve;
+  const Marginals BpBelief = GraphBelief;
 
-  // Stage 3: seeded Gibbs does not depend on message convergence at all.
+  // Seeded Gibbs does not depend on message convergence at all.
   Marginals GibbsM = RunGibbs();
-  if (Report.Solve.Converged)
+  if (Report.Solve.Converged) {
+    Leave(CascadeExit::Gibbs);
     return GibbsM;
+  }
   bool GibbsCollectedSome = Report.Solve.Iterations > 0;
   // Thread the sampler's own reason through: before SolveReport carried
   // one, a Samples == 0 non-convergence left this stage reasonless in
@@ -520,32 +519,30 @@ Expected<Marginals> InferEngine::solveGraph(const FactorGraph &G,
                                 : Report.Solve.Reason) +
                            ")");
 
-  // Stage 4: exact enumeration when the graph is small enough.
+  // Exact enumeration when the graph is small enough.
   if (G.variableCount() <= ExactSolver::MaxVariables) {
-    countCascadeStage("exact");
     Expected<Marginals> ExactM = RunExact();
-    if (ExactM)
+    if (ExactM) {
+      Leave(CascadeExit::Exact);
       return ExactM;
+    }
     appendReason(Report, ExactM.status().str());
   }
 
   // Every stage degraded: keep the best approximation we have — a partial
-  // Gibbs estimate when any samples were collected, else the damped
-  // (unconverged) BP beliefs. Still a usable approximation, and the
+  // Gibbs estimate when any samples were collected, else the first BP
+  // solve's (unconverged) beliefs. Still a usable approximation, and the
   // report says exactly how it was obtained.
-  if (telemetry::enabled(telemetry::TraceLevel::Phase))
-    telemetry::counter("cascade.kept_degraded").add(1);
+  Leave(CascadeExit::KeptDegraded);
   if (GibbsCollectedSome) {
     appendReason(Report, "using partial gibbs estimate");
     return GibbsM;
   }
   Report.Used = SolverChoice::SumProduct;
-  Report.Solve = DampedReport;
+  Report.Solve = BpReport;
+  GraphBelief = BpBelief;
   appendReason(Report, "using unconverged bp beliefs");
-  // GraphBelief currently holds Gibbs-derived beliefs; recompute for the
-  // damped BP marginals we are about to return.
-  DividePriors(DampedM);
-  return DampedM;
+  return M;
 }
 
 void InferEngine::forEachApplication(
@@ -691,7 +688,7 @@ summaryio::SolveOutcome InferEngine::analyzeOne(MethodDecl *M,
   Out.Variables = FG.variableCount();
   Out.Factors = FG.factorCount();
   Out.SolverUsed = static_cast<uint8_t>(Report.Used);
-  Out.FallbackUsed = Report.Fallback;
+  Out.Exit = static_cast<uint8_t>(Report.Exit);
   Out.Reason = std::move(Report.Reason);
   Out.Solve = std::move(Report.Solve);
   Out.Solves = Report.Solves;
@@ -763,6 +760,8 @@ Status InferEngine::validateOutcome(const SolveOutcome &O,
                   " filed as '" + M->qualifiedName() + "'");
   if (O.SolverUsed > static_cast<uint8_t>(SolverChoice::Exact))
     return Reject("unknown solver id " + std::to_string(O.SolverUsed));
+  if (O.Exit >= NumCascadeExits)
+    return Reject("unknown cascade exit " + std::to_string(O.Exit));
   for (const SummaryUpdate &U : O.Updates) {
     const MethodDecl *Owner = methodAt(U.OwnerDeclIndex);
     if (!Owner)
@@ -1185,7 +1184,7 @@ InferResult InferEngine::run() {
             JobSpan.arg("factors", Out.Factors);
             JobSpan.arg("solver", solverChoiceName(static_cast<SolverChoice>(
                                       Out.SolverUsed)));
-            JobSpan.argBool("fallback", Out.FallbackUsed);
+            JobSpan.argBool("fallback", Out.Exit != 0);
           }
         }
       });
@@ -1233,7 +1232,8 @@ InferResult InferEngine::run() {
         const unsigned PrevSolves = Report.Solves;
         Report = MethodReport();
         Report.Used = static_cast<SolverChoice>(Out.SolverUsed);
-        Report.Fallback = Out.FallbackUsed;
+        Report.Exit = static_cast<CascadeExit>(Out.Exit);
+        Report.Fallback = Report.Exit != CascadeExit::None;
         Report.Reason = std::move(Out.Reason);
         Report.Solve = std::move(Out.Solve);
         Report.Solves = PrevSolves + Out.Solves;
@@ -1252,8 +1252,10 @@ InferResult InferEngine::run() {
         Result.SolveSeconds += Out.SolveSeconds;
         Result.TotalVariables += static_cast<unsigned>(Out.Variables);
         Result.TotalFactors += static_cast<unsigned>(Out.Factors);
-        if (Report.Fallback)
+        if (Report.Fallback) {
           ++Result.FallbackSolves;
+          ++Result.FallbackExits[Out.Exit];
+        }
 
         // A changed summary invalidates the models that consume it: the
         // owning method itself and its callers (they applied the stale
@@ -1344,6 +1346,15 @@ InferResult InferEngine::run() {
         .add(Result.MethodsAnalyzed);
     telemetry::counter("infer.methods_failed").add(Result.MethodsFailed);
     telemetry::counter("infer.fallback_solves").add(Result.FallbackSolves);
+    // How the fallbacks ended, per pick like infer.fallback_solves.
+    telemetry::counter("cascade.exit.near_converged_bp")
+        .add(Result.FallbackExits[unsigned(CascadeExit::NearConvergedBp)]);
+    telemetry::counter("cascade.exit.gibbs")
+        .add(Result.FallbackExits[unsigned(CascadeExit::Gibbs)]);
+    telemetry::counter("cascade.exit.exact")
+        .add(Result.FallbackExits[unsigned(CascadeExit::Exact)]);
+    telemetry::counter("cascade.exit.kept_degraded")
+        .add(Result.FallbackExits[unsigned(CascadeExit::KeptDegraded)]);
     telemetry::counter("infer.specs_inferred")
         .add(Result.Inferred.size());
   }

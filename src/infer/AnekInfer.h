@@ -32,6 +32,7 @@
 #include "lang/Ast.h"
 #include "support/Diagnostics.h"
 
+#include <array>
 #include <map>
 #include <memory>
 
@@ -42,6 +43,38 @@ enum class SolverChoice { SumProduct, Gibbs, Exact };
 
 /// Renders a SolverChoice as "bp"/"gibbs"/"exact".
 const char *solverChoiceName(SolverChoice Choice);
+
+/// The BP residual at or below which a solve that missed its tolerance
+/// is accepted as it is instead of walking on to sampling: Gibbs noise
+/// can erase a spec that a residual this small would have kept. Shared
+/// by the modular and the joint cascade.
+inline constexpr double NearConvergence = 1e-2;
+
+/// How one SOLVE left the fallback cascade (DESIGN.md, "The fallback
+/// cascade").
+enum class CascadeExit : uint8_t {
+  /// No fallback: the requested solver met its contract, or the cascade
+  /// is switched off.
+  None = 0,
+  /// BP missed its tolerance but ended within NearConvergence; its
+  /// beliefs were kept as they are.
+  NearConvergedBp,
+  /// A Gibbs chain ran to its full sample count.
+  Gibbs,
+  /// Exact enumeration.
+  Exact,
+  /// Every stage missed, so the best approximation at hand was kept: a
+  /// partial Gibbs estimate or the first BP solve's beliefs. Also an
+  /// explicitly requested exact solve that had to fall back to BP.
+  KeptDegraded,
+};
+
+/// Number of CascadeExit values.
+inline constexpr unsigned NumCascadeExits = 5;
+
+/// Renders a CascadeExit for footers and reports: "none",
+/// "near-converged bp", "gibbs", "exact", "kept degraded".
+const char *cascadeExitName(CascadeExit Exit);
 
 /// Tunables of the inference (paper Sections 3.3-3.4).
 struct InferOptions {
@@ -62,8 +95,9 @@ struct InferOptions {
 
   // Robustness knobs (see DESIGN.md, "Failure model and degradation").
   /// When the primary solver misses its convergence contract, walk the
-  /// fallback cascade (BP -> damped BP -> Gibbs -> exact) instead of
-  /// silently using unconverged beliefs.
+  /// fallback cascade (BP -> accept if within NearConvergence, else
+  /// Gibbs -> exact -> keep the best) instead of silently using
+  /// unconverged beliefs.
   bool Fallback = true;
   /// Wall-clock budget per SOLVE step in seconds; 0 = unlimited. The
   /// budget is a degradation trigger, not an abort: an expired solve
@@ -108,8 +142,11 @@ struct InferOptions {
 struct MethodReport {
   /// The solver whose marginals were actually used (last solve).
   SolverChoice Used = SolverChoice::SumProduct;
-  /// True when any fallback stage past the first BP attempt was taken.
+  /// True when the first solve missed its contract and the cascade ran
+  /// (BP missed its tolerance, or a requested exact solve did not fit).
   bool Fallback = false;
+  /// How the cascade ended; None exactly when !Fallback.
+  CascadeExit Exit = CascadeExit::None;
   /// Why the cascade moved on; empty when the first attempt converged.
   std::string Reason;
   /// Convergence report of the solve whose marginals were used.
@@ -147,6 +184,10 @@ struct InferResult {
   unsigned MethodsFailed = 0;
   /// SOLVE steps that used a fallback solver.
   unsigned FallbackSolves = 0;
+  /// FallbackSolves split by how each left the cascade, indexed by
+  /// CascadeExit (the None slot stays 0). Counted per pick, replays
+  /// included, like FallbackSolves.
+  std::array<unsigned, NumCascadeExits> FallbackExits{};
   unsigned TotalVariables = 0;
   unsigned TotalFactors = 0;
   /// Solver wall-clock summed over the picks that actually solved;

@@ -182,6 +182,69 @@ extractAll(const std::vector<MethodModel> &Models, const Marginals &Solution,
   return Out;
 }
 
+/// The joint solve, through the same fallback cascade as the modular
+/// algorithm: one BP solve, accepted when it converged or ended within
+/// NearConvergence; otherwise Gibbs -> exact (small graphs only) -> keep
+/// the best. Records the cascade in \p Result.
+Marginals solveJoint(const FactorGraph &FG, const InferOptions &Opts,
+                     GlobalResult &Result) {
+  Deadline Budget = Opts.SolveBudgetSeconds > 0.0
+                        ? Deadline::afterSeconds(Opts.SolveBudgetSeconds)
+                        : Deadline();
+  auto AppendReason = [&](std::string Why) {
+    if (!Result.CascadeReason.empty())
+      Result.CascadeReason += "; ";
+    Result.CascadeReason += std::move(Why);
+  };
+
+  SumProductSolver::Options SolverOpts;
+  SolverOpts.MaxIterations = 80;
+  SolverOpts.Budget = Budget;
+  Result.Used = SolverChoice::SumProduct;
+  Marginals Bp = SumProductSolver(SolverOpts).solve(FG, nullptr, &Result.Solve);
+  if (Result.Solve.Converged || !Opts.Fallback)
+    return Bp;
+
+  Result.Fallback = true;
+  AppendReason("bp missed convergence (" + Result.Solve.Reason + ")");
+  if (!(faults::anyActive() && faults::active(FaultKind::BpNonConvergence)) &&
+      !Result.Solve.DeadlineExpired &&
+      Result.Solve.Residual <= NearConvergence) {
+    AppendReason("accepted nearly-converged bp");
+    return Bp;
+  }
+  const SolveReport BpReport = Result.Solve;
+
+  GibbsSolver::Options GibbsOpts;
+  GibbsOpts.Budget = Budget;
+  Result.Used = SolverChoice::Gibbs;
+  Marginals Gibbs = GibbsSolver(GibbsOpts).solve(FG, &Result.Solve);
+  if (Result.Solve.Converged)
+    return Gibbs;
+  const bool GibbsCollectedSome = Result.Solve.Iterations > 0;
+  AppendReason("gibbs chain cut short");
+
+  if (FG.variableCount() <= ExactSolver::MaxVariables) {
+    if (Expected<Marginals> Exact = ExactSolver().solve(FG, Deadline())) {
+      Result.Used = SolverChoice::Exact;
+      Result.Solve = SolveReport();
+      Result.Solve.Converged = true;
+      return Exact.take();
+    }
+  }
+
+  // Keep the best approximation: a partial Gibbs estimate, else the
+  // first BP solve's beliefs.
+  if (GibbsCollectedSome) {
+    AppendReason("using partial gibbs estimate");
+    return Gibbs;
+  }
+  AppendReason("using unconverged bp beliefs");
+  Result.Used = SolverChoice::SumProduct;
+  Result.Solve = BpReport;
+  return Bp;
+}
+
 } // namespace
 
 GlobalResult anek::runGlobalInfer(Program &Prog, const InferOptions &Opts,
@@ -199,64 +262,8 @@ GlobalResult anek::runGlobalInfer(Program &Prog, const InferOptions &Opts,
     Span.arg("factors", Result.TotalFactors);
   }
 
-  Deadline Budget = Opts.SolveBudgetSeconds > 0.0
-                        ? Deadline::afterSeconds(Opts.SolveBudgetSeconds)
-                        : Deadline();
-  auto AppendReason = [&](std::string Why) {
-    if (!Result.CascadeReason.empty())
-      Result.CascadeReason += "; ";
-    Result.CascadeReason += std::move(Why);
-  };
-
-  // Same fallback cascade as the modular algorithm, applied to the one
-  // joint solve: BP -> damped BP -> Gibbs -> exact (small graphs only).
   Timer SolveTimer;
-  SumProductSolver::Options SolverOpts;
-  SolverOpts.MaxIterations = 80;
-  SolverOpts.Budget = Budget;
-  Result.Used = SolverChoice::SumProduct;
-  Marginals Solution =
-      SumProductSolver(SolverOpts).solve(FG, nullptr, &Result.Solve);
-  if (!Result.Solve.Converged && Opts.Fallback) {
-    Result.Fallback = true;
-    AppendReason(formatStr("bp missed convergence (residual %.2g after %u "
-                           "iterations)",
-                           Result.Solve.Residual, Result.Solve.Iterations));
-    SumProductSolver::Options Damped = SolverOpts;
-    Damped.Damping = 0.6;
-    Damped.MaxIterations = SolverOpts.MaxIterations * 2;
-    Solution = SumProductSolver(Damped).solve(FG, nullptr, &Result.Solve);
-    // Same near-convergence exit as the modular cascade: beliefs a hair
-    // short of the tolerance are better than Gibbs sampling noise.
-    constexpr double NearConvergence = 1e-2;
-    if (!Result.Solve.Converged &&
-        !(faults::anyActive() &&
-          faults::active(FaultKind::BpNonConvergence)) &&
-        !Result.Solve.DeadlineExpired &&
-        Result.Solve.Residual <= NearConvergence) {
-      AppendReason(formatStr("accepted nearly-converged damped bp "
-                             "(residual %.2g)",
-                             Result.Solve.Residual));
-    } else if (!Result.Solve.Converged) {
-      AppendReason(formatStr("damped bp retry missed convergence "
-                             "(residual %.2g)",
-                             Result.Solve.Residual));
-      GibbsSolver::Options GibbsOpts;
-      GibbsOpts.Budget = Budget;
-      Result.Used = SolverChoice::Gibbs;
-      Solution = GibbsSolver(GibbsOpts).solve(FG, &Result.Solve);
-      if (!Result.Solve.Converged &&
-          FG.variableCount() <= ExactSolver::MaxVariables) {
-        AppendReason("gibbs chain cut short");
-        if (Expected<Marginals> Exact = ExactSolver().solve(FG, Deadline())) {
-          Result.Used = SolverChoice::Exact;
-          Result.Solve = SolveReport();
-          Result.Solve.Converged = true;
-          Solution = Exact.take();
-        }
-      }
-    }
-  }
+  Marginals Solution = solveJoint(FG, Opts, Result);
   Result.SolveSeconds = SolveTimer.seconds();
 
   Result.Inferred = extractAll(Models, Solution, Opts);

@@ -95,7 +95,7 @@ void encodeOutcome(wire::Writer &W, const SolveOutcome &O) {
   W.u8(O.Failed ? 1 : 0);
   W.str(O.Error);
   W.u8(O.SolverUsed);
-  W.u8(O.FallbackUsed ? 1 : 0);
+  W.u8(O.Exit);
   W.str(O.Reason);
   encodeSolveReport(W, O.Solve);
   W.u32(O.Solves);
@@ -118,12 +118,11 @@ void encodeOutcome(wire::Writer &W, const SolveOutcome &O) {
 }
 
 Status decodeOutcome(wire::Reader &R, SolveOutcome &O) {
-  uint8_t Failed = 0, FallbackUsed = 0;
+  uint8_t Failed = 0;
   if (!(R.u32(O.DeclIndex) && R.u8(Failed) && R.str(O.Error) &&
-        R.u8(O.SolverUsed) && R.u8(FallbackUsed) && R.str(O.Reason)))
+        R.u8(O.SolverUsed) && R.u8(O.Exit) && R.str(O.Reason)))
     return corrupt("truncated outcome record");
   O.Failed = Failed != 0;
-  O.FallbackUsed = FallbackUsed != 0;
   if (!decodeSolveReport(R, O.Solve))
     return corrupt("truncated solve report");
   if (!(R.u32(O.Solves) && R.u64(O.Variables) && R.u64(O.Factors) &&

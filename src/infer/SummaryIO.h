@@ -47,8 +47,12 @@
 namespace anek {
 namespace summaryio {
 
-/// Bump on any layout change; decoders reject every other version.
-constexpr uint32_t WireVersion = 2;
+/// Bump on any layout change, and on any change to what a SOLVE computes
+/// from the same inputs (the solver cascade included): decoders reject
+/// every other version, and the cache's environment digest folds it in,
+/// so entries an older build wrote read back as invalidated instead of
+/// replaying that build's results.
+constexpr uint32_t WireVersion = 3;
 
 /// What a sealed blob carries. The kind is part of the envelope so a
 /// snapshot can never be mistaken for a cache entry. The values are part
@@ -120,7 +124,9 @@ struct SolveOutcome {
 
   /// MethodReport mirror: solver cascade outcome.
   uint8_t SolverUsed = 0; ///< SolverChoice as its enum value.
-  bool FallbackUsed = false;
+  /// CascadeExit as its enum value; non-zero exactly when the cascade
+  /// ran (MethodReport::Fallback).
+  uint8_t Exit = 0;
   std::string Reason;
   SolveReport Solve;
   uint32_t Solves = 0;

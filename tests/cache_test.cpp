@@ -85,7 +85,7 @@ summaryio::SolveOutcome sampleOutcome() {
   summaryio::SolveOutcome S;
   S.DeclIndex = 5;
   S.SolverUsed = 2;
-  S.FallbackUsed = true;
+  S.Exit = static_cast<uint8_t>(CascadeExit::Gibbs);
   S.Reason = "gibbs fallback";
   S.Solve.Converged = true;
   S.Solve.Residual = 0.003;
@@ -136,7 +136,7 @@ void expectSameOutcome(const summaryio::SolveOutcome &A,
   EXPECT_EQ(A.Failed, B.Failed);
   EXPECT_EQ(A.Error, B.Error);
   EXPECT_EQ(A.SolverUsed, B.SolverUsed);
-  EXPECT_EQ(A.FallbackUsed, B.FallbackUsed);
+  EXPECT_EQ(A.Exit, B.Exit);
   EXPECT_EQ(A.Reason, B.Reason);
   EXPECT_EQ(A.Solve.Converged, B.Solve.Converged);
   EXPECT_EQ(A.Solve.Residual, B.Solve.Residual);
@@ -574,6 +574,7 @@ public:
     WrongArity,
     OtherMethod,
     UnknownSolver,
+    UnknownExit,
     Failed,
   };
 
@@ -601,6 +602,9 @@ public:
       break;
     case Damage::UnknownSolver:
       Out.SolverUsed = 7;
+      break;
+    case Damage::UnknownExit:
+      Out.Exit = NumCascadeExits;
       break;
     case Damage::Failed:
       Out.Failed = true;
@@ -641,6 +645,7 @@ TEST_F(CacheTest, HitsThatDoNotFitTheProgramAreResolved) {
         DamagingCache::Damage::WrongArity,
         DamagingCache::Damage::OtherMethod,
         DamagingCache::Damage::UnknownSolver,
+        DamagingCache::Damage::UnknownExit,
         DamagingCache::Damage::Failed}) {
     SCOPED_TRACE(static_cast<int>(D));
     cache::SummaryCache Inner("");

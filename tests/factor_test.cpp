@@ -11,7 +11,7 @@ using namespace anek;
 
 TEST(FactorGraphTest, PriorsAndClamping) {
   FactorGraph G;
-  VarId A = G.addVariable(0.3, "a");
+  VarId A = G.addVariable(0.3);
   EXPECT_DOUBLE_EQ(G.variable(A).Prior, 0.3);
   VarId B = G.addVariable(0.0);
   EXPECT_GT(G.variable(B).Prior, 0.0);

@@ -114,6 +114,79 @@ TEST(AnekInferTest, FileProtocolInference) {
   EXPECT_EQ(Spec->Result->State, "OPEN");
 }
 
+//===----------------------------------------------------------------------===//
+// The fallback cascade
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Counts the BP solves the engine issues and runs each on the local
+/// solver, so results stay byte-identical (the delegate contract).
+class CountingBp final : public BpSolveDelegate {
+public:
+  Marginals solve(const SumProductSolver::Options &O, const FactorGraph &G,
+                  Marginals *GraphLikelihood, SolveReport *Report) override {
+    ++Calls;
+    return SumProductSolver(O).solve(G, GraphLikelihood, Report);
+  }
+  unsigned Calls = 0;
+};
+
+bool endsWith(const std::string &S, const std::string &Suffix) {
+  return S.size() >= Suffix.size() &&
+         S.compare(S.size() - Suffix.size(), Suffix.size(), Suffix) == 0;
+}
+
+} // namespace
+
+TEST(CascadeTest, NearConvergedSolveCostsOneBpCall) {
+  // Every fresh solve of the file example misses the 1e-5 tolerance and
+  // ends within 1e-3, so each is accepted after its one BP call.
+  auto Prog = analyze(fileProtocolSource());
+  CountingBp Bp;
+  InferOptions Opts;
+  Opts.Bp = &Bp;
+  InferResult R = runAnekInfer(*Prog, Opts);
+  const unsigned FreshSolves = R.WorklistPicks - R.MemoReplays;
+  EXPECT_EQ(FreshSolves, 11u);
+  EXPECT_EQ(Bp.Calls, FreshSolves);
+  EXPECT_EQ(R.FallbackSolves, R.WorklistPicks);
+  EXPECT_EQ(R.FallbackExits[unsigned(CascadeExit::NearConvergedBp)],
+            R.FallbackSolves);
+  ASSERT_FALSE(R.Reports.empty());
+  for (const auto &[M, Report] : R.Reports) {
+    EXPECT_EQ(Report.Used, SolverChoice::SumProduct) << M->qualifiedName();
+    EXPECT_EQ(Report.Exit, CascadeExit::NearConvergedBp)
+        << M->qualifiedName();
+    EXPECT_FALSE(Report.Solve.Converged) << M->qualifiedName();
+    EXPECT_LE(Report.Solve.Residual, 1e-3) << M->qualifiedName();
+    EXPECT_TRUE(endsWith(Report.Reason, "accepted nearly-converged bp"))
+        << M->qualifiedName() << ": " << Report.Reason;
+  }
+}
+
+TEST(CascadeTest, InjectedNonConvergenceLeavesBpAfterOneCall) {
+  // The fault models bad divergence, so the near-converged accept is
+  // skipped and the cascade moves on after the one BP call. The fault
+  // also disarms the memo, so every pick solves.
+  faults::reset();
+  auto Prog = analyze(fileProtocolSource());
+  faults::ScopedFault Fault(FaultKind::BpNonConvergence);
+  CountingBp Bp;
+  InferOptions Opts;
+  Opts.Bp = &Bp;
+  InferResult R = runAnekInfer(*Prog, Opts);
+  EXPECT_EQ(R.MemoReplays, 0u);
+  EXPECT_EQ(Bp.Calls, R.WorklistPicks);
+  EXPECT_EQ(R.FallbackSolves, R.WorklistPicks);
+  EXPECT_EQ(R.FallbackExits[unsigned(CascadeExit::NearConvergedBp)], 0u);
+  ASSERT_FALSE(R.Reports.empty());
+  for (const auto &[M, Report] : R.Reports) {
+    EXPECT_TRUE(Report.Fallback) << M->qualifiedName();
+    EXPECT_NE(Report.Used, SolverChoice::SumProduct) << M->qualifiedName();
+  }
+}
+
 TEST(AnekInferTest, DeterministicAcrossRuns) {
   auto Prog1 = analyze(iteratorApiSource() + spreadsheetSource());
   auto Prog2 = analyze(iteratorApiSource() + spreadsheetSource());

@@ -86,9 +86,9 @@ std::unique_ptr<Program> analyze(const std::string &Source) {
 /// asymmetric frustrated cycle of near-hard disagreement constraints.
 FactorGraph frustratedCycle() {
   FactorGraph G;
-  VarId A = G.addVariable(0.9, "a");
-  VarId B = G.addVariable(0.5, "b");
-  VarId C = G.addVariable(0.3, "c");
+  VarId A = G.addVariable(0.9);
+  VarId B = G.addVariable(0.5);
+  VarId C = G.addVariable(0.3);
   auto Disagree = [](const std::vector<bool> &X) { return X[0] != X[1]; };
   G.addPredicateFactor({A, B}, Disagree, 0.99);
   G.addPredicateFactor({B, C}, Disagree, 0.99);
@@ -300,9 +300,9 @@ TEST_F(RobustnessTest, PipelineFallsBackWhenBpCannotConverge) {
 }
 
 TEST_F(RobustnessTest, TotalSolverFailureStillDegradesGracefully) {
-  // Under the 'deadline' fault every budget is expired: BP, the damped
-  // retry, Gibbs, and exact all get cut off, and the pipeline must still
-  // come back with its best-effort beliefs rather than crash.
+  // Under the 'deadline' fault every budget is expired: BP, Gibbs and
+  // exact all get cut off, and the pipeline must still come back with
+  // its best-effort beliefs rather than crash.
   auto Prog = analyze(fileProtocolSource());
   faults::ScopedFault Fault(FaultKind::DeadlineExpiry);
 
@@ -414,9 +414,9 @@ TEST_F(RobustnessTest, AllocPerturbDoesNotChangeMarginals) {
   // care. Build the same model with and without padding and compare the
   // exact marginals of the real variables.
   auto Build = [](FactorGraph &G) {
-    VarId A = G.addVariable(0.8, "a");
-    VarId B = G.addVariable(0.4, "b");
-    VarId C = G.addVariable(0.6, "c");
+    VarId A = G.addVariable(0.8);
+    VarId B = G.addVariable(0.4);
+    VarId C = G.addVariable(0.6);
     G.addEqualityFactor(A, B, 0.9);
     G.addPredicateFactor(
         {B, C}, [](const std::vector<bool> &X) { return X[0] || X[1]; },

@@ -770,6 +770,40 @@ TEST_F(TraceTest, DriverEmitsValidTraceAndMetrics) {
   EXPECT_TRUE(MetricsDoc.at("histograms").has("solver.bp.residual"));
 }
 
+TEST_F(TraceTest, DriverSplitsFallbacksByCascadeExit) {
+  // Every fresh solve of the file example misses the BP tolerance and
+  // ends near convergence, so all 12 fallback picks (replays included)
+  // leave the cascade there. The injected non-convergence fault skips
+  // that exit, so none do. The footer and the metrics say the same.
+  struct Case {
+    const char *Flags;
+    const char *Footer;
+    double NearConverged;
+  };
+  for (const Case &C :
+       {Case{"", "12 fallback solve(s) (12 near-converged bp, 0 gibbs, "
+                 "0 exact, 0 kept degraded)",
+             12.0},
+        Case{" --fault bp-nonconverge",
+             "12 fallback solve(s) (0 near-converged bp, ", 0.0}}) {
+    TempFile Metrics("_cascade_metrics.json");
+    ToolRun R = runTool(std::string("infer --example file") + C.Flags +
+                        " --metrics=" + Metrics.Path.string());
+    ASSERT_EQ(R.Exit, 0) << R.MaskedOutput;
+    EXPECT_NE(R.MaskedOutput.find(C.Footer), std::string::npos)
+        << R.MaskedOutput;
+    Json Counters = mustParse(slurp(Metrics.Path)).at("counters");
+    EXPECT_EQ(Counters.at("infer.fallback_solves").N, 12.0);
+    EXPECT_EQ(Counters.at("cascade.exit.near_converged_bp").N,
+              C.NearConverged);
+    EXPECT_EQ(Counters.at("cascade.exit.near_converged_bp").N +
+                  Counters.at("cascade.exit.gibbs").N +
+                  Counters.at("cascade.exit.exact").N +
+                  Counters.at("cascade.exit.kept_degraded").N,
+              12.0);
+  }
+}
+
 TEST_F(TraceTest, DriverSpecsAreByteIdenticalWithTelemetry) {
   for (const char *Jobs : {"-j1", "-j4"}) {
     ToolRun Plain =

@@ -445,9 +445,15 @@ int run(int Argc, char **Argv) {
                   Inference.inferredAnnotationCount(),
                   Inference.MethodsAnalyzed, Inference.WorklistPicks,
                   Inference.SolveSeconds);
-      if (Inference.FallbackSolves || Inference.MethodsFailed)
-        std::printf(", %u fallback solve(s), %u method(s) failed",
-                    Inference.FallbackSolves, Inference.MethodsFailed);
+      if (Inference.FallbackSolves || Inference.MethodsFailed) {
+        std::printf(", %u fallback solve(s) (", Inference.FallbackSolves);
+        // How each fallback left the cascade; the None slot is always 0.
+        for (unsigned E = 1; E != NumCascadeExits; ++E)
+          std::printf("%s%u %s", E == 1 ? "" : ", ",
+                      Inference.FallbackExits[E],
+                      cascadeExitName(static_cast<CascadeExit>(E)));
+        std::printf("), %u method(s) failed", Inference.MethodsFailed);
+      }
       std::printf("\n");
       return Exit;
     }
