@@ -94,7 +94,6 @@ void BpEngine::logDomainFixup(const kern::BpConsts &C) {
 
 RunStats BpEngine::run(const SumProductSolver::Options &Opts,
                        bool EmitResiduals) {
-  const kern::SolverKernels &K = kern::solverKernels();
   const kern::BpConsts C{Opts.Damping, 1.0 - Opts.Damping, Opts.Tolerance,
                          0.5 * Opts.Tolerance};
   RunStats R;
@@ -119,16 +118,16 @@ RunStats BpEngine::run(const SumProductSolver::Options &Opts,
     // commits and returns the max change itself. Otherwise the split
     // form runs so the fixup can overwrite NewMsg/Change in between.
     const bool Commit = !Opts.ResidualScheduling && HighDegVars.empty();
-    double D1 = K.BpVarMessages(View, State, C, 0, View.NumVars, Commit);
+    double D1 = kern::bpVarMessages(View, State, C, 0, View.NumVars, Commit);
     if (!Commit) {
       logDomainFixup(C);
-      D1 = K.BpVarScatter(View, State, C, 0, View.NumVars,
-                          Opts.ResidualScheduling);
+      D1 = kern::bpVarScatter(View, State, 0, View.NumVars,
+                              Opts.ResidualScheduling);
     }
     R.Updates += View.NumEdges;
-    const double D2 = K.BpFactorSweep(View, State, C, 0, View.NumFactors,
-                                      Opts.ResidualScheduling, Refresh,
-                                      &R.Updates, &R.Skipped);
+    const double D2 = kern::bpFactorSweep(View, State, C, 0, View.NumFactors,
+                                          Opts.ResidualScheduling, Refresh,
+                                          &R.Updates, &R.Skipped);
     R.Delta = D1 > D2 ? D1 : D2;
   }
   return R;

@@ -7,8 +7,8 @@
 /// \file
 /// Library-internal driver behind SumProductSolver::solve: owns the
 /// per-solve message and scratch arrays over a zero-copy view of the
-/// graph's EdgeLayout and runs the flooding loop through the active
-/// kernel backend (factor/Kernels.h).
+/// graph's EdgeLayout and runs the flooding loop on the solver kernels
+/// (factor/Kernels.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,7 +35,7 @@ struct RunStats {
 };
 
 /// Owns the per-solve message and scratch arrays over one graph view
-/// and runs the iteration loop through the active kernel backend.
+/// and runs the iteration loop on the solver kernels.
 class BpEngine {
 public:
   explicit BpEngine(const kern::BpView &View);
@@ -46,16 +46,13 @@ public:
   /// samples.
   RunStats run(const SumProductSolver::Options &Opts, bool EmitResiduals);
 
-  /// Beliefs from the final factor->var messages: the scalar-kernel
-  /// epilogue verbatim.
+  /// Beliefs from the final factor->var messages.
   void beliefs(Marginals &Out, Marginals *GraphLikelihood) const;
 
 private:
   /// Recompute NewMsg/Change in the log domain for the variables with
   /// degree >= kern::LogDomainMinDegree (linear-domain products of that
   /// many clamped messages can underflow to 0 and erase the signal).
-  /// Runs in this baseline TU for every backend, so it cannot break
-  /// backend byte-identity.
   void logDomainFixup(const kern::BpConsts &C);
 
   kern::BpView View;

@@ -10,15 +10,6 @@
 
 using namespace anek;
 
-double anek::clampProb(double P) {
-  constexpr double Eps = 1e-9;
-  if (P < Eps)
-    return Eps;
-  if (P > 1.0 - Eps)
-    return 1.0 - Eps;
-  return P;
-}
-
 VarId FactorGraph::addVariable(double Prior) {
   // Fault 'alloc-perturb': interleave an unconnected padding variable so
   // every subsequent VarId shifts. Marginals of real variables must be
@@ -132,8 +123,8 @@ const FactorGraph::EdgeLayout &FactorGraph::edgeLayout() const {
   for (uint32_t E = 0; E != NumEdges; ++E)
     Layout.VarEdges[Cursor[Layout.EdgeVar[E]]++] = E;
 
-  // Flattened tables. The total stays below 2^31 entries so 32-bit
-  // *signed* gather indices (the AVX2 i32 gather form) are safe.
+  // Flattened tables. The total stays below 2^31 entries so a 32-bit
+  // table offset plus an index into that table cannot wrap.
   size_t TableTotal = 0;
   Layout.TableOffset.resize(NumFactors);
   for (uint32_t F = 0; F != NumFactors; ++F) {
@@ -182,8 +173,7 @@ const FactorGraph::GibbsLayout &FactorGraph::gibbsLayout() const {
   // (arrays left empty => kernels fall back to TableFlat gathers) when
   // a factor repeats a scope variable (multi-bit mask, not compactable)
   // or a graph with huge tables would blow the budget; the decision
-  // depends only on the graph, so every kernel backend sees the same
-  // layout.
+  // depends only on the graph.
   constexpr size_t PairBudget = size_t{1} << 21; // floats (8 MiB).
   size_t PairTotal = 0;
   bool PairEligible = true;

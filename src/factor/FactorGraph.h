@@ -102,7 +102,7 @@ public:
     std::vector<uint32_t> EdgeVarMask;
     /// Every factor table concatenated into one contiguous array:
     /// factor F's table occupies TableFlat[TableOffset[F] ..
-    /// TableOffset[F] + 2^deg(F)). SIMD kernels gather table entries
+    /// TableOffset[F] + 2^deg(F)). The kernels gather table entries
     /// from a single base pointer instead of chasing per-factor
     /// vectors; safe to cache because factor tables are immutable once
     /// added (setPrior does not touch them).
@@ -145,8 +145,7 @@ public:
     /// Gibbs sweep loads one contiguous pair per occurrence instead of
     /// two strided table entries — at the same total footprint as
     /// TableFlat per slot. Entries are float: a sampling-weight cache,
-    /// exact on the widening load in every backend (float -> double is
-    /// lossless), with the build-time rounding (~1e-7 relative) far
+    /// exact on the widening load (float -> double is lossless), with the build-time rounding (~1e-7 relative) far
     /// below the sampler's own Monte Carlo error; TableFlat stays the
     /// double source of truth for BP. VmPairBase[I] is position I's
     /// base into PairFlat; VmPairLow[I] = SlotBit - 1, the mask of
@@ -207,8 +206,17 @@ private:
   mutable bool IndexValid = false;
 };
 
+/// Distance clampProb keeps every probability from 0 and 1.
+inline constexpr double ProbEps = 1e-9;
+
 /// Clamps a probability away from 0 and 1 so message products stay finite.
-double clampProb(double P);
+inline double clampProb(double P) {
+  if (P < ProbEps)
+    return ProbEps;
+  if (P > 1.0 - ProbEps)
+    return 1.0 - ProbEps;
+  return P;
+}
 
 } // namespace anek
 

@@ -21,10 +21,10 @@ using namespace anek;
 // Loopy belief propagation
 //===----------------------------------------------------------------------===//
 //
-// The iteration loop and the kernel bodies live behind the KernelBackend
-// seam (factor/Kernels.h): this method builds a zero-copy BpView over the
-// graph's cached EdgeLayout, runs the driver (factor/BpDriver.cpp), and
-// keeps PR 3's reporting and telemetry surface unchanged.
+// The iteration loop and the kernel bodies live in factor/BpDriver.cpp
+// and factor/Kernels.cpp: this method builds a zero-copy BpView over the
+// graph's cached EdgeLayout, runs the driver, and turns its stats into
+// the SolveReport and telemetry.
 
 Marginals SumProductSolver::solve(const FactorGraph &G,
                                   Marginals *GraphLikelihood,
@@ -62,7 +62,6 @@ Marginals SumProductSolver::solve(const FactorGraph &G,
 
   bp::BpEngine Engine(View);
   const bp::RunStats S = Engine.run(Opts, TraceIters);
-  LastIterations = S.Iterations;
   const bool Converged = !ForcedNonConvergence && !S.DeadlineExpired &&
                          S.Delta <= Opts.Tolerance;
   if (Report) {
@@ -100,7 +99,6 @@ Marginals SumProductSolver::solve(const FactorGraph &G,
     SolveSpan.arg("residual", S.Delta);
     SolveSpan.argBool("converged", Converged);
     SolveSpan.arg("messages", S.Updates);
-    SolveSpan.arg("backend", kern::solverKernels().Name);
     if (!Opts.Budget.unlimited())
       SolveSpan.arg("budget_remaining_s", Opts.Budget.remainingSeconds());
   }
@@ -382,9 +380,7 @@ Marginals GibbsSolver::solve(const FactorGraph &G,
     }
     return {};
   }
-  // Raw SplitMix64 state handed to the kernel; kern::rngNext is the
-  // same arithmetic as Rng, so the stream is the one Rng(Seed) yields.
-  uint64_t RngState = Opts.Seed;
+  Rng Random(Opts.Seed);
   const FactorGraph::EdgeLayout &L = G.edgeLayout();
   const FactorGraph::GibbsLayout &GL = G.gibbsLayout();
   const unsigned NumFactors = G.factorCount();
@@ -394,7 +390,7 @@ Marginals GibbsSolver::solve(const FactorGraph &G,
   std::vector<uint8_t> Assign(NumVars);
   for (unsigned V = 0; V != NumVars; ++V) {
     Priors[V] = G.variable(V).Prior;
-    Assign[V] = kern::rngUniform(RngState) < Priors[V];
+    Assign[V] = Random.uniform() < Priors[V];
   }
 
   // Incremental conditional evaluation: each factor's current table
@@ -419,7 +415,7 @@ Marginals GibbsSolver::solve(const FactorGraph &G,
   kern::GibbsState KState;
   KState.CurIndex = CurIndex.data();
   KState.Assign = Assign.data();
-  KState.RngState = &RngState;
+  KState.Random = &Random;
   // Pair path: seed every position's current pair index from CurIndex
   // once; the kernel maintains it under flips through the
   // flip-adjacency CSR (and leaves CurIndex itself untouched — the
@@ -439,8 +435,6 @@ Marginals GibbsSolver::solve(const FactorGraph &G,
     }
     KState.PosIdx = PosIdx.data();
   }
-  const kern::SolverKernels &K = kern::solverKernels();
-
   std::vector<uint32_t> TrueCounts(NumVars, 0);
   unsigned Collected = 0;
   bool DeadlineExpired = false;
@@ -467,7 +461,7 @@ Marginals GibbsSolver::solve(const FactorGraph &G,
     while (ChunkBegin != NumVars) {
       const uint32_t ChunkEnd = std::min<uint32_t>(
           NumVars, ChunkBegin == 0 ? 63u : ChunkBegin + 64);
-      K.GibbsSweep(View, KState, ChunkBegin, ChunkEnd);
+      kern::gibbsSweep(View, KState, ChunkBegin, ChunkEnd);
       Updates += ChunkEnd - ChunkBegin;
       ChunkBegin = ChunkEnd;
       if (ChunkBegin != NumVars && Opts.Budget.expired(Sweep)) {

@@ -109,9 +109,6 @@ public:
   Marginals solve(const FactorGraph &G, Marginals *GraphLikelihood = nullptr,
                   SolveReport *Report = nullptr) const;
 
-  /// Iterations used by the last solve() call.
-  mutable unsigned LastIterations = 0;
-
 private:
   Options Opts;
 };

@@ -282,9 +282,9 @@ private:
                                  MethodReport &Report, uint64_t Seed) const;
 
   /// Stable solver seed for \p M: a hash of the qualified method name
-  /// mixed with the user seed. Identical across runs, processes and job
-  /// counts; distinct (in practice) across methods and user seeds.
-  uint64_t methodSeed(const MethodDecl *M) const;
+  /// mixed with a fixed salt. Identical across runs, processes and job
+  /// counts; distinct (in practice) across methods.
+  static uint64_t methodSeed(const MethodDecl *M);
 
   Program &Prog;
   const InferOptions &Opts;
@@ -394,15 +394,16 @@ void InferEngine::computeEvidence(std::vector<SummaryUpdate> &Updates,
   Updates.push_back(std::move(Update));
 }
 
-uint64_t InferEngine::methodSeed(const MethodDecl *M) const {
-  uint64_t Hash = stableHash64(M->qualifiedName());
-  // splitmix64-style finalizer over the user seed, so nearby seeds (1, 2,
-  // ...) still decorrelate every method's chain.
-  uint64_t S = Opts.Seed + 0x9E3779B97F4A7C15ULL;
-  S = (S ^ (S >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  S = (S ^ (S >> 27)) * 0x94D049BB133111EBULL;
-  S ^= S >> 31;
-  uint64_t Mixed = Hash ^ S;
+uint64_t InferEngine::methodSeed(const MethodDecl *M) {
+  // The salt is the splitmix64 finalizer of 1. Changing it would move
+  // every method's seed, its Gibbs chain and its cache-key component.
+  constexpr uint64_t Salt = [] {
+    uint64_t S = 1 + 0x9E3779B97F4A7C15ULL;
+    S = (S ^ (S >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    S = (S ^ (S >> 27)) * 0x94D049BB133111EBULL;
+    return S ^ (S >> 31);
+  }();
+  const uint64_t Mixed = stableHash64(M->qualifiedName()) ^ Salt;
   return Mixed ? Mixed : 0x9E3779B97F4A7C15ULL;
 }
 
@@ -480,7 +481,7 @@ Expected<Marginals> InferEngine::solveGraph(const FactorGraph &G,
   // The cascade (DESIGN.md): one BP solve, accepted when it converged or
   // ended near convergence; otherwise Gibbs -> exact -> keep the best.
   Marginals M = RunBp();
-  if (Report.Solve.Converged || !Opts.Fallback)
+  if (Report.Solve.Converged)
     return M;
 
   // The solver names its own failure (SolveReport::Reason); the cascade
@@ -870,7 +871,6 @@ void InferEngine::prepareCache() {
   HashStream Env;
   Env.u32(summaryio::WireVersion);
   Env.u8(static_cast<uint8_t>(Opts.Solver));
-  Env.u8(Opts.Fallback ? 1 : 0);
   Env.f64(Opts.SpecHi);
   Env.f64(Opts.SpecLo);
   const ConstraintOptions &C = Opts.Constraints;

@@ -53,8 +53,7 @@ inline constexpr double NearConvergence = 1e-2;
 /// How one SOLVE left the fallback cascade (DESIGN.md, "The fallback
 /// cascade").
 enum class CascadeExit : uint8_t {
-  /// No fallback: the requested solver met its contract, or the cascade
-  /// is switched off.
+  /// No fallback: the requested solver met its contract.
   None = 0,
   /// BP missed its tolerance but ended within NearConvergence; its
   /// beliefs were kept as they are.
@@ -94,11 +93,6 @@ struct InferOptions {
   bool RespectDeclared = true;
 
   // Robustness knobs (see DESIGN.md, "Failure model and degradation").
-  /// When the primary solver misses its convergence contract, walk the
-  /// fallback cascade (BP -> accept if within NearConvergence, else
-  /// Gibbs -> exact -> keep the best) instead of silently using
-  /// unconverged beliefs.
-  bool Fallback = true;
   /// Wall-clock budget per SOLVE step in seconds; 0 = unlimited. The
   /// budget is a degradation trigger, not an abort: an expired solve
   /// falls through the cascade and ultimately keeps the best partial
@@ -112,10 +106,6 @@ struct InferOptions {
   /// merged in declaration order) is the same for every value, so the
   /// result is byte-identical regardless of Parallelism.
   unsigned Parallelism = 1;
-  /// User seed mixed into every per-method solver seed. Each method's
-  /// Gibbs chain is seeded from a stable hash of its qualified name plus
-  /// this value, so sampling does not depend on scheduling order.
-  uint64_t Seed = 1;
 
   // Incremental summary cache (DESIGN.md, "Incremental inference and the
   // summary cache").

@@ -202,7 +202,7 @@ Marginals solveJoint(const FactorGraph &FG, const InferOptions &Opts,
   SolverOpts.Budget = Budget;
   Result.Used = SolverChoice::SumProduct;
   Marginals Bp = SumProductSolver(SolverOpts).solve(FG, nullptr, &Result.Solve);
-  if (Result.Solve.Converged || !Opts.Fallback)
+  if (Result.Solve.Converged)
     return Bp;
 
   Result.Fallback = true;

@@ -4,8 +4,10 @@
 #include "factor/Solvers.h"
 #include "support/Rng.h"
 
+#include <algorithm>
 #include <cmath>
 #include <gtest/gtest.h>
+#include <optional>
 
 using namespace anek;
 
@@ -240,4 +242,211 @@ TEST(LogicalSolverTest, MarginalsOverModels) {
   ASSERT_TRUE(M.has_value());
   EXPECT_DOUBLE_EQ((*M)[A], 1.0);
   EXPECT_DOUBLE_EQ((*M)[B], 0.5);
+}
+
+//===----------------------------------------------------------------------===//
+// Bit-parallel exact enumeration
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Random factor graph with mixed arities 1..4 (unary evidence, pairwise
+/// equalities, and general tables).
+FactorGraph makeRandomGraph(unsigned NumVars, unsigned NumFactors,
+                            uint64_t Seed) {
+  Rng Random(Seed);
+  FactorGraph G;
+  for (unsigned V = 0; V != NumVars; ++V)
+    G.addVariable(0.05 + 0.9 * Random.uniform());
+  for (unsigned F = 0; F != NumFactors; ++F) {
+    unsigned Arity =
+        std::min<unsigned>(1 + static_cast<unsigned>(Random.below(4)),
+                           NumVars);
+    std::vector<VarId> Scope;
+    while (Scope.size() != Arity) {
+      VarId V = static_cast<VarId>(Random.below(NumVars));
+      if (std::find(Scope.begin(), Scope.end(), V) == Scope.end())
+        Scope.push_back(V);
+    }
+    std::vector<double> Table(size_t{1} << Arity);
+    for (double &W : Table)
+      W = 0.05 + Random.uniform();
+    G.addFactor(std::move(Scope), std::move(Table));
+  }
+  return G;
+}
+
+/// Hard-constraint graph for the logical enumeration: every table entry
+/// is decisively above or below the 0.5 threshold.
+FactorGraph makeLogicalGraph(unsigned NumVars, unsigned NumFactors,
+                             uint64_t Seed, double SatBias) {
+  Rng Random(Seed);
+  FactorGraph G;
+  for (unsigned V = 0; V != NumVars; ++V)
+    G.addVariable(0.5);
+  for (unsigned F = 0; F != NumFactors; ++F) {
+    unsigned Arity =
+        std::min<unsigned>(1 + static_cast<unsigned>(Random.below(4)),
+                           NumVars);
+    std::vector<VarId> Scope;
+    while (Scope.size() != Arity) {
+      VarId V = static_cast<VarId>(Random.below(NumVars));
+      if (std::find(Scope.begin(), Scope.end(), V) == Scope.end())
+        Scope.push_back(V);
+    }
+    std::vector<double> Table(size_t{1} << Arity);
+    for (double &W : Table)
+      W = Random.uniform() < SatBias ? 0.9 : 0.1;
+    G.addFactor(std::move(Scope), std::move(Table));
+  }
+  return G;
+}
+
+/// Brute-force satisfying-assignment count and per-variable true counts,
+/// straight off the factor tables — the independent reference for both
+/// enumeration paths.
+uint64_t bruteCount(const FactorGraph &G, double Threshold,
+                    std::vector<uint64_t> *TrueCounts = nullptr) {
+  const unsigned NumVars = G.variableCount();
+  uint64_t Satisfying = 0;
+  for (uint64_t Index = 0; Index != (uint64_t{1} << NumVars); ++Index) {
+    bool Ok = true;
+    for (uint32_t F = 0; F != G.factorCount() && Ok; ++F) {
+      const FactorGraph::Factor &Factor = G.factor(F);
+      size_t TableIndex = 0;
+      for (size_t Bit = 0; Bit != Factor.Scope.size(); ++Bit)
+        if ((Index >> Factor.Scope[Bit]) & 1)
+          TableIndex |= size_t{1} << Bit;
+      Ok = Factor.Table[TableIndex] > Threshold;
+    }
+    if (!Ok)
+      continue;
+    ++Satisfying;
+    if (TrueCounts)
+      for (unsigned V = 0; V != NumVars; ++V)
+        if ((Index >> V) & 1)
+          ++(*TrueCounts)[V];
+  }
+  return Satisfying;
+}
+
+} // namespace
+
+TEST(ExactEnumeration, PackedAndSimplePathsMatchBruteForce) {
+  ExactSolver Exact;
+  // Variable counts straddling the 6-variable packed threshold: 3 and 5
+  // take the scalar loop, the rest the popcount path.
+  for (unsigned NumVars : {3u, 5u, 6u, 7u, 10u, 13u}) {
+    for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
+      FactorGraph G = makeLogicalGraph(NumVars, NumVars + 3,
+                                       Seed * 131 + NumVars, 0.75);
+      std::vector<uint64_t> Expected(NumVars, 0);
+      const uint64_t Count = bruteCount(G, 0.5, &Expected);
+
+      std::optional<uint64_t> Got = Exact.countSatisfying(G, 62);
+      ASSERT_TRUE(Got.has_value()) << NumVars << "/" << Seed;
+      EXPECT_EQ(*Got, Count) << NumVars << "/" << Seed;
+
+      std::optional<Marginals> Logical = Exact.solveLogical(G, 62);
+      if (Count == 0) {
+        EXPECT_FALSE(Logical.has_value()) << NumVars << "/" << Seed;
+        continue;
+      }
+      ASSERT_TRUE(Logical.has_value()) << NumVars << "/" << Seed;
+      ASSERT_EQ(Logical->size(), NumVars);
+      for (unsigned V = 0; V != NumVars; ++V)
+        EXPECT_EQ((*Logical)[V], static_cast<double>(Expected[V]) /
+                                     static_cast<double>(Count))
+            << NumVars << "/" << Seed << " var " << V;
+    }
+  }
+}
+
+TEST(ExactEnumeration, WideFactorFallsBackToScalarLoop) {
+  // One factor whose scope holds 13 variables with ids >= 6: its
+  // per-high-combination word table would need 2^13 entries, so the
+  // packed path must decline and the scalar loop carry the graph.
+  const unsigned NumVars = 19;
+  Rng Random(99);
+  FactorGraph G;
+  for (unsigned V = 0; V != NumVars; ++V)
+    G.addVariable(0.5);
+  std::vector<VarId> Wide;
+  for (VarId V = 6; V != 19; ++V)
+    Wide.push_back(V);
+  std::vector<double> WideTable(size_t{1} << Wide.size());
+  for (double &W : WideTable)
+    W = Random.uniform() < 0.95 ? 0.9 : 0.1;
+  G.addFactor(std::move(Wide), std::move(WideTable));
+  G.addFactor({0, 1}, {0.9, 0.1, 0.1, 0.9});
+  G.addFactor({2, 7}, {0.1, 0.9, 0.9, 0.9});
+
+  std::vector<uint64_t> Expected(NumVars, 0);
+  const uint64_t Count = bruteCount(G, 0.5, &Expected);
+  ASSERT_GT(Count, 0u);
+
+  ExactSolver Exact;
+  std::optional<uint64_t> Got = Exact.countSatisfying(G, 62);
+  ASSERT_TRUE(Got.has_value());
+  EXPECT_EQ(*Got, Count);
+  std::optional<Marginals> Logical = Exact.solveLogical(G, 62);
+  ASSERT_TRUE(Logical.has_value());
+  for (unsigned V = 0; V != NumVars; ++V)
+    EXPECT_EQ((*Logical)[V], static_cast<double>(Expected[V]) /
+                                 static_cast<double>(Count));
+}
+
+TEST(ExactEnumeration, LimitsBudgetsAndUnsat) {
+  ExactSolver Exact;
+  FactorGraph G = makeLogicalGraph(10, 12, 17, 0.8);
+
+  // DNF on the variable limit, on both enumeration paths.
+  EXPECT_FALSE(Exact.countSatisfying(G, 9).has_value());
+  EXPECT_FALSE(Exact.solveLogical(G, 9).has_value());
+
+  // DNF on an already-expired budget (checked at the first block).
+  Deadline Expired = Deadline::afterSeconds(0.0);
+  EXPECT_FALSE(Exact.countSatisfying(G, 62, 0.5, Expired).has_value());
+  EXPECT_FALSE(Exact.solveLogical(G, 62, 0.5, Expired).has_value());
+
+  // Unsatisfiable: a variable forced both true and false. The count is
+  // an honest zero; the logical marginals are a DNF (division by the
+  // solution count is meaningless).
+  FactorGraph Unsat;
+  for (unsigned V = 0; V != 8; ++V)
+    Unsat.addVariable(0.5);
+  Unsat.addFactor({0}, {0.1, 0.9}); // X0 must be true.
+  Unsat.addFactor({0}, {0.9, 0.1}); // X0 must be false.
+  std::optional<uint64_t> Zero = Exact.countSatisfying(Unsat, 62);
+  ASSERT_TRUE(Zero.has_value());
+  EXPECT_EQ(*Zero, 0u);
+  EXPECT_FALSE(Exact.solveLogical(Unsat, 62).has_value());
+}
+
+TEST(ExactEnumeration, WeightedSolveMatchesJointWeight) {
+  // ExactSolver::solve accumulates weighted mass in the same
+  // multiplication and summation order as jointWeight over ascending
+  // assignment indices — so the comparison is exact, not approximate.
+  ExactSolver Exact;
+  for (uint64_t Seed : {4u, 9u}) {
+    FactorGraph G = makeRandomGraph(9, 14, Seed);
+    Expected<Marginals> Got = Exact.solve(G);
+    ASSERT_TRUE(Got.hasValue());
+
+    const unsigned NumVars = G.variableCount();
+    std::vector<double> TrueMass(NumVars, 0.0);
+    double Total = 0.0;
+    std::vector<bool> Assign(NumVars);
+    for (uint64_t Index = 0; Index != (uint64_t{1} << NumVars); ++Index) {
+      for (unsigned V = 0; V != NumVars; ++V)
+        Assign[V] = (Index >> V) & 1;
+      const double W = G.jointWeight(Assign);
+      Total += W;
+      for (unsigned V = 0; V != NumVars; ++V)
+        if (Assign[V])
+          TrueMass[V] += W;
+    }
+    for (unsigned V = 0; V != NumVars; ++V)
+      EXPECT_EQ((*Got)[V], TrueMass[V] / Total) << Seed << "/" << V;
+  }
 }

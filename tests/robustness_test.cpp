@@ -146,6 +146,7 @@ TEST_F(RobustnessTest, DriverExitCodeContract) {
   EXPECT_EQ(runTool("--worker"), 2);
   EXPECT_EQ(runTool("report --batch b.jsonl"), 2);
   EXPECT_EQ(runTool("infer --example file --fault worker-crash"), 2);
+  EXPECT_EQ(runTool("infer --example file --kernel-backend scalar"), 2);
   EXPECT_EQ(runTool("infer /no/such/file.mjava"), 1);
   EXPECT_EQ(runTool("infer --example file"), 0);
 }

@@ -3,13 +3,15 @@
 // The `ctest -L solver` suite for the CSR message-passing kernels
 // (DESIGN.md, "Solver kernel layout"): randomized BP/Gibbs-vs-exact
 // marginal checks over many small graphs, the SolveReport convergence
-// contract, residual-scheduling equivalence, and the invariants of the
-// cached edge layout itself. Every test is seeded and deterministic, and
+// contract, residual-scheduling equivalence, the log-domain fixup for
+// high-degree variables, and the invariants of the cached edge layout
+// itself. Every test is seeded and deterministic, and
 // the whole file is meant to run under ASan/UBSan/TSan presets.
 //
 //===----------------------------------------------------------------------===//
 
 #include "factor/FactorGraph.h"
+#include "factor/Kernels.h"
 #include "factor/Solvers.h"
 #include "support/Rng.h"
 
@@ -303,4 +305,31 @@ TEST(SolveReportContractTest, DeterministicAcrossRepeatedSolves) {
   SolveReport G1, G2;
   EXPECT_EQ(Gibbs.solve(G, &G1), Gibbs.solve(G, &G2));
   EXPECT_EQ(G1.Updates, G2.Updates);
+}
+
+TEST(LogDomainFixupTest, HighDegreeStarStaysInterior) {
+  // A hub variable far past LogDomainMinDegree: the plain product of its
+  // 96 clamped incoming messages underflows toward 0, so the driver's
+  // log-domain fixup has to carry the signal.
+  constexpr unsigned Leaves = 96;
+  static_assert(Leaves > kern::LogDomainMinDegree);
+  FactorGraph G;
+  VarId Hub = G.addVariable(0.7);
+  for (unsigned L = 0; L != Leaves; ++L) {
+    VarId Leaf = G.addVariable(L % 2 ? 0.9 : 0.1);
+    G.addEqualityFactor(Hub, Leaf, 0.8);
+  }
+
+  SumProductSolver::Options O;
+  O.MaxIterations = 50;
+  Marginals M = SumProductSolver(O).solve(G);
+  for (double P : M) {
+    EXPECT_TRUE(std::isfinite(P));
+    EXPECT_GE(P, 0.0);
+    EXPECT_LE(P, 1.0);
+  }
+  // Balanced opposing evidence must not collapse to an exact endpoint —
+  // the underflow symptom the log domain exists to prevent.
+  EXPECT_GT(M[Hub], 0.0);
+  EXPECT_LT(M[Hub], 1.0);
 }

@@ -42,7 +42,6 @@
 #include "analysis/IrBuilder.h"
 #include "cache/SummaryCache.h"
 #include "corpus/ExampleSources.h"
-#include "factor/Kernels.h"
 #include "infer/AnekInfer.h"
 #include "lang/PrettyPrinter.h"
 #include "lang/Sema.h"
@@ -75,8 +74,7 @@ void usage() {
   std::fputs("usage: anek <infer|check|verify|pfg|ir> "
              "<file.mjava | --example spreadsheet|file|field> "
              "[--dot] [--method NAME] [--report] [--fault SPEC] "
-             "[--jobs N | -j N | -jN] [--cache DIR] "
-             "[--kernel-backend scalar|avx2|neon|auto] [--trace FILE] "
+             "[--jobs N | -j N | -jN] [--cache DIR] [--trace FILE] "
              "[--metrics FILE] [--trace-level off|phase|method|solver]\n"
              "       anek report [--trace FILE] [--metrics FILE] "
              "[--json] [--top N]\n"
@@ -226,28 +224,6 @@ void printReports(const InferResult &Inference) {
 
 int run(int Argc, char **Argv) {
   std::vector<std::string> Args(Argv + 1, Argv + Argc);
-  if (Args.empty()) {
-    usage();
-    return ExitUsage;
-  }
-  // --kernel-backend selects the process-wide solver SIMD dispatch
-  // (scalar|avx2|neon|auto), so it applies to every command; handle and
-  // strip it before command parsing. ANEK_FORCE_SCALAR=1 in the
-  // environment has the same effect as "scalar".
-  for (size_t I = 0; I < Args.size();) {
-    std::string Value;
-    size_t Start = I;
-    if (flagValue(Args, I, "--kernel-backend", Value)) {
-      if (Status S = kern::setKernelBackend(Value); !S) {
-        std::fprintf(stderr, "anek: %s\n", S.str().c_str());
-        return ExitUsage;
-      }
-      Args.erase(Args.begin() + Start, Args.begin() + I + 1);
-      I = Start;
-    } else {
-      ++I;
-    }
-  }
   if (Args.empty()) {
     usage();
     return ExitUsage;
