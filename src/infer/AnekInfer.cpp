@@ -25,7 +25,7 @@
 #include <functional>
 #include <memory>
 #include <numeric>
-#include <set>
+#include <optional>
 #include <unordered_map>
 
 using namespace anek;
@@ -134,15 +134,17 @@ void appendReason(MethodReport &Report, std::string Why) {
 /// CallGraph::sccWaves). Every method in a wave is analyzed as an
 /// independent job against the summary store as it stood when the wave
 /// began: jobs only read, and return their evidence as a SolveOutcome
-/// record of deferred updates. The scheduling thread merges those records
-/// in declaration order after the wave, so the float reductions inside
-/// the summaries see one fixed order no matter how many workers ran the
-/// jobs. This makes `-j N` byte-identical to `-j 1` by construction.
+/// record of deferred updates. After the wave, the merge applies every
+/// target's updates in declaration (= batch) order, so the float
+/// reductions inside each summary see one fixed order no matter how many
+/// workers ran the jobs or the merge. This makes `-j N` byte-identical to
+/// `-j 1` by construction.
 class InferEngine {
 public:
   InferEngine(Program &Prog, const InferOptions &Opts,
               DiagnosticEngine *Diags)
-      : Prog(Prog), Opts(Opts), Diags(Diags), Graph(Prog) {}
+      : Prog(Prog), Opts(Opts), Diags(Diags), Graph(Prog),
+        DebugEvidence(std::getenv("ANEK_DEBUG_EVIDENCE") != nullptr) {}
 
   InferResult run();
 
@@ -180,6 +182,31 @@ private:
   struct DeclSlot {
     MethodDecl *Method = nullptr;
     MethodSummary *Summary = nullptr;
+    /// The merge's dense index of the summary's first target (see
+    /// targetSlot).
+    uint32_t FirstTargetSlot = 0;
+  };
+
+  static constexpr uint32_t NoGroup = ~uint32_t(0);
+
+  /// One wave's summary updates, grouped by the target they update.
+  /// Filled on the scheduling thread in batch order: groups are numbered
+  /// in order of first appearance (never pointer order), and each group's
+  /// updates keep batch order.
+  struct MergePlan {
+    /// Every update of the wave, in batch order.
+    std::vector<SummaryUpdate *> Updates;
+    /// Group of each entry of Updates.
+    std::vector<uint32_t> GroupOf;
+    /// Per group: the target and its slot.
+    std::vector<TargetSummary *> Targets;
+    std::vector<uint32_t> Slots;
+    /// Group G's updates are Updates[Order[Start[G]...Start[G+1]-1]].
+    std::vector<uint32_t> Start;
+    std::vector<uint32_t> Order;
+    /// Per group: how many of its updates moved the target by more than
+    /// the requeue tolerance.
+    std::vector<uint32_t> Moved;
   };
 
   /// Record of one summary-prior application so its evidence can be
@@ -238,9 +265,37 @@ private:
     return Index < Decls.size() ? Decls[Index].Method : nullptr;
   }
 
+  /// \p M's summary; null for a method outside the program.
+  MethodSummary *summaryOf(const MethodDecl *M) const {
+    return methodAt(M->DeclIndex) == M ? Decls[M->DeclIndex].Summary
+                                       : nullptr;
+  }
+
+  /// True when \p M has a body whose model phase 1 built.
+  bool hasModel(const MethodDecl *M) const {
+    return Models[M->DeclIndex].has_value();
+  }
+
   /// The target \p U updates; null when its owner is unknown or has no
   /// summary at that interface position.
   TargetSummary *targetOf(const SummaryUpdate &U) const;
+
+  /// A dense index of the target \p U updates, unique across the store;
+  /// \p U must name a present target (targetOf non-null).
+  uint32_t targetSlot(const SummaryUpdate &U) const;
+
+  /// Applies one wave's updates (MergePlan) and marks what they requeue:
+  /// each target's updates run in batch order, targets in parallel. A
+  /// target whose pooled vector moves by more than the tolerance
+  /// requeues its owner and the owner's callers. Returns the number of
+  /// updates that moved their target that far.
+  unsigned applyMerge(MergePlan &Plan, ThreadPool *Pool);
+
+  /// Marks \p M to be picked again, unless it cannot be.
+  void markDirty(const MethodDecl *M) {
+    if (hasModel(M) && !Failed[M->DeclIndex])
+      Dirty[M->DeclIndex] = 1;
+  }
 
   /// The check a record read back from the cache must pass before the
   /// merge trusts it: it is \p M's, its solver id is in range, and every
@@ -290,13 +345,28 @@ private:
   const InferOptions &Opts;
   DiagnosticEngine *Diags;
   CallGraph Graph;
-  // All per-method maps are declaration-ordered so every iteration over
-  // them (merging, reporting, extraction) is deterministic.
-  MethodDeclMap<MethodReport> Reports;
-  MethodDeclMap<MethodData> Data;
+  /// ANEK_DEBUG_EVIDENCE was set when the engine was made: updates carry
+  /// debug lines, which the merge prints.
+  const bool DebugEvidence;
+  /// Declaration-ordered, so extraction and the result iterate
+  /// deterministically.
   MethodDeclMap<MethodSummary> Summaries;
   /// Declaration index -> method and summary (see buildSummaryStore).
   std::vector<DeclSlot> Decls;
+  /// Total target slots (see targetSlot).
+  uint32_t TargetSlots = 0;
+  // Per declaration index, sized with Decls: the merge touches these per
+  // update, so they are dense vectors rather than maps.
+  /// The method's model; absent for bodiless methods and failed lowering.
+  std::vector<std::optional<MethodData>> Models;
+  /// Present once the method was picked or its model failed.
+  std::vector<std::optional<MethodReport>> Reports;
+  /// Waiting to be picked again.
+  std::vector<uint8_t> Dirty;
+  /// Isolated after a failed SOLVE; never picked again.
+  std::vector<uint8_t> Failed;
+  /// Per target slot: its group in the merge being planned, or NoGroup.
+  std::vector<uint32_t> GroupOfSlot;
 
   /// Non-null only when Opts.Cache is set and its preconditions hold
   /// (see prepareCache); everything below is populated alongside it.
@@ -377,7 +447,7 @@ void InferEngine::computeEvidence(std::vector<SummaryUpdate> &Updates,
   Update.IsSelf = IsSelf;
   Update.SiteCallerDeclIndex = Site.first ? Site.first->DeclIndex : 0;
   Update.SiteIndex = Site.second;
-  if (std::getenv("ANEK_DEBUG_EVIDENCE")) {
+  if (DebugEvidence) {
     std::string Line = SummaryOwner->qualifiedName();
     Line += IsSelf ? " self" : " site";
     if (!IsSelf && Site.first)
@@ -573,7 +643,7 @@ void InferEngine::forEachApplication(
   };
 
   // The method's own interface nodes: prior = summary minus own evidence.
-  MethodSummary &Self = Summaries.at(M);
+  MethodSummary &Self = *summaryOf(M);
   CallSiteKey NoSite{nullptr, 0};
   Apply(G.ReceiverPre, Self.RecvPre ? &*Self.RecvPre : nullptr, M,
         SummaryTargetRole::RecvPre, 0, true, NoSite);
@@ -598,10 +668,10 @@ void InferEngine::forEachApplication(
     const PfgCallSite &Site = G.CallSites[S];
     if (!Site.Callee)
       continue;
-    auto SumIt = Summaries.find(Site.Callee);
-    if (SumIt == Summaries.end())
+    MethodSummary *CalleeSummary = summaryOf(Site.Callee);
+    if (!CalleeSummary)
       continue;
-    MethodSummary &Callee = SumIt->second;
+    MethodSummary &Callee = *CalleeSummary;
     MethodDecl *D = Site.Callee;
     CallSiteKey Key{M, S};
     Apply(Site.RecvPre, Callee.RecvPre ? &*Callee.RecvPre : nullptr, D,
@@ -641,8 +711,7 @@ summaryio::SolveOutcome InferEngine::analyzeOne(MethodDecl *M,
     return Fail(
         faults::injectedError(FaultKind::SolveFailure, M->qualifiedName()));
 
-  const MethodData &MD = Data.at(M);
-  const Pfg &G = MD.G;
+  const Pfg &G = Models[M->DeclIndex]->G;
 
   // Records of every prior application so evidence can be divided out.
   // Everything read below comes from the wave's frozen summary store;
@@ -722,8 +791,34 @@ void InferEngine::buildSummaryStore() {
         Decls.resize(M->DeclIndex + 1);
       assert(!Decls[M->DeclIndex].Method &&
              "declaration indices must be unique (run Sema first)");
-      Decls[M->DeclIndex] = {M.get(), &Summary};
+      // Slots, see targetSlot: recv-pre, recv-post, result, then a
+      // pre/post pair per parameter.
+      Decls[M->DeclIndex] = {M.get(), &Summary, TargetSlots};
+      TargetSlots += 3 + 2 * static_cast<uint32_t>(Summary.ParamPre.size());
     }
+  Models.resize(Decls.size());
+  Reports.resize(Decls.size());
+  Dirty.assign(Decls.size(), 0);
+  Failed.assign(Decls.size(), 0);
+  GroupOfSlot.assign(TargetSlots, NoGroup);
+}
+
+uint32_t InferEngine::targetSlot(const SummaryUpdate &U) const {
+  using summaryio::SummaryTargetRole;
+  const uint32_t First = Decls[U.OwnerDeclIndex].FirstTargetSlot;
+  switch (U.Role) {
+  case SummaryTargetRole::RecvPre:
+    return First;
+  case SummaryTargetRole::RecvPost:
+    return First + 1;
+  case SummaryTargetRole::Result:
+    return First + 2;
+  case SummaryTargetRole::ParamPre:
+    return First + 3 + 2 * U.ParamIndex;
+  case SummaryTargetRole::ParamPost:
+    return First + 4 + 2 * U.ParamIndex;
+  }
+  return First;
 }
 
 TargetSummary *InferEngine::targetOf(const SummaryUpdate &U) const {
@@ -749,6 +844,65 @@ TargetSummary *InferEngine::targetOf(const SummaryUpdate &U) const {
     return Summary.Result ? &*Summary.Result : nullptr;
   }
   return nullptr;
+}
+
+unsigned InferEngine::applyMerge(MergePlan &Plan, ThreadPool *Pool) {
+  const size_t NumGroups = Plan.Targets.size();
+  const uint32_t NumUpdates = static_cast<uint32_t>(Plan.Updates.size());
+  // A stable counting sort by group: each group keeps batch order.
+  Plan.Start.assign(NumGroups + 1, 0);
+  for (uint32_t G : Plan.GroupOf)
+    ++Plan.Start[G + 1];
+  for (size_t G = 0; G != NumGroups; ++G)
+    Plan.Start[G + 1] += Plan.Start[G];
+  Plan.Order.resize(NumUpdates);
+  std::vector<uint32_t> Fill(Plan.Start.begin(), Plan.Start.end() - 1);
+  for (uint32_t K = 0; K != NumUpdates; ++K)
+    Plan.Order[Fill[Plan.GroupOf[K]]++] = K;
+
+  // Targets share no state, so every target sees the same sequence of
+  // set*Odds calls, and returns the same deltas, whichever thread runs
+  // its group and whenever.
+  Plan.Moved.assign(NumGroups, 0);
+  parallelFor(Pool, NumGroups, [&](size_t G) {
+    TargetSummary &Target = *Plan.Targets[G];
+    uint32_t Moved = 0;
+    for (uint32_t J = Plan.Start[G]; J != Plan.Start[G + 1]; ++J) {
+      SummaryUpdate &U = *Plan.Updates[Plan.Order[J]];
+      double Delta =
+          U.IsSelf ? Target.setSelfOdds(std::move(U.Odds))
+                   : Target.setSiteOdds(
+                         {methodAt(U.SiteCallerDeclIndex), U.SiteIndex},
+                         std::move(U.Odds));
+      Moved += Delta > Opts.SummaryTolerance;
+    }
+    Plan.Moved[G] = Moved;
+  });
+
+  // A changed summary invalidates the models that consume it: the owning
+  // method itself and its callers (they applied the stale summary). They
+  // rerun in a later wave or the next round. Marks are a set union, so
+  // their order does not matter.
+  unsigned Requeued = 0;
+  std::vector<uint32_t> MovedOwners;
+  for (size_t G = 0; G != NumGroups; ++G) {
+    GroupOfSlot[Plan.Slots[G]] = NoGroup;
+    if (!Plan.Moved[G])
+      continue;
+    Requeued += Plan.Moved[G];
+    const SummaryUpdate &First = *Plan.Updates[Plan.Order[Plan.Start[G]]];
+    MovedOwners.push_back(First.OwnerDeclIndex);
+  }
+  std::sort(MovedOwners.begin(), MovedOwners.end());
+  MovedOwners.erase(std::unique(MovedOwners.begin(), MovedOwners.end()),
+                    MovedOwners.end());
+  for (uint32_t Owner : MovedOwners) {
+    MethodDecl *M = Decls[Owner].Method;
+    markDirty(M);
+    for (MethodDecl *Caller : Graph.callers(M))
+      markDirty(Caller);
+  }
+  return Requeued;
 }
 
 Status InferEngine::validateOutcome(const SolveOutcome &O,
@@ -896,7 +1050,7 @@ void InferEngine::prepareCache() {
   Env.f64(C.KindMutexProb);
   // Evidence tracing annotates updates with debug lines that are stored
   // and replayed; entries written with tracing off lack them.
-  Env.u8(std::getenv("ANEK_DEBUG_EVIDENCE") ? 1 : 0);
+  Env.u8(DebugEvidence ? 1 : 0);
   for (const auto &Type : Prog.Types) {
     Env.str(Type->Name);
     Env.u8(Type->IsInterface ? 1 : 0);
@@ -955,7 +1109,7 @@ uint64_t InferEngine::solveKeyFor(MethodDecl *M) {
   // its callees' summaries moved gets a different key, while a warm run
   // that replays wave by wave reproduces the same summary trajectory and
   // therefore the same sequence of keys.
-  forEachApplication(M, Data.at(M).G, [&](Application &App) {
+  forEachApplication(M, Models[M->DeclIndex]->G, [&](Application &App) {
     H.u8(static_cast<uint8_t>(App.Role));
     H.u32(App.ParamIndex);
     H.u8(App.IsSelf ? 1 : 0);
@@ -980,14 +1134,15 @@ InferResult InferEngine::run() {
   std::vector<MethodDecl *> Bodies = Prog.methodsWithBodies();
   if (Phase1.active())
     Phase1.arg("methods", static_cast<uint64_t>(Bodies.size()));
+  buildSummaryStore();
   for (MethodDecl *M : Bodies) {
     try {
       MethodData MD;
       MD.Ir = lowerToIr(*M);
       MD.G = buildPfg(MD.Ir);
-      Data.emplace(M, std::move(MD));
+      Models[M->DeclIndex] = std::move(MD);
     } catch (const std::exception &E) {
-      MethodReport &Report = Reports[M];
+      MethodReport &Report = Reports[M->DeclIndex].emplace();
       Report.Failed = true;
       Report.Error = Status::error(ErrorCode::Internal, E.what()).str();
       ++Result.MethodsFailed;
@@ -998,7 +1153,6 @@ InferResult InferEngine::run() {
                            "); method skipped, conservative summary used");
     }
   }
-  buildSummaryStore();
 
   Phase1.close();
 
@@ -1024,7 +1178,7 @@ InferResult InferEngine::run() {
     Pool = std::make_unique<ThreadPool>(JobCount);
   if (telemetry::enabled(telemetry::TraceLevel::Phase))
     telemetry::gauge("infer.parallelism")
-        .set(static_cast<double>(Pool ? Pool->threadCount() : 1));
+        .set(static_cast<double>(Pool ? Pool->parallelism() : 1));
 
   // Arm the incremental cache (a no-op unless Opts.Cache is set and its
   // preconditions hold). The chain hashes computed here are the run's
@@ -1041,33 +1195,34 @@ InferResult InferEngine::run() {
   // answers them from its own stores, so the memo stays off under one.
   MemoArmed = !Cache && solvesReplayable();
 
-  std::set<MethodDecl *, DeclIndexLess> Dirty;
-  std::set<MethodDecl *, DeclIndexLess> FailedMethods;
   for (const auto &Wave : Waves)
     for (MethodDecl *M : Wave)
-      if (Data.count(M))
-        Dirty.insert(M);
+      markDirty(M);
   // Phase-2 failure diagnostics are buffered per method and flushed in
   // source (declaration) order below: emission order must not depend on
   // which round or wave a method happened to fail in.
   MethodDeclMap<std::string> BufferedWarnings;
 
+  MergePlan Plan;
   unsigned Round = 0, WaveIndex = 0;
-  while (!Dirty.empty() && Result.WorklistPicks < MaxIters) {
+  auto AnyDirty = [&] {
+    return std::find(Dirty.begin(), Dirty.end(), 1) != Dirty.end();
+  };
+  while (AnyDirty() && Result.WorklistPicks < MaxIters) {
     bool AnyRun = false;
     ++Round;
     for (const auto &Wave : Waves) {
       // The wave is already in declaration order; so is the batch.
       std::vector<MethodDecl *> Batch;
       for (MethodDecl *M : Wave)
-        if (Dirty.count(M) && !FailedMethods.count(M) && Data.count(M))
+        if (Dirty[M->DeclIndex])
           Batch.push_back(M);
       if (Result.WorklistPicks + Batch.size() > MaxIters)
         Batch.resize(MaxIters - Result.WorklistPicks);
       if (Batch.empty())
         continue;
       for (MethodDecl *M : Batch)
-        Dirty.erase(M);
+        Dirty[M->DeclIndex] = 0;
       Result.WorklistPicks += static_cast<unsigned>(Batch.size());
       AnyRun = true;
 
@@ -1221,16 +1376,22 @@ InferResult InferEngine::run() {
       if (WaveSpan.active())
         WaveSpan.arg("replayed", WaveReplays);
 
-      // Merge, in declaration (= batch) order, on this thread only.
+      // Merge. The bookkeeping runs on this thread in declaration (=
+      // batch) order: reports, statistics, failures and the evidence
+      // debug lines. The summary updates are only grouped here, by target;
+      // applyMerge then runs each target's group in that same order.
       telemetry::Span MergeSpan("infer.merge", telemetry::TraceLevel::Phase,
                                 "infer");
-      unsigned MergedUpdates = 0, Requeued = 0;
+      Plan.Updates.clear();
+      Plan.GroupOf.clear();
+      Plan.Targets.clear();
+      Plan.Slots.clear();
       for (size_t I = 0; I != Batch.size(); ++I) {
         MethodDecl *M = Batch[I];
         SolveOutcome &Out = Outcomes[I];
-        MethodReport &Report = Reports[M];
-        const unsigned PrevSolves = Report.Solves;
-        Report = MethodReport();
+        std::optional<MethodReport> &Slot = Reports[M->DeclIndex];
+        const unsigned PrevSolves = Slot ? Slot->Solves : 0;
+        MethodReport &Report = Slot.emplace();
         Report.Used = static_cast<SolverChoice>(Out.SolverUsed);
         Report.Exit = static_cast<CascadeExit>(Out.Exit);
         Report.Fallback = Report.Exit != CascadeExit::None;
@@ -1238,15 +1399,15 @@ InferResult InferEngine::run() {
         Report.Solve = std::move(Out.Solve);
         Report.Solves = PrevSolves + Out.Solves;
         if (Out.Failed) {
+          // A failed method is never picked again, so this is its first.
           Report.Failed = true;
           Report.Error = Out.Error;
-          if (FailedMethods.insert(M).second) {
-            ++Result.MethodsFailed;
-            BufferedWarnings.emplace(
-                M, "inference for '" + M->qualifiedName() + "' failed (" +
-                       Out.Error +
-                       "); method skipped, conservative summary used");
-          }
+          Failed[M->DeclIndex] = 1;
+          ++Result.MethodsFailed;
+          BufferedWarnings.emplace(
+              M, "inference for '" + M->qualifiedName() + "' failed (" +
+                     Out.Error +
+                     "); method skipped, conservative summary used");
           continue;
         }
         Result.SolveSeconds += Out.SolveSeconds;
@@ -1256,33 +1417,23 @@ InferResult InferEngine::run() {
           ++Result.FallbackSolves;
           ++Result.FallbackExits[Out.Exit];
         }
-
-        // A changed summary invalidates the models that consume it: the
-        // owning method itself and its callers (they applied the stale
-        // summary). They rerun in a later wave or the next round.
         for (SummaryUpdate &U : Out.Updates) {
           if (!U.DebugLine.empty())
             std::fprintf(stderr, "evidence %s\n", U.DebugLine.c_str());
-          ++MergedUpdates;
-          TargetSummary *Target = targetOf(U);
-          double Delta =
-              U.IsSelf ? Target->setSelfOdds(std::move(U.Odds))
-                       : Target->setSiteOdds(
-                             {methodAt(U.SiteCallerDeclIndex), U.SiteIndex},
-                             std::move(U.Odds));
-          if (Delta <= Opts.SummaryTolerance)
-            continue;
-          ++Requeued;
-          auto MarkDirty = [&](MethodDecl *T) {
-            if (Data.count(T) && !FailedMethods.count(T))
-              Dirty.insert(T);
-          };
-          MethodDecl *Owner = methodAt(U.OwnerDeclIndex);
-          MarkDirty(Owner);
-          for (MethodDecl *Caller : Graph.callers(Owner))
-            MarkDirty(Caller);
+          const uint32_t TargetSlot = targetSlot(U);
+          uint32_t &Group = GroupOfSlot[TargetSlot];
+          if (Group == NoGroup) {
+            Group = static_cast<uint32_t>(Plan.Targets.size());
+            Plan.Targets.push_back(targetOf(U));
+            Plan.Slots.push_back(TargetSlot);
+          }
+          Plan.Updates.push_back(&U);
+          Plan.GroupOf.push_back(Group);
         }
       }
+      const unsigned MergedUpdates =
+          static_cast<unsigned>(Plan.Updates.size());
+      const unsigned Requeued = applyMerge(Plan, Pool.get());
       if (MergeSpan.active()) {
         MergeSpan.arg("updates", MergedUpdates);
         MergeSpan.arg("requeued", Requeued);
@@ -1310,7 +1461,8 @@ InferResult InferEngine::run() {
   // method is conservatively silent: no inferred spec beats a spec built
   // from a summary its own evidence never reached.
   for (MethodDecl *M : Bodies) {
-    if (auto It = Reports.find(M); It != Reports.end() && It->second.Failed)
+    if (const std::optional<MethodReport> &Report = Reports[M->DeclIndex];
+        Report && Report->Failed)
       continue;
     if (Opts.RespectDeclared && M->HasDeclaredSpec)
       continue;
@@ -1327,9 +1479,11 @@ InferResult InferEngine::run() {
       Result.Inferred.emplace(M, std::move(Spec));
   }
 
-  for (auto &[M, Summary] : Summaries)
-    Result.Summaries.emplace(M, Summary);
-  Result.Reports = Reports;
+  Result.Summaries = std::move(Summaries);
+  for (uint32_t I = 0; I != Reports.size(); ++I)
+    if (Reports[I])
+      Result.Reports.emplace_hint(Result.Reports.end(), Decls[I].Method,
+                                  std::move(*Reports[I]));
   if (Opts.Cache && telemetry::enabled(telemetry::TraceLevel::Phase)) {
     telemetry::counter("cache.hit").add(Result.Cache.Hits);
     telemetry::counter("cache.miss").add(Result.Cache.Misses);

@@ -14,10 +14,11 @@
 /// The loop is scheduled as reverse-topological *waves* of call-graph
 /// SCCs: every method in a wave is built and solved against a read-only
 /// snapshot of the summary store, and the resulting evidence is merged
-/// back in declaration order once the wave completes. Because the
-/// schedule is the algorithm (not an implementation detail of a thread
-/// count), `Parallelism = N` produces byte-identical results to
-/// `Parallelism = 1`. See DESIGN.md, "Concurrency model".
+/// back, each target's updates in declaration order, once the wave
+/// completes. Because the schedule is the algorithm (not an
+/// implementation detail of a thread count), `Parallelism = N` produces
+/// byte-identical results to `Parallelism = 1`. See DESIGN.md,
+/// "Concurrency model".
 ///
 //===----------------------------------------------------------------------===//
 
@@ -100,11 +101,12 @@ struct InferOptions {
   double SolveBudgetSeconds = 0.0;
 
   // Parallel scheduler (DESIGN.md, "Concurrency model").
-  /// Worker threads for the wave scheduler: 1 = run wave jobs inline,
-  /// 0 = one worker per hardware thread, N = exactly N workers. The
-  /// schedule (SCC waves over a read-only summary snapshot, updates
-  /// merged in declaration order) is the same for every value, so the
-  /// result is byte-identical regardless of Parallelism.
+  /// Working threads for the wave scheduler: 1 = run wave jobs and the
+  /// merge inline, 0 = one per hardware thread, N = the calling thread
+  /// plus N - 1 pool workers. The schedule (SCC waves over a read-only
+  /// summary snapshot, each target's updates merged in declaration
+  /// order) is the same for every value, so the result is byte-identical
+  /// regardless of Parallelism.
   unsigned Parallelism = 1;
 
   // Incremental summary cache (DESIGN.md, "Incremental inference and the

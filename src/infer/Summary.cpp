@@ -28,7 +28,7 @@ TargetSummary::TargetSummary(TypeDecl *Class) {
     States = Class->States.names();
   DeclaredPrior.assign(NumPermKinds + States.size(), 0.5);
   SelfOdds.assign(DeclaredPrior.size(), 1.0);
-  Pooled = pool(false, nullptr);
+  Pooled = pool(false, NoSite);
 }
 
 void TargetSummary::setDeclaredPrior(const std::optional<PermState> &PS,
@@ -42,45 +42,59 @@ void TargetSummary::setDeclaredPrior(const std::optional<PermState> &PS,
       PS->State.empty() ? std::string(AliveStateName) : PS->State;
   for (size_t S = 0; S != States.size(); ++S)
     DeclaredPrior[NumPermKinds + S] = States[S] == Wanted ? Hi : Lo;
-  Pooled = pool(false, nullptr);
+  Pooled = pool(false, NoSite);
 }
 
-static double maxDelta(const std::vector<double> &A,
-                       const std::vector<double> &B) {
+size_t TargetSummary::siteSlot(const CallSiteKey &Site) const {
+  return static_cast<size_t>(
+      std::lower_bound(Sites.begin(), Sites.end(), Site, CallSiteOrder()) -
+      Sites.begin());
+}
+
+double TargetSummary::repool() {
+  std::vector<double> Before = std::exchange(Pooled, pool(false, NoSite));
   double Delta = 0.0;
-  for (size_t I = 0, E = std::min(A.size(), B.size()); I != E; ++I)
-    Delta = std::max(Delta, std::fabs(A[I] - B[I]));
+  for (size_t I = 0; I != Pooled.size(); ++I)
+    Delta = std::max(Delta, std::fabs(Before[I] - Pooled[I]));
   return Delta;
 }
 
 double TargetSummary::setSelfOdds(std::vector<double> Odds) {
   Odds.resize(size(), 1.0);
   SelfOdds = std::move(Odds);
-  std::vector<double> Before = std::exchange(Pooled, pool(false, nullptr));
-  return maxDelta(Before, Pooled);
+  return repool();
 }
 
 double TargetSummary::setSiteOdds(CallSiteKey Site,
                                   std::vector<double> Odds) {
-  Odds.resize(size(), 1.0);
-  SiteOdds[Site] = std::move(Odds);
-  std::vector<double> Before = std::exchange(Pooled, pool(false, nullptr));
-  return maxDelta(Before, Pooled);
+  const size_t N = size();
+  Odds.resize(N, 1.0);
+  const size_t K = siteSlot(Site);
+  auto Row = SiteOdds.begin() + static_cast<ptrdiff_t>(K * N);
+  if (K != Sites.size() && Sites[K] == Site) {
+    std::copy(Odds.begin(), Odds.end(), Row);
+  } else {
+    Sites.insert(Sites.begin() + static_cast<ptrdiff_t>(K), Site);
+    SiteOdds.insert(Row, Odds.begin(), Odds.end());
+  }
+  return repool();
 }
 
 std::vector<double> TargetSummary::pool(bool SkipSelf,
-                                        const CallSiteKey *SkipSite) const {
-  std::vector<double> Odds(size());
-  for (size_t I = 0; I != size(); ++I) {
+                                        size_t SkipSite) const {
+  const size_t N = size();
+  std::vector<double> Odds(N);
+  for (size_t I = 0; I != N; ++I) {
     Odds[I] = probToOdds(DeclaredPrior[I]);
-    if (!SkipSelf && I < SelfOdds.size())
+    if (!SkipSelf)
       Odds[I] *= SelfOdds[I];
   }
-  for (const auto &[Site, Vec] : SiteOdds) {
-    if (SkipSite && Site == *SkipSite)
+  const double *Row = SiteOdds.data();
+  for (size_t K = 0; K != Sites.size(); ++K, Row += N) {
+    if (K == SkipSite)
       continue;
-    for (size_t I = 0, E = std::min(size(), Vec.size()); I != E; ++I)
-      Odds[I] *= Vec[I];
+    for (size_t I = 0; I != N; ++I)
+      Odds[I] *= Row[I];
   }
   for (double &O : Odds)
     O = oddsToProb(O);
@@ -88,12 +102,13 @@ std::vector<double> TargetSummary::pool(bool SkipSelf,
 }
 
 std::vector<double> TargetSummary::pooledWithoutSelf() const {
-  return pool(true, nullptr);
+  return pool(true, NoSite);
 }
 
 std::vector<double>
 TargetSummary::pooledWithoutSite(CallSiteKey Site) const {
-  return pool(false, &Site);
+  const size_t K = siteSlot(Site);
+  return pool(false, K != Sites.size() && Sites[K] == Site ? K : NoSite);
 }
 
 MethodSummary MethodSummary::forMethod(const MethodDecl &Method, double Hi,

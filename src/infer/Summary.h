@@ -27,7 +27,6 @@
 #include "perm/PermKind.h"
 #include "perm/Spec.h"
 
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -39,9 +38,9 @@ namespace anek {
 using CallSiteKey = std::pair<const MethodDecl *, uint32_t>;
 
 /// Orders call-site keys by (caller declaration index, site index). The
-/// pooled odds product is a float reduction over the site map, so its
-/// iteration order is part of the result: pointer order would make
-/// summaries (and every downstream spec) vary with ASLR.
+/// pooled odds product is a float reduction over a target's sites, so
+/// their order is part of the result: pointer order would make summaries
+/// (and every downstream spec) vary with ASLR.
 struct CallSiteOrder {
   bool operator()(const CallSiteKey &A, const CallSiteKey &B) const {
     unsigned AI = A.first ? A.first->DeclIndex : 0;
@@ -101,20 +100,35 @@ public:
 private:
   friend struct SummaryWireAccess;
 
+  /// Sentinel for pool()'s SkipSite: skip no site.
+  static constexpr size_t NoSite = static_cast<size_t>(-1);
+
+  /// Where \p Site sits in Sites, or would be inserted (the first
+  /// entry not ordered before it).
+  size_t siteSlot(const CallSiteKey &Site) const;
+
   /// The odds product over every source except the skipped ones, as
-  /// probabilities. Site-major: one walk over the site map multiplies
-  /// each site's vector into a running product. Each variable's product
-  /// takes its factors in one fixed order — prior, self, then sites in
+  /// probabilities. Site-major: one walk down the site rows multiplies
+  /// each row into a running product. Each variable's product takes its
+  /// factors in one fixed order — prior, self, then sites in
   /// CallSiteOrder — the order a per-variable fold uses, so walking the
-  /// map site-major changes no bit of the result.
-  std::vector<double> pool(bool SkipSelf, const CallSiteKey *SkipSite) const;
+  /// rows site-major changes no bit of the result.
+  std::vector<double> pool(bool SkipSelf, size_t SkipSite) const;
+
+  /// Re-pools after a mutation and returns the largest absolute change
+  /// against the kept Pooled vector.
+  double repool();
 
   std::vector<std::string> States;
   std::vector<double> DeclaredPrior; ///< Probabilities.
   std::vector<double> SelfOdds;      ///< Odds multipliers (1 = neutral).
-  /// Per-site odds in declaration-index order (see CallSiteOrder: the
-  /// pooling product must not depend on pointer values).
-  std::map<CallSiteKey, std::vector<double>, CallSiteOrder> SiteOdds;
+  /// Call sites with evidence, sorted by CallSiteOrder (declaration
+  /// index, never pointer value: the pooling product must not depend on
+  /// ASLR).
+  std::vector<CallSiteKey> Sites;
+  /// Site evidence as odds multipliers, one size()-stride row per entry
+  /// of Sites: Sites[K]'s row starts at K * size().
+  std::vector<double> SiteOdds;
   /// pool() over every source, refreshed by each mutation: an update
   /// pools once (the new state) and diffs against this (the old one).
   std::vector<double> Pooled;

@@ -4,8 +4,6 @@
 
 #include "support/WireFormat.h"
 
-#include <map>
-
 using namespace anek;
 using namespace anek::summaryio;
 
@@ -16,8 +14,11 @@ struct SummaryWireAccess {
   static const std::vector<double> &selfOdds(const TargetSummary &T) {
     return T.SelfOdds;
   }
-  static const std::map<CallSiteKey, std::vector<double>, CallSiteOrder> &
-  siteOdds(const TargetSummary &T) {
+  static const std::vector<CallSiteKey> &sites(const TargetSummary &T) {
+    return T.Sites;
+  }
+  /// One size()-stride row per entry of sites().
+  static const std::vector<double> &siteOdds(const TargetSummary &T) {
     return T.SiteOdds;
   }
 };
@@ -50,13 +51,14 @@ void encodeTarget(wire::Writer &W,
   W.u32(static_cast<uint32_t>(Self.size()));
   for (double O : Self)
     W.f64(O);
-  const auto &Sites = SummaryWireAccess::siteOdds(*Target);
+  const std::vector<CallSiteKey> &Sites = SummaryWireAccess::sites(*Target);
+  const double *Row = SummaryWireAccess::siteOdds(*Target).data();
   W.u32(static_cast<uint32_t>(Sites.size()));
-  for (const auto &[Site, Odds] : Sites) {
+  for (const CallSiteKey &Site : Sites) {
     W.u32(Site.first ? Site.first->DeclIndex : 0);
     W.u32(Site.second);
-    for (double O : Odds)
-      W.f64(O);
+    for (size_t I = 0; I != Target->size(); ++I)
+      W.f64(*Row++);
   }
 }
 

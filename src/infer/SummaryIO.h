@@ -141,8 +141,9 @@ struct SolveOutcome {
 };
 
 /// Serializes the evidence state of \p Summaries (sealed Snapshot blob).
-/// Iteration is declaration-index order (MethodDeclMap) and site maps are
-/// CallSiteOrder-ordered, so equal stores encode to equal bytes.
+/// Iteration is declaration-index order (MethodDeclMap) and each
+/// target's sites are CallSiteOrder-ordered, so equal stores encode to
+/// equal bytes.
 std::string encodeSnapshot(const MethodDeclMap<MethodSummary> &Summaries);
 
 /// Serializes one memoized SOLVE result (sealed CacheEntry blob). \p Key

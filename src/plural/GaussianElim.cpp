@@ -3,6 +3,7 @@
 #include "plural/GaussianElim.h"
 
 #include <cassert>
+#include <utility>
 
 using namespace anek;
 
@@ -19,8 +20,8 @@ void LinearSystem::addEquation(
 }
 
 std::optional<std::vector<Rational>>
-LinearSystem::solve(uint64_t *EliminationOps) const {
-  std::vector<Row> M = Rows;
+LinearSystem::solve(uint64_t *EliminationOps) && {
+  std::vector<Row> M = std::exchange(Rows, {});
   uint64_t Ops = 0;
 
   unsigned PivotRow = 0;

@@ -84,7 +84,7 @@ LocalInferenceResult anek::runLocalInference(const Pfg &G) {
 
   Result.NumEquations = System.equationCount();
   std::optional<std::vector<Rational>> Solution =
-      System.solve(&Result.EliminationOps);
+      std::move(System).solve(&Result.EliminationOps);
   if (!Solution)
     return Result;
   Result.Consistent = true;

@@ -79,6 +79,10 @@ Status digestTrace(const std::string &Text, Profile &P) {
       Bump(Phases);
   }
   P.HasTrace = true;
+  if (auto It = Spans.find("infer.merge"); It != Spans.end())
+    P.MergeUs = It->second.TotalUs;
+  if (auto It = Spans.find("infer.phase2.waves"); It != Spans.end())
+    P.Phase2Us = It->second.TotalUs;
   P.Phases = sortedStats(std::move(Phases));
   P.Spans = sortedStats(std::move(Spans));
   P.TraceSpanUs = AnySpan ? MaxEnd - MinTs : 0;
@@ -214,6 +218,14 @@ std::string report::renderText(const Profile &P, unsigned TopK) {
                       static_cast<double>(Total)
                 : 0.0);
     }
+    // Trace-derived, but shown here: beside the queue wait it tells
+    // whether a -jN run lost its time waiting or merging.
+    if (P.Phase2Us > 0)
+      Out += formatStr(
+          "  serial merge          %s / %s (%.1f%% of phase 2)\n",
+          formatUs(P.MergeUs).c_str(), formatUs(P.Phase2Us).c_str(),
+          100.0 * static_cast<double>(P.MergeUs) /
+              static_cast<double>(P.Phase2Us));
     if (P.Picks)
       Out += formatStr("  replayed picks        %llu / %llu (%.1f%%)\n",
                        static_cast<unsigned long long>(P.Replays),
@@ -257,6 +269,10 @@ std::string report::renderJson(const Profile &P, unsigned TopK) {
            jsonNumber(static_cast<double>(P.TraceEvents)) + ",\n";
     Out += "    \"span_us\": " +
            jsonNumber(static_cast<double>(P.TraceSpanUs)) + ",\n";
+    Out += "    \"merge_us\": " +
+           jsonNumber(static_cast<double>(P.MergeUs)) + ",\n";
+    Out += "    \"phase2_us\": " +
+           jsonNumber(static_cast<double>(P.Phase2Us)) + ",\n";
     Out += "    \"phases\": " +
            SpanArray(P.Phases, static_cast<unsigned>(P.Phases.size())) +
            ",\n";

@@ -9,8 +9,9 @@
 /// `anek-trace-v1` Chrome trace, an `anek-metrics-v1` snapshot, or both —
 /// into one profile a human can read in ten seconds (DESIGN.md,
 /// "Telemetry"): where the wall-clock went per phase, the top spans by
-/// duration, the cache hit rate, the queue-wait vs. solve split, and the
-/// share of worklist picks the in-run SOLVE memo replayed.
+/// duration, the cache hit rate, the queue-wait vs. solve split, the
+/// serial merge's share of phase 2, and the share of worklist picks the
+/// in-run SOLVE memo replayed.
 ///
 /// The profiler is a pure function of the artifact bytes: it never runs
 /// inference, so profiling a run costs milliseconds regardless of what
@@ -56,6 +57,13 @@ struct Profile {
   std::vector<SpanStat> Spans;
   uint64_t TraceEvents = 0;
   int64_t TraceSpanUs = 0; ///< max end - min start over complete spans.
+  /// Total time of the infer.merge spans and of infer.phase2.waves. The
+  /// merge runs between a wave's jobs and the next wave, so it is the
+  /// part of phase 2 that `-j N` shortens least; both 0 without the
+  /// spans. The text rendering prints the share beside the queue-wait
+  /// line, so it needs the metrics artifact too.
+  int64_t MergeUs = 0;
+  int64_t Phase2Us = 0;
 
   // --- Metrics-derived (HasMetrics) --------------------------------
   bool HasMetrics = false;

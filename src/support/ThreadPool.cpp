@@ -1,29 +1,58 @@
-//===- ThreadPool.cpp - Work-queue thread pool -----------------------------===//
+//===- ThreadPool.cpp - Worker threads for parallelFor ---------------------===//
 
 #include "support/ThreadPool.h"
 
-#include <utility>
+#include <atomic>
+#include <exception>
 
 using namespace anek;
+
+/// One parallelFor call: its indices, the counter that hands them out and
+/// the first exception an index threw. Lives on the calling thread's
+/// stack; the caller outlives every worker that joined it.
+struct ThreadPool::Loop {
+  const std::function<void(size_t)> &Fn;
+  const size_t Count;
+  std::atomic<size_t> Next{0};
+  std::mutex ErrorMutex;
+  std::exception_ptr Error;
+
+  Loop(const std::function<void(size_t)> &Fn, size_t Count)
+      : Fn(Fn), Count(Count) {}
+
+  /// Runs indices until none is left. The caller and every joined worker
+  /// run this; the pool mutex, taken when a worker leaves, publishes
+  /// their writes to the caller.
+  void drain() {
+    for (size_t I = Next++; I < Count; I = Next++) {
+      try {
+        Fn(I);
+      } catch (...) {
+        std::lock_guard<std::mutex> Lock(ErrorMutex);
+        if (!Error)
+          Error = std::current_exception();
+        Next = Count; // Hand out nothing more.
+      }
+    }
+  }
+};
 
 unsigned ThreadPool::defaultParallelism() {
   unsigned N = std::thread::hardware_concurrency();
   return N > 0 ? N : 1;
 }
 
-ThreadPool::ThreadPool(unsigned ThreadCount) {
-  if (ThreadCount == 0)
-    ThreadCount = defaultParallelism();
-  Workers.reserve(ThreadCount);
-  for (unsigned I = 0; I != ThreadCount; ++I)
+ThreadPool::ThreadPool(unsigned Parallelism) {
+  if (Parallelism == 0)
+    Parallelism = defaultParallelism();
+  Workers.reserve(Parallelism - 1);
+  for (unsigned I = 1; I != Parallelism; ++I)
     Workers.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::unique_lock<std::mutex> Lock(Mutex);
-    // Graceful shutdown: workers finish everything already queued before
-    // exiting their loops.
+    std::lock_guard<std::mutex> Lock(Mutex);
     ShuttingDown = true;
   }
   WorkReady.notify_all();
@@ -31,92 +60,60 @@ ThreadPool::~ThreadPool() {
     Worker.join();
 }
 
-void ThreadPool::submit(std::function<void()> Job) {
-  {
-    std::unique_lock<std::mutex> Lock(Mutex);
-    Queue.push_back(std::move(Job));
-  }
-  WorkReady.notify_one();
-}
-
-void ThreadPool::wait() {
-  std::unique_lock<std::mutex> Lock(Mutex);
-  Idle.wait(Lock, [this] { return Queue.empty() && Active == 0; });
-  if (FirstError) {
-    std::exception_ptr Error = std::exchange(FirstError, nullptr);
-    Lock.unlock();
-    std::rethrow_exception(Error);
-  }
-}
-
 void ThreadPool::workerLoop() {
+  uint64_t Seen = 0;
   std::unique_lock<std::mutex> Lock(Mutex);
   for (;;) {
-    WorkReady.wait(Lock, [this] { return !Queue.empty() || ShuttingDown; });
-    if (Queue.empty()) {
-      if (ShuttingDown)
-        return;
-      continue;
-    }
-    std::function<void()> Job = std::move(Queue.front());
-    Queue.pop_front();
-    ++Active;
+    WorkReady.wait(Lock, [&] {
+      return ShuttingDown || (Current && Generation != Seen);
+    });
+    if (ShuttingDown)
+      return;
+    Seen = Generation;
+    Loop *L = Current;
+    ++Joined;
     Lock.unlock();
-    try {
-      Job();
-    } catch (...) {
-      std::unique_lock<std::mutex> ErrorLock(Mutex);
-      if (!FirstError)
-        FirstError = std::current_exception();
-    }
+    L->drain();
     Lock.lock();
-    --Active;
-    if (Queue.empty() && Active == 0)
-      Idle.notify_all();
+    if (--Joined == 0)
+      WorkersLeft.notify_one();
   }
 }
 
 bool anek::parallelForRunsInline(const ThreadPool *Pool, size_t Count) {
-  return !Pool || Pool->threadCount() <= 1 || Count <= 1;
+  return !Pool || Pool->parallelism() <= 1 || Count <= 1;
 }
 
 void anek::parallelFor(ThreadPool *Pool, size_t Count,
                        const std::function<void(size_t)> &Fn) {
-  if (parallelForRunsInline(Pool, Count)) {
+  auto RunInline = [&] {
     for (size_t I = 0; I != Count; ++I)
       Fn(I);
-    return;
+  };
+  if (parallelForRunsInline(Pool, Count))
+    return RunInline();
+  ThreadPool::Loop L(Fn, Count);
+  bool Busy;
+  {
+    std::lock_guard<std::mutex> Lock(Pool->Mutex);
+    Busy = Pool->Current != nullptr; // A nested or concurrent call.
+    if (!Busy) {
+      Pool->Current = &L;
+      ++Pool->Generation;
+    }
   }
-  // Per-call completion latch rather than Pool->wait(): several
-  // parallelFor calls may drive one shared pool concurrently, and
-  // pool-global wait() would block on — and steal exceptions from —
-  // unrelated callers' jobs. Stack references stay valid because this
-  // call blocks until its own Remaining hits zero.
-  struct Latch {
-    std::mutex Mutex;
-    std::condition_variable Done;
-    size_t Remaining;
-    std::exception_ptr First;
-  } L;
-  L.Remaining = Count;
-  for (size_t I = 0; I != Count; ++I)
-    Pool->submit([&L, &Fn, I] {
-      try {
-        Fn(I);
-      } catch (...) {
-        std::lock_guard<std::mutex> Lock(L.Mutex);
-        if (!L.First)
-          L.First = std::current_exception();
-      }
-      std::lock_guard<std::mutex> Lock(L.Mutex);
-      if (--L.Remaining == 0)
-        L.Done.notify_all();
-    });
-  std::unique_lock<std::mutex> Lock(L.Mutex);
-  L.Done.wait(Lock, [&L] { return L.Remaining == 0; });
-  if (L.First) {
-    std::exception_ptr Error = L.First;
-    Lock.unlock();
-    std::rethrow_exception(Error);
+  if (Busy)
+    return RunInline();
+  Pool->WorkReady.notify_all();
+  L.drain();
+  {
+    // Wait for the workers inside to leave, then close the loop in the
+    // same critical section: no worker can join it after that, so L may
+    // go out of scope. A worker that joins late finds no index left.
+    std::unique_lock<std::mutex> Lock(Pool->Mutex);
+    Pool->WorkersLeft.wait(Lock, [Pool] { return Pool->Joined == 0; });
+    Pool->Current = nullptr;
   }
+  if (L.Error)
+    std::rethrow_exception(L.Error);
 }

@@ -1,17 +1,15 @@
-//===- ThreadPool.h - Work-queue thread pool ---------------------*- C++ -*-===//
+//===- ThreadPool.h - Worker threads for parallelFor -------------*- C++ -*-===//
 //
 // Part of the ANEK reproduction. See README.md.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small fixed-size work-queue thread pool for the parallel inference
-/// scheduler (DESIGN.md, "Concurrency model"). Jobs are submitted with
-/// submit(); wait() blocks until every submitted job has finished and
-/// rethrows the first exception a worker captured, so a throwing job
-/// surfaces in the scheduling thread instead of killing the process.
-/// Destruction drains the queue (graceful shutdown): every job submitted
-/// before the destructor runs is executed.
+/// The threads behind parallelFor, the parallel inference scheduler's only
+/// primitive (DESIGN.md, "Concurrency model"). A pool for N working
+/// threads owns N - 1 workers; the thread that calls parallelFor is the
+/// N-th. One parallelFor call hands its indices out through a single
+/// atomic counter, so an index costs one fetch-add, not a queued job.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,8 +18,7 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
-#include <exception>
+#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -29,30 +26,23 @@
 
 namespace anek {
 
-/// Fixed-size pool of worker threads draining a FIFO job queue.
+/// Parked worker threads that join the calling thread inside parallelFor.
 class ThreadPool {
 public:
-  /// Spawns \p ThreadCount workers (0 means defaultParallelism()).
-  explicit ThreadPool(unsigned ThreadCount = 0);
+  /// A pool for \p Parallelism working threads: Parallelism - 1 workers
+  /// plus whichever thread calls parallelFor. 0 means
+  /// defaultParallelism(); 1 spawns no worker, so every call runs inline.
+  explicit ThreadPool(unsigned Parallelism = 0);
 
-  /// Drains the queue, then joins every worker. An unconsumed worker
-  /// exception is swallowed here (wait() is the reporting channel).
+  /// Joins every worker. No parallelFor may be running on the pool.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool &) = delete;
   ThreadPool &operator=(const ThreadPool &) = delete;
 
-  /// Enqueues \p Job for execution by any worker.
-  void submit(std::function<void()> Job);
-
-  /// Blocks until the queue is empty and no job is in flight, then
-  /// rethrows the first exception any worker captured since the last
-  /// wait(). The pool stays usable after wait(), including after a
-  /// rethrow.
-  void wait();
-
-  unsigned threadCount() const {
-    return static_cast<unsigned>(Workers.size());
+  /// Working threads a parallelFor call gets: the workers plus its caller.
+  unsigned parallelism() const {
+    return static_cast<unsigned>(Workers.size()) + 1;
   }
 
   /// What `--jobs` defaults to: hardware_concurrency, with a floor of 1
@@ -60,34 +50,46 @@ public:
   static unsigned defaultParallelism();
 
 private:
+  friend void parallelFor(ThreadPool *Pool, size_t Count,
+                          const std::function<void(size_t)> &Fn);
+  struct Loop;
+
   void workerLoop();
 
   std::vector<std::thread> Workers;
-  std::deque<std::function<void()>> Queue;
-  mutable std::mutex Mutex;
-  std::condition_variable WorkReady; ///< Signals queued work / shutdown.
-  std::condition_variable Idle;      ///< Signals queue drained + none active.
-  unsigned Active = 0;               ///< Jobs currently executing.
+  std::mutex Mutex;
+  /// Signals a published loop or shutdown to the workers.
+  std::condition_variable WorkReady;
+  /// Signals the publishing caller that the last joined worker left.
+  std::condition_variable WorkersLeft;
+  /// The parallelFor call in progress, which workers may join; null
+  /// between calls.
+  Loop *Current = nullptr;
+  /// Bumped per published loop, so a worker joins each one at most once.
+  uint64_t Generation = 0;
+  /// Workers currently inside Current.
+  unsigned Joined = 0;
   bool ShuttingDown = false;
-  std::exception_ptr FirstError; ///< First worker exception since wait().
 };
 
-/// Runs Fn(0), ..., Fn(Count-1). With a null \p Pool (or a single-threaded
-/// one) the calls run inline in index order; otherwise they are submitted
-/// as pool jobs and this blocks until all complete (the first worker
-/// exception rethrows here). Completion is tracked per call, not via
-/// ThreadPool::wait, so any number of parallelFor calls may share one
-/// pool concurrently without waiting on each other's jobs. Callers must
-/// make Fn calls independent: the parallel inference scheduler relies on
-/// this to run wave jobs against a read-only snapshot. Must not be called
-/// from inside a pool job of the same pool (the blocked worker would
-/// deadlock a saturated pool).
+/// Runs Fn(0), ..., Fn(Count-1), each exactly once, and returns when all
+/// have finished. The calling thread runs indices itself alongside the
+/// pool's workers, which take the next index from a shared atomic counter
+/// until none is left. With a null \p Pool, a pool of parallelism 1 or
+/// Count <= 1, the calls run inline in index order; so does a call that
+/// finds the pool busy with another parallelFor (a nested or concurrent
+/// call), which therefore never deadlocks. If an Fn call throws, no index
+/// is handed out after it, the calls in flight finish, and the first
+/// exception is rethrown here; the pool stays usable. Callers must make Fn
+/// calls independent: the parallel inference scheduler relies on this to
+/// run wave jobs against a read-only snapshot.
 void parallelFor(ThreadPool *Pool, size_t Count,
                  const std::function<void(size_t)> &Fn);
 
 /// True when parallelFor(Pool, Count, ...) runs its calls inline on the
-/// calling thread. Such calls never queue, so callers that measure queue
-/// wait must not record any for them.
+/// calling thread (the pool not being busy with another call). Such calls
+/// never wait for a thread, so callers that measure queue wait must not
+/// record any for them.
 bool parallelForRunsInline(const ThreadPool *Pool, size_t Count);
 
 } // namespace anek

@@ -14,6 +14,7 @@
 #include "corpus/ExampleSources.h"
 #include "corpus/PmdGenerator.h"
 #include "infer/AnekInfer.h"
+#include "infer/SummaryIO.h"
 #include "lang/PrettyPrinter.h"
 #include "lang/Sema.h"
 
@@ -34,8 +35,10 @@ namespace fs = std::filesystem;
 
 /// Renders everything observable about an inference run as pointer-free
 /// text: the annotated program, per-method cascade reports, and the
-/// aggregate statistics (minus wall-clock times).
-std::string renderRun(const std::string &Source, unsigned Parallelism) {
+/// aggregate statistics (minus wall-clock times). With a non-null
+/// \p Snapshot, also returns the final summary store's snapshot bytes.
+std::string renderRun(const std::string &Source, unsigned Parallelism,
+                      std::string *Snapshot = nullptr) {
   DiagnosticEngine Diags;
   std::unique_ptr<Program> Prog = parseAndAnalyze(Source, Diags);
   EXPECT_TRUE(Prog != nullptr) << Diags.str();
@@ -45,6 +48,8 @@ std::string renderRun(const std::string &Source, unsigned Parallelism) {
   InferOptions Opts;
   Opts.Parallelism = Parallelism;
   InferResult R = runAnekInfer(*Prog, Opts, &Diags);
+  if (Snapshot)
+    *Snapshot = summaryio::encodeSnapshot(R.Summaries);
 
   std::ostringstream Out;
   PrintOptions POpts;
@@ -156,10 +161,20 @@ TEST(DeterminismPmdTest, ParallelMatchesSequentialOnPmdCorpus) {
   Config.DirectSites = 6;
   Config.WrapperConsumerSites = 4;
   PmdCorpus Corpus = generatePmdCorpus(Config);
-  std::string Sequential = renderRun(Corpus.Source, 1);
+  std::string SequentialStore;
+  std::string Sequential = renderRun(Corpus.Source, 1, &SequentialStore);
   ASSERT_FALSE(Sequential.empty());
-  EXPECT_EQ(Sequential, renderRun(Corpus.Source, 4));
   EXPECT_EQ(Sequential, renderRun(Corpus.Source, 1));
+  // The store's raw odds, not just the specs thresholded from them: a
+  // target merged out of batch order drifts in low bits that extraction
+  // may round away.
+  for (unsigned Jobs : {2u, 3u, 4u, 8u}) {
+    std::string Store;
+    EXPECT_EQ(Sequential, renderRun(Corpus.Source, Jobs, &Store))
+        << "jobs=" << Jobs;
+    EXPECT_TRUE(Store == SequentialStore)
+        << "jobs=" << Jobs << ": summary store bytes diverged from -j1";
+  }
 }
 
 TEST(DeterminismDriverTest, InferJobsProduceIdenticalBytes) {

@@ -4,6 +4,7 @@
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
+#include <utility>
 
 using namespace anek;
 
@@ -12,7 +13,7 @@ TEST(GaussianTest, TwoByTwo) {
   LinearSystem S(2);
   S.addEquation({{0, Rational(1)}, {1, Rational(1)}}, Rational(3));
   S.addEquation({{0, Rational(1)}, {1, Rational(-1)}}, Rational(1));
-  auto X = S.solve();
+  auto X = std::move(S).solve();
   ASSERT_TRUE(X.has_value());
   EXPECT_EQ((*X)[0], Rational(2));
   EXPECT_EQ((*X)[1], Rational(1));
@@ -22,7 +23,7 @@ TEST(GaussianTest, RationalPivoting) {
   // (1/2)x = 1/4 => x = 1/2.
   LinearSystem S(1);
   S.addEquation({{0, Rational(1, 2)}}, Rational(1, 4));
-  auto X = S.solve();
+  auto X = std::move(S).solve();
   ASSERT_TRUE(X.has_value());
   EXPECT_EQ((*X)[0], Rational(1, 2));
 }
@@ -31,14 +32,14 @@ TEST(GaussianTest, Inconsistent) {
   LinearSystem S(1);
   S.addEquation({{0, Rational(1)}}, Rational(1));
   S.addEquation({{0, Rational(1)}}, Rational(2));
-  EXPECT_FALSE(S.solve().has_value());
+  EXPECT_FALSE(std::move(S).solve().has_value());
 }
 
 TEST(GaussianTest, RedundantRowsOk) {
   LinearSystem S(2);
   S.addEquation({{0, Rational(1)}, {1, Rational(1)}}, Rational(2));
   S.addEquation({{0, Rational(2)}, {1, Rational(2)}}, Rational(4));
-  auto X = S.solve();
+  auto X = std::move(S).solve();
   ASSERT_TRUE(X.has_value());
   EXPECT_EQ((*X)[0] + (*X)[1], Rational(2));
 }
@@ -47,7 +48,7 @@ TEST(GaussianTest, FreeVariablesAreZero) {
   // x + y = 1 with y free => y = 0, x = 1.
   LinearSystem S(2);
   S.addEquation({{0, Rational(1)}, {1, Rational(1)}}, Rational(1));
-  auto X = S.solve();
+  auto X = std::move(S).solve();
   ASSERT_TRUE(X.has_value());
   EXPECT_EQ((*X)[1], Rational(0));
   EXPECT_EQ((*X)[0], Rational(1));
@@ -57,7 +58,7 @@ TEST(GaussianTest, DuplicateTermsCoalesce) {
   // x + x = 4 => x = 2.
   LinearSystem S(1);
   S.addEquation({{0, Rational(1)}, {0, Rational(1)}}, Rational(4));
-  auto X = S.solve();
+  auto X = std::move(S).solve();
   ASSERT_TRUE(X.has_value());
   EXPECT_EQ((*X)[0], Rational(2));
 }
@@ -68,7 +69,7 @@ TEST(GaussianTest, OpsCounterCounts) {
   S.addEquation({{1, Rational(1)}, {2, Rational(1)}}, Rational(3));
   S.addEquation({{0, Rational(1)}, {2, Rational(-1)}}, Rational(0));
   uint64_t Ops = 0;
-  auto X = S.solve(&Ops);
+  auto X = std::move(S).solve(&Ops);
   ASSERT_TRUE(X.has_value());
   EXPECT_GT(Ops, 0u);
 }
@@ -108,7 +109,7 @@ TEST_P(GaussianPropertyTest, SolutionSatisfiesSystem) {
     Rows.push_back(Row);
   }
 
-  auto X = S.solve();
+  auto X = std::move(S).solve();
   ASSERT_TRUE(X.has_value());
   // The returned solution (not necessarily Truth) satisfies every row.
   size_t RowIdx = 0;

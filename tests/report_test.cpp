@@ -5,7 +5,8 @@
 // an anek-metrics-v1 snapshot, or both — into one profile. The contracts
 // under test: a missing artifact drops its section (never fails),
 // malformed artifacts are hard errors (never a silently wrong profile),
-// the JSON rendering is a parseable anek-report-v1 document, and a real
+// the JSON rendering is a parseable anek-report-v1 document, the serial
+// merge's share of phase 2 is shown beside the queue wait, and a real
 // single-threaded run profiles with zero queue wait and its
 // memo-replayed share of picks.
 //
@@ -67,6 +68,27 @@ std::string sampleMetrics() {
     "infer.method_run_us": {"count": 4, "sum": 2000.0, "min": 300.0,
       "max": 900.0, "mean": 500.0, "p50": 450.0, "p95": 880.0, "p99": 900.0}
   }
+})";
+}
+
+/// A hand-built trace of phase 2 at -j4: the phase span, two waves and
+/// the merge closing each, 0.25 ms of merging in 1 ms of phase 2.
+std::string waveTrace() {
+  return R"({
+  "otherData": {"schema": "anek-trace-v1"},
+  "displayTimeUnit": "ms",
+  "traceEvents": [
+    {"name": "infer.phase2.waves", "cat": "infer", "ph": "X", "pid": 1,
+     "tid": 0, "ts": 0, "dur": 1000, "args": {"depth": 0}},
+    {"name": "infer.wave", "cat": "infer", "ph": "X", "pid": 1, "tid": 0,
+     "ts": 0, "dur": 600, "args": {"depth": 1}},
+    {"name": "infer.merge", "cat": "infer", "ph": "X", "pid": 1, "tid": 0,
+     "ts": 450, "dur": 150, "args": {"depth": 2}},
+    {"name": "infer.wave", "cat": "infer", "ph": "X", "pid": 1, "tid": 0,
+     "ts": 600, "dur": 400, "args": {"depth": 1}},
+    {"name": "infer.merge", "cat": "infer", "ph": "X", "pid": 1, "tid": 0,
+     "ts": 900, "dur": 100, "args": {"depth": 2}}
+  ]
 })";
 }
 
@@ -189,6 +211,36 @@ TEST(ReportTest, RenderTextShowsEverySectionAndHonorsTopK) {
   std::string Short = report::renderText(*P, /*TopK=*/1);
   EXPECT_NE(Short.find("top 1 spans"), std::string::npos);
   EXPECT_EQ(Short.find("solver.bp"), std::string::npos);
+}
+
+TEST(ReportTest, ShowsTheSerialMergeShareOfPhase2) {
+  // The merge is the serial part of phase 2; its share sits beside the
+  // queue-wait line so a -jN regression in either shows up together.
+  Expected<report::Profile> P =
+      report::profileFromText(waveTrace(), sampleMetrics());
+  ASSERT_TRUE(P.hasValue()) << P.status().str();
+  EXPECT_EQ(P->MergeUs, 250);
+  EXPECT_EQ(P->Phase2Us, 1000);
+  std::string Text = report::renderText(*P);
+  EXPECT_NE(Text.find("  queue-wait vs solve   1.50ms / 2.00ms (42.9% "
+                      "waiting)\n"
+                      "  serial merge          0.25ms / 1.00ms (25.0% of "
+                      "phase 2)\n"),
+            std::string::npos)
+      << Text;
+
+  json::Value Doc;
+  std::string Error;
+  ASSERT_TRUE(json::parse(report::renderJson(*P), Doc, &Error)) << Error;
+  EXPECT_EQ(Doc.at("trace").at("merge_us").num(), 250.0);
+  EXPECT_EQ(Doc.at("trace").at("phase2_us").num(), 1000.0);
+
+  // A trace without phase 2 has no share to show.
+  Expected<report::Profile> NoWaves =
+      report::profileFromText(sampleTrace(), sampleMetrics());
+  ASSERT_TRUE(NoWaves.hasValue());
+  EXPECT_EQ(report::renderText(*NoWaves).find("serial merge"),
+            std::string::npos);
 }
 
 TEST(ReportTest, SequentialRunHasNoQueueWaitAndShowsItsReplays) {

@@ -461,8 +461,8 @@ TEST(PoolingTest, DeltasStayExactInACopiedStore) {
     for (int Step = 0; Step != 150; ++Step)
       mutate(T, Ref, Src, F, /*AllowPrior=*/false);
 
-    // Copy the store, as InferResult::Summaries does, and keep mutating
-    // the copy: its kept pooled vector must be as fresh as the
+    // Copy the store, as a caller of InferResult::Summaries may, and keep
+    // mutating the copy: its kept pooled vector must be as fresh as the
     // original's, and the copy must encode to the original's bytes.
     MethodDeclMap<MethodSummary> Copied = Store;
     ASSERT_EQ(summaryio::encodeSnapshot(Copied),
@@ -475,4 +475,62 @@ TEST(PoolingTest, DeltasStayExactInACopiedStore) {
     }
     expectPoolsLikeReference(D, Ref, Src, F);
   }
+}
+
+namespace {
+
+/// Sets one site's odds on \p T and \p Ref and asserts that the returned
+/// delta, the pooled vector and every cavity prior match the reference
+/// fold bit for bit.
+void setSiteAndCheck(TargetSummary &T, ReferenceTarget &Ref, OddsSource &Src,
+                     CallSiteKey Site) {
+  std::vector<double> Before = Ref.fold(false, nullptr);
+  std::vector<double> Odds = Src.vec(T.size());
+  Ref.Sites[Site] = Odds;
+  ASSERT_EQ(T.setSiteOdds(Site, Odds),
+            maxAbsDelta(Before, Ref.fold(false, nullptr)));
+  ASSERT_EQ(bitsOf(T.pooled()), bitsOf(Ref.fold(false, nullptr)));
+  ASSERT_EQ(bitsOf(T.pooledWithoutSelf()), bitsOf(Ref.fold(true, nullptr)));
+  for (const auto &Entry : Ref.Sites)
+    ASSERT_EQ(bitsOf(T.pooledWithoutSite(Entry.first)),
+              bitsOf(Ref.fold(false, &Entry.first)));
+}
+
+} // namespace
+
+TEST(PoolingTest, SitesInsertedOutOfOrderAndResetFoldInCallSiteOrder) {
+  // The store keeps its site rows sorted by CallSiteOrder, so a site that
+  // arrives before, between or after the present ones must land where
+  // the reference fold multiplies it in, and re-setting a site must
+  // overwrite its row in place instead of adding one.
+  PoolingFixture F;
+  OddsSource Src(300);
+  TargetSummary T(F.Prog->findType("Host"));
+  ReferenceTarget Ref;
+  Ref.Prior.assign(T.size(), 0.5);
+  Ref.Self.assign(T.size(), 1.0);
+  auto Set = [&](int Caller, uint32_t SiteIndex) {
+    setSiteAndCheck(T, Ref, Src, {F.Callers[Caller], SiteIndex});
+  };
+  // Descending callers: every insert lands before all present rows.
+  for (int C = 39; C >= 3; C -= 4)
+    ASSERT_NO_FATAL_FAILURE(Set(C, 5));
+  // Between present sites: a lower and a higher site index of each
+  // present caller, then the callers in the gaps.
+  for (int C = 39; C >= 3; C -= 4) {
+    ASSERT_NO_FATAL_FAILURE(Set(C, 9));
+    ASSERT_NO_FATAL_FAILURE(Set(C, 0));
+  }
+  for (int C = 1; C < 40; C += 4)
+    ASSERT_NO_FATAL_FAILURE(Set(C, 2));
+  Ref.Self = Src.vec(T.size());
+  T.setSelfOdds(Ref.Self);
+  // Re-set present sites out of order: the last, the first, then some
+  // in between.
+  const std::pair<int, uint32_t> Present[] = {
+      {39, 9}, {1, 2}, {19, 5}, {3, 0}, {37, 2}, {19, 9}, {39, 9}};
+  for (const auto &[C, S] : Present)
+    ASSERT_NO_FATAL_FAILURE(Set(C, S));
+  ASSERT_EQ(Ref.Sites.size(), 40u);
+  ASSERT_NO_FATAL_FAILURE(expectPoolsLikeReference(T, Ref, Src, F));
 }

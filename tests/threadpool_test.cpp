@@ -1,12 +1,13 @@
-//===- threadpool_test.cpp - ThreadPool unit tests --------------------------===//
+//===- threadpool_test.cpp - parallelFor and its ThreadPool -----------------===//
 //
 // Part of the ANEK reproduction. See README.md.
 //
-// The pool underpins the parallel inference scheduler, so the properties
-// tested here are exactly the ones the scheduler leans on: every
-// submitted job runs, wait() is a real barrier (wave N finishes before
-// wave N+1 starts), worker exceptions surface at wait() instead of
-// killing the process, and destruction drains the queue.
+// parallelFor is the parallel inference scheduler's only primitive, so
+// the properties tested here are exactly the ones the scheduler leans
+// on: every index runs once and is done when the call returns, `-j N`
+// means N working threads with the caller among them, a throwing index
+// surfaces in the caller instead of killing the process, and the pool
+// stays usable afterwards.
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,7 +15,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -23,123 +23,115 @@
 
 using namespace anek;
 
-TEST(ThreadPoolTest, RunsEverySubmittedJob) {
-  ThreadPool Pool(4);
-  EXPECT_EQ(Pool.threadCount(), 4u);
-  std::atomic<unsigned> Count{0};
-  for (int I = 0; I != 100; ++I)
-    Pool.submit([&] { ++Count; });
-  Pool.wait();
-  EXPECT_EQ(Count.load(), 100u);
-}
-
-TEST(ThreadPoolTest, DefaultParallelismIsAtLeastOne) {
+TEST(ThreadPoolTest, ParallelismCountsTheCaller) {
+  EXPECT_EQ(ThreadPool(4).parallelism(), 4u);
+  EXPECT_EQ(ThreadPool(2).parallelism(), 2u);
+  EXPECT_EQ(ThreadPool(1).parallelism(), 1u);
+  // 0 means "auto", never a pool without the caller.
   EXPECT_GE(ThreadPool::defaultParallelism(), 1u);
-  // ThreadCount 0 means "auto", never a zero-worker pool.
-  ThreadPool Pool(0);
-  EXPECT_GE(Pool.threadCount(), 1u);
-  std::atomic<bool> Ran{false};
-  Pool.submit([&] { Ran = true; });
-  Pool.wait();
-  EXPECT_TRUE(Ran.load());
+  EXPECT_EQ(ThreadPool(0).parallelism(), ThreadPool::defaultParallelism());
 }
 
-TEST(ThreadPoolTest, WaitIsABarrierBetweenWaves) {
-  // The scheduler's correctness depends on wave k's jobs all finishing
-  // before any wave k+1 job starts. Model three waves and record, for
-  // every job, how many jobs of the previous wave it observed complete.
+TEST(ThreadPoolTest, EveryIndexRunsOnceAndIsDoneOnReturn) {
+  // Counts below, equal to and far above the four working threads. The
+  // hits are plain writes read after the call: parallelFor's return must
+  // order them (ThreadSanitizer checks that under -DANEK_SANITIZE=thread).
   ThreadPool Pool(4);
-  constexpr unsigned JobsPerWave = 16;
-  std::atomic<unsigned> PrevWaveDone{0};
-  bool Interleaved = false;
-  std::mutex CheckMutex;
-  for (int Wave = 0; Wave != 3; ++Wave) {
-    std::atomic<unsigned> ThisWaveDone{0};
-    for (unsigned J = 0; J != JobsPerWave; ++J)
-      Pool.submit([&, Wave] {
-        if (Wave > 0 && PrevWaveDone.load() != JobsPerWave) {
-          std::lock_guard<std::mutex> Lock(CheckMutex);
-          Interleaved = true;
-        }
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-        ++ThisWaveDone;
-      });
-    Pool.wait();
-    PrevWaveDone = ThisWaveDone.load();
-    EXPECT_EQ(PrevWaveDone.load(), JobsPerWave);
+  for (size_t Count : {0, 1, 2, 3, 4, 5, 7, 64, 10007}) {
+    std::vector<unsigned> Hits(Count, 0);
+    parallelFor(&Pool, Count, [&](size_t I) { ++Hits[I]; });
+    for (size_t I = 0; I != Count; ++I)
+      ASSERT_EQ(Hits[I], 1u) << "count " << Count << ", index " << I;
   }
-  EXPECT_FALSE(Interleaved);
 }
 
-TEST(ThreadPoolTest, WaitRethrowsFirstWorkerException) {
+TEST(ThreadPoolTest, CallerWorksBesideTheWorkers) {
+  // A pool for two threads has one worker, and the caller is the second:
+  // two indices that each wait for the other to start can only finish
+  // if they run at once, one of them on the caller. An inline run (a
+  // 1-worker pool mistaken for -j1) or a caller that only waits would
+  // leave them waiting out the deadline.
   ThreadPool Pool(2);
-  std::atomic<unsigned> Survivors{0};
-  for (int I = 0; I != 8; ++I)
-    Pool.submit([&, I] {
-      if (I == 3)
-        throw std::runtime_error("job 3 exploded");
-      ++Survivors;
-    });
-  EXPECT_THROW(Pool.wait(), std::runtime_error);
-  // One job threw; the rest still ran (isolation, not abort).
-  EXPECT_EQ(Survivors.load(), 7u);
-
-  // The pool stays usable after a rethrow, and the error does not
-  // resurface on the next wait.
-  std::atomic<bool> Ran{false};
-  Pool.submit([&] { Ran = true; });
-  EXPECT_NO_THROW(Pool.wait());
-  EXPECT_TRUE(Ran.load());
-}
-
-TEST(ThreadPoolTest, DestructorDrainsTheQueue) {
-  std::atomic<unsigned> Count{0};
-  {
-    ThreadPool Pool(2);
-    for (int I = 0; I != 50; ++I)
-      Pool.submit([&] {
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-        ++Count;
-      });
-    // No wait(): shutdown itself must execute everything submitted.
-  }
-  EXPECT_EQ(Count.load(), 50u);
-}
-
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {
-  ThreadPool Pool(4);
-  std::vector<std::atomic<unsigned>> Hits(257);
-  parallelFor(&Pool, Hits.size(), [&](size_t I) { ++Hits[I]; });
-  for (size_t I = 0; I != Hits.size(); ++I)
-    EXPECT_EQ(Hits[I].load(), 1u) << "index " << I;
-}
-
-TEST(ThreadPoolTest, ParallelForWithNullPoolRunsInline) {
-  // Null pool = the sequential scheduler path: same thread, index order.
-  std::vector<size_t> Order;
-  std::thread::id Caller = std::this_thread::get_id();
-  bool SameThread = true;
-  parallelFor(nullptr, 5, [&](size_t I) {
-    Order.push_back(I);
-    SameThread = SameThread && std::this_thread::get_id() == Caller;
+  const std::thread::id Caller = std::this_thread::get_id();
+  std::atomic<unsigned> Started{0};
+  std::thread::id Ran[2];
+  bool Met[2] = {false, false};
+  parallelFor(&Pool, 2, [&](size_t I) {
+    Ran[I] = std::this_thread::get_id();
+    ++Started;
+    auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (Started.load() < 2 && std::chrono::steady_clock::now() < Deadline)
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    Met[I] = Started.load() == 2;
   });
-  EXPECT_TRUE(SameThread);
-  ASSERT_EQ(Order.size(), 5u);
-  for (size_t I = 0; I != Order.size(); ++I)
-    EXPECT_EQ(Order[I], I);
+  EXPECT_TRUE(Met[0] && Met[1]) << "the two indices never ran at once";
+  EXPECT_NE(Ran[0], Ran[1]);
+  EXPECT_TRUE(Ran[0] == Caller || Ran[1] == Caller)
+      << "the calling thread ran no index";
 }
 
-TEST(ThreadPoolTest, ParallelForPropagatesExceptions) {
-  ThreadPool Pool(2);
-  EXPECT_THROW(parallelFor(&Pool, 10,
+TEST(ThreadPoolTest, WithoutWorkersTheCallRunsInlineInOrder) {
+  // A null pool and a pool of parallelism 1 are the sequential scheduler
+  // path: the calling thread, in index order.
+  ThreadPool Single(1);
+  for (ThreadPool *Pool : {static_cast<ThreadPool *>(nullptr), &Single}) {
+    std::vector<size_t> Order;
+    const std::thread::id Caller = std::this_thread::get_id();
+    bool SameThread = true;
+    parallelFor(Pool, 5, [&](size_t I) {
+      Order.push_back(I);
+      SameThread = SameThread && std::this_thread::get_id() == Caller;
+    });
+    EXPECT_TRUE(SameThread);
+    ASSERT_EQ(Order.size(), 5u);
+    for (size_t I = 0; I != Order.size(); ++I)
+      EXPECT_EQ(Order[I], I);
+  }
+}
+
+TEST(ThreadPoolTest, ThrowingIndexPropagatesAndPoolStaysUsable) {
+  ThreadPool Pool(3);
+  std::atomic<unsigned> Ran{0};
+  EXPECT_THROW(parallelFor(&Pool, 1000,
                            [&](size_t I) {
-                             if (I == 5)
-                               throw std::runtime_error("boom");
+                             ++Ran;
+                             if (I == 37)
+                               throw std::runtime_error("index 37 exploded");
                            }),
                std::runtime_error);
+  EXPECT_GE(Ran.load(), 1u);
+
+  // The next call covers every index and does not see the old error.
+  std::vector<unsigned> Hits(500, 0);
+  EXPECT_NO_THROW(
+      parallelFor(&Pool, Hits.size(), [&](size_t I) { ++Hits[I]; }));
+  for (size_t I = 0; I != Hits.size(); ++I)
+    ASSERT_EQ(Hits[I], 1u) << "index " << I;
+
   EXPECT_THROW(parallelFor(nullptr, 3,
                            [&](size_t) {
                              throw std::runtime_error("inline boom");
                            }),
                std::runtime_error);
+}
+
+TEST(ThreadPoolTest, NestedCallRunsInlineOnItsThread) {
+  // A call made from inside an index finds the pool busy and runs on the
+  // thread that made it, instead of waiting on workers that are busy
+  // running the outer call.
+  ThreadPool Pool(4);
+  std::vector<std::vector<unsigned>> Hits(16, std::vector<unsigned>(8, 0));
+  std::atomic<bool> AllInline{true};
+  parallelFor(&Pool, Hits.size(), [&](size_t I) {
+    const std::thread::id Outer = std::this_thread::get_id();
+    parallelFor(&Pool, Hits[I].size(), [&](size_t J) {
+      if (std::this_thread::get_id() != Outer)
+        AllInline = false;
+      ++Hits[I][J];
+    });
+  });
+  EXPECT_TRUE(AllInline.load());
+  for (const std::vector<unsigned> &Row : Hits)
+    for (unsigned H : Row)
+      ASSERT_EQ(H, 1u);
 }
