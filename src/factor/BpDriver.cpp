@@ -102,11 +102,6 @@ RunStats BpEngine::run(const SumProductSolver::Options &Opts,
       R.Iterations = Iter;
       break;
     }
-    if (Opts.Budget.expired(Iter)) {
-      R.Iterations = Iter;
-      R.DeadlineExpired = true;
-      break;
-    }
     if (EmitResiduals && Iter != 0)
       telemetry::counterSample("bp.residual", telemetry::TraceLevel::Solver,
                                "solver", "residual", R.Delta);

@@ -29,7 +29,6 @@ struct RunStats {
   /// Max message change of the last iteration (1.0 before the first).
   double Delta = 1.0;
   unsigned Iterations = 0;
-  bool DeadlineExpired = false;
   uint64_t Updates = 0;
   uint64_t Skipped = 0;
 };
@@ -41,7 +40,7 @@ public:
   explicit BpEngine(const kern::BpView &View);
 
   /// Runs the flooding loop until the largest message change drops to
-  /// the tolerance, MaxIterations is reached, or the budget expires.
+  /// the tolerance or MaxIterations is reached.
   /// \p EmitResiduals enables the per-iteration bp.residual counter
   /// samples.
   RunStats run(const SumProductSolver::Options &Opts, bool EmitResiduals);

@@ -169,8 +169,9 @@ double bpFactorSweep(const BpView &V, const BpState &S, const BpConsts &C,
 
 /// One Gibbs pass over variables [VB, VE): per variable, the 4-lane
 /// conditional-weight product over incident factor tables, one RNG
-/// draw, and the XOR flip scatter into CurIndex. The driver calls this
-/// in chunks so deadline checks keep their cadence.
+/// draw, and the XOR flip scatter into CurIndex. Variables are visited
+/// in ascending order, so a sweep over [0, NumVars) draws the same
+/// random numbers as any split of that range into consecutive calls.
 void gibbsSweep(const GibbsView &V, const GibbsState &S, uint32_t VB,
                 uint32_t VE);
 

@@ -10,7 +10,6 @@
 #include "support/Timer.h"
 #include "support/Trace.h"
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -62,20 +61,17 @@ Marginals SumProductSolver::solve(const FactorGraph &G,
 
   bp::BpEngine Engine(View);
   const bp::RunStats S = Engine.run(Opts, TraceIters);
-  const bool Converged = !ForcedNonConvergence && !S.DeadlineExpired &&
-                         S.Delta <= Opts.Tolerance;
+  const bool Converged = !ForcedNonConvergence && S.Delta <= Opts.Tolerance;
   if (Report) {
     Report->Iterations = S.Iterations;
     Report->Residual = S.Delta;
-    Report->DeadlineExpired = S.DeadlineExpired;
     Report->Converged = Converged;
     Report->Updates = S.Updates;
     Report->SkippedUpdates = S.Skipped;
     Report->Reason.clear();
     if (!Converged)
       Report->Reason = formatStr(
-          "residual %.2g after %u iterations%s%s", S.Delta, S.Iterations,
-          S.DeadlineExpired ? ", budget expired" : "",
+          "residual %.2g after %u iterations%s", S.Delta, S.Iterations,
           ForcedNonConvergence ? ", injected non-convergence" : "");
   }
   if (TraceIters)
@@ -99,8 +95,6 @@ Marginals SumProductSolver::solve(const FactorGraph &G,
     SolveSpan.arg("residual", S.Delta);
     SolveSpan.argBool("converged", Converged);
     SolveSpan.arg("messages", S.Updates);
-    if (!Opts.Budget.unlimited())
-      SolveSpan.arg("budget_remaining_s", Opts.Budget.remainingSeconds());
   }
 
   Marginals Result;
@@ -114,8 +108,7 @@ Marginals SumProductSolver::solve(const FactorGraph &G,
 // Exact enumeration
 //===----------------------------------------------------------------------===//
 
-Expected<Marginals> ExactSolver::solve(const FactorGraph &G,
-                                       const Deadline &Budget) const {
+Expected<Marginals> ExactSolver::solve(const FactorGraph &G) const {
   telemetry::Span SolveSpan("solver.exact", telemetry::TraceLevel::Method,
                             "solver");
   const unsigned NumVars = G.variableCount();
@@ -145,13 +138,6 @@ Expected<Marginals> ExactSolver::solve(const FactorGraph &G,
   }
   const uint64_t Count = uint64_t{1} << NumVars;
   for (uint64_t Index = 0; Index != Count; ++Index) {
-    if ((Index & 0xFFF) == 0 && Budget.expired())
-      return Status::error(
-          ErrorCode::DeadlineExceeded,
-          formatStr("exact enumeration budget expired after %llu of %llu "
-                    "assignments",
-                    static_cast<unsigned long long>(Index),
-                    static_cast<unsigned long long>(Count)));
     double Weight = 1.0;
     for (unsigned V = 0; V != NumVars; ++V)
       Weight *= ((Index >> V) & 1) ? PriorTrue[V] : PriorFalse[V];
@@ -208,11 +194,8 @@ bool canEnumeratePacked(const FactorGraph &G, unsigned NumVars) {
 /// high-variable assignment, so it is precomputed per high combination;
 /// the block loop then ANDs one word per factor and popcounts. Counts
 /// are integers, so results are exactly the scalar enumeration's.
-/// Returns false when \p Budget expires (same 4096-assignment check
-/// cadence as the scalar loop).
-bool enumeratePacked(const FactorGraph &G, unsigned NumVars,
-                     double Threshold, const Deadline &Budget,
-                     uint64_t &Satisfying,
+void enumeratePacked(const FactorGraph &G, unsigned NumVars,
+                     double Threshold, uint64_t &Satisfying,
                      std::vector<uint64_t> *TrueCounts) {
   const uint32_t NumFactors = G.factorCount();
   struct FactorWords {
@@ -256,8 +239,6 @@ bool enumeratePacked(const FactorGraph &G, unsigned NumVars,
   }
   const uint64_t Blocks = uint64_t{1} << (NumVars - 6);
   for (uint64_t Block = 0; Block != Blocks; ++Block) {
-    if ((Block & 0x3F) == 0 && Budget.expired())
-      return false;
     const uint64_t BlockBase = Block << 6;
     uint64_t Acc = ~uint64_t{0};
     for (uint32_t F = 0; F != NumFactors && Acc; ++F) {
@@ -281,19 +262,15 @@ bool enumeratePacked(const FactorGraph &G, unsigned NumVars,
           (*TrueCounts)[V] += Full;
     }
   }
-  return true;
 }
 
 /// The pre-popcount scalar enumeration, kept for graphs the packed path
 /// declines (fewer than six variables, or a pathological factor).
-bool enumerateSimple(const FactorGraph &G, unsigned NumVars,
-                     double Threshold, const Deadline &Budget,
-                     uint64_t &Satisfying,
+void enumerateSimple(const FactorGraph &G, unsigned NumVars,
+                     double Threshold, uint64_t &Satisfying,
                      std::vector<uint64_t> *TrueCounts) {
   const uint64_t Count = uint64_t{1} << NumVars;
   for (uint64_t Index = 0; Index != Count; ++Index) {
-    if ((Index & 0xFFF) == 0 && Budget.expired())
-      return false;
     bool Ok = true;
     for (uint32_t F = 0; F != G.factorCount() && Ok; ++F) {
       const FactorGraph::Factor &Factor = G.factor(F);
@@ -311,47 +288,39 @@ bool enumerateSimple(const FactorGraph &G, unsigned NumVars,
         if ((Index >> V) & 1)
           ++(*TrueCounts)[V];
   }
-  return true;
 }
 
-bool enumerateSatisfying(const FactorGraph &G, unsigned NumVars,
-                         double Threshold, const Deadline &Budget,
-                         uint64_t &Satisfying,
+void enumerateSatisfying(const FactorGraph &G, unsigned NumVars,
+                         double Threshold, uint64_t &Satisfying,
                          std::vector<uint64_t> *TrueCounts) {
   if (canEnumeratePacked(G, NumVars))
-    return enumeratePacked(G, NumVars, Threshold, Budget, Satisfying,
-                           TrueCounts);
-  return enumerateSimple(G, NumVars, Threshold, Budget, Satisfying,
-                         TrueCounts);
+    enumeratePacked(G, NumVars, Threshold, Satisfying, TrueCounts);
+  else
+    enumerateSimple(G, NumVars, Threshold, Satisfying, TrueCounts);
 }
 
 } // namespace
 
 std::optional<uint64_t>
 ExactSolver::countSatisfying(const FactorGraph &G, unsigned VarLimit,
-                             double Threshold,
-                             const Deadline &Budget) const {
+                             double Threshold) const {
   const unsigned NumVars = G.variableCount();
   if (NumVars > VarLimit || NumVars > 62)
     return std::nullopt; // The deterministic solver gives up: DNF.
   uint64_t Satisfying = 0;
-  if (!enumerateSatisfying(G, NumVars, Threshold, Budget, Satisfying,
-                           nullptr))
-    return std::nullopt; // Budget expired mid-enumeration: DNF.
+  enumerateSatisfying(G, NumVars, Threshold, Satisfying, nullptr);
   return Satisfying;
 }
 
 std::optional<Marginals>
 ExactSolver::solveLogical(const FactorGraph &G, unsigned VarLimit,
-                          double Threshold, const Deadline &Budget) const {
+                          double Threshold) const {
   const unsigned NumVars = G.variableCount();
   if (NumVars > VarLimit || NumVars > 62)
     return std::nullopt; // Too large: the deterministic solver gives up.
   uint64_t Satisfying = 0;
   std::vector<uint64_t> TrueCounts(NumVars, 0);
-  if (!enumerateSatisfying(G, NumVars, Threshold, Budget, Satisfying,
-                           &TrueCounts))
-    return std::nullopt; // Budget expired mid-enumeration: DNF.
+  enumerateSatisfying(G, NumVars, Threshold, Satisfying, &TrueCounts);
   if (Satisfying == 0)
     return std::nullopt; // Unsatisfiable: conflicting constraints.
   Marginals Result(NumVars);
@@ -436,80 +405,39 @@ Marginals GibbsSolver::solve(const FactorGraph &G,
     KState.PosIdx = PosIdx.data();
   }
   std::vector<uint32_t> TrueCounts(NumVars, 0);
-  unsigned Collected = 0;
-  bool DeadlineExpired = false;
-  uint64_t Updates = 0;
   const unsigned Sweeps = Opts.BurnIn + Opts.Samples;
   const bool TraceSweeps =
       telemetry::enabled(telemetry::TraceLevel::Solver);
-  unsigned Sweep = 0;
-  for (; Sweep != Sweeps; ++Sweep) {
-    if (Opts.Budget.expired(Sweep)) {
-      DeadlineExpired = true;
-      break;
-    }
+  for (unsigned Sweep = 0; Sweep != Sweeps; ++Sweep) {
     if (TraceSweeps && (Sweep & 0xFF) == 0)
       telemetry::counterSample("gibbs.progress",
                                telemetry::TraceLevel::Solver, "solver",
                                "sweep", static_cast<double>(Sweep));
-    // The kernel runs the sweep in chunks so the mid-sweep wall-clock
-    // check keeps its cadence (before variables 63, 127, ...): on large
-    // graphs a single sweep can outlast the whole budget, while small
-    // graphs keep the exact sweep counts the per-sweep check alone
-    // would produce.
-    uint32_t ChunkBegin = 0;
-    while (ChunkBegin != NumVars) {
-      const uint32_t ChunkEnd = std::min<uint32_t>(
-          NumVars, ChunkBegin == 0 ? 63u : ChunkBegin + 64);
-      kern::gibbsSweep(View, KState, ChunkBegin, ChunkEnd);
-      Updates += ChunkEnd - ChunkBegin;
-      ChunkBegin = ChunkEnd;
-      if (ChunkBegin != NumVars && Opts.Budget.expired(Sweep)) {
-        DeadlineExpired = true;
-        break;
-      }
-    }
-    if (DeadlineExpired)
-      break; // Do not sample a half-updated sweep.
-    if (Sweep >= Opts.BurnIn) {
+    kern::gibbsSweep(View, KState, 0, NumVars);
+    if (Sweep >= Opts.BurnIn)
       for (unsigned V = 0; V != NumVars; ++V)
         TrueCounts[V] += Assign[V];
-      ++Collected;
-    }
   }
+  const uint64_t Updates = uint64_t{NumVars} * Sweeps;
 
-  // A cut-short chain averages whatever samples it collected; with none
-  // at all the marginals stay at the uninformative 0.5.
+  // Samples == 0 collects nothing by construction: that is a
+  // non-convergent run over the uninformative 0.5 marginals, not a
+  // vacuous success.
+  const bool Converged = Opts.Samples > 0;
   Marginals Result(NumVars, 0.5);
-  if (Collected > 0)
+  if (Converged)
     for (unsigned V = 0; V != NumVars; ++V)
       Result[V] = static_cast<double>(TrueCounts[V]) /
-                  static_cast<double>(Collected);
-  // Samples == 0 collects nothing by construction: that is a
-  // non-convergent run over uninformative marginals, not a vacuous
-  // success.
-  const bool Converged = Opts.Samples > 0 && Collected == Opts.Samples;
+                  static_cast<double>(Opts.Samples);
   if (Report) {
-    Report->Iterations = Sweep;
-    Report->DeadlineExpired = DeadlineExpired;
+    Report->Iterations = Sweeps;
     Report->Converged = Converged;
     Report->Residual = 0.0;
     Report->Updates = Updates;
     Report->Seconds = SolveTimer.seconds();
     Report->Reason.clear();
-    if (!Converged) {
-      // Every non-convergent outcome names its cause, so the cascade's
-      // Diagnostics and the trace agree on why the stage was abandoned
-      // (including the Samples == 0 degenerate request, which used to
-      // surface as a reasonless "Samples == 0" non-convergence).
-      if (Opts.Samples == 0)
-        Report->Reason = "no samples requested (Samples == 0)";
-      else
-        Report->Reason = formatStr(
-            "deadline expired after %u of %u sweeps, %u/%u samples "
-            "collected",
-            Sweep, Sweeps, Collected, Opts.Samples);
-    }
+    if (!Converged)
+      Report->Reason = "no samples requested (Samples == 0)";
   }
   if (telemetry::enabled(telemetry::TraceLevel::Phase)) {
     telemetry::counter("solver.gibbs.solves").add(1);
@@ -517,20 +445,18 @@ Marginals GibbsSolver::solve(const FactorGraph &G,
     if (!Converged)
       telemetry::counter("solver.gibbs.nonconverged").add(1);
     telemetry::histogram("solver.gibbs.sweeps")
-        .record(static_cast<double>(Sweep));
+        .record(static_cast<double>(Sweeps));
     telemetry::histogram("solver.gibbs.samples")
-        .record(static_cast<double>(Collected));
+        .record(static_cast<double>(Opts.Samples));
     telemetry::histogram("solver.gibbs.seconds")
         .record(SolveTimer.seconds());
   }
   if (SolveSpan.active()) {
     SolveSpan.arg("vars", NumVars);
-    SolveSpan.arg("sweeps", Sweep);
-    SolveSpan.arg("samples", Collected);
+    SolveSpan.arg("sweeps", Sweeps);
+    SolveSpan.arg("samples", Opts.Samples);
     SolveSpan.arg("flips", Updates);
     SolveSpan.argBool("converged", Converged);
-    if (!Opts.Budget.unlimited())
-      SolveSpan.arg("budget_remaining_s", Opts.Budget.remainingSeconds());
   }
   return Result;
 }

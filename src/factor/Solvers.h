@@ -13,10 +13,11 @@
 ///  - GibbsSolver: seeded Gibbs sampling, the "sampling the marginal
 ///    functions" alternative mentioned in Section 3.4.
 ///
-/// Every solver accepts a Deadline budget and produces a SolveReport, so
-/// callers can treat convergence and runtime as a contract (the fallback
-/// cascade in AnekInfer/GlobalInfer keys off these) instead of trusting
-/// the solver to terminate usefully on pathological graphs.
+/// Every solver's work is bounded by its inputs alone (iterations,
+/// sweeps, 2^n assignments), never by a clock, and BP and Gibbs produce
+/// a SolveReport, so callers can treat convergence as a contract (the
+/// fallback cascade in infer/AnekInfer.h keys off it) instead of trusting
+/// the solver to end usefully on pathological graphs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +25,6 @@
 #define ANEK_FACTOR_SOLVERS_H
 
 #include "factor/FactorGraph.h"
-#include "support/Deadline.h"
 #include "support/Rng.h"
 #include "support/Status.h"
 
@@ -48,8 +48,6 @@ struct SolveReport {
   unsigned Iterations = 0;
   /// Wall-clock seconds spent inside the solver.
   double Seconds = 0.0;
-  /// True when the Deadline budget cut the solve short.
-  bool DeadlineExpired = false;
   /// Raw kernel work done: messages computed (BP) or single-variable
   /// resampling steps (Gibbs). Updates / Seconds is the throughput the
   /// bench suite tracks.
@@ -58,10 +56,9 @@ struct SolveReport {
   /// factors whose inputs had not moved since their last update.
   uint64_t SkippedUpdates = 0;
   /// Why the solver missed its convergence contract, in the solver's own
-  /// words ("deadline expired after 3 of 2200 sweeps, 0/2000 samples
-  /// collected"); empty when Converged. The fallback cascade threads
-  /// this into MethodReport::Reason, so Diagnostics and traces agree on
-  /// why a stage was abandoned.
+  /// words ("residual 0.03 after 40 iterations"); empty when Converged.
+  /// The fallback cascade threads this into MethodReport::Reason, so
+  /// Diagnostics and traces agree on why a stage was abandoned.
   std::string Reason;
 };
 
@@ -75,8 +72,6 @@ public:
     /// Message damping in [0,1): new = (1-d)*new + d*old. Helps loopy
     /// graphs converge.
     double Damping = 0.15;
-    /// Wall-clock budget checked once per iteration (default unlimited).
-    Deadline Budget;
     /// Residual-driven factor scheduling: skip a factor's table sweep
     /// when its incoming messages have accumulated less than half the
     /// tolerance of change since its last update *and* that update
@@ -135,47 +130,38 @@ public:
   static constexpr unsigned MaxVariables = 24;
 
   /// Exact marginals, or ResourceExhausted when the graph exceeds
-  /// MaxVariables / DeadlineExceeded when \p Budget expires mid-sweep.
-  Expected<Marginals> solve(const FactorGraph &G,
-                            const Deadline &Budget = Deadline()) const;
+  /// MaxVariables.
+  Expected<Marginals> solve(const FactorGraph &G) const;
 
   /// Interprets every factor as a hard constraint (weight > Threshold
   /// means "satisfied") and counts satisfying assignments; the engine of
   /// the deterministic "Anek Logical" configuration. Returns std::nullopt
-  /// when the variable count exceeds \p VarLimit or \p Budget expires
-  /// mid-enumeration — the deterministic analogue of the paper's Logical
-  /// run that "ran out of memory before a fixed point was reached" (DNF).
+  /// when the variable count exceeds \p VarLimit — the deterministic
+  /// analogue of the paper's Logical run that "ran out of memory before a
+  /// fixed point was reached" (DNF).
   std::optional<uint64_t> countSatisfying(const FactorGraph &G,
                                           unsigned VarLimit,
-                                          double Threshold = 0.5,
-                                          const Deadline &Budget =
-                                              Deadline()) const;
+                                          double Threshold = 0.5) const;
 
   /// Deterministic-solutions marginals: the fraction of *satisfying*
   /// assignments (every factor weight > Threshold) in which each variable
   /// is true. Returns std::nullopt when the graph exceeds \p VarLimit
-  /// (DNF), \p Budget expires mid-enumeration, or no assignment satisfies
-  /// all constraints (a buggy program makes the logical system
-  /// unsatisfiable — exactly the failure mode the paper's probabilistic
-  /// encoding exists to avoid).
+  /// (DNF) or no assignment satisfies all constraints (a buggy program
+  /// makes the logical system unsatisfiable — exactly the failure mode
+  /// the paper's probabilistic encoding exists to avoid).
   std::optional<Marginals> solveLogical(const FactorGraph &G,
                                         unsigned VarLimit,
-                                        double Threshold = 0.5,
-                                        const Deadline &Budget =
-                                            Deadline()) const;
+                                        double Threshold = 0.5) const;
 };
 
-/// Gibbs sampling with a deterministic seed.
+/// Gibbs sampling with a deterministic seed. Run only when a caller asks
+/// for it (SolverChoice::Gibbs); the fallback cascade does not sample.
 class GibbsSolver {
 public:
   struct Options {
     unsigned BurnIn = 200;
     unsigned Samples = 2000;
     uint64_t Seed = 1;
-    /// Wall-clock budget checked once per sweep (default unlimited). An
-    /// expired budget returns marginals over the samples collected so
-    /// far; the report says how many that was.
-    Deadline Budget;
   };
 
   GibbsSolver() = default;

@@ -48,8 +48,6 @@ const char *anek::cascadeExitName(CascadeExit Exit) {
     return "none";
   case CascadeExit::NearConvergedBp:
     return "near-converged bp";
-  case CascadeExit::Gibbs:
-    return "gibbs";
   case CascadeExit::Exact:
     return "exact";
   case CascadeExit::KeptDegraded:
@@ -127,6 +125,80 @@ void appendReason(MethodReport &Report, std::string Why) {
     Report.Reason += "; ";
   Report.Reason += std::move(Why);
 }
+
+/// Cavity beliefs for solvers without native support: each marginal with
+/// the variable's prior divided out (exact on trees, approximate on
+/// loops).
+void dividePriors(const FactorGraph &G, const Marginals &M,
+                  Marginals &GraphBelief) {
+  GraphBelief.resize(M.size());
+  for (unsigned V = 0; V != M.size(); ++V)
+    GraphBelief[V] = oddsToProb(probToOdds(M[V]) /
+                                probToOdds(G.variable(V).Prior));
+}
+
+/// One BP solve with \p O, through \p Bp when set. The delegate is
+/// contractually byte-identical to the local solver, so no caller cares
+/// which path ran.
+Marginals runBp(const FactorGraph &G, const SumProductSolver::Options &O,
+                BpSolveDelegate *Bp, Marginals *GraphBelief,
+                SolveReport &Report) {
+  return Bp ? Bp->solve(O, G, GraphBelief, &Report)
+            : SumProductSolver(O).solve(G, GraphBelief, &Report);
+}
+
+/// Exact marginals of \p G, recorded in \p Report as a converged exact
+/// solve; ResourceExhausted when \p G is too large to enumerate.
+Expected<Marginals> runExact(const FactorGraph &G, MethodReport &Report,
+                             Marginals *GraphBelief) {
+  Expected<Marginals> M = ExactSolver().solve(G);
+  if (M) {
+    Report.Used = SolverChoice::Exact;
+    Report.Solve = SolveReport();
+    Report.Solve.Converged = true;
+    if (GraphBelief)
+      dividePriors(G, *M, *GraphBelief);
+  }
+  return M;
+}
+
+} // namespace
+
+Marginals anek::solveCascade(const FactorGraph &G,
+                             const SumProductSolver::Options &BpOpts,
+                             BpSolveDelegate *Bp, MethodReport &Report,
+                             Marginals *GraphBelief) {
+  Marginals M = runBp(G, BpOpts, Bp, GraphBelief, Report.Solve);
+  if (Report.Solve.Converged)
+    return M;
+
+  Report.Fallback = true;
+  // The solver names its own failure (SolveReport::Reason); the cascade
+  // only adds which exit it takes.
+  appendReason(Report,
+               "bp missed convergence (" + Report.Solve.Reason + ")");
+  // The injected non-convergence fault models *bad* divergence, so it
+  // skips this exit.
+  if (!(faults::anyActive() &&
+        faults::active(FaultKind::BpNonConvergence)) &&
+      Report.Solve.Residual <= NearConvergence) {
+    Report.Exit = CascadeExit::NearConvergedBp;
+    appendReason(Report, "accepted nearly-converged bp");
+    return M;
+  }
+  if (G.variableCount() <= ExactSolver::MaxVariables)
+    if (Expected<Marginals> Exact = runExact(G, Report, GraphBelief)) {
+      Report.Exit = CascadeExit::Exact;
+      return Exact.take();
+    }
+  // Too large to enumerate: BP's beliefs are still a usable
+  // approximation, and the report says how they were obtained.
+  Report.Exit = CascadeExit::KeptDegraded;
+  appendReason(Report, "using unconverged bp beliefs");
+  return M;
+}
+
+namespace {
 
 /// The engine behind runAnekInfer.
 ///
@@ -310,9 +382,8 @@ private:
   // the stored evidence byte-identically by construction.
 
   /// True when a SOLVE is a pure function of its method and applied
-  /// priors: no per-solve time budget (SolveBudgetSeconds makes results
-  /// timing-dependent) and no armed analysis-perturbing fault. Both the
-  /// cache and the memo replay only under this precondition.
+  /// priors: no analysis-perturbing fault is armed. Both the cache and
+  /// the memo replay only under this precondition.
   bool solvesReplayable() const;
 
   /// Gates and arms the cache for this run: verifies solvesReplayable and
@@ -327,16 +398,15 @@ private:
   /// stream.
   uint64_t solveKeyFor(MethodDecl *M);
 
-  /// Runs the configured solver, walking the fallback cascade when the
-  /// primary misses its convergence contract; fills \p GraphBelief with
-  /// the per-node cavity beliefs (for solvers without native support,
-  /// approximated by dividing the prior out of the marginal) and records
-  /// the cascade decisions in \p Report. \p Seed seeds any sampling
-  /// stage (stable per method, independent of scheduling).
-  Expected<Marginals> solveGraph(const FactorGraph &G, Marginals &GraphBelief,
-                                 MethodReport &Report, uint64_t Seed) const;
+  /// An explicitly requested Gibbs or exact solve (BP goes through
+  /// solveCascade). Fills \p GraphBelief with the marginals, each prior
+  /// divided out, and \p Report, which must be fresh. An exact request
+  /// too large to enumerate falls back to one BP solve and exits
+  /// KeptDegraded. \p Seed seeds the Gibbs chain.
+  Marginals solveRequested(const FactorGraph &G, Marginals &GraphBelief,
+                           MethodReport &Report, uint64_t Seed) const;
 
-  /// Stable solver seed for \p M: a hash of the qualified method name
+  /// Stable Gibbs seed for \p M: a hash of the qualified method name
   /// mixed with a fixed salt. Identical across runs, processes and job
   /// counts; distinct (in practice) across methods.
   static uint64_t methodSeed(const MethodDecl *M);
@@ -477,143 +547,27 @@ uint64_t InferEngine::methodSeed(const MethodDecl *M) {
   return Mixed ? Mixed : 0x9E3779B97F4A7C15ULL;
 }
 
-Expected<Marginals> InferEngine::solveGraph(const FactorGraph &G,
-                                            Marginals &GraphBelief,
-                                            MethodReport &Report,
-                                            uint64_t Seed) const {
-  Deadline Budget = Opts.SolveBudgetSeconds > 0.0
-                        ? Deadline::afterSeconds(Opts.SolveBudgetSeconds)
-                        : Deadline();
-  ++Report.Solves;
-  Report.Fallback = false;
-  Report.Exit = CascadeExit::None;
-  Report.Reason.clear();
-  auto Leave = [&](CascadeExit Exit) {
-    Report.Fallback = true;
-    Report.Exit = Exit;
-  };
-
-  // For solvers without native cavity support, divide the prior out of
-  // the marginal (exact on trees, approximate on loops).
-  auto DividePriors = [&](const Marginals &M) {
-    GraphBelief.assign(M.size(), 0.5);
-    for (unsigned V = 0; V != M.size(); ++V)
-      GraphBelief[V] = oddsToProb(probToOdds(M[V]) /
-                                  probToOdds(G.variable(V).Prior));
-  };
-
-  auto RunBp = [&]() {
-    SumProductSolver::Options O;
-    O.Budget = Budget;
-    Report.Used = SolverChoice::SumProduct;
-    // The delegate (when installed) is contractually byte-identical to
-    // the local solver, so the cascade does not care which path ran.
-    if (Opts.Bp)
-      return Opts.Bp->solve(O, G, &GraphBelief, &Report.Solve);
-    return SumProductSolver(O).solve(G, &GraphBelief, &Report.Solve);
-  };
-  auto RunGibbs = [&]() {
+Marginals InferEngine::solveRequested(const FactorGraph &G,
+                                      Marginals &GraphBelief,
+                                      MethodReport &Report,
+                                      uint64_t Seed) const {
+  if (Opts.Solver == SolverChoice::Gibbs) {
     GibbsSolver::Options O;
-    O.Budget = Budget;
     O.Seed = Seed;
     Report.Used = SolverChoice::Gibbs;
     Marginals M = GibbsSolver(O).solve(G, &Report.Solve);
-    DividePriors(M);
-    return M;
-  };
-  // Terminal stage: enumeration is bounded by MaxVariables, so it runs
-  // without the outer budget (an injected 'deadline' fault still trips
-  // the fresh Deadline and exercises the total-failure path).
-  auto RunExact = [&]() -> Expected<Marginals> {
-    Expected<Marginals> M = ExactSolver().solve(G, Deadline());
-    if (M) {
-      DividePriors(*M);
-      Report.Used = SolverChoice::Exact;
-      Report.Solve = SolveReport();
-      Report.Solve.Converged = true;
-    }
-    return M;
-  };
-
-  // Explicitly requested non-default solvers keep their semantics.
-  if (Opts.Solver == SolverChoice::Gibbs)
-    return RunGibbs();
-  if (Opts.Solver == SolverChoice::Exact) {
-    Expected<Marginals> M = RunExact();
-    if (M)
-      return M;
-    // Too large for enumeration; fall back to belief propagation.
-    Leave(CascadeExit::KeptDegraded);
-    appendReason(Report, M.status().str());
-    return RunBp();
-  }
-
-  // The cascade (DESIGN.md): one BP solve, accepted when it converged or
-  // ended near convergence; otherwise Gibbs -> exact -> keep the best.
-  Marginals M = RunBp();
-  if (Report.Solve.Converged)
-    return M;
-
-  // The solver names its own failure (SolveReport::Reason); the cascade
-  // only adds which stage it is leaving.
-  appendReason(Report,
-               "bp missed convergence (" + Report.Solve.Reason + ")");
-  // The injected non-convergence fault models *bad* divergence, so it
-  // skips this exit, as does a solve its budget cut short.
-  if (!(faults::anyActive() &&
-        faults::active(FaultKind::BpNonConvergence)) &&
-      !Report.Solve.DeadlineExpired &&
-      Report.Solve.Residual <= NearConvergence) {
-    Leave(CascadeExit::NearConvergedBp);
-    appendReason(Report, "accepted nearly-converged bp");
+    dividePriors(G, M, GraphBelief);
     return M;
   }
-  // Every later stage rewrites the report and the cavity beliefs; keep
-  // the first solve's for the degraded exit.
-  const SolveReport BpReport = Report.Solve;
-  const Marginals BpBelief = GraphBelief;
-
-  // Seeded Gibbs does not depend on message convergence at all.
-  Marginals GibbsM = RunGibbs();
-  if (Report.Solve.Converged) {
-    Leave(CascadeExit::Gibbs);
-    return GibbsM;
-  }
-  bool GibbsCollectedSome = Report.Solve.Iterations > 0;
-  // Thread the sampler's own reason through: before SolveReport carried
-  // one, a Samples == 0 non-convergence left this stage reasonless in
-  // the trail, so Diagnostics and traces disagreed on why Gibbs was
-  // abandoned.
-  appendReason(Report, "gibbs chain cut short (" +
-                           (Report.Solve.Reason.empty()
-                                ? std::string("no reason reported")
-                                : Report.Solve.Reason) +
-                           ")");
-
-  // Exact enumeration when the graph is small enough.
-  if (G.variableCount() <= ExactSolver::MaxVariables) {
-    Expected<Marginals> ExactM = RunExact();
-    if (ExactM) {
-      Leave(CascadeExit::Exact);
-      return ExactM;
-    }
-    appendReason(Report, ExactM.status().str());
-  }
-
-  // Every stage degraded: keep the best approximation we have — a partial
-  // Gibbs estimate when any samples were collected, else the first BP
-  // solve's (unconverged) beliefs. Still a usable approximation, and the
-  // report says exactly how it was obtained.
-  Leave(CascadeExit::KeptDegraded);
-  if (GibbsCollectedSome) {
-    appendReason(Report, "using partial gibbs estimate");
-    return GibbsM;
-  }
-  Report.Used = SolverChoice::SumProduct;
-  Report.Solve = BpReport;
-  GraphBelief = BpBelief;
-  appendReason(Report, "using unconverged bp beliefs");
-  return M;
+  Expected<Marginals> M = runExact(G, Report, &GraphBelief);
+  if (M)
+    return M.take();
+  // Too large for enumeration; fall back to belief propagation.
+  Report.Fallback = true;
+  Report.Exit = CascadeExit::KeptDegraded;
+  appendReason(Report, M.status().str());
+  return runBp(G, SumProductSolver::Options(), Opts.Bp, &GraphBelief,
+               Report.Solve);
 }
 
 void InferEngine::forEachApplication(
@@ -698,18 +652,18 @@ summaryio::SolveOutcome InferEngine::analyzeOne(MethodDecl *M,
                                                 MemoProbe *Probe) {
   SolveOutcome Out;
   Out.DeclIndex = M->DeclIndex;
-  auto Fail = [&](const Status &S) {
-    Out.Failed = true;
-    Out.Error = S.str();
-    return std::move(Out);
-  };
 
   // Fault 'solve-fail': this method's SOLVE step fails outright, proving
-  // the isolation path keeps the rest of the program inferable.
+  // the isolation path keeps the rest of the program inferable. Nothing
+  // else fails a solve: the cascade always ends with usable marginals.
   if (faults::anyActive() &&
-      faults::active(FaultKind::SolveFailure, M->qualifiedName()))
-    return Fail(
-        faults::injectedError(FaultKind::SolveFailure, M->qualifiedName()));
+      faults::active(FaultKind::SolveFailure, M->qualifiedName())) {
+    Out.Failed = true;
+    Out.Error =
+        faults::injectedError(FaultKind::SolveFailure, M->qualifiedName())
+            .str();
+    return Out;
+  }
 
   const Pfg &G = Models[M->DeclIndex]->G;
 
@@ -752,8 +706,11 @@ summaryio::SolveOutcome InferEngine::analyzeOne(MethodDecl *M,
   Timer SolveTimer;
   Marginals GraphBelief;
   MethodReport Report;
-  Expected<Marginals> Solved =
-      solveGraph(FG, GraphBelief, Report, methodSeed(M));
+  const Marginals Solution =
+      Opts.Solver == SolverChoice::SumProduct
+          ? solveCascade(FG, SumProductSolver::Options(), Opts.Bp, Report,
+                         &GraphBelief)
+          : solveRequested(FG, GraphBelief, Report, methodSeed(M));
   Out.SolveSeconds = SolveTimer.seconds();
   Out.Variables = FG.variableCount();
   Out.Factors = FG.factorCount();
@@ -761,10 +718,7 @@ summaryio::SolveOutcome InferEngine::analyzeOne(MethodDecl *M,
   Out.Exit = static_cast<uint8_t>(Report.Exit);
   Out.Reason = std::move(Report.Reason);
   Out.Solve = std::move(Report.Solve);
-  Out.Solves = Report.Solves;
-  if (!Solved)
-    return Fail(Solved.status());
-  Marginals Solution = Solved.take();
+  Out.Solves = 1;
 
   // Compute the evidence to push back into summaries (UPDATESUMMARY) as
   // deferred updates; the scheduling thread applies them after the wave.
@@ -991,10 +945,6 @@ uint64_t methodContentHash(const MethodDecl &M) {
 } // namespace
 
 bool InferEngine::solvesReplayable() const {
-  // A per-solve time budget makes solve outcomes timing-dependent, so a
-  // replay is not guaranteed to reproduce a fresh solve.
-  if (Opts.SolveBudgetSeconds > 0.0)
-    return false;
   // Analysis-perturbing faults change what a fresh solve would compute;
   // replaying across them would either launder a faulted result into
   // clean runs or replay a clean result past an armed fault. The cache's
@@ -1002,7 +952,6 @@ bool InferEngine::solvesReplayable() const {
   // re-solved), so it keeps replay on.
   return !(faults::anyActive() &&
            (faults::kindActive(FaultKind::BpNonConvergence) ||
-            faults::kindActive(FaultKind::DeadlineExpiry) ||
             faults::kindActive(FaultKind::AllocPerturb) ||
             faults::kindActive(FaultKind::SolveFailure)));
 }
@@ -1503,8 +1452,6 @@ InferResult InferEngine::run() {
     // How the fallbacks ended, per pick like infer.fallback_solves.
     telemetry::counter("cascade.exit.near_converged_bp")
         .add(Result.FallbackExits[unsigned(CascadeExit::NearConvergedBp)]);
-    telemetry::counter("cascade.exit.gibbs")
-        .add(Result.FallbackExits[unsigned(CascadeExit::Gibbs)]);
     telemetry::counter("cascade.exit.exact")
         .add(Result.FallbackExits[unsigned(CascadeExit::Exact)]);
     telemetry::counter("cascade.exit.kept_degraded")

@@ -45,12 +45,6 @@ enum class SolverChoice { SumProduct, Gibbs, Exact };
 /// Renders a SolverChoice as "bp"/"gibbs"/"exact".
 const char *solverChoiceName(SolverChoice Choice);
 
-/// The BP residual at or below which a solve that missed its tolerance
-/// is accepted as it is instead of walking on to sampling: Gibbs noise
-/// can erase a spec that a residual this small would have kept. Shared
-/// by the modular and the joint cascade.
-inline constexpr double NearConvergence = 1e-2;
-
 /// How one SOLVE left the fallback cascade (DESIGN.md, "The fallback
 /// cascade").
 enum class CascadeExit : uint8_t {
@@ -59,22 +53,65 @@ enum class CascadeExit : uint8_t {
   /// BP missed its tolerance but ended within NearConvergence; its
   /// beliefs were kept as they are.
   NearConvergedBp,
-  /// A Gibbs chain ran to its full sample count.
-  Gibbs,
-  /// Exact enumeration.
+  /// Exact enumeration of a graph within ExactSolver::MaxVariables.
   Exact,
-  /// Every stage missed, so the best approximation at hand was kept: a
-  /// partial Gibbs estimate or the first BP solve's beliefs. Also an
-  /// explicitly requested exact solve that had to fall back to BP.
+  /// BP missed and the graph was too large to enumerate, so BP's
+  /// unconverged beliefs were kept. Also an explicitly requested exact
+  /// solve that had to fall back to BP.
   KeptDegraded,
 };
 
 /// Number of CascadeExit values.
-inline constexpr unsigned NumCascadeExits = 5;
+inline constexpr unsigned NumCascadeExits = 4;
 
 /// Renders a CascadeExit for footers and reports: "none",
-/// "near-converged bp", "gibbs", "exact", "kept degraded".
+/// "near-converged bp", "exact", "kept degraded".
 const char *cascadeExitName(CascadeExit Exit);
+
+/// How one method's SOLVE step went, cascade decisions included.
+struct MethodReport {
+  /// The solver whose marginals were actually used (last solve).
+  SolverChoice Used = SolverChoice::SumProduct;
+  /// True when the first solve missed its contract and the cascade ran
+  /// (BP missed its tolerance, or a requested exact solve did not fit).
+  bool Fallback = false;
+  /// How the cascade ended; None exactly when !Fallback.
+  CascadeExit Exit = CascadeExit::None;
+  /// Why the cascade moved on; empty when the first attempt converged.
+  std::string Reason;
+  /// Convergence report of the solve whose marginals were used.
+  SolveReport Solve;
+  /// Number of SOLVE invocations across worklist picks.
+  unsigned Solves = 0;
+  /// True when the method was skipped entirely (its model or its SOLVE
+  /// step failed); its summary stays at the conservative default.
+  bool Failed = false;
+  /// The failure, when Failed.
+  std::string Error;
+};
+
+/// The BP residual at or below which a solve that missed its tolerance
+/// is accepted as it is: the evidence channel's 0.15/0.2 deadbands and
+/// its odds cap of 9 cannot see finer. Every fresh solve on the paper's
+/// workloads ends converged or within it.
+inline constexpr double NearConvergence = 1e-2;
+
+/// The SOLVE step's fallback cascade, shared by the modular engine and
+/// the joint solve (DESIGN.md, "The fallback cascade"). Runs BP once with
+/// \p BpOpts, through \p Bp when set, and exits:
+///  - None when BP converged;
+///  - NearConvergedBp when it ended within NearConvergence and no
+///    bp-nonconverge fault is injected;
+///  - Exact when \p G has at most ExactSolver::MaxVariables variables;
+///  - KeptDegraded otherwise, keeping BP's beliefs.
+/// Records the exit, the solver used, its SolveReport and the reason
+/// trail in \p Report, which must be fresh. \p GraphBelief, when
+/// non-null, receives the per-variable cavity beliefs (BP's own, or the
+/// exact marginals with each prior divided out).
+Marginals solveCascade(const FactorGraph &G,
+                       const SumProductSolver::Options &BpOpts,
+                       BpSolveDelegate *Bp, MethodReport &Report,
+                       Marginals *GraphBelief = nullptr);
 
 /// Tunables of the inference (paper Sections 3.3-3.4).
 struct InferOptions {
@@ -93,13 +130,6 @@ struct InferOptions {
   /// Keep explicitly declared specs instead of inferred ones.
   bool RespectDeclared = true;
 
-  // Robustness knobs (see DESIGN.md, "Failure model and degradation").
-  /// Wall-clock budget per SOLVE step in seconds; 0 = unlimited. The
-  /// budget is a degradation trigger, not an abort: an expired solve
-  /// falls through the cascade and ultimately keeps the best partial
-  /// marginals available.
-  double SolveBudgetSeconds = 0.0;
-
   // Parallel scheduler (DESIGN.md, "Concurrency model").
   /// Working threads for the wave scheduler: 1 = run wave jobs and the
   /// merge inline, 0 = one per hardware thread, N = the calling thread
@@ -114,42 +144,18 @@ struct InferOptions {
   /// When set, the engine memoizes SOLVE invocations through this cache:
   /// each wave job's inputs are digested into a content key and a hit
   /// replays the stored evidence byte-identically instead of solving.
-  /// Caching silently disables itself when its preconditions do not hold
-  /// — a per-solve time budget (SolveBudgetSeconds > 0 makes solve
-  /// results timing-dependent) or an armed analysis-perturbing fault —
-  /// because a replay would then not be guaranteed to reproduce what a
-  /// fresh solve would compute.
+  /// Caching silently disables itself while an analysis-perturbing fault
+  /// is armed, because a replay would then not be guaranteed to reproduce
+  /// what a fresh solve would compute.
   SolveCache *Cache = nullptr;
 
-  /// When set, every sum-product solve the engine issues is routed
-  /// through this delegate instead of a locally constructed
-  /// SumProductSolver. The end-to-end bench installs one that times each
-  /// solve (TimedBp in e2e_bench/harness.cpp); the delegate contract
-  /// (factor/Solvers.h) requires byte-identical results, so installing
-  /// one never changes what inference computes.
+  /// When set, every sum-product solve runAnekInfer or runGlobalInfer
+  /// issues is routed through this delegate instead of a locally
+  /// constructed SumProductSolver. The end-to-end bench installs one
+  /// that times each solve (TimedBp in e2e_bench/harness.cpp); the
+  /// delegate contract (factor/Solvers.h) requires byte-identical
+  /// results, so installing one never changes what inference computes.
   BpSolveDelegate *Bp = nullptr;
-};
-
-/// How one method's SOLVE step went, cascade decisions included.
-struct MethodReport {
-  /// The solver whose marginals were actually used (last solve).
-  SolverChoice Used = SolverChoice::SumProduct;
-  /// True when the first solve missed its contract and the cascade ran
-  /// (BP missed its tolerance, or a requested exact solve did not fit).
-  bool Fallback = false;
-  /// How the cascade ended; None exactly when !Fallback.
-  CascadeExit Exit = CascadeExit::None;
-  /// Why the cascade moved on; empty when the first attempt converged.
-  std::string Reason;
-  /// Convergence report of the solve whose marginals were used.
-  SolveReport Solve;
-  /// Number of SOLVE invocations across worklist picks.
-  unsigned Solves = 0;
-  /// True when the method was skipped entirely (constraint generation or
-  /// every solver failed); its summary stays at the conservative default.
-  bool Failed = false;
-  /// The failure, when Failed.
-  std::string Error;
 };
 
 /// Outcome of a run. The per-method maps are keyed in declaration order
@@ -169,7 +175,7 @@ struct InferResult {
   /// Picks the run-local SOLVE memo answered by replaying an outcome
   /// this run had already computed (DESIGN.md, "The in-run SOLVE memo").
   /// A replay is still a pick. Zero when the memo is disarmed: under a
-  /// cache, a per-solve budget or an analysis fault.
+  /// cache or an analysis fault.
   unsigned MemoReplays = 0;
   unsigned MethodsAnalyzed = 0;
   /// Methods isolated after a failure (skipped with a diagnostic).

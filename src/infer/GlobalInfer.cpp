@@ -182,69 +182,6 @@ extractAll(const std::vector<MethodModel> &Models, const Marginals &Solution,
   return Out;
 }
 
-/// The joint solve, through the same fallback cascade as the modular
-/// algorithm: one BP solve, accepted when it converged or ended within
-/// NearConvergence; otherwise Gibbs -> exact (small graphs only) -> keep
-/// the best. Records the cascade in \p Result.
-Marginals solveJoint(const FactorGraph &FG, const InferOptions &Opts,
-                     GlobalResult &Result) {
-  Deadline Budget = Opts.SolveBudgetSeconds > 0.0
-                        ? Deadline::afterSeconds(Opts.SolveBudgetSeconds)
-                        : Deadline();
-  auto AppendReason = [&](std::string Why) {
-    if (!Result.CascadeReason.empty())
-      Result.CascadeReason += "; ";
-    Result.CascadeReason += std::move(Why);
-  };
-
-  SumProductSolver::Options SolverOpts;
-  SolverOpts.MaxIterations = 80;
-  SolverOpts.Budget = Budget;
-  Result.Used = SolverChoice::SumProduct;
-  Marginals Bp = SumProductSolver(SolverOpts).solve(FG, nullptr, &Result.Solve);
-  if (Result.Solve.Converged)
-    return Bp;
-
-  Result.Fallback = true;
-  AppendReason("bp missed convergence (" + Result.Solve.Reason + ")");
-  if (!(faults::anyActive() && faults::active(FaultKind::BpNonConvergence)) &&
-      !Result.Solve.DeadlineExpired &&
-      Result.Solve.Residual <= NearConvergence) {
-    AppendReason("accepted nearly-converged bp");
-    return Bp;
-  }
-  const SolveReport BpReport = Result.Solve;
-
-  GibbsSolver::Options GibbsOpts;
-  GibbsOpts.Budget = Budget;
-  Result.Used = SolverChoice::Gibbs;
-  Marginals Gibbs = GibbsSolver(GibbsOpts).solve(FG, &Result.Solve);
-  if (Result.Solve.Converged)
-    return Gibbs;
-  const bool GibbsCollectedSome = Result.Solve.Iterations > 0;
-  AppendReason("gibbs chain cut short");
-
-  if (FG.variableCount() <= ExactSolver::MaxVariables) {
-    if (Expected<Marginals> Exact = ExactSolver().solve(FG, Deadline())) {
-      Result.Used = SolverChoice::Exact;
-      Result.Solve = SolveReport();
-      Result.Solve.Converged = true;
-      return Exact.take();
-    }
-  }
-
-  // Keep the best approximation: a partial Gibbs estimate, else the
-  // first BP solve's beliefs.
-  if (GibbsCollectedSome) {
-    AppendReason("using partial gibbs estimate");
-    return Gibbs;
-  }
-  AppendReason("using unconverged bp beliefs");
-  Result.Used = SolverChoice::SumProduct;
-  Result.Solve = BpReport;
-  return Bp;
-}
-
 } // namespace
 
 GlobalResult anek::runGlobalInfer(Program &Prog, const InferOptions &Opts,
@@ -262,8 +199,12 @@ GlobalResult anek::runGlobalInfer(Program &Prog, const InferOptions &Opts,
     Span.arg("factors", Result.TotalFactors);
   }
 
+  // The modular engine's cascade, with twice its 40 BP iterations for
+  // the one graph that spans the whole program.
+  SumProductSolver::Options BpOpts;
+  BpOpts.MaxIterations = 80;
   Timer SolveTimer;
-  Marginals Solution = solveJoint(FG, Opts, Result);
+  Marginals Solution = solveCascade(FG, BpOpts, Opts.Bp, Result.Report);
   Result.SolveSeconds = SolveTimer.seconds();
 
   Result.Inferred = extractAll(Models, Solution, Opts);
@@ -283,16 +224,9 @@ LogicalResult anek::runLogicalInfer(Program &Prog, unsigned VarLimit,
   Result.TotalFactors = FG.factorCount();
   Result.Log2SearchSpace = static_cast<double>(FG.variableCount());
 
-  // The logical enumeration honors the same per-solve wall-clock budget
-  // as the probabilistic solvers; an expired budget is one more way the
-  // deterministic configuration DNFs.
-  Deadline Budget = Opts.SolveBudgetSeconds > 0.0
-                        ? Deadline::afterSeconds(Opts.SolveBudgetSeconds)
-                        : Deadline();
   Timer SolveTimer;
-  ExactSolver Solver;
   std::optional<Marginals> Solution =
-      Solver.solveLogical(FG, VarLimit, 0.5, Budget);
+      ExactSolver().solveLogical(FG, VarLimit);
   Result.SolveSeconds = SolveTimer.seconds();
 
   if (!Solution) {
@@ -302,10 +236,6 @@ LogicalResult anek::runLogicalInfer(Program &Prog, unsigned VarLimit,
           "search space 2^%u assignments exceeds the enumeration budget "
           "of 2^%u (out of memory before a fixed point)",
           FG.variableCount(), VarLimit);
-    else if (Budget.expired())
-      Result.FailureReason = formatStr(
-          "enumeration budget of %.3gs expired before a fixed point",
-          Opts.SolveBudgetSeconds);
     else
       Result.FailureReason =
           "constraint system unsatisfiable (conflicting constraints)";

@@ -36,12 +36,9 @@ struct GlobalResult {
   unsigned TotalFactors = 0;
   double SolveSeconds = 0.0;
 
-  /// Cascade bookkeeping for the single joint solve (same semantics as
-  /// the per-method MethodReport in the modular algorithm).
-  SolverChoice Used = SolverChoice::SumProduct;
-  bool Fallback = false;
-  std::string CascadeReason;
-  SolveReport Solve;
+  /// How the single joint solve left the fallback cascade (solveCascade,
+  /// shared with the modular algorithm).
+  MethodReport Report;
   /// Methods whose model construction failed and were left out of the
   /// joint graph (each has a warning in the DiagnosticEngine).
   unsigned MethodsFailed = 0;

@@ -71,21 +71,18 @@ void encodeSolveReport(wire::Writer &W, const SolveReport &Solve) {
   W.f64(Solve.Residual);
   W.u64(Solve.Iterations);
   W.f64(Solve.Seconds);
-  W.u8(Solve.DeadlineExpired ? 1 : 0);
   W.u64(Solve.Updates);
   W.u64(Solve.SkippedUpdates);
   W.str(Solve.Reason);
 }
 
 bool decodeSolveReport(wire::Reader &R, SolveReport &Solve) {
-  uint8_t Converged = 0, DeadlineExpired = 0;
+  uint8_t Converged = 0;
   uint64_t Iterations = 0;
   bool Ok = R.u8(Converged) && R.f64(Solve.Residual) && R.u64(Iterations) &&
-            R.f64(Solve.Seconds) && R.u8(DeadlineExpired) &&
-            R.u64(Solve.Updates) && R.u64(Solve.SkippedUpdates) &&
-            R.str(Solve.Reason);
+            R.f64(Solve.Seconds) && R.u64(Solve.Updates) &&
+            R.u64(Solve.SkippedUpdates) && R.str(Solve.Reason);
   Solve.Converged = Converged != 0;
-  Solve.DeadlineExpired = DeadlineExpired != 0;
   Solve.Iterations = static_cast<unsigned>(Iterations);
   return Ok;
 }

@@ -42,7 +42,7 @@ std::vector<Activation> &activations() {
 }
 
 /// Lock-free mirror of activations().size(): anyActive() is on solver hot
-/// paths (every Deadline poll), so it must stay one atomic load.
+/// paths (every BP solve), so it must stay one atomic load.
 std::atomic<unsigned> ActiveCount{0};
 
 /// True until the one-time ANEK_FAULT environment read happened.
@@ -59,7 +59,6 @@ struct FaultInfo {
 constexpr std::array<FaultInfo, NumFaultKinds> FaultTable = {{
     {"bp-nonconverge",
      "belief propagation reports non-convergence (cascade probe)"},
-    {"deadline", "every Deadline reports itself expired"},
     {"alloc-perturb",
      "FactorGraph interleaves padding variables, shifting allocation "
      "order/ids (order-dependence probe)"},

@@ -22,7 +22,6 @@
 ///
 /// Run `anek faults` for the live fault vocabulary; the kinds are:
 ///   bp-nonconverge  belief propagation reports non-convergence
-///   deadline        every Deadline reports itself expired
 ///   alloc-perturb   FactorGraph interleaves padding variables, shifting
 ///                   every allocation order/id (order-dependence probe)
 ///   solve-fail      a method's SOLVE step fails outright (isolation probe)
@@ -45,12 +44,11 @@ namespace anek {
 /// catches a kind added without a description).
 enum class FaultKind : unsigned {
   BpNonConvergence = 0,
-  DeadlineExpiry,
   AllocPerturb,
   SolveFailure,
   WireCorrupt,
 };
-constexpr unsigned NumFaultKinds = 5;
+constexpr unsigned NumFaultKinds = 4;
 
 /// Spec name of a fault kind ("bp-nonconverge", ...).
 const char *faultKindName(FaultKind Kind);

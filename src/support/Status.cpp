@@ -12,8 +12,6 @@ const char *anek::errorCodeName(ErrorCode Code) {
     return "invalid-argument";
   case ErrorCode::ResourceExhausted:
     return "resource-exhausted";
-  case ErrorCode::DeadlineExceeded:
-    return "deadline-exceeded";
   case ErrorCode::Unsatisfiable:
     return "unsatisfiable";
   case ErrorCode::FaultInjected:

@@ -32,8 +32,6 @@ enum class ErrorCode {
   /// A size/memory budget was exceeded (e.g. exact enumeration asked to
   /// enumerate more variables than its limit).
   ResourceExhausted,
-  /// A wall-clock or iteration Deadline expired before completion.
-  DeadlineExceeded,
   /// A constraint system admits no solution.
   Unsatisfiable,
   /// A fault-injection control point fired (tests only).
@@ -42,7 +40,7 @@ enum class ErrorCode {
   Internal,
 };
 
-/// Renders the code as a short lowercase tag ("deadline-exceeded").
+/// Renders the code as a short lowercase tag ("resource-exhausted").
 const char *errorCodeName(ErrorCode Code);
 
 /// A success/failure value with an error code and human-readable message.

@@ -10,15 +10,22 @@
 // the pick count is pinned: both are expected to move once the phase-2
 // fixpoint converges instead of stopping on its pick budget.
 //
+// It also pins the premise of the fallback cascade's shape: every modular
+// and joint solve on the corpus ends converged or within
+// NearConvergence, so exact enumeration and kept-degraded beliefs are
+// reached only under an injected fault.
+//
 //===----------------------------------------------------------------------===//
 
 #include "corpus/PmdGenerator.h"
 #include "corpus/SpecComparison.h"
 #include "infer/AnekInfer.h"
+#include "infer/GlobalInfer.h"
 #include "lang/PrettyPrinter.h"
 #include "lang/Sema.h"
 #include "plural/Checker.h"
 
+#include <array>
 #include <gtest/gtest.h>
 #include <sstream>
 
@@ -34,6 +41,7 @@ struct PmdRun {
   unsigned Warnings = 0;
   unsigned MethodsFailed = 0;
   std::vector<unsigned> Table4;
+  std::array<unsigned, NumCascadeExits> FallbackExits{};
 };
 
 PmdRun runPmd(const PmdCorpus &Corpus, unsigned Jobs) {
@@ -69,6 +77,7 @@ PmdRun runPmd(const PmdCorpus &Corpus, unsigned Jobs) {
   Run.Output = Out.str();
   Run.Warnings = Check.warningCount();
   Run.MethodsFailed = R.MethodsFailed;
+  Run.FallbackExits = R.FallbackExits;
   SpecComparisonTable Table =
       compareSpecs(resolveHandSpecs(*Prog, Corpus), R.Inferred);
   for (SpecCategory C :
@@ -93,8 +102,24 @@ TEST(ClaimsTest, PmdTables2And4AtThePaperSeed) {
   // restrictive, wrong.
   EXPECT_EQ(Sequential.Table4, (std::vector<unsigned>{14, 6, 1, 3, 6, 3}));
   EXPECT_EQ(Sequential.MethodsFailed, 0u);
+  // Every fallback is a near-converged BP solve.
+  EXPECT_EQ(Sequential.FallbackExits[unsigned(CascadeExit::Exact)], 0u);
+  EXPECT_EQ(Sequential.FallbackExits[unsigned(CascadeExit::KeptDegraded)],
+            0u);
 
   PmdRun Parallel = runPmd(Corpus, 4);
   EXPECT_EQ(Parallel.Output, Sequential.Output)
       << "-j4 output diverged from -j1";
+}
+
+TEST(ClaimsTest, PmdJointSolveEndsNearConvergence) {
+  PmdCorpus Corpus = generatePmdCorpus(PmdConfig());
+  DiagnosticEngine Diags;
+  std::unique_ptr<Program> Prog = parseAndAnalyze(Corpus.Source, Diags);
+  ASSERT_TRUE(Prog != nullptr) << Diags.str();
+  GlobalResult Joint = runGlobalInfer(*Prog);
+  EXPECT_TRUE(Joint.Report.Exit == CascadeExit::None ||
+              Joint.Report.Exit == CascadeExit::NearConvergedBp)
+      << cascadeExitName(Joint.Report.Exit) << ": " << Joint.Report.Reason;
+  EXPECT_EQ(Joint.Report.Used, SolverChoice::SumProduct);
 }

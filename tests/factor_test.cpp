@@ -396,18 +396,13 @@ TEST(ExactEnumeration, WideFactorFallsBackToScalarLoop) {
                                  static_cast<double>(Count));
 }
 
-TEST(ExactEnumeration, LimitsBudgetsAndUnsat) {
+TEST(ExactEnumeration, LimitsAndUnsat) {
   ExactSolver Exact;
   FactorGraph G = makeLogicalGraph(10, 12, 17, 0.8);
 
   // DNF on the variable limit, on both enumeration paths.
   EXPECT_FALSE(Exact.countSatisfying(G, 9).has_value());
   EXPECT_FALSE(Exact.solveLogical(G, 9).has_value());
-
-  // DNF on an already-expired budget (checked at the first block).
-  Deadline Expired = Deadline::afterSeconds(0.0);
-  EXPECT_FALSE(Exact.countSatisfying(G, 62, 0.5, Expired).has_value());
-  EXPECT_FALSE(Exact.solveLogical(G, 62, 0.5, Expired).has_value());
 
   // Unsatisfiable: a variable forced both true and false. The count is
   // an honest zero; the logical marginals are a DNF (division by the
@@ -449,4 +444,35 @@ TEST(ExactEnumeration, WeightedSolveMatchesJointWeight) {
     for (unsigned V = 0; V != NumVars; ++V)
       EXPECT_EQ((*Got)[V], TrueMass[V] / Total) << Seed << "/" << V;
   }
+}
+
+//===----------------------------------------------------------------------===//
+// A pinned Gibbs chain
+//===----------------------------------------------------------------------===//
+
+TEST(GibbsTest, SeededChainIsPinned) {
+  // One seeded chain, pinned bit for bit: each marginal is its true
+  // count over the 100 kept samples, divided as the solver divides. Any
+  // change to the order in which a sweep visits the 70 variables, or to
+  // the draws it makes, moves the counts.
+  FactorGraph G = makeRandomGraph(70, 90, 21);
+  GibbsSolver::Options Opts;
+  Opts.BurnIn = 30;
+  Opts.Samples = 100;
+  Opts.Seed = 0x5EED;
+  SolveReport Report;
+  Marginals M = GibbsSolver(Opts).solve(G, &Report);
+  const std::vector<unsigned> TrueCounts = {
+      3,  65, 29, 67, 9,  5,  58, 11, 48, 97, 65, 42, 86, 89, 52, 55, 17, 97,
+      92, 66, 54, 7,  22, 60, 26, 0,  68, 91, 78, 39, 48, 35, 8,  40, 18, 46,
+      75, 22, 83, 7,  17, 85, 22, 36, 55, 99, 69, 81, 20, 69, 3,  29, 93, 46,
+      22, 31, 66, 19, 40, 22, 10, 46, 29, 76, 39, 4,  54, 64, 5,  29};
+  ASSERT_EQ(M.size(), TrueCounts.size());
+  for (unsigned V = 0; V != M.size(); ++V)
+    EXPECT_EQ(M[V], static_cast<double>(TrueCounts[V]) /
+                        static_cast<double>(Opts.Samples))
+        << "variable " << V;
+  EXPECT_TRUE(Report.Converged);
+  EXPECT_EQ(Report.Iterations, 130u);
+  EXPECT_EQ(Report.Updates, 70u * 130u);
 }

@@ -199,7 +199,6 @@ TEST(SolveReportContractTest, ConvergedRunReportsWithinTolerance) {
   ASSERT_TRUE(Report.Converged);
   EXPECT_LE(Report.Residual, Opts.Tolerance);
   EXPECT_LE(Report.Iterations, Opts.MaxIterations);
-  EXPECT_FALSE(Report.DeadlineExpired);
   EXPECT_GT(Report.Updates, 0u);
 }
 
