@@ -22,8 +22,8 @@
 // Table 3: 294, both at mean degree 2; printed for scale, not gated),
 // then synthetic 256- and 1,024-variable graphs at mean degree 4-16.
 // Reported numbers per row (BP messages/s, Gibbs flips/s): ref, pr3 and
-// kernel throughput; kernel/pr3 speedups; plus a convergence run with
-// residual scheduling enabled (wall time, iterations, skip fraction).
+// kernel throughput; kernel/pr3 speedups; plus a convergence run at the
+// default tolerance (wall time, iterations, skip fraction).
 //
 // Results land in bench_solver_kernels.json. Acceptance bars (exit code),
 // each a geometric mean over the mean-degree >= 8 rows of per-round
@@ -591,12 +591,14 @@ int main() {
     const double BpMessages = 2.0 * static_cast<double>(R.Edges) * BpIters;
 
     // Raw message throughput: fixed iterations, zero tolerance (no
-    // early exit), scheduling off — all kernels do identical work.
+    // early exit). The kernels' one path still schedules by residual,
+    // but at tolerance 0 it skips only a factor whose inputs and last
+    // outputs moved by exactly 0, so all three do the same work up to
+    // those rare skips, which the note below reports.
     SumProductSolver::Options RawOpts;
     RawOpts.MaxIterations = BpIters;
     RawOpts.Tolerance = 0.0;
     RawOpts.Damping = Damping;
-    RawOpts.ResidualScheduling = false;
     SumProductSolver Raw(RawOpts);
 
     Marginals ScalarMarginals, Pr3Marginals, RefMarginals;
@@ -621,7 +623,7 @@ int main() {
     R.BpMaxDiff = maxAbsDiff(ScalarMarginals, RefMarginals);
     R.BpPr3Diff = maxAbsDiff(ScalarMarginals, Pr3Marginals);
 
-    // Convergence-mode run with residual scheduling on.
+    // Convergence-mode run, where residual scheduling skips factors.
     SumProductSolver::Options SchedOpts;
     SchedOpts.MaxIterations = 200;
     SchedOpts.Damping = Damping;

@@ -96,6 +96,9 @@ RunStats BpEngine::run(const SumProductSolver::Options &Opts,
                        bool EmitResiduals) {
   const kern::BpConsts C{Opts.Damping, 1.0 - Opts.Damping, Opts.Tolerance,
                          0.5 * Opts.Tolerance};
+  // Every RefreshInterval-th iteration recomputes every factor regardless
+  // of residual, so sub-threshold drift cannot accumulate unseen.
+  constexpr unsigned RefreshInterval = 8;
   RunStats R;
   for (unsigned Iter = 0;; ++Iter) {
     if (Iter == Opts.MaxIterations || !(R.Delta > Opts.Tolerance)) {
@@ -105,24 +108,13 @@ RunStats BpEngine::run(const SumProductSolver::Options &Opts,
     if (EmitResiduals && Iter != 0)
       telemetry::counterSample("bp.residual", telemetry::TraceLevel::Solver,
                                "solver", "residual", R.Delta);
-    const bool Refresh =
-        Opts.RefreshInterval != 0 &&
-        (Iter % Opts.RefreshInterval) == Opts.RefreshInterval - 1;
-    // Steady state (no residual scheduling, no log-domain fixup
-    // pending): pass D is fused into the var-message kernel, which
-    // commits and returns the max change itself. Otherwise the split
-    // form runs so the fixup can overwrite NewMsg/Change in between.
-    const bool Commit = !Opts.ResidualScheduling && HighDegVars.empty();
-    double D1 = kern::bpVarMessages(View, State, C, 0, View.NumVars, Commit);
-    if (!Commit) {
-      logDomainFixup(C);
-      D1 = kern::bpVarScatter(View, State, 0, View.NumVars,
-                              Opts.ResidualScheduling);
-    }
+    const bool Refresh = Iter % RefreshInterval == RefreshInterval - 1;
+    kern::bpVarMessages(View, State, C);
+    logDomainFixup(C);
+    const double D1 = kern::bpVarScatter(View, State);
     R.Updates += View.NumEdges;
-    const double D2 = kern::bpFactorSweep(View, State, C, 0, View.NumFactors,
-                                          Opts.ResidualScheduling, Refresh,
-                                          &R.Updates, &R.Skipped);
+    const double D2 =
+        kern::bpFactorSweep(View, State, C, Refresh, &R.Updates, &R.Skipped);
     R.Delta = D1 > D2 ? D1 : D2;
   }
   return R;

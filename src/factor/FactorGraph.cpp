@@ -151,8 +151,6 @@ const FactorGraph::GibbsLayout &FactorGraph::gibbsLayout() const {
   const EdgeLayout &L = edgeLayout();
   if (GibbsValid)
     return Gibbs;
-  const uint32_t NumVars = static_cast<uint32_t>(Vars.size());
-  const uint32_t NumFactors = static_cast<uint32_t>(Factors.size());
   const uint32_t NumEdges = L.edgeCount();
 
   Gibbs = GibbsLayout();
@@ -165,110 +163,6 @@ const FactorGraph::GibbsLayout &FactorGraph::gibbsLayout() const {
     Gibbs.VmSlotBit[I] = L.EdgeSlotBit[E];
     Gibbs.VmTableBase[I] = L.TableOffset[L.VmFactor[I]];
   }
-
-  // Gibbs conditional-pair tables: one per (factor, slot), each the
-  // factor's table rearranged as adjacent {bit-clear, bit-set} pairs
-  // over the table index with the slot bit compacted out (see
-  // FactorGraph.h). Sized first so the whole expansion can be skipped
-  // (arrays left empty => kernels fall back to TableFlat gathers) when
-  // a factor repeats a scope variable (multi-bit mask, not compactable)
-  // or a graph with huge tables would blow the budget; the decision
-  // depends only on the graph.
-  constexpr size_t PairBudget = size_t{1} << 21; // floats (8 MiB).
-  size_t PairTotal = 0;
-  bool PairEligible = true;
-  for (uint32_t E = 0; E != NumEdges; ++E)
-    PairEligible &= L.EdgeVarMask[E] == L.EdgeSlotBit[E];
-  for (uint32_t F = 0; F != NumFactors; ++F)
-    PairTotal += (L.FactorOffset[F + 1] - L.FactorOffset[F]) *
-                 Factors[F].Table.size();
-  if (PairEligible && PairTotal <= PairBudget) {
-    Gibbs.PairFlat.resize(PairTotal);
-    std::vector<uint32_t> EdgePairBase(NumEdges);
-    // Factors are laid out in descending table-size order (sizes are
-    // powers of two, so each base lands aligned to its own table
-    // size). That makes a flip's XOR into a composite current pair
-    // index (base + 2*compacted-index, see the flip-adjacency CSR)
-    // exact: the toggled bits all sit below the base's alignment, so
-    // they never borrow from or carry into the base bits.
-    std::vector<uint32_t> FactorOrder(NumFactors);
-    for (uint32_t F = 0; F != NumFactors; ++F)
-      FactorOrder[F] = F;
-    std::stable_sort(FactorOrder.begin(), FactorOrder.end(),
-                     [&](uint32_t A, uint32_t B) {
-                       return Factors[A].Table.size() >
-                              Factors[B].Table.size();
-                     });
-    size_t Next = 0;
-    for (uint32_t OF = 0; OF != NumFactors; ++OF) {
-      const uint32_t F = FactorOrder[OF];
-      const uint32_t Begin = L.FactorOffset[F];
-      const uint32_t End = L.FactorOffset[F + 1];
-      const std::vector<double> &Table = Factors[F].Table;
-      for (uint32_t E = Begin; E != End; ++E) {
-        const uint32_t Low = L.EdgeSlotBit[E] - 1;
-        EdgePairBase[E] = static_cast<uint32_t>(Next);
-        // Comp walks the compacted index space; Idx re-expands it
-        // around the slot bit (low bits in place, high bits shifted
-        // up one).
-        for (size_t Comp = 0; Comp != Table.size() / 2; ++Comp) {
-          const size_t Idx = (Comp & Low) | ((Comp & ~size_t{Low}) << 1);
-          Gibbs.PairFlat[Next + 2 * Comp] =
-              static_cast<float>(Table[Idx]);
-          Gibbs.PairFlat[Next + 2 * Comp + 1] =
-              static_cast<float>(Table[Idx | L.EdgeSlotBit[E]]);
-        }
-        Next += Table.size();
-      }
-    }
-    Gibbs.VmPairBase.resize(NumEdges);
-    Gibbs.VmPairLow.resize(NumEdges);
-    for (uint32_t I = 0; I != NumEdges; ++I) {
-      const uint32_t E = L.VarEdges[I];
-      Gibbs.VmPairBase[I] = EdgePairBase[E];
-      Gibbs.VmPairLow[I] = L.EdgeSlotBit[E] - 1;
-    }
-
-    // Flip-adjacency CSR (see FactorGraph.h): for every ordered pair
-    // of distinct edges (Ek, Ej) of a factor, flipping Ek's variable
-    // XORs a constant into Ej's position's compacted pair index. The
-    // delta in pair-index space: Ej's compaction drops its own slot
-    // bit Bj, so a toggled bit Bk lands at Bk >> 1 when above Bj (in
-    // place otherwise), and the {w0, w1} pair stride doubles it.
-    std::vector<uint32_t> PosOfEdge(NumEdges);
-    for (uint32_t I = 0; I != NumEdges; ++I)
-      PosOfEdge[L.VarEdges[I]] = I;
-    Gibbs.FlipOffset.assign(NumVars + 1, 0);
-    for (uint32_t F = 0; F != NumFactors; ++F) {
-      const uint32_t Deg = L.FactorOffset[F + 1] - L.FactorOffset[F];
-      for (uint32_t E = L.FactorOffset[F];
-           E != L.FactorOffset[F + 1]; ++E)
-        Gibbs.FlipOffset[L.EdgeVar[E] + 1] += Deg - 1;
-    }
-    for (uint32_t V = 0; V != NumVars; ++V)
-      Gibbs.FlipOffset[V + 1] += Gibbs.FlipOffset[V];
-    Gibbs.FlipPos.resize(Gibbs.FlipOffset[NumVars]);
-    Gibbs.FlipDelta.resize(Gibbs.FlipOffset[NumVars]);
-    std::vector<uint32_t> FlipCursor(Gibbs.FlipOffset.begin(),
-                                     Gibbs.FlipOffset.end() - 1);
-    for (uint32_t F = 0; F != NumFactors; ++F) {
-      const uint32_t Begin = L.FactorOffset[F];
-      const uint32_t End = L.FactorOffset[F + 1];
-      for (uint32_t Ek = Begin; Ek != End; ++Ek) {
-        const uint32_t Bk = L.EdgeSlotBit[Ek];
-        uint32_t &Cursor = FlipCursor[L.EdgeVar[Ek]];
-        for (uint32_t Ej = Begin; Ej != End; ++Ej) {
-          if (Ej == Ek)
-            continue;
-          Gibbs.FlipPos[Cursor] = PosOfEdge[Ej];
-          Gibbs.FlipDelta[Cursor] =
-              Bk > L.EdgeSlotBit[Ej] ? Bk : Bk << 1;
-          ++Cursor;
-        }
-      }
-    }
-  }
-
   GibbsValid = true;
   return Gibbs;
 }

@@ -11,6 +11,10 @@
 /// generation turns every logical/heuristic rule into a soft predicate
 /// factor (paper Eq. 6): h where the predicate holds, 1-h elsewhere.
 ///
+/// The solvers read a graph through two cached flat layouts: EdgeLayout,
+/// everything belief propagation reads, and GibbsLayout, the three
+/// per-position arrays the Gibbs sweep adds to index the factor tables.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ANEK_FACTOR_FACTORGRAPH_H
@@ -138,45 +142,6 @@ public:
     std::vector<uint32_t> VmMask;
     std::vector<uint32_t> VmSlotBit;
     std::vector<uint32_t> VmTableBase;
-    /// Gibbs conditional-pair tables: for each (factor, slot)
-    /// incidence, a table of adjacent weight pairs {Table[Idx with slot
-    /// bit clear], Table[Idx with slot bit set]} indexed by the
-    /// factor's current index with the slot bit compacted out, so the
-    /// Gibbs sweep loads one contiguous pair per occurrence instead of
-    /// two strided table entries — at the same total footprint as
-    /// TableFlat per slot. Entries are float: a sampling-weight cache,
-    /// exact on the widening load (float -> double is lossless), with the build-time rounding (~1e-7 relative) far
-    /// below the sampler's own Monte Carlo error; TableFlat stays the
-    /// double source of truth for BP. VmPairBase[I] is position I's
-    /// base into PairFlat; VmPairLow[I] = SlotBit - 1, the mask of
-    /// index bits below the slot (the compaction key). Left empty when
-    /// any factor repeats a scope variable (multi-bit masks do not
-    /// compact) or the expansion would exceed a fixed size cap; the
-    /// Gibbs kernel then falls back to gathering from TableFlat.
-    std::vector<float> PairFlat;
-    std::vector<uint32_t> VmPairBase;
-    std::vector<uint32_t> VmPairLow;
-    /// Flip-adjacency CSR over the pair tables, built alongside them:
-    /// flipping variable X toggles one bit of every adjacent factor's
-    /// current index, which toggles exactly one bit of the compacted
-    /// pair index of every OTHER position of those factors (a position
-    /// never indexes on its own bit, so X's own positions are
-    /// unaffected). Both the target position and the XOR delta are
-    /// static: for flipped slot bit Bk seen from a position with slot
-    /// bit Bj, the pair-index delta is Bk when Bk > Bj (the toggled
-    /// bit sits above the compacted-out slot, shifted down one, then
-    /// doubled by the pair stride) and Bk << 1 otherwise. This lets
-    /// the sweep maintain a per-position "current pair index" array
-    /// with pure XORs, making the weight loop one index load + one
-    /// pair load per occurrence with no per-edge index arithmetic.
-    /// For variable X the entries live at [FlipOffset[X],
-    /// FlipOffset[X+1]): FlipPos is the variable-major position whose
-    /// index changes, FlipDelta the XOR. Total size is
-    /// sum_F deg(F)*(deg(F)-1), bounded by the pair-table budget
-    /// (deg-1 < 2^deg).
-    std::vector<uint32_t> FlipOffset;
-    std::vector<uint32_t> FlipPos;
-    std::vector<uint32_t> FlipDelta;
   };
 
   /// The CSR layout, built on first use and cached; adding a variable or

@@ -5,11 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The hot solver loops (BP variable-message passes, BP factor sweeps,
-/// Gibbs sweeps) as plain functions over zero-copy views of
-/// FactorGraph::EdgeLayout and FactorGraph::GibbsLayout. The drivers
-/// (factor/BpDriver.cpp, GibbsSolver in factor/Solvers.cpp) own the
-/// per-solve state and call them directly.
+/// The hot solver loops as plain functions over zero-copy views of
+/// FactorGraph::EdgeLayout and FactorGraph::GibbsLayout. Each solver has
+/// one path, and every call covers the whole graph: BP runs the variable
+/// pass, the scatter and the residual-scheduled factor sweep in that
+/// order; Gibbs gathers its conditional weights from the factor tables.
+/// The drivers (factor/BpDriver.cpp, GibbsSolver in factor/Solvers.cpp)
+/// own the per-solve state and call them directly.
 ///
 /// The kernels process four independent outputs (edges, positions,
 /// table entries) per step, and every multi-element reduction uses a
@@ -108,72 +110,39 @@ struct GibbsView {
   const uint32_t *VmTableBase = nullptr; ///< position -> TableFlat base.
   const double *TableFlat = nullptr;
   const double *Priors = nullptr;
-  /// Conditional-pair tables (GibbsLayout::PairFlat / VmPairBase /
-  /// VmPairLow), or nullptr when the layout skipped them (repeated
-  /// scope variables or size cap). Presence is a property of the
-  /// graph, so the sweep path is too; the float entries widen to
-  /// double losslessly.
-  const float *PairFlat = nullptr;
-  /// Flip-adjacency CSR (GibbsLayout::FlipOffset / FlipPos / FlipDelta):
-  /// flipping variable X XORs FlipDelta[K] into PosIdx[FlipPos[K]] for
-  /// K in [FlipOffset[X], FlipOffset[X+1]). With it the pair-path
-  /// weight loop is one PosIdx load and one pair load per occurrence.
-  const uint32_t *FlipOffset = nullptr;
-  const uint32_t *FlipPos = nullptr;
-  const uint32_t *FlipDelta = nullptr;
 };
 
 struct GibbsState {
-  /// Per factor: current assignment bits. Maintained only on the
-  /// TableFlat fallback path; the pair path tracks state in PosIdx.
-  uint32_t *CurIndex = nullptr;
-  uint8_t *Assign = nullptr; ///< per variable: current boolean state.
-  Rng *Random = nullptr;     ///< one uniform draw per visited variable.
-  /// Per position: current index into PairFlat (the owning factor's
-  /// index with the slot bit compacted out, doubled by the pair
-  /// stride, plus the position's base). The driver initializes it from
-  /// CurIndex; sweeps maintain it through the flip-adjacency CSR.
-  /// Null when the layout has no pair tables.
-  uint32_t *PosIdx = nullptr;
+  uint32_t *CurIndex = nullptr; ///< per factor: current assignment bits.
+  uint8_t *Assign = nullptr;    ///< per variable: current boolean state.
+  Rng *Random = nullptr;        ///< one uniform draw per visited variable.
 };
 
-/// BP phase-1 passes A-C for variables [VB, VE): gather+clamp incoming
+/// BP phase-1 passes A-C over every variable: gather+clamp incoming
 /// factor->var messages, per-variable exclusive prefix/suffix products,
-/// then the damped message update into NewMsg (per position).
-///
-/// With Commit false it does NOT write VarToFactor or compute a max —
-/// it fills NewMsg/Change and returns 0.0, and the driver may
-/// overwrite NewMsg/Change for high-degree variables (log domain)
-/// before following up with bpVarScatter. With Commit true (the
-/// steady state: no residual scheduling, no log-domain fixup pending)
-/// pass C itself scatters NewMsg into VarToFactor and returns the max
-/// change — pass D is fused away and Change is not even written,
-/// saving three full position streams per iteration.
-double bpVarMessages(const BpView &V, const BpState &S, const BpConsts &C,
-                     uint32_t VB, uint32_t VE, bool Commit);
+/// then the damped message update into NewMsg and its change into
+/// Change (both per position). VarToFactor is not written: the driver
+/// may overwrite NewMsg/Change for high-degree variables (log domain)
+/// before bpVarScatter commits them.
+void bpVarMessages(const BpView &V, const BpState &S, const BpConsts &C);
 
 /// BP phase-1 pass D: scatter NewMsg into VarToFactor, accumulate
-/// Change into PendingIn (when Scheduling) in ascending position order,
-/// return the max Change over [VarOffset[VB], VarOffset[VE]). Only
-/// called when bpVarMessages ran with Commit false.
-double bpVarScatter(const BpView &V, const BpState &S, uint32_t VB,
-                    uint32_t VE, bool Scheduling);
+/// Change into PendingIn in ascending position order, return the max
+/// Change.
+double bpVarScatter(const BpView &V, const BpState &S);
 
-/// BP phase 2 for factors [FB, FE): skip-compaction (residual
-/// scheduling), per-factor marginalization into OutT/OutF, damped
-/// factor->var message commit, PendingIn/LastOut bookkeeping. Returns
-/// the max message change; adds updated-edge / skipped-factor counts.
+/// BP phase 2 over every factor: skip-compaction (residual scheduling;
+/// \p Refresh runs every factor), per-factor marginalization into
+/// OutT/OutF, damped factor->var message commit, PendingIn/LastOut
+/// bookkeeping. Returns the max message change; adds updated-edge /
+/// skipped-factor counts.
 double bpFactorSweep(const BpView &V, const BpState &S, const BpConsts &C,
-                     uint32_t FB, uint32_t FE, bool Scheduling, bool Refresh,
-                     uint64_t *Updates, uint64_t *Skipped);
+                     bool Refresh, uint64_t *Updates, uint64_t *Skipped);
 
-/// One Gibbs pass over variables [VB, VE): per variable, the 4-lane
-/// conditional-weight product over incident factor tables, one RNG
-/// draw, and the XOR flip scatter into CurIndex. Variables are visited
-/// in ascending order, so a sweep over [0, NumVars) draws the same
-/// random numbers as any split of that range into consecutive calls.
-void gibbsSweep(const GibbsView &V, const GibbsState &S, uint32_t VB,
-                uint32_t VE);
+/// One Gibbs pass over every variable in ascending order: per variable,
+/// the 4-lane conditional-weight product over incident factor tables,
+/// one RNG draw, and the XOR flip scatter into CurIndex.
+void gibbsSweep(const GibbsView &V, const GibbsState &S);
 
 } // namespace kern
 } // namespace anek

@@ -385,25 +385,6 @@ Marginals GibbsSolver::solve(const FactorGraph &G,
   KState.CurIndex = CurIndex.data();
   KState.Assign = Assign.data();
   KState.Random = &Random;
-  // Pair path: seed every position's current pair index from CurIndex
-  // once; the kernel maintains it under flips through the
-  // flip-adjacency CSR (and leaves CurIndex itself untouched — the
-  // sampler reads chain state from Assign only).
-  std::vector<uint32_t> PosIdx;
-  if (!GL.PairFlat.empty()) {
-    View.PairFlat = GL.PairFlat.data();
-    View.FlipOffset = GL.FlipOffset.data();
-    View.FlipPos = GL.FlipPos.data();
-    View.FlipDelta = GL.FlipDelta.data();
-    PosIdx.resize(L.edgeCount());
-    for (uint32_t I = 0; I != L.edgeCount(); ++I) {
-      const uint32_t Cur = CurIndex[L.VmFactor[I]];
-      const uint32_t Low = GL.VmPairLow[I];
-      PosIdx[I] =
-          GL.VmPairBase[I] + 2 * ((Cur & Low) | ((Cur >> 1) & ~Low));
-    }
-    KState.PosIdx = PosIdx.data();
-  }
   std::vector<uint32_t> TrueCounts(NumVars, 0);
   const unsigned Sweeps = Opts.BurnIn + Opts.Samples;
   const bool TraceSweeps =
@@ -413,7 +394,7 @@ Marginals GibbsSolver::solve(const FactorGraph &G,
       telemetry::counterSample("gibbs.progress",
                                telemetry::TraceLevel::Solver, "solver",
                                "sweep", static_cast<double>(Sweep));
-    kern::gibbsSweep(View, KState, 0, NumVars);
+    kern::gibbsSweep(View, KState);
     if (Sweep >= Opts.BurnIn)
       for (unsigned V = 0; V != NumVars; ++V)
         TrueCounts[V] += Assign[V];

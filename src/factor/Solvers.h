@@ -13,6 +13,9 @@
 ///  - GibbsSolver: seeded Gibbs sampling, the "sampling the marginal
 ///    functions" alternative mentioned in Section 3.4.
 ///
+/// BP and Gibbs each run one kernel path (factor/Kernels.h): BP always
+/// schedules by residual, and Gibbs always reads the factor tables.
+///
 /// Every solver's work is bounded by its inputs alone (iterations,
 /// sweeps, 2^n assignments), never by a clock, and BP and Gibbs produce
 /// a SolveReport, so callers can treat convergence as a contract (the
@@ -62,7 +65,15 @@ struct SolveReport {
   std::string Reason;
 };
 
-/// Loopy belief propagation (sum-product) with a flooding schedule.
+/// Loopy belief propagation (sum-product) with a flooding schedule and
+/// residual-driven factor scheduling: a factor's table sweep is skipped
+/// when its incoming messages have accumulated less than half the
+/// tolerance of change since its last update *and* that update already
+/// moved its outgoing messages by at most the tolerance, so converged
+/// regions stop paying per-iteration cost. Every 8th iteration
+/// recomputes every factor, so sub-threshold drift cannot accumulate
+/// unseen. Skipping is a pure function of message values, so it is
+/// deterministic.
 class SumProductSolver {
 public:
   struct Options {
@@ -72,17 +83,6 @@ public:
     /// Message damping in [0,1): new = (1-d)*new + d*old. Helps loopy
     /// graphs converge.
     double Damping = 0.15;
-    /// Residual-driven factor scheduling: skip a factor's table sweep
-    /// when its incoming messages have accumulated less than half the
-    /// tolerance of change since its last update *and* that update
-    /// already moved its outgoing messages by at most the tolerance —
-    /// converged regions stop paying per-iteration cost. Skipping is a
-    /// pure function of message values, so it is deterministic.
-    bool ResidualScheduling = true;
-    /// Every RefreshInterval-th iteration recomputes every factor
-    /// regardless of residual, so sub-threshold drift cannot accumulate
-    /// unseen. 0 disables the periodic refresh.
-    unsigned RefreshInterval = 8;
   };
 
   SumProductSolver() = default;

@@ -3,10 +3,12 @@
 // The `ctest -L solver` suite for the CSR message-passing kernels
 // (DESIGN.md, "Solver kernel layout"): randomized BP/Gibbs-vs-exact
 // marginal checks over many small graphs, the SolveReport convergence
-// contract, residual-scheduling equivalence, the log-domain fixup for
-// high-degree variables, and the invariants of the cached edge layout
-// itself. Every test is seeded and deterministic, and
-// the whole file is meant to run under ASan/UBSan/TSan presets.
+// contract, residual scheduling keeping BP's fixed point (against a
+// near-exact solve on random graphs and ExactSolver on random trees),
+// the log-domain fixup for high-degree variables, every output bit of
+// the BP kernels pinned on three graphs, and the invariants of the
+// cached edge layout itself. Every test is seeded and deterministic,
+// and the whole file is meant to run under ASan/UBSan/TSan presets.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,7 +18,9 @@
 #include "support/Rng.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <gtest/gtest.h>
 
 using namespace anek;
@@ -52,6 +56,61 @@ FactorGraph randomGraph(uint64_t Seed) {
     for (double &W : Table)
       W = 0.25 + 0.75 * Random.uniform();
     G.addFactor(std::move(Scope), std::move(Table));
+  }
+  return G;
+}
+
+/// A random factor tree over 6..20 variables: every factor ties one
+/// variable already in the tree to 0..3 new ones, so the factor graph
+/// has no loop and BP's fixed point is exact. Priors and tables are
+/// drawn as in randomGraph.
+FactorGraph randomTree(uint64_t Seed) {
+  Rng Random(Seed);
+  FactorGraph G;
+  const unsigned NumVars = 6 + static_cast<unsigned>(Random.below(15));
+  G.addVariable(0.15 + 0.7 * Random.uniform());
+  while (G.variableCount() != NumVars) {
+    const unsigned NewVars = std::min(static_cast<unsigned>(Random.below(4)),
+                                      NumVars - G.variableCount());
+    std::vector<VarId> Scope = {
+        static_cast<VarId>(Random.below(G.variableCount()))};
+    for (unsigned K = 0; K != NewVars; ++K)
+      Scope.push_back(G.addVariable(0.15 + 0.7 * Random.uniform()));
+    std::vector<double> Table(size_t{1} << Scope.size());
+    for (double &W : Table)
+      W = 0.25 + 0.75 * Random.uniform();
+    G.addFactor(std::move(Scope), std::move(Table));
+  }
+  return G;
+}
+
+/// A 64-variable equality chain with evidence at one end only, so BP
+/// converges region by region and residual scheduling has work to skip.
+FactorGraph chainGraph() {
+  FactorGraph G;
+  std::vector<VarId> Vars;
+  for (unsigned I = 0; I != 64; ++I)
+    Vars.push_back(G.addVariable(I == 0 ? 0.95 : 0.5));
+  for (unsigned I = 0; I + 1 != Vars.size(); ++I)
+    G.addEqualityFactor(Vars[I], Vars[I + 1], 0.9);
+  return G;
+}
+
+/// Leaves of starGraph(): enough that the hub's degree is far past
+/// LogDomainMinDegree.
+constexpr unsigned StarLeaves = 96;
+static_assert(StarLeaves > kern::LogDomainMinDegree);
+
+/// A hub (variable 0) tied to StarLeaves leaves of alternating opposing
+/// evidence: the plain product of the hub's clamped incoming messages
+/// underflows toward 0, so the driver's log-domain fixup has to carry
+/// the signal.
+FactorGraph starGraph() {
+  FactorGraph G;
+  VarId Hub = G.addVariable(0.7);
+  for (unsigned L = 0; L != StarLeaves; ++L) {
+    VarId Leaf = G.addVariable(L % 2 ? 0.9 : 0.1);
+    G.addEqualityFactor(Hub, Leaf, 0.8);
   }
   return G;
 }
@@ -224,25 +283,39 @@ TEST(SolveReportContractTest, IterationCapReportsNonConvergence) {
   EXPECT_EQ(Report.Iterations, 4u);
 }
 
-TEST(SolveReportContractTest, SchedulingOffMatchesSchedulingOn) {
+TEST(SolveReportContractTest, SkippingKeepsTheFixedPoint) {
+  // Skipping elides only sub-tolerance movement, so a default solve must
+  // land within a few tolerances of one run almost to the fixed point
+  // (at Tolerance 1e-13 a factor is skipped only once its inputs have
+  // moved less than 5e-14).
+  const SumProductSolver::Options Default;
+  SumProductSolver::Options Tight;
+  Tight.MaxIterations = 300;
+  Tight.Tolerance = 1e-13;
   for (uint64_t Seed : {3u, 11u, 29u}) {
     FactorGraph G = randomGraph(Seed);
-    SumProductSolver::Options On;
-    On.MaxIterations = 300;
-    SumProductSolver::Options Off = On;
-    Off.ResidualScheduling = false;
-    SolveReport OnReport, OffReport;
-    Marginals MOn = SumProductSolver(On).solve(G, nullptr, &OnReport);
-    Marginals MOff = SumProductSolver(Off).solve(G, nullptr, &OffReport);
-    EXPECT_TRUE(OnReport.Converged) << "seed " << Seed;
-    EXPECT_TRUE(OffReport.Converged) << "seed " << Seed;
-    EXPECT_EQ(OffReport.SkippedUpdates, 0u);
-    ASSERT_EQ(MOn.size(), MOff.size());
-    // Skipping only elides sub-tolerance movement, so the fixed points
-    // must agree to within a few tolerances.
-    for (unsigned V = 0; V != MOn.size(); ++V)
-      EXPECT_NEAR(MOn[V], MOff[V], 10 * On.Tolerance)
+    SolveReport DefaultReport, TightReport;
+    Marginals M = SumProductSolver(Default).solve(G, nullptr, &DefaultReport);
+    Marginals Fixed = SumProductSolver(Tight).solve(G, nullptr, &TightReport);
+    EXPECT_TRUE(DefaultReport.Converged) << "seed " << Seed;
+    EXPECT_TRUE(TightReport.Converged) << "seed " << Seed;
+    ASSERT_EQ(M.size(), Fixed.size());
+    for (unsigned V = 0; V != M.size(); ++V)
+      EXPECT_NEAR(M[V], Fixed[V], 10 * Default.Tolerance)
           << "seed " << Seed << " var " << V;
+  }
+  // On a tree the fixed point is the exact marginals, so skipping must
+  // not keep a default solve from reaching them.
+  for (uint64_t Seed = 0; Seed != 50; ++Seed) {
+    FactorGraph G = randomTree(Seed);
+    Expected<Marginals> Exact = ExactSolver().solve(G);
+    ASSERT_TRUE(Exact.hasValue()) << Exact.status().str();
+    SolveReport Report;
+    Marginals M = SumProductSolver(Default).solve(G, nullptr, &Report);
+    EXPECT_TRUE(Report.Converged) << "tree " << Seed;
+    ASSERT_EQ(M.size(), Exact->size());
+    for (unsigned V = 0; V != M.size(); ++V)
+      EXPECT_NEAR(M[V], (*Exact)[V], 1e-4) << "tree " << Seed << " var " << V;
   }
 }
 
@@ -250,12 +323,7 @@ TEST(SolveReportContractTest, SchedulingSkipsWorkOnEasyGraphs) {
   // A long chain converges region by region: residual scheduling must
   // actually elide factor sweeps there, and still converge to the same
   // answer (checked above). This is the perf claim in microcosm.
-  FactorGraph G;
-  std::vector<VarId> Vars;
-  for (unsigned I = 0; I != 64; ++I)
-    Vars.push_back(G.addVariable(I == 0 ? 0.95 : 0.5));
-  for (unsigned I = 0; I + 1 != Vars.size(); ++I)
-    G.addEqualityFactor(Vars[I], Vars[I + 1], 0.9);
+  FactorGraph G = chainGraph();
   SumProductSolver::Options Opts;
   Opts.MaxIterations = 500;
   SolveReport Report;
@@ -307,18 +375,8 @@ TEST(SolveReportContractTest, DeterministicAcrossRepeatedSolves) {
 }
 
 TEST(LogDomainFixupTest, HighDegreeStarStaysInterior) {
-  // A hub variable far past LogDomainMinDegree: the plain product of its
-  // 96 clamped incoming messages underflows toward 0, so the driver's
-  // log-domain fixup has to carry the signal.
-  constexpr unsigned Leaves = 96;
-  static_assert(Leaves > kern::LogDomainMinDegree);
-  FactorGraph G;
-  VarId Hub = G.addVariable(0.7);
-  for (unsigned L = 0; L != Leaves; ++L) {
-    VarId Leaf = G.addVariable(L % 2 ? 0.9 : 0.1);
-    G.addEqualityFactor(Hub, Leaf, 0.8);
-  }
-
+  FactorGraph G = starGraph();
+  const VarId Hub = 0;
   SumProductSolver::Options O;
   O.MaxIterations = 50;
   Marginals M = SumProductSolver(O).solve(G);
@@ -331,4 +389,131 @@ TEST(LogDomainFixupTest, HighDegreeStarStaysInterior) {
   // the underflow symptom the log domain exists to prevent.
   EXPECT_GT(M[Hub], 0.0);
   EXPECT_LT(M[Hub], 1.0);
+}
+
+//===----------------------------------------------------------------------===//
+// Pinned bits
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Everything one BP solve reports. The values below are recorded
+/// output: every spec and every in-run memo key is computed from these
+/// bits, so a kernel edit that moves one must say so and re-pin.
+struct BpPin {
+  unsigned Iterations;
+  uint64_t Updates;
+  uint64_t SkippedUpdates;
+  double Residual;
+  std::vector<double> Marginals;
+};
+
+/// randomGraph(3) at MaxIterations 300: factors of arity 1, 2 and 4, so
+/// the closed forms and the general table sweep.
+const BpPin RandomGraphPin = {
+    10, 206, 9, 0x1.8733f1032p-18,
+    {0x1.4c6ac5dff1571p-1, 0x1.32c23b99616f7p-1, 0x1.1394eaaea4745p-2,
+     0x1.a7fd7f6c4df1ap-2}};
+
+/// starGraph() at MaxIterations 50: the log-domain fixup.
+const BpPin StarPin = {
+    10, 3744, 48, 0x1.09d82e24p-18,
+    {0x1.6666db95ea8bbp-1, 0x1.c9b57393f045bp-3, 0x1.c70d5b687dda8p-1,
+     0x1.c9b57393f0442p-3, 0x1.c70d5b687dda9p-1, 0x1.c9b57393f0442p-3,
+     0x1.c70d5b687dda2p-1, 0x1.c9b57393f0442p-3, 0x1.c70d5b687dda9p-1,
+     0x1.c9b57393f045bp-3, 0x1.c70d5b687dda8p-1, 0x1.c9b57393f0446p-3,
+     0x1.c70d5b687dda9p-1, 0x1.c9b57393f0442p-3, 0x1.c70d5b687dda8p-1,
+     0x1.c9b57393f0442p-3, 0x1.c70d5b687dda9p-1, 0x1.c9b57393f045bp-3,
+     0x1.c70d5b687dda9p-1, 0x1.c9b57393f0453p-3, 0x1.c70d5b687ddaap-1,
+     0x1.c9b57393f0453p-3, 0x1.c70d5b687ddbp-1, 0x1.c9b57393f0453p-3,
+     0x1.c70d5b687ddaap-1, 0x1.c9b57393f0453p-3, 0x1.c70d5b687ddaap-1,
+     0x1.c9b57393f044bp-3, 0x1.c70d5b687ddaep-1, 0x1.c9b57393f0449p-3,
+     0x1.c70d5b687ddaep-1, 0x1.c9b57393f0449p-3, 0x1.c70d5b687ddaep-1,
+     0x1.c9b57393f0446p-3, 0x1.c70d5b687ddaap-1, 0x1.c9b57393f0446p-3,
+     0x1.c70d5b687dda9p-1, 0x1.c9b57393f0446p-3, 0x1.c70d5b687ddaep-1,
+     0x1.c9b57393f0446p-3, 0x1.c70d5b687ddaep-1, 0x1.c9b57393f0446p-3,
+     0x1.c70d5b687ddaep-1, 0x1.c9b57393f0446p-3, 0x1.c70d5b687ddaep-1,
+     0x1.c9b57393f0446p-3, 0x1.c70d5b687ddaep-1, 0x1.c9b57393f0446p-3,
+     0x1.c70d5b687ddaep-1, 0x1.c9b57393f0446p-3, 0x1.c70d5b687ddaep-1,
+     0x1.c9b57393f0446p-3, 0x1.c70d5b687ddaep-1, 0x1.c9b57393f0446p-3,
+     0x1.c70d5b687ddaep-1, 0x1.c9b57393f0446p-3, 0x1.c70d5b687ddaep-1,
+     0x1.c9b57393f0446p-3, 0x1.c70d5b687ddaep-1, 0x1.c9b57393f0446p-3,
+     0x1.c70d5b687ddaap-1, 0x1.c9b57393f0446p-3, 0x1.c70d5b687ddaap-1,
+     0x1.c9b57393f0449p-3, 0x1.c70d5b687ddaep-1, 0x1.c9b57393f0449p-3,
+     0x1.c70d5b687ddaep-1, 0x1.c9b57393f044bp-3, 0x1.c70d5b687ddaep-1,
+     0x1.c9b57393f0453p-3, 0x1.c70d5b687ddaap-1, 0x1.c9b57393f0453p-3,
+     0x1.c70d5b687ddaap-1, 0x1.c9b57393f0453p-3, 0x1.c70d5b687ddbp-1,
+     0x1.c9b57393f0453p-3, 0x1.c70d5b687ddaap-1, 0x1.c9b57393f0458p-3,
+     0x1.c70d5b687ddaap-1, 0x1.c9b57393f0453p-3, 0x1.c70d5b687ddaep-1,
+     0x1.c9b57393f0439p-3, 0x1.c70d5b687dda6p-1, 0x1.c9b57393f0439p-3,
+     0x1.c70d5b687dda8p-1, 0x1.c9b57393f045bp-3, 0x1.c70d5b687ddaap-1,
+     0x1.c9b57393f045bp-3, 0x1.c70d5b687dda9p-1, 0x1.c9b57393f0442p-3,
+     0x1.c70d5b687dda8p-1, 0x1.c9b57393f0439p-3, 0x1.c70d5b687dda9p-1,
+     0x1.c9b57393f045bp-3, 0x1.c70d5b687dda9p-1, 0x1.c9b57393f045bp-3,
+     0x1.c70d5b687dda9p-1}};
+
+/// chainGraph() at MaxIterations 500: skipped factors and the periodic
+/// refresh.
+const BpPin ChainPin = {
+    53, 8568, 2394, 0x1.4d3bc88f2p-17,
+    {0x1.e666666666666p-1, 0x1.b851eb84a68b9p-1, 0x1.9374bc5e99a78p-1,
+     0x1.75f6fca32a9fap-1, 0x1.5e5f2e03467bbp-1, 0x1.4b7f5022f55a7p-1,
+     0x1.3c65cacd34948p-1, 0x1.30515bf6049e7p-1, 0x1.26a7655a9b04dp-1,
+     0x1.1eec32f2edabap-1, 0x1.18bcd965e2511p-1, 0x1.13ca35d6c3bep-1,
+     0x1.0fd4dfcb58356p-1, 0x1.0caa2a6dc165p-1, 0x1.0a21a187a836p-1,
+     0x1.081ad247edea5p-1, 0x1.067bb72f69fafp-1, 0x1.052f98b092c9fp-1,
+     0x1.0425e17242ce1p-1, 0x1.035154f3f5008p-1, 0x1.02a7613b5a152p-1,
+     0x1.021f5a87ffe36p-1, 0x1.01b2794645717p-1, 0x1.015b56f1d8462p-1,
+     0x1.0115b95a98ff2p-1, 0x1.00ddfbf6def1dp-1, 0x1.00b15b91926a8p-1,
+     0x1.008da1962f6fbp-1, 0x1.007107e4e0af4p-1, 0x1.005a2008dd456p-1,
+     0x1.00478a67c3c9ap-1, 0x1.0038e5b2c2d06p-1, 0x1.002d31d8576fp-1,
+     0x1.0023d95331344p-1, 0x1.001c6446c68c7p-1, 0x1.0016729245426p-1,
+     0x1.001101542109fp-1, 0x1.000c783a890e9p-1, 0x1.0008c12e7f7d2p-1,
+     0x1.0005d15038b1ep-1, 0x1.00039dcfad8c8p-1, 0x1.000210e18a668p-1,
+     0x1.00007d0891fcbp-1, 0x1p-1, 0x1p-1,
+     0x1p-1, 0x1p-1, 0x1p-1,
+     0x1p-1, 0x1p-1, 0x1p-1,
+     0x1p-1, 0x1p-1, 0x1p-1,
+     0x1p-1, 0x1p-1, 0x1p-1,
+     0x1p-1, 0x1p-1, 0x1p-1,
+     0x1p-1, 0x1p-1, 0x1p-1,
+     0x1p-1}};
+
+/// Solves \p G with default options but \p MaxIterations and expects
+/// every bit of \p Pin.
+void expectPinned(const FactorGraph &G, unsigned MaxIterations,
+                  const BpPin &Pin) {
+  SumProductSolver::Options Opts;
+  Opts.MaxIterations = MaxIterations;
+  SolveReport Report;
+  const Marginals M = SumProductSolver(Opts).solve(G, nullptr, &Report);
+  EXPECT_TRUE(Report.Converged);
+  EXPECT_EQ(Report.Iterations, Pin.Iterations);
+  EXPECT_EQ(Report.Updates, Pin.Updates);
+  EXPECT_EQ(Report.SkippedUpdates, Pin.SkippedUpdates);
+  EXPECT_EQ(std::bit_cast<uint64_t>(Report.Residual),
+            std::bit_cast<uint64_t>(Pin.Residual))
+      << "residual " << std::hexfloat << Report.Residual;
+  ASSERT_EQ(M.size(), Pin.Marginals.size());
+  for (size_t V = 0; V != M.size(); ++V)
+    EXPECT_EQ(std::bit_cast<uint64_t>(M[V]),
+              std::bit_cast<uint64_t>(Pin.Marginals[V]))
+        << "var " << V << ": " << std::hexfloat << M[V];
+}
+
+} // namespace
+
+TEST(BpPinTest, ScheduledKernelsKeepEveryBit) {
+  {
+    SCOPED_TRACE("randomGraph(3)");
+    expectPinned(randomGraph(3), 300, RandomGraphPin);
+  }
+  {
+    SCOPED_TRACE("starGraph()");
+    expectPinned(starGraph(), 50, StarPin);
+  }
+  {
+    SCOPED_TRACE("chainGraph()");
+    expectPinned(chainGraph(), 500, ChainPin);
+  }
 }
