@@ -18,7 +18,10 @@
 ///                               (the engine's fixpoint solves one method
 ///                               several times per run, once per summary
 ///                               state, and a warm replay needs the whole
-///                               trajectory, not just the final state)
+///                               trajectory, not just the final state;
+///                               repeats of a state within one run replay
+///                               from the engine's memo and never reach
+///                               the cache)
 ///   <dir>/<16-hex-key>.sum      one sealed CacheEntry blob per key
 ///                               (summaryio envelope: magic, version,
 ///                               kind, length, checksum, key echo)
@@ -56,8 +59,9 @@ namespace cache {
 inline constexpr const char *IndexFileName = "index.anek-cache-v1";
 
 /// Thread-safe SolveCache over one directory (or memory). A single mutex
-/// guards the index and all file traffic, so one instance may be shared
-/// by concurrent runs.
+/// guards the index and all file traffic, so the engine may call lookup
+/// from several wave jobs at once, and one instance may be shared by
+/// concurrent runs.
 class SummaryCache : public SolveCache {
 public:
   /// Opens (and if needed creates) \p Dir, loading any existing index.

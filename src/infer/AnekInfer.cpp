@@ -22,9 +22,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
-#include <functional>
 #include <memory>
-#include <numeric>
 #include <optional>
 #include <unordered_map>
 
@@ -172,7 +170,6 @@ Marginals anek::solveCascade(const FactorGraph &G,
   if (Report.Solve.Converged)
     return M;
 
-  Report.Fallback = true;
   // The solver names its own failure (SolveReport::Reason); the cascade
   // only adds which exit it takes.
   appendReason(Report,
@@ -229,9 +226,10 @@ private:
     Pfg G;
   };
 
-  /// The run-local SOLVE memo's view of one pick: the digest of its
-  /// applied-prior stream and the stream itself. analyzeOne fills it;
-  /// after the wave, the scheduling thread files fresh solves under it.
+  /// The replay path's view of one pick: its memo key and applied-prior
+  /// stream and, when the cache was asked, the cache key and the answer.
+  /// analyzeOne fills it; after the wave, the scheduling thread counts
+  /// the answer and files the outcome under it.
   struct MemoProbe {
     uint64_t Key = 0;
     /// Every prior the method's model applies, concatenated in
@@ -241,6 +239,10 @@ private:
     std::vector<double> Stream;
     /// Set by analyzeOne when the memo served the pick.
     bool Replayed = false;
+    /// Set on a memo miss with a cache armed: what the lookup under
+    /// CacheKey found. A hit that failed validation reads Invalidated.
+    std::optional<CacheLookup> Lookup;
+    uint64_t CacheKey = 0;
   };
 
   /// One memoized SOLVE: the exact stream it was solved against and the
@@ -302,21 +304,25 @@ private:
   /// summary store. Pure with respect to engine state: all writes are
   /// returned as deferred updates inside the outcome. Safe to run
   /// concurrently with other analyzeOne calls. With a non-null \p Probe
-  /// (memo armed), a pick whose applied-prior stream the memo already
-  /// holds returns a copy of the stored outcome without building or
-  /// solving anything; otherwise \p Probe is left holding the key and
-  /// stream to file the fresh outcome under.
+  /// (memo armed), the pick first tries replay().
   SolveOutcome analyzeOne(MethodDecl *M, MemoProbe *Probe = nullptr);
 
-  /// Enumerates every summary-prior application \p M's model makes —
-  /// own interface targets first, then call sites in PFG order — with
-  /// App.Applied already pooled and transformed, and hands each record to
-  /// \p Fn (which may consume it). This is the single source of truth for
-  /// the application stream: analyzeOne uses it to set priors, and
-  /// solveKeyFor digests the identical stream into the cache key, so the
-  /// two can never drift apart. Reads the frozen summary store only.
-  void forEachApplication(MethodDecl *M, const Pfg &G,
-                          const std::function<void(Application &)> &Fn);
+  /// Every summary-prior application \p M's model makes — own interface
+  /// targets first, then call sites in PFG order — with App.Applied
+  /// already pooled and transformed. analyzeOne builds this list once per
+  /// pick: it sets the priors, and the memo key and the cache key are
+  /// both digests of it. Reads the frozen summary store only.
+  std::vector<Application> applicationsOf(MethodDecl *M,
+                                          const Pfg &G) const;
+
+  /// The replay path of one pick: the memo, then, on a memo miss with a
+  /// cache armed, a cache lookup under the key derived from
+  /// \p Applications. Returns the replayed outcome, or nothing when the
+  /// pick must be solved; \p Probe records the keys and the cache's
+  /// answer. Runs in the wave job and writes only \p Probe.
+  std::optional<SolveOutcome>
+  replay(MethodDecl *M, const std::vector<Application> &Applications,
+         MemoProbe &Probe) const;
 
   /// Per-target evidence helper: converts the solved marginals /
   /// graph-side cavity beliefs into an odds vector (call-site evidence
@@ -376,27 +382,22 @@ private:
   /// memoized in this engine are trusted without it.
   Status validateOutcome(const SolveOutcome &O, const MethodDecl *M) const;
 
-  // Incremental summary cache (DESIGN.md, "Incremental inference and the
-  // summary cache"). The engine memoizes individual SOLVE invocations:
-  // the key digests every input the solve depends on, so a hit replays
-  // the stored evidence byte-identically by construction.
+  // Replay (DESIGN.md, "Incremental inference and the summary cache").
+  // The engine memoizes individual SOLVE invocations: both keys digest
+  // every input the solve depends on, so a hit replays the stored
+  // evidence byte-identically by construction.
 
   /// True when a SOLVE is a pure function of its method and applied
-  /// priors: no analysis-perturbing fault is armed. Both the cache and
-  /// the memo replay only under this precondition.
+  /// priors: no analysis-perturbing fault is armed. It alone arms the
+  /// memo, and the cache behind it.
   bool solvesReplayable() const;
 
-  /// Gates and arms the cache for this run: verifies solvesReplayable and
-  /// precomputes the run-constant key components — the
-  /// program-environment/options digest and the per-SCC transitive
-  /// content chain hashes. Leaves Cache null when unusable.
+  /// Arms the cache for this run when one is attached and the memo is
+  /// armed, and hashes each method's run-constant key prefix: the
+  /// program-environment/options digest, the method's transitive SCC
+  /// content chain hash, its declaration index and its solver seed.
+  /// Leaves Cache null otherwise.
   void prepareCache();
-
-  /// The content key of \p M's next SOLVE against the current summary
-  /// store: environment digest + the method's SCC chain hash, declaration
-  /// index and solver seed + the exact bit patterns of the application
-  /// stream.
-  uint64_t solveKeyFor(MethodDecl *M);
 
   /// An explicitly requested Gibbs or exact solve (BP goes through
   /// solveCascade). Fills \p GraphBelief with the marginals, each prior
@@ -438,24 +439,19 @@ private:
   /// Per target slot: its group in the merge being planned, or NoGroup.
   std::vector<uint32_t> GroupOfSlot;
 
-  /// Non-null only when Opts.Cache is set and its preconditions hold
-  /// (see prepareCache); everything below is populated alongside it.
-  SolveCache *Cache = nullptr;
-  /// Digest of the type/signature/annotation environment (bodies
-  /// excluded) mixed with the algorithm-option fingerprint.
-  uint64_t CacheEnvHash = 0;
-  /// Per method: its SCC's token-content hash mixed with the chain
-  /// hashes of every callee SCC, transitively. Editing any method
-  /// changes this for the whole reverse-reachable cone — that is the
-  /// cache's invalidation propagation.
-  std::map<const MethodDecl *, uint64_t> ChainHashes;
-
-  // The run-local SOLVE memo (DESIGN.md, "The in-run SOLVE memo"). Armed
-  // by run() when solves are replayable and the persistent cache is not
-  // in play. Jobs only read it during a wave; the scheduling thread
+  // The run-local SOLVE memo. Armed by run() when solves are
+  // replayable. Jobs only read it during a wave; the scheduling thread
   // inserts between waves.
   bool MemoArmed = false;
   std::unordered_map<uint64_t, MemoEntry> Memo;
+
+  /// Non-null only when Opts.Cache is set and the memo is armed (see
+  /// prepareCache); KeyPrefix is filled alongside it.
+  SolveCache *Cache = nullptr;
+  /// Per declaration index: the cache key's run-constant prefix. Its
+  /// chain-hash part changes for the whole reverse-reachable cone of an
+  /// edited method — that is the cache's invalidation propagation.
+  std::vector<HashStream> KeyPrefix;
 };
 
 } // namespace
@@ -563,24 +559,23 @@ Marginals InferEngine::solveRequested(const FactorGraph &G,
   if (M)
     return M.take();
   // Too large for enumeration; fall back to belief propagation.
-  Report.Fallback = true;
   Report.Exit = CascadeExit::KeptDegraded;
   appendReason(Report, M.status().str());
   return runBp(G, SumProductSolver::Options(), Opts.Bp, &GraphBelief,
                Report.Solve);
 }
 
-void InferEngine::forEachApplication(
-    MethodDecl *M, const Pfg &G,
-    const std::function<void(Application &)> &Fn) {
+std::vector<InferEngine::Application>
+InferEngine::applicationsOf(MethodDecl *M, const Pfg &G) const {
   using summaryio::SummaryTargetRole;
+  std::vector<Application> Applications;
   auto Apply = [&](PfgNodeId Node, TargetSummary *Target,
                    MethodDecl *SummaryOwner, SummaryTargetRole Role,
                    uint32_t ParamIndex, bool IsSelf, CallSiteKey Site,
                    bool IsRequirement = false) {
     if (Node == NoPfgNode || !Target)
       return;
-    Application App;
+    Application &App = Applications.emplace_back();
     App.Node = Node;
     App.Target = Target;
     App.SummaryOwner = SummaryOwner;
@@ -593,7 +588,6 @@ void InferEngine::forEachApplication(
         IsSelf ? Target->pooledWithoutSelf() : Target->pooledWithoutSite(Site);
     if (!IsSelf)
       App.Applied = transformPrior(std::move(App.Applied), IsRequirement);
-    Fn(App);
   };
 
   // The method's own interface nodes: prior = summary minus own evidence.
@@ -646,6 +640,68 @@ void InferEngine::forEachApplication(
       Apply(Site.Result, &*Callee.Result, D, SummaryTargetRole::Result, 0,
             false, Key);
   }
+  return Applications;
+}
+
+std::optional<summaryio::SolveOutcome>
+InferEngine::replay(MethodDecl *M,
+                    const std::vector<Application> &Applications,
+                    MemoProbe &Probe) const {
+  // The memo: the applied priors are the solve's only varying input, so
+  // an exact repeat of the stream replays the stored outcome. The digest
+  // picks the entry; the full stream comparison makes the hit exact.
+  for (const Application &App : Applications)
+    Probe.Stream.insert(Probe.Stream.end(), App.Applied.begin(),
+                        App.Applied.end());
+  HashStream H;
+  H.u32(M->DeclIndex);
+  for (double V : Probe.Stream)
+    H.f64(V);
+  Probe.Key = H.digest();
+  auto It = Memo.find(Probe.Key);
+  if (It != Memo.end() && It->second.Outcome.DeclIndex == M->DeclIndex &&
+      sameBits(It->second.Stream, Probe.Stream)) {
+    SolveOutcome Replay = It->second.Outcome;
+    Replay.SolveSeconds = 0.0;
+    Probe.Replayed = true;
+    return Replay;
+  }
+  if (!Cache)
+    return std::nullopt;
+
+  // The cache, for a state this run has not seen. Its key adds the
+  // structure of every application to the method's prefix: the exact
+  // bit patterns of the priors in the one canonical enumeration order
+  // make replay byte-safe within a run's fixpoint iteration (the same
+  // method re-solved after its callees' summaries moved gets a different
+  // key), while a warm run that replays wave by wave reproduces the same
+  // summary trajectory and therefore the same sequence of keys.
+  HashStream Key = KeyPrefix[M->DeclIndex];
+  for (const Application &App : Applications) {
+    Key.u8(static_cast<uint8_t>(App.Role));
+    Key.u32(App.ParamIndex);
+    Key.u8(App.IsSelf ? 1 : 0);
+    Key.u8(App.IsRequirement ? 1 : 0);
+    Key.u32(App.SummaryOwner->DeclIndex);
+    Key.u32(App.Site.second);
+    Key.u32(static_cast<uint32_t>(App.Applied.size()));
+    for (double V : App.Applied)
+      Key.f64(V);
+  }
+  Probe.CacheKey = Key.digest();
+  CachedSolve Entry;
+  Probe.Lookup = Cache->lookup(M->qualifiedName(), Probe.CacheKey, Entry);
+  if (Probe.Lookup != CacheLookup::Hit)
+    return std::nullopt;
+  // Failures are never stored, so a failed record is as stale as one
+  // that does not fit the current program.
+  if (Entry.Failed || !validateOutcome(Entry, M)) {
+    Probe.Lookup = CacheLookup::Invalidated;
+    return std::nullopt;
+  }
+  // The storing run paid the solve; replaying pays none.
+  Entry.SolveSeconds = 0.0;
+  return Entry;
 }
 
 summaryio::SolveOutcome InferEngine::analyzeOne(MethodDecl *M,
@@ -670,32 +726,10 @@ summaryio::SolveOutcome InferEngine::analyzeOne(MethodDecl *M,
   // Records of every prior application so evidence can be divided out.
   // Everything read below comes from the wave's frozen summary store;
   // the writes go through the outcome's deferred updates.
-  std::vector<Application> Applications;
-  forEachApplication(M, G, [&](Application &App) {
-    Applications.push_back(std::move(App));
-  });
-
-  // The memo: the applied priors are the solve's only varying input, so
-  // an exact repeat of the stream replays the stored outcome. The digest
-  // picks the entry; the full stream comparison makes the hit exact.
-  if (Probe) {
-    for (const Application &App : Applications)
-      Probe->Stream.insert(Probe->Stream.end(), App.Applied.begin(),
-                           App.Applied.end());
-    HashStream H;
-    H.u32(M->DeclIndex);
-    for (double V : Probe->Stream)
-      H.f64(V);
-    Probe->Key = H.digest();
-    auto It = Memo.find(Probe->Key);
-    if (It != Memo.end() && It->second.Outcome.DeclIndex == M->DeclIndex &&
-        sameBits(It->second.Stream, Probe->Stream)) {
-      SolveOutcome Replay = It->second.Outcome;
-      Replay.SolveSeconds = 0.0;
-      Probe->Replayed = true;
-      return Replay;
-    }
-  }
+  const std::vector<Application> Applications = applicationsOf(M, G);
+  if (Probe)
+    if (std::optional<SolveOutcome> Replay = replay(M, Applications, *Probe))
+      return std::move(*Replay);
 
   FactorGraph FG;
   PfgVarMap Vars(G, FG);
@@ -958,7 +992,7 @@ bool InferEngine::solvesReplayable() const {
 
 void InferEngine::prepareCache() {
   Cache = nullptr;
-  if (!Opts.Cache || !solvesReplayable())
+  if (!Opts.Cache || !MemoArmed)
     return;
 
   // Environment digest: the wire version (entries are sealed blobs), the
@@ -1022,7 +1056,7 @@ void InferEngine::prepareCache() {
     for (const auto &M : Type->Methods)
       Env.u64(methodSignatureHash(*M));
   }
-  CacheEnvHash = Env.digest();
+  const uint64_t EnvHash = Env.digest();
 
   // Per-SCC transitive chain hashes, computed callees-first over the
   // condensation (sccGroups is reverse-topological, so every callee
@@ -1030,7 +1064,7 @@ void InferEngine::prepareCache() {
   // method's body changes its SCC's hash and, through the folds, the
   // hash of every SCC that can reach it — exactly the set of methods
   // whose solves could observe the edit through summaries.
-  ChainHashes.clear();
+  KeyPrefix.assign(Decls.size(), HashStream());
   std::vector<CallGraph::SccGroup> Groups = Graph.sccGroups();
   std::vector<uint64_t> GroupHash(Groups.size(), 0);
   for (size_t S = 0; S != Groups.size(); ++S) {
@@ -1040,36 +1074,15 @@ void InferEngine::prepareCache() {
     for (unsigned Callee : Groups[S].CalleeGroups)
       H.u64(GroupHash[Callee]);
     GroupHash[S] = H.digest();
-    for (MethodDecl *Member : Groups[S].Members)
-      ChainHashes[Member] = GroupHash[S];
+    for (MethodDecl *Member : Groups[S].Members) {
+      HashStream &Prefix = KeyPrefix[Member->DeclIndex];
+      Prefix.u64(EnvHash);
+      Prefix.u64(GroupHash[S]);
+      Prefix.u32(Member->DeclIndex);
+      Prefix.u64(methodSeed(Member));
+    }
   }
   Cache = Opts.Cache;
-}
-
-uint64_t InferEngine::solveKeyFor(MethodDecl *M) {
-  HashStream H;
-  H.u64(CacheEnvHash);
-  H.u64(ChainHashes.at(M));
-  H.u32(M->DeclIndex);
-  H.u64(methodSeed(M));
-  // The exact bit patterns of every prior the model applies, in the one
-  // canonical enumeration order. This is what makes replay byte-safe
-  // *within* a run's fixpoint iteration: the same method re-solved after
-  // its callees' summaries moved gets a different key, while a warm run
-  // that replays wave by wave reproduces the same summary trajectory and
-  // therefore the same sequence of keys.
-  forEachApplication(M, Models[M->DeclIndex]->G, [&](Application &App) {
-    H.u8(static_cast<uint8_t>(App.Role));
-    H.u32(App.ParamIndex);
-    H.u8(App.IsSelf ? 1 : 0);
-    H.u8(App.IsRequirement ? 1 : 0);
-    H.u32(App.SummaryOwner->DeclIndex);
-    H.u32(App.Site.second);
-    H.u32(static_cast<uint32_t>(App.Applied.size()));
-    for (double V : App.Applied)
-      H.f64(V);
-  });
-  return H.digest();
 }
 
 InferResult InferEngine::run() {
@@ -1129,10 +1142,13 @@ InferResult InferEngine::run() {
     telemetry::gauge("infer.parallelism")
         .set(static_cast<double>(Pool ? Pool->parallelism() : 1));
 
-  // Arm the incremental cache (a no-op unless Opts.Cache is set and its
-  // preconditions hold). The chain hashes computed here are the run's
-  // invalidation frontier: they never change within a run, while the
-  // applied-prior part of each key tracks the fixpoint iteration.
+  // Arm the replay path: the memo answers in-run repeats, and the cache
+  // (a no-op unless Opts.Cache is set) answers the states the run has
+  // not seen. The chain hashes prepareCache folds into the key prefixes
+  // are the run's invalidation frontier: they never change within a
+  // run, while the applied-prior part of each key tracks the fixpoint
+  // iteration.
+  MemoArmed = solvesReplayable();
   {
     telemetry::Span CachePrep("cache.prepare", telemetry::TraceLevel::Phase,
                               "infer");
@@ -1140,9 +1156,6 @@ InferResult InferEngine::run() {
     if (CachePrep.active())
       CachePrep.argBool("armed", Cache != nullptr);
   }
-  // The SOLVE memo answers in-run repeats. An armed cache already
-  // answers them from its own stores, so the memo stays off under one.
-  MemoArmed = !Cache && solvesReplayable();
 
   for (const auto &Wave : Waves)
     for (MethodDecl *M : Wave)
@@ -1195,66 +1208,11 @@ InferResult InferEngine::run() {
       std::vector<SolveOutcome> Outcomes(Batch.size());
       std::vector<MemoProbe> Probes(MemoArmed ? Batch.size() : 0);
 
-      // Cache lookups run on the scheduling thread against the same
-      // frozen store the jobs would read. Hits fill their outcome slot
-      // directly; everything else lands in Pending and is solved below.
-      // The merge step never sees the difference: it walks the full batch
-      // in declaration order either way, which is what keeps warm output
-      // byte-identical to cold.
-      std::vector<size_t> Pending;
-      std::vector<uint64_t> Keys;
-      if (Cache) {
-        telemetry::Span LookupSpan("cache.lookup",
-                                   telemetry::TraceLevel::Phase, "infer");
-        Keys.resize(Batch.size(), 0);
-        unsigned WaveHits = 0;
-        for (size_t I = 0; I != Batch.size(); ++I) {
-          Keys[I] = solveKeyFor(Batch[I]);
-          CachedSolve Entry;
-          bool Resolved = false;
-          switch (Cache->lookup(Batch[I]->qualifiedName(), Keys[I], Entry)) {
-          case CacheLookup::Hit:
-            // Failures are never stored, so a failed record is as stale
-            // as one that does not fit the current program.
-            if (!Entry.Failed && validateOutcome(Entry, Batch[I])) {
-              Outcomes[I] = std::move(Entry);
-              // The storing run paid the solve; replaying pays none.
-              Outcomes[I].SolveSeconds = 0.0;
-              ++Result.Cache.Hits;
-              ++WaveHits;
-              Resolved = true;
-            } else {
-              ++Result.Cache.Invalidated;
-            }
-            break;
-          case CacheLookup::Miss:
-            ++Result.Cache.Misses;
-            break;
-          case CacheLookup::Invalidated:
-            ++Result.Cache.Invalidated;
-            break;
-          case CacheLookup::Corrupt:
-            ++Result.Cache.Corrupt;
-            break;
-          }
-          if (!Resolved)
-            Pending.push_back(I);
-        }
-        if (LookupSpan.active()) {
-          LookupSpan.arg("hits", WaveHits);
-          LookupSpan.arg("pending", static_cast<uint64_t>(Pending.size()));
-        }
-      } else {
-        Pending.resize(Batch.size());
-        std::iota(Pending.begin(), Pending.end(), size_t(0));
-      }
-
       // Jobs parallelFor runs inline never sit in a queue: their start
       // time minus the dispatch time is the earlier jobs' run time, so
       // they record no queue wait at all.
-      const bool Inline = parallelForRunsInline(Pool.get(), Pending.size());
-      parallelFor(Pool.get(), Pending.size(), [&](size_t J) {
-        const size_t I = Pending[J];
+      const bool Inline = parallelForRunsInline(Pool.get(), Batch.size());
+      parallelFor(Pool.get(), Batch.size(), [&](size_t I) {
         telemetry::Span JobSpan("infer.method",
                                 telemetry::TraceLevel::Method, "infer");
         int64_t WaitUs = 0;
@@ -1293,35 +1251,49 @@ InferResult InferEngine::run() {
         }
       });
 
-      // Persist fresh outcomes before the merge moves their odds out.
-      // Failed solves are never stored: a failure must re-run, not
-      // replay (the next run may not hit the fault, budget or bug).
-      if (Cache) {
-        for (size_t I : Pending) {
-          if (Outcomes[I].Failed)
-            continue;
-          Cache->store(Batch[I]->qualifiedName(), Keys[I], Outcomes[I]);
+      // File what the wave learnt, on this thread and in batch order,
+      // before the merge moves the odds out: count each cache answer,
+      // store fresh solves in the cache, and memoize fresh solves and
+      // validated cache hits alike, still at Solves = 1 (the merge below
+      // adds the method's earlier solves to the live report only). Failed
+      // solves are neither stored nor memoized: a failure must re-run,
+      // not replay (the next run may not hit the fault or bug).
+      unsigned WaveReplays = 0;
+      for (size_t I = 0; I != Probes.size(); ++I) {
+        MemoProbe &Probe = Probes[I];
+        if (Probe.Replayed) {
+          ++WaveReplays;
+          continue;
+        }
+        if (Probe.Lookup) {
+          switch (*Probe.Lookup) {
+          case CacheLookup::Hit:
+            ++Result.Cache.Hits;
+            break;
+          case CacheLookup::Miss:
+            ++Result.Cache.Misses;
+            break;
+          case CacheLookup::Invalidated:
+            ++Result.Cache.Invalidated;
+            break;
+          case CacheLookup::Corrupt:
+            ++Result.Cache.Corrupt;
+            break;
+          }
+        }
+        if (Outcomes[I].Failed)
+          continue;
+        if (Probe.Lookup && *Probe.Lookup != CacheLookup::Hit) {
+          Cache->store(Batch[I]->qualifiedName(), Probe.CacheKey,
+                       Outcomes[I]);
           ++Result.Cache.Stores;
         }
+        MemoEntry Entry;
+        Entry.Stream = std::move(Probe.Stream);
+        Entry.Outcome = Outcomes[I];
+        Memo.emplace(Probe.Key, std::move(Entry));
       }
-      // Memoize fresh solves the same way, still at Solves = 1: the merge
-      // below adds the method's earlier solves to the live report only.
-      unsigned WaveReplays = 0;
-      if (MemoArmed) {
-        for (size_t I : Pending) {
-          if (Probes[I].Replayed) {
-            ++WaveReplays;
-            continue;
-          }
-          if (Outcomes[I].Failed)
-            continue;
-          MemoEntry Entry;
-          Entry.Stream = std::move(Probes[I].Stream);
-          Entry.Outcome = Outcomes[I];
-          Memo.emplace(Probes[I].Key, std::move(Entry));
-        }
-        Result.MemoReplays += WaveReplays;
-      }
+      Result.MemoReplays += WaveReplays;
       if (WaveSpan.active())
         WaveSpan.arg("replayed", WaveReplays);
 
@@ -1343,7 +1315,6 @@ InferResult InferEngine::run() {
         MethodReport &Report = Slot.emplace();
         Report.Used = static_cast<SolverChoice>(Out.SolverUsed);
         Report.Exit = static_cast<CascadeExit>(Out.Exit);
-        Report.Fallback = Report.Exit != CascadeExit::None;
         Report.Reason = std::move(Out.Reason);
         Report.Solve = std::move(Out.Solve);
         Report.Solves = PrevSolves + Out.Solves;
@@ -1362,7 +1333,7 @@ InferResult InferEngine::run() {
         Result.SolveSeconds += Out.SolveSeconds;
         Result.TotalVariables += static_cast<unsigned>(Out.Variables);
         Result.TotalFactors += static_cast<unsigned>(Out.Factors);
-        if (Report.Fallback) {
+        if (Report.Exit != CascadeExit::None) {
           ++Result.FallbackSolves;
           ++Result.FallbackExits[Out.Exit];
         }

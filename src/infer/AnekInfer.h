@@ -72,10 +72,9 @@ const char *cascadeExitName(CascadeExit Exit);
 struct MethodReport {
   /// The solver whose marginals were actually used (last solve).
   SolverChoice Used = SolverChoice::SumProduct;
-  /// True when the first solve missed its contract and the cascade ran
-  /// (BP missed its tolerance, or a requested exact solve did not fit).
-  bool Fallback = false;
-  /// How the cascade ended; None exactly when !Fallback.
+  /// How the cascade ended. Anything but None means the first solve
+  /// missed its contract and the cascade ran (BP missed its tolerance, or
+  /// a requested exact solve did not fit): a fallback solve.
   CascadeExit Exit = CascadeExit::None;
   /// Why the cascade moved on; empty when the first attempt converged.
   std::string Reason;
@@ -141,12 +140,14 @@ struct InferOptions {
 
   // Incremental summary cache (DESIGN.md, "Incremental inference and the
   // summary cache").
-  /// When set, the engine memoizes SOLVE invocations through this cache:
-  /// each wave job's inputs are digested into a content key and a hit
-  /// replays the stored evidence byte-identically instead of solving.
-  /// Caching silently disables itself while an analysis-perturbing fault
-  /// is armed, because a replay would then not be guaranteed to reproduce
-  /// what a fresh solve would compute.
+  /// When set, the cache sits behind the run's SOLVE memo: a pick whose
+  /// state the run has not seen yet is digested into a content key and
+  /// looked up from its wave job, and a hit replays the stored evidence
+  /// byte-identically instead of solving. Each distinct state reaches the
+  /// cache at most once per run; repeats replay from the memo. Caching
+  /// silently disables itself, like the memo, while an
+  /// analysis-perturbing fault is armed, because a replay would then not
+  /// be guaranteed to reproduce what a fresh solve would compute.
   SolveCache *Cache = nullptr;
 
   /// When set, every sum-product solve runAnekInfer or runGlobalInfer
@@ -173,9 +174,10 @@ struct InferResult {
   // Statistics.
   unsigned WorklistPicks = 0;
   /// Picks the run-local SOLVE memo answered by replaying an outcome
-  /// this run had already computed (DESIGN.md, "The in-run SOLVE memo").
-  /// A replay is still a pick. Zero when the memo is disarmed: under a
-  /// cache or an analysis fault.
+  /// this run had already solved or read from the cache (DESIGN.md,
+  /// "Incremental inference and the summary cache"). A replay is still a
+  /// pick. The same with or without a cache; zero under an analysis
+  /// fault, which disarms the memo.
   unsigned MemoReplays = 0;
   unsigned MethodsAnalyzed = 0;
   /// Methods isolated after a failure (skipped with a diagnostic).

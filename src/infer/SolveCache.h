@@ -6,17 +6,19 @@
 ///
 /// \file
 /// The engine-side interface of the incremental summary cache. The engine
-/// memoizes individual SOLVE invocations: before analyzing a method it
-/// computes a key that digests *every* input the solve depends on — the
-/// method's token stream, the transitive content of its callees' SCCs,
-/// the algorithm options, the per-method solver seed, and the exact bit
-/// patterns of the pooled summary odds applied as priors — and asks the
-/// cache. A hit replays the stored evidence byte-identically (the key
-/// guarantees the solve would have produced exactly those bytes); a miss
-/// solves and stores. Because the applied-prior bit patterns are part of
-/// the key, dirtiness needs no separate propagation protocol: editing a
-/// method changes its SCC's content hash, which changes the chain hashes
-/// of every transitive caller, so exactly the reachable waves miss.
+/// memoizes individual SOLVE invocations, and the cache sits behind its
+/// in-run memo: a pick whose state the run has already solved replays
+/// from the memo, and only a state the run has not seen is looked up.
+/// The key digests *every* input the solve depends on — the method's
+/// token stream, the transitive content of its callees' SCCs, the
+/// algorithm options, the per-method solver seed, and the exact bit
+/// patterns of the pooled summary odds applied as priors. A hit replays
+/// the stored evidence byte-identically (the key guarantees the solve
+/// would have produced exactly those bytes); a miss solves and stores.
+/// Because the applied-prior bit patterns are part of the key, dirtiness
+/// needs no separate propagation protocol: editing a method changes its
+/// SCC's content hash, which changes the chain hashes of every
+/// transitive caller, so exactly the reachable waves miss.
 ///
 /// An entry is the engine's own SOLVE record (summaryio::SolveOutcome),
 /// which names methods by declaration index. Replaying it into a later
@@ -54,9 +56,11 @@ enum class CacheLookup {
   Corrupt,     ///< Entry exists but failed checksum/version/decode.
 };
 
-/// Storage interface the engine calls through. The engine looks up and
-/// stores from its scheduling thread only; implementations must still be
-/// thread-safe, so one instance can serve several runs at once.
+/// Storage interface the engine calls through. The engine calls lookup
+/// from its wave jobs, so concurrently under `-j N`, at most once per
+/// distinct state per run; it calls store from its scheduling thread
+/// only, after each wave, in batch order. Implementations must be
+/// thread-safe, which also lets one instance serve several runs at once.
 class SolveCache {
 public:
   virtual ~SolveCache() = default;
@@ -74,6 +78,9 @@ public:
 
 /// Per-run cache accounting, carried in InferResult.
 struct CacheStats {
+  /// Replays of entries an earlier run stored. A state this run has
+  /// already solved or read replays from the in-run memo instead
+  /// (InferResult::MemoReplays), so a cold run reads 0.
   unsigned Hits = 0;
   unsigned Misses = 0;
   /// Lookups that found an entry under a stale key (content changed) plus
@@ -82,6 +89,8 @@ struct CacheStats {
   /// Entries that failed envelope/decode validation (classified as
   /// misses, never as errors — see DESIGN.md).
   unsigned Corrupt = 0;
+  /// Fresh solves written back: one per miss, invalidation or corrupt
+  /// read whose solve did not fail.
   unsigned Stores = 0;
 };
 

@@ -125,7 +125,7 @@ struct SolveOutcome {
   /// MethodReport mirror: solver cascade outcome.
   uint8_t SolverUsed = 0; ///< SolverChoice as its enum value.
   /// CascadeExit as its enum value; non-zero exactly when the cascade
-  /// ran (MethodReport::Fallback).
+  /// ran (a fallback solve).
   uint8_t Exit = 0;
   std::string Reason;
   SolveReport Solve;

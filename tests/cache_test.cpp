@@ -407,15 +407,44 @@ TEST_F(CacheTest, WarmRunReplaysByteIdenticallyWithZeroSolves) {
   // seconds belong to the run that paid them.
   EXPECT_GT(R1.SolveSeconds, 0.0);
   EXPECT_EQ(R2.SolveSeconds, 0.0);
-  // The cache answers in-run repeats itself; the SOLVE memo stays off.
-  EXPECT_EQ(R1.MemoReplays, 0u);
-  EXPECT_EQ(R2.MemoReplays, 0u);
 
   // An uncached run of the same program also agrees: caching changes
   // cost, never results.
   auto Plain = analyze(Source);
   InferResult R3 = runAnekInfer(*Plain);
   EXPECT_EQ(renderedSpecs(*Plain, R3), renderedSpecs(*Cold, R1));
+
+  // One replay path: the memo answers in-run repeats with or without a
+  // cache, so only states the run has not seen reach the cache. Cold,
+  // every such state is solved and stored, and none hits.
+  EXPECT_GT(R3.MemoReplays, 0u);
+  EXPECT_EQ(R1.MemoReplays, R3.MemoReplays);
+  EXPECT_EQ(R1.Cache.Hits, 0u);
+  EXPECT_EQ(R1.Cache.Stores,
+            R1.Cache.Misses + R1.Cache.Invalidated + R1.Cache.Corrupt);
+  EXPECT_EQ(R1.Cache.Stores, R1.WorklistPicks - R1.MemoReplays);
+  // Warm, every distinct state hits once, and a hit is memoized like a
+  // fresh solve, so the memo replays the rest.
+  EXPECT_EQ(R2.Cache.Hits, R1.Cache.Stores);
+  EXPECT_EQ(R2.MemoReplays, R1.MemoReplays);
+  EXPECT_EQ(R2.Cache.Hits + R2.MemoReplays, R2.WorklistPicks);
+
+  // The lookups run in the wave jobs, yet neither the output nor any
+  // count depends on how many threads ran them.
+  auto Counts = [](const InferResult &R) {
+    return std::vector<unsigned>{R.Cache.Hits,        R.Cache.Misses,
+                                 R.Cache.Invalidated, R.Cache.Corrupt,
+                                 R.Cache.Stores,      R.MemoReplays};
+  };
+  cache::SummaryCache Wide("");
+  Opts.Cache = &Wide;
+  Opts.Parallelism = 4;
+  for (const InferResult *Narrow : {&R1, &R2}) {
+    auto Prog = analyze(Source);
+    InferResult R = runAnekInfer(*Prog, Opts);
+    EXPECT_EQ(Counts(R), Counts(*Narrow));
+    EXPECT_EQ(renderedSpecs(*Prog, R), renderedSpecs(*Cold, R1));
+  }
 }
 
 TEST_F(CacheTest, CalleeEditInvalidatesTransitiveCallers) {
@@ -497,9 +526,10 @@ TEST_F(CacheTest, CacheDisarmsUnderAnalysisPerturbingConditions) {
 namespace {
 
 /// A read-only view of a cache that records each lookup's classification
-/// by method name. Dropping stores keeps a run's in-run repeats from
-/// hitting its own fresh entries, so any hit it sees is a replay of an
-/// earlier run's entry.
+/// by method name. Dropping stores leaves the index as the earlier run
+/// wrote it, so each lookup is classified against that run's entries
+/// alone: a method the earlier run never stored reads as a miss on every
+/// lookup, not as invalidated once this run has stored its first state.
 class ReadOnlyView final : public SolveCache {
 public:
   explicit ReadOnlyView(SolveCache &Inner) : Inner(Inner) {}

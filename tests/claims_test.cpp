@@ -15,8 +15,16 @@
 // NearConvergence, so exact enumeration and kept-degraded beliefs are
 // reached only under an injected fault.
 //
+// And the incremental-cache claim, in counts rather than time: against a
+// summary cache, a cold run replays its in-run repeats from the memo as
+// an uncached run does and never hits, a warm rerun of the corpus solves
+// nothing afresh, and a rerun after a one-method edit solves at most a
+// quarter of what the cold run solved, both printing what an uncached
+// run of the same source prints.
+//
 //===----------------------------------------------------------------------===//
 
+#include "cache/SummaryCache.h"
 #include "corpus/PmdGenerator.h"
 #include "corpus/SpecComparison.h"
 #include "infer/AnekInfer.h"
@@ -42,9 +50,16 @@ struct PmdRun {
   unsigned MethodsFailed = 0;
   std::vector<unsigned> Table4;
   std::array<unsigned, NumCascadeExits> FallbackExits{};
+  /// Picks the in-run memo answered, and the cache's hits.
+  unsigned MemoReplays = 0;
+  unsigned CacheHits = 0;
+  /// Picks solved afresh: neither the in-run memo nor the cache
+  /// answered them.
+  unsigned FreshSolves = 0;
 };
 
-PmdRun runPmd(const PmdCorpus &Corpus, unsigned Jobs) {
+PmdRun runPmd(const PmdCorpus &Corpus, unsigned Jobs,
+              SolveCache *Cache = nullptr) {
   PmdRun Run;
   DiagnosticEngine Diags;
   std::unique_ptr<Program> Prog = parseAndAnalyze(Corpus.Source, Diags);
@@ -53,6 +68,7 @@ PmdRun runPmd(const PmdCorpus &Corpus, unsigned Jobs) {
     return Run;
   InferOptions Opts;
   Opts.Parallelism = Jobs;
+  Opts.Cache = Cache;
   InferResult R = runAnekInfer(*Prog, Opts, &Diags);
   SpecProvider Specs = [&R](const MethodDecl *M) { return R.specFor(M); };
   CheckResult Check = runChecker(*Prog, Specs);
@@ -63,7 +79,7 @@ PmdRun runPmd(const PmdCorpus &Corpus, unsigned Jobs) {
   Out << printProgram(*Prog, POpts);
   for (const auto &[M, Report] : R.Reports)
     Out << M->qualifiedName() << ": used=" << solverChoiceName(Report.Used)
-        << " fallback=" << Report.Fallback
+        << " fallback=" << (Report.Exit != CascadeExit::None)
         << " converged=" << Report.Solve.Converged
         << " iters=" << Report.Solve.Iterations
         << " solves=" << Report.Solves << " reason=" << Report.Reason
@@ -78,6 +94,9 @@ PmdRun runPmd(const PmdCorpus &Corpus, unsigned Jobs) {
   Run.Warnings = Check.warningCount();
   Run.MethodsFailed = R.MethodsFailed;
   Run.FallbackExits = R.FallbackExits;
+  Run.MemoReplays = R.MemoReplays;
+  Run.CacheHits = R.Cache.Hits;
+  Run.FreshSolves = R.WorklistPicks - R.MemoReplays - R.Cache.Hits;
   SpecComparisonTable Table =
       compareSpecs(resolveHandSpecs(*Prog, Corpus), R.Inferred);
   for (SpecCategory C :
@@ -110,6 +129,34 @@ TEST(ClaimsTest, PmdTables2And4AtThePaperSeed) {
   PmdRun Parallel = runPmd(Corpus, 4);
   EXPECT_EQ(Parallel.Output, Sequential.Output)
       << "-j4 output diverged from -j1";
+}
+
+TEST(ClaimsTest, PmdIncrementalCacheResolvesOnlyTheEdit) {
+  PmdCorpus Corpus = generatePmdCorpus(PmdConfig());
+  // bench_incremental's edit of one bulk method: one more accumulation
+  // statement, a token change rather than formatting.
+  PmdCorpus Edited = Corpus;
+  const std::string Head = "int calc0(int a, int b) {\n    int r = a;\n";
+  const size_t At = Edited.Source.find(Head);
+  ASSERT_NE(At, std::string::npos);
+  Edited.Source.insert(At + Head.size(), "    r = r + 7;\n");
+
+  cache::SummaryCache Cache(""); // In-memory.
+  PmdRun Cold = runPmd(Corpus, 1, &Cache);
+  PmdRun Warm = runPmd(Corpus, 1, &Cache);
+  PmdRun Edit = runPmd(Edited, 1, &Cache);
+  PmdRun Plain = runPmd(Corpus, 1);
+  // One replay path: in-run repeats replay from the memo with or without
+  // a cache, so a cold run's cache never hits.
+  EXPECT_EQ(Cold.CacheHits, 0u);
+  EXPECT_EQ(Cold.MemoReplays, Plain.MemoReplays);
+  EXPECT_GT(Cold.FreshSolves, 0u);
+  EXPECT_EQ(Warm.FreshSolves, 0u);
+  EXPECT_LE(4 * Edit.FreshSolves, Cold.FreshSolves)
+      << Edit.FreshSolves << " of " << Cold.FreshSolves
+      << " cold solves re-paid after a one-method edit";
+  EXPECT_EQ(Warm.Output, Plain.Output);
+  EXPECT_EQ(Edit.Output, runPmd(Edited, 1).Output);
 }
 
 TEST(ClaimsTest, PmdJointSolveEndsNearConvergence) {

@@ -57,7 +57,7 @@ std::string renderRun(const std::string &Source, unsigned Parallelism,
   Out << printProgram(*Prog, POpts);
   for (const auto &[M, Report] : R.Reports) {
     Out << M->qualifiedName() << ": used=" << solverChoiceName(Report.Used)
-        << " fallback=" << Report.Fallback
+        << " fallback=" << (Report.Exit != CascadeExit::None)
         << " converged=" << Report.Solve.Converged
         << " iters=" << Report.Solve.Iterations
         << " solves=" << Report.Solves << " failed=" << Report.Failed

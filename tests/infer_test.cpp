@@ -182,7 +182,7 @@ TEST(CascadeTest, InjectedNonConvergenceLeavesBpAfterOneCall) {
   EXPECT_EQ(R.FallbackExits[unsigned(CascadeExit::NearConvergedBp)], 0u);
   ASSERT_FALSE(R.Reports.empty());
   for (const auto &[M, Report] : R.Reports)
-    EXPECT_TRUE(Report.Fallback) << M->qualifiedName();
+    EXPECT_NE(Report.Exit, CascadeExit::None) << M->qualifiedName();
 }
 
 TEST(AnekInferTest, DeterministicAcrossRuns) {
@@ -298,7 +298,8 @@ RunImage runImage(const std::string &Source, const InferOptions &Opts) {
   Out << std::hexfloat;
   for (const auto &[M, Rep] : R.Reports)
     Out << M->qualifiedName() << " used=" << solverChoiceName(Rep.Used)
-        << " fallback=" << Rep.Fallback << " reason=" << Rep.Reason
+        << " fallback=" << (Rep.Exit != CascadeExit::None)
+        << " reason=" << Rep.Reason
         << " converged=" << Rep.Solve.Converged
         << " residual=" << Rep.Solve.Residual
         << " iters=" << Rep.Solve.Iterations
@@ -312,16 +313,6 @@ RunImage runImage(const std::string &Source, const InferOptions &Opts) {
   Image.Reports = Out.str();
   return Image;
 }
-
-/// A cache that never hits and keeps nothing. Any cache turns the memo
-/// off, and this one leaves every pick to a fresh solve.
-class NoCache final : public SolveCache {
-public:
-  CacheLookup lookup(const std::string &, uint64_t, CachedSolve &) override {
-    return CacheLookup::Miss;
-  }
-  void store(const std::string &, uint64_t, const CachedSolve &) override {}
-};
 
 /// A scaled-down PMD corpus: the iterator core that cycles at full size,
 /// small enough for a unit test.
@@ -338,16 +329,21 @@ std::string reducedPmdSource() {
 } // namespace
 
 TEST(SolveMemoTest, ReplaysChangeNothingButTheWork) {
+  faults::reset();
   for (const std::string &Source :
        {iteratorApiSource() + spreadsheetSource(), reducedPmdSource()}) {
-    InferOptions Armed;
-    NoCache Nothing;
-    InferOptions Disarmed;
-    Disarmed.Cache = &Nothing;
-    RunImage WithMemo = runImage(Source, Armed);
-    RunImage WithoutMemo = runImage(Source, Disarmed);
+    RunImage WithMemo = runImage(Source, InferOptions());
+    // The replay-free baseline: an armed solve-fail fault disarms the
+    // memo whatever its filter, and this filter names no method, so no
+    // solve fails and every pick solves afresh.
+    RunImage WithoutMemo;
+    {
+      faults::ScopedFault Gate(FaultKind::SolveFailure, "No.such.method");
+      WithoutMemo = runImage(Source, InferOptions());
+    }
 
     EXPECT_GT(WithMemo.Result.MemoReplays, 0u);
+    EXPECT_EQ(WithoutMemo.Result.MethodsFailed, 0u);
     EXPECT_EQ(WithoutMemo.Result.MemoReplays, 0u);
     EXPECT_LT(WithMemo.Result.MemoReplays, WithMemo.Result.WorklistPicks);
     EXPECT_EQ(WithMemo.Specs, WithoutMemo.Specs);

@@ -230,7 +230,7 @@ TEST_F(RobustnessTest, PipelineFallsBackWhenBpCannotConverge) {
   ASSERT_FALSE(Result.Reports.empty());
   for (const auto &[M, Report] : Result.Reports) {
     EXPECT_FALSE(Report.Failed) << M->qualifiedName();
-    EXPECT_TRUE(Report.Fallback) << M->qualifiedName();
+    EXPECT_NE(Report.Exit, CascadeExit::None) << M->qualifiedName();
     EXPECT_FALSE(Report.Reason.empty()) << M->qualifiedName();
   }
 }

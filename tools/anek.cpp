@@ -16,7 +16,9 @@
 // for every N.
 //
 // --cache DIR memoizes SOLVE results in DIR; a warm rerun replays them
-// byte-identically and reports its accounting on stderr.
+// byte-identically. The accounting goes to stderr: what the cache
+// answered for the states this run had not seen, and how many picks
+// replayed a state the run had already seen.
 //
 // --trace FILE writes a Chrome trace_event JSON timeline (load it in
 // chrome://tracing or ui.perfetto.dev); --metrics FILE writes the flat
@@ -214,7 +216,7 @@ void printReports(const InferResult &Inference) {
     std::printf("// method %s: solver=%s%s converged=%s iters=%u "
                 "residual=%.2g%s%s\n",
                 M->qualifiedName().c_str(), solverChoiceName(Report.Used),
-                Report.Fallback ? " (fallback)" : "",
+                Report.Exit != CascadeExit::None ? " (fallback)" : "",
                 Report.Solve.Converged ? "yes" : "no",
                 Report.Solve.Iterations, Report.Solve.Residual,
                 Report.Reason.empty() ? "" : " reason: ",
@@ -391,7 +393,8 @@ int run(int Argc, char **Argv) {
     InferOpts.Parallelism = Jobs;
     // --cache DIR: memoize solves in DIR. Caching never changes stdout (a
     // warm run is byte-identical to a cold -j1 run — see DESIGN.md); the
-    // accounting goes to stderr below.
+    // accounting goes to stderr below. A cold run reads 0 hits: its
+    // repeated states replay from the in-run memo, counted last.
     std::unique_ptr<cache::SummaryCache> Cache;
     if (!CacheDir.empty()) {
       Cache = std::make_unique<cache::SummaryCache>(CacheDir);
@@ -402,8 +405,9 @@ int run(int Argc, char **Argv) {
       const CacheStats &C = Inference.Cache;
       std::fprintf(stderr,
                    "anek: cache: %u hit(s), %u miss(es), %u invalidated, "
-                   "%u corrupt, %u store(s)\n",
-                   C.Hits, C.Misses, C.Invalidated, C.Corrupt, C.Stores);
+                   "%u corrupt, %u store(s); %u pick(s) replayed in-run\n",
+                   C.Hits, C.Misses, C.Invalidated, C.Corrupt, C.Stores,
+                   Inference.MemoReplays);
     }
     if (Diags.all().size())
       std::fputs(Diags.str().c_str(), stderr);
