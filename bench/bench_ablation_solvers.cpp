@@ -1,10 +1,11 @@
 //===- bench_ablation_solvers.cpp - Solver microbenchmarks -----------------===//
 //
 // Paper Section 3.4 solves the probabilistic model with "an off-the-shelf
-// machine learning algorithm" (INFER.NET); we hand-rolled three. This
-// google-benchmark binary measures sum-product BP, Gibbs sampling and
-// exact enumeration on a representative per-method factor graph (the
-// spreadsheet copy method), plus end-to-end inference under each solver.
+// machine learning algorithm" (INFER.NET); we hand-rolled two. This
+// google-benchmark binary measures sum-product BP on a representative
+// per-method factor graph (the spreadsheet copy method), BP against
+// exact enumeration on a small loopy graph, and end-to-end inference
+// (BP with the exact fallback).
 //
 //===----------------------------------------------------------------------===//
 
@@ -68,15 +69,6 @@ void BM_SumProductCopyMethod(benchmark::State &State) {
 }
 BENCHMARK(BM_SumProductCopyMethod);
 
-void BM_GibbsCopyMethod(benchmark::State &State) {
-  const FactorGraph &G = copyGraph();
-  for (auto _ : State) {
-    Marginals M = GibbsSolver().solve(G);
-    benchmark::DoNotOptimize(M);
-  }
-}
-BENCHMARK(BM_GibbsCopyMethod);
-
 void BM_SumProductSmall(benchmark::State &State) {
   FactorGraph G = smallGraph();
   for (auto _ : State) {
@@ -95,33 +87,18 @@ void BM_ExactSmall(benchmark::State &State) {
 }
 BENCHMARK(BM_ExactSmall);
 
-void BM_GibbsSmall(benchmark::State &State) {
-  FactorGraph G = smallGraph();
-  for (auto _ : State) {
-    Marginals M = GibbsSolver().solve(G);
-    benchmark::DoNotOptimize(M);
-  }
-}
-BENCHMARK(BM_GibbsSmall);
-
 void BM_EndToEndInference(benchmark::State &State) {
-  SolverChoice Choice = static_cast<SolverChoice>(State.range(0));
   for (auto _ : State) {
     State.PauseTiming();
     DiagnosticEngine Diags;
     auto Prog =
         parseAndAnalyze(iteratorApiSource() + spreadsheetSource(), Diags);
     State.ResumeTiming();
-    InferOptions Opts;
-    Opts.Solver = Choice;
-    InferResult R = runAnekInfer(*Prog, Opts);
+    InferResult R = runAnekInfer(*Prog);
     benchmark::DoNotOptimize(R.Inferred.size());
   }
 }
-BENCHMARK(BM_EndToEndInference)
-    ->Arg(static_cast<int>(SolverChoice::SumProduct))
-    ->Arg(static_cast<int>(SolverChoice::Gibbs))
-    ->ArgNames({"solver"});
+BENCHMARK(BM_EndToEndInference);
 
 } // namespace
 

@@ -12,6 +12,28 @@ using namespace anek;
 
 namespace {
 
+// Logical constraint strengths (the h parameters of Section 3.3).
+constexpr double L1Branch = 0.95;   ///< h1: node = each branch edge.
+constexpr double L1Split = 0.95;    ///< h2: sound splitting.
+constexpr double L2Incoming = 0.95; ///< h3: node = one incoming edge.
+constexpr double L3FieldWrite = 0.95;
+
+// Heuristic strengths ("elevated probability").
+constexpr double H1Ctor = 0.85;
+constexpr double H2PrePost = 0.75;
+constexpr double H3Create = 0.85;
+constexpr double H4Setter = 0.8;
+constexpr double H5Sync = 0.75;
+/// H6 is the dual of the paper's "unique is the best returned
+/// permission" discussion: *required* permissions should be as weak as
+/// possible, so unique is unlikely at a method's own pre nodes unless
+/// the body forces it.
+constexpr double H6WeakPre = 0.4;
+
+/// Strength of the optional at-most-one-kind factor
+/// (ConstraintOptions::KindMutex).
+constexpr double KindMutexProb = 0.9;
+
 /// Generation context shared by the per-rule helpers.
 struct GenContext {
   const Pfg &P;
@@ -56,7 +78,7 @@ struct GenContext {
 static void addSplitDowngrade(GenContext &Ctx, const PermVars &Node,
                               const PermVars &Edge) {
   for (unsigned K = 0; K != NumPermKinds; ++K) {
-    Ctx.G.addEqualityFactor(Node.Kind[K], Edge.Kind[K], Ctx.Opts.L1Split);
+    Ctx.G.addEqualityFactor(Node.Kind[K], Edge.Kind[K], L1Split);
     ++Ctx.Stats.SplitFactors;
   }
 }
@@ -74,7 +96,7 @@ static void addSplitExclusivity(GenContext &Ctx, const PermVars &E1,
         bool SecondExclusive = A[2] || A[3];
         return !(FirstExclusive && SecondExclusive);
       },
-      Ctx.Opts.L1Split);
+      L1Split);
   ++Ctx.Stats.ExclusivityFactors;
 }
 
@@ -88,7 +110,7 @@ static void generateOutgoing(GenContext &Ctx, PfgNodeId N) {
   if (!IsSplit) {
     // Branch or straight-line flow: permission unchanged on every edge.
     for (PfgEdgeId E : Out) {
-      Ctx.equalize(NodeVars, Ctx.Vars.edge(E), Ctx.Opts.L1Branch,
+      Ctx.equalize(NodeVars, Ctx.Vars.edge(E), L1Branch,
                    /*KindsOnly=*/Ctx.P.edge(E).StateOpaque);
       ++Ctx.Stats.BranchEquality;
     }
@@ -103,8 +125,7 @@ static void generateOutgoing(GenContext &Ctx, PfgNodeId N) {
     const PermVars &EdgeVars = Ctx.Vars.edge(E);
     size_t States = std::min(NodeVars.State.size(), EdgeVars.State.size());
     for (size_t S = 0; S != States; ++S)
-      Ctx.G.addEqualityFactor(NodeVars.State[S], EdgeVars.State[S],
-                              Ctx.Opts.L1Split);
+      Ctx.G.addEqualityFactor(NodeVars.State[S], EdgeVars.State[S], L1Split);
   }
   if (Ctx.Opts.EnableExclusivity)
     for (size_t I = 0; I != Out.size(); ++I)
@@ -125,7 +146,7 @@ static void generateIncoming(GenContext &Ctx, PfgNodeId N) {
   bool IsMerge = Ctx.P.node(N).Kind == PfgNodeKind::Merge;
 
   if (In.size() == 1) {
-    Ctx.equalize(NodeVars, Ctx.Vars.edge(In[0]), Ctx.Opts.L2Incoming,
+    Ctx.equalize(NodeVars, Ctx.Vars.edge(In[0]), L2Incoming,
                  /*KindsOnly=*/Ctx.P.edge(In[0]).StateOpaque);
     ++Ctx.Stats.IncomingFactors;
     return;
@@ -146,13 +167,13 @@ static void generateIncoming(GenContext &Ctx, PfgNodeId N) {
     const PermVars &EdgeVars = Ctx.Vars.edge(E);
     bool IsRetained = Ctx.P.edge(E).StateOpaque;
     if (!IsMerge || IsRetained) {
-      double KindStrength = IsMerge ? Ctx.Opts.L2Incoming : 0.8;
+      double KindStrength = IsMerge ? L2Incoming : 0.8;
       for (unsigned K = 0; K != NumPermKinds; ++K)
         Ctx.G.addEqualityFactor(NodeVars.Kind[K], EdgeVars.Kind[K],
                                 KindStrength);
     }
     if (!IsRetained) {
-      double StateStrength = IsMerge ? Ctx.Opts.L2Incoming : 0.8;
+      double StateStrength = IsMerge ? L2Incoming : 0.8;
       size_t States = std::min(NodeVars.State.size(),
                                EdgeVars.State.size());
       for (size_t S = 0; S != States; ++S)
@@ -181,13 +202,13 @@ static void generateFieldWrite(GenContext &Ctx, PfgNodeId N) {
   Ctx.G.addPredicateFactor(
       {Recv.Kind[Imm], Recv.Kind[Pure]},
       [](const std::vector<bool> &A) { return !A[0] && !A[1]; },
-      Ctx.Opts.L3FieldWrite);
+      L3FieldWrite);
   // "A field cannot be modified without writing permission to its
   // receiver": positively, some writing kind is present.
   Ctx.G.addPredicateFactor(
       {Recv.Kind[U], Recv.Kind[F], Recv.Kind[S]},
       [](const std::vector<bool> &A) { return A[0] || A[1] || A[2]; },
-      Ctx.Opts.L3FieldWrite);
+      L3FieldWrite);
   Ctx.Stats.FieldWriteFactors += 2;
 }
 
@@ -206,7 +227,7 @@ static void generateHeuristics(GenContext &Ctx) {
   if (Opts.EnableH1)
     for (PfgNodeId N = 0; N != P.nodeCount(); ++N)
       if (P.node(N).Kind == PfgNodeKind::NewObject)
-        Ctx.nudge(Ctx.Vars.node(N).Kind[U], Opts.H1Ctor);
+        Ctx.nudge(Ctx.Vars.node(N).Kind[U], H1Ctor);
 
   // H2: a parameter keeps its permission kind across the method (pre and
   // post kinds agree; states may change).
@@ -214,7 +235,7 @@ static void generateHeuristics(GenContext &Ctx) {
     auto Tie = [&](PfgNodeId Pre, PfgNodeId Post) {
       if (Pre == NoPfgNode || Post == NoPfgNode)
         return;
-      Ctx.equalize(Ctx.Vars.node(Pre), Ctx.Vars.node(Post), Opts.H2PrePost,
+      Ctx.equalize(Ctx.Vars.node(Pre), Ctx.Vars.node(Post), H2PrePost,
                    /*KindsOnly=*/true);
       Ctx.Stats.HeuristicFactors += NumPermKinds;
     };
@@ -227,12 +248,12 @@ static void generateHeuristics(GenContext &Ctx) {
   if (Opts.EnableH3) {
     if (P.Method && startsWith(P.Method->Name, "create") &&
         P.ResultNode != NoPfgNode)
-      Ctx.nudge(Ctx.Vars.node(P.ResultNode).Kind[U], Opts.H3Create);
+      Ctx.nudge(Ctx.Vars.node(P.ResultNode).Kind[U], H3Create);
     for (PfgNodeId N = 0; N != P.nodeCount(); ++N) {
       const PfgNode &Node = P.node(N);
       if (Node.Kind == PfgNodeKind::CallResult && Node.Callee &&
           startsWith(Node.Callee->Name, "create"))
-        Ctx.nudge(Ctx.Vars.node(N).Kind[U], Opts.H3Create);
+        Ctx.nudge(Ctx.Vars.node(N).Kind[U], H3Create);
     }
   }
 
@@ -245,9 +266,9 @@ static void generateHeuristics(GenContext &Ctx) {
     auto Damp = [&](PfgNodeId N) {
       if (N == NoPfgNode)
         return;
-      Ctx.nudge(Ctx.Vars.node(N).Kind[Imm], 1.0 - Opts.H4Setter);
-      Ctx.nudge(Ctx.Vars.node(N).Kind[Pure], 1.0 - Opts.H4Setter);
-      Ctx.nudge(Ctx.Vars.node(N).Kind[FullK], Opts.H4Setter);
+      Ctx.nudge(Ctx.Vars.node(N).Kind[Imm], 1.0 - H4Setter);
+      Ctx.nudge(Ctx.Vars.node(N).Kind[Pure], 1.0 - H4Setter);
+      Ctx.nudge(Ctx.Vars.node(N).Kind[FullK], H4Setter);
     };
     if (P.Method && startsWith(P.Method->Name, "set")) {
       Damp(P.ReceiverPre);
@@ -269,7 +290,7 @@ static void generateHeuristics(GenContext &Ctx) {
   if (Opts.EnableH6) {
     auto Weaken = [&](PfgNodeId N) {
       if (N != NoPfgNode)
-        Ctx.nudge(Ctx.Vars.node(N).Kind[U], Opts.H6WeakPre);
+        Ctx.nudge(Ctx.Vars.node(N).Kind[U], H6WeakPre);
     };
     Weaken(P.ReceiverPre);
     for (PfgNodeId N : P.ParamPre)
@@ -285,7 +306,7 @@ static void generateHeuristics(GenContext &Ctx) {
       Ctx.G.addPredicateFactor(
           {Vars.Kind[F], Vars.Kind[S], Vars.Kind[Pure]},
           [](const std::vector<bool> &A) { return A[0] || A[1] || A[2]; },
-          Opts.H5Sync);
+          H5Sync);
       ++Ctx.Stats.HeuristicFactors;
     }
   }
@@ -323,7 +344,7 @@ ConstraintStats anek::generateConstraints(const Pfg &P, FactorGraph &G,
               Count += B;
             return Count <= 1;
           },
-          Opts.KindMutexProb);
+          KindMutexProb);
       ++Ctx.Stats.HeuristicFactors;
     }
   }

@@ -21,7 +21,8 @@
 /// "intuitions gleaned from years of writing such specifications"):
 ///   H1 constructors return unique; H2 pre and post kinds match;
 ///   H3 create* methods return unique; H4 set* receivers are writing;
-///   H5 synchronized targets are full/share/pure.
+///   H5 synchronized targets are full/share/pure; H6 required
+///   permissions are weak.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,26 +33,11 @@
 
 namespace anek {
 
-/// Tunable probabilities (the h parameters of Section 3.3) and toggles.
+/// Which constraint families are generated. The probabilities of each
+/// family (the h parameters of Section 3.3) are constants of
+/// constraints/ConstraintGen.cpp; bench_ablation_heuristics flips these
+/// toggles.
 struct ConstraintOptions {
-  // Logical constraint strengths.
-  double L1Branch = 0.95;   ///< h1: node = each branch edge.
-  double L1Split = 0.95;    ///< h2: sound splitting.
-  double L2Incoming = 0.95; ///< h3: node = one incoming edge.
-  double L3FieldWrite = 0.95;
-
-  // Heuristic strengths ("elevated probability").
-  double H1Ctor = 0.85;
-  double H2PrePost = 0.75;
-  double H3Create = 0.85;
-  double H4Setter = 0.8;
-  double H5Sync = 0.75;
-  /// H6 is the dual of the paper's "unique is the best returned
-  /// permission" discussion: *required* permissions should be as weak as
-  /// possible, so unique is unlikely at a method's own pre nodes unless
-  /// the body forces it.
-  double H6WeakPre = 0.4;
-
   bool EnableH1 = true;
   bool EnableH2 = true;
   bool EnableH3 = true;
@@ -74,7 +60,6 @@ struct ConstraintOptions {
   /// cavity extraction reads as negative evidence; the paper extracts the
   /// most likely kind instead). Ablated in bench_ablation_heuristics.
   bool KindMutex = false;
-  double KindMutexProb = 0.9;
 
   /// Returns a copy with all heuristics disabled.
   ConstraintOptions logicalOnly() const {

@@ -20,7 +20,6 @@ VarId FactorGraph::addVariable(double Prior) {
     Vars.push_back({0.5});
   }
   Vars.push_back({clampProb(Prior)});
-  IndexValid = false;
   LayoutValid = false;
   return static_cast<VarId>(Vars.size() - 1);
 }
@@ -38,7 +37,6 @@ void FactorGraph::addFactor(std::vector<VarId> Scope,
     assert(W >= 0.0 && "negative factor weight");
 #endif
   Factors.push_back({std::move(Scope), std::move(Table)});
-  IndexValid = false;
   LayoutValid = false;
 }
 
@@ -88,20 +86,12 @@ const FactorGraph::EdgeLayout &FactorGraph::edgeLayout() const {
 
   Layout.EdgeVar.resize(NumEdges);
   Layout.EdgeFactor.resize(NumEdges);
-  Layout.EdgeSlotBit.resize(NumEdges);
-  Layout.EdgeVarMask.resize(NumEdges);
   for (uint32_t F = 0; F != NumFactors; ++F) {
     const std::vector<VarId> &Scope = Factors[F].Scope;
     const uint32_t Base = Layout.FactorOffset[F];
     for (uint32_t K = 0; K != Scope.size(); ++K) {
       Layout.EdgeVar[Base + K] = Scope[K];
       Layout.EdgeFactor[Base + K] = F;
-      Layout.EdgeSlotBit[Base + K] = uint32_t{1} << K;
-      uint32_t Mask = 0;
-      for (uint32_t K2 = 0; K2 != Scope.size(); ++K2)
-        if (Scope[K2] == Scope[K])
-          Mask |= uint32_t{1} << K2;
-      Layout.EdgeVarMask[Base + K] = Mask;
     }
     Layout.MaxFactorDegree = std::max(
         Layout.MaxFactorDegree, static_cast<uint32_t>(Scope.size()));
@@ -143,42 +133,7 @@ const FactorGraph::EdgeLayout &FactorGraph::edgeLayout() const {
     Layout.VmFactor[I] = Layout.EdgeFactor[Layout.VarEdges[I]];
 
   LayoutValid = true;
-  GibbsValid = false;
   return Layout;
-}
-
-const FactorGraph::GibbsLayout &FactorGraph::gibbsLayout() const {
-  const EdgeLayout &L = edgeLayout();
-  if (GibbsValid)
-    return Gibbs;
-  const uint32_t NumEdges = L.edgeCount();
-
-  Gibbs = GibbsLayout();
-  Gibbs.VmMask.resize(NumEdges);
-  Gibbs.VmSlotBit.resize(NumEdges);
-  Gibbs.VmTableBase.resize(NumEdges);
-  for (uint32_t I = 0; I != NumEdges; ++I) {
-    const uint32_t E = L.VarEdges[I];
-    Gibbs.VmMask[I] = L.EdgeVarMask[E];
-    Gibbs.VmSlotBit[I] = L.EdgeSlotBit[E];
-    Gibbs.VmTableBase[I] = L.TableOffset[L.VmFactor[I]];
-  }
-  GibbsValid = true;
-  return Gibbs;
-}
-
-const std::vector<std::vector<uint32_t>> &FactorGraph::varToFactors() const {
-  if (!IndexValid) {
-    const EdgeLayout &L = edgeLayout();
-    VarFactorIndex.assign(Vars.size(), {});
-    for (uint32_t V = 0; V != Vars.size(); ++V) {
-      VarFactorIndex[V].reserve(L.varDegree(static_cast<VarId>(V)));
-      for (uint32_t I = L.VarOffset[V]; I != L.VarOffset[V + 1]; ++I)
-        VarFactorIndex[V].push_back(L.EdgeFactor[L.VarEdges[I]]);
-    }
-    IndexValid = true;
-  }
-  return VarFactorIndex;
 }
 
 double FactorGraph::jointWeight(const std::vector<bool> &Assignment) const {

@@ -11,9 +11,8 @@
 /// generation turns every logical/heuristic rule into a soft predicate
 /// factor (paper Eq. 6): h where the predicate holds, 1-h elsewhere.
 ///
-/// The solvers read a graph through two cached flat layouts: EdgeLayout,
-/// everything belief propagation reads, and GibbsLayout, the three
-/// per-position arrays the Gibbs sweep adds to index the factor tables.
+/// Belief propagation reads a graph through one cached flat layout,
+/// EdgeLayout.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -78,13 +77,13 @@ public:
   const Variable &variable(VarId Id) const { return Vars[Id]; }
   const Factor &factor(uint32_t Id) const { return Factors[Id]; }
 
-  /// Flat CSR edge layout shared by every message-passing solver. One
-  /// *edge* exists per (factor, scope slot) pair; its id is
-  /// FactorOffset[F] + K, so each factor's slots are contiguous and a
-  /// message array indexed by edge id needs no nested vectors. The
-  /// variable-major view (VarOffset/VarEdges) lists each variable's
-  /// edges sorted by edge id, i.e. by (factor, slot) — a fixed,
-  /// allocation-independent order the determinism contract relies on.
+  /// Flat CSR edge layout belief propagation runs on. One *edge* exists
+  /// per (factor, scope slot) pair; its id is FactorOffset[F] + K, so
+  /// each factor's slots are contiguous and a message array indexed by
+  /// edge id needs no nested vectors. The variable-major view
+  /// (VarOffset/VarEdges) lists each variable's edges sorted by edge id,
+  /// i.e. by (factor, slot) — a fixed, allocation-independent order the
+  /// determinism contract relies on.
   struct EdgeLayout {
     /// Factor-major: edges of factor F are [FactorOffset[F],
     /// FactorOffset[F+1]).
@@ -97,13 +96,6 @@ public:
     /// .. VarOffset[V+1]), ascending.
     std::vector<uint32_t> VarOffset;
     std::vector<uint32_t> VarEdges;
-    /// Table-index bit of the edge's own slot (1 << slot).
-    std::vector<uint32_t> EdgeSlotBit;
-    /// OR of the slot bits of *every* occurrence of the edge's variable
-    /// in the owning factor's scope. Equal to EdgeSlotBit except for the
-    /// degenerate factors that repeat a variable; incremental Gibbs uses
-    /// it to set all of a variable's bits in one mask operation.
-    std::vector<uint32_t> EdgeVarMask;
     /// Every factor table concatenated into one contiguous array:
     /// factor F's table occupies TableFlat[TableOffset[F] ..
     /// TableOffset[F] + 2^deg(F)). The kernels gather table entries
@@ -113,8 +105,8 @@ public:
     std::vector<double> TableFlat;
     std::vector<uint32_t> TableOffset;
     /// Variable-major companion of VarEdges: VmFactor[I] =
-    /// EdgeFactor[VarEdges[I]], one indexed load in the BP and Gibbs
-    /// inner loops instead of two dependent ones.
+    /// EdgeFactor[VarEdges[I]], one indexed load in the BP inner loops
+    /// instead of two dependent ones.
     std::vector<uint32_t> VmFactor;
     uint32_t MaxVarDegree = 0;
     uint32_t MaxFactorDegree = 0;
@@ -130,32 +122,10 @@ public:
     }
   };
 
-  /// The Gibbs sampler's arrays over an EdgeLayout. Belief propagation
-  /// reads none of them, so they are built only when a Gibbs solve asks
-  /// for them (gibbsLayout()).
-  struct GibbsLayout {
-    /// Variable-major companions of EdgeLayout::VarEdges, so the Gibbs
-    /// inner loop is one indexed load per field instead of two dependent
-    /// loads: for position I, with E = VarEdges[I], VmMask[I] =
-    /// EdgeVarMask[E], VmSlotBit[I] = EdgeSlotBit[E] and VmTableBase[I]
-    /// = TableOffset[VmFactor[I]].
-    std::vector<uint32_t> VmMask;
-    std::vector<uint32_t> VmSlotBit;
-    std::vector<uint32_t> VmTableBase;
-  };
-
   /// The CSR layout, built on first use and cached; adding a variable or
   /// factor invalidates it (setPrior does not). Not thread-safe: solvers
   /// sharing one graph across threads must touch it once up front.
   const EdgeLayout &edgeLayout() const;
-
-  /// The Gibbs arrays over edgeLayout(), built on first use and cached
-  /// under the same rules.
-  const GibbsLayout &gibbsLayout() const;
-
-  /// Factors mentioning each variable, one entry per scope occurrence
-  /// (built lazily from the edge layout and cached alongside it).
-  const std::vector<std::vector<uint32_t>> &varToFactors() const;
 
   /// Unnormalized joint weight of a full assignment (priors included).
   double jointWeight(const std::vector<bool> &Assignment) const;
@@ -165,10 +135,6 @@ private:
   std::vector<Factor> Factors;
   mutable EdgeLayout Layout;
   mutable bool LayoutValid = false;
-  mutable GibbsLayout Gibbs;
-  mutable bool GibbsValid = false;
-  mutable std::vector<std::vector<uint32_t>> VarFactorIndex;
-  mutable bool IndexValid = false;
 };
 
 /// Distance clampProb keeps every probability from 0 and 1.

@@ -386,56 +386,5 @@ double bpFactorSweep(const BpView &V, const BpState &S, const BpConsts &C,
   return Delta;
 }
 
-//===----------------------------------------------------------------------===//
-// Gibbs
-//===----------------------------------------------------------------------===//
-
-/// The conditional-weight product gathers from the factor tables with
-/// the strided lane tree: lane j multiplies occurrences j, j+4, ...;
-/// tails multiply into their own lane (the unused lanes stay 1.0,
-/// exact); the final combine is (L0*L1)*(L2*L3). One RNG draw per
-/// variable.
-void gibbsSweep(const GibbsView &V, const GibbsState &S) {
-  const Vec4 One = splat(1.0);
-  for (uint32_t Var = 0; Var != V.NumVars; ++Var) {
-    const uint32_t B = V.VarOffset[Var];
-    const uint32_t E = V.VarOffset[Var + 1];
-    Vec4 Acc0 = One, Acc1 = One;
-    uint32_t P = B;
-    for (; P + 4 <= E; P += 4) {
-      uint32_t Idx0[4], Idx1[4];
-      for (uint32_t J = 0; J != 4; ++J) {
-        const uint32_t Cur = S.CurIndex[V.VmFactor[P + J]];
-        const uint32_t Mask = V.VmMask[P + J];
-        const uint32_t TableBase = V.VmTableBase[P + J];
-        Idx0[J] = TableBase + (Cur & ~Mask);
-        Idx1[J] = TableBase + (Cur | Mask);
-      }
-      Acc0 = Acc0 * gather(V.TableFlat, Idx0);
-      Acc1 = Acc1 * gather(V.TableFlat, Idx1);
-    }
-    for (uint32_t J = 0; P != E; ++P, ++J) {
-      const uint32_t Cur = S.CurIndex[V.VmFactor[P]];
-      const uint32_t Mask = V.VmMask[P];
-      const uint32_t TableBase = V.VmTableBase[P];
-      Acc0.L[J] *= V.TableFlat[TableBase + (Cur & ~Mask)];
-      Acc1.L[J] *= V.TableFlat[TableBase + (Cur | Mask)];
-    }
-    const double *L0 = Acc0.L;
-    const double *L1 = Acc1.L;
-    const double Prior = V.Priors[Var];
-    const double W0 = (1.0 - Prior) * ((L0[0] * L0[1]) * (L0[2] * L0[3]));
-    const double W1 = Prior * ((L1[0] * L1[1]) * (L1[2] * L1[3]));
-    const double Sum = W0 + W1;
-    const double U = S.Random->uniform();
-    const bool NewBit = Sum > 0 ? U * Sum < W1 : U < 0.5;
-    if (NewBit != static_cast<bool>(S.Assign[Var])) {
-      S.Assign[Var] = NewBit;
-      for (uint32_t Q = B; Q != E; ++Q)
-        S.CurIndex[V.VmFactor[Q]] ^= V.VmSlotBit[Q];
-    }
-  }
-}
-
 } // namespace kern
 } // namespace anek

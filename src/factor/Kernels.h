@@ -5,13 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The hot solver loops as plain functions over zero-copy views of
-/// FactorGraph::EdgeLayout and FactorGraph::GibbsLayout. Each solver has
-/// one path, and every call covers the whole graph: BP runs the variable
-/// pass, the scatter and the residual-scheduled factor sweep in that
-/// order; Gibbs gathers its conditional weights from the factor tables.
-/// The drivers (factor/BpDriver.cpp, GibbsSolver in factor/Solvers.cpp)
-/// own the per-solve state and call them directly.
+/// The hot belief-propagation loops as plain functions over a zero-copy
+/// view of FactorGraph::EdgeLayout. There is one path, and every call
+/// covers the whole graph: the variable pass, the scatter and the
+/// residual-scheduled factor sweep, in that order. The driver
+/// (factor/BpDriver.cpp) owns the per-solve state and calls them
+/// directly.
 ///
 /// The kernels process four independent outputs (edges, positions,
 /// table entries) per step, and every multi-element reduction uses a
@@ -25,8 +24,6 @@
 
 #ifndef ANEK_FACTOR_KERNELS_H
 #define ANEK_FACTOR_KERNELS_H
-
-#include "support/Rng.h"
 
 #include <cstdint>
 
@@ -99,25 +96,6 @@ struct BpConsts {
   double SkipTolerance = 0.0;
 };
 
-/// Variable-major view for Gibbs sweeps (arrays from EdgeLayout and
-/// FactorGraph::GibbsLayout).
-struct GibbsView {
-  uint32_t NumVars = 0;
-  const uint32_t *VarOffset = nullptr;   ///< NumVars+1; position ranges.
-  const uint32_t *VmFactor = nullptr;    ///< position -> owning factor.
-  const uint32_t *VmMask = nullptr;      ///< position -> repeated-scope mask.
-  const uint32_t *VmSlotBit = nullptr;   ///< position -> slot bit.
-  const uint32_t *VmTableBase = nullptr; ///< position -> TableFlat base.
-  const double *TableFlat = nullptr;
-  const double *Priors = nullptr;
-};
-
-struct GibbsState {
-  uint32_t *CurIndex = nullptr; ///< per factor: current assignment bits.
-  uint8_t *Assign = nullptr;    ///< per variable: current boolean state.
-  Rng *Random = nullptr;        ///< one uniform draw per visited variable.
-};
-
 /// BP phase-1 passes A-C over every variable: gather+clamp incoming
 /// factor->var messages, per-variable exclusive prefix/suffix products,
 /// then the damped message update into NewMsg and its change into
@@ -138,11 +116,6 @@ double bpVarScatter(const BpView &V, const BpState &S);
 /// skipped-factor counts.
 double bpFactorSweep(const BpView &V, const BpState &S, const BpConsts &C,
                      bool Refresh, uint64_t *Updates, uint64_t *Skipped);
-
-/// One Gibbs pass over every variable in ascending order: per variable,
-/// the 4-lane conditional-weight product over incident factor tables,
-/// one RNG draw, and the XOR flip scatter into CurIndex.
-void gibbsSweep(const GibbsView &V, const GibbsState &S);
 
 } // namespace kern
 } // namespace anek

@@ -329,115 +329,3 @@ ExactSolver::solveLogical(const FactorGraph &G, unsigned VarLimit,
                 static_cast<double>(Satisfying);
   return Result;
 }
-
-//===----------------------------------------------------------------------===//
-// Gibbs sampling
-//===----------------------------------------------------------------------===//
-
-Marginals GibbsSolver::solve(const FactorGraph &G,
-                             SolveReport *Report) const {
-  Timer SolveTimer;
-  telemetry::Span SolveSpan("solver.gibbs", telemetry::TraceLevel::Method,
-                            "solver");
-  const unsigned NumVars = G.variableCount();
-  if (NumVars == 0) {
-    if (Report) {
-      *Report = SolveReport();
-      Report->Converged = Opts.Samples > 0;
-      if (!Report->Converged)
-        Report->Reason = "no samples requested (Samples == 0)";
-    }
-    return {};
-  }
-  Rng Random(Opts.Seed);
-  const FactorGraph::EdgeLayout &L = G.edgeLayout();
-  const FactorGraph::GibbsLayout &GL = G.gibbsLayout();
-  const unsigned NumFactors = G.factorCount();
-
-  // Initialize from priors.
-  std::vector<double> Priors(NumVars);
-  std::vector<uint8_t> Assign(NumVars);
-  for (unsigned V = 0; V != NumVars; ++V) {
-    Priors[V] = G.variable(V).Prior;
-    Assign[V] = Random.uniform() < Priors[V];
-  }
-
-  // Incremental conditional evaluation: each factor's current table
-  // index is cached and maintained under flips (flipping V XORs V's
-  // slot bits into every adjacent factor's index), so a conditional
-  // weight is one table load per adjacent factor instead of an index
-  // rebuild over that factor's whole scope.
-  std::vector<uint32_t> CurIndex(NumFactors, 0);
-  for (uint32_t E = 0; E != L.edgeCount(); ++E)
-    if (Assign[L.EdgeVar[E]])
-      CurIndex[L.EdgeFactor[E]] |= L.EdgeSlotBit[E];
-
-  kern::GibbsView View;
-  View.NumVars = NumVars;
-  View.VarOffset = L.VarOffset.data();
-  View.VmFactor = L.VmFactor.data();
-  View.VmMask = GL.VmMask.data();
-  View.VmSlotBit = GL.VmSlotBit.data();
-  View.VmTableBase = GL.VmTableBase.data();
-  View.TableFlat = L.TableFlat.data();
-  View.Priors = Priors.data();
-  kern::GibbsState KState;
-  KState.CurIndex = CurIndex.data();
-  KState.Assign = Assign.data();
-  KState.Random = &Random;
-  std::vector<uint32_t> TrueCounts(NumVars, 0);
-  const unsigned Sweeps = Opts.BurnIn + Opts.Samples;
-  const bool TraceSweeps =
-      telemetry::enabled(telemetry::TraceLevel::Solver);
-  for (unsigned Sweep = 0; Sweep != Sweeps; ++Sweep) {
-    if (TraceSweeps && (Sweep & 0xFF) == 0)
-      telemetry::counterSample("gibbs.progress",
-                               telemetry::TraceLevel::Solver, "solver",
-                               "sweep", static_cast<double>(Sweep));
-    kern::gibbsSweep(View, KState);
-    if (Sweep >= Opts.BurnIn)
-      for (unsigned V = 0; V != NumVars; ++V)
-        TrueCounts[V] += Assign[V];
-  }
-  const uint64_t Updates = uint64_t{NumVars} * Sweeps;
-
-  // Samples == 0 collects nothing by construction: that is a
-  // non-convergent run over the uninformative 0.5 marginals, not a
-  // vacuous success.
-  const bool Converged = Opts.Samples > 0;
-  Marginals Result(NumVars, 0.5);
-  if (Converged)
-    for (unsigned V = 0; V != NumVars; ++V)
-      Result[V] = static_cast<double>(TrueCounts[V]) /
-                  static_cast<double>(Opts.Samples);
-  if (Report) {
-    Report->Iterations = Sweeps;
-    Report->Converged = Converged;
-    Report->Residual = 0.0;
-    Report->Updates = Updates;
-    Report->Seconds = SolveTimer.seconds();
-    Report->Reason.clear();
-    if (!Converged)
-      Report->Reason = "no samples requested (Samples == 0)";
-  }
-  if (telemetry::enabled(telemetry::TraceLevel::Phase)) {
-    telemetry::counter("solver.gibbs.solves").add(1);
-    telemetry::counter("solver.gibbs.flips").add(Updates);
-    if (!Converged)
-      telemetry::counter("solver.gibbs.nonconverged").add(1);
-    telemetry::histogram("solver.gibbs.sweeps")
-        .record(static_cast<double>(Sweeps));
-    telemetry::histogram("solver.gibbs.samples")
-        .record(static_cast<double>(Opts.Samples));
-    telemetry::histogram("solver.gibbs.seconds")
-        .record(SolveTimer.seconds());
-  }
-  if (SolveSpan.active()) {
-    SolveSpan.arg("vars", NumVars);
-    SolveSpan.arg("sweeps", Sweeps);
-    SolveSpan.arg("samples", Opts.Samples);
-    SolveSpan.arg("flips", Updates);
-    SolveSpan.argBool("converged", Converged);
-  }
-  return Result;
-}

@@ -5,22 +5,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Three marginal solvers over FactorGraph:
+/// Two marginal solvers over FactorGraph:
 ///  - SumProductSolver: loopy belief propagation, the sum-product
-///    algorithm of the paper's reference [14]. ANEK's workhorse.
-///  - ExactSolver: marginalization by enumeration; ground truth for tests
-///    and the engine behind the deterministic "Anek Logical" mode.
-///  - GibbsSolver: seeded Gibbs sampling, the "sampling the marginal
-///    functions" alternative mentioned in Section 3.4.
-///
-/// BP and Gibbs each run one kernel path (factor/Kernels.h): BP always
-/// schedules by residual, and Gibbs always reads the factor tables.
+///    algorithm of the paper's reference [14]. ANEK's workhorse; it runs
+///    one kernel path (factor/Kernels.h) and always schedules by
+///    residual.
+///  - ExactSolver: marginalization by enumeration; ground truth for tests,
+///    the fallback cascade's exit for small graphs, and the engine behind
+///    the deterministic "Anek Logical" mode.
 ///
 /// Every solver's work is bounded by its inputs alone (iterations,
-/// sweeps, 2^n assignments), never by a clock, and BP and Gibbs produce
-/// a SolveReport, so callers can treat convergence as a contract (the
-/// fallback cascade in infer/AnekInfer.h keys off it) instead of trusting
-/// the solver to end usefully on pathological graphs.
+/// 2^n assignments), never by a clock, and BP produces a SolveReport, so
+/// callers can treat convergence as a contract (the fallback cascade in
+/// infer/AnekInfer.h keys off it) instead of trusting the solver to end
+/// usefully on pathological graphs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,7 +26,6 @@
 #define ANEK_FACTOR_SOLVERS_H
 
 #include "factor/FactorGraph.h"
-#include "support/Rng.h"
 #include "support/Status.h"
 
 #include <optional>
@@ -42,18 +39,16 @@ using Marginals = std::vector<double>;
 /// How a solve went: the convergence contract a caller can branch on.
 struct SolveReport {
   /// True when the solver reached its own notion of done (BP: residual
-  /// under tolerance; Gibbs: all requested samples collected; exact:
-  /// always when it returns a value).
+  /// under tolerance; exact: always when it returns a value).
   bool Converged = false;
-  /// Last L-inf message residual (BP) or 0 for solvers without one.
+  /// Last L-inf message residual (BP) or 0 for exact enumeration.
   double Residual = 0.0;
-  /// Iterations/sweeps actually executed.
+  /// Iterations actually executed.
   unsigned Iterations = 0;
   /// Wall-clock seconds spent inside the solver.
   double Seconds = 0.0;
-  /// Raw kernel work done: messages computed (BP) or single-variable
-  /// resampling steps (Gibbs). Updates / Seconds is the throughput the
-  /// bench suite tracks.
+  /// Raw kernel work done: messages computed (BP). Updates / Seconds is
+  /// the throughput the bench suite tracks.
   uint64_t Updates = 0;
   /// Factor updates elided by residual scheduling (BP only): sweeps over
   /// factors whose inputs had not moved since their last update.
@@ -152,25 +147,6 @@ public:
   std::optional<Marginals> solveLogical(const FactorGraph &G,
                                         unsigned VarLimit,
                                         double Threshold = 0.5) const;
-};
-
-/// Gibbs sampling with a deterministic seed. Run only when a caller asks
-/// for it (SolverChoice::Gibbs); the fallback cascade does not sample.
-class GibbsSolver {
-public:
-  struct Options {
-    unsigned BurnIn = 200;
-    unsigned Samples = 2000;
-    uint64_t Seed = 1;
-  };
-
-  GibbsSolver() = default;
-  explicit GibbsSolver(Options Opts) : Opts(Opts) {}
-
-  Marginals solve(const FactorGraph &G, SolveReport *Report = nullptr) const;
-
-private:
-  Options Opts;
 };
 
 } // namespace anek

@@ -10,7 +10,6 @@
 #include "support/FaultInject.h"
 #include "support/Hash.h"
 #include "support/Metrics.h"
-#include "support/StringUtils.h"
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
 #include "support/Trace.h"
@@ -27,18 +26,6 @@
 #include <unordered_map>
 
 using namespace anek;
-
-const char *anek::solverChoiceName(SolverChoice Choice) {
-  switch (Choice) {
-  case SolverChoice::SumProduct:
-    return "bp";
-  case SolverChoice::Gibbs:
-    return "gibbs";
-  case SolverChoice::Exact:
-    return "exact";
-  }
-  return "unknown";
-}
 
 const char *anek::cascadeExitName(CascadeExit Exit) {
   switch (Exit) {
@@ -65,6 +52,10 @@ const MethodSpec *InferResult::specFor(const MethodDecl *Method) const {
 }
 
 namespace {
+
+/// A summary update that moves its target by at most this much requeues
+/// nothing: neither the target's owner nor the owner's callers.
+constexpr double SummaryTolerance = 0.02;
 
 /// Odds-ratio clamp: keeps evidence finite when marginals saturate.
 double oddsRatio(double Marginal, double AppliedPrior) {
@@ -124,9 +115,9 @@ void appendReason(MethodReport &Report, std::string Why) {
   Report.Reason += std::move(Why);
 }
 
-/// Cavity beliefs for solvers without native support: each marginal with
-/// the variable's prior divided out (exact on trees, approximate on
-/// loops).
+/// Cavity beliefs for exact marginals, which have no native ones: each
+/// marginal with the variable's prior divided out (exact on trees,
+/// approximate on loops).
 void dividePriors(const FactorGraph &G, const Marginals &M,
                   Marginals &GraphBelief) {
   GraphBelief.resize(M.size());
@@ -135,38 +126,17 @@ void dividePriors(const FactorGraph &G, const Marginals &M,
                                 probToOdds(G.variable(V).Prior));
 }
 
-/// One BP solve with \p O, through \p Bp when set. The delegate is
-/// contractually byte-identical to the local solver, so no caller cares
-/// which path ran.
-Marginals runBp(const FactorGraph &G, const SumProductSolver::Options &O,
-                BpSolveDelegate *Bp, Marginals *GraphBelief,
-                SolveReport &Report) {
-  return Bp ? Bp->solve(O, G, GraphBelief, &Report)
-            : SumProductSolver(O).solve(G, GraphBelief, &Report);
-}
-
-/// Exact marginals of \p G, recorded in \p Report as a converged exact
-/// solve; ResourceExhausted when \p G is too large to enumerate.
-Expected<Marginals> runExact(const FactorGraph &G, MethodReport &Report,
-                             Marginals *GraphBelief) {
-  Expected<Marginals> M = ExactSolver().solve(G);
-  if (M) {
-    Report.Used = SolverChoice::Exact;
-    Report.Solve = SolveReport();
-    Report.Solve.Converged = true;
-    if (GraphBelief)
-      dividePriors(G, *M, *GraphBelief);
-  }
-  return M;
-}
-
 } // namespace
 
 Marginals anek::solveCascade(const FactorGraph &G,
                              const SumProductSolver::Options &BpOpts,
                              BpSolveDelegate *Bp, MethodReport &Report,
                              Marginals *GraphBelief) {
-  Marginals M = runBp(G, BpOpts, Bp, GraphBelief, Report.Solve);
+  // The delegate is contractually byte-identical to the local solver, so
+  // nothing below cares which path ran.
+  Marginals M =
+      Bp ? Bp->solve(BpOpts, G, GraphBelief, &Report.Solve)
+         : SumProductSolver(BpOpts).solve(G, GraphBelief, &Report.Solve);
   if (Report.Solve.Converged)
     return M;
 
@@ -184,8 +154,12 @@ Marginals anek::solveCascade(const FactorGraph &G,
     return M;
   }
   if (G.variableCount() <= ExactSolver::MaxVariables)
-    if (Expected<Marginals> Exact = runExact(G, Report, GraphBelief)) {
+    if (Expected<Marginals> Exact = ExactSolver().solve(G)) {
       Report.Exit = CascadeExit::Exact;
+      Report.Solve = SolveReport();
+      Report.Solve.Converged = true;
+      if (GraphBelief)
+        dividePriors(G, *Exact, *GraphBelief);
       return Exact.take();
     }
   // Too large to enumerate: BP's beliefs are still a usable
@@ -376,7 +350,7 @@ private:
   }
 
   /// The check a record read back from the cache must pass before the
-  /// merge trusts it: it is \p M's, its solver id is in range, and every
+  /// merge trusts it: it is \p M's, its cascade exit is in range, and every
   /// update names a known owner, a present target, odds of that target's
   /// arity and, for site evidence, a known caller. Records computed or
   /// memoized in this engine are trusted without it.
@@ -395,22 +369,9 @@ private:
   /// Arms the cache for this run when one is attached and the memo is
   /// armed, and hashes each method's run-constant key prefix: the
   /// program-environment/options digest, the method's transitive SCC
-  /// content chain hash, its declaration index and its solver seed.
-  /// Leaves Cache null otherwise.
+  /// content chain hash and its declaration index. Leaves Cache null
+  /// otherwise.
   void prepareCache();
-
-  /// An explicitly requested Gibbs or exact solve (BP goes through
-  /// solveCascade). Fills \p GraphBelief with the marginals, each prior
-  /// divided out, and \p Report, which must be fresh. An exact request
-  /// too large to enumerate falls back to one BP solve and exits
-  /// KeptDegraded. \p Seed seeds the Gibbs chain.
-  Marginals solveRequested(const FactorGraph &G, Marginals &GraphBelief,
-                           MethodReport &Report, uint64_t Seed) const;
-
-  /// Stable Gibbs seed for \p M: a hash of the qualified method name
-  /// mixed with a fixed salt. Identical across runs, processes and job
-  /// counts; distinct (in practice) across methods.
-  static uint64_t methodSeed(const MethodDecl *M);
 
   Program &Prog;
   const InferOptions &Opts;
@@ -528,41 +489,6 @@ void InferEngine::computeEvidence(std::vector<SummaryUpdate> &Updates,
   }
   Update.Odds = std::move(Odds);
   Updates.push_back(std::move(Update));
-}
-
-uint64_t InferEngine::methodSeed(const MethodDecl *M) {
-  // The salt is the splitmix64 finalizer of 1. Changing it would move
-  // every method's seed, its Gibbs chain and its cache-key component.
-  constexpr uint64_t Salt = [] {
-    uint64_t S = 1 + 0x9E3779B97F4A7C15ULL;
-    S = (S ^ (S >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    S = (S ^ (S >> 27)) * 0x94D049BB133111EBULL;
-    return S ^ (S >> 31);
-  }();
-  const uint64_t Mixed = stableHash64(M->qualifiedName()) ^ Salt;
-  return Mixed ? Mixed : 0x9E3779B97F4A7C15ULL;
-}
-
-Marginals InferEngine::solveRequested(const FactorGraph &G,
-                                      Marginals &GraphBelief,
-                                      MethodReport &Report,
-                                      uint64_t Seed) const {
-  if (Opts.Solver == SolverChoice::Gibbs) {
-    GibbsSolver::Options O;
-    O.Seed = Seed;
-    Report.Used = SolverChoice::Gibbs;
-    Marginals M = GibbsSolver(O).solve(G, &Report.Solve);
-    dividePriors(G, M, GraphBelief);
-    return M;
-  }
-  Expected<Marginals> M = runExact(G, Report, &GraphBelief);
-  if (M)
-    return M.take();
-  // Too large for enumeration; fall back to belief propagation.
-  Report.Exit = CascadeExit::KeptDegraded;
-  appendReason(Report, M.status().str());
-  return runBp(G, SumProductSolver::Options(), Opts.Bp, &GraphBelief,
-               Report.Solve);
 }
 
 std::vector<InferEngine::Application>
@@ -740,15 +666,11 @@ summaryio::SolveOutcome InferEngine::analyzeOne(MethodDecl *M,
   Timer SolveTimer;
   Marginals GraphBelief;
   MethodReport Report;
-  const Marginals Solution =
-      Opts.Solver == SolverChoice::SumProduct
-          ? solveCascade(FG, SumProductSolver::Options(), Opts.Bp, Report,
-                         &GraphBelief)
-          : solveRequested(FG, GraphBelief, Report, methodSeed(M));
+  const Marginals Solution = solveCascade(FG, SumProductSolver::Options(),
+                                          Opts.Bp, Report, &GraphBelief);
   Out.SolveSeconds = SolveTimer.seconds();
   Out.Variables = FG.variableCount();
   Out.Factors = FG.factorCount();
-  Out.SolverUsed = static_cast<uint8_t>(Report.Used);
   Out.Exit = static_cast<uint8_t>(Report.Exit);
   Out.Reason = std::move(Report.Reason);
   Out.Solve = std::move(Report.Solve);
@@ -767,13 +689,13 @@ summaryio::SolveOutcome InferEngine::analyzeOne(MethodDecl *M,
 }
 
 void InferEngine::buildSummaryStore() {
-  // Priors and shapes are a pure function of the AST + SpecHi/SpecLo.
+  // Priors and shapes are a pure function of the AST.
   for (const auto &Type : Prog.Types)
     for (const auto &M : Type->Methods) {
       MethodSummary &Summary =
           Summaries
-              .emplace(M.get(), MethodSummary::forMethod(*M, Opts.SpecHi,
-                                                         Opts.SpecLo))
+              .emplace(M.get(), MethodSummary::forMethod(*M, SpecPriorHigh,
+                                                         SpecPriorLow))
               .first->second;
       if (M->DeclIndex >= Decls.size())
         Decls.resize(M->DeclIndex + 1);
@@ -862,7 +784,7 @@ unsigned InferEngine::applyMerge(MergePlan &Plan, ThreadPool *Pool) {
                    : Target.setSiteOdds(
                          {methodAt(U.SiteCallerDeclIndex), U.SiteIndex},
                          std::move(U.Odds));
-      Moved += Delta > Opts.SummaryTolerance;
+      Moved += Delta > SummaryTolerance;
     }
     Plan.Moved[G] = Moved;
   });
@@ -901,8 +823,6 @@ Status InferEngine::validateOutcome(const SolveOutcome &O,
   if (O.DeclIndex != M->DeclIndex)
     return Reject("outcome for method #" + std::to_string(O.DeclIndex) +
                   " filed as '" + M->qualifiedName() + "'");
-  if (O.SolverUsed > static_cast<uint8_t>(SolverChoice::Exact))
-    return Reject("unknown solver id " + std::to_string(O.SolverUsed));
   if (O.Exit >= NumCascadeExits)
     return Reject("unknown cascade exit " + std::to_string(O.Exit));
   for (const SummaryUpdate &U : O.Updates) {
@@ -995,32 +915,19 @@ void InferEngine::prepareCache() {
   if (!Opts.Cache || !MemoArmed)
     return;
 
-  // Environment digest: the wire version (entries are sealed blobs), the
-  // full algorithm-option fingerprint, and the type/signature/annotation
-  // level of the program — everything that shapes summary skeletons and
-  // callee resolution without being any one method's body. Because it
-  // covers every type's method count and ordered signatures, any edit
-  // that shifts a declaration index changes every key, which is what
-  // lets entries name methods by index. Threshold,
-  // SummaryTolerance and MaxIters are deliberately excluded: they steer
-  // extraction and scheduling, not what one SOLVE computes, so entries
-  // stay valid across them.
+  // Environment digest: the wire version (entries are sealed blobs, and
+  // the version moves with every change to what a SOLVE computes, the
+  // model's constants included), the constraint toggles, and the
+  // type/signature/annotation level of the program — everything that
+  // shapes summary skeletons and callee resolution without being any one
+  // method's body. Because it covers every type's method count and
+  // ordered signatures, any edit that shifts a declaration index changes
+  // every key, which is what lets entries name methods by index.
+  // MaxIters is deliberately excluded: it steers scheduling, not what
+  // one SOLVE computes, so entries stay valid across it.
   HashStream Env;
   Env.u32(summaryio::WireVersion);
-  Env.u8(static_cast<uint8_t>(Opts.Solver));
-  Env.f64(Opts.SpecHi);
-  Env.f64(Opts.SpecLo);
   const ConstraintOptions &C = Opts.Constraints;
-  Env.f64(C.L1Branch);
-  Env.f64(C.L1Split);
-  Env.f64(C.L2Incoming);
-  Env.f64(C.L3FieldWrite);
-  Env.f64(C.H1Ctor);
-  Env.f64(C.H2PrePost);
-  Env.f64(C.H3Create);
-  Env.f64(C.H4Setter);
-  Env.f64(C.H5Sync);
-  Env.f64(C.H6WeakPre);
   Env.u8(C.EnableH1 ? 1 : 0);
   Env.u8(C.EnableH2 ? 1 : 0);
   Env.u8(C.EnableH3 ? 1 : 0);
@@ -1030,7 +937,6 @@ void InferEngine::prepareCache() {
   Env.u8(C.LogicalOnly ? 1 : 0);
   Env.u8(C.EnableExclusivity ? 1 : 0);
   Env.u8(C.KindMutex ? 1 : 0);
-  Env.f64(C.KindMutexProb);
   // Evidence tracing annotates updates with debug lines that are stored
   // and replayed; entries written with tracing off lack them.
   Env.u8(DebugEvidence ? 1 : 0);
@@ -1079,7 +985,6 @@ void InferEngine::prepareCache() {
       Prefix.u64(EnvHash);
       Prefix.u64(GroupHash[S]);
       Prefix.u32(Member->DeclIndex);
-      Prefix.u64(methodSeed(Member));
     }
   }
   Cache = Opts.Cache;
@@ -1199,28 +1104,12 @@ InferResult InferEngine::run() {
       ++WaveIndex;
 
       // Build + solve every job in the batch against the frozen store.
-      // Each job wraps itself in a method span that records where its
-      // wall-clock went: time spent queued behind other jobs (wait_us,
-      // measured from wave dispatch to job start) vs. time actually
-      // analyzing (the span duration).
-      const int64_t DispatchUs =
-          telemetry::enabled() ? telemetry::nowUs() : 0;
+      // Each job wraps itself in a method span and records its run time.
       std::vector<SolveOutcome> Outcomes(Batch.size());
       std::vector<MemoProbe> Probes(MemoArmed ? Batch.size() : 0);
-
-      // Jobs parallelFor runs inline never sit in a queue: their start
-      // time minus the dispatch time is the earlier jobs' run time, so
-      // they record no queue wait at all.
-      const bool Inline = parallelForRunsInline(Pool.get(), Batch.size());
       parallelFor(Pool.get(), Batch.size(), [&](size_t I) {
         telemetry::Span JobSpan("infer.method",
                                 telemetry::TraceLevel::Method, "infer");
-        int64_t WaitUs = 0;
-        if (!Inline && telemetry::enabled(telemetry::TraceLevel::Phase)) {
-          WaitUs = telemetry::nowUs() - DispatchUs;
-          telemetry::histogram("infer.queue_wait_us")
-              .record(static_cast<double>(WaitUs));
-        }
         const int64_t RunStartUs =
             telemetry::enabled() ? telemetry::nowUs() : 0;
         try {
@@ -1237,16 +1126,13 @@ InferResult InferEngine::run() {
         if (JobSpan.active()) {
           const SolveOutcome &Out = Outcomes[I];
           JobSpan.arg("method", Batch[I]->qualifiedName());
-          if (!Inline)
-            JobSpan.arg("wait_us", WaitUs);
           if (Out.Failed) {
             JobSpan.argBool("failed", true);
           } else {
             JobSpan.arg("vars", Out.Variables);
             JobSpan.arg("factors", Out.Factors);
-            JobSpan.arg("solver", solverChoiceName(static_cast<SolverChoice>(
-                                      Out.SolverUsed)));
-            JobSpan.argBool("fallback", Out.Exit != 0);
+            JobSpan.arg("exit",
+                        cascadeExitName(static_cast<CascadeExit>(Out.Exit)));
           }
         }
       });
@@ -1313,7 +1199,6 @@ InferResult InferEngine::run() {
         std::optional<MethodReport> &Slot = Reports[M->DeclIndex];
         const unsigned PrevSolves = Slot ? Slot->Solves : 0;
         MethodReport &Report = Slot.emplace();
-        Report.Used = static_cast<SolverChoice>(Out.SolverUsed);
         Report.Exit = static_cast<CascadeExit>(Out.Exit);
         Report.Reason = std::move(Out.Reason);
         Report.Solve = std::move(Out.Solve);
@@ -1384,11 +1269,12 @@ InferResult InferEngine::run() {
     if (const std::optional<MethodReport> &Report = Reports[M->DeclIndex];
         Report && Report->Failed)
       continue;
-    if (Opts.RespectDeclared && M->HasDeclaredSpec)
+    if (M->HasDeclaredSpec)
       continue;
     MethodSpec Spec =
         extractSpec(Summaries.at(M),
-                    static_cast<unsigned>(M->Params.size()), Opts.Threshold);
+                    static_cast<unsigned>(M->Params.size()),
+                    ExtractionThreshold);
     if (M->IsCtor && Spec.Result) {
       // A constructor's "result" is its receiver after construction.
       if (!Spec.ReceiverPost)

@@ -39,16 +39,10 @@
 
 namespace anek {
 
-/// Which marginal solver ANEK-INFER's SOLVE step uses.
-enum class SolverChoice { SumProduct, Gibbs, Exact };
-
-/// Renders a SolverChoice as "bp"/"gibbs"/"exact".
-const char *solverChoiceName(SolverChoice Choice);
-
 /// How one SOLVE left the fallback cascade (DESIGN.md, "The fallback
 /// cascade").
 enum class CascadeExit : uint8_t {
-  /// No fallback: the requested solver met its contract.
+  /// No fallback: BP met its contract.
   None = 0,
   /// BP missed its tolerance but ended within NearConvergence; its
   /// beliefs were kept as they are.
@@ -56,8 +50,7 @@ enum class CascadeExit : uint8_t {
   /// Exact enumeration of a graph within ExactSolver::MaxVariables.
   Exact,
   /// BP missed and the graph was too large to enumerate, so BP's
-  /// unconverged beliefs were kept. Also an explicitly requested exact
-  /// solve that had to fall back to BP.
+  /// unconverged beliefs were kept.
   KeptDegraded,
 };
 
@@ -70,11 +63,9 @@ const char *cascadeExitName(CascadeExit Exit);
 
 /// How one method's SOLVE step went, cascade decisions included.
 struct MethodReport {
-  /// The solver whose marginals were actually used (last solve).
-  SolverChoice Used = SolverChoice::SumProduct;
-  /// How the cascade ended. Anything but None means the first solve
-  /// missed its contract and the cascade ran (BP missed its tolerance, or
-  /// a requested exact solve did not fit): a fallback solve.
+  /// How the cascade ended, and so which solver's marginals were used:
+  /// exact enumeration's for Exact, BP's otherwise. Anything but None
+  /// means BP missed its tolerance and the cascade ran: a fallback solve.
   CascadeExit Exit = CascadeExit::None;
   /// Why the cascade moved on; empty when the first attempt converged.
   std::string Reason;
@@ -95,6 +86,11 @@ struct MethodReport {
 /// workloads ends converged or within it.
 inline constexpr double NearConvergence = 1e-2;
 
+/// Extraction threshold t of Fig. 9 (lines 22-29), in [0.5, 1): a kind,
+/// and a state beside it, enters a spec only when its pooled probability
+/// exceeds t. Declared specs are always kept as they are.
+inline constexpr double ExtractionThreshold = 0.7;
+
 /// The SOLVE step's fallback cascade, shared by the modular engine and
 /// the joint solve (DESIGN.md, "The fallback cascade"). Runs BP once with
 /// \p BpOpts, through \p Bp when set, and exits:
@@ -103,31 +99,27 @@ inline constexpr double NearConvergence = 1e-2;
 ///    bp-nonconverge fault is injected;
 ///  - Exact when \p G has at most ExactSolver::MaxVariables variables;
 ///  - KeptDegraded otherwise, keeping BP's beliefs.
-/// Records the exit, the solver used, its SolveReport and the reason
-/// trail in \p Report, which must be fresh. \p GraphBelief, when
-/// non-null, receives the per-variable cavity beliefs (BP's own, or the
-/// exact marginals with each prior divided out).
+/// Records the exit, the SolveReport of the solve whose marginals are
+/// returned and the reason trail in \p Report, which must be fresh.
+/// \p GraphBelief, when non-null, receives the per-variable cavity
+/// beliefs (BP's own, or the exact marginals with each prior divided
+/// out).
 Marginals solveCascade(const FactorGraph &G,
                        const SumProductSolver::Options &BpOpts,
                        BpSolveDelegate *Bp, MethodReport &Report,
                        Marginals *GraphBelief = nullptr);
 
-/// Tunables of the inference (paper Sections 3.3-3.4).
+/// What a caller of the inference chooses: the pick budget, the
+/// constraint-family toggles, and how the run is executed (threads, the
+/// summary cache, the BP seam). Everything else the model and the
+/// extraction use is a named constant (ExtractionThreshold,
+/// SpecPriorHigh/SpecPriorLow in constraints/VarMap.h, the h weights in
+/// constraints/ConstraintGen.cpp).
 struct InferOptions {
   /// Worklist picks (Figure 9's MaxIters). 0 means 3 passes over the
   /// methods with bodies.
   unsigned MaxIters = 0;
-  /// Extraction threshold t in [0.5, 1).
-  double Threshold = 0.7;
-  /// A summary change below this does not requeue dependents.
-  double SummaryTolerance = 0.02;
-  SolverChoice Solver = SolverChoice::SumProduct;
   ConstraintOptions Constraints;
-  /// Spec-prior strengths (Section 3.2).
-  double SpecHi = 0.9;
-  double SpecLo = 0.1;
-  /// Keep explicitly declared specs instead of inferred ones.
-  bool RespectDeclared = true;
 
   // Parallel scheduler (DESIGN.md, "Concurrency model").
   /// Working threads for the wave scheduler: 1 = run wave jobs and the

@@ -69,8 +69,7 @@ std::vector<MethodModel> buildJointGraph(Program &Prog, FactorGraph &FG,
     auto Seed = [&](PfgNodeId Node, const std::optional<PermState> &PS) {
       if (Node == NoPfgNode || !PS)
         return;
-      setSpecPriors(FG, Model.Vars->node(Node), G.statesOf(Node), PS,
-                    Opts.SpecHi, Opts.SpecLo);
+      setSpecPriors(FG, Model.Vars->node(Node), G.statesOf(Node), PS);
     };
     Seed(G.ReceiverPre, Spec.ReceiverPre);
     Seed(G.ReceiverPost, Spec.ReceiverPost);
@@ -106,7 +105,7 @@ std::vector<MethodModel> buildJointGraph(Program &Prog, FactorGraph &FG,
           if (Node == NoPfgNode || !PS)
             return;
           setSpecPriors(FG, Model.Vars->node(Node), Model.G.statesOf(Node),
-                        PS, Opts.SpecHi, Opts.SpecLo);
+                        PS);
         };
         Seed(Site.RecvPre, Spec.ReceiverPre);
         Seed(Site.RecvPost, Spec.ReceiverPost);
@@ -152,12 +151,11 @@ std::vector<MethodModel> buildJointGraph(Program &Prog, FactorGraph &FG,
 
 /// Extracts specs for all modeled methods from a joint solution.
 MethodDeclMap<MethodSpec>
-extractAll(const std::vector<MethodModel> &Models, const Marginals &Solution,
-           const InferOptions &Opts) {
+extractAll(const std::vector<MethodModel> &Models, const Marginals &Solution) {
   MethodDeclMap<MethodSpec> Out;
   for (const MethodModel &Model : Models) {
     MethodDecl *M = Model.Method;
-    if (Opts.RespectDeclared && M->HasDeclaredSpec)
+    if (M->HasDeclaredSpec)
       continue;
     const Pfg &G = Model.G;
     MethodSpec Spec;
@@ -167,7 +165,7 @@ extractAll(const std::vector<MethodModel> &Models, const Marginals &Solution,
         return std::nullopt;
       std::vector<double> P =
           readMarginals(Model.Vars->node(Node), Solution);
-      return extractPermState(P, G.statesOf(Node), Opts.Threshold);
+      return extractPermState(P, G.statesOf(Node), ExtractionThreshold);
     };
     Spec.ReceiverPre = Extract(G.ReceiverPre);
     Spec.ReceiverPost = Extract(G.ReceiverPost);
@@ -207,7 +205,7 @@ GlobalResult anek::runGlobalInfer(Program &Prog, const InferOptions &Opts,
   Marginals Solution = solveCascade(FG, BpOpts, Opts.Bp, Result.Report);
   Result.SolveSeconds = SolveTimer.seconds();
 
-  Result.Inferred = extractAll(Models, Solution, Opts);
+  Result.Inferred = extractAll(Models, Solution);
   return Result;
 }
 
@@ -243,6 +241,6 @@ LogicalResult anek::runLogicalInfer(Program &Prog, unsigned VarLimit,
   }
 
   Result.Finished = true;
-  Result.Inferred = extractAll(Models, *Solution, LogicalOpts);
+  Result.Inferred = extractAll(Models, *Solution);
   return Result;
 }

@@ -93,7 +93,6 @@ void encodeOutcome(wire::Writer &W, const SolveOutcome &O) {
   W.u32(O.DeclIndex);
   W.u8(O.Failed ? 1 : 0);
   W.str(O.Error);
-  W.u8(O.SolverUsed);
   W.u8(O.Exit);
   W.str(O.Reason);
   encodeSolveReport(W, O.Solve);
@@ -119,7 +118,7 @@ void encodeOutcome(wire::Writer &W, const SolveOutcome &O) {
 Status decodeOutcome(wire::Reader &R, SolveOutcome &O) {
   uint8_t Failed = 0;
   if (!(R.u32(O.DeclIndex) && R.u8(Failed) && R.str(O.Error) &&
-        R.u8(O.SolverUsed) && R.u8(O.Exit) && R.str(O.Reason)))
+        R.u8(O.Exit) && R.str(O.Reason)))
     return corrupt("truncated outcome record");
   O.Failed = Failed != 0;
   if (!decodeSolveReport(R, O.Solve))

@@ -52,7 +52,7 @@ namespace summaryio {
 /// every other version, and the cache's environment digest folds it in,
 /// so entries an older build wrote read back as invalidated instead of
 /// replaying that build's results.
-constexpr uint32_t WireVersion = 4;
+constexpr uint32_t WireVersion = 5;
 
 /// What a sealed blob carries. The kind is part of the envelope so a
 /// snapshot can never be mistaken for a cache entry. The values are part
@@ -122,10 +122,9 @@ struct SolveOutcome {
   bool Failed = false;
   std::string Error;
 
-  /// MethodReport mirror: solver cascade outcome.
-  uint8_t SolverUsed = 0; ///< SolverChoice as its enum value.
-  /// CascadeExit as its enum value; non-zero exactly when the cascade
-  /// ran (a fallback solve).
+  /// MethodReport mirror: solver cascade outcome. CascadeExit as its
+  /// enum value; non-zero exactly when the cascade ran (a fallback
+  /// solve).
   uint8_t Exit = 0;
   std::string Reason;
   SolveReport Solve;

@@ -124,7 +124,6 @@ Status digestMetrics(const std::string &Text, Profile &P) {
   if (Hits + Misses > 0)
     P.CacheHitRate = static_cast<double>(Hits) /
                      static_cast<double>(Hits + Misses);
-  P.QueueWaitUs = HistogramSum("infer.queue_wait_us");
   P.MethodRunUs = HistogramSum("infer.method_run_us");
   P.Picks = Counter("infer.worklist_picks");
   P.Replays = Counter("infer.replays");
@@ -208,18 +207,7 @@ std::string report::renderText(const Profile &P, unsigned TopK) {
     if (P.CacheHitRate >= 0.0)
       Out += formatStr("  cache hit rate        %.1f%%\n",
                        P.CacheHitRate * 100.0);
-    if (P.QueueWaitUs || P.MethodRunUs) {
-      uint64_t Total = P.QueueWaitUs + P.MethodRunUs;
-      Out += formatStr(
-          "  queue-wait vs solve   %s / %s (%.1f%% waiting)\n",
-          formatUs(static_cast<int64_t>(P.QueueWaitUs)).c_str(),
-          formatUs(static_cast<int64_t>(P.MethodRunUs)).c_str(),
-          Total ? 100.0 * static_cast<double>(P.QueueWaitUs) /
-                      static_cast<double>(Total)
-                : 0.0);
-    }
-    // Trace-derived, but shown here: beside the queue wait it tells
-    // whether a -jN run lost its time waiting or merging.
+    // Trace-derived, but listed with the run-wide figures below it.
     if (P.Phase2Us > 0)
       Out += formatStr(
           "  serial merge          %s / %s (%.1f%% of phase 2)\n",
@@ -283,8 +271,6 @@ std::string report::renderJson(const Profile &P, unsigned TopK) {
     Out += "    \"cache_hit_rate\": " +
            (P.CacheHitRate >= 0.0 ? jsonNumber(P.CacheHitRate) : "null") +
            ",\n";
-    Out += "    \"queue_wait_us\": " +
-           jsonNumber(static_cast<double>(P.QueueWaitUs)) + ",\n";
     Out += "    \"method_run_us\": " +
            jsonNumber(static_cast<double>(P.MethodRunUs)) + ",\n";
     Out += "    \"picks\": " + jsonNumber(static_cast<double>(P.Picks)) +

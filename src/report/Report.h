@@ -9,9 +9,8 @@
 /// `anek-trace-v1` Chrome trace, an `anek-metrics-v1` snapshot, or both —
 /// into one profile a human can read in ten seconds (DESIGN.md,
 /// "Telemetry"): where the wall-clock went per phase, the top spans by
-/// duration, the cache hit rate, the queue-wait vs. solve split, the
-/// serial merge's share of phase 2, and the share of worklist picks the
-/// in-run SOLVE memo replayed.
+/// duration, the cache hit rate, the serial merge's share of phase 2,
+/// and the share of worklist picks the in-run SOLVE memo replayed.
 ///
 /// The profiler is a pure function of the artifact bytes: it never runs
 /// inference, so profiling a run costs milliseconds regardless of what
@@ -60,8 +59,8 @@ struct Profile {
   /// Total time of the infer.merge spans and of infer.phase2.waves. The
   /// merge runs between a wave's jobs and the next wave, so it is the
   /// part of phase 2 that `-j N` shortens least; both 0 without the
-  /// spans. The text rendering prints the share beside the queue-wait
-  /// line, so it needs the metrics artifact too.
+  /// spans. The text rendering prints the share in its metrics section,
+  /// so it needs the metrics artifact too.
   int64_t MergeUs = 0;
   int64_t Phase2Us = 0;
 
@@ -77,11 +76,8 @@ struct Profile {
   /// cache.hit / (cache.hit + cache.miss); negative when no cache
   /// counters were exported.
   double CacheHitRate = -1.0;
-  /// Total microseconds wave jobs spent queued vs. solving (from the
-  /// infer.queue_wait_us / infer.method_run_us histograms). Jobs that ran
-  /// inline on the scheduling thread (-j1) never queue and record no
-  /// wait.
-  uint64_t QueueWaitUs = 0;
+  /// Total microseconds wave jobs spent running (the infer.method_run_us
+  /// histogram).
   uint64_t MethodRunUs = 0;
   /// Worklist picks, and how many of them the in-run SOLVE memo replayed
   /// instead of solving (infer.worklist_picks / infer.replays).

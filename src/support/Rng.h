@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A seeded SplitMix64 generator. All randomized components (corpus
-/// generation, Gibbs sampling) take one of these so every run of the test
-/// and bench suites is reproducible.
+/// A seeded SplitMix64 generator. Every randomized component (corpus
+/// generation, the random graphs of the tests and benches) takes one of
+/// these so every run of the test and bench suites is reproducible.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +20,7 @@
 namespace anek {
 
 /// SplitMix64: tiny, fast, and statistically adequate for workload
-/// generation and Gibbs sampling.
+/// generation.
 class Rng {
 public:
   explicit Rng(uint64_t Seed) : State(Seed) {}

@@ -50,12 +50,3 @@ std::string anek::join(const std::vector<std::string> &Parts,
   }
   return Result;
 }
-
-uint64_t anek::stableHash64(const std::string &S) {
-  uint64_t Hash = 0xCBF29CE484222325ULL; // FNV offset basis.
-  for (unsigned char C : S) {
-    Hash ^= C;
-    Hash *= 0x100000001B3ULL; // FNV prime.
-  }
-  return Hash;
-}

@@ -7,16 +7,10 @@
 #ifndef ANEK_SUPPORT_STRINGUTILS_H
 #define ANEK_SUPPORT_STRINGUTILS_H
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
 namespace anek {
-
-/// Stable 64-bit FNV-1a hash of \p S: identical across runs, processes and
-/// platforms (unlike std::hash), so it can seed per-method solvers
-/// deterministically.
-uint64_t stableHash64(const std::string &S);
 
 /// Returns true if \p S starts with \p Prefix.
 bool startsWith(const std::string &S, const std::string &Prefix);

@@ -80,17 +80,13 @@ void ThreadPool::workerLoop() {
   }
 }
 
-bool anek::parallelForRunsInline(const ThreadPool *Pool, size_t Count) {
-  return !Pool || Pool->parallelism() <= 1 || Count <= 1;
-}
-
 void anek::parallelFor(ThreadPool *Pool, size_t Count,
                        const std::function<void(size_t)> &Fn) {
   auto RunInline = [&] {
     for (size_t I = 0; I != Count; ++I)
       Fn(I);
   };
-  if (parallelForRunsInline(Pool, Count))
+  if (!Pool || Pool->parallelism() <= 1 || Count <= 1)
     return RunInline();
   ThreadPool::Loop L(Fn, Count);
   bool Busy;

@@ -49,6 +49,11 @@ public:
   /// when the runtime cannot tell.
   static unsigned defaultParallelism();
 
+  /// The largest thread count `--jobs` accepts. A pool starts all of its
+  /// workers up front, so a count from the command line must be bounded
+  /// before it reaches the constructor.
+  static constexpr unsigned MaxParallelism = 256;
+
 private:
   friend void parallelFor(ThreadPool *Pool, size_t Count,
                           const std::function<void(size_t)> &Fn);
@@ -85,12 +90,6 @@ private:
 /// run wave jobs against a read-only snapshot.
 void parallelFor(ThreadPool *Pool, size_t Count,
                  const std::function<void(size_t)> &Fn);
-
-/// True when parallelFor(Pool, Count, ...) runs its calls inline on the
-/// calling thread (the pool not being busy with another call). Such calls
-/// never wait for a thread, so callers that measure queue wait must not
-/// record any for them.
-bool parallelForRunsInline(const ThreadPool *Pool, size_t Count);
 
 } // namespace anek
 

@@ -142,7 +142,7 @@ private:
 
 /// Records an instant event ("ph":"i") when \p Level is enabled.
 /// \p ArgsJson, when non-empty, is a preformatted JSON object body such
-/// as "\"stage\":\"gibbs\"" — use jsonQuote for string values.
+/// as "\"stage\":\"exact\"" — use jsonQuote for string values.
 void instant(const char *Name, TraceLevel Level, const char *Category,
              std::string ArgsJson = std::string());
 

@@ -84,7 +84,6 @@ std::string renderedSpecs(const Program &Prog, const InferResult &R) {
 summaryio::SolveOutcome sampleOutcome() {
   summaryio::SolveOutcome S;
   S.DeclIndex = 5;
-  S.SolverUsed = 2;
   S.Exit = static_cast<uint8_t>(CascadeExit::Exact);
   S.Reason = "exact fallback";
   S.Solve.Converged = true;
@@ -135,7 +134,6 @@ void expectSameOutcome(const summaryio::SolveOutcome &A,
   EXPECT_EQ(A.DeclIndex, B.DeclIndex);
   EXPECT_EQ(A.Failed, B.Failed);
   EXPECT_EQ(A.Error, B.Error);
-  EXPECT_EQ(A.SolverUsed, B.SolverUsed);
   EXPECT_EQ(A.Exit, B.Exit);
   EXPECT_EQ(A.Reason, B.Reason);
   EXPECT_EQ(A.Solve.Converged, B.Solve.Converged);
@@ -593,7 +591,6 @@ public:
     MissingTarget,
     WrongArity,
     OtherMethod,
-    UnknownSolver,
     UnknownExit,
     Failed,
   };
@@ -619,9 +616,6 @@ public:
       break;
     case Damage::OtherMethod:
       Out.DeclIndex += 1;
-      break;
-    case Damage::UnknownSolver:
-      Out.SolverUsed = 7;
       break;
     case Damage::UnknownExit:
       Out.Exit = NumCascadeExits;
@@ -651,9 +645,9 @@ private:
 TEST_F(CacheTest, HitsThatDoNotFitTheProgramAreResolved) {
   // A hit is validated against the program before the merge trusts it.
   // One that names an unknown owner, a target the owner does not have,
-  // odds of the wrong arity, another method or an unknown solver, or
-  // that records a failure, is counted as invalidated and re-solved, and
-  // the output does not change.
+  // odds of the wrong arity, another method or an unknown cascade exit,
+  // or that records a failure, is counted as invalidated and re-solved,
+  // and the output does not change.
   const std::string Source = iteratorApiSource() + spreadsheetSource();
   auto Plain = analyze(Source);
   InferResult Uncached = runAnekInfer(*Plain);
@@ -664,7 +658,6 @@ TEST_F(CacheTest, HitsThatDoNotFitTheProgramAreResolved) {
         DamagingCache::Damage::MissingTarget,
         DamagingCache::Damage::WrongArity,
         DamagingCache::Damage::OtherMethod,
-        DamagingCache::Damage::UnknownSolver,
         DamagingCache::Damage::UnknownExit,
         DamagingCache::Damage::Failed}) {
     SCOPED_TRACE(static_cast<int>(D));

@@ -78,8 +78,7 @@ PmdRun runPmd(const PmdCorpus &Corpus, unsigned Jobs,
   POpts.SpecFor = [&R](const MethodDecl &M) { return *R.specFor(&M); };
   Out << printProgram(*Prog, POpts);
   for (const auto &[M, Report] : R.Reports)
-    Out << M->qualifiedName() << ": used=" << solverChoiceName(Report.Used)
-        << " fallback=" << (Report.Exit != CascadeExit::None)
+    Out << M->qualifiedName() << ": exit=" << cascadeExitName(Report.Exit)
         << " converged=" << Report.Solve.Converged
         << " iters=" << Report.Solve.Iterations
         << " solves=" << Report.Solves << " reason=" << Report.Reason
@@ -168,5 +167,4 @@ TEST(ClaimsTest, PmdJointSolveEndsNearConvergence) {
   EXPECT_TRUE(Joint.Report.Exit == CascadeExit::None ||
               Joint.Report.Exit == CascadeExit::NearConvergedBp)
       << cascadeExitName(Joint.Report.Exit) << ": " << Joint.Report.Reason;
-  EXPECT_EQ(Joint.Report.Used, SolverChoice::SumProduct);
 }

@@ -56,8 +56,7 @@ std::string renderRun(const std::string &Source, unsigned Parallelism,
   POpts.SpecFor = [&](const MethodDecl &M) { return *R.specFor(&M); };
   Out << printProgram(*Prog, POpts);
   for (const auto &[M, Report] : R.Reports) {
-    Out << M->qualifiedName() << ": used=" << solverChoiceName(Report.Used)
-        << " fallback=" << (Report.Exit != CascadeExit::None)
+    Out << M->qualifiedName() << ": exit=" << cascadeExitName(Report.Exit)
         << " converged=" << Report.Solve.Converged
         << " iters=" << Report.Solve.Iterations
         << " solves=" << Report.Solves << " failed=" << Report.Failed

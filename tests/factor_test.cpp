@@ -45,16 +45,6 @@ TEST(FactorGraphTest, JointWeight) {
   EXPECT_NEAR(G.jointWeight({false}), 0.2 * 1.0, 1e-12);
 }
 
-TEST(FactorGraphTest, VarToFactorsIndex) {
-  FactorGraph G;
-  VarId A = G.addVariable(0.5), B = G.addVariable(0.5);
-  G.addEqualityFactor(A, B, 0.9);
-  G.addFactor({B}, {1.0, 1.0});
-  const auto &Index = G.varToFactors();
-  EXPECT_EQ(Index[A].size(), 1u);
-  EXPECT_EQ(Index[B].size(), 2u);
-}
-
 //===----------------------------------------------------------------------===//
 // Exact solver
 //===----------------------------------------------------------------------===//
@@ -170,34 +160,6 @@ TEST(SumProductTest, ConvergesOnLoop) {
     EXPECT_GE(P, 0.0);
     EXPECT_LE(P, 1.0);
   }
-}
-
-//===----------------------------------------------------------------------===//
-// Gibbs sampling
-//===----------------------------------------------------------------------===//
-
-TEST(GibbsTest, MatchesExactOnSmallGraph) {
-  FactorGraph G;
-  VarId A = G.addVariable(0.8);
-  VarId B = G.addVariable(0.5);
-  G.addEqualityFactor(A, B, 0.9);
-  Marginals Exact = *ExactSolver().solve(G);
-  GibbsSolver::Options Opts;
-  Opts.Samples = 8000;
-  Opts.BurnIn = 500;
-  Marginals Gibbs = GibbsSolver(Opts).solve(G);
-  EXPECT_NEAR(Gibbs[A], Exact[A], 0.05);
-  EXPECT_NEAR(Gibbs[B], Exact[B], 0.05);
-}
-
-TEST(GibbsTest, DeterministicWithSeed) {
-  FactorGraph G;
-  VarId A = G.addVariable(0.6);
-  VarId B = G.addVariable(0.4);
-  G.addEqualityFactor(A, B, 0.8);
-  Marginals M1 = GibbsSolver().solve(G);
-  Marginals M2 = GibbsSolver().solve(G);
-  EXPECT_EQ(M1, M2);
 }
 
 //===----------------------------------------------------------------------===//
@@ -444,35 +406,4 @@ TEST(ExactEnumeration, WeightedSolveMatchesJointWeight) {
     for (unsigned V = 0; V != NumVars; ++V)
       EXPECT_EQ((*Got)[V], TrueMass[V] / Total) << Seed << "/" << V;
   }
-}
-
-//===----------------------------------------------------------------------===//
-// A pinned Gibbs chain
-//===----------------------------------------------------------------------===//
-
-TEST(GibbsTest, SeededChainIsPinned) {
-  // One seeded chain, pinned bit for bit: each marginal is its true
-  // count over the 100 kept samples, divided as the solver divides. Any
-  // change to the order in which a sweep visits the 70 variables, or to
-  // the draws it makes, moves the counts.
-  FactorGraph G = makeRandomGraph(70, 90, 21);
-  GibbsSolver::Options Opts;
-  Opts.BurnIn = 30;
-  Opts.Samples = 100;
-  Opts.Seed = 0x5EED;
-  SolveReport Report;
-  Marginals M = GibbsSolver(Opts).solve(G, &Report);
-  const std::vector<unsigned> TrueCounts = {
-      3,  65, 29, 67, 9,  5,  58, 11, 48, 97, 65, 42, 86, 89, 52, 55, 17, 97,
-      92, 66, 54, 7,  22, 60, 26, 0,  68, 91, 78, 39, 48, 35, 8,  40, 18, 46,
-      75, 22, 83, 7,  17, 85, 22, 36, 55, 99, 69, 81, 20, 69, 3,  29, 93, 46,
-      22, 31, 66, 19, 40, 22, 10, 46, 29, 76, 39, 4,  54, 64, 5,  29};
-  ASSERT_EQ(M.size(), TrueCounts.size());
-  for (unsigned V = 0; V != M.size(); ++V)
-    EXPECT_EQ(M[V], static_cast<double>(TrueCounts[V]) /
-                        static_cast<double>(Opts.Samples))
-        << "variable " << V;
-  EXPECT_TRUE(Report.Converged);
-  EXPECT_EQ(Report.Iterations, 130u);
-  EXPECT_EQ(Report.Updates, 70u * 130u);
 }

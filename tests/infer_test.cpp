@@ -89,20 +89,6 @@ TEST(AnekInferTest, MaxItersBoundsWork) {
   EXPECT_LE(R.WorklistPicks, 3u);
 }
 
-TEST(AnekInferTest, GibbsSolverWorksEndToEnd) {
-  auto Prog = analyze(iteratorApiSource() + R"mj(
-class C {
-  int take(Iterator<Integer> it) { return it.next(); }
-}
-)mj");
-  InferOptions Opts;
-  Opts.Solver = SolverChoice::Gibbs;
-  InferResult R = runAnekInfer(*Prog, Opts);
-  const MethodSpec *Spec = R.specFor(method(*Prog, "C", "take"));
-  ASSERT_TRUE(Spec->ParamPre[0].has_value());
-  EXPECT_EQ(Spec->ParamPre[0]->Kind, PermKind::Full);
-}
-
 TEST(AnekInferTest, FileProtocolInference) {
   auto Prog = analyze(fileProtocolSource());
   InferResult R = runAnekInfer(*Prog);
@@ -155,7 +141,6 @@ TEST(CascadeTest, NearConvergedSolveCostsOneBpCall) {
             R.FallbackSolves);
   ASSERT_FALSE(R.Reports.empty());
   for (const auto &[M, Report] : R.Reports) {
-    EXPECT_EQ(Report.Used, SolverChoice::SumProduct) << M->qualifiedName();
     EXPECT_EQ(Report.Exit, CascadeExit::NearConvergedBp)
         << M->qualifiedName();
     EXPECT_FALSE(Report.Solve.Converged) << M->qualifiedName();
@@ -297,8 +282,7 @@ RunImage runImage(const std::string &Source, const InferOptions &Opts) {
   std::ostringstream Out;
   Out << std::hexfloat;
   for (const auto &[M, Rep] : R.Reports)
-    Out << M->qualifiedName() << " used=" << solverChoiceName(Rep.Used)
-        << " fallback=" << (Rep.Exit != CascadeExit::None)
+    Out << M->qualifiedName() << " exit=" << cascadeExitName(Rep.Exit)
         << " reason=" << Rep.Reason
         << " converged=" << Rep.Solve.Converged
         << " residual=" << Rep.Solve.Residual

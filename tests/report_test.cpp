@@ -6,9 +6,8 @@
 // under test: a missing artifact drops its section (never fails),
 // malformed artifacts are hard errors (never a silently wrong profile),
 // the JSON rendering is a parseable anek-report-v1 document, the serial
-// merge's share of phase 2 is shown beside the queue wait, and a real
-// single-threaded run profiles with zero queue wait and its
-// memo-replayed share of picks.
+// merge's share of phase 2 is shown, and a real single-threaded run
+// profiles with its job run time and its memo-replayed share of picks.
 //
 //===----------------------------------------------------------------------===//
 
@@ -63,8 +62,6 @@ std::string sampleMetrics() {
   },
   "gauges": {"solver.bp.residual": 0.001},
   "histograms": {
-    "infer.queue_wait_us": {"count": 6, "sum": 1500.0, "min": 100.0,
-      "max": 400.0, "mean": 250.0, "p50": 200.0, "p95": 390.0, "p99": 400.0},
     "infer.method_run_us": {"count": 4, "sum": 2000.0, "min": 300.0,
       "max": 900.0, "mean": 500.0, "p50": 450.0, "p95": 880.0, "p99": 900.0}
   }
@@ -120,7 +117,6 @@ TEST(ReportTest, DigestsMetricsIntoAggregates) {
   EXPECT_FALSE(P->HasTrace);
 
   EXPECT_NEAR(P->CacheHitRate, 5.0 / 6.0, 1e-12);
-  EXPECT_EQ(P->QueueWaitUs, 1500u);
   EXPECT_EQ(P->MethodRunUs, 2000u);
   EXPECT_EQ(P->Picks, 24u);
   EXPECT_EQ(P->Replays, 6u);
@@ -182,7 +178,6 @@ TEST(ReportTest, RenderJsonIsParseableAnekReportV1) {
 
   const json::Value &Metrics = Doc.at("metrics");
   EXPECT_NEAR(Metrics.at("cache_hit_rate").num(), 5.0 / 6.0, 1e-9);
-  EXPECT_EQ(Metrics.at("queue_wait_us").num(), 1500.0);
   EXPECT_EQ(Metrics.at("picks").num(), 24.0);
   EXPECT_EQ(Metrics.at("replayed_picks").num(), 6.0);
   EXPECT_EQ(Metrics.at("histograms")
@@ -202,7 +197,6 @@ TEST(ReportTest, RenderTextShowsEverySectionAndHonorsTopK) {
   EXPECT_NE(Text.find("phases (top-level spans)"), std::string::npos);
   EXPECT_NE(Text.find("infer.run"), std::string::npos);
   EXPECT_NE(Text.find("cache hit rate"), std::string::npos);
-  EXPECT_NE(Text.find("queue-wait vs solve"), std::string::npos);
   EXPECT_NE(Text.find("replayed picks        6 / 24 (25.0%)"),
             std::string::npos);
 
@@ -214,17 +208,15 @@ TEST(ReportTest, RenderTextShowsEverySectionAndHonorsTopK) {
 }
 
 TEST(ReportTest, ShowsTheSerialMergeShareOfPhase2) {
-  // The merge is the serial part of phase 2; its share sits beside the
-  // queue-wait line so a -jN regression in either shows up together.
+  // The merge is the serial part of phase 2, so its share shows where a
+  // -jN run stops scaling.
   Expected<report::Profile> P =
       report::profileFromText(waveTrace(), sampleMetrics());
   ASSERT_TRUE(P.hasValue()) << P.status().str();
   EXPECT_EQ(P->MergeUs, 250);
   EXPECT_EQ(P->Phase2Us, 1000);
   std::string Text = report::renderText(*P);
-  EXPECT_NE(Text.find("  queue-wait vs solve   1.50ms / 2.00ms (42.9% "
-                      "waiting)\n"
-                      "  serial merge          0.25ms / 1.00ms (25.0% of "
+  EXPECT_NE(Text.find("  serial merge          0.25ms / 1.00ms (25.0% of "
                       "phase 2)\n"),
             std::string::npos)
       << Text;
@@ -243,10 +235,8 @@ TEST(ReportTest, ShowsTheSerialMergeShareOfPhase2) {
             std::string::npos);
 }
 
-TEST(ReportTest, SequentialRunHasNoQueueWaitAndShowsItsReplays) {
-  // A real -j1 run, traced at method level. Its jobs run inline on the
-  // scheduling thread, so nothing ever queues: the profile must say 0
-  // waiting rather than sum each job's wait for the jobs before it.
+TEST(ReportTest, SequentialRunShowsItsRunTimeAndReplays) {
+  // A real -j1 run, traced at method level.
   telemetry::resetTrace();
   telemetry::resetMetricsForTest();
   telemetry::setTraceLevel(telemetry::TraceLevel::Method);
@@ -265,11 +255,7 @@ TEST(ReportTest, SequentialRunHasNoQueueWaitAndShowsItsReplays) {
 
   Expected<report::Profile> P = report::profileFromText(Trace, Metrics);
   ASSERT_TRUE(P.hasValue()) << P.status().str();
-  EXPECT_EQ(P->QueueWaitUs, 0u);
   EXPECT_GT(P->MethodRunUs, 0u);
-  EXPECT_EQ(Trace.find("\"wait_us\""), std::string::npos)
-      << "inline jobs must not carry a wait_us span arg";
-  EXPECT_NE(report::renderText(*P).find("(0.0% waiting)"), std::string::npos);
 
   // The replayed share of picks comes straight from the run.
   EXPECT_EQ(P->Picks, R.WorklistPicks);

@@ -46,33 +46,36 @@ std::vector<fs::path> corpusFiles() {
   return Files;
 }
 
-/// Runs the real `anek` binary; returns its exit code (-1 on signal /
-/// abnormal termination) and captures combined stdout+stderr.
-int runTool(const std::string &ArgLine, std::string *Output = nullptr) {
-  fs::path Capture =
-      fs::temp_directory_path() /
-      ("anek_robustness_" + std::to_string(::getpid()) + ".out");
-  std::string Cmd = std::string(ANEK_TOOL_PATH) + " " + ArgLine + " > " +
-                    Capture.string() + " 2>&1";
-  int RawStatus = std::system(Cmd.c_str());
-  if (Output) {
-    std::ifstream In(Capture);
-    std::ostringstream Buffer;
-    Buffer << In.rdbuf();
-    *Output = Buffer.str();
-  }
-  std::error_code Ignored;
-  fs::remove(Capture, Ignored);
-  if (RawStatus == -1 || !WIFEXITED(RawStatus))
-    return -1; // Crashed or was signalled: never acceptable.
-  return WEXITSTATUS(RawStatus);
-}
-
 std::string readFile(const fs::path &Path) {
   std::ifstream In(Path);
   std::ostringstream Buffer;
   Buffer << In.rdbuf();
   return Buffer.str();
+}
+
+/// Runs the real `anek` binary; returns its exit code (-1 on signal /
+/// abnormal termination) and captures combined stdout+stderr, or, with
+/// \p Stdout, stdout alone there and stderr in \p Output.
+int runTool(const std::string &ArgLine, std::string *Output = nullptr,
+            std::string *Stdout = nullptr) {
+  const std::string Stem =
+      (fs::temp_directory_path() /
+       ("anek_robustness_" + std::to_string(::getpid())))
+          .string();
+  const std::string Capture = Stem + ".out", Errors = Stem + ".err";
+  std::string Cmd = std::string(ANEK_TOOL_PATH) + " " + ArgLine + " > " +
+                    Capture + (Stdout ? " 2> " + Errors : " 2>&1");
+  int RawStatus = std::system(Cmd.c_str());
+  if (Stdout)
+    *Stdout = readFile(Capture);
+  if (Output)
+    *Output = readFile(Stdout ? Errors : Capture);
+  std::error_code Ignored;
+  fs::remove(Capture, Ignored);
+  fs::remove(Errors, Ignored);
+  if (RawStatus == -1 || !WIFEXITED(RawStatus))
+    return -1; // Crashed or was signalled: never acceptable.
+  return WEXITSTATUS(RawStatus);
 }
 
 std::unique_ptr<Program> analyze(const std::string &Source) {
@@ -152,6 +155,19 @@ TEST_F(RobustnessTest, DriverExitCodeContract) {
   EXPECT_EQ(runTool("infer --example file"), 0);
 }
 
+TEST_F(RobustnessTest, DriverRejectsThreadCountsOutsideOneTo256) {
+  // A sign, a count that does not fit `unsigned` and one above the
+  // ceiling are usage errors, rejected before any thread starts.
+  for (const char *Count : {"-1", "4294967296", "257"}) {
+    std::string Errors, Stdout;
+    EXPECT_EQ(runTool(std::string("infer --example file -j ") + Count,
+                      &Errors, &Stdout),
+              2)
+        << Count << ": " << Errors;
+    EXPECT_EQ(Stdout, "") << Count;
+  }
+}
+
 TEST_F(RobustnessTest, DriverReportsFaultInjection) {
   std::string Output;
   int Exit = runTool(
@@ -160,6 +176,34 @@ TEST_F(RobustnessTest, DriverReportsFaultInjection) {
   EXPECT_EQ(Exit, 0) << Output;
   EXPECT_NE(Output.find("(fallback)"), std::string::npos) << Output;
   EXPECT_EQ(runTool("infer --example file --fault no-such-fault"), 2);
+}
+
+TEST_F(RobustnessTest, ReportSolverColumnFollowsTheCascadeExit) {
+  // Under the injected fault every solve falls back. Row.add's graph is
+  // small enough to enumerate, so its marginals are exact; the other six
+  // keep BP's beliefs.
+  std::string Errors, Stdout;
+  ASSERT_EQ(runTool("infer --example spreadsheet --report "
+                    "--fault bp-nonconverge -j1",
+                    &Errors, &Stdout),
+            0)
+      << Errors;
+  std::istringstream Lines(Stdout);
+  unsigned Exact = 0, Bp = 0, Methods = 0;
+  for (std::string Line; std::getline(Lines, Line);) {
+    if (Line.rfind("// method ", 0) != 0)
+      continue;
+    ++Methods;
+    if (Line.rfind("// method Row.add: solver=exact (fallback) ", 0) == 0)
+      ++Exact;
+    else if (Line.find(": solver=bp (fallback) ") != std::string::npos)
+      ++Bp;
+    else
+      ADD_FAILURE() << Line;
+  }
+  EXPECT_EQ(Methods, 7u) << Stdout;
+  EXPECT_EQ(Exact, 1u) << Stdout;
+  EXPECT_EQ(Bp, 6u) << Stdout;
 }
 
 //===----------------------------------------------------------------------===//
@@ -253,7 +297,6 @@ TEST_F(RobustnessTest, NonConvergedLargeGraphsKeepTheirBpBeliefs) {
   ASSERT_EQ(Faulted.Reports.size(), 4u);
   for (const auto &[M, Report] : Faulted.Reports) {
     EXPECT_EQ(Report.Exit, CascadeExit::KeptDegraded) << M->qualifiedName();
-    EXPECT_EQ(Report.Used, SolverChoice::SumProduct) << M->qualifiedName();
     EXPECT_FALSE(Report.Solve.Converged) << M->qualifiedName();
   }
   EXPECT_TRUE(Faulted.Inferred == Clean.Inferred);
@@ -272,12 +315,10 @@ TEST_F(RobustnessTest, NonConvergedSmallGraphIsSolvedExactly) {
   for (const auto &[M, Report] : Result.Reports) {
     if (M->qualifiedName() == "Row.add") {
       EXPECT_EQ(Report.Exit, CascadeExit::Exact);
-      EXPECT_EQ(Report.Used, SolverChoice::Exact);
       EXPECT_TRUE(Report.Solve.Converged);
     } else {
       EXPECT_EQ(Report.Exit, CascadeExit::KeptDegraded)
           << M->qualifiedName();
-      EXPECT_EQ(Report.Used, SolverChoice::SumProduct) << M->qualifiedName();
     }
   }
   EXPECT_EQ(Result.FallbackSolves, Result.WorklistPicks);
@@ -297,7 +338,6 @@ TEST_F(RobustnessTest, NonConvergedJointSolveKeepsItsBpBeliefs) {
   GlobalResult Faulted = runGlobalInfer(*Prog);
   EXPECT_EQ(Faulted.TotalVariables, 1668u);
   EXPECT_EQ(Faulted.Report.Exit, CascadeExit::KeptDegraded);
-  EXPECT_EQ(Faulted.Report.Used, SolverChoice::SumProduct);
   EXPECT_FALSE(Faulted.Report.Solve.Converged);
   EXPECT_FALSE(Faulted.Inferred.empty());
   EXPECT_TRUE(Faulted.Inferred == Clean.Inferred);

@@ -15,8 +15,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "factor/FactorGraph.h"
-#include "factor/Solvers.h"
 #include "support/Metrics.h"
 #include "support/Trace.h"
 
@@ -415,7 +413,7 @@ TEST_F(TraceTest, CloseRecordsEarlyAndIsIdempotent) {
 TEST_F(TraceTest, InstantAndCounterSampleEvents) {
   telemetry::setTraceLevel(TraceLevel::Solver);
   telemetry::instant("test.instant", TraceLevel::Solver, "test",
-                     "\"stage\":" + telemetry::jsonQuote("gibbs"));
+                     "\"stage\":" + telemetry::jsonQuote("exact"));
   telemetry::counterSample("test.series", TraceLevel::Solver, "test",
                            "residual", 0.125);
   Json Doc = mustParse(telemetry::chromeTraceJson());
@@ -424,7 +422,7 @@ TEST_F(TraceTest, InstantAndCounterSampleEvents) {
     if (E.at("ph").S == "i" && E.at("name").S == "test.instant") {
       SawInstant = true;
       EXPECT_EQ(E.at("s").S, "t");
-      EXPECT_EQ(E.at("args").at("stage").S, "gibbs");
+      EXPECT_EQ(E.at("args").at("stage").S, "exact");
     }
     if (E.at("ph").S == "C" && E.at("name").S == "test.series") {
       SawCounter = true;
@@ -653,28 +651,6 @@ TEST_F(TraceTest, OffModeIsCheap) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
           .count();
   EXPECT_LT(Seconds, 2.0) << "disabled spans cost too much";
-}
-
-//===----------------------------------------------------------------------===//
-// The Gibbs Samples == 0 reason (the cascade bugfix satellite)
-//===----------------------------------------------------------------------===//
-
-TEST_F(TraceTest, GibbsZeroSamplesReportsReason) {
-  FactorGraph G;
-  G.addVariable(0.7);
-  G.addVariable(0.4);
-  G.addFactor({0, 1}, {1.2, 0.4, 0.4, 1.2});
-
-  GibbsSolver::Options Opts;
-  Opts.Samples = 0;
-  GibbsSolver Solver(Opts);
-  SolveReport Report;
-  Solver.solve(G, &Report);
-  EXPECT_FALSE(Report.Converged);
-  ASSERT_FALSE(Report.Reason.empty())
-      << "non-convergence must carry a reason";
-  EXPECT_NE(Report.Reason.find("no samples"), std::string::npos)
-      << Report.Reason;
 }
 
 //===----------------------------------------------------------------------===//

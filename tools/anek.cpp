@@ -11,9 +11,9 @@
 //   anek report [--trace F] [--metrics F]      profile a run
 //   anek faults                                 list injectable faults
 //
-// --jobs N, -j N or -jN runs inference on N worker threads (default: one
-// per hardware thread; 1 = fully sequential). Output is byte-identical
-// for every N.
+// --jobs N, -j N or -jN runs inference on N worker threads, 1 <= N <= 256
+// (default: one per hardware thread; 1 = fully sequential). Output is
+// byte-identical for every N.
 //
 // --cache DIR memoizes SOLVE results in DIR; a warm rerun replays them
 // byte-identically. The accounting goes to stderr: what the cache
@@ -27,9 +27,9 @@
 // Telemetry never changes the inferred specs (see DESIGN.md, Telemetry).
 //
 // `anek report` digests the artifacts a run wrote (--trace/--metrics
-// files) into a profile: per-phase time, top spans, cache hit rate,
-// queue-wait vs solve split, replayed share of picks. --json emits the
-// machine-readable anek-report-v1 document.
+// files) into a profile: per-phase time, top spans, cache hit rate, the
+// serial merge's share of phase 2, replayed share of picks. --json emits
+// the machine-readable anek-report-v1 document.
 //
 // Built-in examples: spreadsheet, file, field.
 //
@@ -53,8 +53,11 @@
 #include "support/FaultInject.h"
 #include "support/Format.h"
 #include "support/Metrics.h"
+#include "support/ThreadPool.h"
 #include "support/Trace.h"
 
+#include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -73,16 +76,33 @@ enum ExitCode { ExitOk = 0, ExitDiagnostics = 1, ExitUsage = 2,
                 ExitInternal = 3 };
 
 void usage() {
-  std::fputs("usage: anek <infer|check|verify|pfg|ir> "
-             "<file.mjava | --example spreadsheet|file|field> "
-             "[--dot] [--method NAME] [--report] [--fault SPEC] "
-             "[--jobs N | -j N | -jN] [--cache DIR] [--trace FILE] "
-             "[--metrics FILE] [--trace-level off|phase|method|solver]\n"
-             "       anek report [--trace FILE] [--metrics FILE] "
-             "[--json] [--top N]\n"
-             "       anek faults\n"
-             "(--fault list prints the fault vocabulary)\n",
-             stderr);
+  std::fprintf(stderr,
+               "usage: anek <infer|check|verify|pfg|ir> "
+               "<file.mjava | --example spreadsheet|file|field> "
+               "[--dot] [--method NAME] [--report] [--fault SPEC] "
+               "[--jobs N | -j N | -jN] [--cache DIR] [--trace FILE] "
+               "[--metrics FILE] [--trace-level off|phase|method|solver]\n"
+               "       anek report [--trace FILE] [--metrics FILE] "
+               "[--json] [--top N]\n"
+               "       anek faults\n"
+               "(--jobs takes 1 to %u threads; --fault list prints the "
+               "fault vocabulary)\n",
+               ThreadPool::MaxParallelism);
+}
+
+/// Parses a --jobs count: decimal digits only (no sign, no blanks),
+/// 1 <= N <= ThreadPool::MaxParallelism. False on anything else.
+bool parseJobs(const std::string &Count, unsigned &Out) {
+  if (Count.empty() ||
+      !std::all_of(Count.begin(), Count.end(),
+                   [](unsigned char C) { return std::isdigit(C); }))
+    return false;
+  // Digits only, so an out-of-range count saturates at ULONG_MAX.
+  const unsigned long Value = std::strtoul(Count.c_str(), nullptr, 10);
+  if (Value == 0 || Value > ThreadPool::MaxParallelism)
+    return false;
+  Out = static_cast<unsigned>(Value);
+  return true;
 }
 
 /// Lists every injectable fault kind with its one-line description.
@@ -204,8 +224,8 @@ bool loadSource(const std::string &Arg, bool IsExample, std::string &Out) {
   return true;
 }
 
-/// One line per analyzed method: which solver's marginals were used and
-/// how the cascade got there.
+/// One line per analyzed method: which solver's marginals were used (the
+/// cascade's exact exit, else BP) and how the cascade got there.
 void printReports(const InferResult &Inference) {
   for (const auto &[M, Report] : Inference.Reports) {
     if (Report.Failed) {
@@ -215,7 +235,8 @@ void printReports(const InferResult &Inference) {
     }
     std::printf("// method %s: solver=%s%s converged=%s iters=%u "
                 "residual=%.2g%s%s\n",
-                M->qualifiedName().c_str(), solverChoiceName(Report.Used),
+                M->qualifiedName().c_str(),
+                Report.Exit == CascadeExit::Exact ? "exact" : "bp",
                 Report.Exit != CascadeExit::None ? " (fallback)" : "",
                 Report.Solve.Converged ? "yes" : "no",
                 Report.Solve.Iterations, Report.Solve.Residual,
@@ -292,14 +313,12 @@ int run(int Argc, char **Argv) {
       // the joined one carries its count in the flag itself.
       const bool Joined = Args[I] != "-j" && Args[I] != "--jobs";
       const std::string Count = Joined ? Args[I].substr(2) : Args[++I];
-      char *End = nullptr;
-      unsigned long Value = std::strtoul(Count.c_str(), &End, 10);
-      if (!End || *End != '\0' || Value == 0) {
-        std::fprintf(stderr, "anek: bad thread count '%s' (want N >= 1)\n",
-                     Count.c_str());
+      if (!parseJobs(Count, Jobs)) {
+        std::fprintf(stderr,
+                     "anek: bad thread count '%s' (want 1 <= N <= %u)\n",
+                     Count.c_str(), ThreadPool::MaxParallelism);
         return ExitUsage;
       }
-      Jobs = static_cast<unsigned>(Value);
     } else if (flagValue(Args, I, "--cache", Value)) {
       if (Value.empty()) {
         std::fprintf(stderr, "anek: empty cache directory\n");
