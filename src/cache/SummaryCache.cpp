@@ -4,12 +4,11 @@
 
 #include "infer/SummaryIO.h"
 #include "support/FaultInject.h"
+#include "support/WireFormat.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 using namespace anek;
@@ -17,175 +16,91 @@ using namespace anek::cache;
 
 namespace fs = std::filesystem;
 
-SummaryCache::SummaryCache(std::string Dir) : Dir(std::move(Dir)) {
-  if (this->Dir.empty())
+SummaryCache::SummaryCache(const std::string &Dir) {
+  if (Dir.empty())
     return;
   std::error_code Ec;
-  fs::create_directories(this->Dir, Ec);
-  // An uncreatable directory is not an error: every lookup will miss and
-  // every store will fail to persist, which is the degradation contract.
-  loadIndex();
-}
-
-std::string SummaryCache::hexKey(uint64_t Key) {
-  char Buf[17];
-  std::snprintf(Buf, sizeof(Buf), "%016llx",
-                static_cast<unsigned long long>(Key));
-  return Buf;
-}
-
-void SummaryCache::loadIndex() {
-  std::ifstream In(fs::path(Dir) / IndexFileName, std::ios::binary);
-  if (!In)
-    return; // A fresh directory: empty cache, not corruption.
-  std::string Line;
-  if (!std::getline(In, Line) || Line != IndexFileName) {
-    ++Stats.Corrupt; // Header of a different (or damaged) format.
-    return;
-  }
-  while (std::getline(In, Line)) {
-    if (Line.empty())
-      continue;
-    const size_t Space = Line.find(' ');
-    if (Space != 16 || Line.size() < 18) {
-      ++Stats.Corrupt;
-      return; // Abandon the damaged tail; parsed entries stay usable.
-    }
-    const std::string Hex = Line.substr(0, 16);
-    char *End = nullptr;
-    const uint64_t Key = std::strtoull(Hex.c_str(), &End, 16);
-    if (!End || *End != '\0') {
-      ++Stats.Corrupt;
-      return;
-    }
-    Index[Line.substr(Space + 1)].insert(Key);
-  }
-}
-
-bool SummaryCache::loadBlob(uint64_t Key, std::string &Blob) {
-  if (Dir.empty()) {
-    auto It = MemBlobs.find(Key);
-    if (It == MemBlobs.end())
-      return false;
-    Blob = It->second;
-    return true;
-  }
-  std::ifstream In(fs::path(Dir) / (hexKey(Key) + ".sum"), std::ios::binary);
-  if (!In)
-    return false;
+  fs::create_directories(Dir, Ec);
+  const fs::path Path = fs::path(Dir) / LogFileName;
   std::ostringstream Buf;
-  Buf << In.rdbuf();
-  Blob = std::move(Buf).str();
-  return In.good() || In.eof();
-}
-
-bool SummaryCache::saveBlob(uint64_t Key, const std::string &Blob) {
-  if (Dir.empty()) {
-    MemBlobs[Key] = Blob;
-    return true;
+  Buf << std::ifstream(Path, std::ios::binary).rdbuf();
+  const std::string Bytes = std::move(Buf).str();
+  const std::string Header = std::string(LogFileName) + "\n";
+  if (std::string_view(Bytes).substr(0, Header.size()) != Header) {
+    // No log yet, or the header of another format: start a new log.
+    Log.open(Path, std::ios::binary | std::ios::trunc);
+    Log << Header << std::flush;
+    return;
   }
-  // Temp file + rename: a crash mid-write leaves either the old blob or
-  // none, never a torn one (and a torn rename survivor would still be
-  // caught by the envelope checksum).
-  const fs::path Final = fs::path(Dir) / (hexKey(Key) + ".sum");
-  const fs::path Tmp = fs::path(Dir) / (hexKey(Key) + ".sum.tmp");
-  {
-    std::ofstream Out(Tmp, std::ios::binary | std::ios::trunc);
-    if (!Out)
-      return false;
-    Out.write(Blob.data(), static_cast<std::streamsize>(Blob.size()));
-    if (!Out.good())
-      return false;
+  wire::Reader R(std::string_view(Bytes).substr(Header.size()));
+  size_t Whole = Header.size();
+  while (R.remaining() != 0) {
+    uint64_t Key = 0;
+    std::string Name, Blob;
+    if (!R.u64(Key) || !R.str(Name) || !R.str(Blob, summaryio::MaxBlobBytes))
+      break; // A torn or damaged tail: keep the records before it.
+    Index[Name].insert(Key);
+    Blobs[Key] = std::move(Blob);
+    Whole = Bytes.size() - R.remaining();
   }
-  std::error_code Ec;
-  fs::rename(Tmp, Final, Ec);
-  if (Ec) {
-    fs::remove(Tmp, Ec);
-    return false;
-  }
-  return true;
+  if (Whole != Bytes.size())
+    fs::resize_file(Path, Whole, Ec);
+  Log.open(Path, std::ios::binary | std::ios::app);
 }
 
 CacheLookup SummaryCache::lookup(const std::string &MethodName, uint64_t Key,
                                  CachedSolve &Out) {
   std::lock_guard<std::mutex> Lock(Mutex);
   auto It = Index.find(MethodName);
-  if (It == Index.end()) {
-    ++Stats.Misses;
+  if (It == Index.end())
     return CacheLookup::Miss;
-  }
   if (!It->second.count(Key)) {
     // Entries exist, but none under this content key: the method (or
     // something it transitively depends on, or the summary state it is
     // being solved against) changed since they were written.
-    ++Stats.Invalidated;
     return CacheLookup::Invalidated;
   }
-  auto Drop = [&] {
-    It->second.erase(Key);
-    if (It->second.empty())
-      Index.erase(It);
-    ++Stats.Corrupt;
-  };
-  std::string Blob;
-  if (!loadBlob(Key, Blob)) {
-    // Indexed but the blob is gone/unreadable: rot, classified as a miss.
-    Drop();
-    return CacheLookup::Corrupt;
-  }
+  std::string Blob = Blobs[Key];
   // The wire-corrupt control point at the `cache` site: flip one byte of
-  // the loaded blob, exactly as disk rot would. The envelope checksum
+  // the read blob, exactly as disk rot would. The envelope checksum
   // rejects it below and the lookup degrades to a counted miss.
   if (faults::anyActive() &&
       faults::consumeFire(FaultKind::WireCorrupt, "cache") && !Blob.empty())
     Blob[Blob.size() / 2] ^= 0x20;
   Expected<CachedSolve> Decoded = summaryio::decodeCacheEntry(Blob, Key);
   if (!Decoded) {
-    Drop();
-    if (Dir.empty())
-      MemBlobs.erase(Key);
+    // Rot: drop the record, so a re-solve can store it afresh.
+    It->second.erase(Key);
+    if (It->second.empty())
+      Index.erase(It);
+    Blobs.erase(Key);
     return CacheLookup::Corrupt;
   }
   Out = Decoded.take();
-  ++Stats.Hits;
   return CacheLookup::Hit;
 }
 
 void SummaryCache::store(const std::string &MethodName, uint64_t Key,
                          const CachedSolve &Entry) {
-  const std::string Blob = summaryio::encodeCacheEntry(Key, Entry);
+  std::string Blob = summaryio::encodeCacheEntry(Key, Entry);
   std::lock_guard<std::mutex> Lock(Mutex);
-  if (auto It = Index.find(MethodName);
-      It != Index.end() && It->second.count(Key))
+  if (!Index[MethodName].insert(Key).second)
     return; // Already stored (a warm run re-stores nothing).
-  if (!saveBlob(Key, Blob))
-    return; // Absorbed: an unpersistable entry is a future miss.
-  if (!Dir.empty()) {
-    const fs::path IndexPath = fs::path(Dir) / IndexFileName;
-    std::error_code Ec;
-    const bool Fresh = !fs::exists(IndexPath, Ec);
-    std::ofstream Out(IndexPath, std::ios::binary | std::ios::app);
-    if (!Out)
-      return;
-    if (Fresh)
-      Out << IndexFileName << "\n";
-    Out << hexKey(Key) << " " << MethodName << "\n";
-    if (!Out.good())
-      return;
+  if (Log.is_open()) {
+    // One write and a flush per record. A failed append is absorbed: the
+    // record lives in memory only, and the next open cuts any torn tail.
+    wire::Writer W;
+    W.u64(Key);
+    W.str(MethodName);
+    W.str(Blob);
+    const std::string Record = W.take();
+    Log.write(Record.data(), static_cast<std::streamsize>(Record.size()));
+    Log.flush();
   }
-  Index[MethodName].insert(Key);
-  ++Stats.Stores;
-}
-
-CacheStats SummaryCache::stats() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Stats;
+  Blobs[Key] = std::move(Blob);
 }
 
 size_t SummaryCache::size() const {
   std::lock_guard<std::mutex> Lock(Mutex);
-  size_t N = 0;
-  for (const auto &[Name, Keys] : Index)
-    N += Keys.size();
-  return N;
+  return Blobs.size();
 }

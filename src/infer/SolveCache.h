@@ -11,8 +11,8 @@
 /// from the memo, and only a state the run has not seen is looked up.
 /// The key digests *every* input the solve depends on — the method's
 /// token stream, the transitive content of its callees' SCCs, the
-/// algorithm options, the per-method solver seed, and the exact bit
-/// patterns of the pooled summary odds applied as priors. A hit replays
+/// algorithm options, and the exact bit patterns of the pooled summary
+/// odds applied as priors. A hit replays
 /// the stored evidence byte-identically (the key guarantees the solve
 /// would have produced exactly those bytes); a miss solves and stores.
 /// Because the applied-prior bit patterns are part of the key, dirtiness
@@ -69,9 +69,10 @@ public:
   virtual CacheLookup lookup(const std::string &MethodName, uint64_t Key,
                              CachedSolve &Out) = 0;
 
-  /// Stores \p Entry for \p MethodName under \p Key, replacing any entry
-  /// cached under an older key. Storage failures are absorbed (a cache
-  /// that cannot persist degrades to misses, never to errors).
+  /// Stores \p Entry for \p MethodName under \p Key, beside every entry
+  /// the method was stored under before (one per summary state a warm
+  /// replay must reproduce). Storage failures are absorbed (a cache that
+  /// cannot persist degrades to misses, never to errors).
   virtual void store(const std::string &MethodName, uint64_t Key,
                      const CachedSolve &Entry) = 0;
 };

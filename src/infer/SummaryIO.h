@@ -147,8 +147,9 @@ std::string encodeSnapshot(const MethodDeclMap<MethodSummary> &Summaries);
 
 /// Serializes one memoized SOLVE result (sealed CacheEntry blob). \p Key
 /// — the content key the entry is filed under — is echoed into the
-/// payload so a blob renamed or cross-linked on disk cannot replay as a
-/// different entry.
+/// checksummed payload: the cache log frames each record behind a key no
+/// checksum covers, so a record whose framing key was damaged cannot
+/// replay as a different entry.
 std::string encodeCacheEntry(uint64_t Key, const SolveOutcome &Entry);
 
 /// Decodes a cache-entry blob, requiring its echoed key to equal

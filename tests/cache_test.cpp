@@ -2,8 +2,8 @@
 //
 // Covers the three layers of the cache in isolation and end to end: the
 // SolveOutcome record codec (sealed as a CacheEntry), the SummaryCache
-// storage backend (disk round-trip, index reload,
-// every corruption-degrades-to-miss contract), and the engine-level
+// storage backend (the log's round-trip and reload, the tail cut, every
+// corruption-degrades-to-miss contract), and the engine-level
 // replay guarantees (warm runs replay byte-identically, callee edits
 // invalidate every transitive caller, whitespace edits invalidate
 // nothing, renumbering edits invalidate everything, and hits that do not
@@ -25,7 +25,9 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <unistd.h>
 #include <vector>
 
@@ -199,7 +201,8 @@ TEST_F(CacheTest, CacheEntryCodecRejectsDamage) {
     return summaryio::decodeCacheEntry(B, 7).hasValue();
   };
 
-  // A blob renamed to another key: the key echo catches it.
+  // A record filed under another key (a damaged framing key in the log):
+  // the key echo catches it.
   const std::string Blob = summaryio::encodeCacheEntry(7, sampleOutcome());
   EXPECT_TRUE(Ok(Blob));
   EXPECT_FALSE(summaryio::decodeCacheEntry(Blob, 8).hasValue());
@@ -236,6 +239,22 @@ TEST_F(CacheTest, CacheEntryCodecRejectsDamage) {
 // The SummaryCache storage backend
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+std::string readBytes(const fs::path &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  std::ostringstream Buf;
+  Buf << In.rdbuf();
+  return Buf.str();
+}
+
+void writeBytes(const fs::path &Path, std::string_view Bytes) {
+  std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+  Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
+}
+
+} // namespace
+
 TEST_F(CacheTest, DiskStoreRoundTripsAndReloadsFromIndex) {
   const std::string Dir = tempDir();
   const CachedSolve Entry = sampleOutcome();
@@ -244,12 +263,17 @@ TEST_F(CacheTest, DiskStoreRoundTripsAndReloadsFromIndex) {
     Cache.store("File.open", 11, Entry);
     Cache.store("File.open", 12, Entry); // Second trajectory state.
     Cache.store("File.read", 13, Entry);
-    EXPECT_EQ(Cache.stats().Stores, 3u);
     EXPECT_EQ(Cache.size(), 3u);
     // Re-storing an existing (name, key) is a no-op.
     Cache.store("File.open", 11, Entry);
-    EXPECT_EQ(Cache.stats().Stores, 3u);
+    EXPECT_EQ(Cache.size(), 3u);
   }
+
+  // The directory holds one file: the log.
+  std::vector<fs::path> Files;
+  for (const auto &E : fs::directory_iterator(Dir))
+    Files.push_back(E.path().filename());
+  EXPECT_EQ(Files, std::vector<fs::path>{cache::LogFileName});
 
   // A fresh instance over the same directory sees everything.
   cache::SummaryCache Reloaded(Dir);
@@ -261,94 +285,107 @@ TEST_F(CacheTest, DiskStoreRoundTripsAndReloadsFromIndex) {
   ASSERT_EQ(Out.Updates.size(), 2u);
   EXPECT_EQ(Out.Updates[1].SiteCallerDeclIndex, 5u);
 
-  // The three non-hit classifications stay distinct.
+  // The three non-hit classifications stay distinct, and none of them
+  // drops a record.
   EXPECT_EQ(Reloaded.lookup("File.close", 11, Out), CacheLookup::Miss);
   EXPECT_EQ(Reloaded.lookup("File.read", 99, Out), CacheLookup::Invalidated);
-  const CacheStats S = Reloaded.stats();
-  EXPECT_EQ(S.Hits, 3u);
-  EXPECT_EQ(S.Misses, 1u);
-  EXPECT_EQ(S.Invalidated, 1u);
-  EXPECT_EQ(S.Corrupt, 0u);
+  EXPECT_EQ(Reloaded.size(), 3u);
 }
 
-TEST_F(CacheTest, DiskCorruptionClassifiesAsMissNeverError) {
+TEST_F(CacheTest, FlippedLogByteReadsAsCorruptAndReStoreHeals) {
   const std::string Dir = tempDir();
+  const fs::path Log = fs::path(Dir) / cache::LogFileName;
   {
     cache::SummaryCache Cache(Dir);
     Cache.store("File.open", 21, sampleOutcome());
   }
 
-  // Flip one byte in the middle of the stored blob, as disk rot would.
-  fs::path BlobPath;
-  for (const auto &E : fs::directory_iterator(Dir))
-    if (E.path().extension() == ".sum")
-      BlobPath = E.path();
-  ASSERT_FALSE(BlobPath.empty());
-  {
-    std::fstream F(BlobPath, std::ios::in | std::ios::out | std::ios::binary);
-    F.seekg(0, std::ios::end);
-    const std::streamoff Size = F.tellg();
-    F.seekp(Size / 2);
-    char C = 0;
-    F.seekg(Size / 2);
-    F.read(&C, 1);
-    C ^= 0x10;
-    F.seekp(Size / 2);
-    F.write(&C, 1);
-  }
+  // Flip one byte in the middle of the record's sealed blob, as disk rot
+  // would: the record still frames, but its envelope does not check.
+  std::string Bytes = readBytes(Log);
+  const std::string Blob = summaryio::encodeCacheEntry(21, sampleOutcome());
+  const size_t At = Bytes.find(Blob);
+  ASSERT_NE(At, std::string::npos);
+  Bytes[At + Blob.size() / 2] ^= 0x10;
+  writeBytes(Log, Bytes);
 
-  cache::SummaryCache Cache(Dir);
   CachedSolve Out;
-  EXPECT_EQ(Cache.lookup("File.open", 21, Out), CacheLookup::Corrupt);
-  EXPECT_EQ(Cache.stats().Corrupt, 1u);
-  // The rotten entry was dropped; a re-store heals it.
-  Cache.store("File.open", 21, sampleOutcome());
-  EXPECT_EQ(Cache.lookup("File.open", 21, Out), CacheLookup::Hit);
-}
-
-TEST_F(CacheTest, DamagedIndexKeepsParsedPrefixAndDropsTail) {
-  const std::string Dir = tempDir();
   {
     cache::SummaryCache Cache(Dir);
-    Cache.store("File.open", 31, sampleOutcome());
-    Cache.store("File.read", 32, sampleOutcome());
+    EXPECT_EQ(Cache.size(), 1u);
+    EXPECT_EQ(Cache.lookup("File.open", 21, Out), CacheLookup::Corrupt);
+    // The rotten record was dropped; a re-store heals it.
+    EXPECT_EQ(Cache.size(), 0u);
+    Cache.store("File.open", 21, sampleOutcome());
+    EXPECT_EQ(Cache.lookup("File.open", 21, Out), CacheLookup::Hit);
   }
-  // Append a malformed line: the two parsed entries stay usable.
-  {
-    std::ofstream Out(fs::path(Dir) / cache::IndexFileName,
-                      std::ios::binary | std::ios::app);
-    Out << "not-a-hex-key File.close\n";
-  }
-  cache::SummaryCache Damaged(Dir);
+  // The log now holds the rotten record and its replacement; the later
+  // one wins on reopen.
+  cache::SummaryCache Healed(Dir);
+  EXPECT_EQ(Healed.size(), 1u);
+  EXPECT_EQ(Healed.lookup("File.open", 21, Out), CacheLookup::Hit);
+}
+
+TEST_F(CacheTest, AlienHeaderReadsAsEmptyCache) {
+  // A log under our name whose header names another format (or is
+  // damaged) reads as an empty cache, and is replaced by a new log.
+  const std::string Dir = tempDir();
+  fs::create_directories(Dir);
+  writeBytes(fs::path(Dir) / cache::LogFileName,
+             "some-other-cache-format-v9\nFile.open 31\n");
   CachedSolve Out;
-  EXPECT_EQ(Damaged.lookup("File.open", 31, Out), CacheLookup::Hit);
-  EXPECT_EQ(Damaged.lookup("File.read", 32, Out), CacheLookup::Hit);
-  EXPECT_GE(Damaged.stats().Corrupt, 1u);
+  {
+    cache::SummaryCache Alien(Dir);
+    EXPECT_EQ(Alien.size(), 0u);
+    EXPECT_EQ(Alien.lookup("File.open", 31, Out), CacheLookup::Miss);
+    Alien.store("File.open", 31, sampleOutcome());
+  }
+  cache::SummaryCache Reopened(Dir);
+  EXPECT_EQ(Reopened.size(), 1u);
+  EXPECT_EQ(Reopened.lookup("File.open", 31, Out), CacheLookup::Hit);
+}
 
-  // A wrong header line (an alien format) reads as an empty cache.
+TEST_F(CacheTest, TruncatedLogKeepsWholeRecordsAndCutsTheTail) {
+  // A three-record log cut at every possible length, as a crash
+  // mid-append would leave it: each reopen finds exactly the records
+  // wholly inside the prefix, and a store made after the reopen is found
+  // by the next one, which needs the torn tail cut off first.
+  const std::string Dir = tempDir();
+  const fs::path Log = fs::path(Dir) / cache::LogFileName;
+  const std::vector<std::string> Names = {"File.open", "File.read",
+                                          "File.close"};
+  std::vector<uintmax_t> Ends; // Log size after each record.
   {
-    std::ofstream Out(fs::path(Dir) / cache::IndexFileName,
-                      std::ios::binary | std::ios::trunc);
-    Out << "some-other-cache-format-v9\n";
+    cache::SummaryCache Cache(Dir);
+    for (size_t I = 0; I != Names.size(); ++I) {
+      Cache.store(Names[I], 50 + I, I == 1 ? failedOutcome() : sampleOutcome());
+      Ends.push_back(fs::file_size(Log));
+    }
   }
-  cache::SummaryCache Alien(Dir);
-  EXPECT_EQ(Alien.size(), 0u);
-  EXPECT_EQ(Alien.lookup("File.open", 31, Out), CacheLookup::Miss);
+  const std::string Full = readBytes(Log);
+  ASSERT_EQ(Full.size(), Ends.back());
 
-  // A deleted blob behind a live index entry degrades the same way.
-  {
-    cache::SummaryCache Fresh(tempDir());
+  CachedSolve Out;
+  for (size_t Len = 0; Len <= Full.size(); ++Len) {
+    SCOPED_TRACE("prefix length " + std::to_string(Len));
+    writeBytes(Log, std::string_view(Full).substr(0, Len));
+    auto ExpectWholeRecords = [&](cache::SummaryCache &Cache) {
+      for (size_t I = 0; I != Names.size(); ++I)
+        EXPECT_EQ(Cache.lookup(Names[I], 50 + I, Out),
+                  Ends[I] <= Len ? CacheLookup::Hit : CacheLookup::Miss)
+            << Names[I];
+    };
+    {
+      cache::SummaryCache Cut(Dir);
+      ExpectWholeRecords(Cut);
+      Cut.store("File.seek", 60, sampleOutcome());
+    }
+    cache::SummaryCache Reopened(Dir);
+    ExpectWholeRecords(Reopened);
+    EXPECT_EQ(Reopened.lookup("File.seek", 60, Out), CacheLookup::Hit);
+    if (HasFailure())
+      break; // One failing prefix tells the story.
   }
-  const std::string Dir2 = tempDir();
-  {
-    cache::SummaryCache Cache(Dir2);
-    Cache.store("File.open", 33, sampleOutcome());
-  }
-  for (const auto &E : fs::directory_iterator(Dir2))
-    if (E.path().extension() == ".sum")
-      fs::remove(E.path());
-  cache::SummaryCache Gone(Dir2);
-  EXPECT_EQ(Gone.lookup("File.open", 33, Out), CacheLookup::Corrupt);
 }
 
 TEST_F(CacheTest, InjectedBitFlipDegradesToCountedMiss) {
@@ -362,7 +399,7 @@ TEST_F(CacheTest, InjectedBitFlipDegradesToCountedMiss) {
     faults::ScopedFault Flip(FaultKind::WireCorrupt, "cache",
                              /*FireBudget=*/1);
     EXPECT_EQ(Cache.lookup("File.open", 41, Out), CacheLookup::Corrupt);
-    EXPECT_EQ(Cache.stats().Corrupt, 1u);
+    EXPECT_EQ(Cache.size(), 0u);
     // Budget consumed: the next lookup reads clean bytes again, but the
     // corrupt hit already evicted the entry (the method's only one, so
     // the name itself is gone).

@@ -856,4 +856,19 @@ TEST_F(TraceTest, DriverReportErrorsFollowTheExitCodeContract) {
   ToolRun Malformed = runTool("report --trace " + Garbage.Path.string());
   EXPECT_EQ(Malformed.Exit, 1);
   EXPECT_NE(Malformed.MaskedOutput.find("malformed"), std::string::npos);
+
+  // --top takes digits only, 1 <= N <= UINT_MAX, like --jobs: a sign, a
+  // blank, zero or a count that does not fit is a usage error, even
+  // against a trace that would render.
+  TempFile Trace("_rep_top_trace.json");
+  ASSERT_EQ(runTool("infer --example file --trace=" + Trace.Path.string())
+                .Exit,
+            0);
+  for (const char *Top : {"-1", "4294967296", "' 3'", "0"}) {
+    ToolRun Bad = runTool("report --trace " + Trace.Path.string() +
+                          " --top " + Top);
+    EXPECT_EQ(Bad.Exit, 2) << Top;
+    EXPECT_NE(Bad.MaskedOutput.find("bad top-k"), std::string::npos)
+        << Bad.MaskedOutput;
+  }
 }

@@ -58,6 +58,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -90,16 +91,16 @@ void usage() {
                ThreadPool::MaxParallelism);
 }
 
-/// Parses a --jobs count: decimal digits only (no sign, no blanks),
-/// 1 <= N <= ThreadPool::MaxParallelism. False on anything else.
-bool parseJobs(const std::string &Count, unsigned &Out) {
+/// Parses a count flag's value (--jobs, --top): decimal digits only (no
+/// sign, no blanks), 1 <= N <= \p Max. False on anything else.
+bool parseCount(const std::string &Count, unsigned Max, unsigned &Out) {
   if (Count.empty() ||
       !std::all_of(Count.begin(), Count.end(),
                    [](unsigned char C) { return std::isdigit(C); }))
     return false;
   // Digits only, so an out-of-range count saturates at ULONG_MAX.
   const unsigned long Value = std::strtoul(Count.c_str(), nullptr, 10);
-  if (Value == 0 || Value > ThreadPool::MaxParallelism)
+  if (Value == 0 || Value > Max)
     return false;
   Out = static_cast<unsigned>(Value);
   return true;
@@ -166,13 +167,10 @@ int runReport(const std::vector<std::string> &Args) {
     } else if (Args[I] == "--json") {
       Json = true;
     } else if (flagValue(Args, I, "--top", Value)) {
-      char *End = nullptr;
-      unsigned long V = std::strtoul(Value.c_str(), &End, 10);
-      if (!End || *End != '\0' || Value.empty() || V == 0) {
+      if (!parseCount(Value, UINT_MAX, TopK)) {
         std::fprintf(stderr, "anek: bad top-k '%s'\n", Value.c_str());
         return ExitUsage;
       }
-      TopK = static_cast<unsigned>(V);
     } else {
       std::fprintf(stderr, "anek: unknown report argument '%s'\n",
                    Args[I].c_str());
@@ -313,7 +311,7 @@ int run(int Argc, char **Argv) {
       // the joined one carries its count in the flag itself.
       const bool Joined = Args[I] != "-j" && Args[I] != "--jobs";
       const std::string Count = Joined ? Args[I].substr(2) : Args[++I];
-      if (!parseJobs(Count, Jobs)) {
+      if (!parseCount(Count, ThreadPool::MaxParallelism, Jobs)) {
         std::fprintf(stderr,
                      "anek: bad thread count '%s' (want 1 <= N <= %u)\n",
                      Count.c_str(), ThreadPool::MaxParallelism);
