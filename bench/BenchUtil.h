@@ -11,8 +11,6 @@
 #include "infer/AnekInfer.h"
 #include "lang/Sema.h"
 #include "plural/Checker.h"
-#include "support/Metrics.h"
-#include "support/Trace.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -54,45 +52,6 @@ inline SpecProvider inferredProvider(const InferResult &R) {
 inline void rule() {
   std::puts("-----------------------------------------------------------");
 }
-
-/// Declared first thing in every bench main: collects phase-level
-/// telemetry for the run and writes bench_<name>_metrics.json next to the
-/// bench's own bench_<name>.json at exit.
-///
-/// Phase level records only aggregate counters/histograms outside the
-/// timed inner loops, so it does not disturb what the bench measures; the
-/// kernel throughput guard (bench_solver_kernels) explicitly drops the
-/// level to Off around its timed sections to measure the disabled cost.
-/// ANEK_BENCH_TELEMETRY={off,phase,method,solver} overrides the level.
-class BenchTelemetry {
-public:
-  explicit BenchTelemetry(const std::string &BenchName)
-      : MetricsPath("bench_" + BenchName + "_metrics.json") {
-    telemetry::TraceLevel Level = telemetry::TraceLevel::Phase;
-    if (const char *Env = std::getenv("ANEK_BENCH_TELEMETRY")) {
-      if (!telemetry::parseTraceLevel(Env, Level)) {
-        std::fprintf(stderr,
-                     "bench: bad ANEK_BENCH_TELEMETRY '%s' "
-                     "(want off|phase|method|solver)\n",
-                     Env);
-        std::exit(1);
-      }
-    }
-    telemetry::setTraceLevel(Level);
-  }
-
-  ~BenchTelemetry() {
-    std::string Error;
-    if (!telemetry::writeMetricsFile(MetricsPath, &Error))
-      std::fprintf(stderr, "bench: %s\n", Error.c_str());
-  }
-
-  BenchTelemetry(const BenchTelemetry &) = delete;
-  BenchTelemetry &operator=(const BenchTelemetry &) = delete;
-
-private:
-  std::string MetricsPath;
-};
 
 } // namespace anek
 

@@ -72,7 +72,6 @@ Score score(const InferOptions &Opts) {
 } // namespace
 
 int main() {
-  BenchTelemetry Telemetry("ablation_heuristics");
   struct Config {
     const char *Name;
     InferOptions Opts;

@@ -13,7 +13,6 @@
 using namespace anek;
 
 int main() {
-  BenchTelemetry Telemetry("ablation_maxiters");
   PmdCorpus Corpus = generatePmdCorpus();
   std::unique_ptr<Program> Prog = mustAnalyze(Corpus.Source);
   const unsigned Bodies =

@@ -102,9 +102,4 @@ BENCHMARK(BM_EndToEndInference);
 
 } // namespace
 
-// BENCHMARK_MAIN supplies main, so the metrics emitter lives at
-// file scope: constructed before the registered benchmarks run,
-// flushed after they finish.
-static BenchTelemetry Telemetry("ablation_solvers");
-
 BENCHMARK_MAIN();

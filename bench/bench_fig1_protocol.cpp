@@ -15,7 +15,6 @@
 using namespace anek;
 
 int main() {
-  BenchTelemetry Telemetry("fig1_protocol");
   std::unique_ptr<Program> Prog = mustAnalyze(iteratorApiSource());
   TypeDecl *Iterator = Prog->findType("Iterator");
 

@@ -16,7 +16,6 @@
 using namespace anek;
 
 int main() {
-  BenchTelemetry Telemetry("fig4_permissions");
   std::puts("Figure 4: the five permission kinds");
   std::puts("-----------------------------------------------------------");
   std::printf("%-11s %-12s %-12s %-14s\n", "kind", "this writes",

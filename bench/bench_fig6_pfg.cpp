@@ -25,7 +25,6 @@ static Pfg buildFor(Program &Prog, const std::string &Method) {
 }
 
 int main() {
-  BenchTelemetry Telemetry("fig6_pfg");
   std::unique_ptr<Program> Prog =
       mustAnalyze(iteratorApiSource() + spreadsheetSource());
   Pfg Copy = buildFor(*Prog, "copy");

@@ -28,7 +28,6 @@ static std::string specOf(const MethodDeclMap<MethodSpec> &M,
 }
 
 int main() {
-  BenchTelemetry Telemetry("fig9_convergence");
   std::puts("Figure 9: ANEK-INFER worklist convergence on the spreadsheet");
   rule();
   std::printf("%9s %12s %8s  %s\n", "MaxIters", "picks", "time",

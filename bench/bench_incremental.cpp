@@ -5,12 +5,15 @@
 // edit to one method should re-pay only that method's share of the
 // fixpoint, not the whole corpus. This bench times four runs against
 // one on-disk cache — cold, warm-clean, warm after a 1-method edit,
-// warm after a 10%-of-methods edit — and byte-checks every cached run
-// against an uncached run of the same source.
+// warm after a 10%-of-methods edit — and times and byte-checks every
+// cached run against an uncached run of the same source.
 //
 // Exit status is the acceptance gate: nonzero when any cached run's
 // output diverges from its uncached reference, or when the 1-method
-// warm run costs more than 25% of the cold run.
+// warm run costs more than 25% of the uncached run of the same edited
+// source. The uncached run, not the cold cached one, is the
+// denominator: the cold run also pays the stores, so a cheaper store
+// would read as a worse share.
 //
 //===----------------------------------------------------------------------===//
 
@@ -52,12 +55,14 @@ std::string renderRun(Program &Prog, const InferResult &R) {
 struct RunPoint {
   const char *Label = "";
   double Seconds = 0.0;
+  double UncachedSeconds = 0.0;
   CacheStats Stats;
   bool Identical = true;
 };
 
 /// One full inference over a fresh parse of \p Source at -j1 (the
-/// determinism reference job count), optionally against \p Cache.
+/// determinism reference job count) against \p Cache, then the uncached
+/// reference run of the same source.
 RunPoint timedRun(const char *Label, const std::string &Source,
                   SolveCache *Cache) {
   std::unique_ptr<Program> Prog = mustAnalyze(Source);
@@ -70,12 +75,13 @@ RunPoint timedRun(const char *Label, const std::string &Source,
   Point.Label = Label;
   Point.Seconds = T.seconds();
   Point.Stats = R.Cache;
-  // Byte-identity against an uncached run of the same source.
-  if (Cache) {
-    std::unique_ptr<Program> Ref = mustAnalyze(Source);
-    InferResult RefR = runAnekInfer(*Ref, Opts);
-    Point.Identical = renderRun(*Prog, R) == renderRun(*Ref, RefR);
-  }
+  // The uncached reference: the byte check and the gate's denominator.
+  std::unique_ptr<Program> Ref = mustAnalyze(Source);
+  Opts.Cache = nullptr;
+  Timer RefTimer;
+  InferResult RefR = runAnekInfer(*Ref, Opts);
+  Point.UncachedSeconds = RefTimer.seconds();
+  Point.Identical = renderRun(*Prog, R) == renderRun(*Ref, RefR);
   return Point;
 }
 
@@ -100,7 +106,6 @@ unsigned dirtyCalcMethods(std::string &Source, unsigned Count,
 } // namespace
 
 int main() {
-  BenchTelemetry Telemetry("incremental");
   std::puts("Incremental re-inference: one on-disk summary cache across"
             " edits");
 
@@ -150,16 +155,20 @@ int main() {
 
   const double ColdSeconds = Points.front().Seconds;
   rule();
-  std::printf("%18s | %9s | %7s | %6s %6s %6s %6s | %s\n", "run",
-              "seconds", "of-cold", "hit", "miss", "inval", "store",
-              "identical");
+  auto Share = [](double Part, double Whole) {
+    return Whole > 0.0 ? Part / Whole : 0.0;
+  };
+  std::printf("%18s | %9s | %7s | %11s | %6s %6s %6s %6s | %s\n", "run",
+              "seconds", "of-cold", "of-uncached", "hit", "miss", "inval",
+              "store", "identical");
   rule();
   for (const RunPoint &P : Points)
-    std::printf("%18s | %8.3fs | %6.1f%% | %6u %6u %6u %6u | %s\n",
-                P.Label, P.Seconds,
-                ColdSeconds > 0.0 ? 100.0 * P.Seconds / ColdSeconds : 0.0,
-                P.Stats.Hits, P.Stats.Misses, P.Stats.Invalidated,
-                P.Stats.Stores, P.Identical ? "yes" : "NO (BUG)");
+    std::printf("%18s | %8.3fs | %6.1f%% | %10.1f%% | %6u %6u %6u %6u | "
+                "%s\n",
+                P.Label, P.Seconds, 100.0 * Share(P.Seconds, ColdSeconds),
+                100.0 * Share(P.Seconds, P.UncachedSeconds), P.Stats.Hits,
+                P.Stats.Misses, P.Stats.Invalidated, P.Stats.Stores,
+                P.Identical ? "yes" : "NO (BUG)");
   rule();
 
   std::ofstream Json("bench_incremental.json");
@@ -170,8 +179,10 @@ int main() {
   for (size_t I = 0; I != Points.size(); ++I) {
     const RunPoint &P = Points[I];
     Json << "    {\"run\": \"" << P.Label
-         << "\", \"seconds\": " << P.Seconds << ", \"of_cold\": "
-         << (ColdSeconds > 0.0 ? P.Seconds / ColdSeconds : 0.0)
+         << "\", \"seconds\": " << P.Seconds
+         << ", \"uncached_seconds\": " << P.UncachedSeconds
+         << ", \"of_cold\": " << Share(P.Seconds, ColdSeconds)
+         << ", \"of_uncached\": " << Share(P.Seconds, P.UncachedSeconds)
          << ", \"hits\": " << P.Stats.Hits
          << ", \"misses\": " << P.Stats.Misses
          << ", \"invalidated\": " << P.Stats.Invalidated
@@ -182,18 +193,20 @@ int main() {
   Json << "  ]\n}\n";
   std::puts("Written to bench_incremental.json. Acceptance: every cached"
             " run byte-identical to\nits uncached reference, and the"
-            " 1-method-dirty warm run at most 25% of cold.");
+            " 1-method-dirty warm run at most 25% of that\nreference.");
 
   fs::remove_all(CacheDir, Ignored);
 
   bool Ok = true;
   for (const RunPoint &P : Points)
     Ok = Ok && P.Identical;
-  if (ColdSeconds > 0.0 && Points[2].Seconds > 0.25 * ColdSeconds) {
+  const RunPoint &OneDirtyRun = Points[2];
+  if (OneDirtyRun.Seconds > 0.25 * OneDirtyRun.UncachedSeconds) {
     std::fprintf(stderr,
-                 "bench: 1-method-dirty run took %.1f%% of cold "
-                 "(budget: 25%%)\n",
-                 100.0 * Points[2].Seconds / ColdSeconds);
+                 "bench: 1-method-dirty run took %.1f%% of its uncached "
+                 "run (budget: 25%%)\n",
+                 100.0 * Share(OneDirtyRun.Seconds,
+                               OneDirtyRun.UncachedSeconds));
     Ok = false;
   }
   return Ok ? 0 : 1;

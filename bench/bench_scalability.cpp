@@ -37,7 +37,6 @@ std::string fingerprint(const InferResult &R) {
 } // namespace
 
 int main() {
-  BenchTelemetry Telemetry("scalability");
   std::puts("Scalability: modular ANEK-INFER vs joint (Definition 1) solve");
   rule();
   std::printf("%8s %8s %9s | %10s %10s | %12s %10s\n", "classes",

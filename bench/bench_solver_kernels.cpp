@@ -418,13 +418,10 @@ struct ConfigResult {
 } // namespace
 
 int main() {
-  BenchTelemetry Telemetry("solver_kernels");
-  // The timed kernel loops run with collection off: this bench's numbers
-  // double as the guard for the disabled-telemetry contract (one relaxed
-  // load per site), so an instrumentation regression shows up directly
-  // as lost throughput. Summary gauges are recorded after the loops.
-  telemetry::setTraceLevel(telemetry::TraceLevel::Off);
-
+  // The timed kernel loops run with collection off (no bench turns it
+  // on): this bench's numbers double as the guard for the
+  // disabled-telemetry contract (one relaxed load per site), so an
+  // instrumentation regression shows up directly as lost throughput.
   std::printf("Solver kernel throughput: scalar kernels vs scalar-CSR "
               "(pr3) and pre-CSR (ref) baselines\n");
   rule();
@@ -544,12 +541,6 @@ int main() {
   std::printf("marginal agreement: BP max |diff| %.2e vs ref, %.2e vs "
               "pr3\n",
               MaxBpDiff, MaxBpPr3Diff);
-
-  telemetry::setTraceLevel(telemetry::TraceLevel::Phase);
-  telemetry::gauge("bench.solver_kernels.bp_speedup_deg8")
-      .set(GeoBpVsRef);
-  telemetry::gauge("bench.solver_kernels.max_bp_marginal_diff")
-      .set(MaxBpDiff);
 
   std::ofstream Json("bench_solver_kernels.json");
   Json << "{\n  \"bench\": \"solver_kernels\",\n"

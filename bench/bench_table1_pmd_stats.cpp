@@ -13,7 +13,6 @@
 using namespace anek;
 
 int main() {
-  BenchTelemetry Telemetry("table1_pmd_stats");
   Timer T;
   PmdCorpus Corpus = generatePmdCorpus();
   std::unique_ptr<Program> Prog = mustAnalyze(Corpus.Source);

@@ -16,7 +16,6 @@
 using namespace anek;
 
 int main() {
-  BenchTelemetry Telemetry("table2_pmd_inference");
   PmdCorpus Corpus = generatePmdCorpus();
   std::unique_ptr<Program> Prog = mustAnalyze(Corpus.Source);
 

@@ -65,7 +65,6 @@ Measurement measure(unsigned Helpers) {
 } // namespace
 
 int main() {
-  BenchTelemetry Telemetry("table3_local_inference");
   const unsigned Headline = 768;
   Measurement Big = measure(Headline);
 

@@ -12,7 +12,6 @@
 using namespace anek;
 
 int main() {
-  BenchTelemetry Telemetry("table4_spec_quality");
   PmdCorpus Corpus = generatePmdCorpus();
   std::unique_ptr<Program> Prog = mustAnalyze(Corpus.Source);
   auto Hand = resolveHandSpecs(*Prog, Corpus);

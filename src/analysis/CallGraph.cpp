@@ -108,8 +108,7 @@ void CallGraph::scanStmt(MethodDecl *Caller, const Stmt *S) {
 }
 
 CallGraph::CallGraph(const Program &Prog) {
-  telemetry::Span S("analysis.callgraph", telemetry::TraceLevel::Phase,
-                    "analysis");
+  telemetry::Span S("analysis.callgraph", "analysis");
   for (const auto &Type : Prog.Types) {
     for (const auto &Method : Type->Methods) {
       AllMethods.push_back(Method.get());
@@ -120,8 +119,9 @@ CallGraph::CallGraph(const Program &Prog) {
   if (S.active()) {
     S.arg("methods", static_cast<uint64_t>(AllMethods.size()));
     S.arg("edges", static_cast<uint64_t>(NumEdges));
-    telemetry::counter("analysis.callgraph.edges").add(NumEdges);
   }
+  if (telemetry::metering())
+    telemetry::counter("analysis.callgraph.edges").add(NumEdges);
 }
 
 const std::vector<MethodDecl *> &
@@ -197,8 +197,7 @@ CallGraph::computeSccs(std::map<const MethodDecl *, unsigned> &SccOf) const {
 }
 
 std::vector<std::vector<MethodDecl *>> CallGraph::sccWaves() const {
-  telemetry::Span Span("analysis.sccwaves", telemetry::TraceLevel::Phase,
-                       "analysis");
+  telemetry::Span Span("analysis.sccwaves", "analysis");
   std::map<const MethodDecl *, unsigned> SccOf;
   const unsigned NextScc = computeSccs(SccOf);
 

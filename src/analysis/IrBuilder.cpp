@@ -476,13 +476,14 @@ MethodIr IrLowering::run() {
 
 MethodIr anek::lowerToIr(MethodDecl &Method) {
   assert(Method.Body && "cannot lower a bodiless method");
-  telemetry::Span S("analysis.ir", telemetry::TraceLevel::Method,
-                    "analysis");
+  telemetry::Span S("analysis.ir", "analysis");
   IrLowering Lowering(Method);
   MethodIr Ir = Lowering.run();
   if (S.active()) {
     S.arg("method", Method.qualifiedName());
     S.arg("blocks", static_cast<uint64_t>(Ir.Blocks.size()));
+  }
+  if (telemetry::metering()) {
     telemetry::counter("analysis.ir.methods").add(1);
     telemetry::histogram("analysis.ir.blocks")
         .record(static_cast<double>(Ir.Blocks.size()));

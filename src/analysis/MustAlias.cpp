@@ -45,11 +45,10 @@ uint32_t MustAliasAnalysis::freshBaseFor(uint32_t Block) const {
 }
 
 MustAliasAnalysis::MustAliasAnalysis(const MethodIr &Ir) : Ir(Ir) {
-  telemetry::Span Span("analysis.alias", telemetry::TraceLevel::Method,
-                       "analysis");
+  telemetry::Span Span("analysis.alias", "analysis");
   if (Span.active() && Ir.Method)
     Span.arg("method", Ir.Method->qualifiedName());
-  if (telemetry::enabled(telemetry::TraceLevel::Phase))
+  if (telemetry::metering())
     telemetry::counter("analysis.alias.runs").add(1);
   const size_t NumLocals = Ir.Locals.size();
   const size_t NumBlocks = Ir.Blocks.size();

@@ -319,8 +319,7 @@ static void generateHeuristics(GenContext &Ctx) {
 ConstraintStats anek::generateConstraints(const Pfg &P, FactorGraph &G,
                                           const PfgVarMap &Vars,
                                           const ConstraintOptions &Opts) {
-  telemetry::Span Span("constraints.generate",
-                       telemetry::TraceLevel::Method, "constraints");
+  telemetry::Span Span("constraints.generate", "constraints");
   GenContext Ctx{P, G, Vars, Opts, {}};
 
   for (PfgNodeId N = 0; N != P.nodeCount(); ++N) {
@@ -354,7 +353,7 @@ ConstraintStats anek::generateConstraints(const Pfg &P, FactorGraph &G,
     Span.arg("factors", G.factorCount());
     Span.arg("heuristic_factors", Ctx.Stats.HeuristicFactors);
   }
-  if (telemetry::enabled(telemetry::TraceLevel::Phase)) {
+  if (telemetry::metering()) {
     telemetry::counter("constraints.runs").add(1);
     telemetry::counter("constraints.variables").add(G.variableCount());
     telemetry::counter("constraints.factors").add(G.factorCount());

@@ -2,8 +2,6 @@
 
 #include "factor/BpDriver.h"
 
-#include "support/Trace.h"
-
 #include <algorithm>
 #include <cmath>
 #include <limits>
@@ -92,8 +90,7 @@ void BpEngine::logDomainFixup(const kern::BpConsts &C) {
   }
 }
 
-RunStats BpEngine::run(const SumProductSolver::Options &Opts,
-                       bool EmitResiduals) {
+RunStats BpEngine::run(const SumProductSolver::Options &Opts) {
   const kern::BpConsts C{Opts.Damping, 1.0 - Opts.Damping, Opts.Tolerance,
                          0.5 * Opts.Tolerance};
   // Every RefreshInterval-th iteration recomputes every factor regardless
@@ -105,9 +102,6 @@ RunStats BpEngine::run(const SumProductSolver::Options &Opts,
       R.Iterations = Iter;
       break;
     }
-    if (EmitResiduals && Iter != 0)
-      telemetry::counterSample("bp.residual", telemetry::TraceLevel::Solver,
-                               "solver", "residual", R.Delta);
     const bool Refresh = Iter % RefreshInterval == RefreshInterval - 1;
     kern::bpVarMessages(View, State, C);
     logDomainFixup(C);

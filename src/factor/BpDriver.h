@@ -41,9 +41,7 @@ public:
 
   /// Runs the flooding loop until the largest message change drops to
   /// the tolerance or MaxIterations is reached.
-  /// \p EmitResiduals enables the per-iteration bp.residual counter
-  /// samples.
-  RunStats run(const SumProductSolver::Options &Opts, bool EmitResiduals);
+  RunStats run(const SumProductSolver::Options &Opts);
 
   /// Beliefs from the final factor->var messages.
   void beliefs(Marginals &Out, Marginals *GraphLikelihood) const;

@@ -29,12 +29,7 @@ Marginals SumProductSolver::solve(const FactorGraph &G,
                                   Marginals *GraphLikelihood,
                                   SolveReport *Report) const {
   Timer SolveTimer;
-  // Telemetry gates, hoisted out of the message loops: when tracing is
-  // off each costs one relaxed load here and a dead branch below.
-  telemetry::Span SolveSpan("solver.bp", telemetry::TraceLevel::Method,
-                            "solver");
-  const bool TraceIters =
-      telemetry::enabled(telemetry::TraceLevel::Solver);
+  telemetry::Span SolveSpan("solver.bp", "solver");
   const unsigned NumVars = G.variableCount();
   const unsigned NumFactors = G.factorCount();
   const FactorGraph::EdgeLayout &L = G.edgeLayout();
@@ -60,7 +55,7 @@ Marginals SumProductSolver::solve(const FactorGraph &G,
   View.Priors = Priors.data();
 
   bp::BpEngine Engine(View);
-  const bp::RunStats S = Engine.run(Opts, TraceIters);
+  const bp::RunStats S = Engine.run(Opts);
   const bool Converged = !ForcedNonConvergence && S.Delta <= Opts.Tolerance;
   if (Report) {
     Report->Iterations = S.Iterations;
@@ -74,10 +69,7 @@ Marginals SumProductSolver::solve(const FactorGraph &G,
           "residual %.2g after %u iterations%s", S.Delta, S.Iterations,
           ForcedNonConvergence ? ", injected non-convergence" : "");
   }
-  if (TraceIters)
-    telemetry::counterSample("bp.residual", telemetry::TraceLevel::Solver,
-                             "solver", "residual", S.Delta);
-  if (telemetry::enabled(telemetry::TraceLevel::Phase)) {
+  if (telemetry::metering()) {
     telemetry::counter("solver.bp.solves").add(1);
     telemetry::counter("solver.bp.messages").add(S.Updates);
     telemetry::counter("solver.bp.skipped_updates").add(S.Skipped);
@@ -109,12 +101,11 @@ Marginals SumProductSolver::solve(const FactorGraph &G,
 //===----------------------------------------------------------------------===//
 
 Expected<Marginals> ExactSolver::solve(const FactorGraph &G) const {
-  telemetry::Span SolveSpan("solver.exact", telemetry::TraceLevel::Method,
-                            "solver");
+  telemetry::Span SolveSpan("solver.exact", "solver");
   const unsigned NumVars = G.variableCount();
   if (SolveSpan.active())
     SolveSpan.arg("vars", NumVars);
-  if (telemetry::enabled(telemetry::TraceLevel::Phase)) {
+  if (telemetry::metering()) {
     telemetry::counter("solver.exact.solves").add(1);
     telemetry::histogram("solver.exact.vars")
         .record(static_cast<double>(NumVars));

@@ -102,14 +102,10 @@ std::vector<double> transformPrior(std::vector<double> P,
   return P;
 }
 
-/// Appends one cascade decision to a report's reason trail and mirrors it
-/// into the trace, so `--report` output and a Perfetto view of the same
-/// run tell one story.
+/// Appends one cascade decision to a report's reason trail. `--report`
+/// prints the trail and the `infer.method` span carries it as its
+/// `reason` arg, so both views of one run tell one story.
 void appendReason(MethodReport &Report, std::string Why) {
-  if (telemetry::enabled(telemetry::TraceLevel::Solver))
-    telemetry::instant("cascade.transition", telemetry::TraceLevel::Solver,
-                       "infer",
-                       "\"reason\":" + telemetry::jsonQuote(Why));
   if (!Report.Reason.empty())
     Report.Reason += "; ";
   Report.Reason += std::move(Why);
@@ -996,8 +992,7 @@ InferResult InferEngine::run() {
   // Phase 1 (Figure 9 lines 2-6): initialize variables, models, worklist.
   // Model construction is isolated per method: one body the lowering
   // chokes on must not take whole-program inference down with it.
-  telemetry::Span Phase1("infer.phase1.models", telemetry::TraceLevel::Phase,
-                         "infer");
+  telemetry::Span Phase1("infer.phase1.models", "infer");
   std::vector<MethodDecl *> Bodies = Prog.methodsWithBodies();
   if (Phase1.active())
     Phase1.arg("methods", static_cast<uint64_t>(Bodies.size()));
@@ -1035,15 +1030,14 @@ InferResult InferEngine::run() {
   // isolated: it keeps its conservative default summary (declared priors
   // only), a buffered diagnostic records why, and the schedule moves on
   // so every other method still gets a spec.
-  telemetry::Span Phase2("infer.phase2.waves", telemetry::TraceLevel::Phase,
-                         "infer");
+  telemetry::Span Phase2("infer.phase2.waves", "infer");
   std::vector<std::vector<MethodDecl *>> Waves = Graph.sccWaves();
   std::unique_ptr<ThreadPool> Pool;
   unsigned JobCount =
       Opts.Parallelism ? Opts.Parallelism : ThreadPool::defaultParallelism();
   if (JobCount > 1)
     Pool = std::make_unique<ThreadPool>(JobCount);
-  if (telemetry::enabled(telemetry::TraceLevel::Phase))
+  if (telemetry::metering())
     telemetry::gauge("infer.parallelism")
         .set(static_cast<double>(Pool ? Pool->parallelism() : 1));
 
@@ -1055,8 +1049,7 @@ InferResult InferEngine::run() {
   // iteration.
   MemoArmed = solvesReplayable();
   {
-    telemetry::Span CachePrep("cache.prepare", telemetry::TraceLevel::Phase,
-                              "infer");
+    telemetry::Span CachePrep("cache.prepare", "infer");
     prepareCache();
     if (CachePrep.active())
       CachePrep.argBool("armed", Cache != nullptr);
@@ -1093,14 +1086,14 @@ InferResult InferEngine::run() {
       Result.WorklistPicks += static_cast<unsigned>(Batch.size());
       AnyRun = true;
 
-      telemetry::Span WaveSpan("infer.wave", telemetry::TraceLevel::Phase,
-                               "infer");
+      telemetry::Span WaveSpan("infer.wave", "infer");
       if (WaveSpan.active()) {
         WaveSpan.arg("round", Round);
         WaveSpan.arg("wave", WaveIndex);
         WaveSpan.arg("methods", static_cast<uint64_t>(Batch.size()));
-        telemetry::counter("infer.waves").add(1);
       }
+      if (telemetry::metering())
+        telemetry::counter("infer.waves").add(1);
       ++WaveIndex;
 
       // Build + solve every job in the batch against the frozen store.
@@ -1108,10 +1101,9 @@ InferResult InferEngine::run() {
       std::vector<SolveOutcome> Outcomes(Batch.size());
       std::vector<MemoProbe> Probes(MemoArmed ? Batch.size() : 0);
       parallelFor(Pool.get(), Batch.size(), [&](size_t I) {
-        telemetry::Span JobSpan("infer.method",
-                                telemetry::TraceLevel::Method, "infer");
-        const int64_t RunStartUs =
-            telemetry::enabled() ? telemetry::nowUs() : 0;
+        telemetry::Span JobSpan("infer.method", "infer");
+        const bool Metering = telemetry::metering();
+        const int64_t RunStartUs = Metering ? telemetry::nowUs() : 0;
         try {
           Outcomes[I] =
               analyzeOne(Batch[I], MemoArmed ? &Probes[I] : nullptr);
@@ -1120,7 +1112,7 @@ InferResult InferEngine::run() {
           Outcomes[I].Error =
               Status::error(ErrorCode::Internal, E.what()).str();
         }
-        if (telemetry::enabled(telemetry::TraceLevel::Phase))
+        if (Metering)
           telemetry::histogram("infer.method_run_us")
               .record(static_cast<double>(telemetry::nowUs() - RunStartUs));
         if (JobSpan.active()) {
@@ -1131,8 +1123,10 @@ InferResult InferEngine::run() {
           } else {
             JobSpan.arg("vars", Out.Variables);
             JobSpan.arg("factors", Out.Factors);
-            JobSpan.arg("exit",
-                        cascadeExitName(static_cast<CascadeExit>(Out.Exit)));
+            const auto Exit = static_cast<CascadeExit>(Out.Exit);
+            JobSpan.arg("exit", cascadeExitName(Exit));
+            if (Exit != CascadeExit::None)
+              JobSpan.arg("reason", Out.Reason);
           }
         }
       });
@@ -1187,8 +1181,7 @@ InferResult InferEngine::run() {
       // batch) order: reports, statistics, failures and the evidence
       // debug lines. The summary updates are only grouped here, by target;
       // applyMerge then runs each target's group in that same order.
-      telemetry::Span MergeSpan("infer.merge", telemetry::TraceLevel::Phase,
-                                "infer");
+      telemetry::Span MergeSpan("infer.merge", "infer");
       Plan.Updates.clear();
       Plan.GroupOf.clear();
       Plan.Targets.clear();
@@ -1243,7 +1236,7 @@ InferResult InferEngine::run() {
         MergeSpan.arg("updates", MergedUpdates);
         MergeSpan.arg("requeued", Requeued);
       }
-      if (telemetry::enabled(telemetry::TraceLevel::Phase))
+      if (telemetry::metering())
         telemetry::counter("infer.summary_updates").add(MergedUpdates);
       if (Result.WorklistPicks >= MaxIters)
         break;
@@ -1259,8 +1252,7 @@ InferResult InferEngine::run() {
     Phase2.arg("picks", Result.WorklistPicks);
   Phase2.close();
 
-  telemetry::Span Phase3("infer.phase3.extract",
-                         telemetry::TraceLevel::Phase, "infer");
+  telemetry::Span Phase3("infer.phase3.extract", "infer");
 
   // Phase 3 (lines 22-29): extract deterministic specifications. A failed
   // method is conservatively silent: no inferred spec beats a spec built
@@ -1290,7 +1282,7 @@ InferResult InferEngine::run() {
     if (Reports[I])
       Result.Reports.emplace_hint(Result.Reports.end(), Decls[I].Method,
                                   std::move(*Reports[I]));
-  if (Opts.Cache && telemetry::enabled(telemetry::TraceLevel::Phase)) {
+  if (Opts.Cache && telemetry::metering()) {
     telemetry::counter("cache.hit").add(Result.Cache.Hits);
     telemetry::counter("cache.miss").add(Result.Cache.Misses);
     telemetry::counter("cache.invalidated").add(Result.Cache.Invalidated);
@@ -1299,7 +1291,7 @@ InferResult InferEngine::run() {
   }
   if (Phase3.active())
     Phase3.arg("inferred", static_cast<uint64_t>(Result.Inferred.size()));
-  if (telemetry::enabled(telemetry::TraceLevel::Phase)) {
+  if (telemetry::metering()) {
     telemetry::counter("infer.worklist_picks").add(Result.WorklistPicks);
     telemetry::counter("infer.replays").add(Result.MemoReplays);
     telemetry::counter("infer.methods_analyzed")

@@ -184,8 +184,7 @@ extractAll(const std::vector<MethodModel> &Models, const Marginals &Solution) {
 
 GlobalResult anek::runGlobalInfer(Program &Prog, const InferOptions &Opts,
                                   DiagnosticEngine *Diags) {
-  telemetry::Span Span("global.infer", telemetry::TraceLevel::Phase,
-                       "infer");
+  telemetry::Span Span("global.infer", "infer");
   GlobalResult Result;
   FactorGraph FG;
   std::vector<MethodModel> Models =

@@ -188,7 +188,7 @@ void Lexer::skipTrivia() {
 }
 
 Token Lexer::lexToken() {
-  if (telemetry::enabled(telemetry::TraceLevel::Phase)) {
+  if (telemetry::metering()) {
     static telemetry::Counter &Tokens =
         telemetry::counter("frontend.tokens");
     Tokens.add(1);

@@ -494,16 +494,14 @@ std::unique_ptr<Program> anek::parseAndAnalyze(const std::string &Source,
     // Lexing is interleaved with parsing (the parser pulls tokens on
     // demand), so this span covers both; frontend.tokens counts the lex
     // side on its own.
-    telemetry::Span S("frontend.parse", telemetry::TraceLevel::Phase,
-                      "frontend");
+    telemetry::Span S("frontend.parse", "frontend");
     if (S.active())
       S.arg("bytes", static_cast<uint64_t>(Source.size()));
     Prog = Parser::parse(Source, Diags);
   }
   if (Diags.hasErrors())
     return nullptr;
-  telemetry::Span S("frontend.sema", telemetry::TraceLevel::Phase,
-                    "frontend");
+  telemetry::Span S("frontend.sema", "frontend");
   if (!runSema(*Prog, Diags))
     return nullptr;
   if (S.active())

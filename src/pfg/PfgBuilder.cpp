@@ -383,7 +383,7 @@ Pfg Builder::run() {
 
 Pfg anek::buildPfg(const MethodIr &Ir) {
   assert(Ir.Method && "IR without method");
-  telemetry::Span S("pfg.build", telemetry::TraceLevel::Method, "pfg");
+  telemetry::Span S("pfg.build", "pfg");
   Builder B(Ir);
   Pfg G = B.run();
   if (S.active()) {
@@ -392,7 +392,7 @@ Pfg anek::buildPfg(const MethodIr &Ir) {
     S.arg("edges", G.edgeCount());
     S.arg("call_sites", static_cast<uint64_t>(G.CallSites.size()));
   }
-  if (telemetry::enabled(telemetry::TraceLevel::Phase)) {
+  if (telemetry::metering()) {
     telemetry::counter("pfg.builds").add(1);
     telemetry::counter("pfg.nodes").add(G.nodeCount());
     telemetry::counter("pfg.edges").add(G.edgeCount());

@@ -240,6 +240,9 @@ private:
         }
         continue;
       }
+      // RFC 8259: control characters must be escaped inside strings.
+      if (static_cast<unsigned char>(C) < 0x20)
+        return false;
       Out += C;
       ++Pos;
     }

@@ -165,9 +165,7 @@ std::string anek::telemetry::metricsJson() {
   std::lock_guard<std::mutex> Lock(R.Mutex);
   std::string Out;
   Out += "{\n  \"schema\": \"anek-metrics-v1\",\n";
-  Out += "  \"traceLevel\": ";
-  Out += jsonQuote(traceLevelName(traceLevel()));
-  Out += ",\n  \"counters\": {";
+  Out += "  \"counters\": {";
   bool First = true;
   for (const auto &[Name, C] : R.Counters) {
     Out += First ? "\n" : ",\n";

@@ -9,15 +9,16 @@
 /// monotonic counters, last-value gauges and min/max/sum histograms, all
 /// updated with relaxed atomics so they are safe from any thread.
 ///
-/// Instrumentation sites gate recording on telemetry::enabled(...) — the
-/// same single-relaxed-load contract the tracer obeys — and cache the
-/// registered object in a function-local static so the name lookup
-/// happens once:
+/// Instrumentation sites gate recording on telemetry::metering() (Trace.h)
+/// — one relaxed load, true exactly when the run writes a metrics
+/// document — and then update the metric by name:
 ///
-///   if (telemetry::enabled(TraceLevel::Phase)) {
-///     static Counter &Solves = counter("solver.bp.solves");
-///     Solves.add(1);
-///   }
+///   if (telemetry::metering())
+///     counter("solver.bp.solves").add(1);
+///
+/// Each lookup takes the registry's mutex. A site hot enough for that to
+/// show, such as the lexer's per-token counter, may instead cache the
+/// registered object in a function-local static.
 ///
 /// The exporter renders a schema-versioned flat JSON document
 /// (`anek-metrics-v1`) with stable, sorted key order so diffs between

@@ -15,7 +15,8 @@
 using namespace anek;
 using namespace anek::telemetry;
 
-std::atomic<int> anek::telemetry::detail::ActiveLevel{0};
+std::atomic<bool> anek::telemetry::detail::Tracing{false};
+std::atomic<bool> anek::telemetry::detail::Metering{false};
 
 namespace {
 
@@ -28,14 +29,14 @@ Clock::time_point traceEpoch() {
   return Epoch;
 }
 
-/// One recorded event. Name/Category are string literals (stored by
-/// pointer); dynamic detail lives in the preformatted Args body.
+/// One recorded span (a Chrome complete event). Name/Category are string
+/// literals (stored by pointer); dynamic detail lives in the preformatted
+/// Args body.
 struct TraceEvent {
   const char *Name = nullptr;
   const char *Category = nullptr;
-  char Phase = 'X'; ///< 'X' complete, 'i' instant, 'C' counter.
   int64_t TsUs = 0;
-  int64_t DurUs = 0; ///< Complete events only.
+  int64_t DurUs = 0;
   unsigned Tid = 0;
   unsigned Depth = 0;
   std::string Args; ///< JSON object body without braces; may be empty.
@@ -109,46 +110,12 @@ void appendJsonEscaped(std::string &Out, const std::string &S) {
 
 } // namespace
 
-void anek::telemetry::setTraceLevel(TraceLevel Level) {
+void anek::telemetry::setCollection(bool Trace, bool Metrics) {
   // Touch the epoch so timestamps are relative to enablement, not to an
   // arbitrary later first event.
   traceEpoch();
-  detail::ActiveLevel.store(static_cast<int>(Level),
-                            std::memory_order_relaxed);
-}
-
-TraceLevel anek::telemetry::traceLevel() {
-  return static_cast<TraceLevel>(
-      detail::ActiveLevel.load(std::memory_order_relaxed));
-}
-
-const char *anek::telemetry::traceLevelName(TraceLevel Level) {
-  switch (Level) {
-  case TraceLevel::Off:
-    return "off";
-  case TraceLevel::Phase:
-    return "phase";
-  case TraceLevel::Method:
-    return "method";
-  case TraceLevel::Solver:
-    return "solver";
-  }
-  return "unknown";
-}
-
-bool anek::telemetry::parseTraceLevel(const std::string &Name,
-                                      TraceLevel &Out) {
-  if (Name == "off")
-    Out = TraceLevel::Off;
-  else if (Name == "phase")
-    Out = TraceLevel::Phase;
-  else if (Name == "method")
-    Out = TraceLevel::Method;
-  else if (Name == "solver")
-    Out = TraceLevel::Solver;
-  else
-    return false;
-  return true;
+  detail::Tracing.store(Trace, std::memory_order_relaxed);
+  detail::Metering.store(Metrics, std::memory_order_relaxed);
 }
 
 int64_t anek::telemetry::nowUs() {
@@ -173,12 +140,13 @@ void Span::end() {
   TraceEvent Event;
   Event.Name = Name;
   Event.Category = Category;
-  Event.Phase = 'X';
   Event.TsUs = StartUs;
   Event.DurUs = nowUs() - StartUs;
   Event.Tid = Buf.Tid;
   Event.Depth = Depth;
   Event.Args = std::move(Args);
+  // Buffered until the run ends: keep the bytes, not the append slack.
+  Event.Args.shrink_to_fit();
   --Buf.Depth;
   appendEvent(Buf, std::move(Event));
 }
@@ -235,46 +203,6 @@ void Span::argBool(const char *Key, bool Value) {
 }
 
 //===----------------------------------------------------------------------===//
-// Free-standing events
-//===----------------------------------------------------------------------===//
-
-void anek::telemetry::instant(const char *Name, TraceLevel Level,
-                              const char *Category, std::string ArgsJson) {
-  if (!enabled(Level))
-    return;
-  ThreadBuffer &Buf = localBuffer();
-  TraceEvent Event;
-  Event.Name = Name;
-  Event.Category = Category;
-  Event.Phase = 'i';
-  Event.TsUs = nowUs();
-  Event.Tid = Buf.Tid;
-  Event.Depth = Buf.Depth;
-  Event.Args = std::move(ArgsJson);
-  appendEvent(Buf, std::move(Event));
-}
-
-void anek::telemetry::counterSample(const char *Name, TraceLevel Level,
-                                    const char *Category,
-                                    const char *SeriesKey, double Value) {
-  if (!enabled(Level))
-    return;
-  ThreadBuffer &Buf = localBuffer();
-  TraceEvent Event;
-  Event.Name = Name;
-  Event.Category = Category;
-  Event.Phase = 'C';
-  Event.TsUs = nowUs();
-  Event.Tid = Buf.Tid;
-  Event.Depth = Buf.Depth;
-  Event.Args = '"';
-  appendJsonEscaped(Event.Args, SeriesKey);
-  Event.Args += "\":";
-  Event.Args += jsonNumber(Value);
-  appendEvent(Buf, std::move(Event));
-}
-
-//===----------------------------------------------------------------------===//
 // Export
 //===----------------------------------------------------------------------===//
 
@@ -316,9 +244,8 @@ std::string anek::telemetry::chromeTraceJson() {
     MaxTid = std::max(MaxTid, E.Tid);
 
   std::string Out;
-  Out += "{\n\"otherData\":{\"schema\":\"anek-trace-v1\",\"traceLevel\":";
-  Out += jsonQuote(traceLevelName(traceLevel()));
-  Out += "},\n\"displayTimeUnit\":\"ms\",\n\"traceEvents\":[\n";
+  Out += "{\n\"otherData\":{\"schema\":\"anek-trace-v1\"},\n"
+         "\"displayTimeUnit\":\"ms\",\n\"traceEvents\":[\n";
   bool First = true;
   auto Emit = [&](const std::string &Line) {
     if (!First)
@@ -341,26 +268,15 @@ std::string anek::telemetry::chromeTraceJson() {
     Line += jsonQuote(E.Name);
     Line += ",\"cat\":";
     Line += jsonQuote(E.Category);
-    Line += formatStr(",\"ph\":\"%c\",\"ts\":%lld", E.Phase,
-                      static_cast<long long>(E.TsUs));
-    if (E.Phase == 'X')
-      Line += formatStr(",\"dur\":%lld", static_cast<long long>(E.DurUs));
-    if (E.Phase == 'i')
-      Line += ",\"s\":\"t\""; // Thread-scoped instant.
-    Line += formatStr(",\"pid\":1,\"tid\":%u", E.Tid);
-    if (E.Phase == 'C') {
-      // Counter events carry the sampled series directly.
-      Line += ",\"args\":{" + E.Args + "}";
-    } else {
-      Line += ",\"args\":{";
-      Line += formatStr("\"depth\":%u", E.Depth);
-      if (!E.Args.empty()) {
-        Line += ',';
-        Line += E.Args;
-      }
-      Line += "}";
+    Line += formatStr(",\"ph\":\"X\",\"ts\":%lld,\"dur\":%lld,\"pid\":1,"
+                      "\"tid\":%u,\"args\":{\"depth\":%u",
+                      static_cast<long long>(E.TsUs),
+                      static_cast<long long>(E.DurUs), E.Tid, E.Depth);
+    if (!E.Args.empty()) {
+      Line += ',';
+      Line += E.Args;
     }
-    Line += "}";
+    Line += "}}";
     Emit(Line);
   }
   Out += "\n]}\n";

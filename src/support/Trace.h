@@ -6,19 +6,17 @@
 ///
 /// \file
 /// A thread-aware, low-overhead structured tracing substrate (DESIGN.md,
-/// "Telemetry"). The pipeline is instrumented with RAII spans, instant
-/// events and counter samples; events land on per-thread buffers that are
-/// merged at flush time, so tracing composes with `-jN` and observes the
-/// run without perturbing it — inferred specs are byte-identical with
-/// tracing on or off.
+/// "Telemetry"). The pipeline is instrumented with RAII spans; they land
+/// on per-thread buffers that are merged at flush time, so tracing
+/// composes with `-jN` and observes the run without perturbing it —
+/// inferred specs are byte-identical with tracing on or off.
 ///
-/// The overhead contract: when tracing is off (the default), every
-/// instrumentation site costs exactly one relaxed atomic load (the level
-/// check) and performs no allocation. Granularity is selected by
-/// TraceLevel: `phase` records pipeline phases and aggregate metrics,
-/// `method` adds one span per per-method unit of work (solve, PFG build,
-/// IR lowering), `solver` adds per-iteration residual samples and
-/// cascade-stage transitions.
+/// Collection follows the artifacts: spans record exactly when the run
+/// writes a trace, and counters, gauges and histograms (Metrics.h) record
+/// exactly when it writes a metrics document. The overhead contract: with
+/// both off (the default), every instrumentation site costs exactly one
+/// relaxed atomic load (tracing() or metering()) and performs no
+/// allocation.
 ///
 /// The exporter writes Chrome `trace_event` JSON (schema `anek-trace-v1`)
 /// loadable in chrome://tracing or https://ui.perfetto.dev.
@@ -35,64 +33,50 @@
 namespace anek {
 namespace telemetry {
 
-/// Granularity of trace collection, coarse to fine. Each level includes
-/// everything the previous one records.
-enum class TraceLevel : int {
-  Off = 0,    ///< No collection; instrumentation costs one relaxed load.
-  Phase = 1,  ///< Pipeline phases + aggregate counters/histograms.
-  Method = 2, ///< Plus one span per per-method unit of work.
-  Solver = 3, ///< Plus per-iteration residuals and cascade transitions.
-};
-
 namespace detail {
-/// The active level, read on every instrumentation site. Relaxed is
-/// correct: the level only transitions while the pipeline is quiescent
+/// The two collection switches, read on every instrumentation site.
+/// Relaxed is correct: they only change while the pipeline is quiescent
 /// (driver startup, test fixtures), and a stale read merely records or
 /// skips one event.
-extern std::atomic<int> ActiveLevel;
+extern std::atomic<bool> Tracing;
+extern std::atomic<bool> Metering;
 } // namespace detail
 
-/// One relaxed atomic load: the whole cost of a disabled site.
-inline bool enabled(TraceLevel Level) {
-  return detail::ActiveLevel.load(std::memory_order_relaxed) >=
-         static_cast<int>(Level);
+/// True when the run writes a trace: spans record. One relaxed load.
+inline bool tracing() {
+  return detail::Tracing.load(std::memory_order_relaxed);
 }
 
-/// True when any collection at all is active.
-inline bool enabled() {
-  return detail::ActiveLevel.load(std::memory_order_relaxed) != 0;
+/// True when the run writes a metrics document: counters, gauges and
+/// histograms record. One relaxed load.
+inline bool metering() {
+  return detail::Metering.load(std::memory_order_relaxed);
 }
 
-void setTraceLevel(TraceLevel Level);
-TraceLevel traceLevel();
-
-/// Renders "off"/"phase"/"method"/"solver".
-const char *traceLevelName(TraceLevel Level);
-
-/// Parses a trace level name; false on unknown input.
-bool parseTraceLevel(const std::string &Name, TraceLevel &Out);
+/// Sets both switches: \p Trace when the run writes a trace, \p Metrics
+/// when it writes a metrics document.
+void setCollection(bool Trace, bool Metrics);
 
 /// Microseconds since the process trace epoch (first telemetry use).
 int64_t nowUs();
 
 /// RAII span: records a Chrome complete event ("ph":"X") covering its
-/// lifetime on the calling thread's buffer. Construction with an
-/// insufficient level is inert — one relaxed load, no allocation, and
-/// every other member call is a cheap no-op.
+/// lifetime on the calling thread's buffer. Construction while tracing is
+/// off is inert — one relaxed load, no allocation, and every other member
+/// call is a cheap no-op.
 ///
 /// \p Name must be a string literal (it is stored by pointer). Dynamic
 /// detail goes into args, guarded by active() so the argument expression
 /// itself is not evaluated when tracing is off:
 ///
-///   telemetry::Span S("infer.method", telemetry::TraceLevel::Method,
-///                     "infer");
+///   telemetry::Span S("infer.method", "infer");
 ///   if (S.active())
 ///     S.arg("method", M->qualifiedName());
 class Span {
 public:
-  Span(const char *Name, TraceLevel Level, const char *Category = "anek")
+  Span(const char *Name, const char *Category = "anek")
       : Name(Name), Category(Category) {
-    if (enabled(Level))
+    if (tracing())
       begin();
   }
   ~Span() {
@@ -140,17 +124,6 @@ private:
   std::string Args; ///< Preformatted JSON object body (no braces).
 };
 
-/// Records an instant event ("ph":"i") when \p Level is enabled.
-/// \p ArgsJson, when non-empty, is a preformatted JSON object body such
-/// as "\"stage\":\"exact\"" — use jsonQuote for string values.
-void instant(const char *Name, TraceLevel Level, const char *Category,
-             std::string ArgsJson = std::string());
-
-/// Records a counter sample ("ph":"C"): one named series point, e.g. the
-/// BP residual at an iteration. \p SeriesKey names the sampled series.
-void counterSample(const char *Name, TraceLevel Level, const char *Category,
-                   const char *SeriesKey, double Value);
-
 /// JSON-escapes and double-quotes \p S (shared with the exporters).
 std::string jsonQuote(const std::string &S);
 
@@ -168,8 +141,8 @@ bool writeChromeTrace(const std::string &Path, std::string *Error = nullptr);
 /// Number of events currently buffered across all threads (tests).
 size_t eventCount();
 
-/// Drops all buffered events and resets span depths. The trace level is
-/// left untouched. Only safe while no spans are live; for tests and
+/// Drops all buffered events. The collection switches are left
+/// untouched. Only safe while no spans are live; for tests and
 /// long-running embedders that flush periodically.
 void resetTrace();
 

@@ -236,10 +236,10 @@ TEST(ReportTest, ShowsTheSerialMergeShareOfPhase2) {
 }
 
 TEST(ReportTest, SequentialRunShowsItsRunTimeAndReplays) {
-  // A real -j1 run, traced at method level.
+  // A real -j1 run that writes both artifacts.
   telemetry::resetTrace();
   telemetry::resetMetricsForTest();
-  telemetry::setTraceLevel(telemetry::TraceLevel::Method);
+  telemetry::setCollection(true, true);
   DiagnosticEngine Diags;
   std::unique_ptr<Program> Prog =
       parseAndAnalyze(iteratorApiSource() + spreadsheetSource(), Diags);
@@ -249,7 +249,7 @@ TEST(ReportTest, SequentialRunShowsItsRunTimeAndReplays) {
   InferResult R = runAnekInfer(*Prog, Opts);
   const std::string Trace = telemetry::chromeTraceJson();
   const std::string Metrics = telemetry::metricsJson();
-  telemetry::setTraceLevel(telemetry::TraceLevel::Off);
+  telemetry::setCollection(false, false);
   telemetry::resetTrace();
   telemetry::resetMetricsForTest();
 

@@ -4,34 +4,38 @@
 //
 // Covers the telemetry contract (DESIGN.md, "Telemetry"):
 //   - span nesting depth and cross-thread buffer merging,
-//   - Chrome trace_event JSON well-formedness (parsed back by a minimal
-//     JSON reader compiled into this binary — no external tools),
+//   - Chrome trace_event JSON well-formedness (parsed back with
+//     support/Json.h — no external tools),
 //   - counter/gauge/histogram semantics and the anek-metrics-v1 schema,
-//   - the off-mode cost contract: zero allocations and cheap checks,
-//   - driver-level end-to-end: `anek infer --trace --metrics` emits a
-//     valid trace spanning multiple pipeline phases and thread ids, and
-//     inferred specs are byte-identical with telemetry on or off at
-//     -j1 and -j4.
+//   - collection follows the artifacts: spans record only when the run
+//     writes a trace, metrics only when it writes a metrics document,
+//   - the off-mode cost contract: zero allocations (counted by the
+//     replaced global allocator in trace_test_alloc.cpp) and cheap
+//     checks,
+//   - driver-level end-to-end: `--trace --metrics` on PMD emits a valid
+//     spans-only trace spanning multiple pipeline phases and thread ids,
+//     whose fallback picks carry the cascade's reason, and inferred
+//     specs are byte-identical with telemetry on or off at -j1 and -j4.
 //
 //===----------------------------------------------------------------------===//
 
+#include "corpus/ExampleSources.h"
+#include "infer/AnekInfer.h"
+#include "lang/Sema.h"
+#include "support/Json.h"
 #include "support/Metrics.h"
 #include "support/Trace.h"
 
 #include <atomic>
-#include <cctype>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
 #include <limits>
 #include <map>
 #include <memory>
-#include <new>
 #include <regex>
 #include <set>
 #include <sstream>
@@ -42,295 +46,44 @@
 #include <vector>
 
 using namespace anek;
-using telemetry::TraceLevel;
+using json::Value;
 
-//===----------------------------------------------------------------------===//
-// Allocation counting: replaceable global new/delete so the off-mode
-// zero-allocation contract is checked directly, not inferred. The nothrow
-// forms are replaced too (std::stable_sort's temporary buffer uses them),
-// so every allocation these deletes free came from malloc.
-//===----------------------------------------------------------------------===//
-
-static std::atomic<uint64_t> GlobalAllocations{0};
-
-void *operator new(size_t Size, const std::nothrow_t &) noexcept {
-  GlobalAllocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(Size ? Size : 1);
-}
-
-void *operator new(size_t Size) {
-  if (void *P = ::operator new(Size, std::nothrow))
-    return P;
-  throw std::bad_alloc();
-}
-
-void *operator new[](size_t Size) { return ::operator new(Size); }
-void *operator new[](size_t Size, const std::nothrow_t &Tag) noexcept {
-  return ::operator new(Size, Tag);
-}
-
-void operator delete(void *P) noexcept { std::free(P); }
-void operator delete[](void *P) noexcept { std::free(P); }
-void operator delete(void *P, size_t) noexcept { std::free(P); }
-void operator delete[](void *P, size_t) noexcept { std::free(P); }
-void operator delete(void *P, const std::nothrow_t &) noexcept { std::free(P); }
-void operator delete[](void *P, const std::nothrow_t &) noexcept {
-  std::free(P);
-}
+/// Every allocation through the global operator new, counted by the
+/// replacement allocator in trace_test_alloc.cpp.
+extern std::atomic<uint64_t> GlobalAllocations;
 
 namespace {
 
 namespace fs = std::filesystem;
 
-//===----------------------------------------------------------------------===//
-// A minimal JSON reader, just enough to validate the exporters. Parses
-// objects, arrays, strings (with escapes), numbers, booleans and null.
-//===----------------------------------------------------------------------===//
-
-struct Json {
-  enum Kind { Null, Bool, Number, String, Array, Object } K = Null;
-  bool B = false;
-  double N = 0.0;
-  std::string S;
-  std::vector<Json> Items;
-  std::map<std::string, Json> Fields;
-
-  bool has(const std::string &Key) const { return Fields.count(Key) != 0; }
-  const Json &at(const std::string &Key) const {
-    static const Json Missing;
-    auto It = Fields.find(Key);
-    return It == Fields.end() ? Missing : It->second;
-  }
-};
-
-class JsonReader {
-public:
-  explicit JsonReader(const std::string &Text) : Text(Text) {}
-
-  bool parse(Json &Out) {
-    Pos = 0;
-    if (!value(Out))
-      return false;
-    skipWs();
-    return Pos == Text.size(); // No trailing garbage.
-  }
-
-private:
-  const std::string &Text;
-  size_t Pos = 0;
-
-  void skipWs() {
-    while (Pos < Text.size() &&
-           std::isspace(static_cast<unsigned char>(Text[Pos])))
-      ++Pos;
-  }
-
-  bool literal(const char *Word) {
-    size_t Len = std::strlen(Word);
-    if (Text.compare(Pos, Len, Word) != 0)
-      return false;
-    Pos += Len;
-    return true;
-  }
-
-  bool value(Json &Out) {
-    skipWs();
-    if (Pos >= Text.size())
-      return false;
-    switch (Text[Pos]) {
-    case '{':
-      return object(Out);
-    case '[':
-      return array(Out);
-    case '"':
-      Out.K = Json::String;
-      return string(Out.S);
-    case 't':
-      Out.K = Json::Bool;
-      Out.B = true;
-      return literal("true");
-    case 'f':
-      Out.K = Json::Bool;
-      Out.B = false;
-      return literal("false");
-    case 'n':
-      Out.K = Json::Null;
-      return literal("null");
-    default:
-      return number(Out);
-    }
-  }
-
-  bool object(Json &Out) {
-    Out.K = Json::Object;
-    ++Pos; // '{'
-    skipWs();
-    if (Pos < Text.size() && Text[Pos] == '}') {
-      ++Pos;
-      return true;
-    }
-    while (true) {
-      skipWs();
-      std::string Key;
-      if (!string(Key))
-        return false;
-      skipWs();
-      if (Pos >= Text.size() || Text[Pos] != ':')
-        return false;
-      ++Pos;
-      Json Val;
-      if (!value(Val))
-        return false;
-      Out.Fields.emplace(std::move(Key), std::move(Val));
-      skipWs();
-      if (Pos >= Text.size())
-        return false;
-      if (Text[Pos] == ',') {
-        ++Pos;
-        continue;
-      }
-      if (Text[Pos] == '}') {
-        ++Pos;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool array(Json &Out) {
-    Out.K = Json::Array;
-    ++Pos; // '['
-    skipWs();
-    if (Pos < Text.size() && Text[Pos] == ']') {
-      ++Pos;
-      return true;
-    }
-    while (true) {
-      Json Val;
-      if (!value(Val))
-        return false;
-      Out.Items.push_back(std::move(Val));
-      skipWs();
-      if (Pos >= Text.size())
-        return false;
-      if (Text[Pos] == ',') {
-        ++Pos;
-        continue;
-      }
-      if (Text[Pos] == ']') {
-        ++Pos;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool string(std::string &Out) {
-    if (Pos >= Text.size() || Text[Pos] != '"')
-      return false;
-    ++Pos;
-    Out.clear();
-    while (Pos < Text.size()) {
-      char C = Text[Pos++];
-      if (C == '"')
-        return true;
-      if (C == '\\') {
-        if (Pos >= Text.size())
-          return false;
-        char E = Text[Pos++];
-        switch (E) {
-        case '"': Out += '"'; break;
-        case '\\': Out += '\\'; break;
-        case '/': Out += '/'; break;
-        case 'b': Out += '\b'; break;
-        case 'f': Out += '\f'; break;
-        case 'n': Out += '\n'; break;
-        case 'r': Out += '\r'; break;
-        case 't': Out += '\t'; break;
-        case 'u': {
-          if (Pos + 4 > Text.size())
-            return false;
-          // Escaped control characters only round-trip as bytes here;
-          // good enough for validating the exporter's output.
-          unsigned Code = 0;
-          for (int I = 0; I != 4; ++I) {
-            char H = Text[Pos++];
-            Code <<= 4;
-            if (H >= '0' && H <= '9')
-              Code |= static_cast<unsigned>(H - '0');
-            else if (H >= 'a' && H <= 'f')
-              Code |= static_cast<unsigned>(H - 'a' + 10);
-            else if (H >= 'A' && H <= 'F')
-              Code |= static_cast<unsigned>(H - 'A' + 10);
-            else
-              return false;
-          }
-          Out += static_cast<char>(Code & 0xFF);
-          break;
-        }
-        default:
-          return false;
-        }
-        continue;
-      }
-      // Raw control characters are invalid JSON — the exporter must
-      // have escaped them.
-      if (static_cast<unsigned char>(C) < 0x20)
-        return false;
-      Out += C;
-    }
-    return false;
-  }
-
-  bool number(Json &Out) {
-    size_t Start = Pos;
-    if (Pos < Text.size() && (Text[Pos] == '-' || Text[Pos] == '+'))
-      ++Pos;
-    bool SawDigit = false;
-    while (Pos < Text.size() &&
-           (std::isdigit(static_cast<unsigned char>(Text[Pos])) ||
-            Text[Pos] == '.' || Text[Pos] == 'e' || Text[Pos] == 'E' ||
-            Text[Pos] == '-' || Text[Pos] == '+')) {
-      if (std::isdigit(static_cast<unsigned char>(Text[Pos])))
-        SawDigit = true;
-      ++Pos;
-    }
-    if (!SawDigit)
-      return false;
-    Out.K = Json::Number;
-    Out.N = std::strtod(Text.substr(Start, Pos - Start).c_str(), nullptr);
-    return true;
-  }
-};
-
-Json mustParse(const std::string &Text) {
-  Json Doc;
-  JsonReader Reader(Text);
-  EXPECT_TRUE(Reader.parse(Doc)) << "invalid JSON:\n"
-                                 << Text.substr(0, 2000);
+Value mustParse(const std::string &Text) {
+  Value Doc;
+  std::string Error;
+  EXPECT_TRUE(json::parse(Text, Doc, &Error))
+      << Error << " in:\n" << Text.substr(0, 2000);
   return Doc;
 }
 
 //===----------------------------------------------------------------------===//
-// Fixture: every test starts from a clean buffer and a known level, and
+// Fixture: every test starts from clean buffers with collection off, and
 // leaves collection off so tests stay independent.
 //===----------------------------------------------------------------------===//
 
 class TraceTest : public ::testing::Test {
 protected:
   void SetUp() override {
-    telemetry::setTraceLevel(TraceLevel::Off);
+    telemetry::setCollection(false, false);
     telemetry::resetTrace();
     telemetry::resetMetricsForTest();
   }
   void TearDown() override {
-    telemetry::setTraceLevel(TraceLevel::Off);
+    telemetry::setCollection(false, false);
     telemetry::resetTrace();
   }
 };
 
-const std::vector<Json> &events(const Json &Doc) {
-  EXPECT_EQ(Doc.K, Json::Object);
+const std::vector<Value> &events(const Value &Doc) {
+  EXPECT_EQ(Doc.K, Value::Object);
   EXPECT_TRUE(Doc.has("traceEvents"));
   return Doc.at("traceEvents").Items;
 }
@@ -342,34 +95,34 @@ const std::vector<Json> &events(const Json &Doc) {
 //===----------------------------------------------------------------------===//
 
 TEST_F(TraceTest, SpanNestingRecordsDepthAndDuration) {
-  telemetry::setTraceLevel(TraceLevel::Solver);
+  telemetry::setCollection(true, false);
   {
-    telemetry::Span Outer("test.outer", TraceLevel::Phase, "test");
+    telemetry::Span Outer("test.outer", "test");
     ASSERT_TRUE(Outer.active());
     Outer.arg("label", "outer-span");
     {
-      telemetry::Span Inner("test.inner", TraceLevel::Method, "test");
+      telemetry::Span Inner("test.inner", "test");
       ASSERT_TRUE(Inner.active());
       Inner.arg("n", 42u);
     }
     {
-      telemetry::Span Inner2("test.inner2", TraceLevel::Solver, "test");
+      telemetry::Span Inner2("test.inner2", "test");
       ASSERT_TRUE(Inner2.active());
     }
   }
   EXPECT_EQ(telemetry::eventCount(), 3u);
 
-  Json Doc = mustParse(telemetry::chromeTraceJson());
+  Value Doc = mustParse(telemetry::chromeTraceJson());
   EXPECT_EQ(Doc.at("otherData").at("schema").S, "anek-trace-v1");
 
-  std::map<std::string, const Json *> ByName;
-  for (const Json &E : events(Doc))
+  std::map<std::string, const Value *> ByName;
+  for (const Value &E : events(Doc))
     if (E.at("ph").S == "X")
       ByName[E.at("name").S] = &E;
   ASSERT_EQ(ByName.size(), 3u);
 
-  const Json &Outer = *ByName.at("test.outer");
-  const Json &Inner = *ByName.at("test.inner");
+  const Value &Outer = *ByName.at("test.outer");
+  const Value &Inner = *ByName.at("test.inner");
   EXPECT_EQ(Outer.at("cat").S, "test");
   EXPECT_EQ(Outer.at("args").at("depth").N, 0.0);
   EXPECT_EQ(Inner.at("args").at("depth").N, 1.0);
@@ -382,27 +135,36 @@ TEST_F(TraceTest, SpanNestingRecordsDepthAndDuration) {
             Inner.at("ts").N + Inner.at("dur").N);
 }
 
-TEST_F(TraceTest, LevelGatingMakesSpansInert) {
-  telemetry::setTraceLevel(TraceLevel::Phase);
-  {
-    telemetry::Span Phase("test.phase", TraceLevel::Phase, "test");
-    telemetry::Span Method("test.method", TraceLevel::Method, "test");
-    telemetry::Span Solver("test.solver", TraceLevel::Solver, "test");
-    EXPECT_TRUE(Phase.active());
-    EXPECT_FALSE(Method.active());
-    EXPECT_FALSE(Solver.active());
-  }
-  EXPECT_EQ(telemetry::eventCount(), 1u);
-  // Inert siblings must not have disturbed nesting depth accounting.
-  Json Doc = mustParse(telemetry::chromeTraceJson());
-  for (const Json &E : events(Doc))
-    if (E.at("ph").S == "X")
-      EXPECT_EQ(E.at("args").at("depth").N, 0.0);
+TEST_F(TraceTest, CollectionFollowsTheArtifacts) {
+  // Spans record exactly when the run writes a trace, metrics exactly
+  // when it writes a metrics document: a metrics-only run buffers no
+  // trace event, and a trace-only run counts nothing.
+  auto RunSpreadsheet = [] {
+    DiagnosticEngine Diags;
+    std::unique_ptr<Program> Prog =
+        parseAndAnalyze(iteratorApiSource() + spreadsheetSource(), Diags);
+    ASSERT_TRUE(Prog != nullptr) << Diags.str();
+    InferOptions Opts;
+    Opts.Parallelism = 1;
+    runAnekInfer(*Prog, Opts);
+  };
+  telemetry::Counter &Solves = telemetry::counter("solver.bp.solves");
+
+  telemetry::setCollection(false, true);
+  RunSpreadsheet();
+  EXPECT_EQ(telemetry::eventCount(), 0u);
+  EXPECT_GT(Solves.value(), 0u);
+
+  telemetry::resetMetricsForTest();
+  telemetry::setCollection(true, false);
+  RunSpreadsheet();
+  EXPECT_GT(telemetry::eventCount(), 0u);
+  EXPECT_EQ(Solves.value(), 0u);
 }
 
 TEST_F(TraceTest, CloseRecordsEarlyAndIsIdempotent) {
-  telemetry::setTraceLevel(TraceLevel::Phase);
-  telemetry::Span S("test.closed", TraceLevel::Phase, "test");
+  telemetry::setCollection(true, false);
+  telemetry::Span S("test.closed", "test");
   ASSERT_TRUE(S.active());
   S.close();
   EXPECT_FALSE(S.active());
@@ -410,37 +172,17 @@ TEST_F(TraceTest, CloseRecordsEarlyAndIsIdempotent) {
   EXPECT_EQ(telemetry::eventCount(), 1u);
 }
 
-TEST_F(TraceTest, InstantAndCounterSampleEvents) {
-  telemetry::setTraceLevel(TraceLevel::Solver);
-  telemetry::instant("test.instant", TraceLevel::Solver, "test",
-                     "\"stage\":" + telemetry::jsonQuote("exact"));
-  telemetry::counterSample("test.series", TraceLevel::Solver, "test",
-                           "residual", 0.125);
-  Json Doc = mustParse(telemetry::chromeTraceJson());
-  bool SawInstant = false, SawCounter = false;
-  for (const Json &E : events(Doc)) {
-    if (E.at("ph").S == "i" && E.at("name").S == "test.instant") {
-      SawInstant = true;
-      EXPECT_EQ(E.at("s").S, "t");
-      EXPECT_EQ(E.at("args").at("stage").S, "exact");
-    }
-    if (E.at("ph").S == "C" && E.at("name").S == "test.series") {
-      SawCounter = true;
-      EXPECT_EQ(E.at("args").at("residual").N, 0.125);
-    }
-  }
-  EXPECT_TRUE(SawInstant);
-  EXPECT_TRUE(SawCounter);
-}
-
 TEST_F(TraceTest, JsonQuoteEscapesControlAndSpecialCharacters) {
   std::string Nasty = "a\"b\\c\nd\te\x01f";
   std::string Quoted = telemetry::jsonQuote(Nasty);
-  Json Doc;
-  JsonReader Reader(Quoted);
-  ASSERT_TRUE(Reader.parse(Doc)) << Quoted;
-  EXPECT_EQ(Doc.K, Json::String);
+  Value Doc;
+  ASSERT_TRUE(json::parse(Quoted, Doc)) << Quoted;
+  EXPECT_EQ(Doc.K, Value::String);
   EXPECT_EQ(Doc.S, Nasty);
+  // The reader rejects raw control bytes, so the round trip above only
+  // passes when jsonQuote escaped every one of them.
+  EXPECT_FALSE(json::parse("\"a\nb\"", Doc));
+  EXPECT_FALSE(json::parse("\"a\x01z\"", Doc));
   // Non-finite numbers must not leak "inf"/"nan" tokens into JSON.
   EXPECT_EQ(telemetry::jsonNumber(
                 std::numeric_limits<double>::infinity()),
@@ -453,15 +195,15 @@ TEST_F(TraceTest, JsonQuoteEscapesControlAndSpecialCharacters) {
 //===----------------------------------------------------------------------===//
 
 TEST_F(TraceTest, ThreadBuffersMergeWithDistinctStableIds) {
-  telemetry::setTraceLevel(TraceLevel::Method);
+  telemetry::setCollection(true, false);
   constexpr unsigned Workers = 3;
   {
-    telemetry::Span Main("test.main", TraceLevel::Phase, "test");
+    telemetry::Span Main("test.main", "test");
     std::vector<std::thread> Threads;
     for (unsigned W = 0; W != Workers; ++W)
       Threads.emplace_back([W] {
         for (int I = 0; I != 4; ++I) {
-          telemetry::Span S("test.worker", TraceLevel::Method, "test");
+          telemetry::Span S("test.worker", "test");
           if (S.active())
             S.arg("worker", W);
         }
@@ -471,11 +213,11 @@ TEST_F(TraceTest, ThreadBuffersMergeWithDistinctStableIds) {
   }
   EXPECT_EQ(telemetry::eventCount(), 1u + Workers * 4u);
 
-  Json Doc = mustParse(telemetry::chromeTraceJson());
+  Value Doc = mustParse(telemetry::chromeTraceJson());
   std::set<double> Tids;
   double LastTs = -1.0;
   unsigned Complete = 0;
-  for (const Json &E : events(Doc)) {
+  for (const Value &E : events(Doc)) {
     if (E.at("ph").S != "X")
       continue;
     ++Complete;
@@ -485,15 +227,16 @@ TEST_F(TraceTest, ThreadBuffersMergeWithDistinctStableIds) {
     LastTs = E.at("ts").N;
     // Depth is per-thread: worker spans are all top-level even though
     // they ran inside the main thread's span.
-    if (E.at("name").S == "test.worker")
+    if (E.at("name").S == "test.worker") {
       EXPECT_EQ(E.at("args").at("depth").N, 0.0);
+    }
   }
   EXPECT_EQ(Complete, 1u + Workers * 4u);
   EXPECT_EQ(Tids.size(), 1u + Workers);
 
   // Every recording thread has a thread_name metadata event.
   std::set<double> NamedTids;
-  for (const Json &E : events(Doc))
+  for (const Value &E : events(Doc))
     if (E.at("ph").S == "M" && E.at("name").S == "thread_name")
       NamedTids.insert(E.at("tid").N);
   EXPECT_EQ(NamedTids, Tids);
@@ -555,16 +298,15 @@ TEST_F(TraceTest, MetricsJsonSchemaSelfCheck) {
   telemetry::gauge("test.schema.gauge").set(0.5);
   telemetry::histogram("test.schema.hist").record(4.0);
 
-  Json Doc = mustParse(telemetry::metricsJson());
-  ASSERT_EQ(Doc.K, Json::Object);
+  Value Doc = mustParse(telemetry::metricsJson());
+  ASSERT_EQ(Doc.K, Value::Object);
   EXPECT_EQ(Doc.at("schema").S, "anek-metrics-v1");
-  ASSERT_TRUE(Doc.has("traceLevel"));
   ASSERT_TRUE(Doc.has("counters"));
   ASSERT_TRUE(Doc.has("gauges"));
   ASSERT_TRUE(Doc.has("histograms"));
   EXPECT_EQ(Doc.at("counters").at("test.schema.counter").N, 7.0);
   EXPECT_EQ(Doc.at("gauges").at("test.schema.gauge").N, 0.5);
-  const Json &H = Doc.at("histograms").at("test.schema.hist");
+  const Value &H = Doc.at("histograms").at("test.schema.hist");
   for (const char *Key : {"count", "sum", "min", "max", "mean"})
     EXPECT_TRUE(H.has(Key)) << Key;
   EXPECT_EQ(H.at("count").N, 1.0);
@@ -596,8 +338,8 @@ TEST_F(TraceTest, HistogramPercentilesExportOrderedEstimates) {
 
   // The exporter ships the estimates under pinned keys — this is the
   // anek-metrics-v1 histogram schema `anek report` consumes.
-  Json Doc = mustParse(telemetry::metricsJson());
-  const Json &HJ = Doc.at("histograms").at("test.pctl");
+  Value Doc = mustParse(telemetry::metricsJson());
+  const Value &HJ = Doc.at("histograms").at("test.pctl");
   for (const char *Key :
        {"count", "sum", "min", "max", "mean", "p50", "p95", "p99"})
     EXPECT_TRUE(HJ.has(Key)) << Key;
@@ -607,8 +349,8 @@ TEST_F(TraceTest, HistogramPercentilesExportOrderedEstimates) {
 
   // Empty histograms export zero percentiles, not NaNs.
   telemetry::histogram("test.pctl.empty");
-  Json EmptyDoc = mustParse(telemetry::metricsJson());
-  const Json &Empty = EmptyDoc.at("histograms").at("test.pctl.empty");
+  Value EmptyDoc = mustParse(telemetry::metricsJson());
+  const Value &Empty = EmptyDoc.at("histograms").at("test.pctl.empty");
   EXPECT_EQ(Empty.at("p50").N, 0.0);
   EXPECT_EQ(Empty.at("p99").N, 0.0);
 }
@@ -618,17 +360,13 @@ TEST_F(TraceTest, HistogramPercentilesExportOrderedEstimates) {
 //===----------------------------------------------------------------------===//
 
 TEST_F(TraceTest, OffModeAllocatesNothing) {
-  telemetry::setTraceLevel(TraceLevel::Off);
   uint64_t Before = GlobalAllocations.load(std::memory_order_relaxed);
   for (int I = 0; I != 10000; ++I) {
-    telemetry::Span S("test.off", TraceLevel::Phase, "test");
+    telemetry::Span S("test.off", "test");
     EXPECT_FALSE(S.active());
     S.arg("ignored", 1u);
-    telemetry::instant("test.off.instant", TraceLevel::Phase, "test");
-    telemetry::counterSample("test.off.series", TraceLevel::Solver, "test",
-                             "v", 1.0);
-    if (telemetry::enabled(TraceLevel::Phase))
-      ADD_FAILURE() << "enabled() true at level off";
+    if (telemetry::tracing() || telemetry::metering())
+      ADD_FAILURE() << "collection on with both switches off";
   }
   uint64_t After = GlobalAllocations.load(std::memory_order_relaxed);
   EXPECT_EQ(After, Before) << "disabled telemetry must not allocate";
@@ -641,10 +379,9 @@ TEST_F(TraceTest, OffModeIsCheap) {
   // a loaded CI machine. Catches accidental locks or allocations, not
   // nanosecond drift — bench_solver_kernels guards the fine-grained
   // throughput contract.
-  telemetry::setTraceLevel(TraceLevel::Off);
   auto Start = std::chrono::steady_clock::now();
   for (int I = 0; I != 2000000; ++I) {
-    telemetry::Span S("test.cheap", TraceLevel::Phase, "test");
+    telemetry::Span S("test.cheap", "test");
     S.arg("k", 1u);
   }
   double Seconds =
@@ -707,27 +444,44 @@ struct TempFile {
 } // namespace
 
 TEST_F(TraceTest, DriverEmitsValidTraceAndMetrics) {
+  // PMD's waves are wide enough that -j4 workers always take jobs; the
+  // seven-method spreadsheet's jobs can all finish on the calling thread
+  // before a worker wakes.
   TempFile Trace("_e2e_trace.json");
   TempFile Metrics("_e2e_metrics.json");
-  ToolRun R = runTool("infer --example spreadsheet --trace=" +
-                      Trace.Path.string() +
+  ToolRun R = runTool("verify --example pmd --trace=" + Trace.Path.string() +
                       " --metrics=" + Metrics.Path.string() + " -j4");
   ASSERT_EQ(R.Exit, 0) << R.MaskedOutput;
 
-  // The trace is well-formed Chrome JSON covering several pipeline
-  // phases on several threads.
-  Json TraceDoc = mustParse(slurp(Trace.Path));
+  // The trace is well-formed Chrome JSON of spans (plus lane-name
+  // metadata) covering several pipeline phases on several threads. Of
+  // the 9,360 picks, exactly the 3,118 that left the fallback cascade
+  // (replays included) carry its reason trail on their `infer.method`
+  // span.
+  Value TraceDoc = mustParse(slurp(Trace.Path));
   EXPECT_EQ(TraceDoc.at("otherData").at("schema").S, "anek-trace-v1");
-  EXPECT_EQ(TraceDoc.at("otherData").at("traceLevel").S, "solver");
   std::set<std::string> Categories;
   std::set<double> Tids;
-  for (const Json &E : events(TraceDoc)) {
+  unsigned Methods = 0, WithReason = 0;
+  for (const Value &E : events(TraceDoc)) {
     if (E.at("ph").S == "M")
       continue;
+    ASSERT_EQ(E.at("ph").S, "X");
     Tids.insert(E.at("tid").N);
-    if (E.at("ph").S == "X")
-      Categories.insert(E.at("cat").S);
+    Categories.insert(E.at("cat").S);
+    if (E.at("name").S != "infer.method")
+      continue;
+    ++Methods;
+    const Value &Args = E.at("args");
+    EXPECT_EQ(Args.has("reason"), Args.at("exit").S != "none");
+    if (Args.has("reason")) {
+      ++WithReason;
+      EXPECT_NE(Args.at("reason").S.find("bp missed convergence"),
+                std::string::npos);
+    }
   }
+  EXPECT_EQ(Methods, 9360u);
+  EXPECT_EQ(WithReason, 3118u);
   EXPECT_GE(Categories.size(), 4u)
       << "trace should span the pipeline, not one layer";
   EXPECT_TRUE(Categories.count("frontend"));
@@ -736,10 +490,10 @@ TEST_F(TraceTest, DriverEmitsValidTraceAndMetrics) {
   EXPECT_GE(Tids.size(), 2u) << "-j4 must record from worker threads";
 
   // The metrics document carries per-solver iteration/residual stats.
-  Json MetricsDoc = mustParse(slurp(Metrics.Path));
+  Value MetricsDoc = mustParse(slurp(Metrics.Path));
   EXPECT_EQ(MetricsDoc.at("schema").S, "anek-metrics-v1");
   EXPECT_GE(MetricsDoc.at("counters").at("solver.bp.solves").N, 1.0);
-  const Json &Iters =
+  const Value &Iters =
       MetricsDoc.at("histograms").at("solver.bp.iterations");
   ASSERT_TRUE(Iters.has("count"));
   EXPECT_GE(Iters.at("count").N, 1.0);
@@ -771,7 +525,7 @@ TEST_F(TraceTest, DriverSplitsFallbacksByCascadeExit) {
     ASSERT_EQ(R.Exit, 0) << R.MaskedOutput;
     EXPECT_NE(R.MaskedOutput.find(C.Footer), std::string::npos)
         << R.MaskedOutput;
-    Json Counters = mustParse(slurp(Metrics.Path)).at("counters");
+    Value Counters = mustParse(slurp(Metrics.Path)).at("counters");
     EXPECT_EQ(Counters.at("infer.fallback_solves").N, 12.0);
     EXPECT_EQ(Counters.at("cascade.exit.near_converged_bp").N,
               C.NearConverged);
@@ -800,12 +554,6 @@ TEST_F(TraceTest, DriverSpecsAreByteIdenticalWithTelemetry) {
   }
 }
 
-TEST_F(TraceTest, DriverRejectsBadTraceLevel) {
-  ToolRun R = runTool("infer --example spreadsheet --trace-level=verbose");
-  EXPECT_EQ(R.Exit, 2);
-  EXPECT_NE(R.MaskedOutput.find("bad trace level"), std::string::npos);
-}
-
 TEST_F(TraceTest, DriverReportDigestsRunArtifacts) {
   // A real run's artifacts, fed back through `anek report`: the text
   // profile names its sections, and --json emits a parseable
@@ -829,7 +577,7 @@ TEST_F(TraceTest, DriverReportDigestsRunArtifacts) {
                             Trace.Path.string() +
                             " --metrics " + Metrics.Path.string());
   ASSERT_EQ(JsonRun.Exit, 0) << JsonRun.MaskedOutput;
-  Json Doc = mustParse(JsonRun.MaskedOutput);
+  Value Doc = mustParse(JsonRun.MaskedOutput);
   EXPECT_EQ(Doc.at("schema").S, "anek-report-v1");
   EXPECT_GE(Doc.at("trace").at("events").N, 1.0);
   EXPECT_LE(Doc.at("trace").at("top_spans").Items.size(), 3u);

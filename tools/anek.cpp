@@ -22,16 +22,19 @@
 //
 // --trace FILE writes a Chrome trace_event JSON timeline (load it in
 // chrome://tracing or ui.perfetto.dev); --metrics FILE writes the flat
-// anek-metrics-v1 counters document. Either implies --trace-level solver
-// unless --trace-level {off,phase,method,solver} narrows the collection.
-// Telemetry never changes the inferred specs (see DESIGN.md, Telemetry).
+// anek-metrics-v1 counters document. Collection follows the artifacts:
+// spans record only under --trace, counters and histograms only under
+// --metrics. Telemetry never changes the inferred specs (see DESIGN.md,
+// Telemetry).
 //
 // `anek report` digests the artifacts a run wrote (--trace/--metrics
 // files) into a profile: per-phase time, top spans, cache hit rate, the
 // serial merge's share of phase 2, replayed share of picks. --json emits
 // the machine-readable anek-report-v1 document.
 //
-// Built-in examples: spreadsheet, file, field.
+// Built-in examples: spreadsheet, file, field, and the paper workloads
+// pmd (the Table 1 corpus, seed 1993524) and table3 (the Table 3 chain
+// of 768 helpers).
 //
 // Exit codes (the driver contract, see DESIGN.md):
 //   0  success, no error diagnostics
@@ -44,6 +47,8 @@
 #include "analysis/IrBuilder.h"
 #include "cache/SummaryCache.h"
 #include "corpus/ExampleSources.h"
+#include "corpus/InlineComparison.h"
+#include "corpus/PmdGenerator.h"
 #include "infer/AnekInfer.h"
 #include "lang/PrettyPrinter.h"
 #include "lang/Sema.h"
@@ -79,10 +84,10 @@ enum ExitCode { ExitOk = 0, ExitDiagnostics = 1, ExitUsage = 2,
 void usage() {
   std::fprintf(stderr,
                "usage: anek <infer|check|verify|pfg|ir> "
-               "<file.mjava | --example spreadsheet|file|field> "
+               "<file.mjava | --example spreadsheet|file|field|pmd|table3> "
                "[--dot] [--method NAME] [--report] [--fault SPEC] "
                "[--jobs N | -j N | -jN] [--cache DIR] [--trace FILE] "
-               "[--metrics FILE] [--trace-level off|phase|method|solver]\n"
+               "[--metrics FILE]\n"
                "       anek report [--trace FILE] [--metrics FILE] "
                "[--json] [--top N]\n"
                "       anek faults\n"
@@ -208,6 +213,14 @@ bool loadSource(const std::string &Arg, bool IsExample, std::string &Out) {
       Out = fieldExampleSource();
       return true;
     }
+    if (Arg == "pmd") {
+      Out = generatePmdCorpus().Source;
+      return true;
+    }
+    if (Arg == "table3") {
+      Out = generateInlineComparison(768, 7).Modular;
+      return true;
+    }
     std::fprintf(stderr, "anek: unknown example '%s'\n", Arg.c_str());
     return false;
   }
@@ -273,7 +286,6 @@ int run(int Argc, char **Argv) {
   std::string CacheDir;
   std::string MethodFilter;
   TelemetryFlusher Telemetry;
-  bool HaveTraceLevel = false;
   for (size_t I = 1; I < Args.size(); ++I) {
     std::string Value;
     if (flagValue(Args, I, "--trace", Value)) {
@@ -282,19 +294,6 @@ int run(int Argc, char **Argv) {
     }
     if (flagValue(Args, I, "--metrics", Value)) {
       Telemetry.MetricsPath = Value;
-      continue;
-    }
-    if (flagValue(Args, I, "--trace-level", Value)) {
-      telemetry::TraceLevel Level;
-      if (!telemetry::parseTraceLevel(Value, Level)) {
-        std::fprintf(stderr,
-                     "anek: bad trace level '%s' "
-                     "(want off|phase|method|solver)\n",
-                     Value.c_str());
-        return ExitUsage;
-      }
-      telemetry::setTraceLevel(Level);
-      HaveTraceLevel = true;
       continue;
     }
     if (Args[I] == "--example" && I + 1 < Args.size()) {
@@ -342,12 +341,8 @@ int run(int Argc, char **Argv) {
       Input = Args[I];
     }
   }
-  // Requesting an output implies collection: default to the finest level
-  // so --trace/--metrics alone capture everything. --trace-level still
-  // wins (including an explicit "off" to measure the disabled cost).
-  if (!HaveTraceLevel &&
-      (!Telemetry.TracePath.empty() || !Telemetry.MetricsPath.empty()))
-    telemetry::setTraceLevel(telemetry::TraceLevel::Solver);
+  telemetry::setCollection(!Telemetry.TracePath.empty(),
+                           !Telemetry.MetricsPath.empty());
   if (Input.empty()) {
     usage();
     return ExitUsage;
