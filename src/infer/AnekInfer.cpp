@@ -57,6 +57,11 @@ namespace {
 /// nothing: neither the target's owner nor the owner's callers.
 constexpr double SummaryTolerance = 0.02;
 
+/// The per-vote evidence cap: every odds multiplier an update carries
+/// lies in [1 / EvidenceOddsCap, EvidenceOddsCap]. computeEvidence clamps
+/// to it, and validateOutcome rejects a cached update outside it.
+constexpr double EvidenceOddsCap = 9.0;
+
 /// Odds-ratio clamp: keeps evidence finite when marginals saturate.
 double oddsRatio(double Marginal, double AppliedPrior) {
   double Ratio = probToOdds(Marginal) / probToOdds(AppliedPrior);
@@ -239,7 +244,7 @@ private:
   /// updates keep batch order.
   struct MergePlan {
     /// Every update of the wave, in batch order.
-    std::vector<SummaryUpdate *> Updates;
+    std::vector<const SummaryUpdate *> Updates;
     /// Group of each entry of Updates.
     std::vector<uint32_t> GroupOf;
     /// Per group: the target and its slot.
@@ -348,8 +353,9 @@ private:
   /// The check a record read back from the cache must pass before the
   /// merge trusts it: it is \p M's, its cascade exit is in range, and every
   /// update names a known owner, a present target, odds of that target's
-  /// arity and, for site evidence, a known caller. Records computed or
-  /// memoized in this engine are trusted without it.
+  /// arity, each finite and within the evidence cap, and, for site
+  /// evidence, a known caller. Records computed or memoized in this engine
+  /// are trusted without it.
   Status validateOutcome(const SolveOutcome &O, const MethodDecl *M) const;
 
   // Replay (DESIGN.md, "Incremental inference and the summary cache").
@@ -442,7 +448,6 @@ void InferEngine::computeEvidence(std::vector<SummaryUpdate> &Updates,
   // conflicting spec one hop away) lands near 0.1-0.2.
   constexpr double WeakenDeadband = 0.2;
   constexpr double BoostDeadband = 0.15;
-  constexpr double OddsCap = 9.0;
 
   std::vector<double> Odds(Target->size(), 1.0);
   for (size_t I = 0, E = std::min(Applied.size(), Marginals.size()); I != E;
@@ -460,7 +465,7 @@ void InferEngine::computeEvidence(std::vector<SummaryUpdate> &Updates,
         continue;
       Ratio = oddsRatio(Marginals[I], Applied[I]);
     }
-    Odds[I] = std::clamp(Ratio, 1.0 / OddsCap, OddsCap);
+    Odds[I] = std::clamp(Ratio, 1.0 / EvidenceOddsCap, EvidenceOddsCap);
   }
 
   SummaryUpdate Update;
@@ -774,12 +779,12 @@ unsigned InferEngine::applyMerge(MergePlan &Plan, ThreadPool *Pool) {
     TargetSummary &Target = *Plan.Targets[G];
     uint32_t Moved = 0;
     for (uint32_t J = Plan.Start[G]; J != Plan.Start[G + 1]; ++J) {
-      SummaryUpdate &U = *Plan.Updates[Plan.Order[J]];
+      const SummaryUpdate &U = *Plan.Updates[Plan.Order[J]];
       double Delta =
-          U.IsSelf ? Target.setSelfOdds(std::move(U.Odds))
+          U.IsSelf ? Target.setSelfOdds(U.Odds)
                    : Target.setSiteOdds(
                          {methodAt(U.SiteCallerDeclIndex), U.SiteIndex},
-                         std::move(U.Odds));
+                         U.Odds);
       Moved += Delta > SummaryTolerance;
     }
     Plan.Moved[G] = Moved;
@@ -839,6 +844,11 @@ Status InferEngine::validateOutcome(const SolveOutcome &O,
     if (!U.IsSelf && !methodAt(U.SiteCallerDeclIndex))
       return Reject("site update names unknown caller #" +
                     std::to_string(U.SiteCallerDeclIndex));
+    for (double Odds : U.Odds)
+      if (!(std::isfinite(Odds) && Odds >= 1.0 / EvidenceOddsCap &&
+            Odds <= EvidenceOddsCap))
+        return Reject("odds " + std::to_string(Odds) + " for '" +
+                      Owner->qualifiedName() + "' outside the evidence cap");
   }
   return Status::ok();
 }
@@ -1132,7 +1142,7 @@ InferResult InferEngine::run() {
       });
 
       // File what the wave learnt, on this thread and in batch order,
-      // before the merge moves the odds out: count each cache answer,
+      // before the merge: count each cache answer,
       // store fresh solves in the cache, and memoize fresh solves and
       // validated cache hits alike, still at Solves = 1 (the merge below
       // adds the method's earlier solves to the live report only). Failed
@@ -1215,7 +1225,7 @@ InferResult InferEngine::run() {
           ++Result.FallbackSolves;
           ++Result.FallbackExits[Out.Exit];
         }
-        for (SummaryUpdate &U : Out.Updates) {
+        for (const SummaryUpdate &U : Out.Updates) {
           if (!U.DebugLine.empty())
             std::fprintf(stderr, "evidence %s\n", U.DebugLine.c_str());
           const uint32_t TargetSlot = targetSlot(U);

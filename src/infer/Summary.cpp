@@ -23,26 +23,46 @@ double anek::oddsToProb(double Odds) {
   return Odds / (1.0 + Odds);
 }
 
+namespace {
+
+/// 2^LogOddsBits, the fixed-point scale of every log-odds row.
+constexpr double LogOddsScale =
+    static_cast<double>(int64_t(1) << TargetSummary::LogOddsBits);
+
+/// One source entry: the odds multiplier \p Odds as fixed-point log-odds.
+int64_t fixedLogOdds(double Odds) {
+  return std::llround(std::log(Odds) * LogOddsScale);
+}
+
+} // namespace
+
 TargetSummary::TargetSummary(TypeDecl *Class) {
   if (Class)
     States = Class->States.names();
-  DeclaredPrior.assign(NumPermKinds + States.size(), 0.5);
-  SelfOdds.assign(DeclaredPrior.size(), 1.0);
-  Pooled = pool(false, NoSite);
+  const size_t N = NumPermKinds + States.size();
+  Self.assign(N, 0);
+  Total.assign(N, 0);
+  Pooled = pool(nullptr);
 }
 
 void TargetSummary::setDeclaredPrior(const std::optional<PermState> &PS,
                                      double Hi, double Lo) {
   if (!PS)
     return;
-  for (unsigned K = 0; K != NumPermKinds; ++K)
-    DeclaredPrior[K] =
-        static_cast<PermKind>(K) == PS->Kind ? Hi : Lo;
+  const size_t N = size();
   const std::string &Wanted =
       PS->State.empty() ? std::string(AliveStateName) : PS->State;
-  for (size_t S = 0; S != States.size(); ++S)
-    DeclaredPrior[NumPermKinds + S] = States[S] == Wanted ? Hi : Lo;
-  Pooled = pool(false, NoSite);
+  for (size_t I = 0; I != N; ++I) {
+    const bool Named = I < NumPermKinds
+                           ? static_cast<PermKind>(I) == PS->Kind
+                           : States[I - NumPermKinds] == Wanted;
+    Total[I] = LogOddsSum(fixedLogOdds(probToOdds(Named ? Hi : Lo))) + Self[I];
+  }
+  // The prior keeps no row of its own, so the total is re-derived.
+  for (size_t K = 0; K != Sites.size(); ++K)
+    for (size_t I = 0; I != N; ++I)
+      Total[I] += SiteRows[K * N + I];
+  Pooled = pool(nullptr);
 }
 
 size_t TargetSummary::siteSlot(const CallSiteKey &Site) const {
@@ -51,64 +71,58 @@ size_t TargetSummary::siteSlot(const CallSiteKey &Site) const {
       Sites.begin());
 }
 
-double TargetSummary::repool() {
-  std::vector<double> Before = std::exchange(Pooled, pool(false, NoSite));
+double TargetSummary::probOf(LogOddsSum Sum) {
+  return oddsToProb(std::exp(static_cast<double>(Sum) / LogOddsScale));
+}
+
+double TargetSummary::replaceRow(int64_t *Row,
+                                 const std::vector<double> &Odds) {
   double Delta = 0.0;
-  for (size_t I = 0; I != Pooled.size(); ++I)
-    Delta = std::max(Delta, std::fabs(Before[I] - Pooled[I]));
+  for (size_t I = 0; I != size(); ++I) {
+    const int64_t New = I < Odds.size() ? fixedLogOdds(Odds[I]) : 0;
+    if (New == Row[I])
+      continue;
+    Total[I] += LogOddsSum(New) - Row[I];
+    Row[I] = New;
+    const double P = probOf(Total[I]);
+    Delta = std::max(Delta, std::fabs(Pooled[I] - P));
+    Pooled[I] = P;
+  }
   return Delta;
 }
 
-double TargetSummary::setSelfOdds(std::vector<double> Odds) {
-  Odds.resize(size(), 1.0);
-  SelfOdds = std::move(Odds);
-  return repool();
+double TargetSummary::setSelfOdds(const std::vector<double> &Odds) {
+  return replaceRow(Self.data(), Odds);
 }
 
 double TargetSummary::setSiteOdds(CallSiteKey Site,
-                                  std::vector<double> Odds) {
+                                  const std::vector<double> &Odds) {
   const size_t N = size();
-  Odds.resize(N, 1.0);
   const size_t K = siteSlot(Site);
-  auto Row = SiteOdds.begin() + static_cast<ptrdiff_t>(K * N);
-  if (K != Sites.size() && Sites[K] == Site) {
-    std::copy(Odds.begin(), Odds.end(), Row);
-  } else {
+  if (K == Sites.size() || Sites[K] != Site) {
     Sites.insert(Sites.begin() + static_cast<ptrdiff_t>(K), Site);
-    SiteOdds.insert(Row, Odds.begin(), Odds.end());
+    SiteRows.insert(SiteRows.begin() + static_cast<ptrdiff_t>(K * N), N, 0);
   }
-  return repool();
+  return replaceRow(SiteRows.data() + K * N, Odds);
 }
 
-std::vector<double> TargetSummary::pool(bool SkipSelf,
-                                        size_t SkipSite) const {
-  const size_t N = size();
-  std::vector<double> Odds(N);
-  for (size_t I = 0; I != N; ++I) {
-    Odds[I] = probToOdds(DeclaredPrior[I]);
-    if (!SkipSelf)
-      Odds[I] *= SelfOdds[I];
-  }
-  const double *Row = SiteOdds.data();
-  for (size_t K = 0; K != Sites.size(); ++K, Row += N) {
-    if (K == SkipSite)
-      continue;
-    for (size_t I = 0; I != N; ++I)
-      Odds[I] *= Row[I];
-  }
-  for (double &O : Odds)
-    O = oddsToProb(O);
-  return Odds;
+std::vector<double> TargetSummary::pool(const int64_t *Skip) const {
+  std::vector<double> Out(size());
+  for (size_t I = 0; I != Out.size(); ++I)
+    Out[I] = probOf(Skip ? Total[I] - Skip[I] : Total[I]);
+  return Out;
 }
 
 std::vector<double> TargetSummary::pooledWithoutSelf() const {
-  return pool(true, NoSite);
+  return pool(Self.data());
 }
 
 std::vector<double>
 TargetSummary::pooledWithoutSite(CallSiteKey Site) const {
   const size_t K = siteSlot(Site);
-  return pool(false, K != Sites.size() && Sites[K] == Site ? K : NoSite);
+  if (K == Sites.size() || Sites[K] != Site)
+    return Pooled;
+  return pool(SiteRows.data() + K * size());
 }
 
 MethodSummary MethodSummary::forMethod(const MethodDecl &Method, double Hi,

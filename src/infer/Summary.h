@@ -18,6 +18,13 @@
 /// site excludes that site's own previous contribution, so evidence is
 /// never echoed back.
 ///
+/// The product is taken in log space, exactly: each source is kept as
+/// fixed-point log-odds (an integer per variable) and a target keeps
+/// their running sum, so pooling and every cavity prior are one
+/// subtraction per variable whatever the number of call sites, and a
+/// target's pooled bits depend only on its set of evidence, never on the
+/// order it arrived in.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ANEK_INFER_SUMMARY_H
@@ -27,6 +34,7 @@
 #include "perm/PermKind.h"
 #include "perm/Spec.h"
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -37,10 +45,9 @@ namespace anek {
 /// its call-site index within that caller's PFG.
 using CallSiteKey = std::pair<const MethodDecl *, uint32_t>;
 
-/// Orders call-site keys by (caller declaration index, site index). The
-/// pooled odds product is a float reduction over a target's sites, so
-/// their order is part of the result: pointer order would make summaries
-/// (and every downstream spec) vary with ASLR.
+/// Orders call-site keys by (caller declaration index, site index): the
+/// order a TargetSummary keeps its site rows in, for lookup and for the
+/// snapshot codec. Pointer order would make snapshots vary with ASLR.
 struct CallSiteOrder {
   bool operator()(const CallSiteKey &A, const CallSiteKey &B) const {
     unsigned AI = A.first ? A.first->DeclIndex : 0;
@@ -54,21 +61,35 @@ struct CallSiteOrder {
 };
 
 /// Read access to TargetSummary's evidence internals for the snapshot
-/// codec (SummaryIO.cpp). Serialization must see the raw odds
-/// multipliers, not the pooled probabilities: pooling is a lossy float
-/// reduction, and two stores should encode equal only when their exact
-/// operands are equal bit for bit.
+/// codec (SummaryIO.cpp). Serialization writes the exact fixed-point
+/// log-odds rows, not the pooled probabilities, so two stores encode
+/// equal exactly when they hold equal evidence.
 struct SummaryWireAccess;
 
 /// Evidence-pooled marginals for one interface target.
+///
+/// Every source — the declared prior, the self evidence and each call
+/// site's row — is fixed-point log-odds, `llround(log(odds) *
+/// 2^LogOddsBits)` per variable, and `Total` holds their per-variable
+/// sum. Pooling is `oddsToProb(exp(sum / 2^LogOddsBits))`; a cavity
+/// prior subtracts one source's row from the total first. Integer
+/// addition is exact and associative, so the pooled bits are a function
+/// of the evidence set alone: whatever order the updates came in, and
+/// however many times a source was overwritten, one set pools to one
+/// vector.
 class TargetSummary {
 public:
+  /// Fixed-point scale of the log-odds rows: a source's log-odds is
+  /// rounded to the nearest multiple of 2^-LogOddsBits, an error under
+  /// 5e-13, far below what any consumer of a pooled probability sees.
+  static constexpr int LogOddsBits = 40;
+
   TargetSummary() = default;
   /// \p Class provides the state list (may be null: kinds only).
   explicit TargetSummary(TypeDecl *Class);
 
   /// Number of tracked variables (5 kinds + states).
-  size_t size() const { return DeclaredPrior.size(); }
+  size_t size() const { return Total.size(); }
 
   /// State names aligned with entries [NumPermKinds...].
   const std::vector<std::string> &states() const { return States; }
@@ -77,13 +98,14 @@ public:
   void setDeclaredPrior(const std::optional<PermState> &PS, double Hi,
                         double Lo);
 
-  /// Replaces the own-body evidence (as odds multipliers).
-  /// Returns the largest absolute change in pooled probability.
-  double setSelfOdds(std::vector<double> Odds);
+  /// Replaces the own-body evidence, given as odds multipliers (positive
+  /// and finite; missing entries are neutral). Returns the largest
+  /// absolute change in pooled probability.
+  double setSelfOdds(const std::vector<double> &Odds);
 
-  /// Replaces one call site's evidence. Returns the largest absolute
-  /// change in pooled probability.
-  double setSiteOdds(CallSiteKey Site, std::vector<double> Odds);
+  /// Replaces one call site's evidence, as setSelfOdds does the own-body
+  /// evidence. Returns the largest absolute change in pooled probability.
+  double setSiteOdds(CallSiteKey Site, const std::vector<double> &Odds);
 
   /// Pooled probabilities including every evidence source. Every
   /// mutation refreshes it, so reading it pools nothing.
@@ -100,37 +122,39 @@ public:
 private:
   friend struct SummaryWireAccess;
 
-  /// Sentinel for pool()'s SkipSite: skip no site.
-  static constexpr size_t NoSite = static_cast<size_t>(-1);
+  /// Wide enough that no sum of int64_t rows can overflow it (a
+  /// GCC/Clang builtin): see DESIGN.md, "A flat site store".
+  using LogOddsSum = __int128;
+
+  /// The probability whose odds are exp(\p Sum / 2^LogOddsBits).
+  static double probOf(LogOddsSum Sum);
 
   /// Where \p Site sits in Sites, or would be inserted (the first
   /// entry not ordered before it).
   size_t siteSlot(const CallSiteKey &Site) const;
 
-  /// The odds product over every source except the skipped ones, as
-  /// probabilities. Site-major: one walk down the site rows multiplies
-  /// each row into a running product. Each variable's product takes its
-  /// factors in one fixed order — prior, self, then sites in
-  /// CallSiteOrder — the order a per-variable fold uses, so walking the
-  /// rows site-major changes no bit of the result.
-  std::vector<double> pool(bool SkipSelf, size_t SkipSite) const;
+  /// The total minus the source row \p Skip (none when null), as
+  /// probabilities. O(size()), whatever the number of sites.
+  std::vector<double> pool(const int64_t *Skip) const;
 
-  /// Re-pools after a mutation and returns the largest absolute change
-  /// against the kept Pooled vector.
-  double repool();
+  /// Overwrites the source row \p Row with \p Odds in fixed-point
+  /// log-odds, moves the total by the difference and refreshes Pooled.
+  /// Returns the largest absolute change in pooled probability.
+  double replaceRow(int64_t *Row, const std::vector<double> &Odds);
 
   std::vector<std::string> States;
-  std::vector<double> DeclaredPrior; ///< Probabilities.
-  std::vector<double> SelfOdds;      ///< Odds multipliers (1 = neutral).
-  /// Call sites with evidence, sorted by CallSiteOrder (declaration
-  /// index, never pointer value: the pooling product must not depend on
-  /// ASLR).
+  /// The own-body evidence row, in fixed-point log-odds (0 = neutral).
+  std::vector<int64_t> Self;
+  /// Call sites with evidence, sorted by CallSiteOrder.
   std::vector<CallSiteKey> Sites;
-  /// Site evidence as odds multipliers, one size()-stride row per entry
-  /// of Sites: Sites[K]'s row starts at K * size().
-  std::vector<double> SiteOdds;
-  /// pool() over every source, refreshed by each mutation: an update
-  /// pools once (the new state) and diffs against this (the old one).
+  /// One row per entry of Sites: Sites[K]'s row starts at K * size().
+  std::vector<int64_t> SiteRows;
+  /// Per variable: the declared prior's log-odds plus Self plus every
+  /// site row. The prior has no row of its own; setDeclaredPrior, which
+  /// the engine calls once on each empty skeleton, re-derives the total.
+  std::vector<LogOddsSum> Total;
+  /// pool() of the total, refreshed by each mutation: an update diffs
+  /// its new pooled vector against this one.
   std::vector<double> Pooled;
 };
 

@@ -11,15 +11,15 @@ namespace anek {
 
 // The codec's window into TargetSummary (friend; see Summary.h).
 struct SummaryWireAccess {
-  static const std::vector<double> &selfOdds(const TargetSummary &T) {
-    return T.SelfOdds;
+  static const std::vector<int64_t> &self(const TargetSummary &T) {
+    return T.Self;
   }
   static const std::vector<CallSiteKey> &sites(const TargetSummary &T) {
     return T.Sites;
   }
   /// One size()-stride row per entry of sites().
-  static const std::vector<double> &siteOdds(const TargetSummary &T) {
-    return T.SiteOdds;
+  static const std::vector<int64_t> &siteRows(const TargetSummary &T) {
+    return T.SiteRows;
   }
 };
 
@@ -47,18 +47,18 @@ void encodeTarget(wire::Writer &W,
   if (!Target)
     return;
   W.u32(static_cast<uint32_t>(Target->size()));
-  const std::vector<double> &Self = SummaryWireAccess::selfOdds(*Target);
+  const std::vector<int64_t> &Self = SummaryWireAccess::self(*Target);
   W.u32(static_cast<uint32_t>(Self.size()));
-  for (double O : Self)
-    W.f64(O);
+  for (int64_t V : Self)
+    W.u64(static_cast<uint64_t>(V));
   const std::vector<CallSiteKey> &Sites = SummaryWireAccess::sites(*Target);
-  const double *Row = SummaryWireAccess::siteOdds(*Target).data();
+  const int64_t *Row = SummaryWireAccess::siteRows(*Target).data();
   W.u32(static_cast<uint32_t>(Sites.size()));
   for (const CallSiteKey &Site : Sites) {
     W.u32(Site.first ? Site.first->DeclIndex : 0);
     W.u32(Site.second);
     for (size_t I = 0; I != Target->size(); ++I)
-      W.f64(*Row++);
+      W.u64(static_cast<uint64_t>(*Row++));
   }
 }
 

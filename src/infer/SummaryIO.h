@@ -9,9 +9,9 @@
 /// Two blob kinds share one envelope:
 ///
 ///  - a *snapshot* freezes the evidence state of the whole summary store
-///    (per target: own-body odds and per-call-site odds, keyed by
-///    declaration index), doubles bit-cast to u64, so equal stores encode
-///    to equal bytes. Tests compare runs by these bytes.
+///    (per target: the own-body and per-call-site fixed-point log-odds
+///    rows, sites keyed by declaration index), so stores holding equal
+///    evidence encode to equal bytes. Tests compare runs by these bytes.
 ///
 ///  - a *cache entry* (src/cache/) seals one SolveOutcome record behind
 ///    an echo of the content key it is filed under.

@@ -19,6 +19,7 @@
 #include "lang/Sema.h"
 #include "support/FaultInject.h"
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
@@ -630,6 +631,8 @@ public:
     OtherMethod,
     UnknownExit,
     Failed,
+    NanOdds,
+    ZeroOdds,
   };
 
   DamagingCache(SolveCache &Inner, Damage D) : Inner(Inner), D(D) {}
@@ -660,6 +663,12 @@ public:
     case Damage::Failed:
       Out.Failed = true;
       break;
+    case Damage::NanOdds:
+      U.Odds.front() = std::nan("");
+      break;
+    case Damage::ZeroOdds:
+      U.Odds.front() = 0.0;
+      break;
     }
     ++Damaged;
     return Result;
@@ -683,8 +692,9 @@ TEST_F(CacheTest, HitsThatDoNotFitTheProgramAreResolved) {
   // A hit is validated against the program before the merge trusts it.
   // One that names an unknown owner, a target the owner does not have,
   // odds of the wrong arity, another method or an unknown cascade exit,
-  // or that records a failure, is counted as invalidated and re-solved,
-  // and the output does not change.
+  // that records a failure, or whose odds are NaN or 0 (outside the
+  // evidence cap), is counted as invalidated and re-solved, and the
+  // output does not change.
   const std::string Source = iteratorApiSource() + spreadsheetSource();
   auto Plain = analyze(Source);
   InferResult Uncached = runAnekInfer(*Plain);
@@ -696,7 +706,9 @@ TEST_F(CacheTest, HitsThatDoNotFitTheProgramAreResolved) {
         DamagingCache::Damage::WrongArity,
         DamagingCache::Damage::OtherMethod,
         DamagingCache::Damage::UnknownExit,
-        DamagingCache::Damage::Failed}) {
+        DamagingCache::Damage::Failed,
+        DamagingCache::Damage::NanOdds,
+        DamagingCache::Damage::ZeroOdds}) {
     SCOPED_TRACE(static_cast<int>(D));
     cache::SummaryCache Inner("");
     InferOptions Opts;

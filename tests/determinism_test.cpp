@@ -164,9 +164,9 @@ TEST(DeterminismPmdTest, ParallelMatchesSequentialOnPmdCorpus) {
   std::string Sequential = renderRun(Corpus.Source, 1, &SequentialStore);
   ASSERT_FALSE(Sequential.empty());
   EXPECT_EQ(Sequential, renderRun(Corpus.Source, 1));
-  // The store's raw odds, not just the specs thresholded from them: a
-  // target merged out of batch order drifts in low bits that extraction
-  // may round away.
+  // The store's raw log-odds rows, not just the specs thresholded from
+  // them: a merge out of batch order changes the deltas, so the requeue
+  // set, which moves evidence in low bits that extraction may round away.
   for (unsigned Jobs : {2u, 3u, 4u, 8u}) {
     std::string Store;
     EXPECT_EQ(Sequential, renderRun(Corpus.Source, Jobs, &Store))

@@ -224,20 +224,49 @@ TEST(ExtractTest, ThresholdBoundsAsserted) {
 }
 
 //===----------------------------------------------------------------------===//
-// Site-major pooling and the kept pooled vector
+// Exact log-odds pooling and the kept pooled vector
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// What a test set on a TargetSummary, folded the way pooling worked
-/// before it went site-major: per variable, prior then self then every
-/// site in CallSiteOrder. Kept here as the bit-exact reference.
+/// What a test set on a TargetSummary, pooled from scratch: per variable,
+/// the fixed-point log-odds (llround(log(odds) * 2^40)) of the prior, the
+/// self odds and every site, summed, then exp'd back into odds and a
+/// probability. Kept here as the bit-exact reference, spelled out apart
+/// from Summary.cpp. Test magnitudes stay far below 2^63, so an int64_t
+/// sum is exact here.
 struct ReferenceTarget {
   std::vector<double> Prior; ///< Probabilities.
   std::vector<double> Self;  ///< Odds.
   std::map<CallSiteKey, std::vector<double>, CallSiteOrder> Sites;
 
-  std::vector<double> fold(bool SkipSelf, const CallSiteKey *SkipSite) const {
+  static int64_t fixed(double Odds) {
+    return std::llround(std::log(Odds) * 0x1p40);
+  }
+
+  std::vector<double> pool(bool SkipSelf, const CallSiteKey *SkipSite) const {
+    std::vector<double> Out(Prior.size());
+    for (size_t I = 0; I != Prior.size(); ++I) {
+      int64_t Sum = fixed(probToOdds(Prior[I]));
+      if (!SkipSelf && I < Self.size())
+        Sum += fixed(Self[I]);
+      for (const auto &[Site, Vec] : Sites) {
+        if (SkipSite && Site == *SkipSite)
+          continue;
+        if (I < Vec.size())
+          Sum += fixed(Vec[I]);
+      }
+      Out[I] = oddsToProb(std::exp(static_cast<double>(Sum) / 0x1p40));
+    }
+    return Out;
+  }
+
+  /// The paper's pointwise product, folded per variable as prior, self,
+  /// then sites in CallSiteOrder. Sets \p LeftNormalRange when a running
+  /// product overflowed or left the normal doubles, where the float
+  /// product loses the evidence that the exact sum keeps.
+  std::vector<double> product(bool SkipSelf, const CallSiteKey *SkipSite,
+                              bool &LeftNormalRange) const {
     std::vector<double> Out(Prior.size());
     for (size_t I = 0; I != Prior.size(); ++I) {
       double Odds = probToOdds(Prior[I]);
@@ -248,6 +277,7 @@ struct ReferenceTarget {
           continue;
         if (I < Vec.size())
           Odds *= Vec[I];
+        LeftNormalRange |= !std::isnormal(Odds);
       }
       Out[I] = oddsToProb(Odds);
     }
@@ -270,7 +300,7 @@ double maxAbsDelta(const std::vector<double> &A, const std::vector<double> &B) {
 }
 
 /// A program whose `Host.use` receiver has a four-state class (so
-/// targets have 9 variables) plus 40 caller methods to key up to 400
+/// targets have 9 variables) plus 70 caller methods to key up to 700
 /// distinct call sites.
 std::string poolingSource() {
   std::string Src = "@States({\"OPEN\", \"CLOSED\", \"EOF\"})\n"
@@ -280,7 +310,7 @@ std::string poolingSource() {
                     "  void use() { }\n"
                     "}\n"
                     "class Callers {\n";
-  for (int I = 0; I != 40; ++I)
+  for (int I = 0; I != 70; ++I)
     Src += "  void c" + std::to_string(I) + "() { }\n";
   return Src + "}\n";
 }
@@ -343,30 +373,42 @@ struct PoolingFixture {
         Store.emplace(M.get(), MethodSummary::forMethod(*M, 0.9, 0.1));
     return Store;
   }
+
+  /// The reference of `use`'s receiver-pre skeleton: full(this) in OPEN.
+  ReferenceTarget useRecvPre(const TargetSummary &T) const {
+    ReferenceTarget Ref;
+    for (unsigned K = 0; K != NumPermKinds; ++K)
+      Ref.Prior.push_back(static_cast<PermKind>(K) == PermKind::Full ? 0.9
+                                                                     : 0.1);
+    for (const std::string &State : T.states())
+      Ref.Prior.push_back(State == "OPEN" ? 0.9 : 0.1);
+    Ref.Self.assign(T.size(), 1.0);
+    return Ref;
+  }
 };
 
-/// Asserts that \p T pools bit-identically to the reference fold, with
-/// and without self and without one present and one absent site.
+/// Asserts that \p T pools bit-identically to the reference, with and
+/// without self and without one present and one absent site.
 void expectPoolsLikeReference(const TargetSummary &T,
                               const ReferenceTarget &Ref, OddsSource &Src,
                               const PoolingFixture &F) {
-  ASSERT_EQ(bitsOf(T.pooled()), bitsOf(Ref.fold(false, nullptr)));
-  ASSERT_EQ(bitsOf(T.pooledWithoutSelf()), bitsOf(Ref.fold(true, nullptr)));
+  ASSERT_EQ(bitsOf(T.pooled()), bitsOf(Ref.pool(false, nullptr)));
+  ASSERT_EQ(bitsOf(T.pooledWithoutSelf()), bitsOf(Ref.pool(true, nullptr)));
   if (!Ref.Sites.empty()) {
     auto It = Ref.Sites.begin();
     std::advance(It, Src.below(static_cast<unsigned>(Ref.Sites.size())));
     ASSERT_EQ(bitsOf(T.pooledWithoutSite(It->first)),
-              bitsOf(Ref.fold(false, &It->first)));
+              bitsOf(Ref.pool(false, &It->first)));
   }
   CallSiteKey Any = F.site(Src);
-  ASSERT_EQ(bitsOf(T.pooledWithoutSite(Any)), bitsOf(Ref.fold(false, &Any)));
+  ASSERT_EQ(bitsOf(T.pooledWithoutSite(Any)), bitsOf(Ref.pool(false, &Any)));
 }
 
 /// One random mutation through the public API, mirrored into \p Ref;
 /// asserts the returned delta equals the from-scratch recomputation.
 void mutate(TargetSummary &T, ReferenceTarget &Ref, OddsSource &Src,
             const PoolingFixture &F, bool AllowPrior) {
-  std::vector<double> Before = Ref.fold(false, nullptr);
+  std::vector<double> Before = Ref.pool(false, nullptr);
   double Delta = 0.0;
   unsigned Op = Src.below(AllowPrior ? 10 : 9);
   if (Op < 6) {
@@ -389,39 +431,76 @@ void mutate(TargetSummary &T, ReferenceTarget &Ref, OddsSource &Src,
       Ref.Prior[NumPermKinds + S] = T.states()[S] == PS.State ? 0.9 : 0.1;
     return; // A prior seed reports no delta; pooled() is checked after.
   }
-  ASSERT_EQ(Delta, maxAbsDelta(Before, Ref.fold(false, nullptr)));
+  ASSERT_EQ(Delta, maxAbsDelta(Before, Ref.pool(false, nullptr)));
+}
+
+/// Fills \p Ref like the first pooling test: 0-300 random sites, and
+/// random self odds half the time.
+void randomEvidence(ReferenceTarget &Ref, size_t N, OddsSource &Src,
+                    const PoolingFixture &F) {
+  unsigned Sites = Src.below(301);
+  for (unsigned I = 0; I != Sites; ++I) {
+    CallSiteKey Site = F.site(Src);
+    Ref.Sites[Site] = Src.vec(N);
+  }
+  if (Src.below(2))
+    Ref.Self = Src.vec(N);
+}
+
+/// Sets every source of \p Ref on \p T, sites in map (CallSiteOrder)
+/// order, then self.
+void setAll(TargetSummary &T, const ReferenceTarget &Ref) {
+  for (const auto &[Site, Odds] : Ref.Sites)
+    T.setSiteOdds(Site, Odds);
+  T.setSelfOdds(Ref.Self);
 }
 
 } // namespace
 
-TEST(PoolingTest, SiteMajorFoldIsBitIdenticalToElementMajor) {
+TEST(PoolingTest, PoolsBitIdenticalToTheReferenceSum) {
   PoolingFixture F;
   for (uint64_t Seed = 1; Seed != 41; ++Seed) {
     SCOPED_TRACE("seed " + std::to_string(Seed));
     OddsSource Src(Seed);
     MethodSummary S = MethodSummary::forMethod(*F.Use, 0.9, 0.1);
     TargetSummary &T = *S.RecvPre;
-    ReferenceTarget Ref;
     // `use` declares full(this) in OPEN: the skeleton's prior.
-    for (unsigned K = 0; K != NumPermKinds; ++K)
-      Ref.Prior.push_back(static_cast<PermKind>(K) == PermKind::Full ? 0.9
-                                                                     : 0.1);
-    for (const std::string &State : T.states())
-      Ref.Prior.push_back(State == "OPEN" ? 0.9 : 0.1);
-    Ref.Self.assign(T.size(), 1.0);
+    ReferenceTarget Ref = F.useRecvPre(T);
     // 0-300 sites, neutral and clamped odds among them.
-    unsigned Sites = Src.below(301);
-    for (unsigned I = 0; I != Sites; ++I) {
-      CallSiteKey Site = F.site(Src);
-      std::vector<double> Odds = Src.vec(T.size());
-      Ref.Sites[Site] = Odds;
-      T.setSiteOdds(Site, Odds);
-    }
-    if (Src.below(2)) {
-      Ref.Self = Src.vec(T.size());
-      T.setSelfOdds(Ref.Self);
-    }
+    randomEvidence(Ref, T.size(), Src, F);
+    setAll(T, Ref);
     expectPoolsLikeReference(T, Ref, Src, F);
+  }
+}
+
+TEST(PoolingTest, StaysWithinOneInABillionOfTheOddsProduct) {
+  // The paper pools by odds multiplication. Where the float product
+  // stays in the normal range, the exact log-odds sum agrees with it to
+  // well within 1e-9 relative, pooled and cavity priors alike.
+  PoolingFixture F;
+  for (uint64_t Seed = 1; Seed != 41; ++Seed) {
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    OddsSource Src(Seed);
+    MethodSummary S = MethodSummary::forMethod(*F.Use, 0.9, 0.1);
+    TargetSummary &T = *S.RecvPre;
+    ReferenceTarget Ref = F.useRecvPre(T);
+    randomEvidence(Ref, T.size(), Src, F);
+    setAll(T, Ref);
+    auto ExpectClose = [](const std::vector<double> &Got,
+                          const std::vector<double> &Product) {
+      ASSERT_EQ(Got.size(), Product.size());
+      for (size_t I = 0; I != Got.size(); ++I)
+        EXPECT_LE(std::fabs(Got[I] - Product[I]), 1e-9 * Product[I])
+            << "variable " << I;
+    };
+    bool LeftNormalRange = false;
+    ExpectClose(T.pooled(), Ref.product(false, nullptr, LeftNormalRange));
+    ExpectClose(T.pooledWithoutSelf(),
+                Ref.product(true, nullptr, LeftNormalRange));
+    for (const auto &Entry : Ref.Sites)
+      ExpectClose(T.pooledWithoutSite(Entry.first),
+                  Ref.product(false, &Entry.first, LeftNormalRange));
+    ASSERT_FALSE(LeftNormalRange) << "the anchor compares nothing here";
   }
 }
 
@@ -436,7 +515,7 @@ TEST(PoolingTest, EveryDeltaMatchesRecomputationAcrossInterleavings) {
     Ref.Self.assign(T.size(), 1.0);
     for (int Step = 0; Step != 300; ++Step) {
       mutate(T, Ref, Src, F, /*AllowPrior=*/true);
-      ASSERT_EQ(bitsOf(T.pooled()), bitsOf(Ref.fold(false, nullptr)))
+      ASSERT_EQ(bitsOf(T.pooled()), bitsOf(Ref.pool(false, nullptr)))
           << "stale pooled vector after step " << Step;
     }
     expectPoolsLikeReference(T, Ref, Src, F);
@@ -457,7 +536,7 @@ TEST(PoolingTest, DeltasStayExactInACopiedStore) {
     for (const std::string &State : T.states())
       Ref.Prior.push_back(State == "CLOSED" ? 0.9 : 0.1);
     Ref.Self.assign(T.size(), 1.0);
-    ASSERT_EQ(bitsOf(T.pooled()), bitsOf(Ref.fold(false, nullptr)));
+    ASSERT_EQ(bitsOf(T.pooled()), bitsOf(Ref.pool(false, nullptr)));
     for (int Step = 0; Step != 150; ++Step)
       mutate(T, Ref, Src, F, /*AllowPrior=*/false);
 
@@ -471,7 +550,7 @@ TEST(PoolingTest, DeltasStayExactInACopiedStore) {
     expectPoolsLikeReference(D, Ref, Src, F);
     for (int Step = 0; Step != 150; ++Step) {
       mutate(D, Ref, Src, F, /*AllowPrior=*/false);
-      ASSERT_EQ(bitsOf(D.pooled()), bitsOf(Ref.fold(false, nullptr)));
+      ASSERT_EQ(bitsOf(D.pooled()), bitsOf(Ref.pool(false, nullptr)));
     }
     expectPoolsLikeReference(D, Ref, Src, F);
   }
@@ -481,28 +560,28 @@ namespace {
 
 /// Sets one site's odds on \p T and \p Ref and asserts that the returned
 /// delta, the pooled vector and every cavity prior match the reference
-/// fold bit for bit.
+/// bit for bit.
 void setSiteAndCheck(TargetSummary &T, ReferenceTarget &Ref, OddsSource &Src,
                      CallSiteKey Site) {
-  std::vector<double> Before = Ref.fold(false, nullptr);
+  std::vector<double> Before = Ref.pool(false, nullptr);
   std::vector<double> Odds = Src.vec(T.size());
   Ref.Sites[Site] = Odds;
   ASSERT_EQ(T.setSiteOdds(Site, Odds),
-            maxAbsDelta(Before, Ref.fold(false, nullptr)));
-  ASSERT_EQ(bitsOf(T.pooled()), bitsOf(Ref.fold(false, nullptr)));
-  ASSERT_EQ(bitsOf(T.pooledWithoutSelf()), bitsOf(Ref.fold(true, nullptr)));
+            maxAbsDelta(Before, Ref.pool(false, nullptr)));
+  ASSERT_EQ(bitsOf(T.pooled()), bitsOf(Ref.pool(false, nullptr)));
+  ASSERT_EQ(bitsOf(T.pooledWithoutSelf()), bitsOf(Ref.pool(true, nullptr)));
   for (const auto &Entry : Ref.Sites)
     ASSERT_EQ(bitsOf(T.pooledWithoutSite(Entry.first)),
-              bitsOf(Ref.fold(false, &Entry.first)));
+              bitsOf(Ref.pool(false, &Entry.first)));
 }
 
 } // namespace
 
-TEST(PoolingTest, SitesInsertedOutOfOrderAndResetFoldInCallSiteOrder) {
+TEST(PoolingTest, SitesInsertedOutOfOrderAndResetKeepOneRowEach) {
   // The store keeps its site rows sorted by CallSiteOrder, so a site that
-  // arrives before, between or after the present ones must land where
-  // the reference fold multiplies it in, and re-setting a site must
-  // overwrite its row in place instead of adding one.
+  // arrives before, between or after the present ones must land where a
+  // lookup finds it, and re-setting a site must overwrite its row in
+  // place instead of adding one (which would count its vote twice).
   PoolingFixture F;
   OddsSource Src(300);
   TargetSummary T(F.Prog->findType("Host"));
@@ -533,4 +612,147 @@ TEST(PoolingTest, SitesInsertedOutOfOrderAndResetFoldInCallSiteOrder) {
     ASSERT_NO_FATAL_FAILURE(Set(C, S));
   ASSERT_EQ(Ref.Sites.size(), 40u);
   ASSERT_NO_FATAL_FAILURE(expectPoolsLikeReference(T, Ref, Src, F));
+}
+
+TEST(PoolingTest, EvidenceOrderChangesNoBit) {
+  // One evidence set reaches one pooled state: inserted in CallSiteOrder,
+  // reversed, shuffled, or after overwrites, a target pools, builds every
+  // cavity prior and encodes to the same bits.
+  PoolingFixture F;
+  for (uint64_t Seed = 400; Seed != 410; ++Seed) {
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    OddsSource Src(Seed);
+    const size_t N = MethodSummary::forMethod(*F.Use, 0.9, 0.1).RecvPre->size();
+    std::vector<std::pair<CallSiteKey, std::vector<double>>> Evidence;
+    {
+      std::map<CallSiteKey, std::vector<double>, CallSiteOrder> Sites;
+      for (int I = 0; I != 120; ++I)
+        Sites[F.site(Src)] = Src.vec(N);
+      Evidence.assign(Sites.begin(), Sites.end()); // CallSiteOrder.
+    }
+    const std::vector<double> Self = Src.vec(N);
+
+    auto Build = [&](const std::vector<size_t> &Order, bool Overwrite,
+                     size_t SelfAt) {
+      MethodDeclMap<MethodSummary> Store = F.skeletons();
+      TargetSummary &T = *Store.at(F.Use).RecvPre;
+      if (Overwrite) {
+        // Earlier evidence for every source, replaced below.
+        T.setSelfOdds(Src.vec(N));
+        for (size_t K = Order.size(); K-- != 0;)
+          T.setSiteOdds(Evidence[Order[K]].first, Src.vec(N));
+      }
+      for (size_t K = 0; K != Order.size(); ++K) {
+        if (K == SelfAt)
+          T.setSelfOdds(Self);
+        T.setSiteOdds(Evidence[Order[K]].first, Evidence[Order[K]].second);
+      }
+      if (SelfAt >= Order.size())
+        T.setSelfOdds(Self);
+      return Store;
+    };
+    std::vector<size_t> Sorted(Evidence.size());
+    for (size_t K = 0; K != Sorted.size(); ++K)
+      Sorted[K] = K;
+    std::vector<size_t> Reversed(Sorted.rbegin(), Sorted.rend());
+    std::vector<size_t> Shuffled = Sorted;
+    for (size_t K = Shuffled.size(); K > 1; --K)
+      std::swap(Shuffled[K - 1],
+                Shuffled[Src.below(static_cast<unsigned>(K))]);
+
+    const MethodDeclMap<MethodSummary> Stores[] = {
+        Build(Sorted, false, Sorted.size()), Build(Reversed, false, 0),
+        Build(Shuffled, false, Shuffled.size() / 2),
+        Build(Shuffled, true, 7)};
+    const std::string Snapshot = summaryio::encodeSnapshot(Stores[0]);
+    const TargetSummary &First = *Stores[0].at(F.Use).RecvPre;
+    for (size_t V = 1; V != std::size(Stores); ++V) {
+      SCOPED_TRACE("variant " + std::to_string(V));
+      const TargetSummary &T = *Stores[V].at(F.Use).RecvPre;
+      ASSERT_EQ(bitsOf(T.pooled()), bitsOf(First.pooled()));
+      ASSERT_EQ(bitsOf(T.pooledWithoutSelf()),
+                bitsOf(First.pooledWithoutSelf()));
+      for (const auto &Entry : Evidence)
+        ASSERT_EQ(bitsOf(T.pooledWithoutSite(Entry.first)),
+                  bitsOf(First.pooledWithoutSite(Entry.first)));
+      ASSERT_EQ(summaryio::encodeSnapshot(Stores[V]), Snapshot);
+    }
+  }
+}
+
+TEST(PoolingTest, CavityEqualsATargetBuiltWithoutThatSource) {
+  // A cavity prior is exactly the pooled vector of the target that never
+  // saw the left-out source, bit for bit.
+  PoolingFixture F;
+  for (uint64_t Seed = 500; Seed != 505; ++Seed) {
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    OddsSource Src(Seed);
+    MethodSummary S = MethodSummary::forMethod(*F.Use, 0.9, 0.1);
+    TargetSummary &T = *S.RecvPre;
+    ReferenceTarget Ref = F.useRecvPre(T);
+    for (int I = 0; I != 60; ++I)
+      Ref.Sites[F.site(Src)] = Src.vec(T.size());
+    Ref.Self = Src.vec(T.size());
+    setAll(T, Ref);
+
+    for (const auto &Left : Ref.Sites) {
+      MethodSummary Fresh = MethodSummary::forMethod(*F.Use, 0.9, 0.1);
+      for (const auto &[Site, Vec] : Ref.Sites)
+        if (Site != Left.first)
+          Fresh.RecvPre->setSiteOdds(Site, Vec);
+      Fresh.RecvPre->setSelfOdds(Ref.Self);
+      ASSERT_EQ(bitsOf(T.pooledWithoutSite(Left.first)),
+                bitsOf(Fresh.RecvPre->pooled()));
+    }
+
+    // Without self: a target whose self odds were never set, and one
+    // whose self odds were set and then reset to neutral.
+    MethodSummary Unset = MethodSummary::forMethod(*F.Use, 0.9, 0.1);
+    MethodSummary Reset = MethodSummary::forMethod(*F.Use, 0.9, 0.1);
+    Reset.RecvPre->setSelfOdds(Ref.Self);
+    for (const auto &[Site, Vec] : Ref.Sites) {
+      Unset.RecvPre->setSiteOdds(Site, Vec);
+      Reset.RecvPre->setSiteOdds(Site, Vec);
+    }
+    Reset.RecvPre->setSelfOdds(std::vector<double>(T.size(), 1.0));
+    ASSERT_EQ(bitsOf(T.pooledWithoutSelf()), bitsOf(Unset.RecvPre->pooled()));
+    ASSERT_EQ(bitsOf(T.pooledWithoutSelf()), bitsOf(Reset.RecvPre->pooled()));
+  }
+}
+
+TEST(PoolingTest, OpposedVotesCancelExactly) {
+  // 330 sites vote x9 on every variable, and the 330 after them in
+  // CallSiteOrder vote x1/9. A float product overflows to +inf within
+  // the first 330 and stays there; the exact sum cancels to the prior.
+  PoolingFixture F;
+  MethodSummary S = MethodSummary::forMethod(*F.Use, 0.9, 0.1);
+  TargetSummary &T = *S.RecvPre;
+  const std::vector<double> PriorOnly = T.pooled();
+  ReferenceTarget Ref = F.useRecvPre(T);
+  const std::vector<double> For(T.size(), 9.0), Against(T.size(), 1.0 / 9.0);
+  for (int K = 0; K != 660; ++K) {
+    CallSiteKey Site{F.Callers[K / 10], static_cast<uint32_t>(K % 10)};
+    Ref.Sites[Site] = K < 330 ? For : Against;
+    T.setSiteOdds(Site, Ref.Sites[Site]);
+  }
+  bool LeftNormalRange = false;
+  Ref.product(false, nullptr, LeftNormalRange);
+  ASSERT_TRUE(LeftNormalRange) << "the float product must overflow here";
+
+  ASSERT_EQ(bitsOf(T.pooled()), bitsOf(PriorOnly));
+  ASSERT_EQ(bitsOf(T.pooledWithoutSelf()), bitsOf(PriorOnly));
+  EXPECT_NEAR(T.pooled()[static_cast<unsigned>(PermKind::Full)], 0.9, 1e-9);
+  EXPECT_NEAR(T.pooled()[static_cast<unsigned>(PermKind::Unique)], 0.1, 1e-9);
+  // Leaving out one vote leaves exactly one x1/9 or x9 over the prior.
+  const CallSiteKey FirstFor{F.Callers[0], 0}, LastAgainst{F.Callers[65], 9};
+  ASSERT_EQ(bitsOf(T.pooledWithoutSite(FirstFor)),
+            bitsOf(Ref.pool(false, &FirstFor)));
+  ASSERT_EQ(bitsOf(T.pooledWithoutSite(LastAgainst)),
+            bitsOf(Ref.pool(false, &LastAgainst)));
+  EXPECT_NEAR(T.pooledWithoutSite(FirstFor)[static_cast<unsigned>(
+                  PermKind::Full)],
+              0.5, 1e-9);
+  EXPECT_NEAR(T.pooledWithoutSite(LastAgainst)[static_cast<unsigned>(
+                  PermKind::Unique)],
+              0.5, 1e-9);
 }
