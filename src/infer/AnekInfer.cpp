@@ -107,6 +107,14 @@ std::vector<double> transformPrior(std::vector<double> P,
   return P;
 }
 
+/// True for the roles a call site applies as requirements: the callee's
+/// preconditions. A site may only weaken a requirement, never strengthen
+/// it (requirements come from bodies).
+bool isRequirement(summaryio::SummaryTargetRole Role) {
+  return Role == summaryio::SummaryTargetRole::RecvPre ||
+         Role == summaryio::SummaryTargetRole::ParamPre;
+}
+
 /// Appends one cascade decision to a report's reason trail. `--report`
 /// prints the trail and the `infer.method` span carries it as its
 /// `reason` arg, so both views of one run tell one story.
@@ -179,10 +187,10 @@ namespace {
 /// independent job against the summary store as it stood when the wave
 /// began: jobs only read, and return their evidence as a SolveOutcome
 /// record of deferred updates. After the wave, the merge applies every
-/// target's updates in declaration (= batch) order, so the float
-/// reductions inside each summary see one fixed order no matter how many
-/// workers ran the jobs or the merge. This makes `-j N` byte-identical to
-/// `-j 1` by construction.
+/// update on the scheduling thread in declaration (= batch) order, so
+/// each target sees one fixed sequence of updates, and returns one fixed
+/// sequence of deltas, no matter how many workers ran the jobs. This
+/// makes `-j N` byte-identical to `-j 1` by construction.
 class InferEngine {
 public:
   InferEngine(Program &Prog, const InferOptions &Opts,
@@ -231,31 +239,6 @@ private:
   struct DeclSlot {
     MethodDecl *Method = nullptr;
     MethodSummary *Summary = nullptr;
-    /// The merge's dense index of the summary's first target (see
-    /// targetSlot).
-    uint32_t FirstTargetSlot = 0;
-  };
-
-  static constexpr uint32_t NoGroup = ~uint32_t(0);
-
-  /// One wave's summary updates, grouped by the target they update.
-  /// Filled on the scheduling thread in batch order: groups are numbered
-  /// in order of first appearance (never pointer order), and each group's
-  /// updates keep batch order.
-  struct MergePlan {
-    /// Every update of the wave, in batch order.
-    std::vector<const SummaryUpdate *> Updates;
-    /// Group of each entry of Updates.
-    std::vector<uint32_t> GroupOf;
-    /// Per group: the target and its slot.
-    std::vector<TargetSummary *> Targets;
-    std::vector<uint32_t> Slots;
-    /// Group G's updates are Updates[Order[Start[G]...Start[G+1]-1]].
-    std::vector<uint32_t> Start;
-    std::vector<uint32_t> Order;
-    /// Per group: how many of its updates moved the target by more than
-    /// the requeue tolerance.
-    std::vector<uint32_t> Moved;
   };
 
   /// Record of one summary-prior application so its evidence can be
@@ -269,8 +252,7 @@ private:
     uint32_t ParamIndex = 0;
     std::vector<double> Applied;
     bool IsSelf = false;
-    /// True for call-site precondition nodes: a site may only weaken a
-    /// requirement, never strengthen it (requirements come from bodies).
+    /// True for call-site precondition nodes (see isRequirement).
     bool IsRequirement = false;
     CallSiteKey Site{nullptr, 0};
   };
@@ -333,16 +315,10 @@ private:
   /// summary at that interface position.
   TargetSummary *targetOf(const SummaryUpdate &U) const;
 
-  /// A dense index of the target \p U updates, unique across the store;
-  /// \p U must name a present target (targetOf non-null).
-  uint32_t targetSlot(const SummaryUpdate &U) const;
-
-  /// Applies one wave's updates (MergePlan) and marks what they requeue:
-  /// each target's updates run in batch order, targets in parallel. A
-  /// target whose pooled vector moves by more than the tolerance
-  /// requeues its owner and the owner's callers. Returns the number of
-  /// updates that moved their target that far.
-  unsigned applyMerge(MergePlan &Plan, ThreadPool *Pool);
+  /// Prints \p U's ANEK_DEBUG_EVIDENCE line to stderr. Every input is a
+  /// field of the update, so a replayed update prints what its fresh
+  /// solve would have.
+  void printEvidence(const SummaryUpdate &U) const;
 
   /// Marks \p M to be picked again, unless it cannot be.
   void markDirty(const MethodDecl *M) {
@@ -379,16 +355,14 @@ private:
   const InferOptions &Opts;
   DiagnosticEngine *Diags;
   CallGraph Graph;
-  /// ANEK_DEBUG_EVIDENCE was set when the engine was made: updates carry
-  /// debug lines, which the merge prints.
+  /// ANEK_DEBUG_EVIDENCE was set when the engine was made: the merge
+  /// prints every update it applies.
   const bool DebugEvidence;
   /// Declaration-ordered, so extraction and the result iterate
   /// deterministically.
   MethodDeclMap<MethodSummary> Summaries;
   /// Declaration index -> method and summary (see buildSummaryStore).
   std::vector<DeclSlot> Decls;
-  /// Total target slots (see targetSlot).
-  uint32_t TargetSlots = 0;
   // Per declaration index, sized with Decls: the merge touches these per
   // update, so they are dense vectors rather than maps.
   /// The method's model; absent for bodiless methods and failed lowering.
@@ -399,8 +373,6 @@ private:
   std::vector<uint8_t> Dirty;
   /// Isolated after a failed SOLVE; never picked again.
   std::vector<uint8_t> Failed;
-  /// Per target slot: its group in the merge being planned, or NoGroup.
-  std::vector<uint32_t> GroupOfSlot;
 
   // The run-local SOLVE memo. Armed by run() when solves are
   // replayable. Jobs only read it during a wave; the scheduling thread
@@ -475,19 +447,6 @@ void InferEngine::computeEvidence(std::vector<SummaryUpdate> &Updates,
   Update.IsSelf = IsSelf;
   Update.SiteCallerDeclIndex = Site.first ? Site.first->DeclIndex : 0;
   Update.SiteIndex = Site.second;
-  if (DebugEvidence) {
-    std::string Line = SummaryOwner->qualifiedName();
-    Line += IsSelf ? " self" : " site";
-    if (!IsSelf && Site.first)
-      Line += " " + Site.first->qualifiedName() + "#" +
-              std::to_string(Site.second);
-    Line += WeakenOnly ? " [weaken]" : " [boost]";
-    for (size_t I = 0; I != Odds.size(); ++I)
-      if (Odds[I] != 1.0)
-        Line += " v" + std::to_string(I) + "=" +
-                std::to_string(Odds[I]);
-    Update.DebugLine = std::move(Line);
-  }
   Update.Odds = std::move(Odds);
   Updates.push_back(std::move(Update));
 }
@@ -498,8 +457,7 @@ InferEngine::applicationsOf(MethodDecl *M, const Pfg &G) const {
   std::vector<Application> Applications;
   auto Apply = [&](PfgNodeId Node, TargetSummary *Target,
                    MethodDecl *SummaryOwner, SummaryTargetRole Role,
-                   uint32_t ParamIndex, bool IsSelf, CallSiteKey Site,
-                   bool IsRequirement = false) {
+                   uint32_t ParamIndex, bool IsSelf, CallSiteKey Site) {
     if (Node == NoPfgNode || !Target)
       return;
     Application &App = Applications.emplace_back();
@@ -510,11 +468,11 @@ InferEngine::applicationsOf(MethodDecl *M, const Pfg &G) const {
     App.ParamIndex = ParamIndex;
     App.IsSelf = IsSelf;
     App.Site = Site;
-    App.IsRequirement = IsRequirement;
+    App.IsRequirement = !IsSelf && isRequirement(Role);
     App.Applied =
         IsSelf ? Target->pooledWithoutSelf() : Target->pooledWithoutSite(Site);
     if (!IsSelf)
-      App.Applied = transformPrior(std::move(App.Applied), IsRequirement);
+      App.Applied = transformPrior(std::move(App.Applied), App.IsRequirement);
   };
 
   // The method's own interface nodes: prior = summary minus own evidence.
@@ -550,14 +508,14 @@ InferEngine::applicationsOf(MethodDecl *M, const Pfg &G) const {
     MethodDecl *D = Site.Callee;
     CallSiteKey Key{M, S};
     Apply(Site.RecvPre, Callee.RecvPre ? &*Callee.RecvPre : nullptr, D,
-          SummaryTargetRole::RecvPre, 0, false, Key, /*IsRequirement=*/true);
+          SummaryTargetRole::RecvPre, 0, false, Key);
     Apply(Site.RecvPost, Callee.RecvPost ? &*Callee.RecvPost : nullptr, D,
           SummaryTargetRole::RecvPost, 0, false, Key);
     for (size_t I = 0; I != Site.ArgPre.size(); ++I) {
       if (I < Callee.ParamPre.size() && Callee.ParamPre[I])
         Apply(Site.ArgPre[I], &*Callee.ParamPre[I], D,
               SummaryTargetRole::ParamPre, static_cast<uint32_t>(I), false,
-              Key, /*IsRequirement=*/true);
+              Key);
       if (I < Callee.ParamPost.size() && Callee.ParamPost[I])
         Apply(Site.ArgPost[I], &*Callee.ParamPost[I], D,
               SummaryTargetRole::ParamPost, static_cast<uint32_t>(I), false,
@@ -626,8 +584,6 @@ InferEngine::replay(MethodDecl *M,
     Probe.Lookup = CacheLookup::Invalidated;
     return std::nullopt;
   }
-  // The storing run paid the solve; replaying pays none.
-  Entry.SolveSeconds = 0.0;
   return Entry;
 }
 
@@ -702,34 +658,12 @@ void InferEngine::buildSummaryStore() {
         Decls.resize(M->DeclIndex + 1);
       assert(!Decls[M->DeclIndex].Method &&
              "declaration indices must be unique (run Sema first)");
-      // Slots, see targetSlot: recv-pre, recv-post, result, then a
-      // pre/post pair per parameter.
-      Decls[M->DeclIndex] = {M.get(), &Summary, TargetSlots};
-      TargetSlots += 3 + 2 * static_cast<uint32_t>(Summary.ParamPre.size());
+      Decls[M->DeclIndex] = {M.get(), &Summary};
     }
   Models.resize(Decls.size());
   Reports.resize(Decls.size());
   Dirty.assign(Decls.size(), 0);
   Failed.assign(Decls.size(), 0);
-  GroupOfSlot.assign(TargetSlots, NoGroup);
-}
-
-uint32_t InferEngine::targetSlot(const SummaryUpdate &U) const {
-  using summaryio::SummaryTargetRole;
-  const uint32_t First = Decls[U.OwnerDeclIndex].FirstTargetSlot;
-  switch (U.Role) {
-  case SummaryTargetRole::RecvPre:
-    return First;
-  case SummaryTargetRole::RecvPost:
-    return First + 1;
-  case SummaryTargetRole::Result:
-    return First + 2;
-  case SummaryTargetRole::ParamPre:
-    return First + 3 + 2 * U.ParamIndex;
-  case SummaryTargetRole::ParamPost:
-    return First + 4 + 2 * U.ParamIndex;
-  }
-  return First;
 }
 
 TargetSummary *InferEngine::targetOf(const SummaryUpdate &U) const {
@@ -757,63 +691,21 @@ TargetSummary *InferEngine::targetOf(const SummaryUpdate &U) const {
   return nullptr;
 }
 
-unsigned InferEngine::applyMerge(MergePlan &Plan, ThreadPool *Pool) {
-  const size_t NumGroups = Plan.Targets.size();
-  const uint32_t NumUpdates = static_cast<uint32_t>(Plan.Updates.size());
-  // A stable counting sort by group: each group keeps batch order.
-  Plan.Start.assign(NumGroups + 1, 0);
-  for (uint32_t G : Plan.GroupOf)
-    ++Plan.Start[G + 1];
-  for (size_t G = 0; G != NumGroups; ++G)
-    Plan.Start[G + 1] += Plan.Start[G];
-  Plan.Order.resize(NumUpdates);
-  std::vector<uint32_t> Fill(Plan.Start.begin(), Plan.Start.end() - 1);
-  for (uint32_t K = 0; K != NumUpdates; ++K)
-    Plan.Order[Fill[Plan.GroupOf[K]]++] = K;
-
-  // Targets share no state, so every target sees the same sequence of
-  // set*Odds calls, and returns the same deltas, whichever thread runs
-  // its group and whenever.
-  Plan.Moved.assign(NumGroups, 0);
-  parallelFor(Pool, NumGroups, [&](size_t G) {
-    TargetSummary &Target = *Plan.Targets[G];
-    uint32_t Moved = 0;
-    for (uint32_t J = Plan.Start[G]; J != Plan.Start[G + 1]; ++J) {
-      const SummaryUpdate &U = *Plan.Updates[Plan.Order[J]];
-      double Delta =
-          U.IsSelf ? Target.setSelfOdds(U.Odds)
-                   : Target.setSiteOdds(
-                         {methodAt(U.SiteCallerDeclIndex), U.SiteIndex},
-                         U.Odds);
-      Moved += Delta > SummaryTolerance;
-    }
-    Plan.Moved[G] = Moved;
-  });
-
-  // A changed summary invalidates the models that consume it: the owning
-  // method itself and its callers (they applied the stale summary). They
-  // rerun in a later wave or the next round. Marks are a set union, so
-  // their order does not matter.
-  unsigned Requeued = 0;
-  std::vector<uint32_t> MovedOwners;
-  for (size_t G = 0; G != NumGroups; ++G) {
-    GroupOfSlot[Plan.Slots[G]] = NoGroup;
-    if (!Plan.Moved[G])
-      continue;
-    Requeued += Plan.Moved[G];
-    const SummaryUpdate &First = *Plan.Updates[Plan.Order[Plan.Start[G]]];
-    MovedOwners.push_back(First.OwnerDeclIndex);
-  }
-  std::sort(MovedOwners.begin(), MovedOwners.end());
-  MovedOwners.erase(std::unique(MovedOwners.begin(), MovedOwners.end()),
-                    MovedOwners.end());
-  for (uint32_t Owner : MovedOwners) {
-    MethodDecl *M = Decls[Owner].Method;
-    markDirty(M);
-    for (MethodDecl *Caller : Graph.callers(M))
-      markDirty(Caller);
-  }
-  return Requeued;
+void InferEngine::printEvidence(const SummaryUpdate &U) const {
+  // A site's precondition vote is the only weaken-only channel (see
+  // computeEvidence).
+  const bool Weaken = !U.IsSelf && isRequirement(U.Role);
+  std::string Line = "evidence " + methodAt(U.OwnerDeclIndex)->qualifiedName();
+  if (U.IsSelf)
+    Line += " self";
+  else
+    Line += " site " + methodAt(U.SiteCallerDeclIndex)->qualifiedName() +
+            "#" + std::to_string(U.SiteIndex);
+  Line += Weaken ? " [weaken]" : " [boost]";
+  for (size_t I = 0; I != U.Odds.size(); ++I)
+    if (U.Odds[I] != 1.0)
+      Line += " v" + std::to_string(I) + "=" + std::to_string(U.Odds[I]);
+  std::fprintf(stderr, "%s\n", Line.c_str());
 }
 
 Status InferEngine::validateOutcome(const SolveOutcome &O,
@@ -943,9 +835,6 @@ void InferEngine::prepareCache() {
   Env.u8(C.LogicalOnly ? 1 : 0);
   Env.u8(C.EnableExclusivity ? 1 : 0);
   Env.u8(C.KindMutex ? 1 : 0);
-  // Evidence tracing annotates updates with debug lines that are stored
-  // and replayed; entries written with tracing off lack them.
-  Env.u8(DebugEvidence ? 1 : 0);
   for (const auto &Type : Prog.Types) {
     Env.str(Type->Name);
     Env.u8(Type->IsInterface ? 1 : 0);
@@ -1073,7 +962,7 @@ InferResult InferEngine::run() {
   // which round or wave a method happened to fail in.
   MethodDeclMap<std::string> BufferedWarnings;
 
-  MergePlan Plan;
+  std::vector<uint32_t> MovedOwners;
   unsigned Round = 0, WaveIndex = 0;
   auto AnyDirty = [&] {
     return std::find(Dirty.begin(), Dirty.end(), 1) != Dirty.end();
@@ -1187,15 +1076,14 @@ InferResult InferEngine::run() {
       if (WaveSpan.active())
         WaveSpan.arg("replayed", WaveReplays);
 
-      // Merge. The bookkeeping runs on this thread in declaration (=
-      // batch) order: reports, statistics, failures and the evidence
-      // debug lines. The summary updates are only grouped here, by target;
-      // applyMerge then runs each target's group in that same order.
+      // Merge, on this thread in declaration (= batch) order: each
+      // outcome's report, statistics and failure, then its updates, each
+      // applied to its target as the pass reaches it (and traced, when
+      // ANEK_DEBUG_EVIDENCE is set). Every target thus sees its updates
+      // in batch order and returns the same deltas at any -j N.
       telemetry::Span MergeSpan("infer.merge", "infer");
-      Plan.Updates.clear();
-      Plan.GroupOf.clear();
-      Plan.Targets.clear();
-      Plan.Slots.clear();
+      unsigned MergedUpdates = 0, Requeued = 0;
+      MovedOwners.clear();
       for (size_t I = 0; I != Batch.size(); ++I) {
         MethodDecl *M = Batch[I];
         SolveOutcome &Out = Outcomes[I];
@@ -1226,22 +1114,34 @@ InferResult InferEngine::run() {
           ++Result.FallbackExits[Out.Exit];
         }
         for (const SummaryUpdate &U : Out.Updates) {
-          if (!U.DebugLine.empty())
-            std::fprintf(stderr, "evidence %s\n", U.DebugLine.c_str());
-          const uint32_t TargetSlot = targetSlot(U);
-          uint32_t &Group = GroupOfSlot[TargetSlot];
-          if (Group == NoGroup) {
-            Group = static_cast<uint32_t>(Plan.Targets.size());
-            Plan.Targets.push_back(targetOf(U));
-            Plan.Slots.push_back(TargetSlot);
+          if (DebugEvidence)
+            printEvidence(U);
+          TargetSummary &Target = *targetOf(U);
+          const double Delta =
+              U.IsSelf ? Target.setSelfOdds(U.Odds)
+                       : Target.setSiteOdds(
+                             {methodAt(U.SiteCallerDeclIndex), U.SiteIndex},
+                             U.Odds);
+          if (Delta > SummaryTolerance) {
+            ++Requeued;
+            MovedOwners.push_back(U.OwnerDeclIndex);
           }
-          Plan.Updates.push_back(&U);
-          Plan.GroupOf.push_back(Group);
         }
+        MergedUpdates += static_cast<unsigned>(Out.Updates.size());
       }
-      const unsigned MergedUpdates =
-          static_cast<unsigned>(Plan.Updates.size());
-      const unsigned Requeued = applyMerge(Plan, Pool.get());
+      // A changed summary invalidates the models that consume it: the
+      // owning method itself and its callers (they applied the stale
+      // summary). They rerun in a later wave or the next round. The marks
+      // are a set union, taken once every failure of the wave is filed.
+      std::sort(MovedOwners.begin(), MovedOwners.end());
+      MovedOwners.erase(std::unique(MovedOwners.begin(), MovedOwners.end()),
+                        MovedOwners.end());
+      for (uint32_t Owner : MovedOwners) {
+        MethodDecl *Moved = Decls[Owner].Method;
+        markDirty(Moved);
+        for (MethodDecl *Caller : Graph.callers(Moved))
+          markDirty(Caller);
+      }
       if (MergeSpan.active()) {
         MergeSpan.arg("updates", MergedUpdates);
         MergeSpan.arg("requeued", Requeued);

@@ -14,7 +14,7 @@
 /// The loop is scheduled as reverse-topological *waves* of call-graph
 /// SCCs: every method in a wave is built and solved against a read-only
 /// snapshot of the summary store, and the resulting evidence is merged
-/// back, each target's updates in declaration order, once the wave
+/// back, update by update in declaration order, once the wave
 /// completes. Because the schedule is the algorithm (not an
 /// implementation detail of a thread count), `Parallelism = N` produces
 /// byte-identical results to `Parallelism = 1`. See DESIGN.md,
@@ -122,12 +122,12 @@ struct InferOptions {
   ConstraintOptions Constraints;
 
   // Parallel scheduler (DESIGN.md, "Concurrency model").
-  /// Working threads for the wave scheduler: 1 = run wave jobs and the
-  /// merge inline, 0 = one per hardware thread, N = the calling thread
-  /// plus N - 1 pool workers. The schedule (SCC waves over a read-only
-  /// summary snapshot, each target's updates merged in declaration
-  /// order) is the same for every value, so the result is byte-identical
-  /// regardless of Parallelism.
+  /// Working threads for a wave's jobs: 1 = run them inline, 0 = one per
+  /// hardware thread, N = the calling thread plus N - 1 pool workers. The
+  /// merge always runs on the calling thread. The schedule (SCC waves
+  /// over a read-only summary snapshot, every update merged in
+  /// declaration order) is the same for every value, so the result is
+  /// byte-identical regardless of Parallelism.
   unsigned Parallelism = 1;
 
   // Incremental summary cache (DESIGN.md, "Incremental inference and the

@@ -70,7 +70,6 @@ void encodeSolveReport(wire::Writer &W, const SolveReport &Solve) {
   W.u8(Solve.Converged ? 1 : 0);
   W.f64(Solve.Residual);
   W.u64(Solve.Iterations);
-  W.f64(Solve.Seconds);
   W.u64(Solve.Updates);
   W.u64(Solve.SkippedUpdates);
   W.str(Solve.Reason);
@@ -80,15 +79,16 @@ bool decodeSolveReport(wire::Reader &R, SolveReport &Solve) {
   uint8_t Converged = 0;
   uint64_t Iterations = 0;
   bool Ok = R.u8(Converged) && R.f64(Solve.Residual) && R.u64(Iterations) &&
-            R.f64(Solve.Seconds) && R.u64(Solve.Updates) &&
-            R.u64(Solve.SkippedUpdates) && R.str(Solve.Reason);
+            R.u64(Solve.Updates) && R.u64(Solve.SkippedUpdates) &&
+            R.str(Solve.Reason);
   Solve.Converged = Converged != 0;
   Solve.Iterations = static_cast<unsigned>(Iterations);
   return Ok;
 }
 
 /// The record codec: a cache entry carries one SolveOutcome record in
-/// exactly this layout.
+/// exactly this layout. It leaves out the two wall-clock fields
+/// (SolveSeconds, Solve.Seconds), so equal solves encode to equal bytes.
 void encodeOutcome(wire::Writer &W, const SolveOutcome &O) {
   W.u32(O.DeclIndex);
   W.u8(O.Failed ? 1 : 0);
@@ -99,7 +99,6 @@ void encodeOutcome(wire::Writer &W, const SolveOutcome &O) {
   W.u32(O.Solves);
   W.u64(O.Variables);
   W.u64(O.Factors);
-  W.f64(O.SolveSeconds);
   W.u32(static_cast<uint32_t>(O.Updates.size()));
   for (const SummaryUpdate &U : O.Updates) {
     W.u32(U.OwnerDeclIndex);
@@ -111,7 +110,6 @@ void encodeOutcome(wire::Writer &W, const SolveOutcome &O) {
     W.u32(static_cast<uint32_t>(U.Odds.size()));
     for (double V : U.Odds)
       W.f64(V);
-    W.str(U.DebugLine);
   }
 }
 
@@ -123,8 +121,7 @@ Status decodeOutcome(wire::Reader &R, SolveOutcome &O) {
   O.Failed = Failed != 0;
   if (!decodeSolveReport(R, O.Solve))
     return corrupt("truncated solve report");
-  if (!(R.u32(O.Solves) && R.u64(O.Variables) && R.u64(O.Factors) &&
-        R.f64(O.SolveSeconds)))
+  if (!(R.u32(O.Solves) && R.u64(O.Variables) && R.u64(O.Factors)))
     return corrupt("truncated outcome statistics");
   uint32_t UpdateCount = 0;
   if (!R.count(UpdateCount, 16))
@@ -145,8 +142,6 @@ Status decodeOutcome(wire::Reader &R, SolveOutcome &O) {
     for (double &V : U.Odds)
       if (!R.f64(V))
         return corrupt("truncated summary update odds");
-    if (!R.str(U.DebugLine))
-      return corrupt("truncated summary update debug line");
   }
   return Status::ok();
 }

@@ -52,7 +52,7 @@ namespace summaryio {
 /// every other version, and the cache's environment digest folds it in,
 /// so entries an older build wrote read back as invalidated instead of
 /// replaying that build's results.
-constexpr uint32_t WireVersion = 5;
+constexpr uint32_t WireVersion = 6;
 
 /// What a sealed blob carries. The kind is part of the envelope so a
 /// snapshot can never be mistaken for a cache entry. The values are part
@@ -107,9 +107,6 @@ struct SummaryUpdate {
   uint32_t SiteIndex = 0;
   /// Odds multipliers, one per tracked variable of the target.
   std::vector<double> Odds;
-  /// ANEK_DEBUG_EVIDENCE annotation; carried so debug output is
-  /// byte-identical whether the update was computed or replayed.
-  std::string DebugLine;
 };
 
 /// Everything one SOLVE of one method produced: a MethodReport mirror,
@@ -131,7 +128,9 @@ struct SolveOutcome {
   uint32_t Solves = 0;
 
   /// Run-statistics contributions. SolveSeconds is what the solving pick
-  /// paid; a replay (memo or cache hit) reports 0.
+  /// paid; a replay (memo or cache hit) reports 0. The record codec
+  /// carries neither it nor Solve.Seconds, so a decoded record reads 0
+  /// for both and a cache log holds no clock reading.
   uint64_t Variables = 0;
   uint64_t Factors = 0;
   double SolveSeconds = 0.0;

@@ -57,10 +57,10 @@ struct Profile {
   uint64_t TraceEvents = 0;
   int64_t TraceSpanUs = 0; ///< max end - min start over complete spans.
   /// Total time of the infer.merge spans and of infer.phase2.waves. The
-  /// merge runs between a wave's jobs and the next wave, so it is the
-  /// part of phase 2 that `-j N` shortens least; both 0 without the
-  /// spans. The text rendering prints the share in its metrics section,
-  /// so it needs the metrics artifact too.
+  /// merge runs on the scheduling thread between a wave's jobs and the
+  /// next wave, so it is the part of phase 2 that `-j N` does not
+  /// shorten; both 0 without the spans. The text rendering prints the
+  /// share in its metrics section, so it needs the metrics artifact too.
   int64_t MergeUs = 0;
   int64_t Phase2Us = 0;
 

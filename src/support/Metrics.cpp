@@ -115,13 +115,17 @@ void Histogram::reset() {
 namespace {
 
 /// std::map keeps names sorted, giving the exporter its stable key order
-/// for free. Entries are never erased, so references handed out by the
-/// lookup functions stay valid for the process lifetime.
+/// for free; std::less<> lets a lookup compare a string_view without
+/// building a key. Entries are never erased, so references handed out by
+/// the lookup functions stay valid for the process lifetime.
+template <typename T>
+using MetricMap = std::map<std::string, std::unique_ptr<T>, std::less<>>;
+
 struct MetricsRegistry {
   std::mutex Mutex;
-  std::map<std::string, std::unique_ptr<Counter>> Counters;
-  std::map<std::string, std::unique_ptr<Gauge>> Gauges;
-  std::map<std::string, std::unique_ptr<Histogram>> Histograms;
+  MetricMap<Counter> Counters;
+  MetricMap<Gauge> Gauges;
+  MetricMap<Histogram> Histograms;
 };
 
 MetricsRegistry &registry() {
@@ -130,28 +134,27 @@ MetricsRegistry &registry() {
 }
 
 template <typename T>
-T &lookup(std::map<std::string, std::unique_ptr<T>> &Map,
-          const std::string &Name, std::mutex &Mutex) {
+T &lookup(MetricMap<T> &Map, std::string_view Name, std::mutex &Mutex) {
   std::lock_guard<std::mutex> Lock(Mutex);
-  std::unique_ptr<T> &Slot = Map[Name];
-  if (!Slot)
-    Slot = std::make_unique<T>();
-  return *Slot;
+  auto It = Map.find(Name);
+  if (It == Map.end())
+    It = Map.emplace(std::string(Name), std::make_unique<T>()).first;
+  return *It->second;
 }
 
 } // namespace
 
-Counter &anek::telemetry::counter(const std::string &Name) {
+Counter &anek::telemetry::counter(std::string_view Name) {
   MetricsRegistry &R = registry();
   return lookup(R.Counters, Name, R.Mutex);
 }
 
-Gauge &anek::telemetry::gauge(const std::string &Name) {
+Gauge &anek::telemetry::gauge(std::string_view Name) {
   MetricsRegistry &R = registry();
   return lookup(R.Gauges, Name, R.Mutex);
 }
 
-Histogram &anek::telemetry::histogram(const std::string &Name) {
+Histogram &anek::telemetry::histogram(std::string_view Name) {
   MetricsRegistry &R = registry();
   return lookup(R.Histograms, Name, R.Mutex);
 }

@@ -16,9 +16,10 @@
 ///   if (telemetry::metering())
 ///     counter("solver.bp.solves").add(1);
 ///
-/// Each lookup takes the registry's mutex. A site hot enough for that to
-/// show, such as the lexer's per-token counter, may instead cache the
-/// registered object in a function-local static.
+/// Each lookup takes the registry's mutex; finding a registered name
+/// allocates nothing. A site hot enough for the lock to show, such as
+/// the lexer's per-token counter, may instead cache the registered
+/// object in a function-local static.
 ///
 /// The exporter renders a schema-versioned flat JSON document
 /// (`anek-metrics-v1`) with stable, sorted key order so diffs between
@@ -34,6 +35,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <string_view>
 
 namespace anek {
 namespace telemetry {
@@ -100,9 +102,9 @@ private:
 
 /// Looks up (registering on first use) the named metric. References stay
 /// valid for the process lifetime, across resetMetricsForTest.
-Counter &counter(const std::string &Name);
-Gauge &gauge(const std::string &Name);
-Histogram &histogram(const std::string &Name);
+Counter &counter(std::string_view Name);
+Gauge &gauge(std::string_view Name);
+Histogram &histogram(std::string_view Name);
 
 /// Renders every registered metric as the `anek-metrics-v1` JSON
 /// document: sorted key order, counters/gauges/histograms in fixed

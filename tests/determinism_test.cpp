@@ -19,13 +19,16 @@
 #include "lang/Sema.h"
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
 #include <regex>
 #include <sstream>
+#include <string>
 #include <sys/wait.h>
 #include <unistd.h>
+#include <vector>
 
 using namespace anek;
 
@@ -123,6 +126,22 @@ int runToolStdoutMasked(const std::string &ArgLine, std::string &Output) {
     return -1;
   return WEXITSTATUS(RawStatus);
 }
+
+/// The `evidence ` lines of a masked run's output, in order.
+std::vector<std::string> evidenceLines(const std::string &Output) {
+  std::vector<std::string> Lines;
+  std::istringstream In(Output);
+  for (std::string Line; std::getline(In, Line);)
+    if (Line.rfind("evidence ", 0) == 0)
+      Lines.push_back(Line);
+  return Lines;
+}
+
+/// Sets ANEK_DEBUG_EVIDENCE for the tools this process runs while alive.
+struct ScopedEvidenceTrace {
+  ScopedEvidenceTrace() { ::setenv("ANEK_DEBUG_EVIDENCE", "1", 1); }
+  ~ScopedEvidenceTrace() { ::unsetenv("ANEK_DEBUG_EVIDENCE"); }
+};
 
 } // namespace
 
@@ -232,4 +251,51 @@ TEST(DeterminismDriverTest, VerifyJobsProduceIdenticalBytes) {
   int E4 = runToolMasked("verify --example spreadsheet -j 4", J4);
   EXPECT_EQ(E1, E4);
   EXPECT_EQ(J1, J4);
+}
+
+TEST(DeterminismDriverTest, EvidenceTraceIsTheSameAtAnyJobsAndFromTheCache) {
+  // The ANEK_DEBUG_EVIDENCE trace is rendered from each update as the
+  // merge applies it, so it follows batch order at any -j N, and a warm
+  // cache replays it from records that carry no trace, even records a
+  // run without the variable stored.
+  fs::path CacheDir =
+      fs::temp_directory_path() /
+      ("anek_determinism_evidence_" + std::to_string(::getpid()));
+  std::error_code Ignored;
+  fs::remove_all(CacheDir, Ignored);
+  const std::string Base = "infer --example spreadsheet";
+  const std::string Cached = Base + " --cache " + CacheDir.string();
+
+  std::string Fill;
+  ASSERT_EQ(runToolMasked(Cached + " -j 1", Fill), 0) << Fill;
+  EXPECT_TRUE(evidenceLines(Fill).empty()) << "trace without the variable";
+
+  std::string J1, J4, Warm;
+  {
+    ScopedEvidenceTrace Trace;
+    ASSERT_EQ(runToolMasked(Base + " -j 1", J1), 0) << J1;
+    ASSERT_EQ(runToolMasked(Base + " -j 4", J4), 0) << J4;
+    ASSERT_EQ(runToolMasked(Cached + " -j 4", Warm), 0) << Warm;
+  }
+  fs::remove_all(CacheDir, Ignored);
+  EXPECT_NE(Warm.find("0 miss(es), 0 invalidated"), std::string::npos)
+      << "the trace must not invalidate entries stored without it:\n"
+      << Warm;
+
+  const std::vector<std::string> Lines = evidenceLines(J1);
+  EXPECT_EQ(Lines, evidenceLines(J4)) << "-j4 trace diverged from -j1";
+  EXPECT_EQ(Lines, evidenceLines(Warm)) << "warm-cache trace diverged";
+
+  // One line per merged update. Only a site's precondition vote is
+  // weaken-only; own-body and availability votes boost.
+  unsigned Weaken = 0, Boost = 0, Self = 0;
+  for (const std::string &Line : Lines) {
+    Weaken += Line.find(" [weaken]") != std::string::npos;
+    Boost += Line.find(" [boost]") != std::string::npos;
+    Self += Line.find(" self ") != std::string::npos;
+  }
+  EXPECT_EQ(Lines.size(), 232u);
+  EXPECT_EQ(Weaken, 58u);
+  EXPECT_EQ(Boost, 174u);
+  EXPECT_EQ(Self, 76u);
 }

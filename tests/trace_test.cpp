@@ -373,6 +373,27 @@ TEST_F(TraceTest, OffModeAllocatesNothing) {
   EXPECT_EQ(telemetry::eventCount(), 0u);
 }
 
+TEST_F(TraceTest, RegisteredMetricLookupAllocatesNothing) {
+  // An instrumentation site names its metric on every update, so finding
+  // a registered name must not build a key. The names are longer than
+  // any small-string buffer, so a std::string key would allocate.
+  telemetry::setCollection(false, true);
+  telemetry::counter("test.lookup.long_counter_name");
+  telemetry::gauge("test.lookup.long_gauge_name");
+  telemetry::histogram("test.lookup.long_histogram_name");
+  uint64_t Before = GlobalAllocations.load(std::memory_order_relaxed);
+  for (int I = 0; I != 1000; ++I) {
+    ASSERT_TRUE(telemetry::metering());
+    telemetry::counter("test.lookup.long_counter_name").add(1);
+    telemetry::gauge("test.lookup.long_gauge_name").set(I);
+    telemetry::histogram("test.lookup.long_histogram_name").record(I);
+  }
+  uint64_t After = GlobalAllocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(After, Before) << "a registered metric's lookup allocated";
+  EXPECT_EQ(telemetry::counter("test.lookup.long_counter_name").value(),
+            1000u);
+}
+
 TEST_F(TraceTest, OffModeIsCheap) {
   // A deliberately generous guard (engineered cost: one relaxed load per
   // site): 2M disabled spans must finish in well under a second even on
