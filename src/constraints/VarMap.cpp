@@ -49,7 +49,7 @@ void anek::setSpecPriors(FactorGraph &G, const PermVars &Vars,
 }
 
 void anek::setMarginalPriors(FactorGraph &G, const PermVars &Vars,
-                             const std::vector<double> &Marginals) {
+                             std::span<const double> Marginals) {
   size_t Index = 0;
   for (PermKind Kind : AllPermKinds) {
     if (Index >= Marginals.size())

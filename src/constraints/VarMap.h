@@ -22,6 +22,7 @@
 #include "pfg/Pfg.h"
 
 #include <array>
+#include <span>
 #include <vector>
 
 namespace anek {
@@ -65,7 +66,7 @@ void setSpecPriors(FactorGraph &G, const PermVars &Vars,
 /// Seeds priors of \p Vars from a dense marginal vector laid out as
 /// [kinds..., states...]; entries beyond the vector keep their priors.
 void setMarginalPriors(FactorGraph &G, const PermVars &Vars,
-                       const std::vector<double> &Marginals);
+                       std::span<const double> Marginals);
 
 /// Reads the marginals of \p Vars out of a solved marginal vector into the
 /// dense [kinds..., states...] layout.

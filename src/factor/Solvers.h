@@ -45,10 +45,7 @@ struct SolveReport {
   double Residual = 0.0;
   /// Iterations actually executed.
   unsigned Iterations = 0;
-  /// Wall-clock seconds spent inside the solver.
-  double Seconds = 0.0;
-  /// Raw kernel work done: messages computed (BP). Updates / Seconds is
-  /// the throughput the bench suite tracks.
+  /// Raw kernel work done: messages computed (BP).
   uint64_t Updates = 0;
   /// Factor updates elided by residual scheduling (BP only): sweeps over
   /// factors whose inputs had not moved since their last update.
@@ -128,22 +125,16 @@ public:
   /// MaxVariables.
   Expected<Marginals> solve(const FactorGraph &G) const;
 
-  /// Interprets every factor as a hard constraint (weight > Threshold
-  /// means "satisfied") and counts satisfying assignments; the engine of
-  /// the deterministic "Anek Logical" configuration. Returns std::nullopt
-  /// when the variable count exceeds \p VarLimit — the deterministic
-  /// analogue of the paper's Logical run that "ran out of memory before a
-  /// fixed point was reached" (DNF).
-  std::optional<uint64_t> countSatisfying(const FactorGraph &G,
-                                          unsigned VarLimit,
-                                          double Threshold = 0.5) const;
-
-  /// Deterministic-solutions marginals: the fraction of *satisfying*
-  /// assignments (every factor weight > Threshold) in which each variable
-  /// is true. Returns std::nullopt when the graph exceeds \p VarLimit
-  /// (DNF) or no assignment satisfies all constraints (a buggy program
-  /// makes the logical system unsatisfiable — exactly the failure mode
-  /// the paper's probabilistic encoding exists to avoid).
+  /// Deterministic-solutions marginals, the engine of the deterministic
+  /// "Anek Logical" configuration: every factor is a hard constraint
+  /// (weight > Threshold means "satisfied"), and each variable's marginal
+  /// is the fraction of satisfying assignments in which it is true.
+  /// Returns std::nullopt when the graph exceeds \p VarLimit — the
+  /// deterministic analogue of the paper's Logical run that "ran out of
+  /// memory before a fixed point was reached" (DNF) — or when no
+  /// assignment satisfies all constraints (a buggy program makes the
+  /// logical system unsatisfiable — exactly the failure mode the paper's
+  /// probabilistic encoding exists to avoid).
   std::optional<Marginals> solveLogical(const FactorGraph &G,
                                         unsigned VarLimit,
                                         double Threshold = 0.5) const;

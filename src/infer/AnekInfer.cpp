@@ -23,6 +23,7 @@
 #include <exception>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 
 using namespace anek;
@@ -59,7 +60,7 @@ constexpr double SummaryTolerance = 0.02;
 
 /// The per-vote evidence cap: every odds multiplier an update carries
 /// lies in [1 / EvidenceOddsCap, EvidenceOddsCap]. computeEvidence clamps
-/// to it, and validateOutcome rejects a cached update outside it.
+/// to it, and validateOutcome rejects cached odds outside it.
 constexpr double EvidenceOddsCap = 9.0;
 
 /// Odds-ratio clamp: keeps evidence finite when marginals saturate.
@@ -105,14 +106,6 @@ std::vector<double> transformPrior(std::vector<double> P,
       P[K] = std::max(P[K], 0.5);
   }
   return P;
-}
-
-/// True for the roles a call site applies as requirements: the callee's
-/// preconditions. A site may only weaken a requirement, never strengthen
-/// it (requirements come from bodies).
-bool isRequirement(summaryio::SummaryTargetRole Role) {
-  return Role == summaryio::SummaryTargetRole::RecvPre ||
-         Role == summaryio::SummaryTargetRole::ParamPre;
 }
 
 /// Appends one cascade decision to a report's reason trail. `--report`
@@ -186,11 +179,12 @@ namespace {
 /// CallGraph::sccWaves). Every method in a wave is analyzed as an
 /// independent job against the summary store as it stood when the wave
 /// began: jobs only read, and return their evidence as a SolveOutcome
-/// record of deferred updates. After the wave, the merge applies every
-/// update on the scheduling thread in declaration (= batch) order, so
-/// each target sees one fixed sequence of updates, and returns one fixed
-/// sequence of deltas, no matter how many workers ran the jobs. This
-/// makes `-j N` byte-identical to `-j 1` by construction.
+/// record of deferred updates, one odds vector per summary application.
+/// After the wave, the merge applies every update on the scheduling
+/// thread in declaration (= batch) order, so each target sees one fixed
+/// sequence of updates, and returns one fixed sequence of deltas, no
+/// matter how many workers ran the jobs. This makes `-j N`
+/// byte-identical to `-j 1` by construction.
 class InferEngine {
 public:
   InferEngine(Program &Prog, const InferOptions &Opts,
@@ -202,11 +196,31 @@ public:
 
 private:
   using SolveOutcome = summaryio::SolveOutcome;
-  using SummaryUpdate = summaryio::SummaryUpdate;
+
+  /// One summary-prior application of a method's model: the PFG node a
+  /// summary target's pooled prior is set on before the solve, and whose
+  /// solved marginals update that target after it.
+  struct Application {
+    PfgNodeId Node = NoPfgNode;
+    TargetSummary *Target = nullptr;
+    /// Method whose summary the target belongs to.
+    MethodDecl *SummaryOwner = nullptr;
+    /// True: the method's own interface target, updated through
+    /// setSelfOdds. False: a callee's target, updated as Site's evidence.
+    bool IsSelf = false;
+    /// True for a call site's receiver and parameter preconditions: a
+    /// site may only weaken a requirement, never strengthen it
+    /// (requirements come from bodies).
+    bool IsRequirement = false;
+    CallSiteKey Site{nullptr, 0};
+  };
 
   struct MethodData {
     MethodIr Ir;
     Pfg G;
+    /// applicationsOf(G), built once in phase 1: every pick pools its
+    /// priors through it, and every record's odds vectors line up with it.
+    std::vector<Application> Applications;
   };
 
   /// The replay path's view of one pick: its memo key and applied-prior
@@ -216,9 +230,10 @@ private:
   struct MemoProbe {
     uint64_t Key = 0;
     /// Every prior the method's model applies, concatenated in
-    /// application order. Which targets and nodes they go to is a
-    /// function of the method alone within one engine, so the values
-    /// are the whole input of the solve.
+    /// application order: the pick pools into it, sets each
+    /// application's slice on its node, and the memo files it. Which
+    /// targets and nodes the slices go to is fixed per method after
+    /// phase 1, so the values are the whole input of the solve.
     std::vector<double> Stream;
     /// Set by analyzeOne when the memo served the pick.
     bool Replayed = false;
@@ -241,22 +256,6 @@ private:
     MethodSummary *Summary = nullptr;
   };
 
-  /// Record of one summary-prior application so its evidence can be
-  /// divided back out after the solve.
-  struct Application {
-    PfgNodeId Node = NoPfgNode;
-    TargetSummary *Target = nullptr;
-    /// Method whose summary the target belongs to.
-    MethodDecl *SummaryOwner = nullptr;
-    summaryio::SummaryTargetRole Role = summaryio::SummaryTargetRole::RecvPre;
-    uint32_t ParamIndex = 0;
-    std::vector<double> Applied;
-    bool IsSelf = false;
-    /// True for call-site precondition nodes (see isRequirement).
-    bool IsRequirement = false;
-    CallSiteKey Site{nullptr, 0};
-  };
-
   /// Builds and solves one method's model against the current (frozen)
   /// summary store. Pure with respect to engine state: all writes are
   /// returned as deferred updates inside the outcome. Safe to run
@@ -265,45 +264,40 @@ private:
   SolveOutcome analyzeOne(MethodDecl *M, MemoProbe *Probe = nullptr);
 
   /// Every summary-prior application \p M's model makes — own interface
-  /// targets first, then call sites in PFG order — with App.Applied
-  /// already pooled and transformed. analyzeOne builds this list once per
-  /// pick: it sets the priors, and the memo key and the cache key are
-  /// both digests of it. Reads the frozen summary store only.
+  /// targets first, then call sites in PFG order. Which nodes and
+  /// targets these are depends on the PFG and on which summary targets
+  /// exist, never on summary values, so phase 1 builds the list once
+  /// per model.
   std::vector<Application> applicationsOf(MethodDecl *M,
                                           const Pfg &G) const;
 
-  /// The replay path of one pick: the memo, then, on a memo miss with a
-  /// cache armed, a cache lookup under the key derived from
-  /// \p Applications. Returns the replayed outcome, or nothing when the
-  /// pick must be solved; \p Probe records the keys and the cache's
-  /// answer. Runs in the wave job and writes only \p Probe.
-  std::optional<SolveOutcome>
-  replay(MethodDecl *M, const std::vector<Application> &Applications,
-         MemoProbe &Probe) const;
+  /// The replay path of one pick whose \p Probe holds its prior stream:
+  /// the memo, then, on a memo miss with a cache armed, a cache lookup.
+  /// Returns the replayed outcome, or nothing when the pick must be
+  /// solved; \p Probe records the keys and the cache's answer. Runs in
+  /// the wave job and writes only \p Probe.
+  std::optional<SolveOutcome> replay(MethodDecl *M, MemoProbe &Probe) const;
 
   /// Per-target evidence helper: converts the solved marginals /
-  /// graph-side cavity beliefs into an odds vector (call-site evidence
-  /// on preconditions is weaken-only: odds capped at 1). Appends a
-  /// deferred update to \p Updates; no engine state is touched.
-  void computeEvidence(std::vector<SummaryUpdate> &Updates,
-                       const Application &App,
-                       const std::vector<double> &Marginals,
-                       const std::vector<double> &GraphBelief) const;
+  /// graph-side cavity beliefs at \p App's node, against the prior
+  /// \p Applied set there, into the odds vector of App's update
+  /// (call-site evidence on preconditions is weaken-only: odds capped at
+  /// 1). No engine state is touched.
+  std::vector<double>
+  computeEvidence(const Application &App, std::span<const double> Applied,
+                  const std::vector<double> &Marginals,
+                  const std::vector<double> &GraphBelief) const;
 
   /// Builds the skeleton summary store over every method of the program
   /// and the declaration-index table over it. Asserts that declaration
   /// indices are unique, which Sema guarantees.
   void buildSummaryStore();
 
-  /// The method with declaration index \p Index; null when unknown.
-  MethodDecl *methodAt(uint32_t Index) const {
-    return Index < Decls.size() ? Decls[Index].Method : nullptr;
-  }
-
   /// \p M's summary; null for a method outside the program.
   MethodSummary *summaryOf(const MethodDecl *M) const {
-    return methodAt(M->DeclIndex) == M ? Decls[M->DeclIndex].Summary
-                                       : nullptr;
+    return M->DeclIndex < Decls.size() && Decls[M->DeclIndex].Method == M
+               ? Decls[M->DeclIndex].Summary
+               : nullptr;
   }
 
   /// True when \p M has a body whose model phase 1 built.
@@ -311,14 +305,12 @@ private:
     return Models[M->DeclIndex].has_value();
   }
 
-  /// The target \p U updates; null when its owner is unknown or has no
-  /// summary at that interface position.
-  TargetSummary *targetOf(const SummaryUpdate &U) const;
-
-  /// Prints \p U's ANEK_DEBUG_EVIDENCE line to stderr. Every input is a
-  /// field of the update, so a replayed update prints what its fresh
-  /// solve would have.
-  void printEvidence(const SummaryUpdate &U) const;
+  /// Prints the ANEK_DEBUG_EVIDENCE line of the update \p Odds makes
+  /// through \p App to stderr. Every input is a field of the application
+  /// or of the odds, so a replayed update prints what its fresh solve
+  /// would have.
+  void printEvidence(const Application &App,
+                     const std::vector<double> &Odds) const;
 
   /// Marks \p M to be picked again, unless it cannot be.
   void markDirty(const MethodDecl *M) {
@@ -327,11 +319,10 @@ private:
   }
 
   /// The check a record read back from the cache must pass before the
-  /// merge trusts it: it is \p M's, its cascade exit is in range, and every
-  /// update names a known owner, a present target, odds of that target's
-  /// arity, each finite and within the evidence cap, and, for site
-  /// evidence, a known caller. Records computed or memoized in this engine
-  /// are trusted without it.
+  /// merge trusts it: it is \p M's, its cascade exit is in range, and it
+  /// holds one odds vector per application of \p M, each of its target's
+  /// arity, and every entry finite and within the evidence cap. Records
+  /// computed or memoized in this engine are trusted without it.
   Status validateOutcome(const SolveOutcome &O, const MethodDecl *M) const;
 
   // Replay (DESIGN.md, "Incremental inference and the summary cache").
@@ -364,7 +355,7 @@ private:
   /// Declaration index -> method and summary (see buildSummaryStore).
   std::vector<DeclSlot> Decls;
   // Per declaration index, sized with Decls: the merge touches these per
-  // update, so they are dense vectors rather than maps.
+  // outcome, so they are dense vectors rather than maps.
   /// The method's model; absent for bodiless methods and failed lowering.
   std::vector<std::optional<MethodData>> Models;
   /// Present once the method was picked or its model failed.
@@ -391,16 +382,12 @@ private:
 
 } // namespace
 
-void InferEngine::computeEvidence(std::vector<SummaryUpdate> &Updates,
-                                  const Application &App,
-                                  const std::vector<double> &Marginals,
-                                  const std::vector<double> &GraphBelief) const {
-  TargetSummary *Target = App.Target;
-  const std::vector<double> &Applied = App.Applied;
-  MethodDecl *SummaryOwner = App.SummaryOwner;
-  const bool IsSelf = App.IsSelf;
-  const bool WeakenOnly = !App.IsSelf && App.IsRequirement;
-  const CallSiteKey &Site = App.Site;
+std::vector<double>
+InferEngine::computeEvidence(const Application &App,
+                             std::span<const double> Applied,
+                             const std::vector<double> &Marginals,
+                             const std::vector<double> &GraphBelief) const {
+  const bool WeakenOnly = App.IsRequirement;
   // Two evidence channels, chosen by direction:
   //
   //  - Requirement-side call votes (WeakenOnly) use the graph-side cavity
@@ -421,7 +408,7 @@ void InferEngine::computeEvidence(std::vector<SummaryUpdate> &Updates,
   constexpr double WeakenDeadband = 0.2;
   constexpr double BoostDeadband = 0.15;
 
-  std::vector<double> Odds(Target->size(), 1.0);
+  std::vector<double> Odds(App.Target->size(), 1.0);
   for (size_t I = 0, E = std::min(Applied.size(), Marginals.size()); I != E;
        ++I) {
     if (I >= Odds.size())
@@ -439,64 +426,44 @@ void InferEngine::computeEvidence(std::vector<SummaryUpdate> &Updates,
     }
     Odds[I] = std::clamp(Ratio, 1.0 / EvidenceOddsCap, EvidenceOddsCap);
   }
-
-  SummaryUpdate Update;
-  Update.OwnerDeclIndex = SummaryOwner->DeclIndex;
-  Update.Role = App.Role;
-  Update.ParamIndex = App.ParamIndex;
-  Update.IsSelf = IsSelf;
-  Update.SiteCallerDeclIndex = Site.first ? Site.first->DeclIndex : 0;
-  Update.SiteIndex = Site.second;
-  Update.Odds = std::move(Odds);
-  Updates.push_back(std::move(Update));
+  return Odds;
 }
 
 std::vector<InferEngine::Application>
 InferEngine::applicationsOf(MethodDecl *M, const Pfg &G) const {
-  using summaryio::SummaryTargetRole;
   std::vector<Application> Applications;
   auto Apply = [&](PfgNodeId Node, TargetSummary *Target,
-                   MethodDecl *SummaryOwner, SummaryTargetRole Role,
-                   uint32_t ParamIndex, bool IsSelf, CallSiteKey Site) {
+                   MethodDecl *SummaryOwner, bool IsRequirement,
+                   CallSiteKey Site) {
     if (Node == NoPfgNode || !Target)
       return;
     Application &App = Applications.emplace_back();
     App.Node = Node;
     App.Target = Target;
     App.SummaryOwner = SummaryOwner;
-    App.Role = Role;
-    App.ParamIndex = ParamIndex;
-    App.IsSelf = IsSelf;
+    App.IsSelf = !Site.first;
+    App.IsRequirement = IsRequirement;
     App.Site = Site;
-    App.IsRequirement = !IsSelf && isRequirement(Role);
-    App.Applied =
-        IsSelf ? Target->pooledWithoutSelf() : Target->pooledWithoutSite(Site);
-    if (!IsSelf)
-      App.Applied = transformPrior(std::move(App.Applied), App.IsRequirement);
   };
 
   // The method's own interface nodes: prior = summary minus own evidence.
   MethodSummary &Self = *summaryOf(M);
   CallSiteKey NoSite{nullptr, 0};
-  Apply(G.ReceiverPre, Self.RecvPre ? &*Self.RecvPre : nullptr, M,
-        SummaryTargetRole::RecvPre, 0, true, NoSite);
-  Apply(G.ReceiverPost, Self.RecvPost ? &*Self.RecvPost : nullptr, M,
-        SummaryTargetRole::RecvPost, 0, true, NoSite);
+  Apply(G.ReceiverPre, Self.RecvPre ? &*Self.RecvPre : nullptr, M, false,
+        NoSite);
+  Apply(G.ReceiverPost, Self.RecvPost ? &*Self.RecvPost : nullptr, M, false,
+        NoSite);
   for (size_t I = 0; I != G.ParamPre.size(); ++I) {
     if (I < Self.ParamPre.size() && Self.ParamPre[I])
-      Apply(G.ParamPre[I], &*Self.ParamPre[I], M,
-            SummaryTargetRole::ParamPre, static_cast<uint32_t>(I), true,
-            NoSite);
+      Apply(G.ParamPre[I], &*Self.ParamPre[I], M, false, NoSite);
     if (I < Self.ParamPost.size() && Self.ParamPost[I])
-      Apply(G.ParamPost[I], &*Self.ParamPost[I], M,
-            SummaryTargetRole::ParamPost, static_cast<uint32_t>(I), true,
-            NoSite);
+      Apply(G.ParamPost[I], &*Self.ParamPost[I], M, false, NoSite);
   }
   if (Self.Result)
-    Apply(G.ResultNode, &*Self.Result, M, SummaryTargetRole::Result, 0, true,
-          NoSite);
+    Apply(G.ResultNode, &*Self.Result, M, false, NoSite);
 
-  // Call sites: cavity priors from callee summaries (APPLYSUMMARY).
+  // Call sites: cavity priors from callee summaries (APPLYSUMMARY). The
+  // callee's preconditions are the site's requirements.
   for (uint32_t S = 0; S != G.CallSites.size(); ++S) {
     const PfgCallSite &Site = G.CallSites[S];
     if (!Site.Callee)
@@ -507,37 +474,27 @@ InferEngine::applicationsOf(MethodDecl *M, const Pfg &G) const {
     MethodSummary &Callee = *CalleeSummary;
     MethodDecl *D = Site.Callee;
     CallSiteKey Key{M, S};
-    Apply(Site.RecvPre, Callee.RecvPre ? &*Callee.RecvPre : nullptr, D,
-          SummaryTargetRole::RecvPre, 0, false, Key);
+    Apply(Site.RecvPre, Callee.RecvPre ? &*Callee.RecvPre : nullptr, D, true,
+          Key);
     Apply(Site.RecvPost, Callee.RecvPost ? &*Callee.RecvPost : nullptr, D,
-          SummaryTargetRole::RecvPost, 0, false, Key);
+          false, Key);
     for (size_t I = 0; I != Site.ArgPre.size(); ++I) {
       if (I < Callee.ParamPre.size() && Callee.ParamPre[I])
-        Apply(Site.ArgPre[I], &*Callee.ParamPre[I], D,
-              SummaryTargetRole::ParamPre, static_cast<uint32_t>(I), false,
-              Key);
+        Apply(Site.ArgPre[I], &*Callee.ParamPre[I], D, true, Key);
       if (I < Callee.ParamPost.size() && Callee.ParamPost[I])
-        Apply(Site.ArgPost[I], &*Callee.ParamPost[I], D,
-              SummaryTargetRole::ParamPost, static_cast<uint32_t>(I), false,
-              Key);
+        Apply(Site.ArgPost[I], &*Callee.ParamPost[I], D, false, Key);
     }
     if (Callee.Result)
-      Apply(Site.Result, &*Callee.Result, D, SummaryTargetRole::Result, 0,
-            false, Key);
+      Apply(Site.Result, &*Callee.Result, D, false, Key);
   }
   return Applications;
 }
 
 std::optional<summaryio::SolveOutcome>
-InferEngine::replay(MethodDecl *M,
-                    const std::vector<Application> &Applications,
-                    MemoProbe &Probe) const {
+InferEngine::replay(MethodDecl *M, MemoProbe &Probe) const {
   // The memo: the applied priors are the solve's only varying input, so
   // an exact repeat of the stream replays the stored outcome. The digest
   // picks the entry; the full stream comparison makes the hit exact.
-  for (const Application &App : Applications)
-    Probe.Stream.insert(Probe.Stream.end(), App.Applied.begin(),
-                        App.Applied.end());
   HashStream H;
   H.u32(M->DeclIndex);
   for (double V : Probe.Stream)
@@ -554,25 +511,17 @@ InferEngine::replay(MethodDecl *M,
   if (!Cache)
     return std::nullopt;
 
-  // The cache, for a state this run has not seen. Its key adds the
-  // structure of every application to the method's prefix: the exact
-  // bit patterns of the priors in the one canonical enumeration order
-  // make replay byte-safe within a run's fixpoint iteration (the same
-  // method re-solved after its callees' summaries moved gets a different
-  // key), while a warm run that replays wave by wave reproduces the same
+  // The cache, for a state this run has not seen. Its key is the
+  // method's prefix followed by the memo key. The prefix pins the
+  // application list, since the program environment, the SCC chain and
+  // the declaration index fix the method's PFG and every summary target,
+  // so the stream's exact bits are the rest of the solve's input: replay
+  // is byte-safe within a run's fixpoint iteration (the same method
+  // re-solved after its callees' summaries moved gets a different key),
+  // while a warm run that replays wave by wave reproduces the same
   // summary trajectory and therefore the same sequence of keys.
   HashStream Key = KeyPrefix[M->DeclIndex];
-  for (const Application &App : Applications) {
-    Key.u8(static_cast<uint8_t>(App.Role));
-    Key.u32(App.ParamIndex);
-    Key.u8(App.IsSelf ? 1 : 0);
-    Key.u8(App.IsRequirement ? 1 : 0);
-    Key.u32(App.SummaryOwner->DeclIndex);
-    Key.u32(App.Site.second);
-    Key.u32(static_cast<uint32_t>(App.Applied.size()));
-    for (double V : App.Applied)
-      Key.f64(V);
-  }
+  Key.u64(Probe.Key);
   Probe.CacheKey = Key.digest();
   CachedSolve Entry;
   Probe.Lookup = Cache->lookup(M->qualifiedName(), Probe.CacheKey, Entry);
@@ -604,21 +553,36 @@ summaryio::SolveOutcome InferEngine::analyzeOne(MethodDecl *M,
     return Out;
   }
 
-  const Pfg &G = Models[M->DeclIndex]->G;
+  const MethodData &Model = *Models[M->DeclIndex];
+  const std::vector<Application> &Applications = Model.Applications;
 
-  // Records of every prior application so evidence can be divided out.
-  // Everything read below comes from the wave's frozen summary store;
-  // the writes go through the outcome's deferred updates.
-  const std::vector<Application> Applications = applicationsOf(M, G);
+  // Pool every application's prior into one stream, in application
+  // order: application K's slice is the next Target->size() entries. The
+  // priors come from the wave's frozen summary store; the writes go
+  // through the outcome's deferred odds.
+  std::vector<double> Unprobed;
+  std::vector<double> &Stream = Probe ? Probe->Stream : Unprobed;
+  for (const Application &App : Applications) {
+    const std::vector<double> Prior =
+        App.IsSelf ? App.Target->pooledWithoutSelf()
+                   : transformPrior(App.Target->pooledWithoutSite(App.Site),
+                                    App.IsRequirement);
+    Stream.insert(Stream.end(), Prior.begin(), Prior.end());
+  }
   if (Probe)
-    if (std::optional<SolveOutcome> Replay = replay(M, Applications, *Probe))
+    if (std::optional<SolveOutcome> Replay = replay(M, *Probe))
       return std::move(*Replay);
 
   FactorGraph FG;
-  PfgVarMap Vars(G, FG);
-  generateConstraints(G, FG, Vars, Opts.Constraints);
-  for (const Application &App : Applications)
-    setMarginalPriors(FG, Vars.node(App.Node), App.Applied);
+  PfgVarMap Vars(Model.G, FG);
+  generateConstraints(Model.G, FG, Vars, Opts.Constraints);
+  const std::span<const double> Priors(Stream);
+  size_t At = 0;
+  for (const Application &App : Applications) {
+    setMarginalPriors(FG, Vars.node(App.Node),
+                      Priors.subspan(At, App.Target->size()));
+    At += App.Target->size();
+  }
 
   Timer SolveTimer;
   Marginals GraphBelief;
@@ -634,13 +598,17 @@ summaryio::SolveOutcome InferEngine::analyzeOne(MethodDecl *M,
   Out.Solves = 1;
 
   // Compute the evidence to push back into summaries (UPDATESUMMARY) as
-  // deferred updates; the scheduling thread applies them after the wave.
+  // deferred odds; the scheduling thread applies them after the wave.
+  Out.Odds.reserve(Applications.size());
+  At = 0;
   for (const Application &App : Applications) {
-    std::vector<double> NodeMarginals =
-        readMarginals(Vars.node(App.Node), Solution);
-    std::vector<double> NodeBelief =
-        readMarginals(Vars.node(App.Node), GraphBelief);
-    computeEvidence(Out.Updates, App, NodeMarginals, NodeBelief);
+    const std::span<const double> Applied =
+        Priors.subspan(At, App.Target->size());
+    At += Applied.size();
+    Out.Odds.push_back(
+        computeEvidence(App, Applied,
+                        readMarginals(Vars.node(App.Node), Solution),
+                        readMarginals(Vars.node(App.Node), GraphBelief)));
   }
   return Out;
 }
@@ -666,45 +634,20 @@ void InferEngine::buildSummaryStore() {
   Failed.assign(Decls.size(), 0);
 }
 
-TargetSummary *InferEngine::targetOf(const SummaryUpdate &U) const {
-  using summaryio::SummaryTargetRole;
-  if (!methodAt(U.OwnerDeclIndex))
-    return nullptr;
-  MethodSummary &Summary = *Decls[U.OwnerDeclIndex].Summary;
-  auto At = [](std::vector<std::optional<TargetSummary>> &Targets,
-               uint32_t Index) -> TargetSummary * {
-    return Index < Targets.size() && Targets[Index] ? &*Targets[Index]
-                                                    : nullptr;
-  };
-  switch (U.Role) {
-  case SummaryTargetRole::RecvPre:
-    return Summary.RecvPre ? &*Summary.RecvPre : nullptr;
-  case SummaryTargetRole::RecvPost:
-    return Summary.RecvPost ? &*Summary.RecvPost : nullptr;
-  case SummaryTargetRole::ParamPre:
-    return At(Summary.ParamPre, U.ParamIndex);
-  case SummaryTargetRole::ParamPost:
-    return At(Summary.ParamPost, U.ParamIndex);
-  case SummaryTargetRole::Result:
-    return Summary.Result ? &*Summary.Result : nullptr;
-  }
-  return nullptr;
-}
-
-void InferEngine::printEvidence(const SummaryUpdate &U) const {
-  // A site's precondition vote is the only weaken-only channel (see
-  // computeEvidence).
-  const bool Weaken = !U.IsSelf && isRequirement(U.Role);
-  std::string Line = "evidence " + methodAt(U.OwnerDeclIndex)->qualifiedName();
-  if (U.IsSelf)
+void InferEngine::printEvidence(const Application &App,
+                                const std::vector<double> &Odds) const {
+  std::string Line = "evidence " + App.SummaryOwner->qualifiedName();
+  if (App.IsSelf)
     Line += " self";
   else
-    Line += " site " + methodAt(U.SiteCallerDeclIndex)->qualifiedName() +
-            "#" + std::to_string(U.SiteIndex);
-  Line += Weaken ? " [weaken]" : " [boost]";
-  for (size_t I = 0; I != U.Odds.size(); ++I)
-    if (U.Odds[I] != 1.0)
-      Line += " v" + std::to_string(I) + "=" + std::to_string(U.Odds[I]);
+    Line += " site " + App.Site.first->qualifiedName() + "#" +
+            std::to_string(App.Site.second);
+  // A site's precondition vote is the only weaken-only channel (see
+  // computeEvidence).
+  Line += App.IsRequirement ? " [weaken]" : " [boost]";
+  for (size_t I = 0; I != Odds.size(); ++I)
+    if (Odds[I] != 1.0)
+      Line += " v" + std::to_string(I) + "=" + std::to_string(Odds[I]);
   std::fprintf(stderr, "%s\n", Line.c_str());
 }
 
@@ -718,29 +661,25 @@ Status InferEngine::validateOutcome(const SolveOutcome &O,
                   " filed as '" + M->qualifiedName() + "'");
   if (O.Exit >= NumCascadeExits)
     return Reject("unknown cascade exit " + std::to_string(O.Exit));
-  for (const SummaryUpdate &U : O.Updates) {
-    const MethodDecl *Owner = methodAt(U.OwnerDeclIndex);
-    if (!Owner)
-      return Reject("update names unknown method #" +
-                    std::to_string(U.OwnerDeclIndex));
-    const TargetSummary *Target = targetOf(U);
-    if (!Target)
-      return Reject("update names missing target " +
-                    std::string(summaryio::summaryTargetRoleName(U.Role)) +
-                    "#" + std::to_string(U.ParamIndex) + " of '" +
-                    Owner->qualifiedName() + "'");
-    if (U.Odds.size() != Target->size())
-      return Reject("odds arity mismatch for '" + Owner->qualifiedName() +
-                    "' (" + std::to_string(U.Odds.size()) + " vs " +
-                    std::to_string(Target->size()) + ")");
-    if (!U.IsSelf && !methodAt(U.SiteCallerDeclIndex))
-      return Reject("site update names unknown caller #" +
-                    std::to_string(U.SiteCallerDeclIndex));
-    for (double Odds : U.Odds)
+  const std::vector<Application> &Applications =
+      Models[M->DeclIndex]->Applications;
+  if (O.Odds.size() != Applications.size())
+    return Reject(std::to_string(O.Odds.size()) + " odds vectors for " +
+                  std::to_string(Applications.size()) +
+                  " applications of '" + M->qualifiedName() + "'");
+  for (size_t K = 0; K != Applications.size(); ++K) {
+    const Application &App = Applications[K];
+    if (O.Odds[K].size() != App.Target->size())
+      return Reject("odds arity mismatch for '" +
+                    App.SummaryOwner->qualifiedName() + "' (" +
+                    std::to_string(O.Odds[K].size()) + " vs " +
+                    std::to_string(App.Target->size()) + ")");
+    for (double Odds : O.Odds[K])
       if (!(std::isfinite(Odds) && Odds >= 1.0 / EvidenceOddsCap &&
             Odds <= EvidenceOddsCap))
         return Reject("odds " + std::to_string(Odds) + " for '" +
-                      Owner->qualifiedName() + "' outside the evidence cap");
+                      App.SummaryOwner->qualifiedName() +
+                      "' outside the evidence cap");
   }
   return Status::ok();
 }
@@ -901,6 +840,7 @@ InferResult InferEngine::run() {
       MethodData MD;
       MD.Ir = lowerToIr(*M);
       MD.G = buildPfg(MD.Ir);
+      MD.Applications = applicationsOf(M, MD.G);
       Models[M->DeclIndex] = std::move(MD);
     } catch (const std::exception &E) {
       MethodReport &Report = Reports[M->DeclIndex].emplace();
@@ -1077,10 +1017,11 @@ InferResult InferEngine::run() {
         WaveSpan.arg("replayed", WaveReplays);
 
       // Merge, on this thread in declaration (= batch) order: each
-      // outcome's report, statistics and failure, then its updates, each
-      // applied to its target as the pass reaches it (and traced, when
-      // ANEK_DEBUG_EVIDENCE is set). Every target thus sees its updates
-      // in batch order and returns the same deltas at any -j N.
+      // outcome's report, statistics and failure, then its odds vectors,
+      // each applied through the method's application it lines up with as
+      // the pass reaches it (and traced, when ANEK_DEBUG_EVIDENCE is set).
+      // Every target thus sees its updates in batch order and returns the
+      // same deltas at any -j N.
       telemetry::Span MergeSpan("infer.merge", "infer");
       unsigned MergedUpdates = 0, Requeued = 0;
       MovedOwners.clear();
@@ -1113,21 +1054,21 @@ InferResult InferEngine::run() {
           ++Result.FallbackSolves;
           ++Result.FallbackExits[Out.Exit];
         }
-        for (const SummaryUpdate &U : Out.Updates) {
+        const std::vector<Application> &Applications =
+            Models[M->DeclIndex]->Applications;
+        for (size_t K = 0; K != Out.Odds.size(); ++K) {
+          const Application &App = Applications[K];
           if (DebugEvidence)
-            printEvidence(U);
-          TargetSummary &Target = *targetOf(U);
+            printEvidence(App, Out.Odds[K]);
           const double Delta =
-              U.IsSelf ? Target.setSelfOdds(U.Odds)
-                       : Target.setSiteOdds(
-                             {methodAt(U.SiteCallerDeclIndex), U.SiteIndex},
-                             U.Odds);
+              App.IsSelf ? App.Target->setSelfOdds(Out.Odds[K])
+                         : App.Target->setSiteOdds(App.Site, Out.Odds[K]);
           if (Delta > SummaryTolerance) {
             ++Requeued;
-            MovedOwners.push_back(U.OwnerDeclIndex);
+            MovedOwners.push_back(App.SummaryOwner->DeclIndex);
           }
         }
-        MergedUpdates += static_cast<unsigned>(Out.Updates.size());
+        MergedUpdates += static_cast<unsigned>(Out.Odds.size());
       }
       // A changed summary invalidates the models that consume it: the
       // owning method itself and its callers (they applied the stale

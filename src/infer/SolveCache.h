@@ -20,12 +20,16 @@
 /// SCC's content hash, which changes the chain hashes of every
 /// transitive caller, so exactly the reachable waves miss.
 ///
-/// An entry is the engine's own SOLVE record (summaryio::SolveOutcome),
-/// which names methods by declaration index. Replaying it into a later
-/// run is sound because the key's environment hash digests every type's
-/// method count and ordered method signatures: an edit that shifts any
-/// declaration index changes every key, so a shifted entry can only be
-/// invalidated, never replayed.
+/// An entry is the engine's own SOLVE record (summaryio::SolveOutcome):
+/// its method's declaration index and one odds vector per summary
+/// application of the method's model, in application order, with no word
+/// of which targets those are. Replaying it into a later run is sound
+/// because the key's prefix pins both: the environment hash digests
+/// every type's method count and ordered method signatures, and with the
+/// method's SCC chain hash and declaration index it fixes the method's
+/// PFG and the summary targets the PFG applies. An edit that shifts any
+/// declaration index or changes an application list changes the key, so
+/// such an entry can only be invalidated, never replayed.
 ///
 /// The interface lives in src/infer so the engine does not depend on the
 /// storage backend; the on-disk implementation is src/cache/SummaryCache,

@@ -87,8 +87,8 @@ bool decodeSolveReport(wire::Reader &R, SolveReport &Solve) {
 }
 
 /// The record codec: a cache entry carries one SolveOutcome record in
-/// exactly this layout. It leaves out the two wall-clock fields
-/// (SolveSeconds, Solve.Seconds), so equal solves encode to equal bytes.
+/// exactly this layout. It leaves out the wall-clock SolveSeconds, so
+/// equal solves encode to equal bytes.
 void encodeOutcome(wire::Writer &W, const SolveOutcome &O) {
   W.u32(O.DeclIndex);
   W.u8(O.Failed ? 1 : 0);
@@ -99,16 +99,10 @@ void encodeOutcome(wire::Writer &W, const SolveOutcome &O) {
   W.u32(O.Solves);
   W.u64(O.Variables);
   W.u64(O.Factors);
-  W.u32(static_cast<uint32_t>(O.Updates.size()));
-  for (const SummaryUpdate &U : O.Updates) {
-    W.u32(U.OwnerDeclIndex);
-    W.u8(static_cast<uint8_t>(U.Role));
-    W.u32(U.ParamIndex);
-    W.u8(U.IsSelf ? 1 : 0);
-    W.u32(U.SiteCallerDeclIndex);
-    W.u32(U.SiteIndex);
-    W.u32(static_cast<uint32_t>(U.Odds.size()));
-    for (double V : U.Odds)
+  W.u32(static_cast<uint32_t>(O.Odds.size()));
+  for (const std::vector<double> &Odds : O.Odds) {
+    W.u32(static_cast<uint32_t>(Odds.size()));
+    for (double V : Odds)
       W.f64(V);
   }
 }
@@ -123,25 +117,18 @@ Status decodeOutcome(wire::Reader &R, SolveOutcome &O) {
     return corrupt("truncated solve report");
   if (!(R.u32(O.Solves) && R.u64(O.Variables) && R.u64(O.Factors)))
     return corrupt("truncated outcome statistics");
-  uint32_t UpdateCount = 0;
-  if (!R.count(UpdateCount, 16))
-    return corrupt("truncated update count");
-  O.Updates.resize(UpdateCount);
-  for (SummaryUpdate &U : O.Updates) {
-    uint8_t Role = 0, IsSelf = 0;
+  uint32_t VectorCount = 0;
+  if (!R.count(VectorCount, 4))
+    return corrupt("truncated odds vector count");
+  O.Odds.resize(VectorCount);
+  for (std::vector<double> &Odds : O.Odds) {
     uint32_t OddsCount = 0;
-    if (!(R.u32(U.OwnerDeclIndex) && R.u8(Role) && R.u32(U.ParamIndex) &&
-          R.u8(IsSelf) && R.u32(U.SiteCallerDeclIndex) && R.u32(U.SiteIndex) &&
-          R.count(OddsCount, 8)))
-      return corrupt("truncated summary update");
-    if (Role > static_cast<uint8_t>(SummaryTargetRole::Result))
-      return corrupt("summary update role out of range");
-    U.Role = static_cast<SummaryTargetRole>(Role);
-    U.IsSelf = IsSelf != 0;
-    U.Odds.resize(OddsCount);
-    for (double &V : U.Odds)
+    if (!R.count(OddsCount, 8))
+      return corrupt("truncated odds count");
+    Odds.resize(OddsCount);
+    for (double &V : Odds)
       if (!R.f64(V))
-        return corrupt("truncated summary update odds");
+        return corrupt("truncated odds");
   }
   return Status::ok();
 }
@@ -200,22 +187,6 @@ Expected<std::string> summaryio::openBlob(std::string_view Blob,
   if (wire::fnv1a64(Payload) != Checksum)
     return corrupt("checksum mismatch (payload damaged)");
   return std::string(Payload);
-}
-
-const char *summaryio::summaryTargetRoleName(SummaryTargetRole Role) {
-  switch (Role) {
-  case SummaryTargetRole::RecvPre:
-    return "recv-pre";
-  case SummaryTargetRole::RecvPost:
-    return "recv-post";
-  case SummaryTargetRole::ParamPre:
-    return "param-pre";
-  case SummaryTargetRole::ParamPost:
-    return "param-post";
-  case SummaryTargetRole::Result:
-    return "result";
-  }
-  return "unknown";
 }
 
 //===----------------------------------------------------------------------===//

@@ -18,10 +18,13 @@
 ///
 /// SolveOutcome is the one form a SOLVE result takes: the engine's jobs
 /// return it, the in-run memo stores it and the summary cache seals it.
-/// It names methods by declaration index, which is stable across runs
-/// over the same source: the cache's environment hash digests every
-/// type's method count and ordered method signatures, so an edit that
-/// shifts any index changes every cache key.
+/// It names its method by declaration index and carries its evidence as
+/// bare odds vectors in the order of the method's summary applications,
+/// which the engine builds once per run and never writes down. Both are
+/// stable across runs over the same source: the cache key's prefix
+/// digests every type's method count and ordered method signatures, the
+/// method's SCC chain and its index, so an edit that shifts any index, or
+/// changes which targets a method's model applies, changes the key.
 ///
 /// Envelope: magic, version, kind, payload length, FNV-1a checksum, then
 /// the payload. Decoding is defensive end to end: truncated headers,
@@ -52,7 +55,7 @@ namespace summaryio {
 /// every other version, and the cache's environment digest folds it in,
 /// so entries an older build wrote read back as invalidated instead of
 /// replaying that build's results.
-constexpr uint32_t WireVersion = 6;
+constexpr uint32_t WireVersion = 7;
 
 /// What a sealed blob carries. The kind is part of the envelope so a
 /// snapshot can never be mistaken for a cache entry. The values are part
@@ -78,37 +81,6 @@ std::string sealBlob(BlobKind Kind, std::string Payload);
 /// with the actual size, checksum mismatch.
 Expected<std::string> openBlob(std::string_view Blob, BlobKind ExpectKind);
 
-/// Which interface target of a method summary an update addresses.
-enum class SummaryTargetRole : uint8_t {
-  RecvPre = 0,
-  RecvPost,
-  ParamPre,
-  ParamPost,
-  Result,
-};
-
-/// "recv-pre" / "param-post" / ... for diagnostics.
-const char *summaryTargetRoleName(SummaryTargetRole Role);
-
-/// One deferred summary update: evidence for one interface target of one
-/// method. Methods and call sites are named by declaration index, never
-/// by pointer.
-struct SummaryUpdate {
-  /// Declaration index of the method whose summary is updated.
-  uint32_t OwnerDeclIndex = 0;
-  SummaryTargetRole Role = SummaryTargetRole::RecvPre;
-  /// Parameter position for the Param* roles; 0 otherwise.
-  uint32_t ParamIndex = 0;
-  /// True: own-body evidence (setSelfOdds). False: call-site evidence.
-  bool IsSelf = true;
-  /// Call-site key for site evidence: the calling method's declaration
-  /// index and the site's index within that caller's PFG.
-  uint32_t SiteCallerDeclIndex = 0;
-  uint32_t SiteIndex = 0;
-  /// Odds multipliers, one per tracked variable of the target.
-  std::vector<double> Odds;
-};
-
 /// Everything one SOLVE of one method produced: a MethodReport mirror,
 /// the run-statistics contributions and the deferred summary updates.
 struct SolveOutcome {
@@ -128,14 +100,19 @@ struct SolveOutcome {
   uint32_t Solves = 0;
 
   /// Run-statistics contributions. SolveSeconds is what the solving pick
-  /// paid; a replay (memo or cache hit) reports 0. The record codec
-  /// carries neither it nor Solve.Seconds, so a decoded record reads 0
-  /// for both and a cache log holds no clock reading.
+  /// paid; a replay (memo or cache hit) reports 0. The record codec does
+  /// not carry it, so a decoded record reads 0 and a cache log holds no
+  /// clock reading.
   uint64_t Variables = 0;
   uint64_t Factors = 0;
   double SolveSeconds = 0.0;
 
-  std::vector<SummaryUpdate> Updates;
+  /// The deferred summary updates: one odds vector per summary
+  /// application of the method's model, in application order, each with
+  /// one multiplier per tracked variable of the application's target.
+  /// Which target and which evidence source (own body or call site) a
+  /// vector goes to is the application's, so the record does not say.
+  std::vector<std::vector<double>> Odds;
 };
 
 /// Serializes the evidence state of \p Summaries (sealed Snapshot blob).
@@ -153,10 +130,11 @@ std::string encodeCacheEntry(uint64_t Key, const SolveOutcome &Entry);
 
 /// Decodes a cache-entry blob, requiring its echoed key to equal
 /// \p ExpectKey. Structural validation only (the envelope plus bounds);
-/// semantic validation against the program — do these declaration
-/// indices exist, do arities match — happens where the decl-index table
-/// lives (the engine's validateOutcome). Callers classify any error as a
-/// corrupt cache entry — a miss, never a failure of the run.
+/// semantic validation against the program — is the record the
+/// method's, does it hold one odds vector of the right arity per
+/// application — happens where the application lists live (the engine's
+/// validateOutcome). Callers classify any error as a corrupt cache entry
+/// — a miss, never a failure of the run.
 Expected<SolveOutcome> decodeCacheEntry(std::string_view Blob,
                                         uint64_t ExpectKey);
 

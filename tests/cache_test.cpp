@@ -82,9 +82,9 @@ std::string renderedSpecs(const Program &Prog, const InferResult &R) {
   return printProgram(Prog, Opts);
 }
 
-/// A representative SOLVE record touching every field of the codec: one
-/// own-body update and one call-site update, methods named by index. Its
-/// two timings are set too, though the codec drops them.
+/// A representative SOLVE record touching every field of the codec: two
+/// odds vectors of different arities, one per application of the
+/// method's model. Its timing is set too, though the codec drops it.
 summaryio::SolveOutcome sampleOutcome() {
   summaryio::SolveOutcome S;
   S.DeclIndex = 5;
@@ -93,7 +93,6 @@ summaryio::SolveOutcome sampleOutcome() {
   S.Solve.Converged = true;
   S.Solve.Residual = 0.003;
   S.Solve.Iterations = 17;
-  S.Solve.Seconds = 0.125;
   S.Solve.Updates = 340;
   S.Solve.SkippedUpdates = 12;
   S.Solve.Reason = "converged";
@@ -101,21 +100,7 @@ summaryio::SolveOutcome sampleOutcome() {
   S.Variables = 41;
   S.Factors = 59;
   S.SolveSeconds = 0.25;
-  summaryio::SummaryUpdate SelfU;
-  SelfU.OwnerDeclIndex = 5;
-  SelfU.Role = summaryio::SummaryTargetRole::RecvPost;
-  SelfU.IsSelf = true;
-  SelfU.Odds = {1.0, 2.5, 0.125};
-  S.Updates.push_back(SelfU);
-  summaryio::SummaryUpdate SiteU;
-  SiteU.OwnerDeclIndex = 7;
-  SiteU.Role = summaryio::SummaryTargetRole::ParamPre;
-  SiteU.ParamIndex = 2;
-  SiteU.IsSelf = false;
-  SiteU.SiteCallerDeclIndex = 5;
-  SiteU.SiteIndex = 4;
-  SiteU.Odds = {0.5};
-  S.Updates.push_back(SiteU);
+  S.Odds = {{1.0, 2.5, 0.125}, {0.5}};
   return S;
 }
 
@@ -133,7 +118,7 @@ summaryio::SolveOutcome failedOutcome() {
 }
 
 /// \p A is \p B read back through the codec: every field survives but the
-/// two wall-clock ones, which no record carries, so they read 0.
+/// wall-clock one, which no record carries, so it reads 0.
 void expectSameOutcome(const summaryio::SolveOutcome &A,
                        const summaryio::SolveOutcome &B) {
   EXPECT_EQ(A.DeclIndex, B.DeclIndex);
@@ -144,7 +129,6 @@ void expectSameOutcome(const summaryio::SolveOutcome &A,
   EXPECT_EQ(A.Solve.Converged, B.Solve.Converged);
   EXPECT_EQ(A.Solve.Residual, B.Solve.Residual);
   EXPECT_EQ(A.Solve.Iterations, B.Solve.Iterations);
-  EXPECT_EQ(A.Solve.Seconds, 0.0);
   EXPECT_EQ(A.Solve.Updates, B.Solve.Updates);
   EXPECT_EQ(A.Solve.SkippedUpdates, B.Solve.SkippedUpdates);
   EXPECT_EQ(A.Solve.Reason, B.Solve.Reason);
@@ -152,17 +136,7 @@ void expectSameOutcome(const summaryio::SolveOutcome &A,
   EXPECT_EQ(A.Variables, B.Variables);
   EXPECT_EQ(A.Factors, B.Factors);
   EXPECT_EQ(A.SolveSeconds, 0.0);
-  ASSERT_EQ(A.Updates.size(), B.Updates.size());
-  for (size_t I = 0; I != A.Updates.size(); ++I) {
-    const summaryio::SummaryUpdate &U = A.Updates[I], &V = B.Updates[I];
-    EXPECT_EQ(U.OwnerDeclIndex, V.OwnerDeclIndex);
-    EXPECT_EQ(U.Role, V.Role);
-    EXPECT_EQ(U.ParamIndex, V.ParamIndex);
-    EXPECT_EQ(U.IsSelf, V.IsSelf);
-    EXPECT_EQ(U.SiteCallerDeclIndex, V.SiteCallerDeclIndex);
-    EXPECT_EQ(U.SiteIndex, V.SiteIndex);
-    EXPECT_EQ(U.Odds, V.Odds);
-  }
+  EXPECT_EQ(A.Odds, B.Odds);
 }
 
 /// A three-level call chain (use -> step -> leaf) plus a method with no
@@ -187,7 +161,7 @@ std::string chainSource(const std::string &LeafBody,
 //===----------------------------------------------------------------------===//
 
 TEST_F(CacheTest, CacheEntryCodecRoundTrips) {
-  // Every field of the record survives but the timings, failed records
+  // Every field of the record survives but the timing, failed records
   // included.
   for (const summaryio::SolveOutcome &In :
        {sampleOutcome(), failedOutcome()}) {
@@ -285,8 +259,8 @@ TEST_F(CacheTest, DiskStoreRoundTripsAndReloadsFromIndex) {
   EXPECT_EQ(Reloaded.lookup("File.open", 11, Out), CacheLookup::Hit);
   EXPECT_EQ(Reloaded.lookup("File.open", 12, Out), CacheLookup::Hit);
   EXPECT_EQ(Reloaded.lookup("File.read", 13, Out), CacheLookup::Hit);
-  ASSERT_EQ(Out.Updates.size(), 2u);
-  EXPECT_EQ(Out.Updates[1].SiteCallerDeclIndex, 5u);
+  ASSERT_EQ(Out.Odds.size(), 2u);
+  EXPECT_EQ(Out.Odds[1], std::vector<double>{0.5});
 
   // The three non-hit classifications stay distinct, and none of them
   // drops a record.
@@ -650,8 +624,8 @@ namespace {
 class DamagingCache final : public SolveCache {
 public:
   enum class Damage {
-    UnknownOwner,
-    MissingTarget,
+    MissingUpdate,
+    ExtraUpdate,
     WrongArity,
     OtherMethod,
     UnknownExit,
@@ -665,19 +639,18 @@ public:
   CacheLookup lookup(const std::string &MethodName, uint64_t Key,
                      CachedSolve &Out) override {
     CacheLookup Result = Inner.lookup(MethodName, Key, Out);
-    if (Result != CacheLookup::Hit || Out.Updates.empty())
+    if (Result != CacheLookup::Hit || Out.Odds.empty())
       return Result;
-    summaryio::SummaryUpdate &U = Out.Updates.front();
+    std::vector<double> &Odds = Out.Odds.front();
     switch (D) {
-    case Damage::UnknownOwner:
-      U.OwnerDeclIndex = 1u << 30;
+    case Damage::MissingUpdate:
+      Out.Odds.pop_back();
       break;
-    case Damage::MissingTarget:
-      U.Role = summaryio::SummaryTargetRole::ParamPost;
-      U.ParamIndex = 99;
+    case Damage::ExtraUpdate:
+      Out.Odds.push_back(Odds);
       break;
     case Damage::WrongArity:
-      U.Odds.push_back(1.0);
+      Odds.push_back(1.0);
       break;
     case Damage::OtherMethod:
       Out.DeclIndex += 1;
@@ -689,10 +662,10 @@ public:
       Out.Failed = true;
       break;
     case Damage::NanOdds:
-      U.Odds.front() = std::nan("");
+      Odds.front() = std::nan("");
       break;
     case Damage::ZeroOdds:
-      U.Odds.front() = 0.0;
+      Odds.front() = 0.0;
       break;
     }
     ++Damaged;
@@ -715,19 +688,20 @@ private:
 
 TEST_F(CacheTest, HitsThatDoNotFitTheProgramAreResolved) {
   // A hit is validated against the program before the merge trusts it.
-  // One that names an unknown owner, a target the owner does not have,
-  // odds of the wrong arity, another method or an unknown cascade exit,
-  // that records a failure, or whose odds are NaN or 0 (outside the
-  // evidence cap), is counted as invalidated and re-solved, and the
-  // output does not change.
+  // One that lacks the odds vector of its method's last application or
+  // carries one more than it has applications, whose odds have the wrong
+  // arity, that names another method or an unknown cascade exit, that
+  // records a failure, or whose odds are NaN or 0 (outside the evidence
+  // cap), is counted as invalidated and re-solved, and the output does
+  // not change.
   const std::string Source = iteratorApiSource() + spreadsheetSource();
   auto Plain = analyze(Source);
   InferResult Uncached = runAnekInfer(*Plain);
   const std::string Expected = renderedSpecs(*Plain, Uncached);
 
   for (DamagingCache::Damage D :
-       {DamagingCache::Damage::UnknownOwner,
-        DamagingCache::Damage::MissingTarget,
+       {DamagingCache::Damage::MissingUpdate,
+        DamagingCache::Damage::ExtraUpdate,
         DamagingCache::Damage::WrongArity,
         DamagingCache::Damage::OtherMethod,
         DamagingCache::Damage::UnknownExit,

@@ -166,21 +166,10 @@ TEST(SumProductTest, ConvergesOnLoop) {
 // Logical (deterministic) solving
 //===----------------------------------------------------------------------===//
 
-TEST(LogicalSolverTest, CountsSatisfying) {
-  FactorGraph G;
-  VarId A = G.addVariable(0.5), B = G.addVariable(0.5);
-  G.addEqualityFactor(A, B, 0.95); // Hard when thresholded at 0.5.
-  ExactSolver Solver;
-  auto Count = Solver.countSatisfying(G, 10);
-  ASSERT_TRUE(Count.has_value());
-  EXPECT_EQ(*Count, 2u); // FF and TT.
-}
-
 TEST(LogicalSolverTest, GivesUpBeyondLimit) {
   FactorGraph G;
   for (int I = 0; I != 30; ++I)
     G.addVariable(0.5);
-  EXPECT_FALSE(ExactSolver().countSatisfying(G, 24).has_value());
   EXPECT_FALSE(ExactSolver().solveLogical(G, 24).has_value());
 }
 
@@ -190,9 +179,6 @@ TEST(LogicalSolverTest, UnsatisfiableIsDnf) {
   G.addFactor({A}, {0.0, 1.0}); // Must be true.
   G.addFactor({A}, {1.0, 0.0}); // Must be false.
   EXPECT_FALSE(ExactSolver().solveLogical(G, 10).has_value());
-  auto Count = ExactSolver().countSatisfying(G, 10);
-  ASSERT_TRUE(Count.has_value());
-  EXPECT_EQ(*Count, 0u);
 }
 
 TEST(LogicalSolverTest, MarginalsOverModels) {
@@ -207,7 +193,7 @@ TEST(LogicalSolverTest, MarginalsOverModels) {
 }
 
 //===----------------------------------------------------------------------===//
-// Bit-parallel exact enumeration
+// Exact enumeration
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -265,8 +251,8 @@ FactorGraph makeLogicalGraph(unsigned NumVars, unsigned NumFactors,
 }
 
 /// Brute-force satisfying-assignment count and per-variable true counts,
-/// straight off the factor tables — the independent reference for both
-/// enumeration paths.
+/// straight off the factor tables — the independent reference for the
+/// logical enumeration.
 uint64_t bruteCount(const FactorGraph &G, double Threshold,
                     std::vector<uint64_t> *TrueCounts = nullptr) {
   const unsigned NumVars = G.variableCount();
@@ -294,20 +280,14 @@ uint64_t bruteCount(const FactorGraph &G, double Threshold,
 
 } // namespace
 
-TEST(ExactEnumeration, PackedAndSimplePathsMatchBruteForce) {
+TEST(ExactEnumeration, LogicalMarginalsMatchBruteForce) {
   ExactSolver Exact;
-  // Variable counts straddling the 6-variable packed threshold: 3 and 5
-  // take the scalar loop, the rest the popcount path.
   for (unsigned NumVars : {3u, 5u, 6u, 7u, 10u, 13u}) {
     for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
       FactorGraph G = makeLogicalGraph(NumVars, NumVars + 3,
                                        Seed * 131 + NumVars, 0.75);
       std::vector<uint64_t> Expected(NumVars, 0);
       const uint64_t Count = bruteCount(G, 0.5, &Expected);
-
-      std::optional<uint64_t> Got = Exact.countSatisfying(G, 62);
-      ASSERT_TRUE(Got.has_value()) << NumVars << "/" << Seed;
-      EXPECT_EQ(*Got, Count) << NumVars << "/" << Seed;
 
       std::optional<Marginals> Logical = Exact.solveLogical(G, 62);
       if (Count == 0) {
@@ -324,59 +304,21 @@ TEST(ExactEnumeration, PackedAndSimplePathsMatchBruteForce) {
   }
 }
 
-TEST(ExactEnumeration, WideFactorFallsBackToScalarLoop) {
-  // One factor whose scope holds 13 variables with ids >= 6: its
-  // per-high-combination word table would need 2^13 entries, so the
-  // packed path must decline and the scalar loop carry the graph.
-  const unsigned NumVars = 19;
-  Rng Random(99);
-  FactorGraph G;
-  for (unsigned V = 0; V != NumVars; ++V)
-    G.addVariable(0.5);
-  std::vector<VarId> Wide;
-  for (VarId V = 6; V != 19; ++V)
-    Wide.push_back(V);
-  std::vector<double> WideTable(size_t{1} << Wide.size());
-  for (double &W : WideTable)
-    W = Random.uniform() < 0.95 ? 0.9 : 0.1;
-  G.addFactor(std::move(Wide), std::move(WideTable));
-  G.addFactor({0, 1}, {0.9, 0.1, 0.1, 0.9});
-  G.addFactor({2, 7}, {0.1, 0.9, 0.9, 0.9});
-
-  std::vector<uint64_t> Expected(NumVars, 0);
-  const uint64_t Count = bruteCount(G, 0.5, &Expected);
-  ASSERT_GT(Count, 0u);
-
-  ExactSolver Exact;
-  std::optional<uint64_t> Got = Exact.countSatisfying(G, 62);
-  ASSERT_TRUE(Got.has_value());
-  EXPECT_EQ(*Got, Count);
-  std::optional<Marginals> Logical = Exact.solveLogical(G, 62);
-  ASSERT_TRUE(Logical.has_value());
-  for (unsigned V = 0; V != NumVars; ++V)
-    EXPECT_EQ((*Logical)[V], static_cast<double>(Expected[V]) /
-                                 static_cast<double>(Count));
-}
-
 TEST(ExactEnumeration, LimitsAndUnsat) {
   ExactSolver Exact;
   FactorGraph G = makeLogicalGraph(10, 12, 17, 0.8);
 
-  // DNF on the variable limit, on both enumeration paths.
-  EXPECT_FALSE(Exact.countSatisfying(G, 9).has_value());
+  // DNF on the variable limit.
   EXPECT_FALSE(Exact.solveLogical(G, 9).has_value());
 
-  // Unsatisfiable: a variable forced both true and false. The count is
-  // an honest zero; the logical marginals are a DNF (division by the
-  // solution count is meaningless).
+  // Unsatisfiable: a variable forced both true and false. The logical
+  // marginals are a DNF (division by the solution count is
+  // meaningless).
   FactorGraph Unsat;
   for (unsigned V = 0; V != 8; ++V)
     Unsat.addVariable(0.5);
   Unsat.addFactor({0}, {0.1, 0.9}); // X0 must be true.
   Unsat.addFactor({0}, {0.9, 0.1}); // X0 must be false.
-  std::optional<uint64_t> Zero = Exact.countSatisfying(Unsat, 62);
-  ASSERT_TRUE(Zero.has_value());
-  EXPECT_EQ(*Zero, 0u);
   EXPECT_FALSE(Exact.solveLogical(Unsat, 62).has_value());
 }
 
