@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <set>
 
 using namespace anek;
 
@@ -261,33 +260,4 @@ std::vector<CallGraph::SccGroup> CallGraph::sccGroups() const {
   for (SccGroup &G : Groups)
     std::sort(G.CalleeGroups.begin(), G.CalleeGroups.end());
   return Groups;
-}
-
-std::vector<MethodDecl *> CallGraph::bottomUpOrder() const {
-  std::vector<MethodDecl *> Order;
-  std::set<const MethodDecl *> Visited;
-  // Iterative post-order DFS along callee edges.
-  for (MethodDecl *Root : AllMethods) {
-    if (Visited.count(Root))
-      continue;
-    std::vector<std::pair<MethodDecl *, size_t>> Stack;
-    Stack.push_back({Root, 0});
-    Visited.insert(Root);
-    while (!Stack.empty()) {
-      auto &[Method, NextChild] = Stack.back();
-      const std::vector<MethodDecl *> &Children = callees(Method);
-      if (NextChild < Children.size()) {
-        MethodDecl *Child = Children[NextChild++];
-        if (!Visited.count(Child)) {
-          Visited.insert(Child);
-          Stack.push_back({Child, 0});
-        }
-        continue;
-      }
-      if (Method->Body)
-        Order.push_back(Method);
-      Stack.pop_back();
-    }
-  }
-  return Order;
 }

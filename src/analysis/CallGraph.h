@@ -34,11 +34,6 @@ public:
   /// Methods that may invoke \p Callee.
   const std::vector<MethodDecl *> &callers(const MethodDecl *Callee) const;
 
-  /// All methods with bodies in bottom-up order (callees before callers
-  /// where the graph is acyclic; cycles are broken arbitrarily but
-  /// deterministically). This is ANEK-INFER's initial worklist order.
-  std::vector<MethodDecl *> bottomUpOrder() const;
-
   /// Condenses the call graph into strongly connected components and
   /// returns the methods with bodies grouped into reverse-topological
   /// *waves*: wave 0 holds the SCCs that call no other bodied SCC, wave

@@ -26,8 +26,8 @@ class Widget {
 }
 
 /// One short branchy body; \p Step varies the shape deterministically.
-static std::string stepBody(unsigned Step, Rng &Random, bool Indent) {
-  const char *Pad = Indent ? "    " : "    ";
+static std::string stepBody(unsigned Step, Rng &Random) {
+  const char *Pad = "    ";
   std::string Out;
   unsigned Threshold = static_cast<unsigned>(Random.range(1, 99));
   switch (Step % 3) {
@@ -72,7 +72,7 @@ InlinePrograms anek::generateInlineComparison(unsigned NumHelpers,
     Src += "\nclass Chain {\n";
     for (unsigned I = 0; I != NumHelpers; ++I) {
       Src += formatStr("  void step%u(Widget w) {\n", I);
-      Src += stepBody(I, Random, false);
+      Src += stepBody(I, Random);
       Src += "  }\n\n";
     }
     Src += "  void run(Widget w) {\n";
@@ -91,7 +91,7 @@ InlinePrograms anek::generateInlineComparison(unsigned NumHelpers,
     std::string Src = widgetApi();
     Src += "\nclass ChainInlined {\n  void runAll(Widget w) {\n";
     for (unsigned I = 0; I != NumHelpers; ++I)
-      Src += stepBody(I, Random, true);
+      Src += stepBody(I, Random);
     Src += "  }\n}\n";
     Out.Inlined = std::move(Src);
     Out.InlinedLines = countLines(Out.Inlined);

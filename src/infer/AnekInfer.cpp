@@ -216,7 +216,6 @@ private:
   };
 
   struct MethodData {
-    MethodIr Ir;
     Pfg G;
     /// applicationsOf(G), built once in phase 1: every pick pools its
     /// priors through it, and every record's odds vectors line up with it.
@@ -838,8 +837,7 @@ InferResult InferEngine::run() {
   for (MethodDecl *M : Bodies) {
     try {
       MethodData MD;
-      MD.Ir = lowerToIr(*M);
-      MD.G = buildPfg(MD.Ir);
+      MD.G = buildPfg(lowerToIr(*M));
       MD.Applications = applicationsOf(M, MD.G);
       Models[M->DeclIndex] = std::move(MD);
     } catch (const std::exception &E) {

@@ -20,7 +20,6 @@ namespace {
 /// One method's PFG and its variables inside the shared joint graph.
 struct MethodModel {
   MethodDecl *Method = nullptr;
-  MethodIr Ir;
   Pfg G;
   std::unique_ptr<PfgVarMap> Vars;
 };
@@ -44,8 +43,7 @@ std::vector<MethodModel> buildJointGraph(Program &Prog, FactorGraph &FG,
                 .str());
       MethodModel Model;
       Model.Method = M;
-      Model.Ir = lowerToIr(*M);
-      Model.G = buildPfg(Model.Ir);
+      Model.G = buildPfg(lowerToIr(*M));
       Model.Vars = std::make_unique<PfgVarMap>(Model.G, FG);
       generateConstraints(Model.G, FG, *Model.Vars, Opts.Constraints);
       Models.push_back(std::move(Model));

@@ -100,18 +100,17 @@ std::string anek::printExpr(const Expr &E) {
   return "";
 }
 
-static std::string indentOf(const PrintOptions &Opts, unsigned Level) {
-  return std::string(static_cast<size_t>(Opts.Indent) * Level, ' ');
+static std::string indentOf(unsigned Level) {
+  return std::string(2 * static_cast<size_t>(Level), ' ');
 }
 
-std::string anek::printStmt(const Stmt &S, const PrintOptions &Opts,
-                            unsigned Level) {
-  std::string Pad = indentOf(Opts, Level);
+std::string anek::printStmt(const Stmt &S, unsigned Level) {
+  std::string Pad = indentOf(Level);
   switch (S.getKind()) {
   case Stmt::Kind::Block: {
     std::string Out = Pad + "{\n";
     for (const StmtPtr &Inner : cast<BlockStmt>(&S)->Stmts)
-      Out += printStmt(*Inner, Opts, Level + 1);
+      Out += printStmt(*Inner, Level + 1);
     Out += Pad + "}\n";
     return Out;
   }
@@ -126,17 +125,17 @@ std::string anek::printStmt(const Stmt &S, const PrintOptions &Opts,
   case Stmt::Kind::If: {
     const auto *If = cast<IfStmt>(&S);
     std::string Out = Pad + "if (" + printExpr(*If->Cond) + ")\n";
-    Out += printStmt(*If->Then, Opts, Level + 1);
+    Out += printStmt(*If->Then, Level + 1);
     if (If->Else) {
       Out += Pad + "else\n";
-      Out += printStmt(*If->Else, Opts, Level + 1);
+      Out += printStmt(*If->Else, Level + 1);
     }
     return Out;
   }
   case Stmt::Kind::While: {
     const auto *While = cast<WhileStmt>(&S);
     return Pad + "while (" + printExpr(*While->Cond) + ")\n" +
-           printStmt(*While->Body, Opts, Level + 1);
+           printStmt(*While->Body, Level + 1);
   }
   case Stmt::Kind::Return: {
     const auto *Ret = cast<ReturnStmt>(&S);
@@ -149,7 +148,7 @@ std::string anek::printStmt(const Stmt &S, const PrintOptions &Opts,
   case Stmt::Kind::Synchronized: {
     const auto *Sync = cast<SynchronizedStmt>(&S);
     return Pad + "synchronized (" + printExpr(*Sync->Target) + ")\n" +
-           printStmt(*Sync->Body, Opts, Level + 1);
+           printStmt(*Sync->Body, Level + 1);
   }
   case Stmt::Kind::ExprStmt:
     return Pad + printExpr(*cast<ExprStmt>(&S)->E) + ";\n";
@@ -180,7 +179,7 @@ static std::string printSpecAnnotation(const MethodSpec &Spec,
 
 static std::string printMethod(const MethodDecl &Method,
                                const PrintOptions &Opts, unsigned Level) {
-  std::string Pad = indentOf(Opts, Level);
+  std::string Pad = indentOf(Level);
   std::string Out;
 
   MethodSpec Spec = Opts.SpecFor ? Opts.SpecFor(Method)
@@ -214,7 +213,7 @@ static std::string printMethod(const MethodDecl &Method,
     return Out;
   }
   Out += "\n";
-  Out += printStmt(*Method.Body, Opts, Level);
+  Out += printStmt(*Method.Body, Level);
   return Out;
 }
 
@@ -255,7 +254,7 @@ std::string anek::printProgram(const Program &Prog, const PrintOptions &Opts) {
     }
     Out += " {\n";
     for (const FieldDecl &Field : Type->Fields)
-      Out += indentOf(Opts, 1) + Field.Type.str() + " " + Field.Name + ";\n";
+      Out += indentOf(1) + Field.Type.str() + " " + Field.Name + ";\n";
     for (const auto &Method : Type->Methods) {
       Out += printMethod(*Method, Opts, 1);
       Out += "\n";

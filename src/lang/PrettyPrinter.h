@@ -27,8 +27,6 @@ struct PrintOptions {
   /// returns an empty spec, no @Perm annotation is emitted. When unset,
   /// each method's DeclaredSpec is printed (if explicitly annotated).
   std::function<MethodSpec(const MethodDecl &)> SpecFor;
-  /// Indentation width in spaces.
-  unsigned Indent = 2;
 };
 
 /// Prints a whole program.
@@ -38,8 +36,7 @@ std::string printProgram(const Program &Prog, const PrintOptions &Opts = {});
 std::string printExpr(const Expr &E);
 
 /// Prints one statement subtree at the given indentation level.
-std::string printStmt(const Stmt &S, const PrintOptions &Opts = {},
-                      unsigned Level = 0);
+std::string printStmt(const Stmt &S, unsigned Level = 0);
 
 } // namespace anek
 

@@ -3,6 +3,7 @@
 #include "plural/Checker.h"
 
 #include "analysis/IrBuilder.h"
+#include "perm/FracPerm.h"
 #include "perm/StateSpace.h"
 
 #include <cassert>
@@ -12,6 +13,12 @@
 using namespace anek;
 
 namespace {
+
+/// Permission assumed for values with no specification at all
+/// (unannotated callee results, unknown fields). `share` lets read-style
+/// protocols pass while exclusive requirements still fail, which matches
+/// how unannotated PLURAL clients behave.
+constexpr PermKind DefaultKind = PermKind::Share;
 
 /// Permission and abstract state of one tracked object.
 struct ObjPerm {
@@ -91,16 +98,15 @@ AbsState joinStates(const AbsState &A, const AbsState &B) {
 class MethodChecker {
 public:
   MethodChecker(MethodDecl &Method, const SpecProvider &Specs,
-                const CheckerOptions &Opts, CheckResult &Result)
-      : Method(Method), Specs(Specs), Opts(Opts), Result(Result),
-        Ir(lowerToIr(Method)) {}
+                CheckResult &Result)
+      : Method(Method), Specs(Specs), Result(Result), Ir(lowerToIr(Method)) {}
 
   void run();
 
 private:
   ObjPerm defaultObj() const {
     ObjPerm Obj;
-    Obj.Perm = FracPerm(Opts.DefaultKind, Rational(1));
+    Obj.Perm = FracPerm(DefaultKind, Rational(1));
     return Obj;
   }
 
@@ -157,7 +163,6 @@ private:
 
   MethodDecl &Method;
   const SpecProvider &Specs;
-  const CheckerOptions &Opts;
   CheckResult &Result;
   MethodIr Ir;
   uint32_t NextFresh = 0;
@@ -342,8 +347,7 @@ void MethodChecker::transferAction(AbsState &S, const Action &A) {
 
 void MethodChecker::applyStateTest(AbsState &S, const StateTestInfo &Test,
                                    bool Edge) {
-  if (!Opts.BranchSensitive || Test.Subject == NoLocal ||
-      !isTracked(Test.Subject))
+  if (Test.Subject == NoLocal || !isTracked(Test.Subject))
     return;
   const MethodSpec *Spec = Specs(Test.TestMethod);
   if (!Spec)
@@ -496,11 +500,10 @@ void MethodChecker::run() {
   }
 }
 
-CheckResult anek::runChecker(Program &Prog, const SpecProvider &Specs,
-                             const CheckerOptions &Opts) {
+CheckResult anek::runChecker(Program &Prog, const SpecProvider &Specs) {
   CheckResult Result;
   for (MethodDecl *M : Prog.methodsWithBodies()) {
-    MethodChecker Checker(*M, Specs, Opts, Result);
+    MethodChecker Checker(*M, Specs, Result);
     Checker.run();
     ++Result.MethodsChecked;
   }

@@ -19,7 +19,6 @@
 #define ANEK_PLURAL_CHECKER_H
 
 #include "lang/Ast.h"
-#include "perm/FracPerm.h"
 #include "support/Diagnostics.h"
 
 #include <functional>
@@ -50,21 +49,8 @@ struct CheckResult {
   }
 };
 
-/// Options for the checker.
-struct CheckerOptions {
-  /// Apply @TrueIndicates/@FalseIndicates on branches (PLURAL supports
-  /// this; disable to model a branch-insensitive checker).
-  bool BranchSensitive = true;
-  /// Permission assumed for values with no specification at all
-  /// (unannotated callee results, unknown fields). `share` lets
-  /// read-style protocols pass while exclusive requirements still fail,
-  /// which matches how unannotated PLURAL clients behave.
-  PermKind DefaultKind = PermKind::Share;
-};
-
 /// Checks every method body in \p Prog against \p Specs.
-CheckResult runChecker(Program &Prog, const SpecProvider &Specs,
-                       const CheckerOptions &Opts = {});
+CheckResult runChecker(Program &Prog, const SpecProvider &Specs);
 
 /// Convenience provider: each method's declared spec only.
 SpecProvider declaredSpecsOnly();

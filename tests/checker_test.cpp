@@ -15,11 +15,11 @@ struct Checked {
   CheckResult Result;
 };
 
-Checked check(const std::string &Source, CheckerOptions Opts = {}) {
+Checked check(const std::string &Source) {
   DiagnosticEngine Diags;
   auto Prog = parseAndAnalyze(Source, Diags);
   EXPECT_TRUE(Prog != nullptr) << Diags.str();
-  CheckResult R = runChecker(*Prog, declaredSpecsOnly(), Opts);
+  CheckResult R = runChecker(*Prog, declaredSpecsOnly());
   return {std::move(Prog), std::move(R)};
 }
 
@@ -58,8 +58,8 @@ class M {
   EXPECT_EQ(C.Result.Warnings[0].Callee->Name, "next");
 }
 
-TEST(CheckerTest, BranchSensitivityCanBeDisabled) {
-  std::string Source = iteratorApiSource() + R"mj(
+TEST(CheckerTest, IfGuardedNextVerifies) {
+  Checked C = check(iteratorApiSource() + R"mj(
 class M {
   Collection<Integer> items;
   int guarded() {
@@ -70,11 +70,8 @@ class M {
     return 0;
   }
 }
-)mj";
-  EXPECT_EQ(check(Source).Result.warningCount(), 0u);
-  CheckerOptions Insensitive;
-  Insensitive.BranchSensitive = false;
-  EXPECT_EQ(check(Source, Insensitive).Result.warningCount(), 1u);
+)mj");
+  EXPECT_EQ(C.Result.warningCount(), 0u);
 }
 
 TEST(CheckerTest, NegatedGuard) {

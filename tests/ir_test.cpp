@@ -164,8 +164,9 @@ TEST(IrTest, UnreachableCodeAfterReturn) {
   // Lowering creates a trailing block after the return; it must be
   // well-formed (terminated) even though unreachable.
   for (const BasicBlock &B : L.Ir.Blocks)
-    if (B.Term.Kind != TermKind::Exit)
+    if (B.Term.Kind != TermKind::Exit) {
       EXPECT_FALSE(B.Term.Succs.empty());
+    }
 }
 
 TEST(IrTest, ListingIsStable) {

@@ -53,8 +53,9 @@ TEST_P(DowngradeTest, OrderMatchesEnum) {
   EXPECT_EQ(canDowngrade(F, T), From <= To);
   // Reflexivity and antisymmetry of the order.
   EXPECT_TRUE(canDowngrade(F, F));
-  if (From != To)
+  if (From != To) {
     EXPECT_NE(canDowngrade(F, T), canDowngrade(T, F));
+  }
   // stronger/weaker agree with the order.
   EXPECT_EQ(strongerKind(F, T), From <= To ? F : T);
   EXPECT_EQ(weakerKind(F, T), From <= To ? T : F);
@@ -81,12 +82,14 @@ TEST_P(ResidueTest, ResidueIsCoherent) {
   // If the lent side excludes other writers, the residue must not write.
   if (L == PermKind::Unique)
     FAIL() << "lending unique must leave no residue";
-  if (L == PermKind::Full || L == PermKind::Immutable)
+  if (L == PermKind::Full || L == PermKind::Immutable) {
     EXPECT_FALSE(allowsWrite(*R))
         << "residue may not write while " << permKindName(L) << " is lent";
+  }
   // If the lent side assumes no other writers, the residue must comply.
-  if (!othersMayWrite(L) && L != PermKind::Pure)
+  if (!othersMayWrite(L) && L != PermKind::Pure) {
     EXPECT_FALSE(allowsWrite(*R));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPairs, ResidueTest,

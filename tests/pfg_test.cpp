@@ -78,8 +78,9 @@ TEST(PfgTest, CopyMethodMatchesFigure6) {
   for (PfgEdgeId E : B.G.outEdges(Split)) {
     ToPre |= B.G.edge(E).To == CreateSite.RecvPre;
     ToMerge |= B.G.node(B.G.edge(E).To).Kind == PfgNodeKind::Merge;
-    if (B.G.node(B.G.edge(E).To).Kind == PfgNodeKind::Merge)
+    if (B.G.node(B.G.edge(E).To).Kind == PfgNodeKind::Merge) {
       EXPECT_TRUE(B.G.edge(E).StateOpaque);
+    }
   }
   EXPECT_TRUE(ToPre);
   EXPECT_TRUE(ToMerge);

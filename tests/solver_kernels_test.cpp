@@ -151,8 +151,9 @@ TEST(EdgeLayoutTest, CsrInvariants) {
       EXPECT_EQ(L.EdgeVar[E], V);
       EXPECT_FALSE(SeenEdge[E]);
       SeenEdge[E] = true;
-      if (I + 1 != L.VarOffset[V + 1])
+      if (I + 1 != L.VarOffset[V + 1]) {
         EXPECT_LT(E, L.VarEdges[I + 1]); // (factor, slot) order.
+      }
     }
   }
   EXPECT_EQ(MaxVarDegree, L.MaxVarDegree);
@@ -194,9 +195,10 @@ TEST_P(KernelVsExactTest, BpTracksExactMarginals) {
     EXPECT_NEAR(Bp[V], (*Exact)[V], 0.2) << "seed " << Seed << " var " << V;
   // Confident exact decisions must survive the approximation.
   for (unsigned V = 0; V != Bp.size(); ++V)
-    if (std::fabs((*Exact)[V] - 0.5) > 0.2)
+    if (std::fabs((*Exact)[V] - 0.5) > 0.2) {
       EXPECT_EQ(Bp[V] > 0.5, (*Exact)[V] > 0.5)
           << "seed " << Seed << " var " << V;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KernelVsExactTest, testing::Range(0, 50));

@@ -126,11 +126,13 @@ TEST_P(RationalLawsTest, FieldLaws) {
   EXPECT_EQ(A + Rational(0), A);
   EXPECT_EQ(A * Rational(1), A);
   EXPECT_EQ(A - A, Rational(0));
-  if (!B.isZero())
+  if (!B.isZero()) {
     EXPECT_EQ(A / B * B, A);
+  }
   // toDouble consistency with ordering.
-  if (A < B)
+  if (A < B) {
     EXPECT_LT(A.toDouble(), B.toDouble());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, RationalLawsTest, testing::Range(0, 25));
