@@ -36,7 +36,18 @@ void FactorGraph::addFactor(std::vector<VarId> Scope,
   for (double W : Table)
     assert(W >= 0.0 && "negative factor weight");
 #endif
-  Factors.push_back({std::move(Scope), std::move(Table)});
+  // The total stays below 2^31 entries so a 32-bit table offset plus an
+  // index into that table cannot wrap.
+  assert(Layout.TableFlat.size() + Table.size() < (size_t{1} << 31) &&
+         "flattened factor tables exceed 32-bit gather indexing");
+  const uint32_t F = factorCount();
+  Layout.TableOffset.push_back(static_cast<uint32_t>(Layout.TableFlat.size()));
+  Layout.TableFlat.insert(Layout.TableFlat.end(), Table.begin(), Table.end());
+  Layout.EdgeVar.insert(Layout.EdgeVar.end(), Scope.begin(), Scope.end());
+  Layout.EdgeFactor.resize(Layout.EdgeVar.size(), F);
+  Layout.FactorOffset.push_back(Layout.edgeCount());
+  Layout.MaxFactorDegree = std::max(Layout.MaxFactorDegree,
+                                    static_cast<uint32_t>(Scope.size()));
   LayoutValid = false;
 }
 
@@ -73,35 +84,14 @@ const FactorGraph::EdgeLayout &FactorGraph::edgeLayout() const {
   if (LayoutValid)
     return Layout;
   const uint32_t NumVars = static_cast<uint32_t>(Vars.size());
-  const uint32_t NumFactors = static_cast<uint32_t>(Factors.size());
-
-  Layout = EdgeLayout();
-  Layout.FactorOffset.resize(NumFactors + 1, 0);
-  uint32_t NumEdges = 0;
-  for (uint32_t F = 0; F != NumFactors; ++F) {
-    Layout.FactorOffset[F] = NumEdges;
-    NumEdges += static_cast<uint32_t>(Factors[F].Scope.size());
-  }
-  Layout.FactorOffset[NumFactors] = NumEdges;
-
-  Layout.EdgeVar.resize(NumEdges);
-  Layout.EdgeFactor.resize(NumEdges);
-  for (uint32_t F = 0; F != NumFactors; ++F) {
-    const std::vector<VarId> &Scope = Factors[F].Scope;
-    const uint32_t Base = Layout.FactorOffset[F];
-    for (uint32_t K = 0; K != Scope.size(); ++K) {
-      Layout.EdgeVar[Base + K] = Scope[K];
-      Layout.EdgeFactor[Base + K] = F;
-    }
-    Layout.MaxFactorDegree = std::max(
-        Layout.MaxFactorDegree, static_cast<uint32_t>(Scope.size()));
-  }
+  const uint32_t NumEdges = Layout.edgeCount();
 
   // Variable-major CSR by counting sort: edge ids land in ascending
   // order within each variable because the fill walks edges in order.
   Layout.VarOffset.assign(NumVars + 1, 0);
   for (uint32_t E = 0; E != NumEdges; ++E)
     ++Layout.VarOffset[Layout.EdgeVar[E] + 1];
+  Layout.MaxVarDegree = 0;
   for (uint32_t V = 0; V != NumVars; ++V) {
     Layout.MaxVarDegree = std::max(Layout.MaxVarDegree,
                                    Layout.VarOffset[V + 1]);
@@ -112,21 +102,6 @@ const FactorGraph::EdgeLayout &FactorGraph::edgeLayout() const {
                                Layout.VarOffset.end() - 1);
   for (uint32_t E = 0; E != NumEdges; ++E)
     Layout.VarEdges[Cursor[Layout.EdgeVar[E]]++] = E;
-
-  // Flattened tables. The total stays below 2^31 entries so a 32-bit
-  // table offset plus an index into that table cannot wrap.
-  size_t TableTotal = 0;
-  Layout.TableOffset.resize(NumFactors);
-  for (uint32_t F = 0; F != NumFactors; ++F) {
-    Layout.TableOffset[F] = static_cast<uint32_t>(TableTotal);
-    TableTotal += Factors[F].Table.size();
-  }
-  assert(TableTotal < (size_t{1} << 31) &&
-         "flattened factor tables exceed 32-bit gather indexing");
-  Layout.TableFlat.resize(TableTotal);
-  for (uint32_t F = 0; F != NumFactors; ++F)
-    std::copy(Factors[F].Table.begin(), Factors[F].Table.end(),
-              Layout.TableFlat.begin() + Layout.TableOffset[F]);
 
   Layout.VmFactor.resize(NumEdges);
   for (uint32_t I = 0; I != NumEdges; ++I)
@@ -141,7 +116,8 @@ double FactorGraph::jointWeight(const std::vector<bool> &Assignment) const {
   double Weight = 1.0;
   for (size_t V = 0; V != Vars.size(); ++V)
     Weight *= Assignment[V] ? Vars[V].Prior : 1.0 - Vars[V].Prior;
-  for (const Factor &F : Factors) {
+  for (uint32_t Id = 0; Id != factorCount(); ++Id) {
+    const Factor F = factor(Id);
     size_t Index = 0;
     for (size_t Bit = 0; Bit != F.Scope.size(); ++Bit)
       if (Assignment[F.Scope[Bit]])

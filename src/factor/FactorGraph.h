@@ -11,8 +11,9 @@
 /// generation turns every logical/heuristic rule into a soft predicate
 /// factor (paper Eq. 6): h where the predicate holds, 1-h elsewhere.
 ///
-/// Belief propagation reads a graph through one cached flat layout,
-/// EdgeLayout.
+/// Factors are stored once, in the factor-major half of the flat CSR
+/// layout (EdgeLayout) belief propagation reads; factor() views them
+/// there.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +22,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 namespace anek {
@@ -36,11 +38,13 @@ public:
     double Prior = 0.5;
   };
 
-  /// One factor: a non-negative table over the joint assignments of its
-  /// scope. Table index encoding: bit i set <=> Scope[i] is true.
+  /// One factor, viewed in the layout's factor-major arrays: a
+  /// non-negative table over the joint assignments of its scope. Table
+  /// index encoding: bit i set <=> Scope[i] is true. The spans stay
+  /// valid until the next addFactor.
   struct Factor {
-    std::vector<VarId> Scope;
-    std::vector<double> Table;
+    std::span<const VarId> Scope;
+    std::span<const double> Table;
   };
 
   /// Largest supported factor scope (table size stays cache-friendly and
@@ -72,22 +76,29 @@ public:
     return static_cast<unsigned>(Vars.size());
   }
   unsigned factorCount() const {
-    return static_cast<unsigned>(Factors.size());
+    return static_cast<unsigned>(Layout.TableOffset.size());
   }
   const Variable &variable(VarId Id) const { return Vars[Id]; }
-  const Factor &factor(uint32_t Id) const { return Factors[Id]; }
+  Factor factor(uint32_t Id) const {
+    const uint32_t Deg = Layout.factorDegree(Id);
+    return {{Layout.EdgeVar.data() + Layout.FactorOffset[Id], Deg},
+            {Layout.TableFlat.data() + Layout.TableOffset[Id],
+             size_t{1} << Deg}};
+  }
 
   /// Flat CSR edge layout belief propagation runs on. One *edge* exists
   /// per (factor, scope slot) pair; its id is FactorOffset[F] + K, so
   /// each factor's slots are contiguous and a message array indexed by
-  /// edge id needs no nested vectors. The variable-major view
-  /// (VarOffset/VarEdges) lists each variable's edges sorted by edge id,
-  /// i.e. by (factor, slot) — a fixed, allocation-independent order the
-  /// determinism contract relies on.
+  /// edge id needs no nested vectors. The factor-major half is the
+  /// graph's factor store: addFactor appends to it. The variable-major
+  /// half (VarOffset/VarEdges/VmFactor) is built on first use and lists
+  /// each variable's edges sorted by edge id, i.e. by (factor, slot) — a
+  /// fixed, allocation-independent order the determinism contract
+  /// relies on.
   struct EdgeLayout {
     /// Factor-major: edges of factor F are [FactorOffset[F],
-    /// FactorOffset[F+1]).
-    std::vector<uint32_t> FactorOffset;
+    /// FactorOffset[F+1]), so it holds factorCount() + 1 entries.
+    std::vector<uint32_t> FactorOffset = {0};
     /// Variable at each edge (the factor's scope, flattened).
     std::vector<VarId> EdgeVar;
     /// Owning factor of each edge.
@@ -98,10 +109,8 @@ public:
     std::vector<uint32_t> VarEdges;
     /// Every factor table concatenated into one contiguous array:
     /// factor F's table occupies TableFlat[TableOffset[F] ..
-    /// TableOffset[F] + 2^deg(F)). The kernels gather table entries
-    /// from a single base pointer instead of chasing per-factor
-    /// vectors; safe to cache because factor tables are immutable once
-    /// added (setPrior does not touch them).
+    /// TableOffset[F] + 2^deg(F)). Tables are immutable once added
+    /// (setPrior does not touch them).
     std::vector<double> TableFlat;
     std::vector<uint32_t> TableOffset;
     /// Variable-major companion of VarEdges: VmFactor[I] =
@@ -122,9 +131,10 @@ public:
     }
   };
 
-  /// The CSR layout, built on first use and cached; adding a variable or
-  /// factor invalidates it (setPrior does not). Not thread-safe: solvers
-  /// sharing one graph across threads must touch it once up front.
+  /// The CSR layout; its variable-major half is built on first use and
+  /// cached, and adding a variable or factor invalidates it (setPrior
+  /// does not). Not thread-safe: solvers sharing one graph across
+  /// threads must touch it once up front.
   const EdgeLayout &edgeLayout() const;
 
   /// Unnormalized joint weight of a full assignment (priors included).
@@ -132,7 +142,6 @@ public:
 
 private:
   std::vector<Variable> Vars;
-  std::vector<Factor> Factors;
   mutable EdgeLayout Layout;
   mutable bool LayoutValid = false;
 };

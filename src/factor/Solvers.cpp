@@ -3,7 +3,6 @@
 #include "factor/Solvers.h"
 
 #include "factor/BpDriver.h"
-#include "factor/Kernels.h"
 #include "support/FaultInject.h"
 #include "support/Format.h"
 #include "support/Metrics.h"
@@ -18,10 +17,9 @@ using namespace anek;
 // Loopy belief propagation
 //===----------------------------------------------------------------------===//
 //
-// The iteration loop and the kernel bodies live in factor/BpDriver.cpp
-// and factor/Kernels.cpp: this method builds a zero-copy BpView over the
-// graph's cached EdgeLayout, runs the driver, and turns its stats into
-// the SolveReport and telemetry.
+// The iteration loop and its passes live in factor/BpDriver.cpp: this
+// method runs a BpEngine over the graph's EdgeLayout and turns its stats
+// into the SolveReport and telemetry.
 
 Marginals SumProductSolver::solve(const FactorGraph &G,
                                   Marginals *GraphLikelihood,
@@ -34,29 +32,12 @@ Marginals SumProductSolver::solve(const FactorGraph &G,
   telemetry::Span SolveSpan("solver.bp", "solver");
   const unsigned NumVars = G.variableCount();
   const unsigned NumFactors = G.factorCount();
-  const FactorGraph::EdgeLayout &L = G.edgeLayout();
   // Fault 'bp-nonconverge': run normally but report the solve as not
   // converged, exactly as on a frustrated loopy graph.
   const bool ForcedNonConvergence =
       faults::anyActive() && faults::active(FaultKind::BpNonConvergence);
 
-  std::vector<double> Priors(NumVars);
-  for (unsigned V = 0; V != NumVars; ++V)
-    Priors[V] = G.variable(V).Prior;
-
-  kern::BpView View;
-  View.NumVars = NumVars;
-  View.NumFactors = NumFactors;
-  View.NumEdges = L.edgeCount();
-  View.FactorOffset = L.FactorOffset.data();
-  View.VarOffset = L.VarOffset.data();
-  View.VarEdges = L.VarEdges.data();
-  View.VmFactor = L.VmFactor.data();
-  View.TableOffset = L.TableOffset.data();
-  View.TableFlat = L.TableFlat.data();
-  View.Priors = Priors.data();
-
-  bp::BpEngine Engine(View);
+  bp::BpEngine Engine(G);
   const bp::RunStats S = Engine.run(Opts);
   const bool Converged = !ForcedNonConvergence && S.Delta <= Opts.Tolerance;
   if (Report) {
@@ -133,7 +114,7 @@ Expected<Marginals> ExactSolver::solve(const FactorGraph &G) const {
     for (unsigned V = 0; V != NumVars; ++V)
       Weight *= ((Index >> V) & 1) ? PriorTrue[V] : PriorFalse[V];
     for (uint32_t F = 0; F != NumFactors; ++F) {
-      const FactorGraph::Factor &Factor = G.factor(F);
+      const FactorGraph::Factor Factor = G.factor(F);
       size_t TableIndex = 0;
       for (size_t Bit = 0; Bit != Factor.Scope.size(); ++Bit)
         if ((Index >> Factor.Scope[Bit]) & 1)
@@ -164,7 +145,7 @@ ExactSolver::solveLogical(const FactorGraph &G, unsigned VarLimit,
   for (uint64_t Index = 0; Index != Count; ++Index) {
     bool Ok = true;
     for (uint32_t F = 0; F != G.factorCount() && Ok; ++F) {
-      const FactorGraph::Factor &Factor = G.factor(F);
+      const FactorGraph::Factor Factor = G.factor(F);
       size_t TableIndex = 0;
       for (size_t Bit = 0; Bit != Factor.Scope.size(); ++Bit)
         if ((Index >> Factor.Scope[Bit]) & 1)

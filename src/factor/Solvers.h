@@ -8,8 +8,7 @@
 /// Two marginal solvers over FactorGraph:
 ///  - SumProductSolver: loopy belief propagation, the sum-product
 ///    algorithm of the paper's reference [14]. ANEK's workhorse; it runs
-///    one kernel path (factor/Kernels.h) and always schedules by
-///    residual.
+///    one engine (factor/BpDriver.h) and always schedules by residual.
 ///  - ExactSolver: marginalization by enumeration; ground truth for tests,
 ///    the fallback cascade's exit for small graphs, and the engine behind
 ///    the deterministic "Anek Logical" mode.

@@ -45,9 +45,6 @@ std::vector<Activation> &activations() {
 /// paths (every BP solve), so it must stay one atomic load.
 std::atomic<unsigned> ActiveCount{0};
 
-/// True until the one-time ANEK_FAULT environment read happened.
-std::atomic<bool> EnvPending{true};
-
 /// Name + one-liner per kind, indexed by the enum value. The static_assert
 /// is the keep-in-sync contract: adding a FaultKind without describing it
 /// here fails the build, so `anek faults` can never go stale.
@@ -110,24 +107,6 @@ Expected<std::vector<Activation>> parseSpec(const std::string &Spec) {
   return Parsed;
 }
 
-/// Folds the ANEK_FAULT environment spec into the activation list once.
-void consumeEnv() {
-  std::vector<Activation> Parsed;
-  if (const char *Spec = std::getenv("ANEK_FAULT"))
-    // A malformed env spec is ignored rather than aborting: fault
-    // injection must never make the binary less robust.
-    if (Expected<std::vector<Activation>> P = parseSpec(Spec))
-      Parsed = P.take();
-  std::unique_lock<std::mutex> Lock(registryMutex());
-  if (!EnvPending.load(std::memory_order_relaxed))
-    return; // Another thread beat us to it.
-  auto &List = activations();
-  List.insert(List.end(), Parsed.begin(), Parsed.end());
-  ActiveCount.store(static_cast<unsigned>(List.size()),
-                    std::memory_order_relaxed);
-  EnvPending.store(false, std::memory_order_release);
-}
-
 bool matches(const Activation &A, FaultKind Kind, const std::string &Label) {
   return A.Kind == Kind && A.Remaining != 0 &&
          (A.Filter.empty() || A.Filter == Label);
@@ -146,8 +125,6 @@ const char *anek::faultKindDescription(FaultKind Kind) {
 }
 
 bool faults::anyActive() {
-  if (EnvPending.load(std::memory_order_acquire))
-    consumeEnv();
   return ActiveCount.load(std::memory_order_relaxed) != 0;
 }
 
@@ -208,7 +185,6 @@ void faults::reset() {
   std::unique_lock<std::mutex> Lock(registryMutex());
   activations().clear();
   ActiveCount.store(0, std::memory_order_relaxed);
-  EnvPending.store(true, std::memory_order_release);
 }
 
 faults::ScopedFault::ScopedFault(FaultKind Kind, std::string Filter,

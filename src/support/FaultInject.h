@@ -11,13 +11,13 @@
 /// would occur; activating it makes that failure happen deterministically.
 ///
 /// Activation is either programmatic (faults::ScopedFault, for tests) or
-/// via the ANEK_FAULT environment variable / `anek --fault`, whose spec is
-/// a comma-separated list of fault names, each with an optional `*N` fire
+/// via `anek --fault` (faults::activateSpec), whose spec is a
+/// comma-separated list of fault names, each with an optional `*N` fire
 /// budget (the fault fires for the first N consuming checks, then clears)
 /// and an optional `:filter` suffix matched against a site label (a
 /// method's qualified name, or `cache` for the summary cache):
 ///
-///   ANEK_FAULT=bp-nonconverge,solve-fail:Row.createColIter anek infer ...
+///   anek infer ... --fault bp-nonconverge,solve-fail:Row.createColIter
 ///   anek infer prog.mjava --cache DIR --fault wire-corrupt*2:cache
 ///
 /// Run `anek faults` for the live fault vocabulary; the kinds are:
@@ -62,8 +62,8 @@ namespace faults {
 // mutex-guarded and anyActive() is a single atomic load, so solver worker
 // threads may consult fault state while a test arms or disarms it.
 
-/// Fast path: true when any fault source (env or scoped) is active at all.
-/// One relaxed atomic load once the environment spec has been consumed.
+/// Fast path: true when any fault is active at all. One relaxed atomic
+/// load.
 bool anyActive();
 
 /// True when \p Kind is active with no site filter, or with a filter equal
@@ -95,9 +95,8 @@ Status injectedError(FaultKind Kind, const std::string &Label);
 /// spec; on error nothing is activated.
 Status activateSpec(const std::string &Spec);
 
-/// Drops every activation made by activateSpec/ScopedFault and re-arms
-/// the one-time ANEK_FAULT environment read. Tests call this to isolate
-/// themselves; the env respec applies on the next query.
+/// Drops every activation made by activateSpec/ScopedFault. Tests call
+/// this to isolate themselves.
 void reset();
 
 /// RAII activation of one fault for a test's scope. \p FireBudget < 0

@@ -11,6 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "MaskTimings.h"
 #include "corpus/ExampleSources.h"
 #include "corpus/PmdGenerator.h"
 #include "infer/AnekInfer.h"
@@ -23,7 +24,6 @@
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
-#include <regex>
 #include <sstream>
 #include <string>
 #include <sys/wait.h>
@@ -96,8 +96,7 @@ int runToolMasked(const std::string &ArgLine, std::string &Output) {
   std::ifstream In(Capture);
   std::ostringstream Buffer;
   Buffer << In.rdbuf();
-  static const std::regex TimeRe("[0-9]+\\.[0-9]+s");
-  Output = std::regex_replace(Buffer.str(), TimeRe, "TIMEs");
+  Output = maskTimings(Buffer.str());
   std::error_code Ignored;
   fs::remove(Capture, Ignored);
   if (RawStatus == -1 || !WIFEXITED(RawStatus))
@@ -118,8 +117,7 @@ int runToolStdoutMasked(const std::string &ArgLine, std::string &Output) {
   std::ifstream In(Capture);
   std::ostringstream Buffer;
   Buffer << In.rdbuf();
-  static const std::regex TimeRe("[0-9]+\\.[0-9]+s");
-  Output = std::regex_replace(Buffer.str(), TimeRe, "TIMEs");
+  Output = maskTimings(Buffer.str());
   std::error_code Ignored;
   fs::remove(Capture, Ignored);
   if (RawStatus == -1 || !WIFEXITED(RawStatus))

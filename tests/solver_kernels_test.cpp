@@ -7,8 +7,9 @@
 // near-exact solve on random graphs and ExactSolver on random trees),
 // the log-domain fixup for high-degree variables, every output bit of
 // the BP kernels pinned on three graphs, and the invariants of the
-// cached edge layout itself. Every test is seeded and deterministic,
-// and the whole file is meant to run under ASan/UBSan/TSan presets.
+// edge layout itself, the graph's one factor store. Every test is
+// seeded and deterministic, and the whole file is meant to run under
+// ASan/UBSan/TSan presets.
 //
 //===----------------------------------------------------------------------===//
 
@@ -170,6 +171,41 @@ TEST(EdgeLayoutTest, InvalidatedByGraphGrowth) {
   G.addEqualityFactor(A, C, 0.9);
   EXPECT_EQ(G.edgeLayout().edgeCount(), 5u);
   EXPECT_EQ(G.edgeLayout().varDegree(C), 1u);
+}
+
+TEST(EdgeLayoutTest, FactorViewsTheLayout) {
+  FactorGraph G = randomGraph(7);
+  const FactorGraph::EdgeLayout &L = G.edgeLayout();
+
+  // Each factor is stored once: its scope and table are the layout's
+  // factor-major arrays at the factor's offsets.
+  std::vector<std::vector<VarId>> Scopes;
+  std::vector<std::vector<double>> Tables;
+  for (uint32_t F = 0; F != G.factorCount(); ++F) {
+    const FactorGraph::Factor Factor = G.factor(F);
+    const uint32_t Deg = L.factorDegree(F);
+    EXPECT_EQ(Factor.Scope.data(), L.EdgeVar.data() + L.FactorOffset[F]);
+    EXPECT_EQ(Factor.Scope.size(), Deg);
+    EXPECT_EQ(Factor.Table.data(), L.TableFlat.data() + L.TableOffset[F]);
+    EXPECT_EQ(Factor.Table.size(), size_t{1} << Deg);
+    Scopes.emplace_back(Factor.Scope.begin(), Factor.Scope.end());
+    Tables.emplace_back(Factor.Table.begin(), Factor.Table.end());
+  }
+
+  // Growth may move the store; the earlier factors keep their values.
+  G.addFactor({0, 1}, {1.0, 2.0, 3.0, 4.0});
+  for (uint32_t F = 0; F != Scopes.size(); ++F) {
+    const FactorGraph::Factor Factor = G.factor(F);
+    EXPECT_EQ(std::vector<VarId>(Factor.Scope.begin(), Factor.Scope.end()),
+              Scopes[F]);
+    EXPECT_EQ(std::vector<double>(Factor.Table.begin(), Factor.Table.end()),
+              Tables[F]);
+  }
+  const FactorGraph::Factor Added = G.factor(G.factorCount() - 1);
+  EXPECT_EQ(std::vector<VarId>(Added.Scope.begin(), Added.Scope.end()),
+            (std::vector<VarId>{0, 1}));
+  EXPECT_EQ(std::vector<double>(Added.Table.begin(), Added.Table.end()),
+            (std::vector<double>{1.0, 2.0, 3.0, 4.0}));
 }
 
 //===----------------------------------------------------------------------===//

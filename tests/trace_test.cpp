@@ -19,6 +19,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "MaskTimings.h"
 #include "corpus/ExampleSources.h"
 #include "infer/AnekInfer.h"
 #include "lang/Sema.h"
@@ -36,7 +37,6 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <regex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -434,8 +434,7 @@ ToolRun runTool(const std::string &ArgLine) {
   std::ifstream In(Capture);
   std::ostringstream Buffer;
   Buffer << In.rdbuf();
-  static const std::regex TimeRe("[0-9]+\\.[0-9]+s");
-  R.MaskedOutput = std::regex_replace(Buffer.str(), TimeRe, "TIMEs");
+  R.MaskedOutput = maskTimings(Buffer.str());
   std::error_code Ignored;
   fs::remove(Capture, Ignored);
   if (RawStatus != -1 && WIFEXITED(RawStatus))
