@@ -63,6 +63,13 @@ constexpr double SummaryTolerance = 0.02;
 /// to it, and validateOutcome rejects cached odds outside it.
 constexpr double EvidenceOddsCap = 9.0;
 
+/// BP options of every modular SOLVE: the solver's iteration cap and
+/// damping, stopped at NearConvergence, below which no change reaches the
+/// evidence (see computeEvidence). The joint solve keeps the solver's
+/// default tolerance (runGlobalInfer).
+constexpr SumProductSolver::Options ModularBpOptions{.Tolerance =
+                                                         NearConvergence};
+
 /// Odds-ratio clamp: keeps evidence finite when marginals saturate.
 double oddsRatio(double Marginal, double AppliedPrior) {
   double Ratio = probToOdds(Marginal) / probToOdds(AppliedPrior);
@@ -586,8 +593,8 @@ summaryio::SolveOutcome InferEngine::analyzeOne(MethodDecl *M,
   Timer SolveTimer;
   Marginals GraphBelief;
   MethodReport Report;
-  const Marginals Solution = solveCascade(FG, SumProductSolver::Options(),
-                                          Opts.Bp, Report, &GraphBelief);
+  const Marginals Solution =
+      solveCascade(FG, ModularBpOptions, Opts.Bp, Report, &GraphBelief);
   Out.SolveSeconds = SolveTimer.seconds();
   Out.Variables = FG.variableCount();
   Out.Factors = FG.factorCount();
@@ -826,31 +833,54 @@ void InferEngine::prepareCache() {
 InferResult InferEngine::run() {
   InferResult Result;
 
+  // One pool serves both phases' jobs.
+  std::unique_ptr<ThreadPool> Pool;
+  unsigned JobCount =
+      Opts.Parallelism ? Opts.Parallelism : ThreadPool::defaultParallelism();
+  if (JobCount > 1)
+    Pool = std::make_unique<ThreadPool>(JobCount);
+  if (telemetry::metering())
+    telemetry::gauge("infer.parallelism")
+        .set(static_cast<double>(Pool ? Pool->parallelism() : 1));
+
   // Phase 1 (Figure 9 lines 2-6): initialize variables, models, worklist.
   // Model construction is isolated per method: one body the lowering
-  // chokes on must not take whole-program inference down with it.
+  // chokes on must not take whole-program inference down with it. The
+  // models are independent (each job reads the AST and the summary
+  // skeleton and writes only its method's slot), so they are built on
+  // the pool; the failures are filed afterwards, in body order, so the
+  // diagnostics do not depend on the thread count.
   telemetry::Span Phase1("infer.phase1.models", "infer");
   std::vector<MethodDecl *> Bodies = Prog.methodsWithBodies();
   if (Phase1.active())
     Phase1.arg("methods", static_cast<uint64_t>(Bodies.size()));
   buildSummaryStore();
-  for (MethodDecl *M : Bodies) {
+  std::vector<std::optional<std::string>> ModelErrors(Bodies.size());
+  parallelFor(Pool.get(), Bodies.size(), [&](size_t I) {
+    MethodDecl *M = Bodies[I];
     try {
       MethodData MD;
       MD.G = buildPfg(lowerToIr(*M));
       MD.Applications = applicationsOf(M, MD.G);
       Models[M->DeclIndex] = std::move(MD);
     } catch (const std::exception &E) {
-      MethodReport &Report = Reports[M->DeclIndex].emplace();
-      Report.Failed = true;
-      Report.Error = Status::error(ErrorCode::Internal, E.what()).str();
-      ++Result.MethodsFailed;
-      if (Diags)
-        Diags->warning(M->Loc,
-                       "model construction for '" + M->qualifiedName() +
-                           "' failed (" + std::string(E.what()) +
-                           "); method skipped, conservative summary used");
+      ModelErrors[I] = E.what();
     }
+  });
+  for (size_t I = 0; I != Bodies.size(); ++I) {
+    if (!ModelErrors[I])
+      continue;
+    MethodDecl *M = Bodies[I];
+    const std::string &What = *ModelErrors[I];
+    MethodReport &Report = Reports[M->DeclIndex].emplace();
+    Report.Failed = true;
+    Report.Error = Status::error(ErrorCode::Internal, What).str();
+    ++Result.MethodsFailed;
+    if (Diags)
+      Diags->warning(M->Loc, "model construction for '" +
+                                 M->qualifiedName() + "' failed (" + What +
+                                 "); method skipped, conservative summary "
+                                 "used");
   }
 
   Phase1.close();
@@ -869,14 +899,6 @@ InferResult InferEngine::run() {
   // so every other method still gets a spec.
   telemetry::Span Phase2("infer.phase2.waves", "infer");
   std::vector<std::vector<MethodDecl *>> Waves = Graph.sccWaves();
-  std::unique_ptr<ThreadPool> Pool;
-  unsigned JobCount =
-      Opts.Parallelism ? Opts.Parallelism : ThreadPool::defaultParallelism();
-  if (JobCount > 1)
-    Pool = std::make_unique<ThreadPool>(JobCount);
-  if (telemetry::metering())
-    telemetry::gauge("infer.parallelism")
-        .set(static_cast<double>(Pool ? Pool->parallelism() : 1));
 
   // Arm the replay path: the memo answers in-run repeats, and the cache
   // (a no-op unless Opts.Cache is set) answers the states the run has

@@ -45,7 +45,8 @@ enum class CascadeExit : uint8_t {
   /// No fallback: BP met its contract.
   None = 0,
   /// BP missed its tolerance but ended within NearConvergence; its
-  /// beliefs were kept as they are.
+  /// beliefs were kept as they are. Only a solve with a finer tolerance
+  /// than NearConvergence (the joint solve) can leave here.
   NearConvergedBp,
   /// Exact enumeration of a graph within ExactSolver::MaxVariables.
   Exact,
@@ -80,10 +81,12 @@ struct MethodReport {
   std::string Error;
 };
 
-/// The BP residual at or below which a solve that missed its tolerance
-/// is accepted as it is: the evidence channel's 0.15/0.2 deadbands and
-/// its odds cap of 9 cannot see finer. Every fresh solve on the paper's
-/// workloads ends converged or within it.
+/// The finest BP residual the evidence channel can see: its 0.15/0.2
+/// deadbands and its odds cap of 9 hide any smaller change. It is the
+/// modular SOLVE's BP tolerance, so a modular solve either converges or
+/// misses with a residual above it. In the cascade it is also the residual
+/// at or below which a solve that missed a finer tolerance (the joint
+/// solve's) is accepted as it is.
 inline constexpr double NearConvergence = 1e-2;
 
 /// Extraction threshold t of Fig. 9 (lines 22-29), in [0.5, 1): a kind,

@@ -195,7 +195,9 @@ GlobalResult anek::runGlobalInfer(Program &Prog, const InferOptions &Opts,
   }
 
   // The modular engine's cascade, with twice its 40 BP iterations for
-  // the one graph that spans the whole program.
+  // the one graph that spans the whole program. It keeps the solver's
+  // default tolerance, not the modular NearConvergence: the joint solve
+  // thresholds raw marginals, with no evidence deadband in between.
   SumProductSolver::Options BpOpts;
   BpOpts.MaxIterations = 80;
   Timer SolveTimer;

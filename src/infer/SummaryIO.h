@@ -55,7 +55,7 @@ namespace summaryio {
 /// every other version, and the cache's environment digest folds it in,
 /// so entries an older build wrote read back as invalidated instead of
 /// replaying that build's results.
-constexpr uint32_t WireVersion = 7;
+constexpr uint32_t WireVersion = 8;
 
 /// What a sealed blob carries. The kind is part of the envelope so a
 /// snapshot can never be mistaken for a cache entry. The values are part

@@ -292,8 +292,8 @@ TEST(DeterminismDriverTest, EvidenceTraceIsTheSameAtAnyJobsAndFromTheCache) {
     Boost += Line.find(" [boost]") != std::string::npos;
     Self += Line.find(" self ") != std::string::npos;
   }
-  EXPECT_EQ(Lines.size(), 232u);
-  EXPECT_EQ(Weaken, 58u);
-  EXPECT_EQ(Boost, 174u);
-  EXPECT_EQ(Self, 76u);
+  EXPECT_EQ(Lines.size(), 239u);
+  EXPECT_EQ(Weaken, 61u);
+  EXPECT_EQ(Boost, 178u);
+  EXPECT_EQ(Self, 75u);
 }

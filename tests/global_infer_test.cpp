@@ -26,6 +26,24 @@ MethodDecl *method(Program &Prog, const std::string &Class,
   return nullptr;
 }
 
+/// Records the tolerance of every BP solve the engine issues and runs it
+/// on the local solver, so results stay byte-identical (the delegate
+/// contract).
+class ToleranceLog final : public BpSolveDelegate {
+public:
+  Marginals solve(const SumProductSolver::Options &O, const FactorGraph &G,
+                  Marginals *GraphLikelihood, SolveReport *Report) override {
+    Tolerances.push_back(O.Tolerance);
+    return SumProductSolver(O).solve(G, GraphLikelihood, Report);
+  }
+  std::vector<double> Tolerances;
+};
+
+bool endsWith(const std::string &S, const std::string &Suffix) {
+  return S.size() >= Suffix.size() &&
+         S.compare(S.size() - Suffix.size(), Suffix.size(), Suffix) == 0;
+}
+
 } // namespace
 
 TEST(GlobalInferTest, AgreesWithModularOnKeySpecs) {
@@ -42,6 +60,43 @@ TEST(GlobalInferTest, AgreesWithModularOnKeySpecs) {
   const MethodSpec *ModularSpec = Modular.specFor(Create);
   ASSERT_TRUE(ModularSpec->Result.has_value());
   EXPECT_EQ(GlobalIt->second.Result->Kind, ModularSpec->Result->Kind);
+}
+
+TEST(GlobalInferTest, OnlyModularSolvesStopAtNearConvergence) {
+  // A modular solve stops at NearConvergence, the finest change its
+  // evidence channel can see. The joint solve thresholds raw marginals
+  // with no channel in between, so it keeps the solver's default
+  // tolerance: stopped at NearConvergence, the spreadsheet's joint solve
+  // ends after 37 iterations and loses Row.add's spec.
+  auto Prog = analyze(iteratorApiSource() + spreadsheetSource());
+  ToleranceLog Bp;
+  InferOptions Opts;
+  Opts.Bp = &Bp;
+  InferResult Modular = runAnekInfer(*Prog, Opts);
+  EXPECT_EQ(Bp.Tolerances,
+            std::vector<double>(Modular.WorklistPicks - Modular.MemoReplays,
+                                NearConvergence));
+
+  Bp.Tolerances.clear();
+  GlobalResult Joint = runGlobalInfer(*Prog, Opts);
+  EXPECT_EQ(Bp.Tolerances,
+            std::vector<double>{SumProductSolver::Options().Tolerance});
+  EXPECT_EQ(Joint.Inferred.size(), 3u);
+  auto Add = Joint.Inferred.find(method(*Prog, "Row", "add"));
+  ASSERT_NE(Add, Joint.Inferred.end());
+  ASSERT_TRUE(Add->second.ReceiverPre && Add->second.ReceiverPost);
+  EXPECT_EQ(Add->second.ReceiverPre->Kind, PermKind::Unique);
+  EXPECT_EQ(Add->second.ReceiverPost->Kind, PermKind::Unique);
+
+  // The joint solve is what the cascade's near-converged exit is for:
+  // it misses the finer tolerance, ends within NearConvergence, and its
+  // beliefs are accepted after the one BP call.
+  const MethodReport &Report = Joint.Report;
+  EXPECT_EQ(Report.Exit, CascadeExit::NearConvergedBp);
+  EXPECT_FALSE(Report.Solve.Converged);
+  EXPECT_LE(Report.Solve.Residual, NearConvergence);
+  EXPECT_TRUE(endsWith(Report.Reason, "accepted nearly-converged bp"))
+      << Report.Reason;
 }
 
 TEST(GlobalInferTest, BuildsOneJointGraph) {
